@@ -125,13 +125,7 @@ pub fn fig6_rows(n: usize, holder_counts: &[usize], seeds: u64, base_seed: u64) 
             let seed = base_seed ^ (k as u64) << 32 | s;
             let (id, holders, net) = run_epidemic(n, k, seed, SimTime::from_secs(2));
             for h in &holders {
-                let rec = net
-                    .node(*h)
-                    .receiver()
-                    .metrics()
-                    .buffer_record(id)
-                    .copied()
-                    .unwrap_or_default();
+                let rec = net.node(*h).receiver().metrics().buffer_record(id).unwrap_or_default();
                 if let Some(d) = rec.short_term_duration() {
                     stats.push(d.as_millis_f64());
                 }

@@ -133,13 +133,14 @@ impl BufferEntry {
 /// The two-phase buffer holding message payloads.
 ///
 /// Entries live in an id-sorted vector rather than a hash map: a member
-/// buffers a handful of messages at a time, so binary search beats
-/// hashing, and — decisive at the million-member scale the `members_1m`
-/// bench drives — a one-entry store costs one exact-sized allocation
-/// instead of a hash table's bucket array.
+/// buffers a handful of messages at a time, so a sorted search (from the
+/// tail, where the newest ids are) beats hashing, and — decisive at the
+/// million-member scale the `members_1m` bench drives — a one-entry store
+/// costs one exact-sized allocation instead of a hash table's bucket
+/// array.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStore {
-    /// Buffered entries, sorted by message id (binary-searched).
+    /// Buffered entries, sorted by message id (searched from the tail).
     entries: Vec<(MessageId, BufferEntry)>,
     /// Use-time-ordered index over **long-phase** entries only, keyed by
     /// `(last_use, id)`. Kept in lockstep by every mutation of a long
@@ -239,9 +240,11 @@ impl MessageStore {
         );
     }
 
-    /// Binary-search position of `id` in the sorted entry vector.
+    /// Position of `id` in the sorted entry vector, searched from the
+    /// tail: the hot short-term entries are the newest ids, behind them
+    /// sit the cold long-term ones.
     fn idx(&self, id: MessageId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&id, |&(eid, _)| eid)
+        crate::vecmap::search_from_tail(&self.entries, id, |&(eid, _)| eid)
     }
 
     fn entry_ref(&self, id: MessageId) -> Option<&BufferEntry> {
@@ -963,6 +966,33 @@ mod proptests {
                 index_ids.sort();
                 let index: Vec<(SimTime, MessageId)> = s.long_by_use.to_vec();
                 prop_assert_eq!(index, index_ids);
+            }
+        }
+
+        /// The tail-first `idx` is `binary_search_by_key`, for hits and for
+        /// misses at every position, in a store of one source and of
+        /// several, whatever mix of phases and discards produced it.
+        #[test]
+        fn idx_from_tail_equals_binary_search(
+            sources in 1u32..4,
+            ops in proptest::collection::vec((0u32..3, 0u64..40, 0u8..4), 0..120),
+        ) {
+            let mut s = MessageStore::new();
+            let mid = |source: u32, seq: u64| MessageId::new(NodeId(source), SeqNo(seq));
+            for (step, (source, seq, op)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_micros(step as u64);
+                let id = mid(source % sources, seq);
+                match op {
+                    0 | 1 => { s.insert_short(id, Bytes::new(), now); }
+                    2 => { s.insert_long(id, Bytes::new(), now); }
+                    _ => { s.discard(id, now); }
+                }
+            }
+            for source in 0..=sources {
+                for seq in 0..=40 {
+                    let id = mid(source, seq);
+                    prop_assert_eq!(s.idx(id), s.entries.binary_search_by_key(&id, |&(e, _)| e));
+                }
             }
         }
     }

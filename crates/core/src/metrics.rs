@@ -9,7 +9,8 @@
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::NodeId;
 
-use crate::ids::MessageId;
+use crate::ids::{MessageId, SeqNo};
+use crate::vecmap::{reserve_doubling, search_from_tail};
 
 /// Monotone counters of protocol activity on one receiver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -135,10 +136,99 @@ pub enum ProtocolEvent {
         /// The downstream waiter that receives the repair.
         origin: NodeId,
     },
-    /// A message was delivered to the application.
-    Delivered,
     /// A regional repair multicast was transmitted.
     RegionalMulticast,
+}
+
+/// One message's [`BufferRecord`], packed: a stamp is microseconds with
+/// [`Slot::NONE`] for "not yet" (so a stamp of exactly `SimTime::MAX`
+/// reads back as `None`), and the flags say whether any setter ever
+/// touched the slot — padding inside a run is untouched — and whether
+/// the message was kept long-term.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    received_at: u64,
+    idled_at: u64,
+    discarded_at: u64,
+    flags: u8,
+}
+
+impl Slot {
+    const NONE: u64 = u64::MAX;
+    const TOUCHED: u8 = 1;
+    const KEPT: u8 = 2;
+    const UNTOUCHED: Slot =
+        Slot { received_at: Slot::NONE, idled_at: Slot::NONE, discarded_at: Slot::NONE, flags: 0 };
+
+    fn record(&self) -> Option<BufferRecord> {
+        let stamp = |raw: u64| (raw != Slot::NONE).then(|| SimTime::from_micros(raw));
+        (self.flags & Slot::TOUCHED != 0).then(|| BufferRecord {
+            received_at: stamp(self.received_at),
+            idled_at: stamp(self.idled_at),
+            kept_long_term: self.flags & Slot::KEPT != 0,
+            discarded_at: stamp(self.discarded_at),
+        })
+    }
+}
+
+/// A dense run of slots for consecutive sequence numbers of one source:
+/// slot `i` belongs to `first_seq + i`. The first slot is inline, so a
+/// run of one — all a member that saw a single message ever holds, and
+/// there are a million such members in the scaling workloads — is its
+/// 72 B entry in the run table and no second allocation.
+#[derive(Debug, Clone)]
+struct Run {
+    source: NodeId,
+    first_seq: u64,
+    head: Slot,
+    rest: Vec<Slot>,
+}
+
+impl Run {
+    /// The longest hole (in slots) that extending a run pads over. A
+    /// wider one — a late-join floor, a burst outage, a hostile sequence
+    /// number — starts a new run instead, so a record never costs more
+    /// than `MAX_GAP + 1` slots however sparse the ids are.
+    const MAX_GAP: u64 = 16;
+
+    fn key(&self) -> (NodeId, u64) {
+        (self.source, self.first_seq)
+    }
+
+    /// Whether `id` lies inside this run or close enough behind its end to
+    /// extend it. Only asked of the run sorted directly before `id`.
+    fn reaches(&self, id: MessageId) -> bool {
+        self.source == id.source
+            && id.seq.0 - self.first_seq <= self.rest.len() as u64 + 1 + Run::MAX_GAP
+    }
+
+    fn slot(&self, seq: u64) -> Option<&Slot> {
+        match usize::try_from(seq - self.first_seq).ok()? {
+            0 => Some(&self.head),
+            i => self.rest.get(i - 1),
+        }
+    }
+
+    /// The slot of `seq`, which this run [`reaches`](Run::reaches);
+    /// pads with untouched slots up to it.
+    fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        // At most `len + MAX_GAP`, by `reaches`.
+        let i = (seq - self.first_seq) as usize;
+        if i == 0 {
+            return &mut self.head;
+        }
+        while self.rest.len() < i {
+            reserve_doubling(&mut self.rest);
+            self.rest.push(Slot::UNTOUCHED);
+        }
+        &mut self.rest[i - 1]
+    }
+
+    fn records(&self) -> impl Iterator<Item = (MessageId, BufferRecord)> + '_ {
+        std::iter::once(&self.head).chain(&self.rest).enumerate().filter_map(|(i, slot)| {
+            Some((MessageId::new(self.source, SeqNo(self.first_seq + i as u64)), slot.record()?))
+        })
+    }
 }
 
 /// Per-receiver metrics: counters, buffer log, event log.
@@ -146,10 +236,12 @@ pub enum ProtocolEvent {
 pub struct Metrics {
     /// Counter block.
     pub counters: Counters,
-    /// Per-message lifecycle records, sorted by id. Message ids arrive
-    /// mostly in order, so inserts are near-append and the flat vector
-    /// avoids a B-tree node per handful of records.
-    buffer_log: Vec<(MessageId, BufferRecord)>,
+    /// Per-message lifecycle records as dense runs, sorted by
+    /// `(source, first_seq)` and disjoint. A stream appends to the last
+    /// run: one probe of the run table, then an index, no key stored per
+    /// record. A hole wider than [`Run::MAX_GAP`] or another source opens
+    /// a new run, found from the tail like every per-message table.
+    runs: Vec<Run>,
     events: Vec<(SimTime, MessageId, ProtocolEvent)>,
     record_events: bool,
 }
@@ -159,40 +251,83 @@ impl Metrics {
     /// populated (counter and buffer-log upkeep is always on).
     #[must_use]
     pub fn new(record_events: bool) -> Self {
-        Metrics {
-            counters: Counters::default(),
-            buffer_log: Vec::new(),
-            events: Vec::new(),
-            record_events,
+        Metrics { record_events, ..Metrics::default() }
+    }
+
+    /// Index of the run sorted directly at or before `id` — the only one
+    /// that can hold it, and the one a run opening at `id` goes after.
+    fn run_before(&self, id: MessageId) -> Option<usize> {
+        match search_from_tail(&self.runs, (id.source, id.seq.0), Run::key) {
+            Ok(i) => Some(i),
+            Err(i) => i.checked_sub(1),
         }
     }
 
-    /// The per-message buffer lifecycle record.
+    /// The per-message buffer lifecycle record; `None` for a message no
+    /// setter was ever called for.
     #[must_use]
-    pub fn buffer_record(&self, id: MessageId) -> Option<&BufferRecord> {
-        self.buffer_log
-            .binary_search_by_key(&id, |&(rid, _)| rid)
-            .ok()
-            .map(|i| &self.buffer_log[i].1)
+    pub fn buffer_record(&self, id: MessageId) -> Option<BufferRecord> {
+        let run = &self.runs[self.run_before(id)?];
+        if run.source != id.source {
+            return None;
+        }
+        run.slot(id.seq.0)?.record()
     }
 
-    /// All buffer records in message order.
-    #[must_use]
-    pub fn buffer_log(&self) -> &[(MessageId, BufferRecord)] {
-        &self.buffer_log
+    /// All buffer records in `(source, seq)` order.
+    pub fn buffer_log(&self) -> impl Iterator<Item = (MessageId, BufferRecord)> + '_ {
+        self.runs.iter().flat_map(Run::records)
     }
 
-    /// Mutable record entry for `id` (creates a default on first touch).
-    pub fn buffer_record_mut(&mut self, id: MessageId) -> &mut BufferRecord {
-        let i = match self.buffer_log.binary_search_by_key(&id, |&(rid, _)| rid) {
-            Ok(i) => i,
-            Err(i) => {
-                crate::vecmap::reserve_doubling(&mut self.buffer_log);
-                self.buffer_log.insert(i, (id, BufferRecord::default()));
+    /// The slot of `id`, marked touched (created on first touch).
+    fn slot_mut(&mut self, id: MessageId) -> &mut Slot {
+        let before = self.run_before(id);
+        let i = match before {
+            Some(i) if self.runs[i].reaches(id) => i,
+            _ => {
+                let i = before.map_or(0, |i| i + 1);
+                reserve_doubling(&mut self.runs);
+                let (source, first_seq) = (id.source, id.seq.0);
+                self.runs
+                    .insert(i, Run { source, first_seq, head: Slot::UNTOUCHED, rest: Vec::new() });
                 i
             }
         };
-        &mut self.buffer_log[i].1
+        let slot = self.runs[i].slot_mut(id.seq.0);
+        slot.flags |= Slot::TOUCHED;
+        slot
+    }
+
+    /// Records when `id` was first received here.
+    pub fn note_received(&mut self, id: MessageId, at: SimTime) {
+        self.slot_mut(id).received_at = at.as_micros();
+    }
+
+    /// Records when `id` became idle (its short-term phase ended).
+    pub fn note_idled(&mut self, id: MessageId, at: SimTime) {
+        self.slot_mut(id).idled_at = at.as_micros();
+    }
+
+    /// Records that this member kept `id` as a long-term bufferer.
+    pub fn note_kept(&mut self, id: MessageId) {
+        self.slot_mut(id).flags |= Slot::KEPT;
+    }
+
+    /// Records when the payload of `id` left the buffer.
+    pub fn note_discarded(&mut self, id: MessageId, at: SimTime) {
+        self.slot_mut(id).discarded_at = at.as_micros();
+    }
+
+    /// Records that `id` is buffered again (a handoff re-delivered a
+    /// payload this member had discarded).
+    pub fn clear_discarded(&mut self, id: MessageId) {
+        self.slot_mut(id).discarded_at = Slot::NONE;
+    }
+
+    /// Slots the buffer log holds memory for, touched or not.
+    #[cfg(test)]
+    pub(crate) fn slots_allocated(&self) -> usize {
+        self.runs.iter().map(|r| 1 + r.rest.capacity()).sum()
     }
 
     /// Records a protocol event (no-op unless event recording is on).
@@ -220,7 +355,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SeqNo;
     use rrmp_netsim::time::SimDuration;
 
     fn mid(seq: u64) -> MessageId {
@@ -230,9 +364,8 @@ mod tests {
     #[test]
     fn buffer_record_duration() {
         let mut m = Metrics::new(true);
-        let r = m.buffer_record_mut(mid(1));
-        r.received_at = Some(SimTime::from_millis(10));
-        r.idled_at = Some(SimTime::from_millis(60));
+        m.note_received(mid(1), SimTime::from_millis(10));
+        m.note_idled(mid(1), SimTime::from_millis(60));
         assert_eq!(
             m.buffer_record(mid(1)).unwrap().short_term_duration(),
             Some(SimDuration::from_millis(50))
@@ -240,6 +373,68 @@ mod tests {
         assert_eq!(m.buffer_record(mid(2)), None);
         let incomplete = BufferRecord { received_at: Some(SimTime::ZERO), ..Default::default() };
         assert_eq!(incomplete.short_term_duration(), None);
+    }
+
+    #[test]
+    fn packed_record_fits_32_bytes() {
+        assert!(std::mem::size_of::<Slot>() <= 32);
+    }
+
+    #[test]
+    fn setters_round_trip_and_padding_reads_none() {
+        let mut m = Metrics::new(false);
+        let t = SimTime::from_millis;
+        m.note_received(mid(1), t(1));
+        m.note_received(mid(4), t(4)); // pads #2 and #3
+        m.note_idled(mid(4), t(44));
+        m.note_kept(mid(4));
+        m.note_discarded(mid(4), t(50));
+        assert_eq!(m.buffer_record(mid(2)), None, "padding is not a record");
+        assert_eq!(m.buffer_record(mid(0)), None);
+        assert_eq!(m.buffer_record(MessageId::new(NodeId(1), SeqNo(1))), None);
+        let full = BufferRecord {
+            received_at: Some(t(4)),
+            idled_at: Some(t(44)),
+            kept_long_term: true,
+            discarded_at: Some(t(50)),
+        };
+        assert_eq!(m.buffer_record(mid(4)), Some(full));
+        m.clear_discarded(mid(4));
+        assert_eq!(m.buffer_record(mid(4)), Some(BufferRecord { discarded_at: None, ..full }));
+        // A first touch through any setter creates the record.
+        m.clear_discarded(mid(3));
+        assert_eq!(m.buffer_record(mid(3)), Some(BufferRecord::default()));
+        let ids: Vec<u64> = m.buffer_log().map(|(id, _)| id.seq.0).collect();
+        assert_eq!(ids, vec![1, 3, 4]);
+        assert_eq!(m.runs.len(), 1);
+    }
+
+    #[test]
+    fn one_message_costs_one_exact_allocation() {
+        let mut m = Metrics::new(false);
+        m.note_received(mid(1_000_000), SimTime::ZERO);
+        assert_eq!(m.runs.capacity(), 1);
+        assert_eq!(m.runs[0].rest.capacity(), 0, "the first slot is inline in the run table");
+        assert!(std::mem::size_of::<Run>() <= 72);
+    }
+
+    #[test]
+    fn wide_gaps_cost_a_run_not_the_gap() {
+        let mut m = Metrics::new(false);
+        for seq in [1, 2, 1 << 40, u64::MAX, (1 << 40) + 1, 3] {
+            m.note_received(mid(seq), SimTime::from_micros(seq % 1000));
+        }
+        assert_eq!(m.runs.len(), 3);
+        assert!(m.slots_allocated() <= 8, "{} slots for six records", m.slots_allocated());
+        let ids: Vec<u64> = m.buffer_log().map(|(id, _)| id.seq.0).collect();
+        assert_eq!(ids, vec![1, 2, 3, 1 << 40, (1 << 40) + 1, u64::MAX]);
+        // Descending arrival never pads backwards: one run per record.
+        let mut m = Metrics::new(false);
+        for seq in (1..=5).rev() {
+            m.note_kept(mid(seq));
+        }
+        assert_eq!(m.slots_allocated(), 5);
+        assert!((1..=5).all(|seq| m.buffer_record(mid(seq)).unwrap().kept_long_term));
     }
 
     #[test]
@@ -265,6 +460,66 @@ mod tests {
         let found =
             m.first_event_where(|e| matches!(e, ProtocolEvent::SearchAnswered { .. })).unwrap();
         assert_eq!(found.0, SimTime::from_millis(2));
-        assert!(m.first_event_where(|e| matches!(e, ProtocolEvent::Delivered)).is_none());
+        assert!(m.first_event_where(|e| matches!(e, ProtocolEvent::SearchJoined)).is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Sequence numbers that land in order, out of order, on top of each
+    /// other, a few slots apart, just past the padding limit, and at both
+    /// ends of the number space.
+    fn arb_seq() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..48,
+            0u64..48,
+            (0u64..12).prop_map(|k| k * (Run::MAX_GAP + 1)),
+            (0u64..6).prop_map(|k| (1 << 40) + k * 9),
+            (0u64..4).prop_map(|k| u64::MAX - k),
+        ]
+    }
+
+    proptest! {
+        /// Any interleaving of the five setters over three sources reads
+        /// back exactly as a `BTreeMap` with default-on-first-touch
+        /// entries does — by id, for ids never touched, and in iteration
+        /// order — and holds memory for at most `MAX_GAP + 1` slots per
+        /// record.
+        #[test]
+        fn runs_match_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..5, 0u32..3, arb_seq(), 0u64..1_000_000), 0..120)
+        ) {
+            let mut m = Metrics::new(false);
+            let mut model: BTreeMap<MessageId, BufferRecord> = BTreeMap::new();
+            for &(op, source, seq, at) in &ops {
+                let id = MessageId::new(NodeId(source), SeqNo(seq));
+                let at = SimTime::from_micros(at);
+                let rec = model.entry(id).or_default();
+                match op {
+                    0 => { m.note_received(id, at); rec.received_at = Some(at); }
+                    1 => { m.note_idled(id, at); rec.idled_at = Some(at); }
+                    2 => { m.note_kept(id); rec.kept_long_term = true; }
+                    3 => { m.note_discarded(id, at); rec.discarded_at = Some(at); }
+                    _ => { m.clear_discarded(id); rec.discarded_at = None; }
+                }
+            }
+            for &(_, source, seq, _) in &ops {
+                for near in [seq.wrapping_sub(1), seq, seq.wrapping_add(1)] {
+                    let id = MessageId::new(NodeId(source), SeqNo(near));
+                    prop_assert_eq!(m.buffer_record(id), model.get(&id).copied());
+                    let other = MessageId::new(NodeId(3), SeqNo(near));
+                    prop_assert_eq!(m.buffer_record(other), None);
+                }
+            }
+            let log: Vec<(MessageId, BufferRecord)> = m.buffer_log().collect();
+            prop_assert_eq!(log, model.iter().map(|(&id, &r)| (id, r)).collect::<Vec<_>>());
+            // Doubling at most doubles the `MAX_GAP + 1` slots a record can need.
+            prop_assert!(m.slots_allocated() <= model.len() * 2 * (Run::MAX_GAP as usize + 1));
+            prop_assert!(m.runs.windows(2).all(|w| w[0].key() < w[1].key()));
+        }
     }
 }

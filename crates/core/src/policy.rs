@@ -101,7 +101,7 @@ impl PolicyCtx<'_> {
     pub fn note_evictions(&mut self, evicted: Vec<MessageId>) {
         for id in evicted {
             self.metrics.counters.evicted_for_capacity += 1;
-            self.metrics.buffer_record_mut(id).discarded_at = Some(self.now);
+            self.metrics.note_discarded(id, self.now);
         }
     }
 
@@ -111,9 +111,8 @@ impl PolicyCtx<'_> {
     pub fn enter_long_term(&mut self, id: MessageId, payload: Bytes) {
         let (_, evicted) = self.store.insert_long_bounded(id, payload, self.now);
         self.note_evictions(evicted);
-        let rec = self.metrics.buffer_record_mut(id);
-        rec.idled_at = Some(self.now);
-        rec.kept_long_term = true;
+        self.metrics.note_idled(id, self.now);
+        self.metrics.note_kept(id);
     }
 }
 
@@ -251,7 +250,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
             let Some(victim) = ctx.store.lru_long() else { break };
             ctx.store.discard(victim, ctx.now);
             ctx.metrics.counters.pressure_discards += 1;
-            ctx.metrics.buffer_record_mut(victim).discarded_at = Some(ctx.now);
+            ctx.metrics.note_discarded(victim, ctx.now);
         }
     }
 }
@@ -303,16 +302,16 @@ impl BufferPolicy for TwoPhase {
         }
         // The message is idle (§3.1): decide long-term retention.
         ctx.metrics.counters.idle_transitions += 1;
-        ctx.metrics.buffer_record_mut(msg).idled_at = Some(ctx.now);
+        ctx.metrics.note_idled(msg, ctx.now);
         let p = ctx.cfg.long_term_probability(ctx.view.own().len());
         if ctx.rng.gen_bool(p) {
             ctx.store.promote_to_long(msg, ctx.now);
             ctx.metrics.counters.long_term_kept += 1;
-            ctx.metrics.buffer_record_mut(msg).kept_long_term = true;
+            ctx.metrics.note_kept(msg);
         } else {
             ctx.store.discard(msg, ctx.now);
             ctx.metrics.counters.discarded_at_idle += 1;
-            ctx.metrics.buffer_record_mut(msg).discarded_at = Some(ctx.now);
+            ctx.metrics.note_discarded(msg, ctx.now);
         }
     }
 
@@ -383,9 +382,8 @@ impl BufferPolicy for FixedTime {
         if ctx.store.short_last_activity(msg).is_some() {
             ctx.store.discard(msg, ctx.now);
             ctx.metrics.counters.discarded_at_idle += 1;
-            let rec = ctx.metrics.buffer_record_mut(msg);
-            rec.idled_at = Some(ctx.now);
-            rec.discarded_at = Some(ctx.now);
+            ctx.metrics.note_idled(msg, ctx.now);
+            ctx.metrics.note_discarded(msg, ctx.now);
         }
     }
 
@@ -839,7 +837,7 @@ impl BufferPolicy for Stability {
         for &id in &stable_ids {
             ctx.store.discard(id, ctx.now);
             ctx.metrics.counters.stable_discards += 1;
-            ctx.metrics.buffer_record_mut(id).discarded_at = Some(ctx.now);
+            ctx.metrics.note_discarded(id, ctx.now);
         }
         stable_ids.clear();
         self.scratch = stable_ids;

@@ -474,8 +474,7 @@ impl Receiver {
         now: SimTime,
     ) -> Vec<Action> {
         self.detector.on_data(id);
-        let rec = self.metrics.buffer_record_mut(id);
-        rec.received_at = Some(now);
+        self.metrics.note_received(id, now);
         match state {
             PreloadState::ShortTerm => {
                 self.store.insert_short(id, payload, now);
@@ -486,13 +485,12 @@ impl Receiver {
             }
             PreloadState::LongTerm => {
                 self.store.insert_long(id, payload, now);
-                let rec = self.metrics.buffer_record_mut(id);
-                rec.idled_at = Some(now);
-                rec.kept_long_term = true;
+                self.metrics.note_idled(id, now);
+                self.metrics.note_kept(id);
                 Vec::new()
             }
             PreloadState::ReceivedDiscarded => {
-                self.metrics.buffer_record_mut(id).discarded_at = Some(now);
+                self.metrics.note_discarded(id, now);
                 Vec::new()
             }
         }
@@ -579,8 +577,7 @@ impl Receiver {
         let outcome = self.detector.on_data(id);
         if outcome.newly_received {
             self.metrics.counters.delivered += 1;
-            self.metrics.buffer_record_mut(id).received_at = Some(now);
-            self.metrics.record_event(now, id, ProtocolEvent::Delivered);
+            self.metrics.note_received(id, now);
             actions.push(Action::Deliver { id, payload: data.payload.clone() });
             if let Some(t) = self.trace.as_deref_mut() {
                 t.on_delivered(id, now);
@@ -612,9 +609,8 @@ impl Receiver {
             // if we had discarded the payload.
             if path == DataPath::Handoff && !self.store.contains(id) {
                 self.store.insert_long(id, data.payload.clone(), now);
-                let rec = self.metrics.buffer_record_mut(id);
-                rec.kept_long_term = true;
-                rec.discarded_at = None;
+                self.metrics.note_kept(id);
+                self.metrics.clear_discarded(id);
                 self.apply_pressure(now, actions);
             }
             // If we were searching for this message on behalf of downstream
@@ -1162,7 +1158,7 @@ impl Receiver {
                     self.store.expire_long_into(now, timeout, &mut expired);
                     for &id in &expired {
                         self.metrics.counters.long_term_expired += 1;
-                        self.metrics.buffer_record_mut(id).discarded_at = Some(now);
+                        self.metrics.note_discarded(id, now);
                     }
                     expired.clear();
                     self.expire_scratch = expired;
@@ -1520,6 +1516,32 @@ mod tests {
         assert!(!r.store().contains(mid(1)));
         assert_eq!(r.metrics().counters.discarded_at_idle, 1);
         assert_eq!(r.metrics().buffer_record(mid(1)).unwrap().discarded_at, Some(t(40)));
+    }
+
+    #[test]
+    fn far_ahead_sequence_numbers_cost_one_record() {
+        // The buffer log is indexed by sequence number; neither a late-join
+        // floor nor a number far ahead of the stream (which the wire can
+        // carry) may make it hold memory for the gap.
+        let mut r = root_receiver(ProtocolConfig::paper_defaults());
+        r.set_recovery_floor(SENDER, SeqNo(999_999));
+        r.handle(packet_event(0, data(1_000_000)), t(0));
+        assert_eq!(r.metrics().slots_allocated(), 1);
+        assert_eq!(r.metrics().buffer_record(mid(1_000_000)).unwrap().received_at, Some(t(0)));
+
+        let mut r = root_receiver(ProtocolConfig::paper_defaults());
+        r.handle(packet_event(0, data(1)), t(0));
+        // (The floor spares the loss detector the enumeration of the gap.)
+        r.set_recovery_floor(SENDER, SeqNo((1 << 40) - 1));
+        let far = Packet::Repair {
+            data: DataPacket::new(mid(1 << 40), payload()),
+            kind: RepairKind::Local,
+        };
+        r.handle(packet_event(2, far), t(1));
+        assert_eq!(r.metrics().counters.delivered, 2);
+        assert_eq!(r.metrics().slots_allocated(), 2);
+        assert_eq!(r.metrics().buffer_record(mid(1 << 40)).unwrap().received_at, Some(t(1)));
+        assert_eq!(r.metrics().buffer_record(mid(2)), None);
     }
 
     #[test]

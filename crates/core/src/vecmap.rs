@@ -23,6 +23,41 @@ pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>) {
     }
 }
 
+/// Position of `key` in `entries`, which `key_of` orders ascending with
+/// no duplicates: exactly what `binary_search_by_key` returns, found from
+/// the **tail**. Message ids grow monotonically per source and every hot
+/// operation touches the newest few, so the search gallops back from the
+/// last entry (probing 1, 3, 7, ... from the end) and binary-searches
+/// only the bracket it lands in: O(1) at the tail, O(log distance from
+/// the tail) behind it, never worse than twice a plain binary search.
+pub(crate) fn search_from_tail<T, K: Ord>(
+    entries: &[T],
+    key: K,
+    key_of: impl Fn(&T) -> K,
+) -> Result<usize, usize> {
+    // Invariant: every entry at or after `hi` is greater than `key`.
+    let mut hi = entries.len();
+    let mut step = 1;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        match key_of(&entries[probe]).cmp(&key) {
+            std::cmp::Ordering::Equal => return Ok(probe),
+            std::cmp::Ordering::Less => {
+                let lo = probe + 1;
+                return match entries[lo..hi].binary_search_by_key(&key, &key_of) {
+                    Ok(i) => Ok(lo + i),
+                    Err(i) => Err(lo + i),
+                };
+            }
+            std::cmp::Ordering::Greater => {
+                hi = probe;
+                step *= 2;
+            }
+        }
+    }
+    Err(0)
+}
+
 /// A map from `K` to `V` stored as a key-sorted vector.
 #[derive(Debug, Clone, Default)]
 pub struct VecMap<K, V> {
@@ -37,7 +72,7 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     }
 
     fn idx(&self, key: K) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&key, |&(k, _)| k)
+        search_from_tail(&self.entries, key, |&(k, _)| k)
     }
 
     /// Number of entries.
@@ -171,5 +206,33 @@ mod tests {
             caps.push(m.entries.capacity());
         }
         assert_eq!(caps, vec![1, 2, 4, 4, 8]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::VecMap;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The tail-first search is `binary_search_by_key`, for hits and
+        /// for misses at every position — before the first key, between
+        /// any two, past the last — with keys of one source and of several.
+        #[test]
+        fn idx_from_tail_equals_binary_search(
+            sources in 1u32..4,
+            keys in proptest::collection::vec((0u32..3, 0u64..40), 0..80),
+        ) {
+            let mut m: VecMap<(u32, u64), ()> = VecMap::new();
+            for (source, seq) in keys {
+                m.insert((source % sources, seq), ());
+            }
+            for source in 0..=sources {
+                for seq in 0..=40 {
+                    let key = (source, seq);
+                    prop_assert_eq!(m.idx(key), m.entries.binary_search_by_key(&key, |&(k, _)| k));
+                }
+            }
+        }
     }
 }

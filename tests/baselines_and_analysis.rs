@@ -146,8 +146,7 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
     assert!(net.all_delivered(id), "slow region must still recover");
     let mut fast_release = Vec::new();
     for i in 0..20u32 {
-        let rec =
-            net.node(NodeId(i)).receiver().metrics().buffer_record(id).copied().expect("record");
+        let rec = net.node(NodeId(i)).receiver().metrics().buffer_record(id).expect("record");
         if let Some(d) = rec.short_term_duration() {
             fast_release.push(d.as_millis_f64());
         }

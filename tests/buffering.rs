@@ -17,8 +17,7 @@ fn idle_transition_waits_for_requests_to_stop() {
     net.run_until(SimTime::from_millis(39));
     assert_eq!(net.node(holder).receiver().store().phase(id), Some(Phase::Short));
     net.run_until(SimTime::from_secs(2));
-    let rec =
-        net.node(holder).receiver().metrics().buffer_record(id).copied().expect("record exists");
+    let rec = net.node(holder).receiver().metrics().buffer_record(id).expect("record exists");
     let dur = rec.short_term_duration().expect("idled").as_millis_f64();
     assert!(dur > 40.0, "holder of a message 19 others miss idled too early: {dur}ms");
     assert_eq!(net.received_count(id), 20);
@@ -33,7 +32,7 @@ fn uncontended_message_idles_exactly_at_t() {
     let id = net.multicast_with_plan(&b"calm"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_secs(1));
     for (node_id, node) in net.nodes() {
-        let rec = node.receiver().metrics().buffer_record(id).copied().unwrap_or_default();
+        let rec = node.receiver().metrics().buffer_record(id).unwrap_or_default();
         let dur = rec.short_term_duration().expect("idled").as_millis_f64();
         assert!(
             (dur - 40.0).abs() < 1e-6,
@@ -226,7 +225,7 @@ fn fixed_time_policy_ignores_feedback() {
     let id = net.seed_message_with_holders(&b"rigid"[..], &[holder]);
     net.run_until(SimTime::from_secs(3));
     // The sole holder discarded at exactly `hold`, regardless of demand.
-    let rec = net.node(holder).receiver().metrics().buffer_record(id).copied().expect("record");
+    let rec = net.node(holder).receiver().metrics().buffer_record(id).expect("record");
     assert_eq!(
         rec.short_term_duration().map(|d| d.as_millis_f64()),
         Some(40.0),
