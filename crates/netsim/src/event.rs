@@ -23,12 +23,26 @@
 //! sentinels, `SimTime::MAX` deadlines) are rare, so the heap stays tiny.
 //!
 //! Scheduling hashes the event into `levels[level_of(delta)]` by its
-//! absolute tick; popping advances the cursor directly to the next occupied
-//! slot (per-level occupancy bitmaps make the scan six `u64` inspections),
-//! cascading higher-level slots downward until a level-0 slot — one exact
-//! tick — drains into a sorted pending run. Same-instant ties are resolved
-//! by sorting that run on the insertion sequence, reproducing the heap's
+//! absolute tick. Popping finds the next occupied slot (per-level
+//! occupancy bitmaps make the scan six `u64` inspections) and cascades
+//! higher-level slots downward until a level-0 slot — one exact tick —
+//! drains into a sorted pending run. Same-instant ties are resolved by
+//! sorting that run on the insertion sequence, reproducing the heap's
 //! order exactly.
+//!
+//! ## The cursor never runs ahead of the host
+//!
+//! The cursor is the instant of the last tick taken off the wheel. It
+//! moves only inside [`EventQueue::pop_at_or_before`], and only as far as
+//! the event that call returns — never past `limit`, and not at all when
+//! the earliest event is later than `limit` or the pending run merely
+//! empties. Every host schedules at or after the instant it last popped
+//! (or the limit it last asked for), so the cursor is never ahead of the
+//! host's clock and a schedule costs one bucket push wherever that clock
+//! stands: an idle host whose only outstanding work is a far-off sweep
+//! does not drag the cursor out to the sweep. Only a genuine `at <= cursor`
+//! schedule (a same-instant re-arm, an overdue timer) pays a sorted insert
+//! into the pending run.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -62,10 +76,14 @@ pub trait Scheduler<E> {
     fn pop(&mut self) -> Option<(SimTime, E)>;
 
     /// Pops the earliest event only if it fires at or before `limit` — a
-    /// peek-then-pop, never a pop-and-re-push.
+    /// peek-then-pop, never a pop-and-re-push. An event later than `limit`
+    /// leaves the queue exactly as it was, so a host may keep scheduling
+    /// at any instant from `limit` on at full speed.
     fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)>;
 
-    /// The firing time of the earliest pending event, if any.
+    /// The firing time of the earliest pending event, if any. Exact in
+    /// every state (never a lower bound): window boundaries and poll
+    /// timeouts are computed from it.
     fn peek_time(&self) -> Option<SimTime>;
 
     /// How long after `now` the earliest event fires: `None` when the
@@ -208,6 +226,27 @@ impl<E> PayloadSlab<E> {
     }
 }
 
+/// One wheel slot: its entries and their earliest firing tick (`u64::MAX`
+/// while empty), so the queue's exact earliest time is a read of each
+/// level's first occupied slot rather than a walk over its entries.
+#[derive(Debug)]
+struct Bucket {
+    min: u64,
+    entries: Vec<Entry>,
+}
+
+/// What one pass over the occupancy bitmaps finds on a non-empty wheel.
+#[derive(Debug, Clone, Copy)]
+struct WheelFront {
+    /// The exact firing tick of the wheel's earliest entry.
+    earliest: u64,
+    /// The slot to open next — the earliest slot start across levels —
+    /// as `(start tick, level, slot index)`.
+    tick: u64,
+    level: usize,
+    idx: usize,
+}
+
 /// The production event queue: a hierarchical timing wheel.
 ///
 /// Orders events by `(time, insertion sequence)` — identical observable
@@ -228,20 +267,20 @@ impl<E> PayloadSlab<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// `LEVELS * SLOTS` buckets, flattened; bucket `level * SLOTS + slot`.
-    levels: Vec<Vec<Entry>>,
+    levels: Vec<Bucket>,
     /// One occupancy bit per slot, per level.
     occupied: [u64; LEVELS],
-    /// All entries at ticks `<= cursor` have been drained into `pending`.
+    /// The instant of the last tick taken off the wheel: every entry at a
+    /// tick `<= cursor` has been drained into `pending`, every entry still
+    /// on the wheel is later. Moved only by `settle`, and only up to the
+    /// event about to be returned, so it never passes the host's clock.
     cursor: u64,
-    /// The next entries to pop, sorted descending by `(at, seq)` so the
-    /// minimum pops from the back. All pending entries are at ticks
-    /// `<= cursor`, so they precede everything still in the wheel.
+    /// The drained tick's entries (plus anything scheduled at or before
+    /// the cursor since), sorted descending by `(at, seq)` so the minimum
+    /// pops from the back. All pending entries are at ticks `<= cursor`,
+    /// so they precede everything still in the wheel. Empty between
+    /// ticks: the next tick is drained only when a pop asks for it.
     pending: Vec<Entry>,
-    /// The exact firing tick of the earliest event, `None` when empty —
-    /// maintained incrementally so [`EventQueue::peek_time`] never has to
-    /// disturb the wheel. Scheduling takes a running minimum; popping
-    /// restores it from the settled pending run.
-    next_time: Option<u64>,
     /// Entries beyond the wheel horizon, ordered by `(at, seq)`.
     overflow: BinaryHeap<Reverse<Entry>>,
     /// Event payloads; the wheel only moves [`Entry`] handles.
@@ -255,11 +294,12 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            levels: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            levels: (0..LEVELS * SLOTS)
+                .map(|_| Bucket { min: u64::MAX, entries: Vec::new() })
+                .collect(),
             occupied: [0; LEVELS],
             cursor: 0,
             pending: Vec::new(),
-            next_time: None,
             overflow: BinaryHeap::new(),
             slab: PayloadSlab::new(),
             next_seq: 0,
@@ -274,10 +314,9 @@ impl<E> EventQueue<E> {
         let (slot, gen) = self.slab.insert(event);
         let entry = Entry { at: at.as_micros(), seq, slot, gen };
         self.len += 1;
-        self.next_time = Some(self.next_time.map_or(entry.at, |t| t.min(entry.at)));
         if entry.at <= self.cursor {
-            // At or before the cursor ("now", or a past instant): straight
-            // into the sorted pending run.
+            // At or before the last tick popped (a same-instant re-arm, an
+            // overdue timer): straight into the sorted pending run.
             let pos = self.pending.partition_point(|p| *p > entry);
             self.pending.insert(pos, entry);
         } else if entry.at - self.cursor >= WHEEL_RANGE {
@@ -289,35 +328,42 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.pending.is_empty() {
-            self.settle();
-        }
-        let entry = self.pending.pop()?;
-        self.len -= 1;
-        let event = self.slab.remove(entry.slot, entry.gen);
-        if self.pending.is_empty() {
-            self.settle();
-        }
-        self.next_time = self.pending.last().map(|e| e.at);
-        Some((SimTime::from_micros(entry.at), event))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Pops the earliest event only if it fires at or before `limit`.
     ///
-    /// This is the horizon check `Sim::run_until` uses: a single peek of
-    /// the pending run — an event past the horizon is never removed and
-    /// re-inserted, and the wheel structure is not disturbed.
+    /// This is the horizon check `Sim::run_until` uses, and the only place
+    /// the cursor moves: when the pending run is empty the next tick is
+    /// drained only if it is at or before `limit`, so the cursor ends on
+    /// the instant of the event returned and an event past the horizon
+    /// leaves the wheel untouched.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > limit {
+        let limit = limit.as_micros();
+        if self.pending.is_empty() {
+            self.settle(limit);
+        }
+        let entry = *self.pending.last()?;
+        if entry.at > limit {
             return None;
         }
-        self.pop()
+        self.pending.pop();
+        self.len -= 1;
+        let event = self.slab.remove(entry.slot, entry.gen);
+        Some((SimTime::from_micros(entry.at), event))
     }
 
-    /// The firing time of the earliest pending event, if any.
+    /// The firing time of the earliest pending event, if any — exact in
+    /// every state. The back of the pending run when there is one (it
+    /// precedes the whole wheel); otherwise one read of the six occupancy
+    /// bitmaps and of the first slot's minimum on each occupied level.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next_time.map(SimTime::from_micros)
+        let at = match self.pending.last() {
+            Some(entry) => entry.at,
+            None => self.earliest_unsettled(self.wheel_front())?,
+        };
+        Some(SimTime::from_micros(at))
     }
 
     /// Number of pending events.
@@ -344,12 +390,12 @@ impl<E> EventQueue<E> {
     /// re-growing from empty (important for `Sim` reuse across runs).
     pub fn clear(&mut self) {
         for bucket in &mut self.levels {
-            bucket.clear();
+            bucket.entries.clear();
+            bucket.min = u64::MAX;
         }
         self.occupied = [0; LEVELS];
         self.cursor = 0;
         self.pending.clear();
-        self.next_time = None;
         self.overflow.clear();
         self.slab.clear();
         self.len = 0;
@@ -362,7 +408,7 @@ impl<E> EventQueue<E> {
     pub fn allocated_capacity(&self) -> usize {
         self.slab.capacity()
             + self.pending.capacity()
-            + self.levels.iter().map(Vec::capacity).sum::<usize>()
+            + self.levels.iter().map(|b| b.entries.capacity()).sum::<usize>()
     }
 
     /// Hashes `entry` (which must satisfy `cursor <= at < cursor + range`)
@@ -374,89 +420,141 @@ impl<E> EventQueue<E> {
             if delta == 0 { 0 } else { (63 - delta.leading_zeros() as usize) / SLOT_BITS as usize };
         let slot = ((entry.at >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
-        self.levels[level * SLOTS + slot].push(entry);
+        let bucket = &mut self.levels[level * SLOTS + slot];
+        bucket.min = bucket.min.min(entry.at);
+        bucket.entries.push(entry);
     }
 
-    /// Re-establishes the pending invariant: advances the cursor to the
-    /// next occupied slot (migrating newly in-range overflow entries and
-    /// cascading higher levels down) and drains that slot — one exact tick
-    /// — into the sorted pending run. No-op if events are already pending
-    /// or the queue is empty.
-    fn settle(&mut self) {
-        if !self.pending.is_empty() {
+    /// One pass over the occupancy bitmaps: each occupied level's first
+    /// slot in firing order gives that level's earliest entry (its bucket
+    /// minimum) and a candidate slot to open next. `None` when the wheel
+    /// holds nothing.
+    fn wheel_front(&self) -> Option<WheelFront> {
+        let mut front: Option<WheelFront> = None;
+        for level in 0..LEVELS {
+            let bits = self.occupied[level];
+            if bits == 0 {
+                continue;
+            }
+            let shift = SLOT_BITS as usize * level;
+            let offset = ((self.cursor >> shift) & (SLOTS as u64 - 1)) as u32;
+            let ahead = bits >> offset;
+            // Slots behind the cursor's offset hold *next-rotation*
+            // entries. The cursor's own slot is current-rotation only
+            // while the cursor sits exactly on its start (remainder
+            // zero — always true at level 0); once the cursor is
+            // inside the slot's span, its current-rotation range has
+            // been cascaded away and an occupied own slot means
+            // entries one full rotation ahead.
+            let own_is_current = self.cursor & ((1u64 << shift) - 1) == 0;
+            let current = if own_is_current { ahead } else { ahead >> 1 };
+            let (idx, rotations) = if current != 0 {
+                let first = if own_is_current { offset } else { offset + 1 };
+                (first + current.trailing_zeros(), 0)
+            } else {
+                (bits.trailing_zeros(), 1)
+            };
+            let window =
+                self.cursor >> (shift + SLOT_BITS as usize) << (shift + SLOT_BITS as usize);
+            let tick = window + ((u64::from(idx) + rotations * SLOTS as u64) << shift);
+            let idx = idx as usize;
+            let earliest = self.levels[level * SLOTS + idx].min;
+            let f = front.get_or_insert(WheelFront { earliest, tick, level, idx });
+            f.earliest = f.earliest.min(earliest);
+            // The earliest slot start opens next; on a tie the higher
+            // level wins so its entries cascade down first.
+            if tick <= f.tick {
+                (f.tick, f.level, f.idx) = (tick, level, idx);
+            }
+        }
+        front
+    }
+
+    /// The exact earliest tick outside the pending run: the wheel's, or
+    /// the overflow front where that is earlier (an overflow entry can
+    /// precede wheel entries scheduled after the cursor moved on).
+    fn earliest_unsettled(&self, front: Option<WheelFront>) -> Option<u64> {
+        let overflow = self.overflow.peek().map(|e| e.0.at);
+        front.map(|f| f.earliest).into_iter().chain(overflow).min()
+    }
+
+    /// With the pending run empty, drains the queue's earliest tick into
+    /// it — provided that tick is at or before `limit`; otherwise (or if
+    /// the queue is empty) nothing moves. Migrates newly in-range overflow
+    /// entries and cascades higher levels down on the way; the cursor
+    /// steps through slot starts no later than the drained tick and ends
+    /// on it.
+    fn settle(&mut self, limit: u64) {
+        debug_assert!(self.pending.is_empty());
+        let mut front = self.wheel_front();
+        let Some(earliest) = self.earliest_unsettled(front) else { return };
+        if earliest > limit {
             return;
         }
+        if front.is_none() {
+            // Wheel empty: the earliest event is the overflow front; jump
+            // the cursor to it so far-future events come within range.
+            self.cursor = earliest;
+        }
         loop {
-            if self.occupied == [0; LEVELS] {
-                // Wheel empty: jump the cursor to the overflow front so
-                // far-future events come within range.
-                let Some(&Reverse(front)) = self.overflow.peek() else { return };
-                debug_assert!(front.at >= self.cursor);
-                self.cursor = front.at;
-            }
-            while let Some(&Reverse(front)) = self.overflow.peek() {
-                if front.at - self.cursor >= WHEEL_RANGE {
-                    break;
-                }
+            let waiting = self.overflow.len();
+            while let Some(next) =
+                self.overflow.peek().map(|e| e.0).filter(|e| e.at - self.cursor < WHEEL_RANGE)
+            {
                 self.overflow.pop();
-                self.insert_wheel(front);
+                self.insert_wheel(next);
             }
-            // The earliest occupied slot across levels; on a tick-start
-            // tie a higher level wins so its entries cascade down first.
-            let mut best: Option<(u64, usize, usize)> = None;
-            for level in 0..LEVELS {
-                let bits = self.occupied[level];
-                if bits == 0 {
-                    continue;
-                }
-                let shift = SLOT_BITS as usize * level;
-                let offset = ((self.cursor >> shift) & (SLOTS as u64 - 1)) as u32;
-                let ahead = bits >> offset;
-                // Slots behind the cursor's offset hold *next-rotation*
-                // entries. The cursor's own slot is current-rotation only
-                // while the cursor sits exactly on its start (remainder
-                // zero — always true at level 0); once the cursor is
-                // inside the slot's span, its current-rotation range has
-                // been cascaded away and an occupied own slot means
-                // entries one full rotation ahead.
-                let own_is_current = self.cursor & ((1u64 << shift) - 1) == 0;
-                let current = if own_is_current { ahead } else { ahead >> 1 };
-                let (idx, rotations) = if current != 0 {
-                    let first = if own_is_current { offset } else { offset + 1 };
-                    (first + current.trailing_zeros(), 0)
-                } else {
-                    (bits.trailing_zeros(), 1)
-                };
-                let window =
-                    self.cursor >> (shift + SLOT_BITS as usize) << (shift + SLOT_BITS as usize);
-                let tick = window + ((u64::from(idx) + rotations * SLOTS as u64) << shift);
-                if best.is_none_or(|(t, l, _)| tick < t || (tick == t && level > l)) {
-                    best = Some((tick, level, idx as usize));
-                }
+            if self.overflow.len() != waiting {
+                front = self.wheel_front();
             }
-            let (tick, level, idx) = best.expect("wheel holds an entry after overflow migration");
-            debug_assert!(tick >= self.cursor);
+            let WheelFront { tick, level, idx, .. } =
+                front.expect("wheel holds an entry after overflow migration");
+            debug_assert!(self.cursor <= tick && tick <= earliest, "cursor would pass the pop");
             self.cursor = tick;
             self.occupied[level] &= !(1 << idx);
-            // Drain the bucket in place and hand the (now empty) vector
-            // back to the same bucket, so capacity stays where the
-            // workload put it and cleared queues re-fill without growing.
-            let mut moved = std::mem::take(&mut self.levels[level * SLOTS + idx]);
+            let bucket = &mut self.levels[level * SLOTS + idx];
+            bucket.min = u64::MAX;
+            // Empty the bucket in place (copy out, or take the vector and
+            // hand it back below), so capacity stays where the workload
+            // put it and cleared queues re-fill without growing.
             if level == 0 {
                 // One exact tick; sort descending so the minimum (lowest
                 // seq) pops first from the back.
-                self.pending.extend_from_slice(&moved);
-                moved.clear();
-                self.levels[level * SLOTS + idx] = moved;
+                self.pending.extend_from_slice(&bucket.entries);
+                bucket.entries.clear();
                 self.pending.sort_unstable_by(|a, b| b.cmp(a));
                 return;
             }
             // Cascade a higher-level slot into finer levels.
+            let mut moved = std::mem::take(&mut bucket.entries);
             for entry in moved.drain(..) {
                 self.insert_wheel(entry);
             }
-            self.levels[level * SLOTS + idx] = moved;
+            self.levels[level * SLOTS + idx].entries = moved;
+            front = self.wheel_front();
         }
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    /// The structural conditions every public call must leave true.
+    fn check_invariants(&self) {
+        let mut on_wheel = 0;
+        for (b, bucket) in self.levels.iter().enumerate() {
+            let occupied = self.occupied[b / SLOTS] >> (b % SLOTS) & 1 == 1;
+            assert_eq!(occupied, !bucket.entries.is_empty(), "occupancy bit of bucket {b}");
+            let min = bucket.entries.iter().map(|e| e.at).min().unwrap_or(u64::MAX);
+            assert_eq!(bucket.min, min, "recorded minimum of bucket {b}");
+            assert!(
+                bucket.entries.iter().all(|e| e.at > self.cursor),
+                "bucket {b} at/behind cursor"
+            );
+            on_wheel += bucket.entries.len();
+        }
+        assert!(self.pending.windows(2).all(|w| w[0] > w[1]), "pending not sorted descending");
+        assert!(self.pending.iter().all(|e| e.at <= self.cursor), "pending entry past cursor");
+        assert_eq!(self.len, self.pending.len() + on_wheel + self.overflow.len());
     }
 }
 
@@ -680,6 +778,92 @@ mod tests {
         assert_eq!(q.pop_at_or_before(t(10)).unwrap().1, "late");
     }
 
+    /// The run-dry regression: with only a far-off sweep left, a horizon
+    /// pop that comes back empty must leave the cursor behind the host's
+    /// clock, so the burst that follows lands on the wheel — not in a
+    /// sorted pending run that every insert shifts.
+    #[test]
+    fn cursor_stays_behind_an_idle_hosts_clock() {
+        const BURST: usize = 50_000;
+        let sweep = SimTime::from_secs(5);
+        let mut q = EventQueue::new();
+        q.schedule(sweep, usize::MAX);
+        q.schedule(t(1), 0);
+        assert_eq!(q.pop_at_or_before(t(1)), Some((t(1), 0)));
+        assert_eq!(q.pop_at_or_before(t(20)), None);
+        assert_eq!(q.peek_time(), Some(sweep));
+        assert_eq!(q.cursor, t(1).as_micros(), "cursor rests on the last tick popped");
+        for i in 1..=BURST {
+            q.schedule(t(45), i);
+        }
+        assert!(q.pending.is_empty(), "burst ahead of the host's clock went to pending");
+        assert!(q.cursor <= t(20).as_micros());
+        assert_eq!(q.peek_time(), Some(t(45)));
+        q.check_invariants();
+        for i in 1..=BURST {
+            assert_eq!(q.pop(), Some((t(45), i)));
+        }
+        assert_eq!(q.cursor, t(45).as_micros());
+        assert_eq!(q.pop(), Some((sweep, usize::MAX)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// The same script through the [`Scheduler`] trait, shaped like the UDP
+    /// runtime's loop: drain `pop_at_or_before(now)`, then bound the poll
+    /// wait by `next_due_in(now)`. Returns every fire and every wait.
+    fn idle_loop_script<S: Scheduler<usize>>(
+        timers: &mut S,
+        after_burst: impl FnOnce(&S),
+    ) -> Vec<(SimTime, Option<usize>)> {
+        fn tick<S: Scheduler<usize>>(
+            timers: &mut S,
+            now: SimTime,
+            log: &mut Vec<(SimTime, Option<usize>)>,
+        ) {
+            while let Some((at, id)) = timers.pop_at_or_before(now) {
+                log.push((at, Some(id)));
+            }
+            if let Some(wait) = timers.next_due_in(now) {
+                log.push((now + wait, None));
+            }
+        }
+        let mut log = Vec::new();
+        timers.schedule(SimTime::from_secs(5), usize::MAX);
+        timers.schedule(t(1), 0);
+        tick(timers, t(1), &mut log);
+        // An idle wake-up, then a burst of datagrams arms a timer each.
+        tick(timers, t(20), &mut log);
+        for i in 1..=50_000 {
+            timers.schedule(t(20 + 25), i);
+        }
+        after_burst(timers);
+        // One overdue timer: the wait must collapse to zero, not 25 ms.
+        timers.schedule(t(15), 50_001);
+        assert_eq!(timers.next_due_in(t(20)), Some(crate::time::SimDuration::ZERO));
+        tick(timers, t(20), &mut log);
+        tick(timers, t(45), &mut log);
+        tick(timers, SimTime::from_secs(5), &mut log);
+        log
+    }
+
+    #[test]
+    fn idle_timer_loop_wakes_to_a_burst_on_the_wheel() {
+        let mut wheel = EventQueue::new();
+        let on_wheel = idle_loop_script(&mut wheel, |q| {
+            assert!(q.pending.is_empty(), "burst ahead of the loop's clock went to pending");
+            assert!(q.cursor <= t(20).as_micros());
+        });
+        let on_heap = idle_loop_script(&mut ReferenceEventQueue::new(), |_| {});
+        assert_eq!(on_wheel, on_heap);
+        // The waits are exact: the sweep while idle, the burst once armed.
+        let waits: Vec<SimTime> =
+            on_wheel.iter().filter(|(_, id)| id.is_none()).map(|&(at, _)| at).collect();
+        let sweep = SimTime::from_secs(5);
+        assert_eq!(waits, [sweep, sweep, t(45), sweep]);
+        assert_eq!(on_wheel.len(), 50_003 + waits.len());
+        assert!(wheel.is_empty());
+    }
+
     #[test]
     fn schedule_at_or_before_cursor_still_pops_in_order() {
         let mut q = EventQueue::new();
@@ -761,16 +945,30 @@ mod proptests {
         }
     }
 
-    /// One step of a random queue workload: schedule at an absolute time
-    /// drawn from a band (dense ties, sim-scale, or past-the-wheel-horizon
-    /// overflow), schedule relative to the pop frontier (the pattern real
-    /// simulations produce, which exercises mid-slot cursor positions),
-    /// or pop.
+    /// One step of a random queue workload, shaped like the queue's hosts:
+    /// schedule at an absolute time drawn from a band (dense ties,
+    /// sim-scale, or past-the-wheel-horizon overflow), schedule relative
+    /// to the host's clock — the `frontier`: the last instant popped or
+    /// the last horizon asked for — ahead of it (timers and latencies,
+    /// same-instant bursts, the far-off long-term sweep) or behind it (the
+    /// UDP runtime's overdue timers), pop, or drain up to a horizon the
+    /// way `run_until` does.
     #[derive(Debug, Clone)]
     enum QueueOp {
         Schedule(u64),
-        ScheduleAfterFrontier(u64),
+        /// `burst` events at `frontier + delta`.
+        ScheduleAtFrontier {
+            delta: u64,
+            burst: usize,
+        },
+        /// One event at `frontier + 5 s + jitter`.
+        FarSweep(u64),
+        /// One event `back` ticks before the frontier.
+        ScheduleBehindFrontier(u64),
         Pop,
+        /// Pop everything at or before `frontier + delta`, then move the
+        /// frontier to that horizon.
+        PopAtOrBefore(u64),
     }
 
     fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
@@ -783,56 +981,109 @@ mod proptests {
             (crate::event::WHEEL_RANGE..u64::MAX).prop_map(QueueOp::Schedule),
             // Timer-like relative delays from the advancing frontier,
             // spanning several wheel levels.
-            (0u64..300_000).prop_map(QueueOp::ScheduleAfterFrontier),
+            (0u64..300_000).prop_map(|delta| QueueOp::ScheduleAtFrontier { delta, burst: 1 }),
+            // Same-instant re-arms and bursts of equal instants.
+            (1usize..6).prop_map(|burst| QueueOp::ScheduleAtFrontier { delta: 0, burst }),
+            (0u64..45_000, 2usize..6)
+                .prop_map(|(delta, burst)| QueueOp::ScheduleAtFrontier { delta, burst }),
+            (0u64..1_000_000).prop_map(QueueOp::FarSweep),
+            (0u64..50_000).prop_map(QueueOp::ScheduleBehindFrontier),
             Just(QueueOp::Pop),
             Just(QueueOp::Pop),
             Just(QueueOp::Pop),
+            Just(QueueOp::PopAtOrBefore(0)),
+            (0u64..40_000).prop_map(QueueOp::PopAtOrBefore),
+            (0u64..10_000_000).prop_map(QueueOp::PopAtOrBefore),
         ]
     }
 
+    /// The wheel and the reference heap driven in lockstep; every step
+    /// compares what came out and what both queues report afterwards.
+    struct Lockstep {
+        wheel: EventQueue<usize>,
+        heap: ReferenceEventQueue<usize>,
+        frontier: u64,
+    }
+
+    impl Lockstep {
+        fn schedule(&mut self, us: u64) {
+            let payload = self.heap.scheduled_total() as usize;
+            self.wheel.schedule(SimTime::from_micros(us), payload);
+            self.heap.schedule(SimTime::from_micros(us), payload);
+            self.check();
+        }
+
+        /// Pops both queues — up to `limit`, or unconditionally — and
+        /// returns the popped instant.
+        fn pop(&mut self, limit: Option<u64>) -> Option<u64> {
+            let (w, h) = match limit.map(SimTime::from_micros) {
+                Some(limit) => {
+                    (self.wheel.pop_at_or_before(limit), self.heap.pop_at_or_before(limit))
+                }
+                None => (self.wheel.pop(), self.heap.pop()),
+            };
+            prop_assert_eq!(w, h);
+            self.check();
+            h.map(|(t, _)| t.as_micros())
+        }
+
+        fn check(&self) {
+            prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
+            prop_assert_eq!(self.wheel.len(), self.heap.len());
+            self.wheel.check_invariants();
+        }
+
+        fn apply(&mut self, op: &QueueOp) {
+            match *op {
+                QueueOp::Schedule(us) => self.schedule(us),
+                QueueOp::ScheduleAtFrontier { delta, burst } => {
+                    for _ in 0..burst {
+                        self.schedule(self.frontier.saturating_add(delta));
+                    }
+                }
+                QueueOp::FarSweep(jitter) => {
+                    self.schedule(self.frontier.saturating_add(5_000_000 + jitter));
+                }
+                QueueOp::ScheduleBehindFrontier(back) => {
+                    self.schedule(self.frontier.saturating_sub(back));
+                }
+                QueueOp::Pop => {
+                    if let Some(at) = self.pop(None) {
+                        self.frontier = at;
+                    }
+                }
+                QueueOp::PopAtOrBefore(delta) => {
+                    let limit = self.frontier.saturating_add(delta);
+                    while self.pop(Some(limit)).is_some() {}
+                    self.frontier = limit;
+                }
+            }
+        }
+    }
+
     proptest! {
-        /// Differential: random interleaved schedule/pop sequences pop the
-        /// identical `(time, seq-as-payload, event)` stream from the timing
-        /// wheel and the reference heap, including same-instant ties and
-        /// far-future overflow ticks.
+        /// Differential: random interleaved host-shaped schedule/pop
+        /// sequences pop the identical `(time, seq-as-payload)` stream from
+        /// the timing wheel and the reference heap — same-instant ties,
+        /// far-future overflow ticks, horizon pops that come back empty,
+        /// schedules behind the host's clock — with `peek_time`, `len` and
+        /// the wheel's structural invariants checked after every step.
         #[test]
         fn wheel_matches_reference_heap(
             ops in proptest::collection::vec(arb_queue_op(), 0..400),
         ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = ReferenceEventQueue::new();
-            let mut frontier = 0u64;
-            for (i, op) in ops.iter().enumerate() {
-                match *op {
-                    QueueOp::Schedule(us) => {
-                        wheel.schedule(SimTime::from_micros(us), i);
-                        heap.schedule(SimTime::from_micros(us), i);
-                    }
-                    QueueOp::ScheduleAfterFrontier(delta) => {
-                        let us = frontier.saturating_add(delta);
-                        wheel.schedule(SimTime::from_micros(us), i);
-                        heap.schedule(SimTime::from_micros(us), i);
-                    }
-                    QueueOp::Pop => {
-                        let (w, h) = (wheel.pop(), heap.pop());
-                        if let Some((t, _)) = h {
-                            frontier = t.as_micros();
-                        }
-                        prop_assert_eq!(w, h);
-                    }
-                }
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.len(), heap.len());
+            let mut q = Lockstep {
+                wheel: EventQueue::new(),
+                heap: ReferenceEventQueue::new(),
+                frontier: 0,
+            };
+            for op in &ops {
+                q.apply(op);
             }
             // Drain both completely; the tails must agree too.
-            loop {
-                let (w, h) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(w, h);
-                if h.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+            while q.pop(None).is_some() {}
+            prop_assert_eq!(q.wheel.len(), 0);
+            prop_assert_eq!(q.wheel.scheduled_total(), q.heap.scheduled_total());
         }
     }
 }
