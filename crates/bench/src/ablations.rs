@@ -1,4 +1,4 @@
-//! Ablation experiments for the design choices DESIGN.md calls out:
+//! Ablation experiments for the protocol's design choices (ARCHITECTURE.md):
 //! buffer-policy comparison (A1), λ sweep (A2), back-off suppression (A3),
 //! idle-threshold sweep (A4), churn/handoff (A5), and the C trade-off (A6).
 

@@ -1,9 +1,10 @@
 //! # rrmp-bench
 //!
 //! The experiment harness that regenerates every figure of the paper's
-//! evaluation (§4) and the ablation studies listed in `DESIGN.md`. Each
-//! `cargo bench` target in `benches/` is a thin printer around the
-//! functions here, so the experiment logic itself is unit-tested.
+//! evaluation (§4) and the ablation studies (see `ARCHITECTURE.md`,
+//! "Benchmarks"). Each `cargo bench` target in `benches/` is a thin
+//! printer around the functions here, so the experiment logic itself is
+//! unit-tested.
 //!
 //! | bench target | reproduces |
 //! |---|---|
@@ -14,7 +15,6 @@
 //! | `fig8_search_time_vs_bufferers` | Figure 8 |
 //! | `fig9_search_time_vs_region_size` | Figure 9 |
 //! | `ablation_*` | design-choice studies A1–A6 |
-//! | `micro_core` | Criterion microbenches of the implementation |
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

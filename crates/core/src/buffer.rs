@@ -134,10 +134,9 @@ impl BufferEntry {
 ///
 /// Entries live in an id-sorted vector rather than a hash map: a member
 /// buffers a handful of messages at a time, so a sorted search (from the
-/// tail, where the newest ids are) beats hashing, and — decisive at the
-/// million-member scale the `members_1m` bench drives — a one-entry store
-/// costs one exact-sized allocation instead of a hash table's bucket
-/// array.
+/// tail, where the newest ids are) beats hashing, and — decisive at
+/// million-member scale — a one-entry store costs one exact-sized
+/// allocation instead of a hash table's bucket array.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStore {
     /// Buffered entries, sorted by message id (searched from the tail).

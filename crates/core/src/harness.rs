@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rrmp_membership::view::HierarchyView;
 use rrmp_netsim::fault::FaultPlan;
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
-use rrmp_netsim::shard::{ShardPlacement, ShardedSim};
+use rrmp_netsim::shard::ShardedSim;
 use rrmp_netsim::sim::{Ctx, NetCounters, Sim, SimNode};
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::{NodeId, Topology};
@@ -554,8 +554,7 @@ impl RrmpNetwork {
     /// loop ([`Sim::new_reference`]): per-callback allocation and
     /// per-destination clones instead of the zero-allocation fast paths.
     /// Behavior is identical by construction — the trace-equality tests
-    /// assert it — and the perf delta is what `BENCH_sim_core.json`
-    /// reports.
+    /// assert it.
     #[must_use]
     pub fn new_reference(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
         Self::with_senders_mode(topo, cfg, seed, &[NodeId(0)], false)
@@ -589,38 +588,17 @@ impl RrmpNetwork {
     /// Panics if `cfg` is invalid or `shards` is zero.
     #[must_use]
     pub fn with_shards(topo: Topology, cfg: ProtocolConfig, seed: u64, shards: usize) -> Self {
-        Self::with_shards_placement(topo, cfg, seed, shards, ShardPlacement::default())
-    }
-
-    /// Like [`RrmpNetwork::with_shards`] with an explicit region→shard
-    /// [`ShardPlacement`] strategy. Traces are byte-identical across
-    /// placements (the canonical cross-region merge order does not depend
-    /// on which shard hosts a region); the choice only affects load
-    /// balance across shard workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid or `shards` is zero.
-    #[must_use]
-    pub fn with_shards_placement(
-        topo: Topology,
-        cfg: ProtocolConfig,
-        seed: u64,
-        shards: usize,
-        placement: ShardPlacement,
-    ) -> Self {
         cfg.validate().expect("invalid protocol config");
         assert!(shards >= 1, "need at least one shard");
         let senders = [NodeId(0)];
         // Stream nodes straight into their shards — never materialize the
         // full node set twice (a `Vec` plus the per-shard vectors), which
         // at a million members would briefly double peak memory.
-        let sim = ShardedSim::with_placement_from(
+        let sim = ShardedSim::new_from(
             &topo,
             Self::build_nodes_iter(&topo, &cfg, seed, &senders, true),
             seed,
             shards,
-            placement,
         );
         RrmpNetwork {
             sim: SimEngine::Sharded(sim),
@@ -1314,6 +1292,7 @@ impl RrmpNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeqNo;
     use rrmp_netsim::time::SimDuration;
     use rrmp_netsim::topology::presets;
 
@@ -1491,6 +1470,37 @@ mod tests {
         let id2 = net.multicast_with_plan(&b"reuse"[..], &plan);
         net.run_until(SimTime::from_secs(2));
         assert_eq!(first, (net.delivered_count(id2), net.net_counters()));
+    }
+
+    #[test]
+    fn has_delivered_agrees_with_delivery_log_scan() {
+        // The per-source interval index behind `has_delivered` must answer
+        // exactly what a scan of the delivery log answers, for ids that
+        // arrived in order, ids recovered out of order, and ids never seen.
+        let topo = presets::paper_region(20);
+        let mut net = RrmpNetwork::new(topo, cfg(), 4);
+        let mut ids = Vec::new();
+        for k in 0..8u32 {
+            // A different half of the members misses each initial copy.
+            let holders = (0..20u32).filter(|i| i % 2 == k % 2).map(NodeId);
+            let plan = DeliveryPlan::only(net.topology(), holders);
+            ids.push(net.multicast_with_plan(&b"indexed"[..], &plan));
+            let next = net.now() + SimDuration::from_millis(10);
+            net.run_until(next);
+        }
+        net.run_until(SimTime::from_secs(2));
+        assert!(ids.iter().all(|&id| net.all_delivered(id)), "stream fully recovered");
+        let never_sent = MessageId::new(NodeId(0), SeqNo(ids.len() as u64 + 5));
+        let non_sender = MessageId::new(NodeId(3), SeqNo(1));
+        for (node, n) in net.nodes() {
+            for &id in ids.iter().chain([&never_sent, &non_sender]) {
+                assert_eq!(
+                    n.has_delivered(id),
+                    n.delivered().iter().any(|&(_, d)| d == id),
+                    "node {node} id {id:?}"
+                );
+            }
+        }
     }
 
     #[test]

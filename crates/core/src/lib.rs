@@ -6,8 +6,8 @@
 //! state machines.
 //!
 //! This crate reproduces *"Optimizing Buffer Management for Reliable
-//! Multicast"* (Xiao, Birman, van Renesse — DSN 2002). See `DESIGN.md` at
-//! the repository root for the full system inventory and experiment index.
+//! Multicast"* (Xiao, Birman, van Renesse — DSN 2002). See `ARCHITECTURE.md`
+//! at the repository root for the full system inventory.
 //!
 //! ## Architecture
 //!

@@ -243,29 +243,28 @@ fn sharded_hierarchical_recovery_traces_match() {
     }
 }
 
+/// A multi-region stream under region-correlated initial loss plus
+/// unicast loss: every cross-shard mailbox merge and per-sender loss
+/// stream is exercised over repeated windows.
+fn lossy_region_stream(net: &mut RrmpNetwork) {
+    net.set_multicast_loss(LossModel::RegionCorrelated { p_region: 0.3, p_member: 0.1 });
+    net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
+    for _ in 0..4 {
+        net.multicast(&b"sharded-stream"[..]);
+        let next = net.now() + SimDuration::from_millis(40);
+        net.run_until(next);
+    }
+    net.run_until(SimTime::from_secs(3));
+}
+
 #[test]
 fn sharded_lossy_stream_traces_match() {
-    // A multi-region stream under region-correlated initial loss plus
-    // unicast loss: every cross-shard mailbox merge and per-sender loss
-    // stream is exercised over repeated windows.
     for seed in [7u64, 31] {
         assert_sharded_trace_equal(
             || presets::region_tree(6, 2, 2, SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
-            |net| {
-                net.set_multicast_loss(LossModel::RegionCorrelated {
-                    p_region: 0.3,
-                    p_member: 0.1,
-                });
-                net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
-                for _ in 0..4 {
-                    net.multicast(&b"sharded-stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(40);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(3));
-            },
+            lossy_region_stream,
         );
     }
 }
@@ -488,6 +487,43 @@ fn sharded_fault_plan_traces_match() {
                 net.run_until(SimTime::from_secs(3));
             },
         );
+    }
+}
+
+#[test]
+fn inert_fault_plan_leaves_trace_unchanged() {
+    // Armed, but no verdict can change: the partition and the stall sit in
+    // a far-future window (scanned per copy, never active) and the
+    // duplication spans the whole run at p = 0 (active, so every surviving
+    // copy pays the window check and the hash-oracle draw). The fault hook
+    // must then be invisible — same deliveries at the same instants, same
+    // engine RNG draws — on the single-queue engine and on the sharded one
+    // at whatever `RRMP_SIM_SHARDS` selects.
+    let far = SimTime::from_secs(10_000);
+    let inert = FaultPlan::new(11)
+        .partition(RegionId(0), RegionId(1), far, far + SimDuration::from_secs(1))
+        .stall(NodeId(5), far, far + SimDuration::from_secs(1))
+        .duplicate(0.0, SimDuration::from_millis(5), SimTime::ZERO, far);
+    let engines: [fn(Topology, ProtocolConfig, u64) -> RrmpNetwork; 2] =
+        [RrmpNetwork::new, RrmpNetwork::new_sharded];
+    for build in engines {
+        let topo_of = || presets::region_tree(6, 2, 2, SimDuration::from_millis(25));
+        let mut unarmed = build(topo_of(), ProtocolConfig::paper_defaults(), 7);
+        lossy_region_stream(&mut unarmed);
+        let mut armed = build(topo_of(), ProtocolConfig::paper_defaults(), 7);
+        armed.arm_fault_plan(inert.clone());
+        lossy_region_stream(&mut armed);
+
+        // The one thing arming adds: a heal notification per member for
+        // each heal instant of the plan, set at arm time and still pending.
+        let pending_heals = (inert.heal_times().len() * armed.topology().node_count()) as u64;
+        let mut expect = trace_of(&unarmed);
+        expect.timers_set += pending_heals;
+        assert_eq!(expect, trace_of(&armed), "shards {}", armed.shards());
+        let mut counters = unarmed.net_counters();
+        counters.timers_set += pending_heals;
+        assert_eq!(counters, armed.net_counters(), "shards {}", armed.shards());
+        assert_eq!(counters.faults_dropped, 0);
     }
 }
 

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::loss::{DeliveryPlan, LossModel};
     pub use crate::rng::SeedSequence;
-    pub use crate::shard::{ShardPlacement, ShardedSim};
+    pub use crate::shard::ShardedSim;
     pub use crate::sim::{Ctx, Sim, SimNode, TimerId};
     pub use crate::stats::{OnlineStats, Summary, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};

@@ -12,11 +12,11 @@
 //! ## Execution model
 //!
 //! A [`ShardedSim`] partitions the topology's regions over `shards` shards
-//! (load-aware LPT bin packing over region member counts by default — see
-//! [`ShardPlacement`]; a region never splits). Each shard owns
-//! its own timing wheel, payload slab, timer slab, scratch buffers, and
-//! the RNG streams of its nodes — there is **no shared mutable state**
-//! between shards during a window. The run loop is a sequence of windows:
+//! (LPT bin packing over region member counts; a region never splits).
+//! Each shard owns its own timing wheel, payload slab, timer slab, scratch
+//! buffers, and the RNG streams of its nodes — there is **no shared mutable
+//! state** between shards during a window. The run loop is a sequence of
+//! windows:
 //!
 //! 1. the coordinator computes the global lower bound `lb` (earliest
 //!    pending event across all shards and undelivered mailboxes);
@@ -519,55 +519,32 @@ impl<N: SimNode> std::fmt::Debug for ShardedSim<N> {
     }
 }
 
-/// How regions are assigned to shards.
-///
-/// Placement is purely a load-balancing decision: any deterministic
-/// assignment yields byte-identical traces (that is the point of the
-/// canonical mailbox order), so the only thing placement changes is how
-/// evenly work spreads across shard workers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShardPlacement {
-    /// Greedy LPT (longest-processing-time) bin packing over region
-    /// member counts: regions are placed heaviest-first onto the
-    /// currently lightest shard. Within a factor 4/3 of the optimal
-    /// makespan, and exact when regions are equal-sized — strictly
-    /// better than round-robin once regions are heterogeneous, which is
-    /// the regime million-member topologies live in (cf. the
-    /// hierarchical-makespan result: cost is dominated by the largest
-    /// region).
-    #[default]
-    LoadAware,
-    /// Round-robin by region index — balances equally sized regions
-    /// exactly; kept for placement-invariance tests and comparison runs.
-    RoundRobin,
-}
-
-/// Assigns regions to shards under `placement`. Shard ids in the result
-/// are dense (`ShardedSim::new` sizes its state table from the max id),
-/// which LPT guarantees because the first `shards` placements each pick
-/// a distinct empty bin.
-fn partition_regions(topo: &Topology, shards: usize, placement: ShardPlacement) -> Vec<u32> {
+/// Assigns regions to shards by greedy LPT (longest-processing-time) bin
+/// packing over region member counts: regions are placed heaviest-first
+/// onto the currently lightest shard. Within a factor 4/3 of the optimal
+/// makespan and exact when regions are equal-sized; by region index the
+/// largest regions could share a shard, and cost is dominated by the
+/// largest region (cf. the hierarchical-makespan result). The assignment
+/// is purely a load-balancing decision: any deterministic one yields
+/// byte-identical traces (that is the point of the canonical mailbox
+/// order). Shard ids in the result are dense (`ShardedSim::new_from`
+/// sizes its state table from the max id), which LPT guarantees because
+/// the first `shards` placements each pick a distinct empty bin.
+fn partition_regions(topo: &Topology, shards: usize) -> Vec<u32> {
     let shards = shards.clamp(1, topo.region_count().max(1));
-    match placement {
-        ShardPlacement::RoundRobin => {
-            (0..topo.region_count()).map(|r| (r % shards) as u32).collect()
-        }
-        ShardPlacement::LoadAware => {
-            let weight = |r: usize| topo.members_of(RegionId(r as u16)).len();
-            // Heaviest first; equal weights keep ascending region order
-            // so the assignment is deterministic.
-            let mut order: Vec<usize> = (0..topo.region_count()).collect();
-            order.sort_by_key(|&r| (std::cmp::Reverse(weight(r)), r));
-            let mut load = vec![0usize; shards];
-            let mut assign = vec![0u32; topo.region_count()];
-            for r in order {
-                let lightest = (0..shards).min_by_key(|&s| (load[s], s)).unwrap_or(0);
-                load[lightest] += weight(r);
-                assign[r] = lightest as u32;
-            }
-            assign
-        }
+    let weight = |r: usize| topo.members_of(RegionId(r as u16)).len();
+    // Heaviest first; equal weights keep ascending region order so the
+    // assignment is deterministic.
+    let mut order: Vec<usize> = (0..topo.region_count()).collect();
+    order.sort_by_key(|&r| (std::cmp::Reverse(weight(r)), r));
+    let mut load = vec![0usize; shards];
+    let mut assign = vec![0u32; topo.region_count()];
+    for r in order {
+        let lightest = (0..shards).min_by_key(|&s| (load[s], s)).unwrap_or(0);
+        load[lightest] += weight(r);
+        assign[r] = lightest as u32;
     }
+    assign
 }
 
 /// Builds the per-shard states, streaming `nodes` (one per topology
@@ -632,79 +609,42 @@ where
 {
     /// Creates a sharded simulator over `topo` hosting `nodes` (one per
     /// [`NodeId`], in order), partitioned into at most `shards` shards
-    /// (clamped to the region count; a region never splits) under the
-    /// default load-aware placement. All randomness derives from `seed`;
-    /// traces are identical for every value of `shards` **and** every
-    /// placement.
+    /// (clamped to the region count; a region never splits). All
+    /// randomness derives from `seed`; traces are identical for every
+    /// value of `shards`.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` does not match the topology's node count.
     #[must_use]
     pub fn new(topo: Topology, nodes: Vec<N>, seed: u64, shards: usize) -> Self {
-        Self::with_placement(topo, nodes, seed, shards, ShardPlacement::default())
-    }
-
-    /// [`ShardedSim::new`] with an explicit region→shard [`ShardPlacement`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    #[must_use]
-    pub fn with_placement(
-        topo: Topology,
-        nodes: Vec<N>,
-        seed: u64,
-        shards: usize,
-        placement: ShardPlacement,
-    ) -> Self {
         assert_eq!(
             nodes.len(),
             topo.node_count(),
             "need exactly one node implementation per topology node"
         );
-        let region_shard = partition_regions(&topo, shards, placement);
-        let shard_count = region_shard.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        let node_shard: Vec<u32> =
-            topo.nodes().map(|n| region_shard[topo.region_of(n).index()]).collect();
-        let states = build_states(&topo, &node_shard, nodes, seed, shard_count);
-        let lookahead = topo.lookahead();
-        ShardedSim {
-            states,
-            region_shard,
-            node_shard,
-            lookahead,
-            unicast_loss: LossModel::None,
-            drop_filter: None,
-            fault: None,
-            now: SimTime::ZERO,
-            started: false,
-            merge_scratch: Vec::new(),
-            topo,
-        }
+        Self::new_from(&topo, nodes, seed, shards)
     }
 
-    /// Like [`ShardedSim::with_placement`], taking the nodes as an
-    /// iterator that is streamed straight into the per-shard vectors —
-    /// the million-member construction path. A pre-built `Vec<N>` plus
-    /// the per-shard copies would briefly double the node set's
-    /// footprint; here at most one node is in flight at a time. The
-    /// iterator may borrow the caller's topology (this constructor
-    /// stores its own clone).
+    /// Like [`ShardedSim::new`], taking the nodes as an iterator that is
+    /// streamed straight into the per-shard vectors — the million-member
+    /// construction path. A pre-built `Vec<N>` plus the per-shard copies
+    /// would briefly double the node set's footprint; here at most one
+    /// node is in flight at a time. The iterator may borrow the caller's
+    /// topology (this constructor stores its own clone).
     ///
     /// # Panics
     ///
     /// Panics if `nodes` does not yield exactly one node per topology
     /// node (in `NodeId` order), or if `shards` is zero.
     #[must_use]
-    pub fn with_placement_from<I: IntoIterator<Item = N>>(
+    pub fn new_from<I: IntoIterator<Item = N>>(
         topo: &Topology,
         nodes: I,
         seed: u64,
         shards: usize,
-        placement: ShardPlacement,
     ) -> Self {
-        let region_shard = partition_regions(topo, shards, placement);
+        let region_shard = partition_regions(topo, shards);
         let shard_count = region_shard.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let node_shard: Vec<u32> =
             topo.nodes().map(|n| region_shard[topo.region_of(n).index()]).collect();
@@ -1328,8 +1268,8 @@ mod tests {
     }
 
     /// Heavily skewed region sizes: one dominant region, a mid-sized one,
-    /// and a tail of small ones — the regime where LPT and round-robin
-    /// disagree maximally.
+    /// and a tail of small ones — the regime where LPT and assignment by
+    /// region index disagree maximally.
     fn skewed_topo() -> Topology {
         let mut b = TopologyBuilder::new()
             .intra_region_one_way(SimDuration::from_millis(5))
@@ -1342,11 +1282,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn skewed_gossip_trace(shards: usize, placement: ShardPlacement) -> (Trace, NetCounters) {
+    fn skewed_gossip_trace(shards: usize) -> (Trace, NetCounters) {
         let topo = skewed_topo();
         let n = topo.node_count();
         let nodes = (0..n).map(|_| Gossiper { log: Vec::new() }).collect();
-        let mut sim = ShardedSim::with_placement(topo, nodes, 23, shards, placement);
+        let mut sim = ShardedSim::new(topo, nodes, 23, shards);
         sim.set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
         sim.inject(NodeId(0), NodeId(20), 250, SimTime::ZERO);
         sim.inject(NodeId(14), NodeId(2), 120, SimTime::from_millis(7));
@@ -1357,40 +1297,29 @@ mod tests {
 
     #[test]
     fn placement_is_trace_invariant_on_skewed_regions() {
-        // LPT, round-robin, and the single-shard oracle must produce
-        // byte-identical traces at every shard count: placement is a
-        // load-balancing decision only.
-        let oracle = skewed_gossip_trace(1, ShardPlacement::RoundRobin);
-        for shards in [1usize, 2, 4] {
-            for placement in [ShardPlacement::LoadAware, ShardPlacement::RoundRobin] {
-                assert_eq!(
-                    oracle,
-                    skewed_gossip_trace(shards, placement),
-                    "shards={shards} placement={placement:?}"
-                );
-            }
+        // Each shard count groups the skewed regions differently, and all
+        // must reproduce the single-shard oracle byte for byte: which
+        // shard hosts a region is a load-balancing decision only.
+        let oracle = skewed_gossip_trace(1);
+        for shards in [2usize, 4] {
+            assert_eq!(oracle, skewed_gossip_trace(shards), "shards={shards}");
         }
     }
 
     #[test]
     fn lpt_placement_balances_skewed_regions() {
         let topo = skewed_topo(); // weights [13, 6, 2, 2, 2, 2]
-        let lpt = partition_regions(&topo, 2, ShardPlacement::LoadAware);
-        let rr = partition_regions(&topo, 2, ShardPlacement::RoundRobin);
-        let load = |assign: &[u32]| {
-            let mut load = vec![0usize; 2];
-            for (r, &s) in assign.iter().enumerate() {
-                load[s as usize] += topo.members_of(RegionId(r as u16)).len();
-            }
-            load
-        };
-        // LPT: 13 alone vs 6+2+2+2+2 = 14. Round-robin: 13+2+2 = 17 vs 10.
-        assert_eq!(load(&lpt).iter().max(), Some(&14));
-        assert_eq!(load(&rr).iter().max(), Some(&17));
+        let mut load = [0usize; 2];
+        for (r, &s) in partition_regions(&topo, 2).iter().enumerate() {
+            load[s as usize] += topo.members_of(RegionId(r as u16)).len();
+        }
+        // 13 alone vs 6+2+2+2+2 = 14. By region index it would be
+        // 13+2+2 = 17 vs 10.
+        assert_eq!(load.iter().max(), Some(&14));
         // Shard ids stay dense (ShardedSim sizes its state table from the
         // max id), and every region is assigned.
         for shards in 1..=6 {
-            let assign = partition_regions(&topo, shards, ShardPlacement::LoadAware);
+            let assign = partition_regions(&topo, shards);
             assert_eq!(assign.len(), topo.region_count());
             let used: std::collections::BTreeSet<u32> = assign.iter().copied().collect();
             let expect: std::collections::BTreeSet<u32> = (0..shards as u32).collect();

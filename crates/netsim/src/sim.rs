@@ -40,8 +40,7 @@
 //! straightforward strategies instead (heap-based reference queue,
 //! allocate per callback, one queue entry per destination). It is kept as
 //! an executable specification: the differential tests assert
-//! byte-identical traces between the two, and `BENCH_sim_core.json`
-//! reports the speedup of the default path over it.
+//! byte-identical traces between the two.
 
 use std::sync::Arc;
 
@@ -588,7 +587,7 @@ impl<N: SimNode> Sim<N> {
     /// Observable behavior (traces, counters except
     /// [`NetCounters::fanouts`], RNG streams) is identical to [`Sim::new`]
     /// by construction, which the differential tests assert. Kept for
-    /// those tests and as the baseline of `BENCH_sim_core.json`.
+    /// those tests.
     ///
     /// # Panics
     ///

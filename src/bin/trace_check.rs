@@ -1,5 +1,5 @@
-//! Schema checker for `trace_dump` artifacts — the `bench_guard`-style
-//! gate the CI `trace` job runs on every exported trace.
+//! Schema checker for `trace_dump` artifacts — the gate the CI `trace`
+//! job runs on every exported trace.
 //!
 //! Validates:
 //!

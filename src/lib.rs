@@ -44,8 +44,7 @@
 //! assert!(net.all_delivered(id));
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure.
+//! See `ARCHITECTURE.md` for the system inventory.
 
 #![warn(missing_docs)]
 
