@@ -60,7 +60,7 @@ pub struct RrmpNode {
     /// True on nodes of a [`RrmpNetwork::new_reference`] network: restore
     /// the pre-refactor host behavior (fresh action `Vec` per event,
     /// members `Vec` per regional multicast, linear delivered scan) so the
-    /// benchmark baseline reflects what this refactor replaced.
+    /// differential oracle exercises what this refactor replaced.
     reference_mode: bool,
 }
 
@@ -117,7 +117,7 @@ impl RrmpNode {
 
     /// Whether `id` was delivered here. O(log #gaps) via the per-source
     /// interval index, not a scan of the delivery log. (Reference-mode
-    /// nodes keep the historical linear scan as the benchmark baseline.)
+    /// nodes keep the historical linear scan as the differential oracle.)
     #[must_use]
     pub fn has_delivered(&self, id: MessageId) -> bool {
         if self.reference_mode {
@@ -170,9 +170,9 @@ impl RrmpNode {
                 self.delivered.push((ctx.now(), id));
                 if !self.reference_mode {
                     // Reference nodes answer has_delivered by scanning the
-                    // log, so maintaining the index would charge the
-                    // benchmark baseline a cost the historical code
-                    // never paid.
+                    // log, so maintaining the index would give the
+                    // differential oracle work the historical code never
+                    // did.
                     self.delivered_index.insert(id);
                 }
             }

@@ -14,7 +14,7 @@
 //! 1. **Structured events** — every loss detection, recovery round,
 //!    repair, give-up, pressure-tier transition, and heal lands in a
 //!    bounded per-node [`TraceSink`] ring on the
-//!    [`streams::RECEIVER`](rrmp_trace::streams::RECEIVER) stream.
+//!    [`streams::RECEIVER`] stream.
 //! 2. **Time-series samples** — a [`TimerKind::TraceSample`] tick records
 //!    buffer occupancy, store bytes vs budget, token-bucket level, and
 //!    recovery backlog (only armed when [`TraceConfig::sample_every`] is

@@ -27,7 +27,7 @@
 //! detection, answering requests from the buffer, waiter relays, the
 //! bufferer search (only ever ignited by the two-phase remote phase), the
 //! regional re-multicast back-off, and the handoff duty-transfer rule
-//! (an arriving [`Packet::Handoff`](crate::packet::Packet::Handoff)
+//! (an arriving [`Packet::Handoff`]
 //! always enters the long-term phase — it *is* the transfer of a
 //! buffering obligation).
 
@@ -157,7 +157,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration;
 
     /// Whether pull requests go out as
-    /// [`Packet::RemoteRequest`](crate::packet::Packet::RemoteRequest)
+    /// [`Packet::RemoteRequest`]
     /// instead of `LocalRequest`. A remote request's target registers the
     /// asker as a waiter and recovers the message itself when it doesn't
     /// hold it — the semantics a repair-server NACK needs — while a local
@@ -176,7 +176,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
 
     /// Whether the λ/n probabilistic remote-recovery phase (§2.2) runs.
     /// Policies that return `false` never send
-    /// [`Packet::RemoteRequest`](crate::packet::Packet::RemoteRequest)s,
+    /// [`Packet::RemoteRequest`]s,
     /// which also keeps the bufferer search dormant.
     fn remote_recovery(&self) -> bool {
         false
@@ -213,7 +213,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     fn history_tick(&mut self, _ctx: &mut PolicyCtx<'_>) {}
 
     /// A peer's history advertisement arrived
-    /// ([`Packet::History`](crate::packet::Packet::History)); fold it
+    /// ([`Packet::History`]); fold it
     /// into whatever stability state the policy keeps.
     fn on_history_digest(
         &mut self,
@@ -678,7 +678,7 @@ impl BufferPolicy for SenderBased {
 /// protocols §1/§6 contrasts with: every member buffers every message
 /// until it is *stable* (received by the whole group), learned by
 /// periodically exchanging history digests
-/// ([`Packet::History`](crate::packet::Packet::History), built from the
+/// ([`Packet::History`], built from the
 /// loss detector's interval sets and scheduled by the engine's
 /// [`TimerKind::HistoryTick`]).
 ///

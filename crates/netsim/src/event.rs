@@ -1,17 +1,27 @@
 //! The discrete-event queue.
 //!
-//! Two implementations share one contract — events pop in
-//! `(time, insertion sequence)` order, so two events scheduled for the same
-//! instant are always delivered in the order they were scheduled:
+//! [`EventQueue`] is a hierarchical **timing wheel** (calendar queue) with
+//! O(1) amortized schedule and pop at high event rates. Events pop in
+//! `(time, insertion sequence)` order, so two events scheduled for the
+//! same instant are always delivered in the order they were scheduled.
+//! Payloads live in a generation-counted slab; the wheel itself moves only
+//! small plain-data handles when cascading between levels.
 //!
-//! * [`EventQueue`] — the production queue: a hierarchical **timing wheel**
-//!   (calendar queue) with O(1) amortized schedule and pop at high event
-//!   rates. Payloads live in a generation-counted slab; the wheel itself
-//!   moves only small plain-data handles when cascading between levels.
-//! * [`ReferenceEventQueue`] — the retained pre-refactor `BinaryHeap`
-//!   implementation. It is the executable specification: the differential
-//!   proptests below (and the trace-equality tests one layer up) assert
-//!   that both queues produce byte-identical pop sequences.
+//! It is the one queue in the workspace: the simulator drivers and the UDP
+//! runtime's per-loop timers all run on it. The differential proptest
+//! below drives it in lockstep with a sorted-`Vec` model of the contract,
+//! and the golden traces one layer up pin its order under the full
+//! protocol.
+//!
+//! ## Cancellation is lazy
+//!
+//! The queue deliberately has no `cancel`: a calendar queue cannot remove
+//! an arbitrary event without a per-event handle map, and none of the
+//! hosts need eager removal. A host that multiplexes many owners over one
+//! wheel (the UDP runtime hosts every member of an event-loop thread on a
+//! single queue) tags each event with the owner's generation and discards
+//! stale fires at pop time — the same scheme the simulator's timer slab
+//! uses.
 //!
 //! ## Wheel geometry
 //!
@@ -27,8 +37,7 @@
 //! occupancy bitmaps make the scan six `u64` inspections) and cascades
 //! higher-level slots downward until a level-0 slot — one exact tick —
 //! drains into a sorted pending run. Same-instant ties are resolved by
-//! sorting that run on the insertion sequence, reproducing the heap's
-//! order exactly.
+//! sorting that run on the insertion sequence.
 //!
 //! ## The cursor never runs ahead of the host
 //!
@@ -44,111 +53,10 @@
 //! schedule (a same-instant re-arm, an overdue timer) pays a sorted insert
 //! into the pending run.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
-
-/// The shared event-scheduler contract: events pop in `(time, insertion
-/// sequence)` order.
-///
-/// Implemented by the production timing wheel ([`EventQueue`]) and the
-/// retained heap-based reference ([`ReferenceEventQueue`]), so every host
-/// of the wheel — the simulator drivers here, the UDP runtime's timer
-/// queue in `rrmp-udp`, the differential benchmarks — programs against
-/// one interface and one implementation instead of growing private timer
-/// heaps.
-///
-/// ## Cancellation is lazy
-///
-/// The contract deliberately has no `cancel`: a calendar queue cannot
-/// remove an arbitrary event without a per-event handle map, and none of
-/// the hosts need eager removal. A host that multiplexes many owners over
-/// one wheel (the UDP runtime hosts every member of an event-loop thread
-/// on a single queue) tags each event with the owner's generation and
-/// discards stale fires at pop time — the same scheme the simulator's
-/// timer slab uses.
-pub trait Scheduler<E> {
-    /// Schedules `event` to fire at `at`.
-    fn schedule(&mut self, at: SimTime, event: E);
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    fn pop(&mut self) -> Option<(SimTime, E)>;
-
-    /// Pops the earliest event only if it fires at or before `limit` — a
-    /// peek-then-pop, never a pop-and-re-push. An event later than `limit`
-    /// leaves the queue exactly as it was, so a host may keep scheduling
-    /// at any instant from `limit` on at full speed.
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)>;
-
-    /// The firing time of the earliest pending event, if any. Exact in
-    /// every state (never a lower bound): window boundaries and poll
-    /// timeouts are computed from it.
-    fn peek_time(&self) -> Option<SimTime>;
-
-    /// How long after `now` the earliest event fires: `None` when the
-    /// queue is empty, [`crate::time::SimDuration::ZERO`] when it is
-    /// already due. Hosts that block on an external wait (the UDP
-    /// runtime's `poll(2)` timeout) use this to bound the wait by the
-    /// next deadline without duplicating the saturation logic.
-    fn next_due_in(&self, now: SimTime) -> Option<crate::time::SimDuration> {
-        self.peek_time().map(|at| at.saturating_since(now))
-    }
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events, keeping allocations where the
-    /// implementation can.
-    fn clear(&mut self);
-}
-
-impl<E> Scheduler<E> for EventQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) {
-        EventQueue::schedule(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        EventQueue::pop(self)
-    }
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        EventQueue::pop_at_or_before(self, limit)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        EventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn clear(&mut self) {
-        EventQueue::clear(self);
-    }
-}
-
-impl<E> Scheduler<E> for ReferenceEventQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) {
-        ReferenceEventQueue::schedule(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        ReferenceEventQueue::pop(self)
-    }
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        ReferenceEventQueue::pop_at_or_before(self, limit)
-    }
-    fn peek_time(&self) -> Option<SimTime> {
-        ReferenceEventQueue::peek_time(self)
-    }
-    fn len(&self) -> usize {
-        ReferenceEventQueue::len(self)
-    }
-    fn clear(&mut self) {
-        ReferenceEventQueue::clear(self);
-    }
-}
+use crate::time::{SimDuration, SimTime};
 
 /// log2 of the slot count per wheel level.
 const SLOT_BITS: u32 = 6;
@@ -221,6 +129,7 @@ impl<E> PayloadSlab<E> {
         self.free.clear();
     }
 
+    #[cfg(test)]
     fn capacity(&self) -> usize {
         self.slots.capacity()
     }
@@ -247,11 +156,10 @@ struct WheelFront {
     idx: usize,
 }
 
-/// The production event queue: a hierarchical timing wheel.
+/// The event queue: a hierarchical timing wheel.
 ///
-/// Orders events by `(time, insertion sequence)` — identical observable
-/// behavior to [`ReferenceEventQueue`], at O(1) amortized cost per
-/// schedule/pop instead of O(log n).
+/// Orders events by `(time, insertion sequence)` at O(1) amortized cost
+/// per schedule and pop.
 ///
 /// ```
 /// use rrmp_netsim::event::EventQueue;
@@ -366,6 +274,16 @@ impl<E> EventQueue<E> {
         Some(SimTime::from_micros(at))
     }
 
+    /// How long after `now` the earliest event fires: `None` when the
+    /// queue is empty, [`SimDuration::ZERO`] when it is already due. Hosts
+    /// that block on an external wait (the UDP runtime's `poll(2)`
+    /// timeout) use this to bound the wait by the next deadline without
+    /// duplicating the saturation logic.
+    #[must_use]
+    pub fn next_due_in(&self, now: SimTime) -> Option<SimDuration> {
+        self.peek_time().map(|at| at.saturating_since(now))
+    }
+
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -376,12 +294,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 
     /// Drops all pending events **without releasing allocations**: slot
@@ -399,16 +311,6 @@ impl<E> EventQueue<E> {
         self.overflow.clear();
         self.slab.clear();
         self.len = 0;
-    }
-
-    /// A capacity proxy: the number of payload slots plus wheel/pending
-    /// entry capacity currently allocated. Used by tests and benches to
-    /// assert that [`EventQueue::clear`] keeps memory warm.
-    #[must_use]
-    pub fn allocated_capacity(&self) -> usize {
-        self.slab.capacity()
-            + self.pending.capacity()
-            + self.levels.iter().map(|b| b.entries.capacity()).sum::<usize>()
     }
 
     /// Hashes `entry` (which must satisfy `cursor <= at < cursor + range`)
@@ -538,6 +440,20 @@ impl<E> EventQueue<E> {
 
 #[cfg(test)]
 impl<E> EventQueue<E> {
+    /// Total number of events ever scheduled on this queue.
+    pub(crate) fn scheduled_total(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// A capacity proxy: the number of payload slots plus wheel/pending
+    /// entry capacity currently allocated. Tests use it to assert that
+    /// [`EventQueue::clear`] keeps memory warm.
+    pub(crate) fn allocated_capacity(&self) -> usize {
+        self.slab.capacity()
+            + self.pending.capacity()
+            + self.levels.iter().map(|b| b.entries.capacity()).sum::<usize>()
+    }
+
     /// The structural conditions every public call must leave true.
     fn check_invariants(&self) {
         let mut on_wheel = 0;
@@ -564,115 +480,86 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The retained pre-refactor event queue: a `BinaryHeap` ordered by
-/// `(time, insertion sequence)`.
-///
-/// Kept as the executable specification of the ordering contract: the
-/// differential proptests in this module and the trace-equality tests in
-/// `rrmp-core` assert that [`EventQueue`] (the timing wheel) pops the
-/// byte-identical sequence. `Sim::new_reference` runs on this queue.
-#[derive(Debug)]
-pub struct ReferenceEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> ReferenceEventQueue<E> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        ReferenceEventQueue { heap: BinaryHeap::new(), next_seq: 0 }
-    }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
-    }
-
-    /// Pops the earliest event only if it fires at or before `limit` —
-    /// a peek-then-pop, never a pop-and-re-push.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > limit {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Drops all pending events (the heap keeps its capacity).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use std::fmt::Debug;
+
+    /// The queue contract written as plainly as it can be: every pending
+    /// event in a `Vec` kept sorted descending by `(time, seq)`, so the
+    /// earliest pops from the back. The oracle the wheel is checked
+    /// against.
+    struct SortedModel<E> {
+        events: Vec<(SimTime, u64, E)>,
+        next_seq: u64,
+    }
+
+    impl<E> SortedModel<E> {
+        fn schedule(&mut self, at: SimTime, event: E) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let pos = self.events.partition_point(|&(t, s, _)| (t, s) > (at, seq));
+            self.events.insert(pos, (at, seq, event));
+        }
+
+        fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+            if self.peek_time()? > limit {
+                return None;
+            }
+            self.events.pop().map(|(at, _, event)| (at, event))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.events.last().map(|&(at, ..)| at)
+        }
+    }
+
+    /// The wheel and the model driven in lockstep: every call goes to
+    /// both, and what comes out of the two must agree.
+    pub(super) struct Lockstep<E> {
+        pub(super) wheel: EventQueue<E>,
+        model: SortedModel<E>,
+    }
+
+    impl<E: Clone + PartialEq + Debug> Lockstep<E> {
+        pub(super) fn new() -> Self {
+            Lockstep {
+                wheel: EventQueue::new(),
+                model: SortedModel { events: Vec::new(), next_seq: 0 },
+            }
+        }
+
+        pub(super) fn schedule(&mut self, at: SimTime, event: E) {
+            self.wheel.schedule(at, event.clone());
+            self.model.schedule(at, event);
+        }
+
+        pub(super) fn pop(&mut self) -> Option<(SimTime, E)> {
+            let popped = self.wheel.pop();
+            assert_eq!(popped, self.model.pop_at_or_before(SimTime::MAX));
+            popped
+        }
+
+        pub(super) fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+            let popped = self.wheel.pop_at_or_before(limit);
+            assert_eq!(popped, self.model.pop_at_or_before(limit));
+            popped
+        }
+
+        fn next_due_in(&self, now: SimTime) -> Option<SimDuration> {
+            let due = self.wheel.next_due_in(now);
+            assert_eq!(due, self.model.peek_time().map(|at| at.saturating_since(now)));
+            due
+        }
+
+        /// What both report between calls, and the wheel's structure.
+        pub(super) fn check(&self) {
+            assert_eq!(self.wheel.peek_time(), self.model.peek_time());
+            assert_eq!(self.wheel.len(), self.model.events.len());
+            assert_eq!(self.wheel.scheduled_total(), self.model.next_seq);
+            self.wheel.check_invariants();
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -690,17 +577,12 @@ mod tests {
 
     #[test]
     fn next_due_in_saturates_on_overdue_events() {
-        use crate::time::SimDuration;
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert_eq!(Scheduler::next_due_in(&q, t(0)), None);
+        assert_eq!(q.next_due_in(t(0)), None);
         q.schedule(t(10), 1);
-        assert_eq!(Scheduler::next_due_in(&q, t(4)), Some(SimDuration::from_millis(6)));
+        assert_eq!(q.next_due_in(t(4)), Some(SimDuration::from_millis(6)));
         // An already-due event reports ZERO, never underflows.
-        assert_eq!(Scheduler::next_due_in(&q, t(15)), Some(SimDuration::ZERO));
-        // The reference queue shares the default implementation.
-        let mut r: ReferenceEventQueue<u8> = ReferenceEventQueue::new();
-        r.schedule(t(10), 1);
-        assert_eq!(Scheduler::next_due_in(&r, t(4)), Some(SimDuration::from_millis(6)));
+        assert_eq!(q.next_due_in(t(15)), Some(SimDuration::ZERO));
     }
 
     #[test]
@@ -808,15 +690,13 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// The same script through the [`Scheduler`] trait, shaped like the UDP
-    /// runtime's loop: drain `pop_at_or_before(now)`, then bound the poll
-    /// wait by `next_due_in(now)`. Returns every fire and every wait.
-    fn idle_loop_script<S: Scheduler<usize>>(
-        timers: &mut S,
-        after_burst: impl FnOnce(&S),
-    ) -> Vec<(SimTime, Option<usize>)> {
-        fn tick<S: Scheduler<usize>>(
-            timers: &mut S,
+    /// The same script shaped like the UDP runtime's loop — drain
+    /// `pop_at_or_before(now)`, then bound the poll wait by
+    /// `next_due_in(now)` — run on the wheel in lockstep with the model.
+    #[test]
+    fn idle_timer_loop_wakes_to_a_burst_on_the_wheel() {
+        fn tick(
+            timers: &mut Lockstep<usize>,
             now: SimTime,
             log: &mut Vec<(SimTime, Option<usize>)>,
         ) {
@@ -826,42 +706,34 @@ mod tests {
             if let Some(wait) = timers.next_due_in(now) {
                 log.push((now + wait, None));
             }
+            timers.check();
         }
+        let mut timers = Lockstep::new();
         let mut log = Vec::new();
-        timers.schedule(SimTime::from_secs(5), usize::MAX);
+        let sweep = SimTime::from_secs(5);
+        timers.schedule(sweep, usize::MAX);
         timers.schedule(t(1), 0);
-        tick(timers, t(1), &mut log);
+        tick(&mut timers, t(1), &mut log);
         // An idle wake-up, then a burst of datagrams arms a timer each.
-        tick(timers, t(20), &mut log);
+        tick(&mut timers, t(20), &mut log);
         for i in 1..=50_000 {
             timers.schedule(t(20 + 25), i);
         }
-        after_burst(timers);
+        let q = &timers.wheel;
+        assert!(q.pending.is_empty(), "burst ahead of the loop's clock went to pending");
+        assert!(q.cursor <= t(20).as_micros());
         // One overdue timer: the wait must collapse to zero, not 25 ms.
         timers.schedule(t(15), 50_001);
-        assert_eq!(timers.next_due_in(t(20)), Some(crate::time::SimDuration::ZERO));
-        tick(timers, t(20), &mut log);
-        tick(timers, t(45), &mut log);
-        tick(timers, SimTime::from_secs(5), &mut log);
-        log
-    }
-
-    #[test]
-    fn idle_timer_loop_wakes_to_a_burst_on_the_wheel() {
-        let mut wheel = EventQueue::new();
-        let on_wheel = idle_loop_script(&mut wheel, |q| {
-            assert!(q.pending.is_empty(), "burst ahead of the loop's clock went to pending");
-            assert!(q.cursor <= t(20).as_micros());
-        });
-        let on_heap = idle_loop_script(&mut ReferenceEventQueue::new(), |_| {});
-        assert_eq!(on_wheel, on_heap);
+        assert_eq!(timers.next_due_in(t(20)), Some(SimDuration::ZERO));
+        tick(&mut timers, t(20), &mut log);
+        tick(&mut timers, t(45), &mut log);
+        tick(&mut timers, sweep, &mut log);
         // The waits are exact: the sweep while idle, the burst once armed.
         let waits: Vec<SimTime> =
-            on_wheel.iter().filter(|(_, id)| id.is_none()).map(|&(at, _)| at).collect();
-        let sweep = SimTime::from_secs(5);
+            log.iter().filter(|(_, id)| id.is_none()).map(|&(at, _)| at).collect();
         assert_eq!(waits, [sweep, sweep, t(45), sweep]);
-        assert_eq!(on_wheel.len(), 50_003 + waits.len());
-        assert!(wheel.is_empty());
+        assert_eq!(log.len(), 50_003 + waits.len());
+        assert!(timers.wheel.is_empty());
     }
 
     #[test]
@@ -907,24 +779,12 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "max");
         assert_eq!(q.pop(), None);
     }
-
-    #[test]
-    fn reference_queue_same_contract() {
-        let mut q = ReferenceEventQueue::new();
-        q.schedule(t(5), 5);
-        q.schedule(t(1), 1);
-        assert_eq!(q.peek_time(), Some(t(1)));
-        assert_eq!(q.pop_at_or_before(t(0)), None);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 5);
-        assert_eq!(q.scheduled_total(), 2);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::Lockstep;
     use super::*;
-    use crate::time::SimTime;
     use proptest::prelude::*;
 
     proptest! {
@@ -997,40 +857,29 @@ mod proptests {
         ]
     }
 
-    /// The wheel and the reference heap driven in lockstep; every step
-    /// compares what came out and what both queues report afterwards.
-    struct Lockstep {
-        wheel: EventQueue<usize>,
-        heap: ReferenceEventQueue<usize>,
+    /// A host-shaped driver of the lockstep pair: it tracks the host's
+    /// clock (the `frontier`) and checks both sides after every step.
+    struct Host {
+        q: Lockstep<usize>,
         frontier: u64,
     }
 
-    impl Lockstep {
+    impl Host {
         fn schedule(&mut self, us: u64) {
-            let payload = self.heap.scheduled_total() as usize;
-            self.wheel.schedule(SimTime::from_micros(us), payload);
-            self.heap.schedule(SimTime::from_micros(us), payload);
-            self.check();
+            let payload = self.q.wheel.scheduled_total() as usize;
+            self.q.schedule(SimTime::from_micros(us), payload);
+            self.q.check();
         }
 
-        /// Pops both queues — up to `limit`, or unconditionally — and
+        /// Pops both sides — up to `limit`, or unconditionally — and
         /// returns the popped instant.
         fn pop(&mut self, limit: Option<u64>) -> Option<u64> {
-            let (w, h) = match limit.map(SimTime::from_micros) {
-                Some(limit) => {
-                    (self.wheel.pop_at_or_before(limit), self.heap.pop_at_or_before(limit))
-                }
-                None => (self.wheel.pop(), self.heap.pop()),
+            let popped = match limit {
+                Some(limit) => self.q.pop_at_or_before(SimTime::from_micros(limit)),
+                None => self.q.pop(),
             };
-            prop_assert_eq!(w, h);
-            self.check();
-            h.map(|(t, _)| t.as_micros())
-        }
-
-        fn check(&self) {
-            prop_assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
-            prop_assert_eq!(self.wheel.len(), self.heap.len());
-            self.wheel.check_invariants();
+            self.q.check();
+            popped.map(|(t, _)| t.as_micros())
         }
 
         fn apply(&mut self, op: &QueueOp) {
@@ -1064,26 +913,21 @@ mod proptests {
     proptest! {
         /// Differential: random interleaved host-shaped schedule/pop
         /// sequences pop the identical `(time, seq-as-payload)` stream from
-        /// the timing wheel and the reference heap — same-instant ties,
+        /// the timing wheel and the sorted model — same-instant ties,
         /// far-future overflow ticks, horizon pops that come back empty,
         /// schedules behind the host's clock — with `peek_time`, `len` and
         /// the wheel's structural invariants checked after every step.
         #[test]
-        fn wheel_matches_reference_heap(
+        fn wheel_matches_sorted_model(
             ops in proptest::collection::vec(arb_queue_op(), 0..400),
         ) {
-            let mut q = Lockstep {
-                wheel: EventQueue::new(),
-                heap: ReferenceEventQueue::new(),
-                frontier: 0,
-            };
+            let mut host = Host { q: Lockstep::new(), frontier: 0 };
             for op in &ops {
-                q.apply(op);
+                host.apply(op);
             }
             // Drain both completely; the tails must agree too.
-            while q.pop(None).is_some() {}
-            prop_assert_eq!(q.wheel.len(), 0);
-            prop_assert_eq!(q.wheel.scheduled_total(), q.heap.scheduled_total());
+            while host.pop(None).is_some() {}
+            prop_assert!(host.q.wheel.is_empty());
         }
     }
 }

@@ -14,8 +14,7 @@
 //! * [`time`] — integer-microsecond simulated clock ([`time::SimTime`]).
 //! * [`rng`] — reproducible per-node RNG streams from one experiment seed.
 //! * [`event`] — the `(time, insertion-order)` event queue: a hierarchical
-//!   timing wheel, plus the retained heap-based reference implementation
-//!   the differential tests compare against.
+//!   timing wheel, the one queue every driver and the UDP runtime run on.
 //! * [`topology`] — nodes, regions, the error-recovery hierarchy, latency
 //!   models, and presets matching the paper's setups.
 //! * [`loss`] — multicast/unicast loss models and explicit
@@ -73,7 +72,6 @@ pub mod trace;
 
 /// Convenient glob-import of the most used simulator types.
 pub mod prelude {
-    pub use crate::event::Scheduler;
     pub use crate::fault::FaultPlan;
     pub use crate::loss::{DeliveryPlan, LossModel};
     pub use crate::rng::SeedSequence;

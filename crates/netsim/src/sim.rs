@@ -15,8 +15,9 @@
 //! The event loop is allocation-free and queue-cheap in steady state:
 //!
 //! * Events are ordered by a **hierarchical timing wheel**
-//!   ([`crate::event::EventQueue`]): O(1) amortized schedule/pop, event
-//!   payloads in a generation-counted slab, exact `(time, seq)` pop order.
+//!   ([`crate::event::EventQueue`], the one queue in both modes): O(1)
+//!   amortized schedule/pop, event payloads in a generation-counted slab,
+//!   exact `(time, seq)` pop order.
 //! * Side effects buffered during a callback go into a **per-`Sim` scratch
 //!   op buffer** that is drained and reused, instead of a fresh
 //!   `Vec` per callback.
@@ -30,16 +31,16 @@
 //!   Loss and drop-filter decisions are made per destination at schedule
 //!   time (the reference RNG stream, byte for byte); the batch expands
 //!   lazily when it fires, delivering destinations back to back in the
-//!   order the reference queue would have popped them. Target vectors are
-//!   pooled, and with an `Arc`-backed payload type (e.g. `bytes::Bytes`) a
-//!   regional multicast never copies payload bytes.
+//!   order their one-per-destination entries would have popped. Target
+//!   vectors are pooled, and with an `Arc`-backed payload type (e.g.
+//!   `bytes::Bytes`) a regional multicast never copies payload bytes.
 //! * [`Sim::reset`] re-arms the same simulator for another run while the
 //!   queue, slab, and scratch buffers keep their allocations warm.
 //!
-//! [`Sim::new_reference`] builds the same simulator with the
-//! straightforward strategies instead (heap-based reference queue,
-//! allocate per callback, one queue entry per destination). It is kept as
-//! an executable specification: the differential tests assert
+//! [`Sim::new_reference`] builds the same simulator, on the same queue,
+//! with the straightforward strategies instead: allocate per callback,
+//! one queue entry per destination, tombstone-set timer cancellation. It
+//! is kept as an executable specification: the differential tests assert
 //! byte-identical traces between the two.
 
 use std::sync::Arc;
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rrmp_trace::{streams, EventKind, TraceSink};
 
-use crate::event::{EventQueue, ReferenceEventQueue};
+use crate::event::EventQueue;
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
@@ -76,7 +77,7 @@ impl TimerId {
 /// A slot's generation is **odd while armed** and even while free; arming
 /// bumps it to odd, firing or cancelling bumps it to even and recycles the
 /// slot. A [`TimerId`] matches only the exact `(slot, generation)` it was
-/// issued for, so heap entries for cancelled timers die on pop without any
+/// issued for, so queue entries for cancelled timers die on pop without any
 /// tombstone collection. Memory is bounded by the peak number of
 /// *concurrently armed* timers, not by the total ever set.
 #[derive(Debug, Default)]
@@ -136,61 +137,6 @@ impl TimerSlab {
     }
 }
 
-/// The event queue behind a [`Sim`]: the timing-wheel [`EventQueue`] on
-/// the optimized path, the retained heap-based [`ReferenceEventQueue`] in
-/// reference mode — the pairing the trace-equality tests exercise.
-enum SimQueue<E> {
-    Wheel(EventQueue<E>),
-    Reference(ReferenceEventQueue<E>),
-}
-
-impl<E> SimQueue<E> {
-    fn schedule(&mut self, at: SimTime, event: E) {
-        match self {
-            SimQueue::Wheel(q) => q.schedule(at, event),
-            SimQueue::Reference(q) => q.schedule(at, event),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            SimQueue::Wheel(q) => q.pop(),
-            SimQueue::Reference(q) => q.pop(),
-        }
-    }
-
-    /// Peek-gated pop: an event past `limit` is never removed (and so
-    /// never re-inserted) — one queue operation at the horizon.
-    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match self {
-            SimQueue::Wheel(q) => q.pop_at_or_before(limit),
-            SimQueue::Reference(q) => q.pop_at_or_before(limit),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            SimQueue::Wheel(q) => q.peek_time(),
-            SimQueue::Reference(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SimQueue::Wheel(q) => q.len(),
-            SimQueue::Reference(q) => q.len(),
-        }
-    }
-
-    /// Drops pending events; both backends keep their allocations.
-    fn clear(&mut self) {
-        match self {
-            SimQueue::Wheel(q) => q.clear(),
-            SimQueue::Reference(q) => q.clear(),
-        }
-    }
-}
-
 /// Application logic hosted on a simulated node.
 ///
 /// Implementations receive packets and timer expirations and react through
@@ -243,7 +189,7 @@ pub struct Ctx<'a, M> {
     pub(crate) timers: &'a mut TimerSlab,
     /// When false (reference mode), multi-destination sends degrade to one
     /// op per destination with an eager clone — the straightforward
-    /// implementation the default path is benchmarked against.
+    /// implementation the default path is checked against.
     pub(crate) fanout_ops: bool,
 }
 
@@ -341,7 +287,7 @@ impl<'a, M> Ctx<'a, M> {
     /// a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         if self.fanout_ops {
-            // Fast path: bump the slot generation; the pending heap entry
+            // Fast path: bump the slot generation; the pending queue entry
             // dies on pop, and the slot is immediately reusable.
             self.timers.retire(id);
         } else {
@@ -512,7 +458,7 @@ pub struct Sim<N: SimNode> {
     topo: Topology,
     nodes: Vec<N>,
     rngs: Vec<StdRng>,
-    queue: SimQueue<SimEvent<N::Msg>>,
+    queue: EventQueue<SimEvent<N::Msg>>,
     now: SimTime,
     timers: TimerSlab,
     unicast_loss: LossModel,
@@ -609,11 +555,7 @@ impl<N: SimNode> Sim<N> {
             topo,
             nodes,
             rngs,
-            queue: if optimized {
-                SimQueue::Wheel(EventQueue::new())
-            } else {
-                SimQueue::Reference(ReferenceEventQueue::new())
-            },
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             timers: TimerSlab::default(),
             unicast_loss: LossModel::None,
@@ -906,8 +848,7 @@ impl<N: SimNode> Sim<N> {
                 // Lazy expansion: the per-destination deliveries the
                 // reference path would have scheduled individually run
                 // here back to back, in target order — the same order the
-                // reference queue would pop their consecutive sequence
-                // numbers.
+                // queue pops their consecutive sequence numbers in.
                 self.now = at;
                 expand_batch(&targets, msg, |to, copy| {
                     self.counters.delivered += 1;
@@ -1438,19 +1379,13 @@ mod tests {
         let topo = paper_region(40);
         let mut sim = Sim::new(topo, (0..40).map(|_| RegionCaster).collect(), 12);
         let first = run(&mut sim);
-        let warmed = match &sim.queue {
-            SimQueue::Wheel(q) => q.allocated_capacity(),
-            SimQueue::Reference(_) => unreachable!("Sim::new builds the wheel"),
-        };
+        let warmed = sim.queue.allocated_capacity();
         sim.reset((0..40).map(|_| RegionCaster).collect(), 12);
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.counters(), NetCounters::default());
         let second = run(&mut sim);
         assert_eq!(first, second, "identical seed must replay identically");
-        let after = match &sim.queue {
-            SimQueue::Wheel(q) => q.allocated_capacity(),
-            SimQueue::Reference(_) => unreachable!(),
-        };
+        let after = sim.queue.allocated_capacity();
         assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
     }
 
@@ -1688,9 +1623,9 @@ mod proptests {
     proptest! {
         /// Differential: random interleaved timer schedule/cancel/fire
         /// scripts observe the identical `(time, token)` trace and
-        /// counters on the timing-wheel simulator and the heap-based
-        /// reference (which also uses the historical tombstone-set
-        /// cancellation path).
+        /// counters on the optimized simulator (slab-generation
+        /// cancellation) and the reference one (the historical
+        /// tombstone-set cancellation path).
         #[test]
         fn timer_scripts_match_reference(
             script in proptest::collection::vec(arb_script_step(), 0..30),

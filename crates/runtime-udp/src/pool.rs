@@ -33,7 +33,7 @@
 //! `MessageStore` keeps the slab alive, so the pool parks its handle and
 //! reclaims the slab when the store eventually discards the message. The
 //! list is bounded in proportion to the pool's byte budget (floored at
-//! [`RETAINED_CAP`] entries) — beyond the cap the oldest handle is
+//! `RETAINED_CAP` entries) — beyond the cap the oldest handle is
 //! forfeited (the slab frees itself whenever the store drops it; the pool
 //! merely stops tracking it), so a pathological workload degrades to
 //! plain allocation instead of growing the pool without bound, while a

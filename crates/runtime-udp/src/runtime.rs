@@ -7,12 +7,12 @@
 //! * one **`poll(2)` readiness set** ([`crate::batch::PollSet`]) covering
 //!   all member sockets plus a waker socket commands knock on;
 //! * one shared hierarchical **timing wheel** —
-//!   [`rrmp_netsim::event::EventQueue`], the identical scheduler the
-//!   simulator runs on, behind the [`rrmp_netsim::event::Scheduler`]
-//!   trait seam — holding *every* member's protocol timers, each event
-//!   tagged with its member's slot id (slot ids are never reused, so a
-//!   removed member's pending timers are **lazily cancelled**: they pop,
-//!   find no slot, and vanish — see the `Scheduler` docs);
+//!   [`rrmp_netsim::event::EventQueue`], the identical queue the
+//!   simulator runs on — holding *every* member's protocol timers, each
+//!   event tagged with its member's slot id (slot ids are never reused, so
+//!   a removed member's pending timers are **lazily cancelled**: they pop,
+//!   find no slot, and vanish — see the [`rrmp_netsim::event`] module
+//!   docs);
 //! * one **MTU-bucketed buffer pool** ([`crate::pool::BufferPool`]) the
 //!   batched receive path ([`crate::batch::RecvBatcher`], `recvmmsg` on
 //!   Linux) fills directly, so the steady-state hot path is
@@ -20,7 +20,7 @@
 //!   allocation** — the decoded packet's payload *is* a window into the
 //!   receive slab, and the slab returns to the pool once the protocol
 //!   lets go of it;
-//! * one **[`Outbox`]** (reused encode buffer + `sendmmsg` fan-out list)
+//! * one **`Outbox`** (reused encode buffer + `sendmmsg` fan-out list)
 //!   shared by every member on the loop.
 //!
 //! Members are placed on the least-loaded loop at
@@ -52,7 +52,7 @@ use rrmp_core::packet::Packet;
 use rrmp_core::prelude::ProtocolConfig;
 use rrmp_core::receiver::Receiver;
 use rrmp_core::sender::{Sender, SenderAction};
-use rrmp_netsim::event::{EventQueue, Scheduler};
+use rrmp_netsim::event::EventQueue;
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::NodeId;
 use rrmp_trace::{sort_canonical, streams, EventKind, TraceEvent, TraceSink};
@@ -270,8 +270,8 @@ type DropFilter = dyn Fn(NodeId) -> bool + Send;
 /// Everything one event loop can find on its timing wheel. Every entry
 /// carries the owning member's slot id; slot ids are allocated
 /// monotonically and never reused, so an entry whose slot is gone is a
-/// lazily-cancelled timer (see the [`Scheduler`] trait docs) and is
-/// dropped at pop time.
+/// lazily-cancelled timer (see the [`rrmp_netsim::event`] module docs)
+/// and is dropped at pop time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoopEvent {
     /// A protocol timer for the member at `slot`.
