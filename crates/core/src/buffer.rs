@@ -48,8 +48,8 @@ pub enum PressureTier {
 
 /// A per-receiver memory budget with graceful-degradation thresholds.
 ///
-/// Unlike the hard `capacity` cap (eviction only), the budget drives
-/// *tiers*: [`PressureTier::Pressure`] starts at half the budget,
+/// Besides being the store's hard byte bound (enforced by eviction), the
+/// budget drives *tiers*: [`PressureTier::Pressure`] starts at half the budget,
 /// [`PressureTier::Critical`] at [`MemoryBudget::CRITICAL_PCT`] percent.
 /// Both thresholds are fixed integer fractions of the configured byte
 /// count, so every receiver with the same budget degrades at exactly the
@@ -146,7 +146,7 @@ pub struct MessageStore {
     /// entry's `last_use`, it answers the three long-phase sweeps without
     /// scanning the whole store: `expire_long_into` walks the stale
     /// prefix, `take_all_long` enumerates exactly the long entries, and
-    /// capacity eviction reads the LRU long entry from the front. A
+    /// budget eviction reads the LRU long entry from the front. A
     /// sorted vector rather than a `BTreeSet` for the same reason as
     /// `entries`: the population is a handful of messages, and a B-tree's
     /// first element costs a whole leaf-node allocation per member.
@@ -154,11 +154,9 @@ pub struct MessageStore {
     short_count: usize,
     long_count: usize,
     bytes: usize,
-    /// Optional hard cap on buffered payload bytes.
-    capacity: Option<usize>,
-    /// Optional overload budget with pressure/critical tiers. Enforced
-    /// like a capacity (eviction keeps `bytes` ≤ budget structurally) on
-    /// top of driving the graceful-degradation tiers.
+    /// Optional overload budget with pressure/critical tiers — the
+    /// store's one byte bound: eviction keeps `bytes` ≤ budget
+    /// structurally, on top of driving the graceful-degradation tiers.
     budget: Option<MemoryBudget>,
     /// Integral of buffered bytes over time, in byte·microseconds.
     byte_time: u128,
@@ -174,28 +172,16 @@ impl MessageStore {
         MessageStore::default()
     }
 
-    /// Creates a store with a hard byte capacity. When an insert would
-    /// exceed it, the least-recently-used **long-term** entries are
+    /// Creates a store with an optional overload [`MemoryBudget`] of
+    /// `budget` bytes. The budget is a hard byte bound: when an insert
+    /// would exceed it, the least-recently-used **long-term** entries are
     /// evicted first (short-term entries are the §3.1 feedback phase and
     /// are only evicted if no long-term entry remains). This is the
     /// memory-pressure scenario the paper's §1 raises for repair servers
     /// with bounded space.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        MessageStore { capacity: Some(capacity), ..MessageStore::default() }
-    }
-
-    /// Creates a store with an optional hard capacity and an optional
-    /// overload [`MemoryBudget`]; either (or both) may be `None`.
-    #[must_use]
-    pub fn with_limits(capacity: Option<usize>, budget: Option<usize>) -> Self {
-        MessageStore { capacity, budget: budget.map(MemoryBudget::new), ..MessageStore::default() }
-    }
-
-    /// The configured byte capacity, if any.
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
+    pub fn with_budget(budget: Option<usize>) -> Self {
+        MessageStore { budget: budget.map(MemoryBudget::new), ..MessageStore::default() }
     }
 
     /// The configured overload budget, if any.
@@ -216,16 +202,6 @@ impl MessageStore {
     #[must_use]
     pub fn lru_long(&self) -> Option<MessageId> {
         self.long_by_use.first().map(|&(_, id)| id)
-    }
-
-    /// The tighter of the capacity and the budget — the byte bound
-    /// eviction actually enforces.
-    fn effective_cap(&self) -> Option<usize> {
-        match (self.capacity, self.budget.map(|b| b.bytes())) {
-            (Some(c), Some(b)) => Some(c.min(b)),
-            (Some(c), None) => Some(c),
-            (None, b) => b,
-        }
     }
 
     /// The budget invariant, checked after every mutation that can grow
@@ -269,9 +245,19 @@ impl MessageStore {
     }
 
     /// Evicts entries (LRU, long-term before short-term) until `incoming`
-    /// additional bytes fit. Returns the evicted ids.
-    fn make_room(&mut self, incoming: usize, now: SimTime) -> Vec<MessageId> {
-        let Some(cap) = self.effective_cap() else { return Vec::new() };
+    /// more bytes for `id` fit under the budget. Returns the evicted ids,
+    /// or `None`, evicting nothing, when `id` is already buffered or can
+    /// never fit.
+    fn make_room(
+        &mut self,
+        id: MessageId,
+        incoming: usize,
+        now: SimTime,
+    ) -> Option<Vec<MessageId>> {
+        let cap = self.budget.map_or(usize::MAX, |b| b.bytes());
+        if self.contains(id) || incoming > cap {
+            return None;
+        }
         let mut evicted = Vec::new();
         while self.bytes + incoming > cap && !self.entries.is_empty() {
             // Oldest last_use; long-term entries strictly before short.
@@ -290,48 +276,32 @@ impl MessageStore {
             self.discard(victim, now);
             evicted.push(victim);
         }
-        evicted
+        Some(evicted)
     }
 
-    /// Like [`MessageStore::insert_short`], but enforcing the byte
-    /// capacity; returns `(inserted, evicted_ids)`.
+    /// Like [`MessageStore::insert_short`], but enforcing the budget;
+    /// returns `(inserted, evicted_ids)`.
     pub fn insert_short_bounded(
         &mut self,
         id: MessageId,
         data: Bytes,
         now: SimTime,
     ) -> (bool, Vec<MessageId>) {
-        if self.contains(id) {
-            return (false, Vec::new());
-        }
-        if let Some(cap) = self.effective_cap() {
-            if data.len() > cap {
-                return (false, Vec::new()); // can never fit
-            }
-        }
-        let evicted = self.make_room(data.len(), now);
+        let Some(evicted) = self.make_room(id, data.len(), now) else { return (false, Vec::new()) };
         let inserted = self.insert_short(id, data, now);
         self.assert_within_budget();
         (inserted, evicted)
     }
 
-    /// Like [`MessageStore::insert_long`], but enforcing the byte
-    /// capacity; returns `(inserted, evicted_ids)`.
+    /// Like [`MessageStore::insert_long`], but enforcing the budget;
+    /// returns `(inserted, evicted_ids)`.
     pub fn insert_long_bounded(
         &mut self,
         id: MessageId,
         data: Bytes,
         now: SimTime,
     ) -> (bool, Vec<MessageId>) {
-        if self.contains(id) {
-            return (false, Vec::new());
-        }
-        if let Some(cap) = self.effective_cap() {
-            if data.len() > cap {
-                return (false, Vec::new());
-            }
-        }
-        let evicted = self.make_room(data.len(), now);
+        let Some(evicted) = self.make_room(id, data.len(), now) else { return (false, Vec::new()) };
         let inserted = self.insert_long(id, data, now);
         self.assert_within_budget();
         (inserted, evicted)
@@ -753,8 +723,8 @@ mod tests {
 
     #[test]
     fn capacity_evicts_lru_long_term_first() {
-        let mut s = MessageStore::with_capacity(30);
-        assert_eq!(s.capacity(), Some(30));
+        let mut s = MessageStore::with_budget(Some(30));
+        assert_eq!(s.budget().map(|b| b.bytes()), Some(30));
         s.insert_long_bounded(mid(1), payload(10), t(0));
         s.insert_long_bounded(mid(2), payload(10), t(1));
         s.insert_short_bounded(mid(3), payload(10), t(2));
@@ -770,7 +740,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_short_only_as_last_resort() {
-        let mut s = MessageStore::with_capacity(20);
+        let mut s = MessageStore::with_budget(Some(20));
         s.insert_short_bounded(mid(1), payload(10), t(0));
         s.insert_short_bounded(mid(2), payload(10), t(1));
         let (inserted, evicted) = s.insert_short_bounded(mid(3), payload(10), t(2));
@@ -781,7 +751,7 @@ mod tests {
 
     #[test]
     fn oversized_payload_is_rejected_outright() {
-        let mut s = MessageStore::with_capacity(5);
+        let mut s = MessageStore::with_budget(Some(5));
         let (inserted, evicted) = s.insert_short_bounded(mid(1), payload(10), t(0));
         assert!(!inserted);
         assert!(evicted.is_empty());
@@ -824,8 +794,7 @@ mod tests {
 
     #[test]
     fn budget_acts_as_capacity_and_reports_tier() {
-        let mut s = MessageStore::with_limits(None, Some(100));
-        assert_eq!(s.capacity(), None);
+        let mut s = MessageStore::with_budget(Some(100));
         assert_eq!(s.budget().unwrap().bytes(), 100);
         assert_eq!(s.tier(), PressureTier::Normal);
         s.insert_long_bounded(mid(1), payload(40), t(0));
@@ -844,18 +813,6 @@ mod tests {
         // An oversized payload is rejected against the budget too.
         let (inserted, _) = s.insert_short_bounded(mid(5), payload(200), t(4));
         assert!(!inserted);
-    }
-
-    #[test]
-    fn effective_cap_is_min_of_capacity_and_budget() {
-        let mut s = MessageStore::with_limits(Some(50), Some(100));
-        let (inserted, _) = s.insert_short_bounded(mid(1), payload(60), t(0));
-        assert!(!inserted, "capacity is the tighter bound");
-        let mut s = MessageStore::with_limits(Some(100), Some(50));
-        let (inserted, _) = s.insert_short_bounded(mid(1), payload(60), t(0));
-        assert!(!inserted, "budget is the tighter bound");
-        let (inserted, _) = s.insert_short_bounded(mid(2), payload(40), t(0));
-        assert!(inserted);
     }
 
     #[test]

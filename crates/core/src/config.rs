@@ -14,6 +14,8 @@
 //! * the back-off window for duplicate regional-repair suppression.
 //! * the buffering policy, which can be swapped for baselines
 //!   (fixed-time, keep-everything) in ablation experiments.
+//! * the opt-in overload knobs: a per-member memory budget (the store's
+//!   one byte bound), repair-storm damping and a liveness watchdog.
 
 use rrmp_netsim::time::SimDuration;
 
@@ -53,7 +55,6 @@ impl std::error::Error for ConfigError {}
 /// `None` in [`ProtocolConfig::damping`] disables all of it (the paper's
 /// model) and keeps every trace byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DampingConfig {
     /// Token-bucket capacity: repair actions a receiver may fire
     /// back-to-back before the refill interval paces it.
@@ -71,7 +72,6 @@ pub struct DampingConfig {
 /// timer driving it — persisting for at least `horizon`, and re-arms it
 /// through the heal machinery. `None` disables the watchdog (default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WatchdogConfig {
     /// How often the self-check timer fires.
     pub interval: SimDuration,
@@ -83,7 +83,6 @@ pub struct WatchdogConfig {
 /// All protocol tunables. Construct with [`ProtocolConfig::builder`] or use
 /// [`ProtocolConfig::paper_defaults`] for the §4 simulation parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     /// Expected number of remote requests per region-wide loss (λ, §2.2).
     pub lambda: f64,
@@ -149,25 +148,18 @@ pub struct ProtocolConfig {
     /// Disabled by differential harnesses that mirror the legacy
     /// baselines' one-shot session advertisement per multicast.
     pub periodic_sessions: bool,
-    /// Optional hard cap on buffered payload bytes per member. When set,
-    /// inserts evict least-recently-used long-term entries first (§1's
-    /// bounded-space scenario). `None` (default) means unbounded, the
-    /// paper's model.
-    pub buffer_capacity: Option<usize>,
-    /// Whether remote requests refresh the short-term idle clock, like
-    /// local requests do. The paper's idle rule counts every request; the
-    /// ablation harness can restrict feedback to local requests only.
-    pub remote_requests_refresh_idle: bool,
     /// Whether receivers keep a per-message event log (needed by the
     /// experiment harness; small per-message overhead).
     pub record_events: bool,
     /// Optional per-member memory budget (bytes) for the overload
-    /// subsystem. Unlike [`ProtocolConfig::buffer_capacity`] (a hard cap
-    /// enforced by eviction alone), the budget drives graceful
-    /// degradation *tiers*: above the pressure threshold policies get an
+    /// subsystem. It is a hard cap on buffered payload bytes — inserts
+    /// evict least-recently-used long-term entries first (§1's
+    /// bounded-space scenario) — and it drives graceful degradation
+    /// *tiers*: above the pressure threshold policies get an
     /// `on_pressure` hook to early-discard, and above the critical
     /// threshold receivers decline to buffer for others while still
-    /// delivering locally. `None` (default) disarms the subsystem.
+    /// delivering locally. `None` (default) means unbounded, the paper's
+    /// model.
     pub memory_budget: Option<usize>,
     /// Repair-storm damping; `None` (default) disables it.
     pub damping: Option<DampingConfig>,
@@ -200,8 +192,6 @@ impl ProtocolConfig {
             direct_request_timeout: SimDuration::from_millis(60),
             history_interval: SimDuration::from_millis(100),
             periodic_sessions: true,
-            buffer_capacity: None,
-            remote_requests_refresh_idle: true,
             record_events: true,
             memory_budget: None,
             damping: None,
@@ -414,18 +404,6 @@ impl ProtocolConfigBuilder {
     /// Enables or disables the sender's periodic session messages.
     pub fn periodic_sessions(&mut self, yes: bool) -> &mut Self {
         self.cfg.periodic_sessions = yes;
-        self
-    }
-
-    /// Sets (or clears) the per-member buffer byte capacity.
-    pub fn buffer_capacity(&mut self, cap: Option<usize>) -> &mut Self {
-        self.cfg.buffer_capacity = cap;
-        self
-    }
-
-    /// Sets whether remote requests refresh the idle clock.
-    pub fn remote_requests_refresh_idle(&mut self, yes: bool) -> &mut Self {
-        self.cfg.remote_requests_refresh_idle = yes;
         self
     }
 

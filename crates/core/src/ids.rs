@@ -12,7 +12,6 @@ use rrmp_netsim::topology::NodeId;
 /// multicasts carries sequence number `1`; `0` is reserved as "nothing
 /// sent yet" in session messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeqNo(pub u64);
 
 impl SeqNo {
@@ -42,7 +41,6 @@ impl fmt::Display for SeqNo {
 
 /// Globally unique message identifier: `[source address, sequence number]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MessageId {
     /// The original sender of the message.
     pub source: NodeId,

@@ -22,7 +22,6 @@
 /// assert_eq!(s.len(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntervalSet {
     /// Sorted, disjoint, non-adjacent inclusive intervals.
     ranges: Vec<(u64, u64)>,

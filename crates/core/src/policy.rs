@@ -948,7 +948,6 @@ impl BufferPolicy for TreeRmtp {
 /// selector stored in [`ProtocolConfig::policy`]; [`PolicyKind::build`]
 /// turns it into the [`BufferPolicy`] implementation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PolicyKind {
     /// The paper's contribution: feedback-based short-term buffering with
     /// idle threshold `T`, then randomized long-term buffering with

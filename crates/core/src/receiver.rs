@@ -26,8 +26,6 @@
 //! [`ProtocolConfig::policy`]; the receiver itself is the shared engine
 //! every buffering algorithm runs on.
 
-use std::collections::BTreeSet;
-
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -81,8 +79,17 @@ pub enum PreloadState {
     ReceivedDiscarded,
 }
 
-#[derive(Debug, Default)]
-struct RecoveryState {
+/// The two retry phases of §2.2: pull requests to the target the policy
+/// picks, and remote requests to the parent region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Pull,
+    Remote,
+}
+
+/// One phase's progress on a missing message.
+#[derive(Debug, Default, PartialEq)]
+struct Round {
     attempts: u32,
     /// The previous round was shed (or suppressed) by the repair-storm
     /// damper instead of sending — cleared (and counted as a retry) the
@@ -91,30 +98,71 @@ struct RecoveryState {
     shed: bool,
 }
 
-#[derive(Debug)]
-struct SearchState {
-    origins: BTreeSet<NodeId>,
+#[derive(Debug, Default, PartialEq)]
+struct Search {
+    /// Ascending, without duplicates.
+    origins: Vec<NodeId>,
     attempts: u32,
-    /// Set when the retry cap was reached. The state is kept (so a later
+    /// Set when the retry cap was reached. The search is kept (so a later
     /// data arrival still answers the origins, and incoming probes do not
     /// re-ignite a hopeless search) and garbage-collected by the sweep.
     exhausted_at: Option<SimTime>,
 }
 
-/// Memory of a recently completed search: when the "I have the message"
-/// announcement was heard and who the holder was. Suppresses probes still
-/// in flight from re-igniting a finished search (see
-/// [`ProtocolConfig::search_memory`]).
-#[derive(Debug, Clone, Copy)]
-struct SearchDone {
-    at: SimTime,
-    holder: NodeId,
-}
-
-#[derive(Debug)]
-struct BackoffState {
+#[derive(Debug, PartialEq)]
+struct Backoff {
     payload: Bytes,
     suppressed: bool,
+}
+
+/// Everything a receiver holds about recovering one message. The fields
+/// are independent options rather than one state enum because `found`,
+/// `heard` and `backoff` can coexist with the rest. The record is removed
+/// as soon as every field is `None`; the cold `search` and `backoff` are
+/// boxed to keep an entry at 128 B.
+#[derive(Debug, Default, PartialEq)]
+struct Recovery {
+    /// The pull and remote phases, while the message is missing.
+    local: Option<Round>,
+    remote: Option<Round>,
+    /// Members to relay the message to when it arrives (ascending, no
+    /// duplicates). `Some` even when empty: the arrival then still counts
+    /// as a use of the store entry.
+    waiters: Option<Vec<NodeId>>,
+    /// The bufferer search (§3.3), for a message received and discarded.
+    search: Option<Box<Search>>,
+    /// When a search was heard to complete, and the holder: probes still
+    /// in flight are not to re-ignite it ([`ProtocolConfig::search_memory`]).
+    found: Option<(SimTime, NodeId)>,
+    /// A regional re-multicast waiting out its back-off.
+    backoff: Option<Box<Backoff>>,
+    /// When a peer's request was last overheard (set while damping is
+    /// armed): the duplicate-request suppression window.
+    heard: Option<SimTime>,
+    /// When the liveness watchdog first saw this loss wedged.
+    wedged_since: Option<SimTime>,
+}
+
+impl Recovery {
+    fn is_empty(&self) -> bool {
+        *self == Recovery::default()
+    }
+
+    fn round(&mut self, phase: Phase) -> &mut Option<Round> {
+        match phase {
+            Phase::Pull => &mut self.local,
+            Phase::Remote => &mut self.remote,
+        }
+    }
+}
+
+/// Inserts `nodes` into the ascending, duplicate-free `set`.
+fn add_sorted(set: &mut Vec<NodeId>, nodes: impl IntoIterator<Item = NodeId>) {
+    for n in nodes {
+        if let Err(i) = set.binary_search(&n) {
+            set.insert(i, n);
+        }
+    }
 }
 
 /// Deterministic token bucket damping the repair storm: recovery rounds
@@ -154,6 +202,14 @@ impl TokenBucket {
             false
         }
     }
+
+    /// Spends one of `bucket`'s tokens. Always `true` while damping is
+    /// unarmed. (A free function over the field, so a caller can hold a
+    /// recovery record across it.)
+    fn take(bucket: &mut Option<TokenBucket>, d: Option<DampingConfig>, now: SimTime) -> bool {
+        let Some(d) = d else { return true };
+        bucket.as_mut().is_none_or(|b| b.try_take(d, now))
+    }
 }
 
 /// The RRMP receiver — see the module docs for the full behaviour map.
@@ -167,15 +223,11 @@ pub struct Receiver {
     view: HierarchyView,
     store: MessageStore,
     detector: LossDetector,
-    // Recovery tables as sorted-vector maps ([`VecMap`]): empty on most
-    // nodes, a handful of entries on the rest — no hash-table allocation
-    // per node, and deterministic (ascending-id) iteration for free.
-    local_rec: VecMap<MessageId, RecoveryState>,
-    remote_rec: VecMap<MessageId, RecoveryState>,
-    searches: VecMap<MessageId, SearchState>,
-    search_done: VecMap<MessageId, SearchDone>,
-    waiters: VecMap<MessageId, BTreeSet<NodeId>>,
-    backoffs: VecMap<MessageId, BackoffState>,
+    // One recovery record per message, in a sorted-vector map
+    // ([`VecMap`]): empty on most nodes, a handful of entries on the
+    // rest — no hash-table allocation per node, and deterministic
+    // (ascending-id) iteration for free.
+    recovery: VecMap<MessageId, Recovery>,
     rng: StdRng,
     metrics: Metrics,
     policy: Box<dyn BufferPolicy>,
@@ -187,13 +239,6 @@ pub struct Receiver {
     /// Repair-storm damper — `Some` iff [`ProtocolConfig::damping`] is
     /// armed. Unarmed receivers never touch it.
     damper: Option<TokenBucket>,
-    /// When a peer's request for a message was last overheard — the
-    /// duplicate-request suppression window (only maintained while
-    /// damping is armed; empty otherwise).
-    recent_requests: VecMap<MessageId, SimTime>,
-    /// When the liveness watchdog first observed each wedged loss (only
-    /// maintained while [`ProtocolConfig::watchdog`] is armed).
-    watchdog_seen: VecMap<MessageId, SimTime>,
     /// Observer hooks ([`crate::observe`]) — `Some` iff armed via
     /// [`Receiver::arm_trace`]. An unarmed receiver pays one branch on
     /// the `None` discriminant per hook site.
@@ -262,7 +307,7 @@ impl Receiver {
         policy: Box<dyn BufferPolicy>,
     ) -> Self {
         let record = cfg.record_events;
-        let store = MessageStore::with_limits(cfg.buffer_capacity, cfg.memory_budget);
+        let store = MessageStore::with_budget(cfg.memory_budget);
         let damper = cfg.damping.map(|d| TokenBucket::new(d.burst));
         Receiver {
             id,
@@ -270,20 +315,13 @@ impl Receiver {
             view,
             store,
             detector: LossDetector::new(),
-            local_rec: VecMap::new(),
-            remote_rec: VecMap::new(),
-            searches: VecMap::new(),
-            search_done: VecMap::new(),
-            waiters: VecMap::new(),
-            backoffs: VecMap::new(),
+            recovery: VecMap::new(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(record),
             policy,
             left: false,
             expire_scratch: Vec::new(),
             damper,
-            recent_requests: VecMap::new(),
-            watchdog_seen: VecMap::new(),
             trace: None,
         }
     }
@@ -398,30 +436,28 @@ impl Receiver {
         // `VecMap` iterates in ascending id order, so the heal round
         // emits actions in the same order on every engine layout.
         let exhausted: Vec<MessageId> = self
-            .searches
+            .recovery
             .iter()
-            .filter(|(_, s)| s.exhausted_at.is_some())
+            .filter(|(_, r)| r.search.as_ref().is_some_and(|s| s.exhausted_at.is_some()))
             .map(|(m, _)| m)
             .collect();
         for msg in exhausted {
-            if let Some(state) = self.searches.get_mut(msg) {
-                state.exhausted_at = None;
-                state.attempts = 0;
+            if let Some(search) = self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) {
+                search.exhausted_at = None;
+                search.attempts = 0;
                 self.metrics.counters.heal_rearms += 1;
                 self.search_attempt(msg, now, actions);
             }
         }
         // `LossDetector::missing` is (source, seq)-ordered, so this loop
-        // is deterministic as-is.
+        // is deterministic as-is. (A missing message has no search.)
         for msg in self.detector.missing() {
-            if !self.local_rec.contains_key(msg)
-                && !self.remote_rec.contains_key(msg)
-                && !self.searches.contains_key(msg)
-            {
+            if !self.recovery_pending(msg) {
                 self.metrics.counters.heal_rearms += 1;
                 self.start_recovery(msg, now, actions);
             }
         }
+        self.check_records();
     }
 
     /// Whether recovery machinery is still actively working on `msg`.
@@ -429,9 +465,11 @@ impl Receiver {
     /// receiver gave up on cleanly after exhausting its retry caps.
     #[must_use]
     pub fn recovery_pending(&self, msg: MessageId) -> bool {
-        self.local_rec.contains_key(msg)
-            || self.remote_rec.contains_key(msg)
-            || self.searches.get(msg).is_some_and(|s| s.exhausted_at.is_none())
+        self.recovery.get(msg).is_some_and(|r| {
+            r.local.is_some()
+                || r.remote.is_some()
+                || r.search.as_ref().is_some_and(|s| s.exhausted_at.is_none())
+        })
     }
 
     /// Actions to run at start-up: arms the long-term sweep, for
@@ -515,6 +553,31 @@ impl Receiver {
             Event::Timer(kind) => self.on_timer(kind, now, actions),
             Event::Leave => self.on_leave(now, actions),
         }
+        self.check_records();
+    }
+
+    /// The recovery records' invariants, checked in debug builds after
+    /// every handled event: rounds and waiters exist only for a message
+    /// never received, a search only for one received before, and no
+    /// record is empty.
+    fn check_records(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (msg, r) in self.recovery.iter() {
+            let received = self.detector.received_before(msg);
+            let awaited = r.local.is_some() || r.remote.is_some() || r.waiters.is_some();
+            debug_assert!(!(received && awaited), "{msg}: rounds or waiters after receipt");
+            debug_assert!(received || r.search.is_none(), "{msg}: search before receipt");
+            debug_assert!(!r.is_empty(), "{msg}: empty recovery record");
+        }
+    }
+
+    /// Drops `msg`'s record once every field is `None`.
+    fn tidy(&mut self, msg: MessageId) {
+        if self.recovery.get(msg).is_some_and(Recovery::is_empty) {
+            self.recovery.remove(msg);
+        }
     }
 
     fn on_packet(&mut self, from: NodeId, packet: Packet, now: SimTime, actions: &mut Vec<Action>) {
@@ -538,7 +601,7 @@ impl Receiver {
             Packet::RegionalRepair { data } => {
                 // Hearing the region-wide repair suppresses our own pending
                 // back-off multicast for the same message.
-                if let Some(b) = self.backoffs.get_mut(data.id) {
+                if let Some(b) = self.recovery.get_mut(data.id).and_then(|r| r.backoff.as_mut()) {
                     b.suppressed = true;
                 }
                 self.on_data(data, DataPath::RegionalRepair, now, actions);
@@ -550,8 +613,9 @@ impl Receiver {
                 // Someone has the message: the search is over. Remember
                 // the holder briefly so probes still in flight don't
                 // re-ignite the search.
-                self.searches.remove(msg);
-                self.search_done.insert(msg, SearchDone { at: now, holder });
+                let r = self.recovery.get_or_default(msg);
+                r.search = None;
+                r.found = Some((now, holder));
             }
             Packet::Handoff { data } => {
                 self.metrics.counters.handoffs_received += 1;
@@ -592,11 +656,7 @@ impl Receiver {
                 self.buffer_new_message(id, &data.payload, path, now, actions);
             }
             self.apply_pressure(now, actions);
-            // Any recovery effort for this message is complete.
-            self.local_rec.remove(id);
-            self.remote_rec.remove(id);
-            self.relay_to_waiters(id, &data.payload, now, actions);
-            self.answer_active_search(id, &data.payload, now, actions);
+            self.end_recovery(id, &data.payload, now, actions);
             if path == DataPath::RemoteRepair && self.policy.remulticast_remote_repairs() {
                 self.arm_regional_multicast(id, data.payload.clone(), now, actions);
             }
@@ -615,9 +675,88 @@ impl Receiver {
             }
             // If we were searching for this message on behalf of downstream
             // waiters, the reappearing payload answers them.
-            self.answer_active_search(id, &data.payload, now, actions);
-            self.relay_to_waiters(id, &data.payload, now, actions);
+            self.end_recovery(id, &data.payload, now, actions);
         }
+    }
+
+    /// `id`'s payload is at hand: every recovery effort for it ends. The
+    /// rounds are dropped, waiters get the relayed repair, and an active
+    /// search is answered, leaving this member as the remembered holder.
+    /// Only one of the last two can fire: waiters exist only for a
+    /// message never received, a search only for one received before.
+    fn end_recovery(
+        &mut self,
+        id: MessageId,
+        payload: &Bytes,
+        now: SimTime,
+        actions: &mut Vec<Action>,
+    ) {
+        let Some(r) = self.recovery.get_mut(id) else { return };
+        r.local = None;
+        r.remote = None;
+        let waiters = r.waiters.take();
+        let search = r.search.take();
+        if search.is_some() {
+            r.found = Some((now, self.id));
+        }
+        if r.is_empty() {
+            self.recovery.remove(id);
+        }
+        if let Some(waiters) = waiters {
+            let me = self.id;
+            for w in waiters.into_iter().filter(|&w| w != me) {
+                self.metrics.counters.relays_performed += 1;
+                let event = ProtocolEvent::RemoteRepairSent { to: w };
+                self.send_remote_repair(w, id, payload, event, now, actions);
+            }
+            self.store.note_use(id, now);
+        }
+        if let Some(search) = search {
+            self.answer_origins(id, payload, &search.origins, now, actions);
+        }
+    }
+
+    /// Sends `msg` to `to` as a remote repair, recording `event`.
+    fn send_remote_repair(
+        &mut self,
+        to: NodeId,
+        msg: MessageId,
+        payload: &Bytes,
+        event: ProtocolEvent,
+        now: SimTime,
+        actions: &mut Vec<Action>,
+    ) {
+        self.metrics.counters.repairs_sent_remote += 1;
+        self.metrics.record_event(now, msg, event);
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.on_repair_sent(msg, to, now);
+        }
+        actions.push(Action::Send {
+            to,
+            packet: Packet::Repair {
+                data: DataPacket::new(msg, payload.clone()),
+                kind: RepairKind::Remote,
+            },
+        });
+    }
+
+    /// Answers a search for `msg` as its holder: repairs each origin and
+    /// announces "I have the message" to the region.
+    fn answer_origins(
+        &mut self,
+        msg: MessageId,
+        payload: &Bytes,
+        origins: &[NodeId],
+        now: SimTime,
+        actions: &mut Vec<Action>,
+    ) {
+        for &origin in origins {
+            let event = ProtocolEvent::SearchAnswered { origin };
+            self.send_remote_repair(origin, msg, payload, event, now, actions);
+        }
+        self.metrics.counters.search_found_sent += 1;
+        actions
+            .push(Action::MulticastRegion { packet: Packet::SearchFound { msg, holder: self.id } });
     }
 
     /// Delegates the "who buffers, in which phase, with which timer"
@@ -646,92 +785,22 @@ impl Receiver {
         }
     }
 
-    /// Spends one damping token, refilling for elapsed time first.
-    /// Always `true` while damping is unarmed.
-    fn take_damping_token(&mut self, now: SimTime) -> bool {
-        let Some(d) = self.cfg.damping else { return true };
-        self.damper.as_mut().is_none_or(|b| b.try_take(d, now))
-    }
-
-    /// Whether a peer's request for `msg` was overheard within the
-    /// suppression window. Always `false` while damping is unarmed.
-    fn request_suppressed(&self, msg: MessageId, now: SimTime) -> bool {
-        let Some(d) = self.cfg.damping else { return false };
-        self.recent_requests
-            .get(msg)
-            .is_some_and(|&at| now.saturating_since(at) <= d.suppress_window)
-    }
-
     /// Records an overheard peer request for the suppression window
-    /// (no-op while damping is unarmed, keeping the map empty).
+    /// (no-op while damping is unarmed).
     fn note_request_heard(&mut self, msg: MessageId, now: SimTime) {
         if self.cfg.damping.is_some() {
-            self.recent_requests.insert(msg, now);
+            self.recovery.get_or_default(msg).heard = Some(now);
         }
-    }
-
-    fn relay_to_waiters(
-        &mut self,
-        id: MessageId,
-        payload: &Bytes,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        let Some(waiters) = self.waiters.remove(id) else { return };
-        for w in waiters.into_iter().filter(|&w| w != self.id) {
-            self.metrics.counters.relays_performed += 1;
-            self.metrics.counters.repairs_sent_remote += 1;
-            self.metrics.record_event(now, id, ProtocolEvent::RemoteRepairSent { to: w });
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_repair_sent(id, w, now);
-            }
-            actions.push(Action::Send {
-                to: w,
-                packet: Packet::Repair {
-                    data: DataPacket::new(id, payload.clone()),
-                    kind: RepairKind::Remote,
-                },
-            });
-        }
-        self.store.note_use(id, now);
     }
 
     /// The holder recorded by a recently completed search for `msg`, if
     /// the memory window has not expired.
     fn fresh_holder(&self, msg: MessageId, now: SimTime) -> Option<NodeId> {
-        self.search_done
+        self.recovery
             .get(msg)
-            .filter(|d| now.saturating_since(d.at) <= self.cfg.search_memory)
-            .map(|d| d.holder)
-    }
-
-    fn answer_active_search(
-        &mut self,
-        id: MessageId,
-        payload: &Bytes,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        let Some(search) = self.searches.remove(id) else { return };
-        self.search_done.insert(id, SearchDone { at: now, holder: self.id });
-        for origin in &search.origins {
-            self.metrics.counters.repairs_sent_remote += 1;
-            self.metrics.record_event(now, id, ProtocolEvent::SearchAnswered { origin: *origin });
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_repair_sent(id, *origin, now);
-            }
-            actions.push(Action::Send {
-                to: *origin,
-                packet: Packet::Repair {
-                    data: DataPacket::new(id, payload.clone()),
-                    kind: RepairKind::Remote,
-                },
-            });
-        }
-        self.metrics.counters.search_found_sent += 1;
-        actions.push(Action::MulticastRegion {
-            packet: Packet::SearchFound { msg: id, holder: self.id },
-        });
+            .and_then(|r| r.found)
+            .filter(|&(at, _)| now.saturating_since(at) <= self.cfg.search_memory)
+            .map(|(_, holder)| holder)
     }
 
     fn arm_regional_multicast(
@@ -751,7 +820,8 @@ impl Receiver {
             }
             Some(window) => {
                 let delay = SimDuration::from_micros(self.rng.gen_range(0..=window.as_micros()));
-                self.backoffs.insert(id, BackoffState { payload, suppressed: false });
+                self.recovery.get_or_default(id).backoff =
+                    Some(Box::new(Backoff { payload, suppressed: false }));
                 actions.push(Action::SetTimer { delay, kind: TimerKind::Backoff(id) });
             }
         }
@@ -800,24 +870,10 @@ impl Receiver {
         }
         self.metrics.counters.remote_requests_received += 1;
         self.note_request_heard(msg, now);
-        if self.cfg.remote_requests_refresh_idle {
-            self.store.note_request(msg, now);
-        } else {
-            self.store.note_use(msg, now);
-        }
+        self.store.note_request(msg, now);
         if let Some(payload) = self.store.get(msg) {
-            self.metrics.counters.repairs_sent_remote += 1;
-            self.metrics.record_event(now, msg, ProtocolEvent::RemoteRepairSent { to: from });
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_repair_sent(msg, from, now);
-            }
-            actions.push(Action::Send {
-                to: from,
-                packet: Packet::Repair {
-                    data: DataPacket::new(msg, payload),
-                    kind: RepairKind::Remote,
-                },
-            });
+            let event = ProtocolEvent::RemoteRepairSent { to: from };
+            self.send_remote_repair(from, msg, &payload, event, now, actions);
         } else if self.detector.received_before(msg) {
             // Received but discarded: find a bufferer in this region (§3.3).
             // (The remembered holder can be ourselves if we served the
@@ -839,7 +895,8 @@ impl Receiver {
         } else {
             // Never received: remember the waiter and recover it ourselves;
             // the repair is relayed when the message arrives (§2.2).
-            self.waiters.get_or_default(msg).insert(from);
+            let waiters = self.recovery.get_or_default(msg).waiters.get_or_insert_with(Vec::new);
+            add_sorted(waiters, [from]);
             for m in self.detector.on_hint(msg) {
                 self.start_recovery(m, now, actions);
             }
@@ -855,131 +912,98 @@ impl Receiver {
         if let Some(t) = self.trace.as_deref_mut() {
             t.on_loss_detected(msg, now);
         }
-        if !self.local_rec.contains_key(msg) {
-            self.local_rec.insert(msg, RecoveryState::default());
-            self.local_attempt(msg, now, actions);
-        }
-        if self.policy.remote_recovery()
-            && self.view.parent().is_some()
-            && !self.remote_rec.contains_key(msg)
-        {
-            self.remote_rec.insert(msg, RecoveryState::default());
-            self.remote_attempt(msg, now, actions);
+        let remote = self.policy.remote_recovery() && self.view.parent().is_some();
+        let phases: &[Phase] = if remote { &[Phase::Pull, Phase::Remote] } else { &[Phase::Pull] };
+        for &phase in phases {
+            let round = self.recovery.get_or_default(msg).round(phase);
+            if round.is_none() {
+                *round = Some(Round::default());
+                self.attempt(msg, phase, now, actions);
+            }
         }
     }
 
-    /// One round of the pull phase: the policy picks the peer to ask
-    /// (random region neighbor for two-phase, a designated bufferer for
-    /// hash placement, the source for sender-based recovery, the repair
-    /// server for tree hierarchies), the request semantics (plain local
-    /// request, or a remote request whose target registers a waiter and
-    /// recovers the message itself), and the retry period.
-    fn local_attempt(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        let was_shed;
-        let attempt;
-        {
-            let Some(state) = self.local_rec.get_mut(msg) else { return };
-            state.attempts += 1;
-            attempt = state.attempts;
-            if state.attempts > self.cfg.max_local_attempts {
-                self.local_rec.remove(msg);
+    /// One recovery round of `phase`. For the pull phase the policy picks
+    /// the peer to ask (random region neighbor for two-phase, a
+    /// designated bufferer for hash placement, the source for
+    /// sender-based recovery, the repair server for tree hierarchies),
+    /// the request semantics (plain local request, or a remote request
+    /// whose target registers a waiter and recovers the message itself),
+    /// and the retry period. The remote phase asks the policy's remote
+    /// target (the λ/n coin) and retries after `remote_timeout`. A round
+    /// for a message no longer missing just ends.
+    fn attempt(&mut self, msg: MessageId, phase: Phase, now: SimTime, actions: &mut Vec<Action>) {
+        let cap = match phase {
+            Phase::Pull => self.cfg.max_local_attempts,
+            Phase::Remote => self.cfg.max_remote_attempts,
+        };
+        let Some(r) = self.recovery.get_mut(msg) else { return };
+        let heard = r.heard;
+        let slot = r.round(phase);
+        let Some(round) = slot else { return };
+        round.attempts += 1;
+        let (attempt, was_shed) = (round.attempts, round.shed);
+        let missing = self.detector.is_missing(msg);
+        if !missing || attempt > cap {
+            *slot = None;
+            self.tidy(msg);
+            if missing {
                 self.metrics.counters.recovery_gave_up += 1;
                 if let Some(t) = self.trace.as_deref_mut() {
                     t.on_gave_up(msg, now);
                 }
-                return;
             }
-            was_shed = state.shed;
+            return;
         }
         // Repair-storm damping (attempt accounting above runs first, so
         // shed rounds still count toward the give-up cap and a storm
-        // cannot stretch recovery forever). A shed round makes *zero*
-        // RNG draws — the policy's target pick is skipped entirely — and
-        // stays queued on its retry timer below.
-        let suppressed = self.request_suppressed(msg, now);
-        if suppressed || !self.take_damping_token(now) {
+        // cannot stretch recovery forever). Only the pull phase checks
+        // the suppression window, before it spends a token. A shed round
+        // makes *zero* RNG draws — the policy's target pick (or the λ/n
+        // coin) is skipped entirely — and stays queued on its retry timer.
+        let window = self.cfg.damping.map(|d| d.suppress_window);
+        let suppressed = phase == Phase::Pull
+            && heard.zip(window).is_some_and(|(at, w)| now.saturating_since(at) <= w);
+        let shed = suppressed || !TokenBucket::take(&mut self.damper, self.cfg.damping, now);
+        round.shed = shed;
+        if shed {
             if suppressed {
                 self.metrics.counters.requests_suppressed += 1;
             } else {
                 self.metrics.counters.requests_shed += 1;
             }
-            if let Some(state) = self.local_rec.get_mut(msg) {
-                state.shed = true;
+        } else {
+            if was_shed {
+                self.metrics.counters.shed_retried += 1;
             }
-            let delay = self.policy.pull_retry_delay(&policy_ctx!(self, now, actions));
-            actions.push(Action::SetTimer { delay, kind: TimerKind::LocalRetry(msg) });
-            return;
-        }
-        if was_shed {
-            self.metrics.counters.shed_retried += 1;
-            if let Some(state) = self.local_rec.get_mut(msg) {
-                state.shed = false;
-            }
-        }
-        if let Some(q) = self.policy.pull_target(&mut policy_ctx!(self, now, actions), msg) {
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_recovery_round(msg, false, attempt, now);
-            }
-            if self.policy.pull_via_remote_request() {
-                self.metrics.counters.remote_requests_sent += 1;
-                actions.push(Action::Send { to: q, packet: Packet::RemoteRequest { msg } });
-            } else {
-                self.metrics.counters.local_requests_sent += 1;
-                actions.push(Action::Send { to: q, packet: Packet::LocalRequest { msg } });
-            }
-        }
-        let delay = self.policy.pull_retry_delay(&policy_ctx!(self, now, actions));
-        actions.push(Action::SetTimer { delay, kind: TimerKind::LocalRetry(msg) });
-    }
-
-    fn remote_attempt(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        let was_shed;
-        let attempt;
-        {
-            let Some(state) = self.remote_rec.get_mut(msg) else { return };
-            state.attempts += 1;
-            attempt = state.attempts;
-            if state.attempts > self.cfg.max_remote_attempts {
-                self.remote_rec.remove(msg);
-                self.metrics.counters.recovery_gave_up += 1;
+            let ctx = &mut policy_ctx!(self, now, actions);
+            let target = match phase {
+                Phase::Pull => self.policy.pull_target(ctx, msg),
+                Phase::Remote => self.policy.remote_target(ctx, msg),
+            };
+            if let Some(to) = target {
                 if let Some(t) = self.trace.as_deref_mut() {
-                    t.on_gave_up(msg, now);
+                    t.on_recovery_round(msg, phase == Phase::Remote, attempt, now);
                 }
-                return;
-            }
-            was_shed = state.shed;
-        }
-        // Damping: a shed remote round skips the λ/n coin (zero RNG
-        // draws) and stays queued on the retry timer armed below.
-        if !self.take_damping_token(now) {
-            self.metrics.counters.requests_shed += 1;
-            if let Some(state) = self.remote_rec.get_mut(msg) {
-                state.shed = true;
-            }
-            actions.push(Action::SetTimer {
-                delay: self.cfg.remote_timeout,
-                kind: TimerKind::RemoteRetry(msg),
-            });
-            return;
-        }
-        if was_shed {
-            self.metrics.counters.shed_retried += 1;
-            if let Some(state) = self.remote_rec.get_mut(msg) {
-                state.shed = false;
+                let packet = if phase == Phase::Remote || self.policy.pull_via_remote_request() {
+                    self.metrics.counters.remote_requests_sent += 1;
+                    Packet::RemoteRequest { msg }
+                } else {
+                    self.metrics.counters.local_requests_sent += 1;
+                    Packet::LocalRequest { msg }
+                };
+                actions.push(Action::Send { to, packet });
             }
         }
-        if let Some(r) = self.policy.remote_target(&mut policy_ctx!(self, now, actions), msg) {
-            self.metrics.counters.remote_requests_sent += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_recovery_round(msg, true, attempt, now);
-            }
-            actions.push(Action::Send { to: r, packet: Packet::RemoteRequest { msg } });
-        }
-        // §2.2: the timer is set whether or not a request was actually sent.
-        actions.push(Action::SetTimer {
-            delay: self.cfg.remote_timeout,
-            kind: TimerKind::RemoteRetry(msg),
-        });
+        // §2.2: the remote timer is set whether or not a request was sent.
+        let (delay, kind) = match phase {
+            Phase::Pull => (
+                self.policy.pull_retry_delay(&policy_ctx!(self, now, actions)),
+                TimerKind::LocalRetry(msg),
+            ),
+            Phase::Remote => (self.cfg.remote_timeout, TimerKind::RemoteRetry(msg)),
+        };
+        actions.push(Action::SetTimer { delay, kind });
     }
 
     // ----- search ------------------------------------------------------------
@@ -999,29 +1023,8 @@ impl Receiver {
             // We are a bufferer: answer every waiting origin and stop the
             // search with a regional announcement.
             self.store.note_request(msg, now);
-            self.search_done.insert(msg, SearchDone { at: now, holder: self.id });
-            for origin in &origins {
-                self.metrics.counters.repairs_sent_remote += 1;
-                self.metrics.record_event(
-                    now,
-                    msg,
-                    ProtocolEvent::SearchAnswered { origin: *origin },
-                );
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.on_repair_sent(msg, *origin, now);
-                }
-                actions.push(Action::Send {
-                    to: *origin,
-                    packet: Packet::Repair {
-                        data: DataPacket::new(msg, payload.clone()),
-                        kind: RepairKind::Remote,
-                    },
-                });
-            }
-            self.metrics.counters.search_found_sent += 1;
-            actions.push(Action::MulticastRegion {
-                packet: Packet::SearchFound { msg, holder: self.id },
-            });
+            self.recovery.get_or_default(msg).found = Some((now, self.id));
+            self.answer_origins(msg, &payload, &origins, now, actions);
         } else if self.detector.received_before(msg) {
             // Discarded here too. If the search already completed and this
             // probe was merely in flight, forward the origins to the
@@ -1037,17 +1040,19 @@ impl Receiver {
                 return;
             }
             // Otherwise join the search (§3.3).
-            if !self.searches.contains_key(msg) {
-                self.metrics.counters.searches_joined += 1;
-                self.metrics.record_event(now, msg, ProtocolEvent::SearchJoined);
-                self.join_search(msg, origins, now, actions);
-            } else if let Some(s) = self.searches.get_mut(msg) {
-                s.origins.extend(origins);
+            match self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) {
+                Some(search) => add_sorted(&mut search.origins, origins),
+                None => {
+                    self.metrics.counters.searches_joined += 1;
+                    self.metrics.record_event(now, msg, ProtocolEvent::SearchJoined);
+                    self.join_search(msg, origins, now, actions);
+                }
             }
         } else {
             // Never received (§3.3 footnote 4): recover it ourselves and
             // relay to the origins once it arrives.
-            self.waiters.get_or_default(msg).extend(origins);
+            let waiters = self.recovery.get_or_default(msg).waiters.get_or_insert_with(Vec::new);
+            add_sorted(waiters, origins);
             for m in self.detector.on_hint(msg) {
                 self.start_recovery(m, now, actions);
             }
@@ -1061,33 +1066,31 @@ impl Receiver {
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
-        let entry = self.searches.get_or_insert_with(msg, || SearchState {
-            origins: BTreeSet::new(),
-            attempts: 0,
-            exhausted_at: None,
-        });
         let me = self.id;
-        entry.origins.extend(origins.into_iter().filter(|&o| o != me));
-        if entry.exhausted_at.is_none() {
+        let search = self.recovery.get_or_default(msg).search.get_or_insert_with(Box::default);
+        add_sorted(&mut search.origins, origins.into_iter().filter(|&o| o != me));
+        if search.exhausted_at.is_none() {
             self.search_attempt(msg, now, actions);
         }
     }
 
     fn search_attempt(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        let Some(state) = self.searches.get_mut(msg) else { return };
-        if state.exhausted_at.is_some() {
+        let Some(search) = self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) else {
+            return;
+        };
+        if search.exhausted_at.is_some() {
             return;
         }
-        state.attempts += 1;
-        if state.attempts > self.cfg.max_search_attempts {
-            state.exhausted_at = Some(now);
+        search.attempts += 1;
+        if search.attempts > self.cfg.max_search_attempts {
+            search.exhausted_at = Some(now);
             self.metrics.counters.recovery_gave_up += 1;
             if let Some(t) = self.trace.as_deref_mut() {
                 t.on_gave_up(msg, now);
             }
             return;
         }
-        let origins: Vec<NodeId> = state.origins.iter().copied().collect();
+        let origins = search.origins.clone();
         if let Some(q) = self.view.own().random_other(&mut self.rng, self.id) {
             self.metrics.counters.search_forwards += 1;
             actions.push(Action::Send { to: q, packet: Packet::SearchRequest { msg, origins } });
@@ -1102,43 +1105,31 @@ impl Receiver {
 
     fn on_timer(&mut self, kind: TimerKind, now: SimTime, actions: &mut Vec<Action>) {
         match kind {
-            TimerKind::LocalRetry(msg) => {
-                if self.detector.is_missing(msg) && self.local_rec.contains_key(msg) {
-                    self.local_attempt(msg, now, actions);
-                } else {
-                    self.local_rec.remove(msg);
-                }
-            }
-            TimerKind::RemoteRetry(msg) => {
-                if self.detector.is_missing(msg) && self.remote_rec.contains_key(msg) {
-                    self.remote_attempt(msg, now, actions);
-                } else {
-                    self.remote_rec.remove(msg);
-                }
-            }
+            TimerKind::LocalRetry(msg) => self.attempt(msg, Phase::Pull, now, actions),
+            TimerKind::RemoteRetry(msg) => self.attempt(msg, Phase::Remote, now, actions),
             TimerKind::IdleCheck(msg) => self.on_idle_check(msg, now, actions),
             TimerKind::SearchRetry(msg) => {
-                if self.searches.contains_key(msg) {
+                if self.recovery.get(msg).is_some_and(|r| r.search.is_some()) {
                     if let Some(payload) = self.store.get(msg) {
                         // We re-acquired the message since the search began.
-                        self.answer_active_search(msg, &payload, now, actions);
+                        self.end_recovery(msg, &payload, now, actions);
                     } else {
                         self.search_attempt(msg, now, actions);
                     }
                 }
             }
             TimerKind::Backoff(msg) => {
-                if let Some(b) = self.backoffs.remove(msg) {
+                if let Some(b) = self.recovery.get_mut(msg).and_then(|r| r.backoff.take()) {
                     if b.suppressed {
                         self.metrics.counters.regional_multicasts_suppressed += 1;
-                    } else if !self.take_damping_token(now) {
+                    } else if !TokenBucket::take(&mut self.damper, self.cfg.damping, now) {
                         // Deferred, not dropped: the back-off state is
                         // kept and the timer re-armed one refill period
                         // out, when a token must exist again (unless a
                         // peer's multicast suppresses it meanwhile).
                         self.metrics.counters.remulticasts_shed += 1;
-                        self.backoffs.insert(msg, b);
                         let delay = self.cfg.damping.expect("token denied while unarmed").refill;
+                        self.recovery.get_or_default(msg).backoff = Some(b);
                         actions.push(Action::SetTimer { delay, kind: TimerKind::Backoff(msg) });
                     } else {
                         self.metrics.counters.regional_multicasts_sent += 1;
@@ -1149,6 +1140,7 @@ impl Receiver {
                             },
                         });
                     }
+                    self.tidy(msg);
                 }
             }
             TimerKind::LongTermSweep => {
@@ -1163,20 +1155,26 @@ impl Receiver {
                     expired.clear();
                     self.expire_scratch = expired;
                 }
-                // Piggy-back garbage collection of expired search memory
-                // and of exhausted searches old enough that their origins
-                // must have retried elsewhere.
+                // Piggy-back garbage collection of expired search memory,
+                // of exhausted searches old enough that their origins
+                // must have retried elsewhere, and of overheard requests
+                // past the suppression window.
                 let window = self.cfg.search_memory;
-                self.search_done.retain(|_, d| now.saturating_since(d.at) <= window);
                 let sweep = self.cfg.long_term_sweep_interval;
-                self.searches.retain(|_, s| match s.exhausted_at {
-                    Some(at) => now.saturating_since(at) < sweep,
-                    None => true,
+                let suppress = self.cfg.damping.map(|d| d.suppress_window);
+                self.recovery.retain(|_, r| {
+                    if r.found.is_some_and(|(at, _)| now.saturating_since(at) > window) {
+                        r.found = None;
+                    }
+                    let exhausted = r.search.as_ref().and_then(|s| s.exhausted_at);
+                    if exhausted.is_some_and(|at| now.saturating_since(at) >= sweep) {
+                        r.search = None;
+                    }
+                    if r.heard.zip(suppress).is_some_and(|(at, w)| now.saturating_since(at) > w) {
+                        r.heard = None;
+                    }
+                    !r.is_empty()
                 });
-                if let Some(d) = self.cfg.damping {
-                    let suppress = d.suppress_window;
-                    self.recent_requests.retain(|_, at| now.saturating_since(*at) <= suppress);
-                }
                 actions.push(Action::SetTimer {
                     delay: self.cfg.long_term_sweep_interval,
                     kind: TimerKind::LongTermSweep,
@@ -1211,14 +1209,18 @@ impl Receiver {
                 // receiver is ignored. Handling makes no RNG draws and
                 // mutates no protocol state — only the observer.
                 if self.trace.is_some() {
+                    let count = |has: fn(&Recovery) -> bool| {
+                        let n = self.recovery.iter().filter(|(_, r)| has(r)).count();
+                        u32::try_from(n).unwrap_or(u32::MAX)
+                    };
                     let kind = EventKind::Sample {
                         store_entries: u32::try_from(self.store.len()).unwrap_or(u32::MAX),
                         store_bytes: self.store.bytes() as u64,
                         budget_bytes: self.store.budget().map_or(0, |b| b.bytes() as u64),
                         tokens: self.damper.as_ref().map_or(0, |b| b.tokens),
-                        pending_local: u32::try_from(self.local_rec.len()).unwrap_or(u32::MAX),
-                        pending_remote: u32::try_from(self.remote_rec.len()).unwrap_or(u32::MAX),
-                        searches: u32::try_from(self.searches.len()).unwrap_or(u32::MAX),
+                        pending_local: count(|r| r.local.is_some()),
+                        pending_remote: count(|r| r.remote.is_some()),
+                        searches: count(|r| r.search.is_some()),
                     };
                     let every = self.trace.as_ref().and_then(|t| t.sample_every());
                     if let Some(t) = self.trace.as_deref_mut() {
@@ -1249,14 +1251,20 @@ impl Receiver {
             }
         }
         // `missing()` yields ascending ids, so the list is sorted.
-        self.watchdog_seen.retain(|m, _| wedged.binary_search(&m).is_ok());
+        self.recovery.retain(|m, r| {
+            if r.wedged_since.is_none() || wedged.binary_search(&m).is_ok() {
+                return true;
+            }
+            r.wedged_since = None;
+            !r.is_empty()
+        });
         for msg in wedged {
-            match self.watchdog_seen.get(msg) {
-                None => {
-                    self.watchdog_seen.insert(msg, now);
-                }
-                Some(&since) if now.saturating_since(since) >= wd.horizon => {
-                    self.watchdog_seen.remove(msg);
+            let r = self.recovery.get_or_default(msg);
+            match r.wedged_since {
+                None => r.wedged_since = Some(now),
+                Some(since) if now.saturating_since(since) >= wd.horizon => {
+                    // The record stays: `start_recovery` opens a round.
+                    r.wedged_since = None;
                     self.metrics.counters.watchdog_rearms += 1;
                     self.start_recovery(msg, now, actions);
                 }
@@ -1738,25 +1746,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_fires_when_not_suppressed() {
-        let cfg = ProtocolConfig::paper_defaults();
-        let mut r = receiver_with_parent(cfg);
-        r.handle(
-            packet_event(
-                10,
-                Packet::Repair {
-                    data: DataPacket::new(mid(1), payload()),
-                    kind: RepairKind::Remote,
-                },
-            ),
-            t(0),
-        );
-        let actions = r.handle(Event::Timer(TimerKind::Backoff(mid(1))), t(8));
-        assert!(actions.iter().any(|a| matches!(a, Action::MulticastRegion { .. })));
-        assert_eq!(r.metrics().counters.regional_multicasts_sent, 1);
-    }
-
-    #[test]
     fn leave_hands_off_long_term_buffers() {
         let cfg = ProtocolConfig::builder().c(1000.0).build().unwrap(); // always keep
         let mut r = root_receiver(cfg);
@@ -2007,6 +1996,40 @@ mod tests {
                 && !matches!(a, Action::SetTimer { kind: TimerKind::Backoff(_), .. })),
             "tree servers answer NACKs individually: {actions:?}"
         );
+    }
+
+    #[test]
+    fn backoff_fires_and_recovery_records_drop_once_empty() {
+        let repair =
+            |seq, kind| Packet::Repair { data: DataPacket::new(mid(seq), payload()), kind };
+        let mut r = receiver_with_parent(ProtocolConfig::paper_defaults());
+        r.handle(packet_event(0, data(3)), t(0)); // misses #1 and #2
+        assert_eq!(r.recovery.len(), 2);
+        // A repaired loss drops its rounds and, with nothing else held,
+        // its record.
+        r.handle(packet_event(2, repair(2, RepairKind::Local)), t(3));
+        assert!(r.recovery.get(mid(2)).is_none());
+        // A remote repair leaves only the back-off behind ...
+        r.handle(packet_event(10, repair(1, RepairKind::Remote)), t(5));
+        let rec = r.recovery.get(mid(1)).expect("back-off pending");
+        assert!(rec.local.is_none() && rec.remote.is_none() && rec.backoff.is_some());
+        // ... which, unsuppressed, fires, and the record goes with it.
+        let actions = r.handle(Event::Timer(TimerKind::Backoff(mid(1))), t(15));
+        assert!(actions.iter().any(|a| matches!(a, Action::MulticastRegion { .. })));
+        assert_eq!(r.metrics().counters.regional_multicasts_sent, 1);
+        assert!(r.recovery.is_empty());
+        // Search memory lives until the sweep after its window.
+        r.handle(packet_event(2, Packet::SearchFound { msg: mid(1), holder: NodeId(2) }), t(20));
+        assert!(r.recovery.get(mid(1)).is_some_and(|rec| rec.found.is_some()));
+        r.handle(Event::Timer(TimerKind::LongTermSweep), t(5_000));
+        assert!(r.recovery.is_empty());
+    }
+
+    #[test]
+    fn recovery_record_and_receiver_sizes_are_pinned() {
+        // Growth must be a decision.
+        assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
+        assert!(std::mem::size_of::<Receiver>() < 944);
     }
 
     #[test]

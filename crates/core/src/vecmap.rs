@@ -1,14 +1,14 @@
 //! A sorted-vector map for small, mostly-empty per-node tables.
 //!
-//! Receivers hold several recovery-state tables (in-flight local and
-//! remote pulls, searches, search memory, waiters, back-offs) that are
-//! empty on most nodes most of the time and hold a handful of entries on
-//! the rest. A hash map spends three pointers of inline space per table
-//! and allocates a bucket array (hundreds of bytes) on first insert; at
-//! a million members those fixed costs dominate the actual state. This
-//! map is a single id-sorted vector: one pointer-word triple inline,
-//! nothing on the heap while empty, and exact-sized doubling (1, 2, 4,
-//! ...) once entries appear.
+//! A receiver keeps one recovery record per message it is recovering or
+//! still remembers (pull and remote rounds, waiters, a search, search
+//! memory, a back-off). The table is empty on most nodes most of the
+//! time and holds a handful of entries on the rest. A hash map spends
+//! three pointers of inline space and allocates a bucket array (hundreds
+//! of bytes) on first insert; at a million members those fixed costs
+//! dominate the actual state. This map is a single id-sorted vector: one
+//! pointer-word triple inline, nothing on the heap while empty, and
+//! exact-sized doubling (1, 2, 4, ...) once entries appear.
 //!
 //! Iteration order is ascending by key — deterministic by construction,
 //! so hosts never need the collect-and-sort dance hash maps force on

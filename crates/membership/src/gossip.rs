@@ -20,7 +20,6 @@ use rrmp_netsim::topology::NodeId;
 
 /// Configuration for the gossip failure detector.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GossipConfig {
     /// How often each member gossips (and bumps its own heartbeat).
     pub interval: SimDuration,
@@ -64,7 +63,6 @@ struct HeartbeatEntry {
 
 /// A gossip digest: the sender's heartbeat table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Digest {
     /// `(member, heartbeat counter)` pairs.
     pub heartbeats: Vec<(NodeId, u64)>,

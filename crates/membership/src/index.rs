@@ -105,7 +105,6 @@ impl MemberIndex {
 /// Equality compares the *set contents* (the normalized range list), so
 /// two sets built in different insertion orders compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IdRangeSet {
     ranges: Vec<(u32, u32)>,
     len: usize,

@@ -23,7 +23,6 @@ use crate::index::IdRangeSet;
 /// lets consumers (e.g. cached probability parameters that depend on region
 /// size) cheaply detect staleness.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionView {
     region: RegionId,
     members: IdRangeSet,
@@ -140,7 +139,6 @@ impl RegionView {
 
 /// The pair of views a receiver needs: its own region and its parent region.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyView {
     own: RegionView,
     parent: Option<RegionView>,

@@ -13,9 +13,7 @@ use rand::Rng;
 use crate::topology::{NodeId, RegionId, Topology};
 
 /// A stochastic packet-loss model.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[derive(Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum LossModel {
     /// No loss at all.
     #[default]

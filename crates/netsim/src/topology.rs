@@ -12,12 +12,10 @@ use crate::time::SimDuration;
 
 /// Identifies a node (a group member). Dense indices starting at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 /// Identifies a region. Dense indices starting at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionId(pub u16);
 
 impl NodeId {
@@ -50,7 +48,6 @@ impl std::fmt::Display for RegionId {
 
 /// A region in the error-recovery hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionSpec {
     /// This region's id.
     pub id: RegionId,
@@ -66,7 +63,6 @@ pub struct RegionSpec {
 /// ([`LatencyModel::RegionBased`] with `intra_one_way` = 5 ms) and
 /// substantially larger inter-region latencies.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LatencyModel {
     /// The same one-way latency between every pair of distinct nodes.
     Uniform {
@@ -151,7 +147,6 @@ impl std::error::Error for TopologyError {}
 
 /// A validated topology: regions, hierarchy, node→region mapping, latency.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     regions: Vec<RegionSpec>,
     node_region: Vec<RegionId>,
