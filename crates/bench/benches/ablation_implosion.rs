@@ -4,12 +4,8 @@
 //! group. We sweep the number of simultaneous missers and report the
 //! busiest node's packet load under both schemes.
 
-use rrmp_baselines::{SenderBasedConfig, SenderBasedNetwork};
 use rrmp_bench::ablations::implosion_point;
-use rrmp_core::prelude::ProtocolConfig;
-use rrmp_netsim::loss::DeliveryPlan;
-use rrmp_netsim::time::SimTime;
-use rrmp_netsim::topology::{presets, NodeId};
+use rrmp_core::prelude::PolicyKind;
 
 fn main() {
     let n = 100;
@@ -24,14 +20,8 @@ fn main() {
         let mut rrmp_max = 0.0f64;
         for s in 0..seeds {
             // Sender-based: all recovery traffic lands on node 0.
-            let topo = presets::paper_region(n);
-            let mut sb = SenderBasedNetwork::new(topo, SenderBasedConfig::default(), s);
-            let plan = DeliveryPlan::all_but(sb.topology(), (1..=missers as u32).map(NodeId));
-            sb.multicast_with_plan(&b"implode"[..], &plan);
-            sb.run_until(SimTime::from_secs(2));
-            hotspot += sb.sender_load() as f64;
-
-            rrmp_max += implosion_point(n, missers, s) as f64;
+            hotspot += implosion_point(PolicyKind::SenderBased, n, missers, s) as f64;
+            rrmp_max += implosion_point(PolicyKind::TwoPhase, n, missers, s) as f64;
         }
         hotspot /= seeds as f64;
         rrmp_max /= seeds as f64;
@@ -45,5 +35,4 @@ fn main() {
     }
     println!("# Expect: the sender-based hotspot grows with the misser count; RRMP's busiest");
     println!("# node stays near the per-member average (the load-spreading claim of §6).");
-    let _ = ProtocolConfig::paper_defaults();
 }

@@ -3,11 +3,7 @@
 //! idle-threshold sweep (A4), churn/handoff (A5), and the C trade-off (A6).
 
 use rand::SeedableRng;
-use rrmp_baselines::common::RunReport;
-use rrmp_baselines::{
-    HashConfig, HashNetwork, StabilityConfig, StabilityNetwork, TreeConfig, TreeNetwork,
-};
-use rrmp_core::harness::RrmpNetwork;
+use rrmp_core::harness::{RrmpNetwork, RunReport};
 use rrmp_core::packet::Packet;
 use rrmp_core::prelude::{PolicyKind, ProtocolConfig};
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
@@ -65,10 +61,6 @@ fn draw_plans(topo: &Topology, workload: &PolicyWorkload, seed: u64) -> Vec<Deli
         .collect()
 }
 
-/// Builds a [`RunReport`] from an RRMP network. Canonical implementation
-/// in [`rrmp_baselines::ported`], shared with the differential tests.
-pub use rrmp_baselines::ported::rrmp_report;
-
 fn run_rrmp_policy(
     scheme: &'static str,
     policy: PolicyKind,
@@ -89,17 +81,16 @@ fn run_rrmp_policy(
     }
     let horizon = net.now() + workload.drain;
     net.run_until(horizon);
-    rrmp_report(scheme, &net, &ids, &sent)
+    net.run_report(scheme, &ids, &sent)
 }
 
 /// A1: compares the paper's two-phase scheme against fixed-time,
-/// keep-everything, hash-deterministic, stability-detection and tree/RMTP
-/// buffering on the identical lossy workload. The hash and sender-based
-/// schemes additionally appear **as policies on the shared engine**
-/// (`hash-policy`, `sender-policy` rows) — same table, one engine.
+/// keep-everything, hash-deterministic, sender-based, stability-detection
+/// and tree/RMTP buffering on the identical lossy workload — every scheme
+/// a policy on the one engine.
 #[must_use]
 pub fn ablation_buffer_policies(workload: &PolicyWorkload, seed: u64) -> Vec<RunReport> {
-    let mut reports = vec![
+    vec![
         run_rrmp_policy("two-phase", PolicyKind::TwoPhase, workload, seed),
         run_rrmp_policy(
             "fixed-500ms",
@@ -110,57 +101,9 @@ pub fn ablation_buffer_policies(workload: &PolicyWorkload, seed: u64) -> Vec<Run
         run_rrmp_policy("keep-all", PolicyKind::KeepAll, workload, seed),
         run_rrmp_policy("hash-policy", PolicyKind::HashBufferers, workload, seed),
         run_rrmp_policy("sender-policy", PolicyKind::SenderBased, workload, seed),
-    ];
-
-    // Hash-deterministic baseline.
-    {
-        let topo = chain_topology(workload.region_sizes);
-        let plans = draw_plans(&topo, workload, seed);
-        let mut net = HashNetwork::new(topo, HashConfig::default(), seed);
-        let mut ids = Vec::new();
-        for plan in &plans {
-            ids.push(net.multicast_with_plan(&b"workload-message"[..], plan));
-            let next = net.now() + workload.interval;
-            net.run_until(next);
-        }
-        let horizon = net.now() + workload.drain;
-        net.run_until(horizon);
-        reports.push(net.report(&ids));
-    }
-
-    // Stability-detection baseline.
-    {
-        let topo = chain_topology(workload.region_sizes);
-        let plans = draw_plans(&topo, workload, seed);
-        let mut net = StabilityNetwork::new(topo, StabilityConfig::default(), seed);
-        let mut ids = Vec::new();
-        for plan in &plans {
-            ids.push(net.multicast_with_plan(&b"workload-message"[..], plan));
-            let next = net.now() + workload.interval;
-            net.run_until(next);
-        }
-        let horizon = net.now() + workload.drain;
-        net.run_until(horizon);
-        reports.push(net.report(&ids));
-    }
-
-    // Tree/RMTP baseline.
-    {
-        let topo = chain_topology(workload.region_sizes);
-        let plans = draw_plans(&topo, workload, seed);
-        let mut net = TreeNetwork::new(topo, TreeConfig::default(), seed);
-        let mut ids = Vec::new();
-        for plan in &plans {
-            ids.push(net.multicast_with_plan(&b"workload-message"[..], plan));
-            let next = net.now() + workload.interval;
-            net.run_until(next);
-        }
-        let horizon = net.now() + workload.drain;
-        net.run_until(horizon);
-        reports.push(net.report(&ids));
-    }
-
-    reports
+        run_rrmp_policy("stability", PolicyKind::Stability, workload, seed),
+        run_rrmp_policy("tree-rmtp", PolicyKind::TreeRmtp, workload, seed),
+    ]
 }
 
 /// A2 rows: λ vs remote-request duplication and regional recovery latency.
@@ -509,15 +452,16 @@ pub fn epidemic_longterm_count(n: usize, seed: u64) -> usize {
     net.long_term_count(id)
 }
 
-/// A7 helper: runs RRMP on an `n`-member region where members
+/// A7 helper: runs `policy` on an `n`-member region where members
 /// `1..=missers` miss the initial multicast, and returns the **busiest**
 /// node's recovery-packet load — the quantity that explodes at the sender
 /// under sender-based recovery but stays flat under RRMP's randomized
 /// load spreading.
 #[must_use]
-pub fn implosion_point(n: usize, missers: usize, seed: u64) -> u64 {
+pub fn implosion_point(policy: PolicyKind, n: usize, missers: usize, seed: u64) -> u64 {
     let topo = rrmp_netsim::topology::presets::paper_region(n);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed);
+    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy config");
+    let mut net = RrmpNetwork::new(topo, cfg, seed);
     let plan = DeliveryPlan::all_but(net.topology(), (1..=missers as u32).map(NodeId));
     net.multicast_with_plan(&b"implode"[..], &plan);
     net.run_until(SimTime::from_secs(2));
@@ -593,7 +537,7 @@ mod tests {
             drain: SimDuration::from_secs(2),
         };
         let reports = ablation_buffer_policies(&workload, 66);
-        assert_eq!(reports.len(), 8);
+        assert_eq!(reports.len(), 7);
         for r in &reports {
             assert_eq!(
                 r.fully_delivered_members, r.members,

@@ -12,8 +12,8 @@
 //! * retry timers for the local/remote/search phases ("set a timer
 //!   according to its estimated round trip time").
 //! * the back-off window for duplicate regional-repair suppression.
-//! * the buffering policy, which can be swapped for baselines
-//!   (fixed-time, keep-everything) in ablation experiments.
+//! * the buffering policy, which can be swapped for the ablations
+//!   (fixed-time, keep-everything) and the comparison schemes.
 //! * the opt-in overload knobs: a per-member memory budget (the store's
 //!   one byte bound), repair-storm damping and a liveness watchdog.
 
@@ -132,21 +132,9 @@ pub struct ProtocolConfig {
     /// [`BufferPolicy`](crate::policy::BufferPolicy) implementation each
     /// receiver runs.
     pub policy: PolicyKind,
-    /// Designated bufferers per message under
-    /// [`PolicyKind::HashBufferers`].
-    pub hash_bufferers: usize,
-    /// Retry timer of the direct pull phases ported from the baselines
-    /// (hash-based and sender-based requests, which may cross regions and
-    /// therefore need a worst-case-RTT budget rather than the local one;
-    /// also the parent-NACK retry of the tree policy's repair servers).
-    pub direct_request_timeout: SimDuration,
-    /// How often a history-exchanging policy
-    /// ([`PolicyKind::Stability`]) advertises its delivery digest to the
-    /// group — the standing overhead RRMP's feedback rule avoids.
-    pub history_interval: SimDuration,
     /// Whether the sender role multicasts periodic session messages.
-    /// Disabled by differential harnesses that mirror the legacy
-    /// baselines' one-shot session advertisement per multicast.
+    /// Disabled by the frozen policy scenarios, which advertise each
+    /// multicast once with a one-shot session message instead.
     pub periodic_sessions: bool,
     /// Whether receivers keep a per-message event log (needed by the
     /// experiment harness; small per-message overhead).
@@ -188,9 +176,6 @@ impl ProtocolConfig {
             max_remote_attempts: 200,
             max_search_attempts: 200,
             policy: PolicyKind::TwoPhase,
-            hash_bufferers: 6,
-            direct_request_timeout: SimDuration::from_millis(60),
-            history_interval: SimDuration::from_millis(100),
             periodic_sessions: true,
             record_events: true,
             memory_budget: None,
@@ -225,8 +210,6 @@ impl ProtocolConfig {
             (self.long_term_timeout, "long_term_timeout"),
             (self.long_term_sweep_interval, "long_term_sweep_interval"),
             (self.session_interval, "session_interval"),
-            (self.direct_request_timeout, "direct_request_timeout"),
-            (self.history_interval, "history_interval"),
         ] {
             if d.is_zero() {
                 return Err(ConfigError::ZeroDuration(name));
@@ -236,7 +219,6 @@ impl ProtocolConfig {
             (self.max_local_attempts, "max_local_attempts"),
             (self.max_remote_attempts, "max_remote_attempts"),
             (self.max_search_attempts, "max_search_attempts"),
-            (self.hash_bufferers as u32, "hash_bufferers"),
         ] {
             if a == 0 {
                 return Err(ConfigError::ZeroAttempts(name));
@@ -383,24 +365,6 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Sets the designated-bufferer count of the hash policy.
-    pub fn hash_bufferers(&mut self, k: usize) -> &mut Self {
-        self.cfg.hash_bufferers = k;
-        self
-    }
-
-    /// Sets the direct pull retry timer (hash / sender-based policies).
-    pub fn direct_request_timeout(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.direct_request_timeout = t;
-        self
-    }
-
-    /// Sets the history-advertisement interval of stability detection.
-    pub fn history_interval(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.history_interval = t;
-        self
-    }
-
     /// Enables or disables the sender's periodic session messages.
     pub fn periodic_sessions(&mut self, yes: bool) -> &mut Self {
         self.cfg.periodic_sessions = yes;
@@ -455,8 +419,6 @@ mod tests {
         assert!((cfg.lambda - 1.0).abs() < f64::EPSILON);
         assert!((cfg.c - 6.0).abs() < f64::EPSILON);
         assert_eq!(cfg.policy, PolicyKind::TwoPhase);
-        assert_eq!(cfg.hash_bufferers, 6);
-        assert_eq!(cfg.direct_request_timeout, SimDuration::from_millis(60));
         assert!(cfg.periodic_sessions);
     }
 

@@ -227,8 +227,8 @@ impl SimNode for RrmpNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
         let mut actions = self.receiver.on_start();
         self.execute(ctx, &mut actions);
-        // The session tick is gated so differential harnesses can mirror
-        // the legacy baselines' one-shot session advertisements.
+        // The session tick is gated so the frozen policy scenarios can
+        // advertise each multicast once with a one-shot session message.
         if self.receiver.config().periodic_sessions {
             if let Some(sender) = &self.sender {
                 let actions = sender.on_start();
@@ -931,7 +931,7 @@ impl RrmpNetwork {
             // Build the policy over the *full* group membership (the
             // harness knows it), so topology-blind policies like hash
             // placement rank every member, not just own ∪ parent.
-            let policy = shared_cfg.policy.build(id, &members, &shared_cfg);
+            let policy = shared_cfg.policy.build(&members);
             let receiver = Receiver::with_shared_policy(
                 id,
                 view,
@@ -1287,6 +1287,139 @@ impl RrmpNetwork {
     {
         self.sim.nodes().map(|(_, n)| f(&n.receiver().metrics().counters)).sum()
     }
+
+    /// Measures the run so far as one scheme-comparison row: `scheme`
+    /// names it, `ids` are the messages under test and `sent_at[i]` is
+    /// when `ids[i]` was multicast.
+    #[must_use]
+    pub fn run_report(
+        &self,
+        scheme: &'static str,
+        ids: &[MessageId],
+        sent_at: &[SimTime],
+    ) -> RunReport {
+        let now = self.now();
+        let fully = self.nodes().filter(|(_, n)| ids.iter().all(|&m| n.has_delivered(m))).count();
+        let byte_time_total: u128 =
+            self.nodes().map(|(_, n)| n.receiver().store().byte_time_integral(now)).sum();
+        let peaks: Vec<usize> =
+            self.nodes().map(|(_, n)| n.receiver().store().peak_entries()).collect();
+        let (mut latency_ms, mut recovered) = (0.0f64, 0usize);
+        let (mut residual_gave_up, mut residual_pending) = (0usize, 0usize);
+        for (i, &id) in ids.iter().enumerate() {
+            let sent = sent_at.get(i).copied().unwrap_or(SimTime::ZERO);
+            for (_, n) in self.nodes() {
+                match n.delivered().iter().find(|&&(_, d)| d == id) {
+                    Some(&(at, _)) if at > sent => {
+                        latency_ms += (at - sent).as_millis_f64();
+                        recovered += 1;
+                    }
+                    Some(_) => {}
+                    // A residual loss: recovery either terminated cleanly
+                    // at a retry cap or is still live at run end.
+                    None if n.receiver().recovery_pending(id) => residual_pending += 1,
+                    None => residual_gave_up += 1,
+                }
+            }
+        }
+        let net = self.net_counters();
+        RunReport {
+            scheme,
+            fully_delivered_members: fully,
+            members: self.topology().node_count(),
+            byte_time_total,
+            peak_entries_max: peaks.iter().copied().max().unwrap_or(0),
+            peak_entries_mean: peaks.iter().sum::<usize>() as f64 / peaks.len().max(1) as f64,
+            packets_sent: net.unicasts_sent,
+            mean_recovery_latency_ms: (recovered > 0).then(|| latency_ms / recovered as f64),
+            residual_losses: residual_gave_up + residual_pending,
+            residual_gave_up,
+            residual_pending,
+            recovery_gave_up: self.total_counter(|c| c.recovery_gave_up),
+            faults_dropped: net.faults_dropped,
+            faults_duplicated: net.faults_duplicated,
+            watchdog_rearms: self.total_counter(|c| c.watchdog_rearms),
+        }
+    }
+}
+
+/// Cost and latency metrics of one buffering-scheme run
+/// ([`RrmpNetwork::run_report`]): a row of the A1 comparison table, and
+/// the form in which the policy differentials freeze each scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunReport {
+    /// Scheme name for table rows.
+    pub scheme: &'static str,
+    /// Members that delivered every message under test.
+    pub fully_delivered_members: usize,
+    /// Total membership.
+    pub members: usize,
+    /// Sum over members of the buffer byte×time integral (byte·µs) — the
+    /// aggregate buffering cost.
+    pub byte_time_total: u128,
+    /// Largest per-member peak buffer entry count (load concentration:
+    /// repair-server schemes spike here, RRMP spreads it).
+    pub peak_entries_max: usize,
+    /// Mean per-member peak buffer entry count.
+    pub peak_entries_mean: f64,
+    /// Unicast control+repair packets handed to the network.
+    pub packets_sent: u64,
+    /// Mean recovery latency (ms) over members that missed the initial
+    /// multicast and later delivered, if any recovered.
+    pub mean_recovery_latency_ms: Option<f64>,
+    /// Residual losses: `(member, message)` pairs never delivered.
+    pub residual_losses: usize,
+    /// Residual pairs whose recovery terminated cleanly at a retry cap
+    /// (the member knows it gave up — bounded, accounted-for loss).
+    pub residual_gave_up: usize,
+    /// Residual pairs with recovery machinery still live at run end (the
+    /// run was cut short, or something is wedged — worth investigating).
+    pub residual_pending: usize,
+    /// Total recovery efforts abandoned at a retry cap, summed over
+    /// members (the protocol `recovery_gave_up` counter; can exceed the
+    /// residual split when an abandoned effort later succeeded through
+    /// another path or a heal re-arm).
+    pub recovery_gave_up: u64,
+    /// Unicast copies dropped by the armed fault plan at the network
+    /// edge (0 when no plan is armed).
+    pub faults_dropped: u64,
+    /// Duplicate copies injected by the armed fault plan.
+    pub faults_duplicated: u64,
+    /// Wedged recovery efforts restarted by the liveness watchdog,
+    /// summed over members (0 when the watchdog is unarmed).
+    pub watchdog_rearms: u64,
+}
+
+impl RunReport {
+    /// Renders the report as one deterministic JSON object, consumed by
+    /// `trace_dump` and pinned byte for byte by the policy differentials.
+    /// Field order and number formatting are fixed, so identical runs
+    /// export identical bytes.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut o = rrmp_trace::JsonObj::new();
+        o.str("scheme", self.scheme);
+        o.u64("fully_delivered_members", self.fully_delivered_members as u64);
+        o.u64("members", self.members as u64);
+        // u128 byte·µs totals exceed u64 in long budget runs; JSON gets
+        // the exact decimal rendering either way.
+        o.raw("byte_time_total", &self.byte_time_total.to_string());
+        o.u64("peak_entries_max", self.peak_entries_max as u64);
+        o.f64("peak_entries_mean", self.peak_entries_mean);
+        o.u64("packets_sent", self.packets_sent);
+        match self.mean_recovery_latency_ms {
+            Some(v) => o.f64("mean_recovery_latency_ms", v),
+            None => o.raw("mean_recovery_latency_ms", "null"),
+        }
+        o.u64("residual_losses", self.residual_losses as u64);
+        o.u64("residual_gave_up", self.residual_gave_up as u64);
+        o.u64("residual_pending", self.residual_pending as u64);
+        o.u64("recovery_gave_up", self.recovery_gave_up);
+        o.u64("faults_dropped", self.faults_dropped);
+        o.u64("faults_duplicated", self.faults_duplicated);
+        o.u64("watchdog_rearms", self.watchdog_rearms);
+        o.finish()
+    }
 }
 
 #[cfg(test)]
@@ -1521,5 +1654,30 @@ mod tests {
         let a = run(1);
         let b = run(2);
         assert_eq!(a.0, b.0, "recovery completes under both seeds");
+    }
+
+    #[test]
+    fn run_report_measures_the_run_and_renders_json() {
+        use rrmp_trace::Value;
+        let mut net = RrmpNetwork::new(presets::paper_region(10), cfg(), 5);
+        let sent = [net.now()];
+        let plan = DeliveryPlan::only(net.topology(), (0..5).map(NodeId));
+        let id = net.multicast_with_plan(&b"x"[..], &plan);
+        net.run_until(SimTime::from_secs(1));
+        let r = net.run_report("two-phase", &[id], &sent);
+        assert_eq!((r.fully_delivered_members, r.members, r.residual_losses), (10, 10, 0));
+        assert!(r.byte_time_total > 0 && r.packets_sent > 0, "{r:?}");
+        let latency = r.mean_recovery_latency_ms.expect("five members recovered");
+        // The JSON face parses back and round-trips the key numbers.
+        let v = Value::parse(&r.to_json()).expect("valid JSON");
+        assert_eq!(v.get("scheme").and_then(Value::as_str), Some("two-phase"));
+        assert_eq!(v.get("packets_sent").and_then(Value::as_u64), Some(r.packets_sent));
+        let parsed = v.get("mean_recovery_latency_ms").and_then(Value::as_f64).unwrap();
+        assert!((parsed - latency).abs() < 1e-3, "{parsed} vs {latency}");
+        // No messages under test: no latency, rendered as JSON null.
+        let none = net.run_report("two-phase", &[], &[]);
+        assert_eq!(none.mean_recovery_latency_ms, None);
+        let v = Value::parse(&none.to_json()).expect("valid JSON");
+        assert_eq!(v.get("mean_recovery_latency_ms"), Some(&Value::Null));
     }
 }

@@ -137,8 +137,7 @@ impl HistoryDigest {
 /// [`StabilityTracker::stable_frontier`] is O(1). A full O(peers)
 /// rescan happens only when the *slowest* peer advances — without this,
 /// an n-member group pays O(n) per received digest, O(n³) per history
-/// interval, which is exactly the scaling wall the legacy baseline
-/// stack hit first.
+/// interval.
 ///
 /// Layout: peers are interned into dense indices ([`MemberIndex`]) and
 /// per-source state is a pair of flat arrays (frontier per peer index,

@@ -18,14 +18,16 @@
 //! * [`policy`] — the pluggable buffer-management layer: the paper's
 //!   randomized two-phase algorithm (default, byte-identical to the
 //!   pre-refactor receiver), fixed-time and keep-all ablations, and the
-//!   hash-based / sender-based comparison schemes ported from
-//!   `rrmp-baselines`.
+//!   comparison schemes the paper argues against: hash-based bufferers,
+//!   sender-based recovery, stability detection and tree/RMTP repair
+//!   servers.
 //! * [`sender::Sender`] — the single multicast source: data and session
 //!   messages.
 //! * [`packet::Packet`] — the wire protocol with a binary codec.
 //! * [`harness`] — adapters hosting the protocol on the
 //!   [`rrmp_netsim`] discrete-event simulator; the basis of every
-//!   experiment in the paper's evaluation.
+//!   experiment in the paper's evaluation, and of the
+//!   [`harness::RunReport`] every scheme comparison prints.
 //!
 //! The core is *sans-io*: [`receiver::Receiver::handle`] maps an
 //! [`events::Event`] to [`events::Action`]s and never touches sockets,

@@ -203,7 +203,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     /// How often this policy advertises its delivery history to the
     /// group. `None` (the default) arms no history timer at all — the
     /// hook is zero-cost for policies that never exchange history.
-    fn history_interval(&self, _cfg: &ProtocolConfig) -> Option<SimDuration> {
+    fn history_interval(&self) -> Option<SimDuration> {
         None
     }
 
@@ -465,8 +465,17 @@ impl BufferPolicy for KeepAll {
 }
 
 // ---------------------------------------------------------------------------
-// Hash-based bufferer placement (ported from crates/baselines).
+// Hash-based bufferer placement (NGC '99).
 // ---------------------------------------------------------------------------
+
+/// Designated bufferers per message under [`HashBufferers`].
+const HASH_BUFFERERS: usize = 6;
+
+/// Retry timer of the direct pulls — hash-based and sender-based
+/// requests, which may cross regions and so need a worst-case-RTT budget
+/// rather than the local one — and of a tree repair server's NACK to its
+/// parent region's server.
+const DIRECT_REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(60);
 
 /// Deterministic 64-bit hash of `(member, message)` used by hash-based
 /// bufferer placement — requester and bufferer sides must agree on it.
@@ -494,7 +503,7 @@ pub fn designated_bufferers(members: &[NodeId], msg: MessageId, k: usize) -> Vec
 /// compare against, running on the shared engine.
 ///
 /// Every member knows the full group membership. For a message `m`, the
-/// `cfg.hash_bufferers` members with the smallest `hash(member, m)` are
+/// six members with the smallest `hash(member, m)` are
 /// its designated bufferers; everyone computes the set locally. A member
 /// missing `m` pulls it directly from a random designated bufferer —
 /// no search traffic, but topology-blind: requests routinely cross
@@ -503,7 +512,6 @@ pub fn designated_bufferers(members: &[NodeId], msg: MessageId, k: usize) -> Vec
 #[derive(Debug, Clone)]
 pub struct HashBufferers {
     members: Vec<NodeId>,
-    k: usize,
     /// Reused scratch for the designated-set computation.
     scratch: Vec<(u64, NodeId)>,
 }
@@ -511,15 +519,15 @@ pub struct HashBufferers {
 impl HashBufferers {
     /// Creates the policy for a member knowing the full `members` list.
     #[must_use]
-    pub fn new(members: Vec<NodeId>, k: usize) -> Self {
-        HashBufferers { members, k, scratch: Vec::new() }
+    pub fn new(members: Vec<NodeId>) -> Self {
+        HashBufferers { members, scratch: Vec::new() }
     }
 
     /// Whether `who` is among the designated bufferers of `msg`: fewer
-    /// than `k` members hash strictly below it. One O(n) pass — no sort,
+    /// than [`HASH_BUFFERERS`] members hash strictly below it. One O(n) pass — no sort,
     /// no scratch — since this runs on every data arrival.
     fn is_designated(&self, who: NodeId, msg: MessageId) -> bool {
-        if self.k >= self.members.len() {
+        if HASH_BUFFERERS >= self.members.len() {
             return self.members.contains(&who);
         }
         let mine = (bufferer_hash(who, msg), who);
@@ -529,7 +537,7 @@ impl HashBufferers {
             let key = (bufferer_hash(m, msg), m);
             if key < mine {
                 below += 1;
-                if below >= self.k {
+                if below >= HASH_BUFFERERS {
                     return false;
                 }
             } else if m == who {
@@ -539,13 +547,13 @@ impl HashBufferers {
         member
     }
 
-    /// Fills `scratch` with `(hash, member)` and partitions the `k`
+    /// Fills `scratch` with `(hash, member)` and partitions the
     /// designated bufferers into the front (in no particular order):
     /// selection, not a full sort.
     fn rank_members(&mut self, msg: MessageId) -> &[(u64, NodeId)] {
         self.scratch.clear();
         self.scratch.extend(self.members.iter().map(|&m| (bufferer_hash(m, msg), m)));
-        let k = self.k.min(self.scratch.len());
+        let k = HASH_BUFFERERS.min(self.scratch.len());
         if k > 0 && k < self.scratch.len() {
             self.scratch.select_nth_unstable(k - 1);
         }
@@ -594,8 +602,8 @@ impl BufferPolicy for HashBufferers {
         designated.iter().map(|&(_, m)| m).filter(|&m| m != me).nth(pick)
     }
 
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.direct_request_timeout
+    fn pull_retry_delay(&self, _ctx: &PolicyCtx<'_>) -> SimDuration {
+        DIRECT_REQUEST_TIMEOUT
     }
 
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId> {
@@ -617,7 +625,7 @@ impl BufferPolicy for HashBufferers {
 }
 
 // ---------------------------------------------------------------------------
-// Sender-based recovery (ported from crates/baselines).
+// Sender-based recovery (§1's implosion strawman).
 // ---------------------------------------------------------------------------
 
 /// Sender-based recovery — the strawman the field moved away from, and
@@ -657,8 +665,8 @@ impl BufferPolicy for SenderBased {
         (msg.source != ctx.id).then_some(msg.source)
     }
 
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.direct_request_timeout
+    fn pull_retry_delay(&self, _ctx: &PolicyCtx<'_>) -> SimDuration {
+        DIRECT_REQUEST_TIMEOUT
     }
 
     fn handoff_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
@@ -671,8 +679,12 @@ impl BufferPolicy for SenderBased {
 }
 
 // ---------------------------------------------------------------------------
-// Stability detection (ported from crates/baselines/src/stability.rs).
+// Stability detection (INFOCOM '00).
 // ---------------------------------------------------------------------------
+
+/// How often [`Stability`] advertises its delivery digest to the group —
+/// the standing overhead RRMP's feedback rule avoids.
+const HISTORY_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Stability-detection buffering (Guo & Rhee, INFOCOM '00) — the class of
 /// protocols §1/§6 contrasts with: every member buffers every message
@@ -757,8 +769,8 @@ impl BufferPolicy for Stability {
     }
 
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
-        // A uniformly random other member (the legacy stack's draw shape:
-        // one gen_range over the non-self members in ascending id order).
+        // A uniformly random other member: one gen_range over the
+        // non-self members in ascending id order.
         let me = ctx.id;
         let candidates = self.members.iter().filter(|&&m| m != me).count();
         if candidates == 0 {
@@ -780,8 +792,8 @@ impl BufferPolicy for Stability {
         None // entries drain only through stability detection
     }
 
-    fn history_interval(&self, cfg: &ProtocolConfig) -> Option<SimDuration> {
-        Some(cfg.history_interval)
+    fn history_interval(&self) -> Option<SimDuration> {
+        Some(HISTORY_INTERVAL)
     }
 
     fn history_tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -799,9 +811,7 @@ impl BufferPolicy for Stability {
         // A digest from outside the current membership — typically a
         // departed member's advertisement still in flight when the view
         // dropped it — must not (re-)enter the tracker: its stale, never
-        // advancing frontier would pin group stability forever. (The
-        // legacy stack got the same effect by taking the minimum over
-        // its member list only.)
+        // advancing frontier would pin group stability forever.
         if self.members.binary_search(&from).is_err() {
             return;
         }
@@ -852,7 +862,7 @@ impl BufferPolicy for Stability {
 }
 
 // ---------------------------------------------------------------------------
-// Tree-based repair servers (ported from crates/baselines/src/tree_rmtp.rs).
+// Tree-based repair servers (RMTP, JSAC '97).
 // ---------------------------------------------------------------------------
 
 /// Tree-based repair-server buffering (RMTP-style, JSAC '97) — the
@@ -913,7 +923,7 @@ impl BufferPolicy for TreeRmtp {
         // server retries the parent region's server on the direct
         // (worst-case) budget.
         if Self::roles(ctx).is_some_and(|r| r.is_server(ctx.id)) {
-            ctx.cfg.direct_request_timeout
+            DIRECT_REQUEST_TIMEOUT
         } else {
             ctx.cfg.local_timeout
         }
@@ -961,8 +971,8 @@ pub enum PolicyKind {
     },
     /// Never discard (an RMTP-like upper bound on buffering cost).
     KeepAll,
-    /// Hash-based designated bufferers (NGC '99), `cfg.hash_bufferers`
-    /// per message over the full membership.
+    /// Hash-based designated bufferers (NGC '99), six per message over
+    /// the full membership.
     HashBufferers,
     /// All recovery through the message source (§1's implosion strawman).
     SenderBased,
@@ -990,23 +1000,16 @@ impl PolicyKind {
         }
     }
 
-    /// Builds the policy implementation for member `id` given the full
-    /// `members` list (hash-based placement needs — and copies — the
-    /// whole group; other policies ignore it).
+    /// Builds the policy implementation for a member given the full
+    /// `members` list (hash-based placement and stability detection need
+    /// — and copy — the whole group; other policies ignore it).
     #[must_use]
-    pub fn build(
-        &self,
-        _id: NodeId,
-        members: &[NodeId],
-        cfg: &ProtocolConfig,
-    ) -> Box<dyn BufferPolicy> {
+    pub fn build(&self, members: &[NodeId]) -> Box<dyn BufferPolicy> {
         match *self {
             PolicyKind::TwoPhase => Box::new(TwoPhase),
             PolicyKind::FixedTime { hold } => Box::new(FixedTime { hold }),
             PolicyKind::KeepAll => Box::new(KeepAll),
-            PolicyKind::HashBufferers => {
-                Box::new(HashBufferers::new(members.to_vec(), cfg.hash_bufferers))
-            }
+            PolicyKind::HashBufferers => Box::new(HashBufferers::new(members.to_vec())),
             PolicyKind::SenderBased => Box::new(SenderBased),
             PolicyKind::Stability => Box::new(Stability::new(members.to_vec())),
             PolicyKind::TreeRmtp => Box::new(TreeRmtp),
@@ -1067,6 +1070,14 @@ mod tests {
         // Different messages select (almost surely) different sets.
         let c = designated_bufferers(&members, mid(2), 6);
         assert_ne!(a, c);
+        // Over many messages the duty spreads: every member is selected.
+        let mut selected = [false; 100];
+        for seq in 1..=400 {
+            for b in designated_bufferers(&members, mid(seq), 6) {
+                selected[b.index()] = true;
+            }
+        }
+        assert!(selected.iter().all(|&s| s), "some member is never a bufferer");
     }
 
     #[test]
@@ -1095,19 +1106,18 @@ mod tests {
 
     #[test]
     fn build_matches_kind() {
-        let cfg = ProtocolConfig::paper_defaults();
         let members: Vec<NodeId> = (0..5).map(NodeId).collect();
         for (kind, name) in [
             (PolicyKind::TwoPhase, "two-phase"),
             (PolicyKind::FixedTime { hold: SimDuration::from_millis(10) }, "fixed-time"),
             (PolicyKind::KeepAll, "keep-all"),
-            // The hash policy reports the legacy baseline's scheme name.
+            // The hash policy keeps the frozen legacy report's scheme name.
             (PolicyKind::HashBufferers, "hash-determ"),
             (PolicyKind::SenderBased, "sender-based"),
             (PolicyKind::Stability, "stability"),
             (PolicyKind::TreeRmtp, "tree-rmtp"),
         ] {
-            let policy = kind.build(NodeId(0), &members, &cfg);
+            let policy = kind.build(&members);
             assert_eq!(policy.name(), name);
         }
     }

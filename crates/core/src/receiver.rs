@@ -276,7 +276,7 @@ impl Receiver {
             .collect();
         members.sort_unstable();
         members.dedup();
-        let policy = cfg.policy.build(id, &members, &cfg);
+        let policy = cfg.policy.build(&members);
         Self::with_policy(id, view, cfg, seed, policy)
     }
 
@@ -482,7 +482,7 @@ impl Receiver {
             delay: self.cfg.long_term_sweep_interval,
             kind: TimerKind::LongTermSweep,
         }];
-        if let Some(interval) = self.policy.history_interval(&self.cfg) {
+        if let Some(interval) = self.policy.history_interval() {
             actions.push(Action::SetTimer { delay: interval, kind: TimerKind::HistoryTick });
         }
         if let Some(wd) = self.cfg.watchdog {
@@ -1185,7 +1185,7 @@ impl Receiver {
                 // exchange; the engine owns the re-arm so a policy cannot
                 // accidentally kill (or double) its own tick chain.
                 self.policy.history_tick(&mut policy_ctx!(self, now, actions));
-                if let Some(interval) = self.policy.history_interval(&self.cfg) {
+                if let Some(interval) = self.policy.history_interval() {
                     actions
                         .push(Action::SetTimer { delay: interval, kind: TimerKind::HistoryTick });
                 }

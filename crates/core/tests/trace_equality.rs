@@ -314,7 +314,7 @@ fn sharded_churn_with_handoffs_traces_match() {
 
 #[test]
 fn ported_policy_traces_match_across_event_loops() {
-    // The baselines ported as policies run on the same engines as the
+    // The comparison schemes run as policies on the same engines as the
     // default algorithm — and must stay byte-identical between the
     // optimized and reference event loops, like every other policy.
     for kind in [

@@ -577,7 +577,7 @@ fn loop_main(ctx: LoopCtx) {
                     let mut members: Vec<NodeId> = spec.members().iter().map(|m| m.node).collect();
                     members.sort_unstable();
                     members.dedup();
-                    let policy = cfg.policy.build(node, &members, &cfg);
+                    let policy = cfg.policy.build(&members);
                     let mut receiver =
                         Receiver::with_policy(node, spec.view_for(node), cfg.clone(), seed, policy);
                     let sender = is_sender.then(|| Sender::new(node, cfg.session_interval));
@@ -596,9 +596,9 @@ fn loop_main(ctx: LoopCtx) {
                         dead: false,
                     };
                     execute(&mut actions, &mut outbox, &mut timers, slot, &s, now);
-                    // Same gate as the simulation harness: a host
-                    // mirroring the legacy baselines' one-shot session ads
-                    // runs without the periodic tick.
+                    // Same gate as the simulation harness: a host that
+                    // advertises each multicast once with a one-shot
+                    // session message runs without the periodic tick.
                     if cfg.periodic_sessions {
                         if let Some(sender) = &s.sender {
                             for a in sender.on_start() {

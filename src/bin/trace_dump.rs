@@ -21,11 +21,10 @@
 //! environment variable overrides the trace path itself, with the other
 //! artifacts placed alongside.
 //!
-//! [`RunReport`]: rrmp_baselines::common::RunReport
+//! [`RunReport`]: rrmp::core::harness::RunReport
 
 use std::path::PathBuf;
 
-use rrmp::baselines::ported::rrmp_report;
 use rrmp::core::harness::trace_path_from_env;
 use rrmp::prelude::*;
 
@@ -80,7 +79,7 @@ fn main() {
     ids.push(net.multicast_with_plan("during-partition-b", &plan_b));
     net.run_until(SimTime::from_secs(4));
 
-    let report = rrmp_report("two-phase", &net, &ids, &sent);
+    let report = net.run_report("two-phase", &ids, &sent);
     let trace = net.trace_jsonl();
     let hists = net.histograms_json();
     assert_eq!(net.trace_events_dropped(), 0, "ring evicted events; raise RING");

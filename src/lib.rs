@@ -11,16 +11,14 @@
 //!
 //! * [`core`] (`rrmp-core`) — the protocol: loss detection, randomized
 //!   local/remote recovery, the two-phase buffer, the bufferer search,
-//!   leave-time handoff, and the simulation harness.
+//!   leave-time handoff, and the simulation harness. The comparison
+//!   schemes — hash-deterministic bufferers, stability detection,
+//!   tree/RMTP, sender-based recovery — run as buffer *policies* on the
+//!   same engine (`rrmp_core::policy`).
 //! * [`netsim`] (`rrmp-netsim`) — the deterministic discrete-event network
 //!   simulator used by the paper's evaluation.
 //! * [`membership`] (`rrmp-membership`) — region views and the
 //!   gossip-style failure detector.
-//! * [`baselines`] (`rrmp-baselines`) — the comparison schemes:
-//!   hash-deterministic bufferers, stability detection, tree/RMTP,
-//!   sender-based ACKs. Hash and sender-based also run as *policies*
-//!   over the core engine (`rrmp_core::policy`); the standalone stacks
-//!   here remain as differential oracles.
 //! * [`analysis`] (`rrmp-analysis`) — the paper's closed-form models
 //!   (Poisson bufferer counts, `e^{-C}`, search-time model).
 //! * [`udp`] (`rrmp-udp`) — the same protocol core on real UDP sockets.
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub use rrmp_analysis as analysis;
-pub use rrmp_baselines as baselines;
 pub use rrmp_core as core;
 pub use rrmp_membership as membership;
 pub use rrmp_netsim as netsim;

@@ -1,46 +1,32 @@
-//! Cross-crate validation: the baseline protocols against RRMP, and the
+//! Cross-crate validation: the comparison schemes, each a buffer policy
+//! on the shared engine, against RRMP's two-phase buffering — and the
 //! analytic models against simulation.
 
 use rrmp::analysis::models::{no_bufferer_probability, no_request_probability};
-use rrmp::baselines::{
-    designated_bufferers, HashConfig, HashNetwork, StabilityConfig, StabilityNetwork, TreeConfig,
-    TreeNetwork,
-};
+use rrmp::core::policy::designated_bufferers;
 use rrmp::prelude::*;
+
+/// A network running `policy` with otherwise paper-default parameters.
+fn policy_net(topo: Topology, policy: PolicyKind, seed: u64) -> RrmpNetwork {
+    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy config");
+    RrmpNetwork::new(topo, cfg, seed)
+}
 
 #[test]
 fn all_schemes_recover_the_same_workload() {
-    let loss =
-        |topo: &rrmp::netsim::topology::Topology| DeliveryPlan::only(topo, (0..15).map(NodeId));
-    let horizon = SimTime::from_secs(3);
-
-    let topo = presets::paper_region(30);
-    let mut rrmp_net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 21);
-    let plan = loss(rrmp_net.topology());
-    let id = rrmp_net.multicast_with_plan(&b"same"[..], &plan);
-    rrmp_net.run_until(horizon);
-    assert_eq!(rrmp_net.delivered_count(id), 30, "rrmp");
-
-    let topo = presets::paper_region(30);
-    let mut hash_net = HashNetwork::new(topo, HashConfig::default(), 21);
-    let plan = loss(hash_net.topology());
-    let id = hash_net.multicast_with_plan(&b"same"[..], &plan);
-    hash_net.run_until(horizon);
-    assert_eq!(hash_net.delivered_count(id), 30, "hash");
-
-    let topo = presets::paper_region(30);
-    let mut stab_net = StabilityNetwork::new(topo, StabilityConfig::default(), 21);
-    let plan = loss(stab_net.topology());
-    let id = stab_net.multicast_with_plan(&b"same"[..], &plan);
-    stab_net.run_until(horizon);
-    assert_eq!(stab_net.delivered_count(id), 30, "stability");
-
-    let topo = presets::paper_region(30);
-    let mut tree_net = TreeNetwork::new(topo, TreeConfig::default(), 21);
-    let plan = loss(tree_net.topology());
-    let id = tree_net.multicast_with_plan(&b"same"[..], &plan);
-    tree_net.run_until(horizon);
-    assert_eq!(tree_net.delivered_count(id), 30, "tree");
+    for policy in [
+        PolicyKind::TwoPhase,
+        PolicyKind::HashBufferers,
+        PolicyKind::SenderBased,
+        PolicyKind::Stability,
+        PolicyKind::TreeRmtp,
+    ] {
+        let mut net = policy_net(presets::paper_region(30), policy, 21);
+        let plan = DeliveryPlan::only(net.topology(), (0..15).map(NodeId));
+        let id = net.multicast_with_plan(&b"same"[..], &plan);
+        net.run_until(SimTime::from_secs(3));
+        assert_eq!(net.delivered_count(id), 30, "{}", policy.name());
+    }
 }
 
 #[test]
@@ -50,7 +36,7 @@ fn hash_baseline_crosses_regions_blindly() {
     // local copy exists. Measure the fraction of requests leaving the
     // requester's region.
     let topo = presets::figure1_chain([20, 20, 20], SimDuration::from_millis(25));
-    let mut net = HashNetwork::new(topo, HashConfig::default(), 22);
+    let mut net = policy_net(topo, PolicyKind::HashBufferers, 22);
     // All of region 2 (nodes 40..60) misses the message.
     let plan = DeliveryPlan::all_but(net.topology(), (40..60).map(NodeId));
     let id = net.multicast_with_plan(&b"blind"[..], &plan);
@@ -73,12 +59,11 @@ fn stability_detection_pays_standing_overhead() {
     // the sender's session message (O(n)); RRMP *receivers* send nothing.
     let horizon = SimTime::from_secs(2);
 
-    let topo = presets::paper_region(20);
-    let mut stab = StabilityNetwork::new(topo, StabilityConfig::default(), 23);
+    let mut stab = policy_net(presets::paper_region(20), PolicyKind::Stability, 23);
     let all = DeliveryPlan::all(stab.topology());
     stab.multicast_with_plan(&b"quiet"[..], &all);
     stab.run_until(horizon);
-    let history_packets = stab.history_packets();
+    let history_packets = stab.total_counter(|c| c.history_digests_sent);
     assert!(
         history_packets > 1000,
         "all-member history exchange should dominate: {history_packets}"
@@ -97,21 +82,42 @@ fn stability_detection_pays_standing_overhead() {
             + c.repairs_sent_local
             + c.repairs_sent_remote
             + c.search_forwards
+            + c.history_digests_sent
     });
     assert_eq!(receiver_traffic, 0, "loss-free RRMP receivers must be silent");
 }
 
 #[test]
 fn tree_concentrates_buffering_on_the_repair_server() {
-    let topo = presets::paper_region(25);
-    let mut net = TreeNetwork::new(topo, TreeConfig::default(), 24);
+    let mut net = policy_net(presets::paper_region(25), PolicyKind::TreeRmtp, 24);
     let all = DeliveryPlan::all(net.topology());
+    let sent = [net.now(); 8];
     let ids: Vec<MessageId> = (0..8).map(|_| net.multicast_with_plan(&b"c"[..], &all)).collect();
     net.run_until(SimTime::from_secs(1));
-    let report = net.report(&ids);
+    let report = net.run_report("tree-rmtp", &ids, &sent);
     assert_eq!(report.peak_entries_max, 8, "server holds the whole session");
     // 24 of 25 members never buffer anything.
     assert!(report.peak_entries_mean < 0.5);
+}
+
+#[test]
+fn nack_implosion_concentrates_on_sender() {
+    // §1's motivation for distributed recovery: when everyone but the
+    // sender misses a message, every NACK lands on the sender (59
+    // simultaneous NACKs here) while no receiver carries any load.
+    let mut net = policy_net(presets::paper_region(60), PolicyKind::SenderBased, 2);
+    let plan = DeliveryPlan::only(net.topology(), [NodeId(0)]);
+    let id = net.multicast_with_plan(&b"x"[..], &plan);
+    net.run_until(SimTime::from_secs(2));
+    assert_eq!(net.delivered_count(id), 60);
+    let load = |n: u32| net.node(NodeId(n)).recovery_packets_received();
+    let sender_load = load(0);
+    let max_other = (1..60).map(load).max().unwrap_or(0);
+    assert!(sender_load >= 59, "sender should absorb all NACKs: {sender_load}");
+    assert!(
+        sender_load > 10 * max_other.max(1),
+        "implosion: sender {sender_load} vs max receiver {max_other}"
+    );
 }
 
 #[test]
@@ -120,8 +126,6 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
     // everyone has it" policy (stability detection), a single slow region
     // pins buffers everywhere; RRMP's feedback rule releases fast members
     // at T while long-term bufferers cover the stragglers.
-    use rrmp::baselines::{StabilityConfig, StabilityNetwork};
-    use rrmp::netsim::time::SimDuration;
     use rrmp::netsim::topology::TopologyBuilder;
 
     let ms = SimDuration::from_millis;
@@ -140,7 +144,7 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
     // initial multicast idle out at T = 40 ms regardless of the slow
     // region still recovering.
     let mut net = RrmpNetwork::new(build_topo(), ProtocolConfig::paper_defaults(), 31);
-    let plan = DeliveryPlan::region_loss(net.topology(), rrmp::netsim::topology::RegionId(1));
+    let plan = DeliveryPlan::region_loss(net.topology(), RegionId(1));
     let id = net.multicast_with_plan(&b"het"[..], &plan);
     net.run_until(SimTime::from_secs(6));
     assert!(net.all_delivered(id), "slow region must still recover");
@@ -161,8 +165,8 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
 
     // Stability detection on the same topology: every member holds until
     // the slow region's ACKs make the message stable.
-    let mut stab = StabilityNetwork::new(build_topo(), StabilityConfig::default(), 31);
-    let plan = DeliveryPlan::region_loss(stab.topology(), rrmp::netsim::topology::RegionId(1));
+    let mut stab = policy_net(build_topo(), PolicyKind::Stability, 31);
+    let plan = DeliveryPlan::region_loss(stab.topology(), RegionId(1));
     let sid = stab.multicast_with_plan(&b"het"[..], &plan);
     // Well after RRMP's fast members released, stability still buffers
     // everywhere (the slow region has not even received it yet).
