@@ -24,7 +24,6 @@ use crate::ids::MessageId;
 use crate::interval_set::MessageIdSet;
 use crate::observe::TraceConfig;
 use crate::packet::{DataPacket, Packet};
-use crate::policy::PolicyKind;
 use crate::receiver::{PreloadState, Receiver};
 use crate::sender::{Sender, SenderAction};
 
@@ -413,67 +412,6 @@ impl SimEngine {
     }
 }
 
-/// Shard count taken from the `RRMP_SIM_SHARDS` environment variable
-/// (default 1 — the sequential windowed engine). Traces are identical at
-/// every value; the variable only chooses the degree of parallelism, so
-/// CI runs the whole suite under `RRMP_SIM_SHARDS=4` as a determinism
-/// check.
-/// # Panics
-///
-/// Panics on a set-but-invalid value (unparsable or zero): a determinism
-/// job that silently fell back to one shard would go green while testing
-/// nothing.
-fn shards_from_env() -> usize {
-    match std::env::var("RRMP_SIM_SHARDS") {
-        Err(_) => 1,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("RRMP_SIM_SHARDS must be a positive integer, got {v:?}"),
-        },
-    }
-}
-
-/// Per-receiver memory budget (bytes) taken from the `RRMP_MEM_BUDGET`
-/// environment variable, or `None` when unset. Mirrors `RRMP_SIM_SHARDS`
-/// / `RRMP_POLICY`: only call sites that opt in
-/// ([`RrmpNetwork::new_env_policy`]) are affected, so a CI axis can run
-/// the whole suite under a tight budget without touching tests that
-/// assert unbudgeted behaviour.
-///
-/// # Panics
-///
-/// Panics on a set-but-invalid value (unparsable or zero): an overload
-/// CI job that silently ran unbudgeted would go green while testing
-/// nothing.
-fn mem_budget_from_env() -> Option<usize> {
-    match std::env::var("RRMP_MEM_BUDGET") {
-        Err(_) => None,
-        // Blank means unset — the CI matrix passes '' on rows without the
-        // overload axis, mirroring how RRMP_FAULTS treats blanks.
-        Ok(v) if v.trim().is_empty() => None,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => panic!("RRMP_MEM_BUDGET must be a positive byte count, got {v:?}"),
-        },
-    }
-}
-
-/// Returned by [`RrmpNetwork::try_sim_mut`] when the network is hosted on
-/// the sharded engine and therefore has no single-queue [`Sim`] to lend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineMismatch {
-    /// The shard count of the engine actually hosting the network.
-    pub shards: usize,
-}
-
-impl std::fmt::Display for EngineMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "network runs on the sharded engine ({} shards)", self.shards)
-    }
-}
-
-impl std::error::Error for EngineMismatch {}
-
 /// A complete simulated RRMP group: topology, one sender, one receiver per
 /// node, and experiment conveniences.
 #[derive(Debug)]
@@ -491,20 +429,6 @@ pub struct RrmpNetwork {
     /// Armed observer configuration, if any — retained so
     /// [`RrmpNetwork::reset`] can re-arm the rebuilt receivers.
     trace_cfg: Option<TraceConfig>,
-}
-
-/// Trace-export path from the `RRMP_TRACE` environment variable, or
-/// `None` when unset or blank (mirroring how `RRMP_MEM_BUDGET` treats
-/// blanks, so CI matrix rows can pass `''` on non-trace axes). Binaries
-/// that honour the knob arm [`RrmpNetwork::with_observer`] and write
-/// [`RrmpNetwork::trace_jsonl`] to the named file.
-#[must_use]
-pub fn trace_path_from_env() -> Option<std::path::PathBuf> {
-    match std::env::var("RRMP_TRACE") {
-        Err(_) => None,
-        Ok(v) if v.trim().is_empty() => None,
-        Ok(v) => Some(std::path::PathBuf::from(v)),
-    }
 }
 
 impl RrmpNetwork {
@@ -561,27 +485,15 @@ impl RrmpNetwork {
     }
 
     /// Builds a group hosted on the **conservatively parallel** sharded
-    /// engine ([`ShardedSim`]), with the shard count taken from the
-    /// `RRMP_SIM_SHARDS` environment variable (default 1). Traces are
-    /// byte-identical at every shard count — the variable only picks the
-    /// degree of parallelism.
+    /// engine ([`ShardedSim`]) with `shards` shards (clamped to the region
+    /// count; a region never splits). Traces are byte-identical at every
+    /// shard count — `shards` only picks the degree of parallelism.
     ///
     /// Note the sharded engine's windowed semantics differ from
     /// [`RrmpNetwork::new`]'s single event queue (per-sender unicast-loss
     /// RNG streams, canonical cross-region merge order), so a sharded run
     /// is compared against sharded runs, not against the single-queue
     /// engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn new_sharded(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
-        Self::with_shards(topo, cfg, seed, shards_from_env())
-    }
-
-    /// Like [`RrmpNetwork::new_sharded`] with an explicit shard count
-    /// (clamped to the region count; a region never splits).
     ///
     /// # Panics
     ///
@@ -609,32 +521,6 @@ impl RrmpNetwork {
             fault_plan: None,
             trace_cfg: None,
         }
-    }
-
-    /// Like [`RrmpNetwork::new`], but letting the `RRMP_POLICY`
-    /// environment variable override the configured buffer policy
-    /// (mirroring how `RRMP_SIM_SHARDS` selects the engine for
-    /// [`RrmpNetwork::new_sharded`]). Only call sites that opt in are
-    /// affected, so the CI policy matrix exercises the non-default
-    /// policies without touching tests that assert two-phase behaviour.
-    ///
-    /// The `RRMP_MEM_BUDGET` environment variable (bytes per receiver)
-    /// likewise overrides [`ProtocolConfig::memory_budget`], so one CI
-    /// axis runs the suite under a tight budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid, `RRMP_POLICY` holds an unknown value,
-    /// or `RRMP_MEM_BUDGET` is set but not a positive integer.
-    #[must_use]
-    pub fn new_env_policy(topo: Topology, mut cfg: ProtocolConfig, seed: u64) -> Self {
-        if let Some(kind) = PolicyKind::from_env() {
-            cfg.policy = kind;
-        }
-        if let Some(budget) = mem_budget_from_env() {
-            cfg.memory_budget = Some(budget);
-        }
-        Self::new(topo, cfg, seed)
     }
 
     /// Like [`RrmpNetwork::new`] with a deterministic [`FaultPlan`] armed
@@ -673,29 +559,6 @@ impl RrmpNetwork {
         self.sim.set_fault_plan(Some(plan.clone()));
         self.fault_plan = Some(plan);
         self.schedule_fault_protocol_timers();
-    }
-
-    /// Arms the fault plan from the `RRMP_FAULTS` environment variable
-    /// (mirroring `RRMP_SIM_SHARDS` / `RRMP_POLICY`), if set. Returns
-    /// whether a plan was armed, so harnesses can log or skip
-    /// fault-sensitive assertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `RRMP_FAULTS` is set but malformed (a chaos job that
-    /// silently ran fault-free would go green while testing nothing), or
-    /// if the simulation has already started.
-    pub fn arm_env_fault_plan(&mut self) -> bool {
-        // The panic lives here at the harness boundary; the fault
-        // library itself reports malformed specs as a plain `Err`.
-        match FaultPlan::from_env() {
-            Ok(Some(plan)) => {
-                self.arm_fault_plan(plan);
-                true
-            }
-            Ok(None) => false,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The armed fault plan, if any.
@@ -778,7 +641,7 @@ impl RrmpNetwork {
     }
 
     /// The full trace serialized as JSONL (one event per line, canonical
-    /// order) — the `RRMP_TRACE` export format. Byte-identical across
+    /// order) — the `trace_dump` export format. Byte-identical across
     /// shard counts for the same run.
     #[must_use]
     pub fn trace_jsonl(&self) -> String {
@@ -980,35 +843,22 @@ impl RrmpNetwork {
     }
 
     /// The underlying single-queue simulator (full control for advanced
-    /// experiments), or [`EngineMismatch`] for a network hosted on the
-    /// sharded engine — probe with this instead of `catch_unwind` when a
-    /// test must work against either engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineMismatch`] for a network built with
-    /// [`RrmpNetwork::new_sharded`] / [`RrmpNetwork::with_shards`] — use
-    /// the engine-agnostic harness methods (e.g.
-    /// [`RrmpNetwork::set_unicast_loss`]) there.
-    pub fn try_sim_mut(&mut self) -> Result<&mut Sim<RrmpNode>, EngineMismatch> {
-        match &mut self.sim {
-            SimEngine::Single(s) => Ok(s),
-            SimEngine::Sharded(s) => Err(EngineMismatch { shards: s.shards() }),
-        }
-    }
-
-    /// The underlying single-queue simulator (full control for advanced
     /// experiments).
     ///
     /// # Panics
     ///
-    /// Panics for a network built with [`RrmpNetwork::new_sharded`] /
-    /// [`RrmpNetwork::with_shards`] — use [`RrmpNetwork::try_sim_mut`]
-    /// to probe without unwinding.
+    /// Panics for a network built with [`RrmpNetwork::with_shards`] — use
+    /// the engine-agnostic harness methods (e.g.
+    /// [`RrmpNetwork::set_unicast_loss`]) there.
     pub fn sim_mut(&mut self) -> &mut Sim<RrmpNode> {
-        self.try_sim_mut().unwrap_or_else(|e| {
-            panic!("sim_mut(): sharded networks have no single-queue Sim ({e})")
-        })
+        match &mut self.sim {
+            SimEngine::Single(s) => s,
+            SimEngine::Sharded(s) => panic!(
+                "sim_mut(): sharded networks have no single-queue Sim \
+                 (network runs on the sharded engine ({} shards))",
+                s.shards()
+            ),
+        }
     }
 
     /// The sender's node id.

@@ -985,8 +985,8 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Short name matching [`BufferPolicy::name`] (and the `RRMP_POLICY`
-    /// environment values).
+    /// Short name matching [`BufferPolicy::name`], used to label test
+    /// failures and `perf/`'s per-policy metrics.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -1013,40 +1013,6 @@ impl PolicyKind {
             PolicyKind::SenderBased => Box::new(SenderBased),
             PolicyKind::Stability => Box::new(Stability::new(members.to_vec())),
             PolicyKind::TreeRmtp => Box::new(TreeRmtp),
-        }
-    }
-
-    /// The policy selected by the `RRMP_POLICY` environment variable
-    /// (`two-phase`, `hash`, `sender-based`, `stability`, `tree-rmtp`,
-    /// or `keep-all`), or `None`
-    /// when unset. Mirrors `RRMP_SIM_SHARDS`: only call sites that opt in
-    /// (e.g. [`RrmpNetwork::new_env_policy`]) are affected, so the CI
-    /// matrix can run the whole suite under a non-default policy without
-    /// changing tests that assert two-phase behaviour.
-    ///
-    /// [`RrmpNetwork::new_env_policy`]: crate::harness::RrmpNetwork::new_env_policy
-    ///
-    /// # Panics
-    ///
-    /// Panics on a set-but-unknown value: a policy-matrix CI job that
-    /// silently fell back to the default would go green while testing
-    /// nothing.
-    #[must_use]
-    pub fn from_env() -> Option<PolicyKind> {
-        match std::env::var("RRMP_POLICY") {
-            Err(_) => None,
-            Ok(v) => match v.as_str() {
-                "two-phase" => Some(PolicyKind::TwoPhase),
-                "hash" => Some(PolicyKind::HashBufferers),
-                "sender-based" => Some(PolicyKind::SenderBased),
-                "stability" => Some(PolicyKind::Stability),
-                "tree-rmtp" => Some(PolicyKind::TreeRmtp),
-                "keep-all" => Some(PolicyKind::KeepAll),
-                _ => panic!(
-                    "RRMP_POLICY must be one of \
-                     two-phase|hash|sender-based|stability|tree-rmtp|keep-all, got {v:?}"
-                ),
-            },
         }
     }
 }

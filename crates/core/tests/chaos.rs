@@ -12,15 +12,16 @@
 //!   accounting), never left it silently in limbo.
 //!
 //! Plans are generated from fixed seeds via `StdRng`, so a failure
-//! reproduces exactly; the engine honours `RRMP_SIM_SHARDS`, so the CI
-//! chaos matrix re-runs the same plans on the sharded engine.
+//! reproduces exactly. Every run happens at each of [`SHARDS`]: the
+//! sequential oracle and the parallel driver must agree outcome for
+//! outcome, not just both satisfy the invariants.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrmp_core::harness::RrmpNetwork;
 use rrmp_core::ids::MessageId;
 use rrmp_core::policy::PolicyKind;
-use rrmp_core::prelude::{DampingConfig, ProtocolConfig, WatchdogConfig};
+use rrmp_core::prelude::{Counters, DampingConfig, ProtocolConfig, WatchdogConfig};
 use rrmp_netsim::fault::FaultPlan;
 use rrmp_netsim::loss::LossModel;
 use rrmp_netsim::time::{SimDuration, SimTime};
@@ -36,9 +37,13 @@ const ALL_POLICIES: [PolicyKind; 7] = [
     PolicyKind::TreeRmtp,
 ];
 
+/// The sharded engine's sequential oracle and its parallel driver (four
+/// shards clamp to the chaos topology's three regions, one per shard).
+const SHARDS: [usize; 2] = [1, 4];
+
 /// Three regions (root + two children) of four members — big enough for
 /// region partitions, remote recovery, and repair hierarchies, small
-/// enough that 21 policy × seed runs stay fast.
+/// enough that 42 policy × seed × layout runs stay fast.
 fn chaos_topology() -> Topology {
     presets::region_tree(4, 2, 1, SimDuration::from_millis(15))
 }
@@ -111,13 +116,12 @@ fn random_plan(seed: u64, topo: &Topology) -> FaultPlan {
 const FLUSH_AT: SimTime = SimTime::from_millis(1_050);
 const RUN_END: SimTime = SimTime::from_secs(6);
 
-/// Runs one chaos scenario and returns the network plus the multicast ids.
-fn run_chaos(policy: PolicyKind, seed: u64) -> (RrmpNetwork, Vec<MessageId>) {
+/// Runs one chaos scenario on `shards` shards and returns the network
+/// plus the multicast ids.
+fn run_chaos(policy: PolicyKind, seed: u64, shards: usize) -> (RrmpNetwork, Vec<MessageId>) {
     let topo = chaos_topology();
     let plan = random_plan(seed, &topo);
-    // `new_sharded` honours RRMP_SIM_SHARDS (default 1), so the CI chaos
-    // matrix re-runs these exact plans on the parallel engine.
-    let mut net = RrmpNetwork::new_sharded(topo, chaos_config(policy), seed);
+    let mut net = RrmpNetwork::with_shards(topo, chaos_config(policy), seed, shards);
     net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
     net.arm_fault_plan(plan);
 
@@ -139,6 +143,12 @@ fn run_chaos(policy: PolicyKind, seed: u64) -> (RrmpNetwork, Vec<MessageId>) {
     // so every recovery effort has either succeeded or given up.
     net.run_until(RUN_END);
     (net, ids)
+}
+
+/// Per-node delivery logs and protocol counters: what must not depend on
+/// the shard layout or on a rerun.
+fn outcome(net: &RrmpNetwork) -> Vec<(Vec<(SimTime, MessageId)>, Counters)> {
+    net.nodes().map(|(_, n)| (n.delivered().to_vec(), n.receiver().metrics().counters)).collect()
 }
 
 /// Asserts the run-level invariants on a finished chaos run.
@@ -183,8 +193,14 @@ fn assert_invariants(net: &RrmpNetwork, ids: &[MessageId], label: &str) {
 fn chaos_invariants_hold_under_every_policy() {
     for policy in ALL_POLICIES {
         for seed in [11u64, 22, 33] {
-            let (net, ids) = run_chaos(policy, seed);
-            assert_invariants(&net, &ids, &format!("policy={} seed={seed}", policy.name()));
+            let mut oracle = None;
+            for shards in SHARDS {
+                let (net, ids) = run_chaos(policy, seed, shards);
+                let label = format!("policy={} seed={seed} shards={shards}", policy.name());
+                assert_invariants(&net, &ids, &label);
+                let oracle = oracle.get_or_insert_with(|| outcome(&net));
+                assert_eq!(*oracle, outcome(&net), "{label} diverged from the sequential oracle");
+            }
         }
     }
 }
@@ -193,15 +209,12 @@ fn chaos_invariants_hold_under_every_policy() {
 /// per-node delivery logs and protocol counters on a rerun.
 #[test]
 fn chaos_runs_are_deterministic_across_reruns() {
-    let observe = |net: &RrmpNetwork| {
-        net.nodes()
-            .map(|(_, n)| (n.delivered().to_vec(), n.receiver().metrics().counters))
-            .collect::<Vec<_>>()
-    };
-    let (a, ids_a) = run_chaos(PolicyKind::TwoPhase, 77);
-    let (b, ids_b) = run_chaos(PolicyKind::TwoPhase, 77);
-    assert_eq!(ids_a, ids_b);
-    assert_eq!(observe(&a), observe(&b));
+    for shards in SHARDS {
+        let (a, ids_a) = run_chaos(PolicyKind::TwoPhase, 77, shards);
+        let (b, ids_b) = run_chaos(PolicyKind::TwoPhase, 77, shards);
+        assert_eq!(ids_a, ids_b);
+        assert_eq!(outcome(&a), outcome(&b), "shards={shards}");
+    }
 }
 
 /// Chaos outcomes do not depend on the engine layout: the same plan at
@@ -221,47 +234,84 @@ fn chaos_runs_are_layout_invariant() {
             ids.push(net.multicast(format!("layout-{k}").into_bytes()));
         }
         net.run_until(SimTime::from_secs(3));
-        (
-            ids,
-            net.nodes()
-                .map(|(_, n)| (n.delivered().to_vec(), n.receiver().metrics().counters))
-                .collect::<Vec<_>>(),
-        )
+        (ids, outcome(&net))
     };
     let one = run_at(1);
     assert_eq!(one, run_at(2), "shards=2 diverged from the sequential oracle");
     assert_eq!(one, run_at(4), "shards=4 diverged from the sequential oracle");
 }
 
-/// The CI chaos matrix sets `RRMP_FAULTS` to a fixed plan spec; this
-/// test replays that exact plan under every policy and asserts the same
-/// run-level invariants. When the variable is unset (a plain local
-/// `cargo test`), a representative fallback plan keeps the test biting.
+/// `SimTime` at `ms` milliseconds — keeps the named plans below readable.
+fn ms(ms: u64) -> SimTime {
+    SimTime::from_millis(ms)
+}
+
+/// Three fixed plans over the chaos topology (nodes 0-11; node 0, the
+/// sender, is never crashed): an overlapping double partition isolating
+/// region 1 with a region-scoped burst and duplication; a link blackout
+/// and stall churn with a permanent mid-run crash and an everywhere
+/// burst; and a partition, stall, burst and duplication mix.
+fn named_plans() -> [(&'static str, FaultPlan); 3] {
+    [
+        (
+            "double-partition",
+            FaultPlan::new(7)
+                .partition(RegionId(0), RegionId(1), ms(100), ms(600))
+                .partition(RegionId(1), RegionId(2), ms(200), ms(700))
+                .loss_burst(0.6, Some(RegionId(1)), ms(100), ms(500))
+                .duplicate(0.2, SimDuration::from_millis(3), ms(0), ms(800)),
+        ),
+        (
+            "blackout-stall-crash",
+            FaultPlan::new(19)
+                .blackout(NodeId(1), NodeId(6), ms(150), ms(450))
+                .stall(NodeId(9), ms(100), ms(550))
+                .crash(NodeId(11), ms(400))
+                .loss_burst(0.4, None, ms(200), ms(600)),
+        ),
+        (
+            "partition-stall-mix",
+            FaultPlan::new(5)
+                .partition(RegionId(0), RegionId(1), ms(100), ms(500))
+                .stall(NodeId(6), ms(200), ms(450))
+                .loss_burst(0.5, Some(RegionId(2)), ms(150), ms(400))
+                .duplicate(0.2, SimDuration::from_millis(3), ms(0), ms(600)),
+        ),
+    ]
+}
+
+/// Every named plan under every policy at every shard count: the
+/// run-level invariants hold, and the parallel layout reproduces the
+/// sequential oracle.
 #[test]
-fn env_fault_plan_chaos_smoke() {
-    const FALLBACK: &str =
-        "seed=5;partition=0-1@100..500;stall=6@200..450;burst=0.5:2@150..400;dup=0.2+3@0..600";
-    for policy in ALL_POLICIES {
-        let mut net = RrmpNetwork::new_sharded(chaos_topology(), chaos_config(policy), 13);
-        net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
-        if !net.arm_env_fault_plan() {
-            net.arm_fault_plan(FaultPlan::parse(FALLBACK).expect("fallback plan parses"));
+fn named_fault_plans_hold_under_every_policy_and_layout() {
+    for (name, plan) in named_plans() {
+        for policy in ALL_POLICIES {
+            let mut oracle = None;
+            for shards in SHARDS {
+                let label = format!("plan={name} policy={} shards={shards}", policy.name());
+                let mut net =
+                    RrmpNetwork::with_shards(chaos_topology(), chaos_config(policy), 13, shards);
+                net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
+                net.arm_fault_plan(plan.clone());
+                // Pace the run off the plan's horizon: mid-fault traffic, a
+                // post-heal flush, and a drain past the retry caps.
+                let horizon = plan.horizon();
+                let step = SimDuration::from_micros((horizon - SimTime::ZERO).as_micros() / 8);
+                let mut ids = Vec::new();
+                for _ in 0..8 {
+                    ids.push(net.multicast(&b"named-chaos"[..]));
+                    let next = net.now() + step;
+                    net.run_until(next);
+                }
+                net.run_until(horizon + SimDuration::from_millis(50));
+                ids.push(net.multicast(&b"named-chaos-flush"[..]));
+                net.run_until(horizon + SimDuration::from_secs(5));
+                assert_invariants(&net, &ids, &label);
+                let oracle = oracle.get_or_insert_with(|| outcome(&net));
+                assert_eq!(*oracle, outcome(&net), "{label} diverged from the sequential oracle");
+            }
         }
-        // Pace the run off the armed plan, not a fixed horizon: CI specs
-        // with longer windows still get mid-fault traffic, a post-heal
-        // flush, and a drain past the retry caps.
-        let horizon = net.fault_plan().expect("a plan is armed").horizon();
-        let step = SimDuration::from_micros((horizon - SimTime::ZERO).as_micros() / 8);
-        let mut ids = Vec::new();
-        for _ in 0..8 {
-            ids.push(net.multicast(&b"env-chaos"[..]));
-            let next = net.now() + step;
-            net.run_until(next);
-        }
-        net.run_until(horizon + SimDuration::from_millis(50));
-        ids.push(net.multicast(&b"env-chaos-flush"[..]));
-        net.run_until(horizon + SimDuration::from_secs(5));
-        assert_invariants(&net, &ids, &format!("env plan, policy={}", policy.name()));
     }
 }
 
@@ -302,10 +352,11 @@ fn overload_plan(seed: u64) -> FaultPlan {
 }
 
 /// Runs one overload episode: large payloads against a small budget, a
-/// loss burst that starves recovery, then a heal and a long drain.
-fn run_overload(policy: PolicyKind, seed: u64) -> (RrmpNetwork, Vec<MessageId>) {
+/// loss burst that starves recovery, then a heal and a long drain, on
+/// `shards` shards.
+fn run_overload(policy: PolicyKind, seed: u64, shards: usize) -> (RrmpNetwork, Vec<MessageId>) {
     let topo = chaos_topology();
-    let mut net = RrmpNetwork::new_sharded(topo, overload_config(policy), seed);
+    let mut net = RrmpNetwork::with_shards(topo, overload_config(policy), seed, shards);
     net.set_multicast_loss(LossModel::Bernoulli { p: 0.4 });
     net.arm_fault_plan(overload_plan(seed));
     let mut ids = Vec::new();
@@ -387,16 +438,19 @@ fn overload_invariants_hold_under_every_policy() {
     let mut any_pressure = 0u64;
     for policy in ALL_POLICIES {
         for seed in [5u64, 17] {
-            let (net, ids) = run_overload(policy, seed);
-            assert_overload_invariants(
-                &net,
-                &ids,
-                &format!("overload policy={} seed={seed}", policy.name()),
-            );
-            for (_, node) in net.nodes() {
-                let c = node.receiver().metrics().counters;
-                any_shed += c.requests_shed + c.remulticasts_shed;
-                any_pressure += c.pressure_discards + c.admission_declined;
+            let mut oracle = None;
+            for shards in SHARDS {
+                let (net, ids) = run_overload(policy, seed, shards);
+                let label =
+                    format!("overload policy={} seed={seed} shards={shards}", policy.name());
+                assert_overload_invariants(&net, &ids, &label);
+                let oracle = oracle.get_or_insert_with(|| outcome(&net));
+                assert_eq!(*oracle, outcome(&net), "{label} diverged from the sequential oracle");
+                for (_, node) in net.nodes() {
+                    let c = node.receiver().metrics().counters;
+                    any_shed += c.requests_shed + c.remulticasts_shed;
+                    any_pressure += c.pressure_discards + c.admission_declined;
+                }
             }
         }
     }

@@ -20,10 +20,11 @@ use rrmp_core::harness::{RrmpNetwork, RunReport};
 use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::packet::Packet;
 use rrmp_core::policy::{designated_bufferers, PolicyKind};
-use rrmp_core::prelude::ProtocolConfig;
+use rrmp_core::prelude::{ProtocolConfig, TraceConfig};
 use rrmp_netsim::loss::DeliveryPlan;
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{presets, NodeId, Topology};
+use rrmp_trace::EventKind;
 
 /// The legacy hash-buffering stack on [`hash_plans`].
 const LEGACY_HASH: &str = r#"{"scheme":"hash-determ","fully_delivered_members":30,"members":30,"byte_time_total":136460000,"peak_entries_max":2,"peak_entries_mean":0.6000,"packets_sent":106,"mean_recovery_latency_ms":8.0460,"residual_losses":0,"residual_gave_up":0,"residual_pending":0,"recovery_gave_up":0,"faults_dropped":0,"faults_duplicated":0,"watchdog_rearms":0}"#;
@@ -234,6 +235,37 @@ fn tree_rmtp_policy_matches_legacy_reports() {
             }
         }
     }
+}
+
+#[test]
+fn lost_direct_pull_is_retried_after_the_direct_request_timeout() {
+    // Sender-based pulls NACK the source directly. Drop the misser's first
+    // request: the retry must go out exactly 60 ms later — the direct-pull
+    // budget, not the 10 ms local timeout — and then recover the message.
+    let misser = NodeId(20);
+    let mut net = RrmpNetwork::new(topo(), policy_config(PolicyKind::SenderBased), 5)
+        .with_observer(TraceConfig::default());
+    let mut first = true;
+    net.sim_mut().set_drop_filter(move |from, _, pkt: &Packet| {
+        let drop = first && from == misser && matches!(pkt, Packet::LocalRequest { .. });
+        first &= !drop;
+        drop
+    });
+    let plan = DeliveryPlan::all_but(&topo(), [misser]);
+    let id = multicast_with_session(&mut net, &b"retry"[..], &plan);
+    net.run_until(SimTime::from_secs(1));
+    assert!(net.all_delivered(id), "the retry must recover the message");
+    let rounds: Vec<(u32, u64)> = net
+        .trace_events()
+        .iter()
+        .filter(|e| e.node == misser.0)
+        .filter_map(|e| match e.kind {
+            EventKind::RecoveryRound { attempt, .. } => Some((attempt, e.at_micros)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rounds.len(), 2, "one dropped request, one retry: {rounds:?}");
+    assert_eq!(rounds[1].1 - rounds[0].1, 60_000, "retry spacing in µs: {rounds:?}");
 }
 
 #[test]

@@ -270,26 +270,19 @@ fn sharded_lossy_stream_traces_match() {
 }
 
 #[test]
-fn env_selected_shard_count_matches_sequential_oracle() {
-    // `RRMP_SIM_SHARDS` (the CI matrix knob) picks the layout for
-    // `new_sharded`; whatever its value, the trace must match the
-    // explicit shards=1 oracle byte for byte.
-    let topo_of = || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25));
-    let scenario = |net: &mut RrmpNetwork| {
-        net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
-        let plan = DeliveryPlan::all_but(net.topology(), (8..16).map(NodeId));
-        net.multicast_with_plan(&b"env-shards"[..], &plan);
-        net.run_until(SimTime::from_secs(2));
-    };
-    let mut oracle = RrmpNetwork::with_shards(topo_of(), ProtocolConfig::paper_defaults(), 5, 1);
-    scenario(&mut oracle);
-    let mut env_net = RrmpNetwork::new_sharded(topo_of(), ProtocolConfig::paper_defaults(), 5);
-    scenario(&mut env_net);
-    assert_eq!(
-        trace_of(&oracle),
-        trace_of(&env_net),
-        "RRMP_SIM_SHARDS={} diverged from the sequential oracle",
-        env_net.shards()
+fn sharded_lossy_remote_recovery_traces_match() {
+    // Region 1 misses the multicast while unicasts are lossy: remote
+    // requests and repairs that cross shards are dropped and retried.
+    assert_sharded_trace_equal(
+        || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+        ProtocolConfig::paper_defaults(),
+        5,
+        |net| {
+            net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
+            let plan = DeliveryPlan::all_but(net.topology(), (8..16).map(NodeId));
+            net.multicast_with_plan(&b"lossy-remote"[..], &plan);
+            net.run_until(SimTime::from_secs(2));
+        },
     );
 }
 
@@ -406,30 +399,53 @@ fn sharded_tree_rmtp_policy_traces_match() {
 }
 
 #[test]
-fn env_selected_policy_matches_reference_loop() {
-    // `RRMP_POLICY` (the CI matrix knob) swaps the buffer policy for
-    // every opted-in construction; whatever its value, the optimized and
-    // reference event loops must agree and the group must fully recover.
-    let mut cfg = ProtocolConfig::paper_defaults();
-    if let Some(kind) = PolicyKind::from_env() {
-        cfg.policy = kind;
-    }
+fn every_policy_and_budget_matches_reference_loop() {
+    // Each policy, with and without a per-receiver memory budget, on the
+    // optimized loop must match the unbudgeted reference loop and fully
+    // recover. The 1 MiB budget never reaches the pressure tier here, so
+    // arming its accounting must not change the trace. How many members
+    // still hold the message at the end is each policy's signature: the
+    // two-phase long-term bufferers (a random draw with mean C), the six
+    // hash-designated bufferers, none once stability is detected, the one
+    // repair server.
+    const MIB: usize = 1 << 20;
     let topo_of = || presets::paper_region(30);
     let scenario = |net: &mut RrmpNetwork| {
         let plan = DeliveryPlan::only(net.topology(), (0..20).map(NodeId));
-        let id = net.multicast_with_plan(&b"env-policy"[..], &plan);
+        let id = net.multicast_with_plan(&b"every-policy"[..], &plan);
         net.run_until(SimTime::from_secs(2));
         assert!(net.all_delivered(id), "policy must recover: {}", net.delivered_count(id));
+        net.buffered_count(id)
     };
-    let mut optimized = RrmpNetwork::new_env_policy(topo_of(), ProtocolConfig::paper_defaults(), 9);
-    scenario(&mut optimized);
-    let mut reference = RrmpNetwork::new_reference(topo_of(), cfg, 9);
-    scenario(&mut reference);
-    assert_eq!(
-        trace_of(&optimized),
-        trace_of(&reference),
-        "env-selected policy diverged between event loops"
-    );
+    for (policy, holders) in [
+        (PolicyKind::TwoPhase, 4),
+        (PolicyKind::HashBufferers, 6),
+        (PolicyKind::Stability, 0),
+        (PolicyKind::TreeRmtp, 1),
+    ] {
+        let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
+        let mut reference = RrmpNetwork::new_reference(topo_of(), cfg.clone(), 9);
+        assert_eq!(scenario(&mut reference), holders, "{} holders", policy.name());
+        for memory_budget in [None, Some(MIB)] {
+            let cfg = ProtocolConfig { memory_budget, ..cfg.clone() };
+            let mut optimized = RrmpNetwork::new(topo_of(), cfg, 9);
+            assert_eq!(scenario(&mut optimized), holders, "{} holders", policy.name());
+            assert_eq!(
+                trace_of(&optimized),
+                trace_of(&reference),
+                "policy {} with budget {memory_budget:?} diverged between event loops",
+                policy.name()
+            );
+        }
+    }
+}
+
+/// A partition, a burst scoped to region 2, and duplication throughout.
+fn region_burst_fault_plan() -> FaultPlan {
+    FaultPlan::new(3)
+        .partition(RegionId(0), RegionId(1), SimTime::from_millis(150), SimTime::from_millis(450))
+        .loss_burst(0.3, Some(RegionId(2)), SimTime::from_millis(100), SimTime::from_millis(300))
+        .duplicate(0.25, SimDuration::from_millis(4), SimTime::ZERO, SimTime::from_millis(600))
 }
 
 /// One fault plan exercising every episode kind: a region partition that
@@ -450,13 +466,15 @@ fn fault_plan_traces_match_across_event_loops() {
     // drops, burst overrides, and duplicate copies must consume RNG and
     // emit events in exactly the same order, and the heal notifications
     // at 400/500/600 ms must re-arm recovery identically.
-    for seed in [13u64, 47] {
+    for (seed, plan) in
+        [(13u64, mixed_fault_plan()), (47, mixed_fault_plan()), (21, region_burst_fault_plan())]
+    {
         assert_trace_equal(
             || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
-                net.arm_fault_plan(mixed_fault_plan());
+                net.arm_fault_plan(plan.clone());
                 net.set_multicast_loss(LossModel::Bernoulli { p: 0.2 });
                 for _ in 0..4 {
                     net.multicast(&b"faulted-stream"[..]);
@@ -498,14 +516,17 @@ fn inert_fault_plan_leaves_trace_unchanged() {
     // copy pays the window check and the hash-oracle draw). The fault hook
     // must then be invisible — same deliveries at the same instants, same
     // engine RNG draws — on the single-queue engine and on the sharded one
-    // at whatever `RRMP_SIM_SHARDS` selects.
+    // at one and four shards.
     let far = SimTime::from_secs(10_000);
     let inert = FaultPlan::new(11)
         .partition(RegionId(0), RegionId(1), far, far + SimDuration::from_secs(1))
         .stall(NodeId(5), far, far + SimDuration::from_secs(1))
         .duplicate(0.0, SimDuration::from_millis(5), SimTime::ZERO, far);
-    let engines: [fn(Topology, ProtocolConfig, u64) -> RrmpNetwork; 2] =
-        [RrmpNetwork::new, RrmpNetwork::new_sharded];
+    let engines: [fn(Topology, ProtocolConfig, u64) -> RrmpNetwork; 3] = [
+        RrmpNetwork::new,
+        |topo, cfg, seed| RrmpNetwork::with_shards(topo, cfg, seed, 1),
+        |topo, cfg, seed| RrmpNetwork::with_shards(topo, cfg, seed, 4),
+    ];
     for build in engines {
         let topo_of = || presets::region_tree(6, 2, 2, SimDuration::from_millis(25));
         let mut unarmed = build(topo_of(), ProtocolConfig::paper_defaults(), 7);
@@ -525,45 +546,6 @@ fn inert_fault_plan_leaves_trace_unchanged() {
         assert_eq!(counters, armed.net_counters(), "shards {}", armed.shards());
         assert_eq!(counters.faults_dropped, 0);
     }
-}
-
-#[test]
-fn env_fault_plan_matches_explicit_plan() {
-    // `RRMP_FAULTS` (the CI chaos knob) arms the same plan
-    // `FaultPlan::parse` builds explicitly; the env-armed run must match
-    // the explicitly-armed oracle byte for byte. Set the variable inside
-    // the test: no other test in this binary reads it.
-    const SPEC: &str = "seed=3;partition=0-1@150..450;burst=0.3:2@100..300;dup=0.25+4@0..600";
-    std::env::set_var("RRMP_FAULTS", SPEC);
-    let topo_of = || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25));
-    let scenario = |net: &mut RrmpNetwork| {
-        net.set_multicast_loss(LossModel::Bernoulli { p: 0.25 });
-        for _ in 0..3 {
-            net.multicast(&b"env-faults"[..]);
-            let next = net.now() + SimDuration::from_millis(40);
-            net.run_until(next);
-        }
-        net.run_until(SimTime::from_secs(2));
-    };
-    let mut oracle = RrmpNetwork::with_fault_plan(
-        topo_of(),
-        ProtocolConfig::paper_defaults(),
-        21,
-        FaultPlan::parse(SPEC).expect("spec parses"),
-    );
-    scenario(&mut oracle);
-    let mut env_net = RrmpNetwork::new(topo_of(), ProtocolConfig::paper_defaults(), 21);
-    assert!(env_net.arm_env_fault_plan(), "RRMP_FAULTS was set; a plan must arm");
-    assert!(env_net.fault_plan().is_some_and(|p| !p.is_empty()));
-    scenario(&mut env_net);
-    assert_eq!(
-        trace_of(&oracle),
-        trace_of(&env_net),
-        "RRMP_FAULTS-armed run diverged from the explicitly-armed plan"
-    );
-    std::env::remove_var("RRMP_FAULTS");
-    let mut unarmed = RrmpNetwork::new(topo_of(), ProtocolConfig::paper_defaults(), 21);
-    assert!(!unarmed.arm_env_fault_plan(), "no RRMP_FAULTS means no plan");
 }
 
 #[test]

@@ -55,13 +55,11 @@
 //! it would have arrived after the heal (the wire was cut when it
 //! entered).
 //!
-//! ## The env knob
+//! ## Where plans come from
 //!
-//! [`FaultPlan::from_env`] parses `RRMP_FAULTS`, mirroring
-//! `RRMP_SIM_SHARDS` / `RRMP_POLICY`: unset means no plan, an invalid
-//! value panics (a chaos job that silently fell back to a fault-free run
-//! would go green while testing nothing). See [`FaultPlan::parse`] for
-//! the format.
+//! Plans are built in code with the chainable constructors. The chaos
+//! suite names its fixed plans and replays each under every policy and
+//! shard count it loops over.
 
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
@@ -115,8 +113,7 @@ struct Dup {
 }
 
 /// A deterministic timeline of fault episodes applied at the network
-/// edge. Build one with the chainable constructors, or parse the
-/// `RRMP_FAULTS` format via [`FaultPlan::parse`] / [`FaultPlan::from_env`].
+/// edge, built with the chainable constructors.
 ///
 /// ```
 /// use rrmp_netsim::fault::FaultPlan;
@@ -353,160 +350,6 @@ impl FaultPlan {
         let h = mix(self.seed ^ mix(salt ^ mix(now.as_micros() ^ mix(endpoints))));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// Parses the `RRMP_FAULTS` plan format: semicolon-separated clauses,
-    /// times in integer milliseconds, windows half-open `start..end`.
-    ///
-    /// ```text
-    /// seed=7;partition=0-1@100..400;blackout=2-5@50..80;stall=3@10..60;
-    /// crash=4@250;burst=0.4@100..200;burst=0.3:1@100..200;dup=0.2+5@0..500
-    /// ```
-    ///
-    /// * `seed=N` — oracle seed (default 0).
-    /// * `partition=A-B@X..Y` — regions `A` and `B` partitioned over ms
-    ///   `[X, Y)`.
-    /// * `blackout=A-B@X..Y` — link between nodes `A` and `B` dark.
-    /// * `stall=N@X..Y` — node `N` disconnected, then healed.
-    /// * `crash=N@X` — node `N` gone for good at ms `X`.
-    /// * `burst=P@X..Y` / `burst=P:R@X..Y` — loss burst with probability
-    ///   `P`, optionally scoped to destination region `R`.
-    /// * `dup=P+D@X..Y` — duplication with probability `P`, extra copy
-    ///   `D` ms later.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed clause.
-    pub fn parse(s: &str) -> Result<FaultPlan, String> {
-        fn ms(s: &str) -> Result<SimTime, String> {
-            s.trim()
-                .parse::<u64>()
-                .map(SimTime::from_millis)
-                .map_err(|_| format!("expected integer milliseconds, got {s:?}"))
-        }
-        fn window(s: &str) -> Result<(SimTime, SimTime), String> {
-            let (a, b) = s.split_once("..").ok_or_else(|| format!("expected X..Y, got {s:?}"))?;
-            let (from, until) = (ms(a)?, ms(b)?);
-            if from >= until {
-                return Err(format!("window {s:?} is empty"));
-            }
-            Ok((from, until))
-        }
-        fn pair(s: &str) -> Result<(u32, u32), String> {
-            let (a, b) = s.split_once('-').ok_or_else(|| format!("expected A-B, got {s:?}"))?;
-            let a = a.trim().parse().map_err(|_| format!("bad id {a:?}"))?;
-            let b = b.trim().parse().map_err(|_| format!("bad id {b:?}"))?;
-            Ok((a, b))
-        }
-        fn prob(s: &str) -> Result<f64, String> {
-            let p: f64 = s.trim().parse().map_err(|_| format!("bad probability {s:?}"))?;
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("probability {p} out of [0, 1]"));
-            }
-            Ok(p)
-        }
-
-        let mut plan = FaultPlan::default();
-        for clause in s.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("clause {clause:?} is not key=value"))?;
-            let at_split = |v: &str| -> Result<(String, String), String> {
-                let (head, w) =
-                    v.split_once('@').ok_or_else(|| format!("clause {clause:?} lacks @window"))?;
-                Ok((head.to_string(), w.to_string()))
-            };
-            match key.trim() {
-                "seed" => {
-                    plan.seed = value.trim().parse().map_err(|_| format!("bad seed {value:?}"))?;
-                }
-                "partition" => {
-                    let (head, w) = at_split(value)?;
-                    let (a, b) = pair(&head)?;
-                    let a = u16::try_from(a).map_err(|_| format!("region {a} out of range"))?;
-                    let b = u16::try_from(b).map_err(|_| format!("region {b} out of range"))?;
-                    if a == b {
-                        return Err(format!("partition {clause:?} needs two distinct regions"));
-                    }
-                    let (from, until) = window(&w)?;
-                    plan.partitions.push((RegionId(a), RegionId(b), Window::new(from, until)));
-                }
-                "blackout" => {
-                    let (head, w) = at_split(value)?;
-                    let (a, b) = pair(&head)?;
-                    if a == b {
-                        return Err(format!("blackout {clause:?} needs two distinct nodes"));
-                    }
-                    let (from, until) = window(&w)?;
-                    plan.blackouts.push((NodeId(a), NodeId(b), Window::new(from, until)));
-                }
-                "stall" => {
-                    let (head, w) = at_split(value)?;
-                    let node = head.trim().parse().map_err(|_| format!("bad node {head:?}"))?;
-                    let (from, until) = window(&w)?;
-                    plan.stalls.push((NodeId(node), Window::new(from, until)));
-                }
-                "crash" => {
-                    let (head, w) = at_split(value)?;
-                    let node = head.trim().parse().map_err(|_| format!("bad node {head:?}"))?;
-                    plan.crashes.push((NodeId(node), ms(&w)?));
-                }
-                "burst" => {
-                    let (head, w) = at_split(value)?;
-                    let (p, region) = match head.split_once(':') {
-                        Some((p, r)) => {
-                            let r: u16 =
-                                r.trim().parse().map_err(|_| format!("bad region {r:?}"))?;
-                            (prob(p)?, Some(RegionId(r)))
-                        }
-                        None => (prob(&head)?, None),
-                    };
-                    let (from, until) = window(&w)?;
-                    plan.bursts.push(Burst { p, region, window: Window::new(from, until) });
-                }
-                "dup" => {
-                    let (head, w) = at_split(value)?;
-                    let (p, extra) = head
-                        .split_once('+')
-                        .ok_or_else(|| format!("dup {clause:?} lacks +delay"))?;
-                    let extra_ms: u64 =
-                        extra.trim().parse().map_err(|_| format!("bad delay {extra:?}"))?;
-                    let (from, until) = window(&w)?;
-                    plan.dups.push(Dup {
-                        p: prob(p)?,
-                        extra: SimDuration::from_millis(extra_ms),
-                        window: Window::new(from, until),
-                    });
-                }
-                other => return Err(format!("unknown fault kind {other:?}")),
-            }
-        }
-        Ok(plan)
-    }
-
-    /// Reads `RRMP_FAULTS`: `Ok(None)` when unset or empty, the parsed
-    /// plan otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending raw value and the per-clause parse message
-    /// when the variable is set but malformed. This library layer never
-    /// panics on bad input; harness boundaries that must fail loudly
-    /// (a chaos job silently falling back to a fault-free run would pass
-    /// while testing nothing) turn the error into a panic themselves.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        let Ok(raw) = std::env::var("RRMP_FAULTS") else { return Ok(None) };
-        if raw.trim().is_empty() {
-            return Ok(None);
-        }
-        match FaultPlan::parse(&raw) {
-            Ok(plan) => Ok(Some(plan)),
-            Err(e) => Err(format!("invalid RRMP_FAULTS={raw:?}: {e}")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -571,6 +414,9 @@ mod tests {
         assert_eq!(plan.drops(SimTime::from_millis(60), NodeId(2), NodeId(1), &t), None);
         // Crashes are not heals.
         assert_eq!(plan.heal_times(), vec![SimTime::from_millis(60)]);
+        assert_eq!(plan.crashes().collect::<Vec<_>>(), vec![(NodeId(4), SimTime::from_millis(50))]);
+        assert_eq!(plan.horizon(), SimTime::from_millis(60));
+        assert!(!plan.is_empty() && FaultPlan::new(1).is_empty());
     }
 
     #[test]
@@ -620,83 +466,5 @@ mod tests {
             Some(SimDuration::from_millis(3))
         );
         assert_eq!(plan.duplicate_delay(SimTime::from_millis(10), NodeId(0), NodeId(1)), None);
-    }
-
-    #[test]
-    fn parse_round_trips_the_documented_example() {
-        let plan = FaultPlan::parse(
-            "seed=7;partition=0-1@100..400;blackout=2-5@50..80;stall=3@10..60;\
-             crash=4@250;burst=0.4@100..200;burst=0.3:1@100..200;dup=0.2+5@0..500",
-        )
-        .expect("documented example parses");
-        let built = FaultPlan::new(7)
-            .partition(
-                RegionId(0),
-                RegionId(1),
-                SimTime::from_millis(100),
-                SimTime::from_millis(400),
-            )
-            .blackout(NodeId(2), NodeId(5), SimTime::from_millis(50), SimTime::from_millis(80))
-            .stall(NodeId(3), SimTime::from_millis(10), SimTime::from_millis(60))
-            .crash(NodeId(4), SimTime::from_millis(250))
-            .loss_burst(0.4, None, SimTime::from_millis(100), SimTime::from_millis(200))
-            .loss_burst(
-                0.3,
-                Some(RegionId(1)),
-                SimTime::from_millis(100),
-                SimTime::from_millis(200),
-            )
-            .duplicate(0.2, SimDuration::from_millis(5), SimTime::ZERO, SimTime::from_millis(500));
-        assert_eq!(plan, built);
-        assert_eq!(
-            plan.crashes().collect::<Vec<_>>(),
-            vec![(NodeId(4), SimTime::from_millis(250))]
-        );
-        assert_eq!(plan.horizon(), SimTime::from_millis(500));
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::parse("").expect("empty plan parses").is_empty());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_clauses() {
-        for bad in [
-            "partition=0-0@1..2",
-            "partition=0-1@5..5",
-            "partition=0-1",
-            "crash=x@3",
-            "burst=1.5@0..1",
-            "dup=0.5@0..1",
-            "warp=3@0..1",
-            "seed=minus-one",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should be rejected");
-        }
-    }
-
-    #[test]
-    fn parse_errors_name_the_offending_clause() {
-        // The error must carry enough of the clause to locate it inside a
-        // multi-clause spec, not just "parse error".
-        let err = FaultPlan::parse("seed=7;partition=0-1@100..400;warp=3@0..1").unwrap_err();
-        assert!(err.contains("warp"), "error should name the bad clause: {err}");
-        let err = FaultPlan::parse("crash=x@3").unwrap_err();
-        assert!(err.contains('x') || err.contains("crash"), "error should point at crash=x: {err}");
-        let err = FaultPlan::parse("partition=0-1@5..5").unwrap_err();
-        assert!(err.contains('5'), "error should show the degenerate window: {err}");
-    }
-
-    #[test]
-    fn from_env_is_a_result_not_a_panic() {
-        // `from_env` reads a process-global; serialize against other env
-        // tests by running set/err/unset in one test body.
-        std::env::set_var("RRMP_FAULTS", "warp=3@0..1");
-        let err = FaultPlan::from_env().unwrap_err();
-        assert!(err.contains("RRMP_FAULTS") && err.contains("warp"), "{err}");
-        std::env::set_var("RRMP_FAULTS", "  ");
-        assert_eq!(FaultPlan::from_env(), Ok(None), "blank value means no plan");
-        std::env::set_var("RRMP_FAULTS", "crash=2@5");
-        assert!(FaultPlan::from_env().expect("valid spec").is_some());
-        std::env::remove_var("RRMP_FAULTS");
-        assert_eq!(FaultPlan::from_env(), Ok(None));
     }
 }

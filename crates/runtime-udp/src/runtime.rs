@@ -68,8 +68,7 @@ use crate::pool::{BufferPool, PoolStats, DATAGRAM_MTU};
 /// Tuning knobs for a [`UdpRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Number of event-loop threads. Defaults to the `RRMP_UDP_LOOPS`
-    /// environment variable if set, else the machine's available
+    /// Number of event-loop threads. Defaults to the machine's available
     /// parallelism (capped at 8 — loops are I/O-bound, not compute).
     pub loop_threads: usize,
     /// Per-loop cap on *idle* pooled bytes (freelist slabs). `0` disables
@@ -95,13 +94,9 @@ const DEFAULT_POOL_LIMIT: usize = 8 * 1024 * 1024;
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        let loops = std::env::var("RRMP_UDP_LOOPS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-            })
+        let loops = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
             .min(8);
         RuntimeConfig {
             loop_threads: loops,

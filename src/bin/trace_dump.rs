@@ -16,16 +16,14 @@
 //! Usage: `trace_dump [--shards N] [--out BASE]`
 //!
 //! `--shards N` runs the sharded engine (default 1, the sequential
-//! oracle); the exported trace must not depend on it. `--out` sets the
-//! artifact base path (default `trace_dump`); the `RRMP_TRACE`
-//! environment variable overrides the trace path itself, with the other
-//! artifacts placed alongside.
+//! oracle); the exported trace must not depend on it. `--out BASE` sets
+//! the artifact base path (default `trace_dump`): the three files are
+//! `BASE.trace.jsonl`, `BASE.report.json` and `BASE.hist.json`.
 //!
 //! [`RunReport`]: rrmp::core::harness::RunReport
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use rrmp::core::harness::trace_path_from_env;
 use rrmp::prelude::*;
 
 /// Ring large enough that this scenario never evicts (the run is a few
@@ -34,10 +32,9 @@ const RING: usize = 65_536;
 
 fn main() {
     let (shards, base) = parse_args();
-    let trace_path = trace_path_from_env()
-        .unwrap_or_else(|| PathBuf::from(format!("{}.trace.jsonl", base.display())));
-    let report_path = sibling(&trace_path, &base, "report.json");
-    let hist_path = sibling(&trace_path, &base, "hist.json");
+    let trace_path = artifact(&base, "trace.jsonl");
+    let report_path = artifact(&base, "report.json");
+    let hist_path = artifact(&base, "hist.json");
 
     // The partition→heal scenario from the chaos suite: region 1 (nodes
     // 4..8) is cut off from regions 0 and 2 for 100ms..700ms — long past
@@ -97,14 +94,12 @@ fn main() {
     println!("  histograms -> {}", hist_path.display());
 }
 
-/// `<base>.<suffix>` next to the trace file (same directory).
-fn sibling(trace_path: &std::path::Path, base: &std::path::Path, suffix: &str) -> PathBuf {
-    let stem =
-        base.file_name().map_or_else(|| "trace_dump".into(), |s| s.to_string_lossy().into_owned());
-    trace_path
-        .parent()
-        .unwrap_or_else(|| std::path::Path::new("."))
-        .join(format!("{stem}.{suffix}"))
+/// `<base>.<suffix>`.
+fn artifact(base: &Path, suffix: &str) -> PathBuf {
+    let mut name = base.as_os_str().to_owned();
+    name.push(".");
+    name.push(suffix);
+    PathBuf::from(name)
 }
 
 fn parse_args() -> (usize, PathBuf) {
