@@ -8,6 +8,8 @@
 //! hands it back; stale timers are simply ignored by the core, so no
 //! cancellation plumbing is needed.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rrmp_netsim::time::SimDuration;
 use rrmp_netsim::topology::NodeId;
@@ -78,6 +80,10 @@ pub enum Event {
 }
 
 /// An output of the protocol core for the host to execute.
+///
+/// Every member keeps an action buffer, so the enum's size is per-member
+/// memory: it is pinned at 56 bytes, and a variant that would grow it
+/// boxes its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Send `packet` to `to` over unicast.
@@ -86,6 +92,18 @@ pub enum Action {
         to: NodeId,
         /// Packet to transmit.
         packet: Packet,
+    },
+    /// Send `packet` to every member listed in `to` other than this
+    /// member: one multi-destination send instead of one [`Action::Send`]
+    /// per peer. Hosts encode or clone the packet once and expand it per
+    /// destination, in list order, with per-destination loss exactly as
+    /// the unicasts would have had.
+    SendMany {
+        /// Destination members, shared with the list's owner (no copy per
+        /// send). This member may appear in it; it is skipped.
+        to: Arc<[NodeId]>,
+        /// Packet to transmit, boxed to keep [`Action`] at 56 bytes.
+        packet: Box<Packet>,
     },
     /// Multicast `packet` to every other member of this node's own region.
     MulticastRegion {
@@ -115,6 +133,7 @@ impl Action {
     pub fn packet(&self) -> Option<&Packet> {
         match self {
             Action::Send { packet, .. } | Action::MulticastRegion { packet } => Some(packet),
+            Action::SendMany { packet, .. } => Some(&**packet),
             _ => None,
         }
     }
@@ -130,6 +149,11 @@ mod tests {
         let msg = MessageId::new(NodeId(0), SeqNo(1));
         let send = Action::Send { to: NodeId(1), packet: Packet::LocalRequest { msg } };
         assert!(send.packet().is_some());
+        let fan_out = Action::SendMany {
+            to: Arc::from([NodeId(1), NodeId(2)]),
+            packet: Box::new(Packet::LocalRequest { msg }),
+        };
+        assert_eq!(fan_out.packet(), Some(&Packet::LocalRequest { msg }));
         let deliver = Action::Deliver { id: msg, payload: Bytes::new() };
         assert!(deliver.packet().is_none());
         let timer = Action::SetTimer {

@@ -150,6 +150,10 @@ impl RrmpNode {
                     ctx.send(to, packet);
                 }
             }
+            // One fan-out op: per-destination loss, filter and fault
+            // verdicts in list order, one batch event per arrival time.
+            // Reference nodes' contexts expand it to one unicast each.
+            Action::SendMany { to, packet } => ctx.send_many(to.iter().copied(), *packet),
             Action::MulticastRegion { packet } => {
                 if self.reference_mode {
                     // Pre-refactor shape: collect the members, then one op

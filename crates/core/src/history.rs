@@ -475,7 +475,7 @@ mod tests {
         // The earliest intervals survive, so the frontier is intact.
         assert_eq!(digest.frontier(NodeId(0)), SeqNo(1));
         // And the truncated digest still encodes/decodes cleanly.
-        let p = crate::packet::Packet::History { digest };
+        let p = crate::packet::Packet::History { digest: std::sync::Arc::new(digest) };
         assert_eq!(crate::packet::Packet::decode(p.encode()).unwrap(), p);
     }
 

@@ -13,6 +13,8 @@
 //! [`Packet`] values directly) and the UDP runtime (which serializes)
 //! share this type.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rrmp_netsim::topology::NodeId;
 
@@ -106,8 +108,10 @@ pub enum Packet {
     /// everything the sender has delivered. Stability-detection policies
     /// exchange these to learn when a message is safe to discard.
     History {
-        /// The advertised delivery digest.
-        digest: HistoryDigest,
+        /// The advertised delivery digest, shared: one tick's fan-out
+        /// hands every destination the same digest, so a copy of the
+        /// packet is a reference-count bump, not a deep copy.
+        digest: Arc<HistoryDigest>,
     },
 }
 
@@ -428,7 +432,7 @@ impl Packet {
                         .collect();
                     entries.push(DigestEntry { source, intervals });
                 }
-                Packet::History { digest: HistoryDigest { entries } }
+                Packet::History { digest: Arc::new(HistoryDigest { entries }) }
             }
             t => return Err(DecodeError::UnknownTag(t)),
         };
@@ -468,9 +472,9 @@ mod tests {
             Packet::SearchRequest { msg: mid(1, 3), origins: vec![] },
             Packet::SearchFound { msg: mid(1, 3), holder: NodeId(4) },
             Packet::Handoff { data: DataPacket::new(mid(1, 2), Bytes::from_static(b"h")) },
-            Packet::History { digest: HistoryDigest::new() },
+            Packet::History { digest: Arc::new(HistoryDigest::new()) },
             Packet::History {
-                digest: HistoryDigest {
+                digest: Arc::new(HistoryDigest {
                     entries: vec![
                         DigestEntry {
                             source: NodeId(0),
@@ -478,7 +482,7 @@ mod tests {
                         },
                         DigestEntry { source: NodeId(7), intervals: vec![] },
                     ],
-                },
+                }),
             },
         ]
     }
@@ -624,7 +628,7 @@ mod proptests {
             (arb_message_id(), any::<u32>())
                 .prop_map(|(msg, h)| Packet::SearchFound { msg, holder: NodeId(h) }),
             arb_data().prop_map(|data| Packet::Handoff { data }),
-            arb_digest().prop_map(|digest| Packet::History { digest }),
+            arb_digest().prop_map(|digest| Packet::History { digest: Arc::new(digest) }),
         ]
     }
 
@@ -683,7 +687,7 @@ mod proptests {
         /// rejected, and `encoded_len` predicts the wire size.
         #[test]
         fn history_digest_roundtrip_and_truncation(digest in arb_digest()) {
-            let p = Packet::History { digest };
+            let p = Packet::History { digest: Arc::new(digest) };
             let encoded = p.encode();
             prop_assert_eq!(p.encoded_len(), encoded.len());
             prop_assert_eq!(Packet::decode(encoded.clone()).unwrap(), p.clone());

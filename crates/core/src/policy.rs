@@ -31,6 +31,8 @@
 //! always enters the long-term phase — it *is* the transfer of a
 //! buffering obligation).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -46,6 +48,7 @@ use crate::ids::MessageId;
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
+use crate::vecmap::VecMap;
 
 /// How a data payload reached a receiver — policies use it to
 /// distinguish initial multicasts from repairs and handoffs.
@@ -208,7 +211,8 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     }
 
     /// The periodic history tick fired ([`TimerKind::HistoryTick`]);
-    /// emit the advertisements. The engine re-arms the timer. Only
+    /// emit the advertisements — one [`Action::SendMany`] when the same
+    /// packet goes to many members. The engine re-arms the timer. Only
     /// called when [`BufferPolicy::history_interval`] returned `Some`.
     fn history_tick(&mut self, _ctx: &mut PolicyCtx<'_>) {}
 
@@ -701,14 +705,15 @@ const HISTORY_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// a departed member leaves the stability quorum instead of freezing it.
 #[derive(Debug, Clone)]
 pub struct Stability {
-    /// The full group membership, ascending (the quorum).
-    members: Vec<NodeId>,
+    /// The full group membership, ascending (the quorum). Shared, because
+    /// it is also the target list of every history tick's fan-out.
+    members: Arc<[NodeId]>,
     /// Per-peer ack frontiers folded from arriving digests.
     tracker: StabilityTracker,
     /// Per-source frontier up to which the store was already swept —
     /// the sweep is skipped entirely unless stability advanced, so a
     /// digest flood costs O(entries), not O(store) each.
-    swept: std::collections::HashMap<NodeId, u64>,
+    swept: VecMap<NodeId, u64>,
     /// Reused scratch for the stable-discard sweep.
     scratch: Vec<MessageId>,
 }
@@ -724,12 +729,12 @@ impl Stability {
         // indices (and flat-array sizes) up front; behaviour is
         // unchanged vs lazy interning.
         let tracker = StabilityTracker::with_members(&members);
-        Stability { members, tracker, swept: std::collections::HashMap::new(), scratch: Vec::new() }
+        Stability { members: members.into(), tracker, swept: VecMap::new(), scratch: Vec::new() }
     }
 
     /// Peers this member waits on: every other member of the group.
     fn quorum_len(&self, me: NodeId) -> usize {
-        self.members.len() - usize::from(self.members.contains(&me))
+        self.members.len() - usize::from(self.members.binary_search(&me).is_ok())
     }
 
     /// The group-wide stability frontier for `source` as this member
@@ -796,15 +801,21 @@ impl BufferPolicy for Stability {
         Some(HISTORY_INTERVAL)
     }
 
+    /// Advertises the delivery digest to every other member — the
+    /// standing overhead this scheme pays even in loss-free sessions — as
+    /// one [`Action::SendMany`] over the quorum list: the digest is built
+    /// once and shared by every copy, and the list is not copied.
     fn history_tick(&mut self, ctx: &mut PolicyCtx<'_>) {
-        // Advertise the delivery digest to every other member — the
-        // standing overhead this scheme pays even in loss-free sessions.
-        let digest = HistoryDigest::from_detector(ctx.detector);
-        for &m in self.members.iter().filter(|&&m| m != ctx.id) {
-            ctx.metrics.counters.history_digests_sent += 1;
-            ctx.actions
-                .push(Action::Send { to: m, packet: Packet::History { digest: digest.clone() } });
+        let peers = self.quorum_len(ctx.id);
+        if peers == 0 {
+            return;
         }
+        ctx.metrics.counters.history_digests_sent += peers as u64;
+        let digest = Arc::new(HistoryDigest::from_detector(ctx.detector));
+        ctx.actions.push(Action::SendMany {
+            to: Arc::clone(&self.members),
+            packet: Box::new(Packet::History { digest }),
+        });
     }
 
     fn on_history_digest(&mut self, ctx: &mut PolicyCtx<'_>, from: NodeId, digest: &HistoryDigest) {
@@ -832,7 +843,7 @@ impl BufferPolicy for Stability {
             if stable == crate::ids::SeqNo::NONE {
                 continue;
             }
-            let swept = self.swept.entry(source).or_insert(0);
+            let swept = self.swept.get_or_default(source);
             if stable.0 <= *swept {
                 continue; // nothing new can have stabilized
             }
@@ -856,7 +867,9 @@ impl BufferPolicy for Stability {
     fn on_member_removed(&mut self, node: NodeId) {
         // A departed member no longer gates stability; without this, one
         // leave would freeze every buffer in the group forever.
-        self.members.retain(|&m| m != node);
+        if self.members.binary_search(&node).is_ok() {
+            self.members = self.members.iter().copied().filter(|&m| m != node).collect();
+        }
         self.tracker.forget(node);
     }
 }

@@ -1880,13 +1880,22 @@ mod tests {
             .any(|a| matches!(a, Action::SetTimer { kind: TimerKind::HistoryTick, .. })));
         r.handle(packet_event(0, data(1)), t(0));
         assert_eq!(r.store().long_count(), 1, "everyone buffers everything");
-        // The history tick advertises the digest to every other member.
+        // The history tick advertises the digest to every other member in
+        // one fan-out over the group list (the host skips this member).
         let actions = r.handle(Event::Timer(TimerKind::HistoryTick), t(100));
-        let digests: Vec<_> = sends(&actions)
-            .into_iter()
-            .filter(|(_, p)| matches!(p, Packet::History { .. }))
+        assert!(sends(&actions).is_empty(), "no per-peer unicasts: {actions:?}");
+        let fan_outs: Vec<_> = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::SendMany { to, packet } => Some((to, packet)),
+                _ => None,
+            })
             .collect();
-        assert_eq!(digests.len(), 4, "digest to each of the 4 peers");
+        assert_eq!(fan_outs.len(), 1, "one fan-out per tick: {actions:?}");
+        let (to, packet) = fan_outs[0];
+        let peers: Vec<NodeId> = to.iter().copied().filter(|&m| m != NodeId(1)).collect();
+        assert_eq!(peers, [0, 2, 3, 4].map(NodeId), "the digest names the 4 peers");
+        assert!(matches!(**packet, Packet::History { .. }));
         assert!(
             actions
                 .iter()
@@ -1895,9 +1904,9 @@ mod tests {
         );
         assert_eq!(r.metrics().counters.history_digests_sent, 4);
         // Digests from 3 of 4 peers: not yet stable, nothing discarded.
-        let full = HistoryDigest {
+        let full = Arc::new(HistoryDigest {
             entries: vec![DigestEntry { source: SENDER, intervals: vec![(SeqNo(1), SeqNo(1))] }],
-        };
+        });
         for peer in [0u32, 2, 3] {
             r.handle(packet_event(peer, Packet::History { digest: full.clone() }), t(110));
         }
@@ -1915,9 +1924,9 @@ mod tests {
         let cfg = ProtocolConfig::builder().policy(PolicyKind::Stability).build().unwrap();
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
-        let full = HistoryDigest {
+        let full = Arc::new(HistoryDigest {
             entries: vec![DigestEntry { source: SENDER, intervals: vec![(SeqNo(1), SeqNo(1))] }],
-        };
+        });
         for peer in [0u32, 2, 3] {
             r.handle(packet_event(peer, Packet::History { digest: full.clone() }), t(10));
         }
@@ -1926,13 +1935,13 @@ mod tests {
         // — even though a stale digest of the departed member was still
         // in flight (it must not re-enter the quorum and pin stability).
         r.on_membership_removed(NodeId(4));
-        let stale = HistoryDigest {
+        let stale = Arc::new(HistoryDigest {
             entries: vec![DigestEntry {
                 source: SENDER,
                 // Gap at 1: frontier 0 — would pin stability if admitted.
                 intervals: vec![(SeqNo(2), SeqNo(2))],
             }],
-        };
+        });
         r.handle(packet_event(4, Packet::History { digest: stale }), t(15));
         r.handle(packet_event(2, Packet::History { digest: full }), t(20));
         assert!(!r.store().contains(mid(1)), "departed member must stop gating stability");
@@ -2030,6 +2039,15 @@ mod tests {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
         assert!(std::mem::size_of::<Receiver>() < 944);
+    }
+
+    #[test]
+    fn action_and_packet_sizes_are_pinned() {
+        // Every member keeps an action buffer, so these are per-member
+        // bytes: a fan-out's target list beside an inline packet would
+        // make `Action` 64 B.
+        assert_eq!(std::mem::size_of::<Action>(), 56);
+        assert!(std::mem::size_of::<Packet>() <= 48);
     }
 
     #[test]

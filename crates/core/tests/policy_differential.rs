@@ -199,6 +199,12 @@ fn stability_policy_matches_legacy_reports() {
                 "identical standing history overhead"
             );
             assert!(net.total_counter(|c| c.stable_discards) >= (N * 3) as u64);
+            // Each member's tick is one fan-out to its N - 1 peers, not
+            // N - 1 unicasts: the tick fires at 100 ms, 200 ms, ..., 2 s,
+            // and this scenario sends nothing else to many members.
+            let ticks = N as u64 * 20;
+            assert_eq!(net.net_counters().fanouts, ticks, "one fan-out per member per tick");
+            assert_eq!(ticks * (N as u64 - 1), LEGACY_STABILITY_HISTORY);
         }
     }
 }

@@ -139,6 +139,11 @@ proptest! {
                     Action::Send { to, .. } => {
                         prop_assert_ne!(*to, SELF, "self-addressed packet from {:?}", input);
                     }
+                    // The host skips this member in a fan-out's list; a
+                    // fan-out still has to name someone else.
+                    Action::SendMany { to, .. } => {
+                        prop_assert!(to.iter().any(|&m| m != SELF), "empty fan-out from {:?}", input);
+                    }
                     Action::Deliver { id, .. } => {
                         prop_assert!(delivered.insert(*id), "duplicate delivery of {id}");
                     }

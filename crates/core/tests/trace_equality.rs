@@ -33,6 +33,10 @@ struct RunTrace {
     repairs: u64,
     regional_multicasts: u64,
     handoffs: u64,
+    faults_duplicated: u64,
+    /// Per node: history digests received and messages discarded as
+    /// stable (zero under policies without history exchange).
+    stability: Vec<(u64, u64)>,
 }
 
 fn trace_of(net: &RrmpNetwork) -> RunTrace {
@@ -49,6 +53,14 @@ fn trace_of(net: &RrmpNetwork) -> RunTrace {
         repairs: net.total_counter(|c| c.repairs_sent_local + c.repairs_sent_remote),
         regional_multicasts: net.total_counter(|c| c.regional_multicasts_sent),
         handoffs: net.total_counter(|c| c.handoffs_sent),
+        faults_duplicated: c.faults_duplicated,
+        stability: net
+            .nodes()
+            .map(|(_, n)| {
+                let c = &n.receiver().metrics().counters;
+                (c.history_digests_received, c.stable_discards)
+            })
+            .collect(),
     }
 }
 
@@ -545,6 +557,47 @@ fn inert_fault_plan_leaves_trace_unchanged() {
         counters.timers_set += pending_heals;
         assert_eq!(counters, armed.net_counters(), "shards {}", armed.shards());
         assert_eq!(counters.faults_dropped, 0);
+    }
+}
+
+#[test]
+fn stability_fanout_under_loss_and_faults_traces_match() {
+    // Each history tick is one fan-out, where the reference loop sends one
+    // unicast per peer. Over three regions under unicast loss and a fault
+    // plan, the fan-out's per-destination loss draws, fault verdicts and
+    // duplicates must land exactly where the unicasts' did. The two
+    // engines draw unicast loss from different streams, so the optimized
+    // loop is held to the reference loop and four shards to one; the
+    // sharded engine, which has no unicast reference, is also held to
+    // conservation: every copy not dropped arrives, duplicates included.
+    let cfg = ProtocolConfig {
+        policy: PolicyKind::Stability,
+        session_interval: SimDuration::from_millis(50),
+        ..ProtocolConfig::paper_defaults()
+    };
+    let topo_of = || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25));
+    let scenario = |net: &mut RrmpNetwork| {
+        net.arm_fault_plan(mixed_fault_plan());
+        net.set_unicast_loss(LossModel::Bernoulli { p: 0.1 });
+        let plan = DeliveryPlan::all_but(net.topology(), (8..16).map(NodeId));
+        let injected = net.topology().nodes().filter(|&n| plan.receives(n)).count() as u64;
+        net.multicast_with_plan(&b"stability-fanout"[..], &plan);
+        // Recovery is long over by then, and the history and session
+        // ticks fire every 100 and 50 ms: stopping 40 ms after one leaves
+        // nothing in flight (25 ms latency, 5 ms duplicate delay).
+        net.run_until(SimTime::from_millis(990));
+        let c = net.net_counters();
+        assert!(c.faults_duplicated > 0, "duplicates exercised");
+        assert_eq!(
+            c.delivered,
+            injected + c.unicasts_sent - c.unicasts_dropped + c.faults_duplicated,
+            "copies lost between send and delivery"
+        );
+        assert!(net.total_counter(|c| c.stable_discards) > 0, "digests drove discards");
+    };
+    for seed in [13u64, 71] {
+        assert_trace_equal(topo_of, cfg.clone(), seed, scenario);
+        assert_sharded_trace_equal(topo_of, cfg.clone(), seed, scenario);
     }
 }
 

@@ -288,6 +288,9 @@ enum LoopCmd {
     Leave(u32),
     Remove(u32),
     Shutdown,
+    /// Test hook: reply with a member's protocol counters.
+    #[cfg(test)]
+    Counters(u32, SyncSender<rrmp_core::metrics::Counters>),
 }
 
 /// Everything a loop needs to install a new member.
@@ -418,6 +421,17 @@ fn execute(
         match action {
             Action::Send { to, packet } => {
                 outbox.send(&slot.socket, &slot.spec, &slot.send_drops, to, &packet);
+            }
+            Action::SendMany { to, packet } => {
+                outbox.fan_out(
+                    &slot.socket,
+                    &slot.spec,
+                    slot.node,
+                    &slot.send_drops,
+                    &packet,
+                    &mut to.iter().copied(),
+                    &|_| true,
+                );
             }
             Action::MulticastRegion { packet } => {
                 outbox.fan_out(
@@ -649,6 +663,12 @@ fn loop_main(ctx: LoopCtx) {
                         // Pending wheel entries for this slot are now
                         // lazily cancelled: they pop, miss, and vanish.
                         poll_dirty = true;
+                    }
+                }
+                #[cfg(test)]
+                LoopCmd::Counters(slot, reply) => {
+                    if let Some(s) = slots.get(&slot) {
+                        let _ = reply.send(s.receiver.metrics().counters);
                     }
                 }
             }
@@ -1215,6 +1235,14 @@ impl MemberHandle {
     fn delivered_rx_test_inject(&self, event: RuntimeEvent) {
         self.test_delivered_tx.try_send(event).expect("inject test event");
     }
+
+    /// Test hook: the member's protocol counters, read on its loop.
+    #[cfg(test)]
+    fn counters(&self) -> rrmp_core::metrics::Counters {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.link().send(LoopCmd::Counters(self.slot, tx));
+        rx.recv_timeout(Duration::from_secs(5)).expect("the loop answers")
+    }
 }
 
 impl Drop for MemberHandle {
@@ -1669,6 +1697,117 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 3, "unaddressable fan-out legs count");
         // Every member-level drop also folds into the loop-wide counter.
         assert_eq!(loop_stats.snapshot().send_drops, 3, "loop fold mirrors member drops");
+    }
+
+    #[test]
+    fn send_many_skips_self_and_counts_unaddressable_targets() {
+        use rrmp_core::history::{DigestEntry, HistoryDigest};
+        use rrmp_core::ids::SeqNo;
+        let bound = bind_n(3);
+        let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        let mut sockets = bound.into_iter().map(|(s, _)| s);
+        let own = sockets.next().expect("node 0's socket");
+        let peers: Vec<UdpSocket> = sockets.collect();
+        let drops = Arc::new(AtomicU64::new(0));
+        let (delivered_tx, _delivered_rx) = mpsc::sync_channel(1);
+        let slot = MemberSlot {
+            socket: own,
+            spec: Arc::clone(&spec),
+            node: NodeId(0),
+            receiver: Receiver::new(NodeId(0), spec.view_for(NodeId(0)), fast_cfg(), 1),
+            sender: None,
+            delivered_tx,
+            initial_drop: None,
+            send_drops: Arc::clone(&drops),
+            error_streak: 0,
+            muted: false,
+            dead: false,
+        };
+        let mut outbox = Outbox::new(Arc::new(RuntimeStats::default()));
+        let digest = HistoryDigest {
+            entries: vec![DigestEntry { source: NodeId(0), intervals: vec![(SeqNo(1), SeqNo(3))] }],
+        };
+        let packet = Packet::History { digest: Arc::new(digest) };
+        // The list names this member, both peers, and node 9, which the
+        // spec cannot address.
+        let mut actions = vec![Action::SendMany {
+            to: Arc::from([NodeId(0), NodeId(1), NodeId(9), NodeId(2)]),
+            packet: Box::new(packet.clone()),
+        }];
+        execute(&mut actions, &mut outbox, &mut TimerWheel::new(), 0, &slot, SimTime::ZERO);
+        assert_eq!(drops.load(Ordering::Relaxed), 1, "the unaddressable target is a counted drop");
+        let mut buf = [0u8; DATAGRAM_MTU];
+        for peer in &peers {
+            peer.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+            let (n, from) = peer.recv_from(&mut buf).expect("every peer gets the digest");
+            assert_eq!(from, addrs[0]);
+            assert_eq!(Packet::decode(Bytes::copy_from_slice(&buf[..n])), Ok(packet.clone()));
+        }
+        // Both peers' copies left in the same batch; a copy to self would
+        // be queued by now.
+        slot.socket.set_nonblocking(true).expect("nonblocking");
+        let own_read = slot.socket.recv_from(&mut buf).map_err(|e| e.kind());
+        assert_eq!(own_read.err(), Some(std::io::ErrorKind::WouldBlock), "no self-send");
+    }
+
+    #[test]
+    fn stability_history_reaches_every_member_over_loopback() {
+        // The one UDP test of a history policy: six members on two loops
+        // exchange real digest datagrams (encode once, fan-out, recvmmsg,
+        // decode) and, once each has heard all five peers advertise the
+        // message, discard it as stable.
+        const N: usize = 6;
+        let bound = bind_n(N);
+        let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        let cfg = ProtocolConfig::builder()
+            .policy(rrmp_core::policy::PolicyKind::Stability)
+            .session_interval(rrmp_netsim::time::SimDuration::from_millis(30))
+            .build()
+            .expect("valid test config");
+        let rt =
+            UdpRuntime::start(RuntimeConfig { loop_threads: 2, ..RuntimeConfig::single_loop() })
+                .expect("start runtime");
+        let members: Vec<MemberHandle> = bound
+            .into_iter()
+            .enumerate()
+            .map(|(i, (sock, _))| {
+                rt.add_member(
+                    sock,
+                    Arc::clone(&spec),
+                    NodeId(i as u32),
+                    cfg.clone(),
+                    i == 0,
+                    i as u64,
+                )
+                .expect("add member")
+            })
+            .collect();
+        members[0].set_initial_drop(Some(|n: NodeId| n == NodeId(3)));
+        members[0].multicast(&b"until stable"[..]);
+        for (i, m) in members.iter().enumerate() {
+            let d = m
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("member {i} did not deliver"));
+            assert_eq!(&d.payload[..], b"until stable");
+        }
+        // A member discards the message as stable only after decoding a
+        // digest that covers it from each of its N - 1 peers.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let counters: Vec<_> = members.iter().map(MemberHandle::counters).collect();
+            if counters.iter().all(|c| c.stable_discards == 1) {
+                break;
+            }
+            let heard: Vec<_> =
+                counters.iter().map(|c| (c.history_digests_received, c.stable_discards)).collect();
+            assert!(Instant::now() < deadline, "(digests, stable discards) per member: {heard:?}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(members.iter().all(|m| m.send_drops() == 0));
+        drop(members);
+        rt.shutdown();
     }
 
     #[test]
