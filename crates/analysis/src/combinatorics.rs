@@ -24,7 +24,7 @@ const LANCZOS_COEF: [f64; 9] = [
 ///
 /// Panics in debug builds if `x <= 0`.
 #[must_use]
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     debug_assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     if x < 0.5 {
         // Reflection formula keeps accuracy for small x.
@@ -42,13 +42,13 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// `ln n!` via `ln Γ(n+1)`.
 #[must_use]
-pub fn ln_factorial(n: u64) -> f64 {
+fn ln_factorial(n: u64) -> f64 {
     ln_gamma(n as f64 + 1.0)
 }
 
 /// `ln C(n, k)`; `-inf` if `k > n`.
 #[must_use]
-pub fn ln_choose(n: u64, k: u64) -> f64 {
+fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
@@ -85,12 +85,6 @@ pub fn poisson_pmf(lambda: f64, k: u64) -> f64 {
         return if k == 0 { 1.0 } else { 0.0 };
     }
     (k as f64 * lambda.ln() - lambda - ln_factorial(k)).exp()
-}
-
-/// Poisson CDF `P[X <= k]`.
-#[must_use]
-pub fn poisson_cdf(lambda: f64, k: u64) -> f64 {
-    (0..=k).map(|i| poisson_pmf(lambda, i)).sum()
 }
 
 #[cfg(test)]
@@ -155,18 +149,6 @@ mod tests {
         assert_eq!(poisson_pmf(0.0, 0), 1.0);
         assert_eq!(poisson_pmf(0.0, 3), 0.0);
         assert_eq!(poisson_pmf(-1.0, 0), 0.0);
-    }
-
-    #[test]
-    fn poisson_cdf_monotone_and_bounded() {
-        let mut prev = 0.0;
-        for k in 0..40 {
-            let c = poisson_cdf(6.0, k);
-            assert!(c >= prev);
-            assert!(c <= 1.0 + 1e-12);
-            prev = c;
-        }
-        assert!(close(poisson_cdf(6.0, 39), 1.0, 1e-9));
     }
 
     #[test]

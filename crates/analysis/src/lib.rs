@@ -20,11 +20,8 @@
 pub mod combinatorics;
 pub mod models;
 
-pub use combinatorics::{
-    binomial_pmf, ln_choose, ln_factorial, ln_gamma, poisson_cdf, poisson_pmf,
-};
+pub use combinatorics::{binomial_pmf, poisson_pmf};
 pub use models::{
     bufferer_count_pmf, bufferer_count_pmf_exact, no_bufferer_probability,
-    no_bufferer_probability_exact, no_request_probability, no_request_probability_approx,
-    SearchModel,
+    no_bufferer_probability_exact, no_request_probability, SearchModel,
 };

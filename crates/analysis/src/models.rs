@@ -26,13 +26,6 @@ pub fn no_request_probability(n: usize, p: f64) -> f64 {
     (1.0 - 1.0 / (n as f64 - 1.0)).powf(n as f64 * p)
 }
 
-/// §3.1: the paper's large-`n` approximation `e^{−p}` of
-/// [`no_request_probability`].
-#[must_use]
-pub fn no_request_probability_approx(p: f64) -> f64 {
-    (-p.clamp(0.0, 1.0)).exp()
-}
-
 /// §3.2 / Figure 3: probability that exactly `k` members of an `n`-member
 /// region buffer an idle message when each keeps it with probability
 /// `C/n` (exact binomial form).
@@ -141,10 +134,10 @@ mod tests {
 
     #[test]
     fn no_request_probability_matches_paper_approximation() {
-        // As n → ∞ the exact form approaches e^{-p}.
-        for &p in &[0.1, 0.3, 0.5, 0.9] {
+        // As n → ∞ the exact form approaches the paper's e^{-p}.
+        for &p in &[0.1f64, 0.3, 0.5, 0.9] {
             let exact = no_request_probability(10_000, p);
-            let approx = no_request_probability_approx(p);
+            let approx = (-p).exp();
             assert!((exact - approx).abs() < 1e-3, "p={p}: exact {exact} vs approx {approx}");
         }
     }

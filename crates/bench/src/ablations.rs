@@ -11,8 +11,6 @@ use rrmp_netsim::stats::OnlineStats;
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, RegionId, Topology, TopologyBuilder};
 
-use crate::figures::run_epidemic;
-
 /// The workload shared by every scheme in the A1 comparison.
 #[derive(Debug, Clone)]
 pub struct PolicyWorkload {
@@ -442,14 +440,6 @@ pub fn ablation_c_tradeoff(cs: &[f64], n: usize, seeds: u64, base_seed: u64) -> 
             }
         })
         .collect()
-}
-
-/// Convenience: run the Figure 6/7 epidemic and return the long-term
-/// count (used by quick sanity checks in benches).
-#[must_use]
-pub fn epidemic_longterm_count(n: usize, seed: u64) -> usize {
-    let (id, _, net) = run_epidemic(n, 1, seed, SimTime::from_secs(1));
-    net.long_term_count(id)
 }
 
 /// A7 helper: runs `policy` on an `n`-member region where members

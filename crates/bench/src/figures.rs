@@ -264,7 +264,7 @@ fn pick_holders<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<NodeId>
 /// message at t = 0, everyone else detects the loss simultaneously.
 /// Returns the message id, the holders, and the finished network.
 #[must_use]
-pub fn run_epidemic(
+fn run_epidemic(
     n: usize,
     k: usize,
     seed: u64,
@@ -284,7 +284,7 @@ pub fn run_epidemic(
 /// the measured search time in ms, or `None` if no repair was sent within
 /// the horizon.
 #[must_use]
-pub fn run_search_once(n: usize, j: usize, seed: u64) -> Option<f64> {
+fn run_search_once(n: usize, j: usize, seed: u64) -> Option<f64> {
     let topo = TopologyBuilder::new()
         .intra_region_one_way(SimDuration::from_millis(5))
         .inter_region_one_way(SimDuration::from_millis(25))

@@ -50,7 +50,7 @@ pub enum PressureTier {
 ///
 /// Besides being the store's hard byte bound (enforced by eviction), the
 /// budget drives *tiers*: [`PressureTier::Pressure`] starts at half the budget,
-/// [`PressureTier::Critical`] at [`MemoryBudget::CRITICAL_PCT`] percent.
+/// [`PressureTier::Critical`] at 85 percent.
 /// Both thresholds are fixed integer fractions of the configured byte
 /// count, so every receiver with the same budget degrades at exactly the
 /// same occupancy — deterministic across engines and shard layouts.
@@ -61,9 +61,9 @@ pub struct MemoryBudget {
 
 impl MemoryBudget {
     /// Percent of the budget at which the pressure tier starts.
-    pub const PRESSURE_PCT: usize = 50;
+    const PRESSURE_PCT: usize = 50;
     /// Percent of the budget at which the critical tier starts.
-    pub const CRITICAL_PCT: usize = 85;
+    const CRITICAL_PCT: usize = 85;
 
     /// A budget of `bytes` (must be non-zero; config validation enforces
     /// it upstream).
@@ -86,7 +86,7 @@ impl MemoryBudget {
 
     /// The occupancy (bytes) at which [`PressureTier::Critical`] starts.
     #[must_use]
-    pub fn critical_threshold(&self) -> usize {
+    fn critical_threshold(&self) -> usize {
         self.budget / 100 * Self::CRITICAL_PCT + self.budget % 100 * Self::CRITICAL_PCT / 100
     }
 
@@ -125,7 +125,7 @@ impl BufferEntry {
     /// The idle clock's reference point: the latest of receipt and last
     /// request seen (§3.1's "no request … for a time interval T").
     #[must_use]
-    pub fn last_activity(&self) -> SimTime {
+    fn last_activity(&self) -> SimTime {
         self.received_at.max(self.last_request)
     }
 }
@@ -460,15 +460,6 @@ impl MessageStore {
         Some(e)
     }
 
-    /// Removes long-phase entries unused for at least `timeout`; returns
-    /// their ids. Allocating convenience wrapper around
-    /// [`MessageStore::expire_long_into`].
-    pub fn expire_long(&mut self, now: SimTime, timeout: SimDuration) -> Vec<MessageId> {
-        let mut expired = Vec::new();
-        self.expire_long_into(now, timeout, &mut expired);
-        expired
-    }
-
     /// Appends the ids of long-phase entries unused for at least
     /// `timeout` to `expired` (in ascending id order, matching the
     /// historical contract) and discards them. The periodic long-term
@@ -663,12 +654,14 @@ mod tests {
         s.insert_long(mid(2), payload(1), t(40));
         // Use message 2 at t=900.
         s.note_use(mid(2), t(900));
-        let expired = s.expire_long(t(1040), SimDuration::from_millis(1000));
+        let mut expired = Vec::new();
+        s.expire_long_into(t(1040), SimDuration::from_millis(1000), &mut expired);
         assert_eq!(expired, vec![mid(1)]);
         assert!(s.contains(mid(2)));
         // Short entries never expire via this path.
         s.insert_short(mid(3), payload(1), t(0));
-        let expired = s.expire_long(t(10_000), SimDuration::from_millis(1));
+        expired.clear();
+        s.expire_long_into(t(10_000), SimDuration::from_millis(1), &mut expired);
         assert_eq!(expired, vec![mid(2)]);
         assert!(s.contains(mid(3)));
     }
@@ -860,7 +853,7 @@ mod proptests {
     proptest! {
         /// Counters (short/long/bytes/len) always agree with the entry
         /// map, the long-phase use-time index always mirrors the long
-        /// entries exactly, and the index-driven sweeps (`expire_long`,
+        /// entries exactly, and the index-driven sweeps (`expire_long_into`,
         /// `take_all_long`) match what a naive full scan would compute —
         /// under any operation sequence.
         #[test]
@@ -889,7 +882,8 @@ mod proptests {
                             .map(|(&id, _)| id)
                             .collect();
                         naive.sort();
-                        let expired = s.expire_long(now, timeout);
+                        let mut expired = Vec::new();
+                        s.expire_long_into(now, timeout, &mut expired);
                         prop_assert_eq!(expired, naive);
                     }
                     Op::TakeAllLong => {

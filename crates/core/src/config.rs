@@ -351,14 +351,6 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Sets the retry caps (local, remote, search).
-    pub fn max_attempts(&mut self, local: u32, remote: u32, search: u32) -> &mut Self {
-        self.cfg.max_local_attempts = local;
-        self.cfg.max_remote_attempts = remote;
-        self.cfg.max_search_attempts = search;
-        self
-    }
-
     /// Sets the buffering policy.
     pub fn policy(&mut self, p: PolicyKind) -> &mut Self {
         self.cfg.policy = p;
@@ -451,10 +443,8 @@ mod tests {
             ProtocolConfig::builder().idle_threshold(SimDuration::ZERO).build(),
             Err(ConfigError::ZeroDuration("idle_threshold"))
         ));
-        assert!(matches!(
-            ProtocolConfig::builder().max_attempts(0, 1, 1).build(),
-            Err(ConfigError::ZeroAttempts("max_local_attempts"))
-        ));
+        let cfg = ProtocolConfig { max_local_attempts: 0, ..ProtocolConfig::paper_defaults() };
+        assert!(matches!(cfg.validate(), Err(ConfigError::ZeroAttempts("max_local_attempts"))));
     }
 
     #[test]

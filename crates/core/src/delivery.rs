@@ -80,18 +80,6 @@ impl FifoReorder {
         }
         out
     }
-
-    /// Messages held back waiting for a gap to fill, for `source`.
-    #[must_use]
-    pub fn pending_count(&self, source: NodeId) -> usize {
-        self.sources.get(&source).map_or(0, |q| q.pending.len())
-    }
-
-    /// The next sequence number that would be released for `source`.
-    #[must_use]
-    pub fn next_expected(&self, source: NodeId) -> SeqNo {
-        SeqNo(self.sources.get(&source).map_or(1, |q| q.next.max(1)))
-    }
 }
 
 #[cfg(test)]
@@ -108,6 +96,16 @@ mod tests {
         Bytes::from(vec![seq as u8])
     }
 
+    /// Messages held back waiting for a gap to fill, for `source`.
+    fn pending_count(f: &FifoReorder, source: NodeId) -> usize {
+        f.sources.get(&source).map_or(0, |q| q.pending.len())
+    }
+
+    /// The next sequence number that would be released for `source`.
+    fn next_expected(f: &FifoReorder, source: NodeId) -> SeqNo {
+        SeqNo(f.sources.get(&source).map_or(1, |q| q.next.max(1)))
+    }
+
     #[test]
     fn in_order_passthrough() {
         let mut f = FifoReorder::new();
@@ -116,8 +114,8 @@ mod tests {
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].0, mid(seq));
         }
-        assert_eq!(f.pending_count(SRC), 0);
-        assert_eq!(f.next_expected(SRC), SeqNo(6));
+        assert_eq!(pending_count(&f, SRC), 0);
+        assert_eq!(next_expected(&f, SRC), SeqNo(6));
     }
 
     #[test]
@@ -125,11 +123,11 @@ mod tests {
         let mut f = FifoReorder::new();
         assert!(f.push(mid(2), payload(2)).is_empty());
         assert!(f.push(mid(3), payload(3)).is_empty());
-        assert_eq!(f.pending_count(SRC), 2);
+        assert_eq!(pending_count(&f, SRC), 2);
         let out = f.push(mid(1), payload(1));
         let seqs: Vec<u64> = out.iter().map(|(id, _)| id.seq.0).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
-        assert_eq!(f.pending_count(SRC), 0);
+        assert_eq!(pending_count(&f, SRC), 0);
     }
 
     #[test]
@@ -137,7 +135,7 @@ mod tests {
         let mut f = FifoReorder::new();
         f.push(mid(1), payload(1));
         assert!(f.push(mid(1), payload(1)).is_empty());
-        assert_eq!(f.next_expected(SRC), SeqNo(2));
+        assert_eq!(next_expected(&f, SRC), SeqNo(2));
     }
 
     #[test]
@@ -145,7 +143,7 @@ mod tests {
         let mut f = FifoReorder::new();
         f.set_floor(SRC, SeqNo(10));
         assert!(f.push(mid(5), payload(5)).is_empty());
-        assert_eq!(f.pending_count(SRC), 0, "below-floor messages never queue");
+        assert_eq!(pending_count(&f, SRC), 0, "below-floor messages never queue");
         let out = f.push(mid(11), payload(11));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, mid(11));

@@ -125,9 +125,8 @@ impl RrmpNode {
         self.delivered_index.contains(id)
     }
 
-    /// Registers a timer kind and returns the host token for it — used
-    /// when scheduling protocol timers from outside a simulation callback.
-    pub fn register_timer_token(&mut self, kind: TimerKind) -> u64 {
+    /// Registers a timer kind and returns the host token for it.
+    fn register_timer_token(&mut self, kind: TimerKind) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
         crate::vecmap::reserve_doubling(&mut self.pending_timers);
@@ -159,7 +158,7 @@ impl RrmpNode {
                     // Pre-refactor shape: collect the members, then one op
                     // and one clone per destination.
                     let members: Vec<NodeId> = self.receiver.view().own().members().collect();
-                    ctx.send_all(members, packet);
+                    ctx.send_many(members, packet);
                 } else {
                     // One fan-out op sharing the packet (and its Bytes
                     // payload) across every destination — no members Vec,
@@ -180,10 +179,7 @@ impl RrmpNode {
                 }
             }
             Action::SetTimer { delay, kind } => {
-                let token = self.next_token;
-                self.next_token += 1;
-                crate::vecmap::reserve_doubling(&mut self.pending_timers);
-                self.pending_timers.push((token, kind));
+                let token = self.register_timer_token(kind);
                 ctx.set_timer(delay, token);
             }
         }
@@ -195,7 +191,7 @@ impl RrmpNode {
                 SenderAction::MulticastGroup { packet } => {
                     if self.reference_mode {
                         let everyone: Vec<NodeId> = ctx.topology().nodes().collect();
-                        ctx.send_all(everyone, packet);
+                        ctx.send_many(everyone, packet);
                     } else {
                         // Group-wide fan-out is a single op; the simulator
                         // expands it over the topology.
@@ -563,12 +559,6 @@ impl RrmpNetwork {
         self.sim.set_fault_plan(Some(plan.clone()));
         self.fault_plan = Some(plan);
         self.schedule_fault_protocol_timers();
-    }
-
-    /// The armed fault plan, if any.
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_deref()
     }
 
     /// Attaches the observer subsystem ([`crate::observe`]) to the whole

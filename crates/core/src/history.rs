@@ -302,22 +302,23 @@ impl StabilityTracker {
         }
     }
 
-    /// Whether at least one digest from `peer` has been heard.
-    #[must_use]
-    pub fn heard_from(&self, peer: NodeId) -> bool {
+    /// Whether at least one digest from `peer` has been heard (a test
+    /// oracle, like the next two).
+    #[cfg(test)]
+    fn heard_from(&self, peer: NodeId) -> bool {
         self.peers.get(peer).is_some_and(|p| self.heard.get(p as usize).copied().unwrap_or(false))
     }
 
     /// Number of distinct peers heard from (and not since forgotten).
-    #[must_use]
-    pub fn heard_count(&self) -> usize {
+    #[cfg(test)]
+    fn heard_count(&self) -> usize {
         self.heard_count
     }
 
     /// The highest contiguous frontier `peer` has advertised for
     /// `source` ([`SeqNo::NONE`] before any digest mentioned it).
-    #[must_use]
-    pub fn peer_frontier(&self, peer: NodeId, source: NodeId) -> SeqNo {
+    #[cfg(test)]
+    fn peer_frontier(&self, peer: NodeId, source: NodeId) -> SeqNo {
         let f = self.peers.get(peer).and_then(|p| {
             let p = p as usize;
             let slot = &self.slots[self.slot_of(source)?];

@@ -18,7 +18,7 @@
 /// s.insert(3);
 /// s.insert(2); // bridges [1,1] and [3,3] into [1,3]
 /// assert!(s.contains(2));
-/// assert_eq!(s.interval_count(), 1);
+/// assert_eq!(s.intervals().count(), 1);
 /// assert_eq!(s.len(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -69,40 +69,6 @@ impl IntervalSet {
         true
     }
 
-    /// Inserts every value in `lo..=hi` — O(log n + merged), independent
-    /// of the range width (a million-sequence preload costs the same as
-    /// one value).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `lo > hi`.
-    pub fn insert_range(&mut self, lo: u64, hi: u64) {
-        debug_assert!(lo <= hi, "insert_range({lo}, {hi})");
-        // First stored range that could touch or abut [lo, hi]: the one
-        // whose end reaches at least lo-1 (adjacency coalesces).
-        let touch_lo = lo.saturating_sub(1);
-        let start = self.ranges.partition_point(|&(_, end)| end < touch_lo);
-        // Walk the overlapping/adjacent run and fold it into [lo, hi].
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        let mut end = start;
-        while end < self.ranges.len() {
-            let (rlo, rhi) = self.ranges[end];
-            if rlo > hi.saturating_add(1) {
-                break;
-            }
-            new_lo = new_lo.min(rlo);
-            new_hi = new_hi.max(rhi);
-            end += 1;
-        }
-        if start == end {
-            self.ranges.insert(start, (new_lo, new_hi));
-        } else {
-            self.ranges[start] = (new_lo, new_hi);
-            self.ranges.drain(start + 1..end);
-        }
-    }
-
     /// The number of values in the set.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -113,12 +79,6 @@ impl IntervalSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
-    }
-
-    /// The number of stored intervals (a measure of fragmentation).
-    #[must_use]
-    pub fn interval_count(&self) -> usize {
-        self.ranges.len()
     }
 
     /// The largest value in the set, if any.
@@ -275,12 +235,12 @@ mod tests {
         s.insert(1);
         s.insert(2);
         s.insert(3);
-        assert_eq!(s.interval_count(), 1);
+        assert_eq!(s.intervals().count(), 1);
         assert_eq!(s.len(), 3);
         s.insert(5);
-        assert_eq!(s.interval_count(), 2);
+        assert_eq!(s.intervals().count(), 2);
         s.insert(4); // bridges
-        assert_eq!(s.interval_count(), 1);
+        assert_eq!(s.intervals().count(), 1);
         assert_eq!(s.len(), 5);
     }
 
@@ -290,7 +250,7 @@ mod tests {
         for v in [9, 1, 5, 3, 7, 2, 8, 4, 6] {
             assert!(s.insert(v));
         }
-        assert_eq!(s.interval_count(), 1);
+        assert_eq!(s.intervals().count(), 1);
         assert_eq!(s.len(), 9);
         assert_eq!(s.min(), Some(1));
         assert_eq!(s.max(), Some(9));
@@ -312,20 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_range_covers() {
-        let mut s = IntervalSet::new();
-        s.insert_range(3, 6);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.interval_count(), 1);
-        assert!(s.contains(3) && s.contains(6));
-    }
-
-    #[test]
     fn from_iterator_and_extend() {
         let mut s: IntervalSet = [1u64, 3, 5].into_iter().collect();
         assert_eq!(s.len(), 3);
         s.extend([2u64, 4]);
-        assert_eq!(s.interval_count(), 1);
+        assert_eq!(s.intervals().count(), 1);
     }
 
     #[test]
@@ -387,33 +338,6 @@ mod proptests {
             let missing: Vec<u64> = iv.missing_in(0, 199).collect();
             let expected: Vec<u64> = (0u64..200).filter(|v| !bt.contains(v)).collect();
             prop_assert_eq!(missing, expected);
-        }
-
-        /// insert_range splices overlapping/adjacent runs exactly like
-        /// value-by-value insertion would.
-        #[test]
-        fn insert_range_matches_btreeset(
-            ranges in proptest::collection::vec((0u64..100, 0u64..20), 0..20),
-            singles in proptest::collection::vec(0u64..120, 0..40),
-        ) {
-            let mut iv = IntervalSet::new();
-            let mut bt = BTreeSet::new();
-            for &v in &singles {
-                iv.insert(v);
-                bt.insert(v);
-            }
-            for &(lo, span) in &ranges {
-                iv.insert_range(lo, lo + span);
-                bt.extend(lo..=lo + span);
-            }
-            prop_assert_eq!(iv.len(), bt.len() as u64);
-            for v in 0u64..125 {
-                prop_assert_eq!(iv.contains(v), bt.contains(&v));
-            }
-            let stored: Vec<(u64, u64)> = iv.intervals().collect();
-            for w in stored.windows(2) {
-                prop_assert!(w[0].1 + 1 < w[1].0, "ranges {:?} not normalized", stored);
-            }
         }
     }
 }

@@ -72,17 +72,17 @@ pub mod vecmap;
 
 /// Convenient glob-import of the protocol types.
 pub mod prelude {
-    pub use crate::buffer::{MemoryBudget, MessageStore, Phase, PressureTier};
+    pub use crate::buffer::{MessageStore, Phase};
     pub use crate::config::{DampingConfig, ProtocolConfig, WatchdogConfig};
     pub use crate::delivery::FifoReorder;
     pub use crate::events::{Action, Event, TimerKind};
-    pub use crate::harness::{RrmpNetwork, RrmpNode};
-    pub use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
+    pub use crate::harness::RrmpNetwork;
+    pub use crate::history::{HistoryDigest, StabilityTracker};
     pub use crate::ids::{MessageId, SeqNo};
-    pub use crate::metrics::{BufferRecord, Counters, Metrics, ProtocolEvent};
-    pub use crate::observe::{ReceiverTrace, TraceConfig};
+    pub use crate::metrics::Counters;
+    pub use crate::observe::TraceConfig;
     pub use crate::packet::{DataPacket, Packet, RepairKind};
-    pub use crate::policy::{BufferPolicy, DataPath, PolicyCtx, PolicyKind};
+    pub use crate::policy::PolicyKind;
     pub use crate::receiver::{PreloadState, Receiver};
     pub use crate::sender::{Sender, SenderAction};
 }

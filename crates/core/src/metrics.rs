@@ -9,7 +9,7 @@
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::NodeId;
 
-use crate::ids::{MessageId, SeqNo};
+use crate::ids::MessageId;
 use crate::vecmap::{reserve_doubling, search_from_tail};
 
 /// Monotone counters of protocol activity on one receiver.
@@ -223,12 +223,6 @@ impl Run {
         }
         &mut self.rest[i - 1]
     }
-
-    fn records(&self) -> impl Iterator<Item = (MessageId, BufferRecord)> + '_ {
-        std::iter::once(&self.head).chain(&self.rest).enumerate().filter_map(|(i, slot)| {
-            Some((MessageId::new(self.source, SeqNo(self.first_seq + i as u64)), slot.record()?))
-        })
-    }
 }
 
 /// Per-receiver metrics: counters, buffer log, event log.
@@ -272,11 +266,6 @@ impl Metrics {
             return None;
         }
         run.slot(id.seq.0)?.record()
-    }
-
-    /// All buffer records in `(source, seq)` order.
-    pub fn buffer_log(&self) -> impl Iterator<Item = (MessageId, BufferRecord)> + '_ {
-        self.runs.iter().flat_map(Run::records)
     }
 
     /// The slot of `id`, marked touched (created on first touch).
@@ -342,19 +331,12 @@ impl Metrics {
     pub fn events(&self) -> &[(SimTime, MessageId, ProtocolEvent)] {
         &self.events
     }
-
-    /// First event of a given predicate, if any.
-    pub fn first_event_where<F>(&self, mut pred: F) -> Option<(SimTime, MessageId, ProtocolEvent)>
-    where
-        F: FnMut(&ProtocolEvent) -> bool,
-    {
-        self.events.iter().find(|(_, _, e)| pred(e)).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeqNo;
     use rrmp_netsim::time::SimDuration;
 
     fn mid(seq: u64) -> MessageId {
@@ -404,8 +386,7 @@ mod tests {
         // A first touch through any setter creates the record.
         m.clear_discarded(mid(3));
         assert_eq!(m.buffer_record(mid(3)), Some(BufferRecord::default()));
-        let ids: Vec<u64> = m.buffer_log().map(|(id, _)| id.seq.0).collect();
-        assert_eq!(ids, vec![1, 3, 4]);
+        assert_eq!(m.buffer_record(mid(2)), None);
         assert_eq!(m.runs.len(), 1);
     }
 
@@ -426,8 +407,9 @@ mod tests {
         }
         assert_eq!(m.runs.len(), 3);
         assert!(m.slots_allocated() <= 8, "{} slots for six records", m.slots_allocated());
-        let ids: Vec<u64> = m.buffer_log().map(|(id, _)| id.seq.0).collect();
-        assert_eq!(ids, vec![1, 2, 3, 1 << 40, (1 << 40) + 1, u64::MAX]);
+        for seq in [1, 2, 3, 1 << 40, (1 << 40) + 1, u64::MAX] {
+            assert!(m.buffer_record(mid(seq)).is_some(), "record {seq} lost");
+        }
         // Descending arrival never pads backwards: one run per record.
         let mut m = Metrics::new(false);
         for seq in (1..=5).rev() {
@@ -447,26 +429,12 @@ mod tests {
         off.record_event(SimTime::ZERO, mid(1), ProtocolEvent::SearchStarted);
         assert!(off.events().is_empty());
     }
-
-    #[test]
-    fn first_event_where_finds_match() {
-        let mut m = Metrics::new(true);
-        m.record_event(SimTime::from_millis(1), mid(1), ProtocolEvent::SearchStarted);
-        m.record_event(
-            SimTime::from_millis(2),
-            mid(1),
-            ProtocolEvent::SearchAnswered { origin: NodeId(9) },
-        );
-        let found =
-            m.first_event_where(|e| matches!(e, ProtocolEvent::SearchAnswered { .. })).unwrap();
-        assert_eq!(found.0, SimTime::from_millis(2));
-        assert!(m.first_event_where(|e| matches!(e, ProtocolEvent::SearchJoined)).is_none());
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ids::SeqNo;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -486,8 +454,8 @@ mod proptests {
     proptest! {
         /// Any interleaving of the five setters over three sources reads
         /// back exactly as a `BTreeMap` with default-on-first-touch
-        /// entries does — by id, for ids never touched, and in iteration
-        /// order — and holds memory for at most `MAX_GAP + 1` slots per
+        /// entries does — by id, and for ids never touched — keeps its
+        /// runs sorted, and holds memory for at most `MAX_GAP + 1` slots per
         /// record.
         #[test]
         fn runs_match_a_btreemap_model(
@@ -515,8 +483,6 @@ mod proptests {
                     prop_assert_eq!(m.buffer_record(other), None);
                 }
             }
-            let log: Vec<(MessageId, BufferRecord)> = m.buffer_log().collect();
-            prop_assert_eq!(log, model.iter().map(|(&id, &r)| (id, r)).collect::<Vec<_>>());
             // Doubling at most doubles the `MAX_GAP + 1` slots a record can need.
             prop_assert!(m.slots_allocated() <= model.len() * 2 * (Run::MAX_GAP as usize + 1));
             prop_assert!(m.runs.windows(2).all(|w| w[0].key() < w[1].key()));

@@ -116,44 +116,10 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// The message id this packet concerns, if any.
-    #[must_use]
-    pub fn message_id(&self) -> Option<MessageId> {
-        match self {
-            Packet::Data(d)
-            | Packet::Repair { data: d, .. }
-            | Packet::RegionalRepair { data: d }
-            | Packet::Handoff { data: d } => Some(d.id),
-            Packet::LocalRequest { msg }
-            | Packet::RemoteRequest { msg }
-            | Packet::SearchRequest { msg, .. }
-            | Packet::SearchFound { msg, .. } => Some(*msg),
-            Packet::Session { .. } | Packet::History { .. } => None,
-        }
-    }
-
-    /// A short static name for tracing and counters.
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Packet::Data(_) => "data",
-            Packet::Session { .. } => "session",
-            Packet::LocalRequest { .. } => "local_request",
-            Packet::RemoteRequest { .. } => "remote_request",
-            Packet::Repair { kind: RepairKind::Local, .. } => "repair_local",
-            Packet::Repair { kind: RepairKind::Remote, .. } => "repair_remote",
-            Packet::RegionalRepair { .. } => "regional_repair",
-            Packet::SearchRequest { .. } => "search_request",
-            Packet::SearchFound { .. } => "search_found",
-            Packet::Handoff { .. } => "handoff",
-            Packet::History { .. } => "history",
-        }
-    }
-
     /// Serialized size in bytes (exact, matches [`Packet::encode`]).
     /// Computed arithmetically — no encoding or allocation happens.
     #[must_use]
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         // Field widths: tag 1, MessageId 12 (u32 source + u64 seq),
         // payload length prefix 4.
         const MID: usize = 12;
@@ -216,9 +182,9 @@ const TAG_HISTORY: u8 = 9;
 
 /// Maximum accepted payload length (1 MiB) — guards against hostile or
 /// corrupt length fields.
-pub const MAX_PAYLOAD_LEN: usize = 1 << 20;
+const MAX_PAYLOAD_LEN: usize = 1 << 20;
 /// Maximum accepted origin-list length in a search request.
-pub const MAX_ORIGINS: usize = 1 << 10;
+const MAX_ORIGINS: usize = 1 << 10;
 /// Maximum accepted sources per history digest.
 pub const MAX_DIGEST_SOURCES: usize = 1 << 10;
 /// Maximum accepted intervals per history-digest source entry.
@@ -273,8 +239,8 @@ impl Packet {
     ///
     /// The buffer-reuse form of [`Packet::encode`]: a host encoding many
     /// packets keeps one `BytesMut`, clears it between packets, and avoids
-    /// an allocation per encode. Exactly [`Packet::encoded_len`] bytes are
-    /// appended.
+    /// an allocation per encode. The exact encoded size is reserved up
+    /// front.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.reserve(self.encoded_len());
         match self {
@@ -497,19 +463,6 @@ mod tests {
             assert_eq!(decoded, p);
             assert_eq!(p.encoded_len(), encoded.len());
         }
-    }
-
-    #[test]
-    fn message_id_extraction() {
-        assert_eq!(Packet::LocalRequest { msg: mid(2, 5) }.message_id(), Some(mid(2, 5)));
-        assert_eq!(Packet::Session { source: NodeId(0), high: SeqNo(1) }.message_id(), None);
-    }
-
-    #[test]
-    fn kind_names_are_distinct() {
-        let names: std::collections::BTreeSet<&str> =
-            sample_packets().iter().map(|p| p.kind_name()).collect();
-        assert!(names.len() >= 9, "kind names should discriminate: {names:?}");
     }
 
     #[test]

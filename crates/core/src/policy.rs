@@ -101,7 +101,7 @@ impl PolicyCtx<'_> {
 
     /// Records capacity evictions in the metrics (shared bookkeeping for
     /// every policy that inserts through the bounded store paths).
-    pub fn note_evictions(&mut self, evicted: Vec<MessageId>) {
+    fn note_evictions(&mut self, evicted: Vec<MessageId>) {
         for id in evicted {
             self.metrics.counters.evicted_for_capacity += 1;
             self.metrics.note_discarded(id, self.now);
@@ -111,7 +111,7 @@ impl PolicyCtx<'_> {
     /// Inserts `payload` straight into the long-term phase with the
     /// standard metric bookkeeping — the shape shared by handoff receipt
     /// and designated-bufferer placement.
-    pub fn enter_long_term(&mut self, id: MessageId, payload: Bytes) {
+    fn enter_long_term(&mut self, id: MessageId, payload: Bytes) {
         let (_, evicted) = self.store.insert_long_bounded(id, payload, self.now);
         self.note_evictions(evicted);
         self.metrics.note_idled(id, self.now);
@@ -484,7 +484,7 @@ const DIRECT_REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(60);
 /// Deterministic 64-bit hash of `(member, message)` used by hash-based
 /// bufferer placement — requester and bufferer sides must agree on it.
 #[must_use]
-pub fn bufferer_hash(member: NodeId, msg: MessageId) -> u64 {
+fn bufferer_hash(member: NodeId, msg: MessageId) -> u64 {
     let mut state = (u64::from(member.0) << 32)
         ^ (u64::from(msg.source.0).rotate_left(17))
         ^ msg.seq.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -61,12 +61,6 @@ impl Sender {
         SeqNo(self.next_seq.0 - 1)
     }
 
-    /// Number of messages multicast so far.
-    #[must_use]
-    pub fn sent_count(&self) -> u64 {
-        self.next_seq.0 - 1
-    }
-
     /// Actions to run at start-up (arms the session tick).
     #[must_use]
     pub fn on_start(&self) -> Vec<SenderAction> {
@@ -123,7 +117,6 @@ mod tests {
         assert_eq!(id1.seq, SeqNo(1));
         assert_eq!(id2.seq, SeqNo(2));
         assert_eq!(s.high(), SeqNo(2));
-        assert_eq!(s.sent_count(), 2);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl Default for GossipConfig {
 
 /// Liveness verdict for a member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Liveness {
+enum Liveness {
     /// Heartbeats are fresh.
     Alive,
     /// Heartbeats went stale; the member is considered crashed.
@@ -209,23 +209,6 @@ impl GossipState {
         }
         events
     }
-
-    /// Members currently considered alive (including self).
-    pub fn alive_members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().filter(|(_, e)| e.liveness == Liveness::Alive).map(|(&id, _)| id)
-    }
-
-    /// The liveness verdict for `node`, if known.
-    #[must_use]
-    pub fn liveness_of(&self, node: NodeId) -> Option<Liveness> {
-        self.entries.get(&node).map(|e| e.liveness)
-    }
-
-    /// The heartbeat counter for `node`, if known.
-    #[must_use]
-    pub fn heartbeat_of(&self, node: NodeId) -> Option<u64> {
-        self.entries.get(&node).map(|e| e.counter)
-    }
 }
 
 #[cfg(test)]
@@ -241,6 +224,14 @@ mod tests {
         GossipState::new(NodeId(0), (0..n).map(NodeId), GossipConfig::default(), SimTime::ZERO)
     }
 
+    fn liveness_of(g: &GossipState, node: NodeId) -> Option<Liveness> {
+        g.entries.get(&node).map(|e| e.liveness)
+    }
+
+    fn heartbeat_of(g: &GossipState, node: NodeId) -> Option<u64> {
+        g.entries.get(&node).map(|e| e.counter)
+    }
+
     #[test]
     fn tick_bumps_own_counter_and_targets_alive() {
         let mut g = mk(4);
@@ -248,7 +239,7 @@ mod tests {
         let (targets, digest) = g.on_tick(t(100), &mut rng);
         assert_eq!(targets.len(), 1);
         assert_ne!(targets[0], NodeId(0));
-        assert_eq!(g.heartbeat_of(NodeId(0)), Some(1));
+        assert_eq!(heartbeat_of(&g, NodeId(0)), Some(1));
         assert_eq!(digest.heartbeats.len(), 4);
     }
 
@@ -258,11 +249,11 @@ mod tests {
         let fresh = Digest { heartbeats: vec![(NodeId(1), 5), (NodeId(2), 0)] };
         let events = g.on_digest(&fresh, t(50));
         assert!(events.is_empty());
-        assert_eq!(g.heartbeat_of(NodeId(1)), Some(5));
+        assert_eq!(heartbeat_of(&g, NodeId(1)), Some(5));
         // Counter 0 is not news (not greater), so node 2 stays at bump time 0.
         let stale = Digest { heartbeats: vec![(NodeId(1), 3)] };
         g.on_digest(&stale, t(60));
-        assert_eq!(g.heartbeat_of(NodeId(1)), Some(5));
+        assert_eq!(heartbeat_of(&g, NodeId(1)), Some(5));
     }
 
     #[test]
@@ -270,7 +261,7 @@ mod tests {
         let mut g = mk(2);
         let events = g.on_digest(&Digest { heartbeats: vec![(NodeId(9), 1)] }, t(10));
         assert_eq!(events, vec![ViewEvent::Joined(NodeId(9))]);
-        assert_eq!(g.liveness_of(NodeId(9)), Some(Liveness::Alive));
+        assert_eq!(liveness_of(&g, NodeId(9)), Some(Liveness::Alive));
     }
 
     #[test]
@@ -281,21 +272,21 @@ mod tests {
         assert!(events.is_empty());
         let events = g.check_failures(t(1000));
         assert_eq!(events, vec![ViewEvent::Failed(NodeId(1))]);
-        assert_eq!(g.liveness_of(NodeId(1)), Some(Liveness::Failed));
+        assert_eq!(liveness_of(&g, NodeId(1)), Some(Liveness::Failed));
         // cleanup_after = 2s beyond fail_after.
         let events = g.check_failures(t(3000));
         assert_eq!(events, vec![ViewEvent::Removed(NodeId(1))]);
-        assert_eq!(g.liveness_of(NodeId(1)), None);
+        assert_eq!(liveness_of(&g, NodeId(1)), None);
     }
 
     #[test]
     fn failed_member_recovers_on_fresh_heartbeat() {
         let mut g = mk(2);
         g.check_failures(t(1500));
-        assert_eq!(g.liveness_of(NodeId(1)), Some(Liveness::Failed));
+        assert_eq!(liveness_of(&g, NodeId(1)), Some(Liveness::Failed));
         let events = g.on_digest(&Digest { heartbeats: vec![(NodeId(1), 7)] }, t(1600));
         assert_eq!(events, vec![ViewEvent::Recovered(NodeId(1))]);
-        assert_eq!(g.liveness_of(NodeId(1)), Some(Liveness::Alive));
+        assert_eq!(liveness_of(&g, NodeId(1)), Some(Liveness::Alive));
     }
 
     #[test]
@@ -303,7 +294,7 @@ mod tests {
         let mut g = mk(1);
         let events = g.check_failures(t(1_000_000));
         assert!(events.is_empty());
-        assert_eq!(g.liveness_of(NodeId(0)), Some(Liveness::Alive));
+        assert_eq!(liveness_of(&g, NodeId(0)), Some(Liveness::Alive));
     }
 
     #[test]
@@ -311,7 +302,9 @@ mod tests {
         let mut g = mk(3);
         g.check_failures(t(5000));
         // All others failed; only self alive.
-        assert_eq!(g.alive_members().collect::<Vec<_>>(), vec![NodeId(0)]);
+        let alive: Vec<NodeId> =
+            (0..3).map(NodeId).filter(|&n| liveness_of(&g, n) == Some(Liveness::Alive)).collect();
+        assert_eq!(alive, vec![NodeId(0)]);
     }
 
     #[test]

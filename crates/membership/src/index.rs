@@ -203,13 +203,6 @@ impl IdRangeSet {
         self.len == 0
     }
 
-    /// Number of stored ranges (a measure of fragmentation; a contiguous
-    /// region costs exactly one).
-    #[must_use]
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// The smallest id in the set, if any.
     #[must_use]
     pub fn min(&self) -> Option<u32> {
@@ -292,13 +285,13 @@ mod tests {
         assert!(s.insert(5));
         assert!(s.insert(4)); // bridges [3,3] and [5,5]
         assert!(!s.insert(4));
-        assert_eq!(s.range_count(), 1);
+        assert_eq!(s.ranges.len(), 1);
         assert_eq!(s.len(), 3);
         assert!(s.contains(4));
         assert!(!s.contains(6));
         assert!(s.remove(4)); // splits [3,5]
         assert!(!s.remove(4));
-        assert_eq!(s.range_count(), 2);
+        assert_eq!(s.ranges.len(), 2);
         assert_eq!(s.len(), 2);
         let all: Vec<u32> = s.iter().collect();
         assert_eq!(all, vec![3, 5]);
@@ -322,7 +315,7 @@ mod tests {
     #[test]
     fn from_range_is_one_interval() {
         let s = IdRangeSet::from_range(10, 1_000_000);
-        assert_eq!(s.range_count(), 1);
+        assert_eq!(s.ranges.len(), 1);
         assert_eq!(s.len(), 999_991);
         assert!(s.contains(10) && s.contains(1_000_000));
         assert!(!s.contains(9));

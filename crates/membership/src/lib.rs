@@ -29,6 +29,6 @@ pub mod index;
 pub mod node;
 pub mod view;
 
-pub use gossip::{Digest, GossipConfig, GossipState, Liveness, ViewEvent};
+pub use gossip::{Digest, GossipConfig, GossipState, ViewEvent};
 pub use index::{IdRangeSet, MemberIndex};
 pub use view::{HierarchyView, RegionView};

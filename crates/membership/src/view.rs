@@ -18,30 +18,25 @@ use rrmp_netsim::topology::{NodeId, RegionId, Topology};
 use crate::index::IdRangeSet;
 
 /// One member's view of the membership of one region.
-///
-/// Views are versioned: every mutation bumps [`RegionView::version`], which
-/// lets consumers (e.g. cached probability parameters that depend on region
-/// size) cheaply detect staleness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionView {
     region: RegionId,
     members: IdRangeSet,
-    version: u64,
 }
 
 impl RegionView {
     /// Creates a view of `region` containing `members`.
     #[must_use]
     pub fn new<I: IntoIterator<Item = NodeId>>(region: RegionId, members: I) -> Self {
-        RegionView { region, members: members.into_iter().map(|n| n.0).collect(), version: 0 }
+        RegionView { region, members: members.into_iter().map(|n| n.0).collect() }
     }
 
     /// Creates a view of `region` covering the contiguous id range
     /// `lo..=hi` in O(1) — the fast path for topology-derived views,
     /// where each region's members are one dense id run.
     #[must_use]
-    pub fn from_contiguous(region: RegionId, lo: NodeId, hi: NodeId) -> Self {
-        RegionView { region, members: IdRangeSet::from_range(lo.0, hi.0), version: 0 }
+    fn from_contiguous(region: RegionId, lo: NodeId, hi: NodeId) -> Self {
+        RegionView { region, members: IdRangeSet::from_range(lo.0, hi.0) }
     }
 
     /// The region this view describes.
@@ -68,12 +63,6 @@ impl RegionView {
         self.members.contains(node.0)
     }
 
-    /// Monotone version counter; bumped by every mutation.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Members in ascending id order.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.members.iter().map(NodeId)
@@ -90,20 +79,12 @@ impl RegionView {
 
     /// Adds `node`; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId) -> bool {
-        let added = self.members.insert(node.0);
-        if added {
-            self.version += 1;
-        }
-        added
+        self.members.insert(node.0)
     }
 
     /// Removes `node`; returns `true` if it was present.
     pub fn remove(&mut self, node: NodeId) -> bool {
-        let removed = self.members.remove(node.0);
-        if removed {
-            self.version += 1;
-        }
-        removed
+        self.members.remove(node.0)
     }
 
     /// Picks a member uniformly at random.
@@ -220,15 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_version() {
+    fn insert_remove() {
         let mut v = view(&[1, 2]);
-        assert_eq!(v.version(), 0);
         assert!(v.insert(NodeId(3)));
         assert!(!v.insert(NodeId(3)));
-        assert_eq!(v.version(), 1);
         assert!(v.remove(NodeId(1)));
         assert!(!v.remove(NodeId(1)));
-        assert_eq!(v.version(), 2);
         assert_eq!(v.len(), 2);
         assert!(v.contains(NodeId(2)));
         assert!(!v.contains(NodeId(1)));

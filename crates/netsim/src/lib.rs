@@ -27,8 +27,8 @@
 //! * [`shard`] — the conservatively parallel driver: regions partitioned
 //!   over shards advancing under a time-window barrier, traces
 //!   byte-identical at every shard count.
-//! * [`trace`] / [`stats`] — event traces, counters, histograms, summaries,
-//!   and time series for building the paper's figures.
+//! * [`stats`] — streaming mean/variance and percentiles for the paper's
+//!   figures.
 //!
 //! ## Example
 //!
@@ -68,7 +68,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 /// Convenient glob-import of the most used simulator types.
 pub mod prelude {
@@ -76,9 +75,8 @@ pub mod prelude {
     pub use crate::loss::{DeliveryPlan, LossModel};
     pub use crate::rng::SeedSequence;
     pub use crate::shard::ShardedSim;
-    pub use crate::sim::{Ctx, Sim, SimNode, TimerId};
-    pub use crate::stats::{OnlineStats, Summary, TimeSeries};
+    pub use crate::sim::{Ctx, Sim, SimNode};
+    pub use crate::stats::OnlineStats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{presets, NodeId, RegionId, Topology, TopologyBuilder};
-    pub use crate::trace::TraceRecorder;
 }

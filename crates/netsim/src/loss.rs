@@ -6,7 +6,7 @@
 //! traffic) plus richer models used by the ablation experiments:
 //! independent per-packet loss, region-correlated loss (a whole region
 //! missing a message, the paper's "regional loss"), and a two-state
-//! Gilbert–Elliott bursty channel.
+//! Gilbert–Elliott channel in its stationary form.
 
 use rand::Rng;
 
@@ -50,9 +50,8 @@ impl LossModel {
     ///
     /// For [`LossModel::RegionCorrelated`] this treats the packet as a
     /// single-destination transmission: it is dropped if either stage drops
-    /// it. For Gilbert–Elliott callers should prefer a stateful
-    /// [`GilbertElliottChannel`]; this stateless form uses the stationary
-    /// distribution.
+    /// it. For Gilbert–Elliott it draws from the stationary distribution,
+    /// so losses are not bursty.
     pub fn drops_unicast<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         match *self {
             LossModel::None => false,
@@ -75,7 +74,7 @@ impl LossModel {
     /// Returns a boolean per node (indexed by [`NodeId`]): `true` means the
     /// node **missed** the packet. The sender index (if among `receivers`)
     /// is never marked missed.
-    pub fn multicast_outcome<R: Rng + ?Sized>(
+    fn multicast_outcome<R: Rng + ?Sized>(
         &self,
         topo: &Topology,
         sender: NodeId,
@@ -118,52 +117,6 @@ impl LossModel {
             }
         }
         missed
-    }
-}
-
-/// A stateful per-receiver Gilbert–Elliott channel.
-///
-/// Tracks the Good/Bad state across packets so losses are bursty, unlike the
-/// stateless stationary approximation in [`LossModel::drops_unicast`].
-#[derive(Debug, Clone)]
-pub struct GilbertElliottChannel {
-    p_good_to_bad: f64,
-    p_bad_to_good: f64,
-    loss_good: f64,
-    loss_bad: f64,
-    in_bad: bool,
-}
-
-impl GilbertElliottChannel {
-    /// Creates a channel starting in the Good state.
-    #[must_use]
-    pub fn new(p_good_to_bad: f64, p_bad_to_good: f64, loss_good: f64, loss_bad: f64) -> Self {
-        GilbertElliottChannel {
-            p_good_to_bad: p_good_to_bad.clamp(0.0, 1.0),
-            p_bad_to_good: p_bad_to_good.clamp(0.0, 1.0),
-            loss_good: loss_good.clamp(0.0, 1.0),
-            loss_bad: loss_bad.clamp(0.0, 1.0),
-            in_bad: false,
-        }
-    }
-
-    /// Advances the channel one packet and reports whether it was dropped.
-    pub fn drops_next<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.in_bad {
-            if rng.gen_bool(self.p_bad_to_good) {
-                self.in_bad = false;
-            }
-        } else if rng.gen_bool(self.p_good_to_bad) {
-            self.in_bad = true;
-        }
-        let p = if self.in_bad { self.loss_bad } else { self.loss_good };
-        rng.gen_bool(p)
-    }
-
-    /// Whether the channel is currently in the Bad state.
-    #[must_use]
-    pub fn is_bad(&self) -> bool {
-        self.in_bad
     }
 }
 
@@ -238,12 +191,6 @@ impl DeliveryPlan {
         self.received[node.index()] = receives;
     }
 
-    /// Number of nodes that receive the packet.
-    #[must_use]
-    pub fn holder_count(&self) -> usize {
-        self.received.iter().filter(|&&r| r).count()
-    }
-
     /// Iterator over the nodes that receive the packet.
     pub fn holders(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.received.iter().enumerate().filter(|(_, &r)| r).map(|(i, _)| NodeId(i as u32))
@@ -309,45 +256,19 @@ mod tests {
     }
 
     #[test]
-    fn gilbert_elliott_bursts() {
-        let mut rng = SeedSequence::new(5).rng_for(0);
-        // Bad state drops everything and is sticky; we should observe runs.
-        let mut ch = GilbertElliottChannel::new(0.05, 0.2, 0.0, 1.0);
-        let outcomes: Vec<bool> = (0..5_000).map(|_| ch.drops_next(&mut rng)).collect();
-        let drops = outcomes.iter().filter(|&&d| d).count();
-        assert!(drops > 0, "bursty channel should drop something");
-        // Expected stationary loss = pi_bad = 0.05/0.25 = 0.2.
-        let rate = drops as f64 / 5_000.0;
-        assert!((rate - 0.2).abs() < 0.06, "rate {rate} too far from 0.2");
-        // Bursts: P(drop | previous drop) should exceed the marginal rate.
-        let mut pairs = 0usize;
-        let mut both = 0usize;
-        for w in outcomes.windows(2) {
-            if w[0] {
-                pairs += 1;
-                if w[1] {
-                    both += 1;
-                }
-            }
-        }
-        let cond = both as f64 / pairs as f64;
-        assert!(cond > rate, "losses should be bursty: P(d|d)={cond} rate={rate}");
-    }
-
-    #[test]
     fn delivery_plan_constructors() {
         let topo = paper_region(6);
         let all = DeliveryPlan::all(&topo);
-        assert_eq!(all.holder_count(), 6);
+        assert_eq!(all.holders().count(), 6);
 
         let only = DeliveryPlan::only(&topo, [NodeId(1), NodeId(3)]);
-        assert_eq!(only.holder_count(), 2);
+        assert_eq!(only.holders().count(), 2);
         assert!(only.receives(NodeId(1)));
         assert!(!only.receives(NodeId(0)));
         assert_eq!(only.missers().count(), 4);
 
         let all_but = DeliveryPlan::all_but(&topo, [NodeId(2)]);
-        assert_eq!(all_but.holder_count(), 5);
+        assert_eq!(all_but.holders().count(), 5);
         assert!(!all_but.receives(NodeId(2)));
     }
 
@@ -355,7 +276,7 @@ mod tests {
     fn delivery_plan_region_loss() {
         let topo = TopologyBuilder::new().region(3, None).region(4, Some(0)).build().unwrap();
         let plan = DeliveryPlan::region_loss(&topo, RegionId(1));
-        assert_eq!(plan.holder_count(), 3);
+        assert_eq!(plan.holders().count(), 3);
         assert!(plan.missers().all(|n| topo.region_of(n) == RegionId(1)));
     }
 
@@ -365,7 +286,7 @@ mod tests {
         let mut rng = SeedSequence::new(6).rng_for(0);
         let plan =
             DeliveryPlan::from_model(&topo, NodeId(4), &LossModel::Bernoulli { p: 1.0 }, &mut rng);
-        assert_eq!(plan.holder_count(), 1);
+        assert_eq!(plan.holders().count(), 1);
         assert!(plan.receives(NodeId(4)));
     }
 }

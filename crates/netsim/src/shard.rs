@@ -70,7 +70,7 @@ use crate::event::EventQueue;
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
-use crate::sim::{Ctx, NetCounters, Op, SimEvent, SimNode, TimerSlab};
+use crate::sim::{Ctx, NetCounters, Op, SimEvent, SimNode};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
 
@@ -111,7 +111,7 @@ struct ShardEnv<'a, M> {
     fault: Option<&'a FaultPlan>,
 }
 
-/// One shard: a subset of regions with private queue, timers, RNGs,
+/// One shard: a subset of regions with private queue, RNGs,
 /// scratch buffers, and outgoing mailboxes.
 struct ShardState<N: SimNode> {
     /// Global ids of the nodes this shard owns, ascending.
@@ -125,7 +125,6 @@ struct ShardState<N: SimNode> {
     /// Global node index → local index (`u32::MAX` when not owned).
     local_of: Vec<u32>,
     queue: EventQueue<SimEvent<N::Msg>>,
-    timers: TimerSlab,
     counters: NetCounters,
     now: SimTime,
     scratch_ops: Vec<Op<N::Msg>>,
@@ -194,10 +193,7 @@ impl<N: SimNode> ShardState<N> {
                 targets.clear();
                 self.target_pool.push(targets);
             }
-            SimEvent::Timer { node, token, id } => {
-                if !self.timers.retire(id) {
-                    return; // cancelled; consume silently
-                }
+            SimEvent::Timer { node, token } => {
                 self.now = at;
                 self.counters.timers_fired += 1;
                 self.counters.events_processed += 1;
@@ -223,7 +219,6 @@ impl<N: SimNode> ShardState<N> {
                 rng: &mut self.rngs[local],
                 ops: &mut ops,
                 targets: &mut targets,
-                timers: &mut self.timers,
                 fanout_ops: true,
             };
             f(&mut self.nodes[local], &mut ctx);
@@ -247,12 +242,9 @@ impl<N: SimNode> ShardState<N> {
                         msg,
                     );
                 }
-                Op::SetTimer { id, token, at } => {
+                Op::SetTimer { token, at } => {
                     self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, token, id });
-                }
-                Op::Cancel { .. } => {
-                    unreachable!("sharded shards always run the generation-slab cancel path")
+                    self.queue.schedule(at, SimEvent::Timer { node: from, token });
                 }
             }
         }
@@ -575,7 +567,6 @@ fn build_states<N: SimNode>(
             loss_rngs: Vec::with_capacity(counts[s]),
             local_of: vec![u32::MAX; node_count],
             queue: EventQueue::new(),
-            timers: TimerSlab::default(),
             counters: NetCounters::default(),
             now: SimTime::ZERO,
             scratch_ops: Vec::new(),
@@ -666,7 +657,7 @@ where
 
     /// Resets for a fresh run over the same topology and shard layout:
     /// replaces the nodes, re-derives every RNG stream from `seed`, and
-    /// clears queues, timers, mailboxes, and counters while keeping their
+    /// clears queues, mailboxes, and counters while keeping their
     /// allocations warm (per-shard [`EventQueue::clear`] semantics). The
     /// loss model, drop filter, and armed fault plan are retained.
     ///
@@ -685,7 +676,6 @@ where
             st.rngs.clear();
             st.loss_rngs.clear();
             st.queue.clear();
-            st.timers.reset();
             st.counters = NetCounters::default();
             st.now = SimTime::ZERO;
             for ob in &mut st.outboxes {
@@ -912,9 +902,8 @@ where
     /// Schedules an external timer on `node` at absolute time `at`.
     pub fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
         let st = &mut self.states[self.node_shard[node.index()] as usize];
-        let id = st.timers.arm();
         st.counters.timers_set += 1;
-        st.queue.schedule(at, SimEvent::Timer { node, token, id });
+        st.queue.schedule(at, SimEvent::Timer { node, token });
     }
 
     /// Runs each node's [`SimNode::on_start`] callback (at most once),

@@ -21,10 +21,10 @@
 //! * Side effects buffered during a callback go into a **per-`Sim` scratch
 //!   op buffer** that is drained and reused, instead of a fresh
 //!   `Vec` per callback.
-//! * Timers live in a **slab with generation counters**
-//!   ([`TimerId`] packs `(slot, generation)`): cancellation bumps the
-//!   generation and recycles the slot immediately — no tombstone set
-//!   grows, and the stale queue entry is skipped when it surfaces.
+//! * Timers only fire: [`Ctx::set_timer`] schedules a token and every
+//!   armed timer fires exactly once. A host whose state moved on since it
+//!   armed one filters the stale token itself when it fires, as the
+//!   protocol's own timers do (they re-check their state on expiry).
 //! * Multi-destination sends ([`Ctx::send_many`], [`Ctx::send_group`]) and
 //!   injected multicast plans schedule **one region-timed batch event per
 //!   distinct arrival time** instead of one queue entry per destination.
@@ -35,13 +35,13 @@
 //!   vectors are pooled, and with an `Arc`-backed payload type (e.g.
 //!   `bytes::Bytes`) a regional multicast never copies payload bytes.
 //! * [`Sim::reset`] re-arms the same simulator for another run while the
-//!   queue, slab, and scratch buffers keep their allocations warm.
+//!   queue and scratch buffers keep their allocations warm.
 //!
 //! [`Sim::new_reference`] builds the same simulator, on the same queue,
 //! with the straightforward strategies instead: allocate per callback,
-//! one queue entry per destination, tombstone-set timer cancellation. It
-//! is kept as an executable specification: the differential tests assert
-//! byte-identical traces between the two.
+//! one queue entry per destination. It is kept as an executable
+//! specification: the differential tests assert byte-identical traces
+//! between the two.
 
 use std::sync::Arc;
 
@@ -54,88 +54,6 @@ use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
-
-/// A handle for cancelling a pending timer.
-///
-/// Packs a slab slot and its generation; a `TimerId` is invalidated the
-/// moment its timer fires or is cancelled, so stale handles are harmless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
-
-impl TimerId {
-    fn pack(slot: u32, gen: u32) -> Self {
-        TimerId((u64::from(slot) << 32) | u64::from(gen))
-    }
-
-    fn unpack(self) -> (u32, u32) {
-        ((self.0 >> 32) as u32, self.0 as u32)
-    }
-}
-
-/// Slab of timer slots with generation counters.
-///
-/// A slot's generation is **odd while armed** and even while free; arming
-/// bumps it to odd, firing or cancelling bumps it to even and recycles the
-/// slot. A [`TimerId`] matches only the exact `(slot, generation)` it was
-/// issued for, so queue entries for cancelled timers die on pop without any
-/// tombstone collection. Memory is bounded by the peak number of
-/// *concurrently armed* timers, not by the total ever set.
-#[derive(Debug, Default)]
-pub(crate) struct TimerSlab {
-    gens: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl TimerSlab {
-    /// Arms a fresh timer and returns its handle.
-    pub(crate) fn arm(&mut self) -> TimerId {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.gens.push(0);
-                (self.gens.len() - 1) as u32
-            }
-        };
-        let gen = self.gens[slot as usize].wrapping_add(1);
-        self.gens[slot as usize] = gen;
-        debug_assert!(gen & 1 == 1, "armed generation must be odd");
-        TimerId::pack(slot, gen)
-    }
-
-    /// Retires `id` (fire or cancel). Returns `true` if it was live —
-    /// i.e. armed and neither fired nor cancelled before.
-    pub(crate) fn retire(&mut self, id: TimerId) -> bool {
-        let (slot, gen) = id.unpack();
-        match self.gens.get_mut(slot as usize) {
-            Some(cur) if *cur == gen && gen & 1 == 1 => {
-                *cur = gen.wrapping_add(1);
-                self.free.push(slot);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Clears every timer for a fresh run while keeping the slot
-    /// allocation: armed generations are bumped to even (retired) and all
-    /// slots re-enter the free list, so outstanding [`TimerId`]s die and
-    /// the slab's memory stays warm across [`Sim::reset`].
-    pub(crate) fn reset(&mut self) {
-        self.free.clear();
-        for (slot, gen) in self.gens.iter_mut().enumerate() {
-            if *gen & 1 == 1 {
-                *gen = gen.wrapping_add(1);
-            }
-            self.free.push(slot as u32);
-        }
-    }
-
-    /// Number of slots ever created (== peak concurrently armed timers).
-    #[cfg(test)]
-    pub(crate) fn slot_count(&self) -> usize {
-        self.gens.len()
-    }
-}
 
 /// Application logic hosted on a simulated node.
 ///
@@ -169,10 +87,7 @@ pub(crate) enum Op<M> {
     /// One message to every topology node except the caller.
     SendGroup { msg: M },
     /// Schedule `token` on the caller at `at`.
-    SetTimer { id: TimerId, token: u64, at: SimTime },
-    /// Reference mode only: record a cancellation tombstone (the
-    /// pre-refactor cancellation path).
-    Cancel { id: TimerId },
+    SetTimer { token: u64, at: SimTime },
 }
 
 /// The execution context handed to node callbacks.
@@ -186,7 +101,6 @@ pub struct Ctx<'a, M> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) ops: &'a mut Vec<Op<M>>,
     pub(crate) targets: &'a mut Vec<NodeId>,
-    pub(crate) timers: &'a mut TimerSlab,
     /// When false (reference mode), multi-destination sends degrade to one
     /// op per destination with an eager clone — the straightforward
     /// implementation the default path is checked against.
@@ -222,15 +136,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn send(&mut self, to: NodeId, msg: M) {
         debug_assert_ne!(to, self.self_id, "protocol bug: node sent a packet to itself");
         self.ops.push(Op::Send { to, msg });
-    }
-
-    /// Sends a copy of `msg` to every node in `to` (loss applies per
-    /// copy). Alias of [`Ctx::send_many`], kept for source compatibility.
-    pub fn send_all<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M)
-    where
-        M: Clone,
-    {
-        self.send_many(to, msg);
     }
 
     /// Fan-out send: a copy of `msg` to every node in `to` other than the
@@ -276,24 +181,11 @@ impl<'a, M> Ctx<'a, M> {
         self.ops.push(Op::SendGroup { msg });
     }
 
-    /// Schedules `token` to fire on this node after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        let id = self.timers.arm();
-        self.ops.push(Op::SetTimer { id, token, at: self.now + delay });
-        id
-    }
-
-    /// Cancels a previously set timer. Cancelling an already-fired timer is
-    /// a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.fanout_ops {
-            // Fast path: bump the slot generation; the pending queue entry
-            // dies on pop, and the slot is immediately reusable.
-            self.timers.retire(id);
-        } else {
-            // Reference mode: the historical tombstone-set path.
-            self.ops.push(Op::Cancel { id });
-        }
+    /// Schedules `token` to fire on this node after `delay`. Timers cannot
+    /// be cancelled: the node ignores a token it no longer wants when it
+    /// fires.
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        self.ops.push(Op::SetTimer { token, at: self.now + delay });
     }
 }
 
@@ -392,7 +284,6 @@ pub(crate) enum SimEvent<M> {
     Timer {
         node: NodeId,
         token: u64,
-        id: TimerId,
     },
 }
 
@@ -407,7 +298,7 @@ pub struct NetCounters {
     pub delivered: u64,
     /// Timers set.
     pub timers_set: u64,
-    /// Timers fired (excluding cancelled ones).
+    /// Timers fired (at quiescence, equal to [`NetCounters::timers_set`]).
     pub timers_fired: u64,
     /// Total events processed.
     pub events_processed: u64,
@@ -460,7 +351,6 @@ pub struct Sim<N: SimNode> {
     rngs: Vec<StdRng>,
     queue: EventQueue<SimEvent<N::Msg>>,
     now: SimTime,
-    timers: TimerSlab,
     unicast_loss: LossModel,
     loss_rng: StdRng,
     /// Armed fault timeline, consulted per unicast copy at transmit time
@@ -474,9 +364,6 @@ pub struct Sim<N: SimNode> {
     #[allow(clippy::type_complexity)]
     drop_filter: Option<Box<dyn FnMut(NodeId, NodeId, &N::Msg) -> bool>>,
     started: bool,
-    /// Reference mode only: the pre-refactor cancellation tombstones,
-    /// consulted on every timer pop. Unused (empty) on the fast path.
-    cancelled: std::collections::HashSet<u64>,
     /// Reused callback side-effect buffer (empty between dispatches).
     scratch_ops: Vec<Op<N::Msg>>,
     /// Reused fan-out target arena (empty between dispatches).
@@ -557,7 +444,6 @@ impl<N: SimNode> Sim<N> {
             rngs,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            timers: TimerSlab::default(),
             unicast_loss: LossModel::None,
             loss_rng: seq.rng_for(u64::MAX / 2),
             fault: None,
@@ -565,7 +451,6 @@ impl<N: SimNode> Sim<N> {
             counters: NetCounters::default(),
             drop_filter: None,
             started: false,
-            cancelled: std::collections::HashSet::new(),
             scratch_ops: Vec::new(),
             scratch_targets: Vec::new(),
             target_pool: Vec::new(),
@@ -576,8 +461,8 @@ impl<N: SimNode> Sim<N> {
 
     /// Resets the simulator for a fresh run over the **same topology**:
     /// replaces the nodes, re-derives every RNG stream from `seed`, zeroes
-    /// the clock and counters, and clears the event queue and timer slab
-    /// **without dropping their allocations** — a reused `Sim` starts its
+    /// the clock and counters, and clears the event queue **without
+    /// dropping its allocations** — a reused `Sim` starts its
     /// next run at full capacity instead of re-growing from empty (the
     /// pattern repeated bench iterations and multi-run experiments use).
     /// The loss model, drop filter, and armed fault plan are retained.
@@ -597,11 +482,9 @@ impl<N: SimNode> Sim<N> {
         self.rngs.extend((0..self.nodes.len()).map(|i| seq.rng_for(i as u64)));
         self.loss_rng = seq.rng_for(u64::MAX / 2);
         self.queue.clear();
-        self.timers.reset();
         self.now = SimTime::ZERO;
         self.counters = NetCounters::default();
         self.started = false;
-        self.cancelled.clear();
         // An armed observer stays armed across resets (matching the fault
         // plan), but the previous run's events are discarded.
         if let Some(t) = self.trace.as_deref_mut() {
@@ -786,9 +669,8 @@ impl<N: SimNode> Sim<N> {
     /// Schedules an external timer on `node` at absolute time `at` — used
     /// by experiments to trigger scripted actions (e.g. a member leaving).
     pub fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
-        let id = self.timers.arm();
         self.counters.timers_set += 1;
-        self.queue.schedule(at, SimEvent::Timer { node, token, id });
+        self.queue.schedule(at, SimEvent::Timer { node, token });
     }
 
     /// Runs each node's [`SimNode::on_start`] callback (at most once).
@@ -805,33 +687,24 @@ impl<N: SimNode> Sim<N> {
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        loop {
-            let Some((at, event)) = self.queue.pop() else { return false };
-            if self.dispatch_event(at, event) {
-                return true;
-            }
-        }
+        let Some((at, event)) = self.queue.pop() else { return false };
+        self.dispatch_event(at, event);
+        true
     }
 
     /// Like [`Sim::step`], but never dispatches an event scheduled after
-    /// `limit` — cancelled timers at or before `limit` are consumed
-    /// without letting a later event run early. The horizon check is a
-    /// peek-gated pop: an event past `limit` is never removed from the
-    /// queue (and so never re-inserted), costing one queue operation at
-    /// the boundary.
+    /// `limit`. The horizon check is a peek-gated pop: an event past
+    /// `limit` is never removed from the queue (and so never re-inserted),
+    /// costing one queue operation at the boundary.
     fn step_before(&mut self, limit: SimTime) -> bool {
         self.start();
-        loop {
-            let Some((at, event)) = self.queue.pop_at_or_before(limit) else { return false };
-            if self.dispatch_event(at, event) {
-                return true;
-            }
-        }
+        let Some((at, event)) = self.queue.pop_at_or_before(limit) else { return false };
+        self.dispatch_event(at, event);
+        true
     }
 
-    /// Dispatches one popped event; returns `false` if it was a cancelled
-    /// timer (consumed silently, clock untouched).
-    fn dispatch_event(&mut self, at: SimTime, event: SimEvent<N::Msg>) -> bool {
+    /// Dispatches one popped event.
+    fn dispatch_event(&mut self, at: SimTime, event: SimEvent<N::Msg>) {
         debug_assert!(at >= self.now, "time went backwards");
         match event {
             SimEvent::Deliver { to, from, msg } => {
@@ -842,7 +715,6 @@ impl<N: SimNode> Sim<N> {
                     t.record(at.as_micros(), to.0, streams::ENGINE_DELIVERY, EventKind::Delivered);
                 }
                 self.dispatch_with(to.index(), |node, ctx| node.on_packet(ctx, from, msg));
-                true
             }
             SimEvent::DeliverBatch { from, mut targets, msg } => {
                 // Lazy expansion: the per-destination deliveries the
@@ -866,22 +738,12 @@ impl<N: SimNode> Sim<N> {
                 });
                 targets.clear();
                 self.target_pool.push(targets);
-                true
             }
-            SimEvent::Timer { node, token, id } => {
-                if !self.optimized && self.cancelled.remove(&id.0) {
-                    // Reference mode: tombstoned; free the slot too.
-                    self.timers.retire(id);
-                    return false;
-                }
-                if !self.timers.retire(id) {
-                    return false; // cancelled; consume silently
-                }
+            SimEvent::Timer { node, token } => {
                 self.now = at;
                 self.counters.timers_fired += 1;
                 self.counters.events_processed += 1;
                 self.dispatch_with(node.index(), |n, ctx| n.on_timer(ctx, token));
-                true
             }
         }
     }
@@ -936,7 +798,6 @@ impl<N: SimNode> Sim<N> {
                 rng: &mut self.rngs[idx],
                 ops: &mut ops,
                 targets: &mut targets,
-                timers: &mut self.timers,
                 fanout_ops: self.optimized,
             };
             f(&mut self.nodes[idx], &mut ctx);
@@ -955,12 +816,9 @@ impl<N: SimNode> Sim<N> {
                     let n = self.topo.node_count() as u32;
                     self.transmit_fanout(from, (0..n).map(NodeId).filter(|&to| to != from), msg);
                 }
-                Op::SetTimer { id, token, at } => {
+                Op::SetTimer { token, at } => {
                     self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, token, id });
-                }
-                Op::Cancel { id } => {
-                    self.cancelled.insert(id.0);
+                    self.queue.schedule(at, SimEvent::Timer { node: from, token });
                 }
             }
         }
@@ -1155,33 +1013,37 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire_in_time_order_exactly_once() {
         struct TimerNode {
-            fired: Vec<u64>,
-            cancel_me: Option<TimerId>,
+            fired: Vec<(SimTime, u64)>,
         }
         impl SimNode for TimerNode {
             type Msg = ();
             fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                ctx.set_timer(SimDuration::from_millis(1), 1);
-                self.cancel_me = Some(ctx.set_timer(SimDuration::from_millis(2), 2));
                 ctx.set_timer(SimDuration::from_millis(3), 3);
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+                ctx.set_timer(SimDuration::from_millis(2), 2);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
                 if token == 1 {
-                    let id = self.cancel_me.take().expect("set in on_start");
-                    ctx.cancel_timer(id);
+                    // Armed from a firing timer, due at the same instant as
+                    // token 2: equal instants fire in scheduling order.
+                    ctx.set_timer(SimDuration::from_millis(1), 4);
                 }
-                self.fired.push(token);
+                self.fired.push((ctx.now(), token));
             }
         }
         let topo = paper_region(1);
-        let mut sim = Sim::new(topo, vec![TimerNode { fired: vec![], cancel_me: None }], 3);
+        let mut sim = Sim::new(topo, vec![TimerNode { fired: vec![] }], 3);
         sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.node(NodeId(0)).fired, vec![1, 3]);
-        assert_eq!(sim.counters().timers_set, 3);
-        assert_eq!(sim.counters().timers_fired, 2);
+        let ms = SimTime::from_millis;
+        assert_eq!(sim.node(NodeId(0)).fired, vec![(ms(1), 1), (ms(2), 2), (ms(2), 4), (ms(3), 3)]);
+        // Every armed timer fires exactly once: the engine's whole timer
+        // contract.
+        assert_eq!(sim.counters().timers_set, 4);
+        assert_eq!(sim.counters().timers_fired, sim.counters().timers_set);
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
@@ -1434,16 +1296,13 @@ mod tests {
 
     #[test]
     fn run_until_never_dispatches_past_horizon() {
-        // A cancelled timer inside the horizon must not let run_until
-        // dispatch the next (later) event early.
+        // run_until must not dispatch an event scheduled after its horizon.
         struct DecoyNode {
             fired: Vec<SimTime>,
         }
         impl SimNode for DecoyNode {
             type Msg = ();
             fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                let decoy = ctx.set_timer(SimDuration::from_millis(5), 1);
-                ctx.cancel_timer(decoy);
                 ctx.set_timer(SimDuration::from_millis(50), 2);
             }
             fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
@@ -1459,8 +1318,8 @@ mod tests {
             } else {
                 Sim::new(topo, nodes, 1)
             };
-            // Horizon between the cancelled decoy (5ms) and the real
-            // timer (50ms): nothing may fire, clock lands exactly on 10ms.
+            // Horizon before the timer (50ms): nothing may fire, and the
+            // clock lands exactly on 10ms.
             sim.run_until(SimTime::from_millis(10));
             assert!(sim.node(NodeId(0)).fired.is_empty(), "fired early (reference={reference})");
             assert_eq!(sim.now(), SimTime::from_millis(10));
@@ -1468,103 +1327,17 @@ mod tests {
             assert_eq!(sim.node(NodeId(0)).fired, vec![SimTime::from_millis(50)]);
         }
     }
-
-    #[test]
-    fn timer_slab_reuses_slots() {
-        let mut slab = TimerSlab::default();
-        let a = slab.arm();
-        let b = slab.arm();
-        assert!(slab.retire(a));
-        assert!(!slab.retire(a), "double retire is a no-op");
-        let c = slab.arm(); // reuses a's slot with a new generation
-        assert_ne!(a, c);
-        assert_eq!(slab.slot_count(), 2);
-        assert!(slab.retire(b));
-        assert!(slab.retire(c));
-        // Peak concurrency was 2; the slab never grew past it.
-        for _ in 0..100 {
-            let id = slab.arm();
-            assert!(slab.retire(id));
-        }
-        assert!(slab.slot_count() <= 2);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
-    /// Generator language for slab operations: arm a new timer, or retire
-    /// (fire/cancel) the k-th oldest live one / a stale handle.
-    #[derive(Debug, Clone)]
-    enum SlabOp {
-        Arm,
-        RetireLive(usize),
-        RetireStale(usize),
-    }
-
-    fn arb_slab_op() -> impl Strategy<Value = SlabOp> {
-        prop_oneof![
-            Just(SlabOp::Arm),
-            (0usize..64).prop_map(SlabOp::RetireLive),
-            (0usize..64).prop_map(SlabOp::RetireStale),
-        ]
-    }
-
-    proptest! {
-        /// The slab agrees with a naive model under arbitrary arm/cancel
-        /// interleavings: retire succeeds exactly once per issued handle,
-        /// stale handles never resolve, and memory stays bounded by the
-        /// peak number of concurrently live timers.
-        #[test]
-        fn slab_matches_model(ops in proptest::collection::vec(arb_slab_op(), 0..300)) {
-            let mut slab = TimerSlab::default();
-            let mut live: Vec<TimerId> = Vec::new();
-            let mut retired: Vec<TimerId> = Vec::new();
-            let mut seen: HashSet<TimerId> = HashSet::new();
-            let mut peak = 0usize;
-            for op in ops {
-                match op {
-                    SlabOp::Arm => {
-                        let id = slab.arm();
-                        prop_assert!(seen.insert(id), "handle {id:?} reissued while observable");
-                        live.push(id);
-                        peak = peak.max(live.len());
-                    }
-                    SlabOp::RetireLive(k) => {
-                        if live.is_empty() {
-                            continue;
-                        }
-                        let id = live.remove(k % live.len());
-                        prop_assert!(slab.retire(id), "live handle must retire");
-                        retired.push(id);
-                    }
-                    SlabOp::RetireStale(k) => {
-                        if retired.is_empty() {
-                            continue;
-                        }
-                        let id = retired[k % retired.len()];
-                        prop_assert!(!slab.retire(id), "stale handle must not retire");
-                    }
-                }
-            }
-            prop_assert!(slab.slot_count() <= peak.max(1), "slab grew past peak concurrency");
-            // Every still-live handle retires exactly once.
-            for id in live {
-                prop_assert!(slab.retire(id));
-                prop_assert!(!slab.retire(id));
-            }
-        }
-    }
-
-    /// One scripted reaction to a timer firing: cancel some still-pending
-    /// timers (picked by index into the live list), then arm new ones with
-    /// the given delays (microseconds; zero means "this same instant").
+    /// One scripted reaction to a timer firing: arm new timers with the
+    /// given delays (microseconds; zero means "this same instant").
     #[derive(Debug, Clone)]
     struct ScriptStep {
-        cancels: Vec<usize>,
         delays: Vec<u64>,
     }
 
@@ -1573,21 +1346,18 @@ mod proptests {
     struct ScriptNode {
         script: Vec<ScriptStep>,
         step: usize,
-        live: Vec<(u64, TimerId)>,
         next_token: u64,
         fired: Vec<(SimTime, u64)>,
     }
 
     impl ScriptNode {
         fn new(script: Vec<ScriptStep>) -> Self {
-            ScriptNode { script, step: 0, live: Vec::new(), next_token: 0, fired: Vec::new() }
+            ScriptNode { script, step: 0, next_token: 0, fired: Vec::new() }
         }
 
         fn arm(&mut self, ctx: &mut Ctx<'_, ()>, delay_us: u64) {
-            let token = self.next_token;
+            ctx.set_timer(SimDuration::from_micros(delay_us), self.next_token);
             self.next_token += 1;
-            let id = ctx.set_timer(SimDuration::from_micros(delay_us), token);
-            self.live.push((token, id));
         }
     }
 
@@ -1599,16 +1369,8 @@ mod proptests {
         fn on_packet(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
         fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
             self.fired.push((ctx.now(), token));
-            self.live.retain(|&(t, _)| t != token);
             let Some(step) = self.script.get(self.step).cloned() else { return };
             self.step += 1;
-            for k in step.cancels {
-                if self.live.is_empty() {
-                    break;
-                }
-                let (_, id) = self.live.remove(k % self.live.len());
-                ctx.cancel_timer(id);
-            }
             for d in step.delays {
                 self.arm(ctx, d);
             }
@@ -1616,16 +1378,14 @@ mod proptests {
     }
 
     fn arb_script_step() -> impl Strategy<Value = ScriptStep> {
-        (proptest::collection::vec(0usize..8, 0..3), proptest::collection::vec(0u64..5_000, 0..4))
-            .prop_map(|(cancels, delays)| ScriptStep { cancels, delays })
+        proptest::collection::vec(0u64..5_000, 0..4).prop_map(|delays| ScriptStep { delays })
     }
 
     proptest! {
-        /// Differential: random interleaved timer schedule/cancel/fire
-        /// scripts observe the identical `(time, token)` trace and
-        /// counters on the optimized simulator (slab-generation
-        /// cancellation) and the reference one (the historical
-        /// tombstone-set cancellation path).
+        /// Differential: random interleaved timer schedule/fire scripts
+        /// observe the identical `(time, token)` trace and counters on the
+        /// optimized simulator and the reference one, and every armed
+        /// timer fires exactly once.
         #[test]
         fn timer_scripts_match_reference(
             script in proptest::collection::vec(arb_script_step(), 0..30),
@@ -1644,6 +1404,7 @@ mod proptests {
             }
             let optimized = run(script.clone(), false);
             let reference = run(script, true);
+            prop_assert_eq!(optimized.1.timers_fired, optimized.1.timers_set);
             prop_assert_eq!(optimized, reference);
         }
     }

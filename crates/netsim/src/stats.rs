@@ -1,7 +1,5 @@
-//! Small statistics toolkit used by the experiment harness: summary
-//! statistics, online (Welford) accumulation, histograms, and time series.
-
-use crate::time::SimTime;
+//! Small statistics toolkit for the paper's figures: online (Welford)
+//! mean/variance accumulation and interpolated percentiles.
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -13,7 +11,7 @@ use crate::time::SimTime;
 ///     s.push(x);
 /// }
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -55,22 +53,6 @@ impl OnlineStats {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance, or 0.0 when empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample variance (n−1 denominator), or 0.0 with fewer than two points.
@@ -144,231 +126,9 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Summary of a finished sample: count, mean, std, min/median/p99/max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Median (p50).
-    pub median: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `values` (need not be sorted).
-    ///
-    /// Returns a zeroed summary with `count == 0` for an empty input.
-    #[must_use]
-    pub fn of(values: &[f64]) -> Summary {
-        if values.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                median: 0.0,
-                p99: 0.0,
-                max: 0.0,
-            };
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
-        let mut acc = OnlineStats::new();
-        for &v in values {
-            acc.push(v);
-        }
-        Summary {
-            count: values.len(),
-            mean: acc.mean(),
-            std_dev: acc.sample_variance().sqrt(),
-            min: sorted[0],
-            median: percentile(&sorted, 0.5),
-            p99: percentile(&sorted, 0.99),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-}
-
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `hi <= lo`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram { lo, hi, buckets: vec![0; buckets], underflow: 0, overflow: 0, count: 0 }
-    }
-
-    /// Adds an observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The `[start, end)` range of bucket `i`.
-    #[must_use]
-    pub fn bucket_range(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
-    }
-
-    /// Total observations including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range end.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Fraction of all observations falling in bucket `i`.
-    #[must_use]
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.buckets[i] as f64 / self.count as f64
-        }
-    }
-}
-
-/// A `(time, value)` series sampled during a simulation, e.g. "number of
-/// members buffering message m" for the paper's Figure 7.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a sample. Times should be non-decreasing.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.points.last().is_none_or(|&(t, _)| t <= at),
-            "time series must be sampled in order"
-        );
-        self.points.push((at, value));
-    }
-
-    /// The recorded samples in order.
-    #[must_use]
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The value in effect at `at` (last sample at or before `at`), or
-    /// `None` before the first sample.
-    #[must_use]
-    pub fn value_at(&self, at: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|&(t, _)| t.cmp(&at)) {
-            Ok(i) => {
-                // Multiple samples may share a timestamp; take the last.
-                let mut i = i;
-                while i + 1 < self.points.len() && self.points[i + 1].0 == at {
-                    i += 1;
-                }
-                Some(self.points[i].1)
-            }
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
-    }
-
-    /// Resamples the series onto a regular grid from the first sample time
-    /// to `end` with step `step_micros`, carrying the last value forward.
-    #[must_use]
-    pub fn resample(&self, end: SimTime, step_micros: u64) -> Vec<(SimTime, f64)> {
-        let mut out = Vec::new();
-        let Some(&(start, _)) = self.points.first() else { return out };
-        let mut t = start;
-        while t <= end {
-            if let Some(v) = self.value_at(t) {
-                out.push((t, v));
-            }
-            t += crate::time::SimDuration::from_micros(step_micros);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn online_stats_basics() {
@@ -379,7 +139,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.count(), 2);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert!((s.population_variance() - 1.0).abs() < 1e-12);
         assert!((s.sample_variance() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 3.0);
@@ -403,7 +162,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - all.population_variance()).abs() < 1e-9);
+        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -413,67 +172,6 @@ mod tests {
         assert_eq!(percentile(&xs, 1.0), 4.0);
         assert!((percentile(&xs, 0.5) - 2.5).abs() < 1e-12);
         assert!(percentile(&[], 0.5).is_nan());
-    }
-
-    #[test]
-    fn summary_of_sample() {
-        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.median - 2.5).abs() < 1e-12);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.count, 0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.bucket(0), 2); // 0.0, 1.9
-        assert_eq!(h.bucket(1), 1); // 2.0
-        assert_eq!(h.bucket(4), 1); // 9.99
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bucket_range(1), (2.0, 4.0));
-        assert!((h.fraction(0) - 2.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn time_series_value_at() {
-        let mut ts = TimeSeries::new();
-        assert!(ts.is_empty());
-        ts.push(SimTime::from_millis(10), 1.0);
-        ts.push(SimTime::from_millis(20), 2.0);
-        ts.push(SimTime::from_millis(20), 3.0); // same-timestamp update wins
-        assert_eq!(ts.value_at(SimTime::from_millis(5)), None);
-        assert_eq!(ts.value_at(SimTime::from_millis(10)), Some(1.0));
-        assert_eq!(ts.value_at(SimTime::from_millis(15)), Some(1.0));
-        assert_eq!(ts.value_at(SimTime::from_millis(20)), Some(3.0));
-        assert_eq!(ts.value_at(SimTime::from_millis(99)), Some(3.0));
-        assert_eq!(ts.len(), 3);
-    }
-
-    #[test]
-    fn time_series_resample() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_millis(0), 0.0);
-        ts.push(SimTime::from_millis(3), 3.0);
-        let grid = ts.resample(SimTime::from_millis(4), 1_000);
-        assert_eq!(grid.len(), 5);
-        assert_eq!(grid[2].1, 0.0);
-        assert_eq!(grid[3].1, 3.0);
-        assert_eq!(grid[4].1, 3.0);
     }
 }
 
@@ -492,9 +190,11 @@ mod proptests {
             }
             let n = xs.len() as f64;
             let mean = xs.iter().sum::<f64>() / n;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0).max(1.0);
             prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-            prop_assert!((s.population_variance() - var).abs() < 1e-4 * var.abs().max(1.0));
+            if xs.len() > 1 {
+                prop_assert!((s.sample_variance() - var).abs() < 1e-4 * var.abs().max(1.0));
+            }
         }
 
         /// Merging any split of a sample equals accumulating the whole.
@@ -513,15 +213,6 @@ mod proptests {
             a.merge(&b);
             prop_assert_eq!(a.count(), whole.count());
             prop_assert!((a.mean() - whole.mean()).abs() < 1e-7);
-        }
-
-        /// Histogram conserves observations across buckets and flows.
-        #[test]
-        fn histogram_conserves_count(xs in proptest::collection::vec(-10.0f64..20.0, 0..300)) {
-            let mut h = Histogram::new(0.0, 10.0, 7);
-            for &x in &xs { h.record(x); }
-            let in_buckets: u64 = (0..h.bucket_count()).map(|i| h.bucket(i)).sum();
-            prop_assert_eq!(in_buckets + h.underflow() + h.overflow(), xs.len() as u64);
         }
     }
 }

@@ -133,28 +133,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Multiplies the span by a non-negative float, rounding to the nearest
-    /// microsecond. Useful for jitter and back-off computations.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `factor` is negative or not finite.
-    #[must_use]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        debug_assert!(factor.is_finite() && factor >= 0.0, "invalid factor {factor}");
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Integer division that never panics: returns [`SimDuration::ZERO`]
-    /// when `divisor` is zero.
-    #[must_use]
-    pub const fn checked_div_or_zero(self, divisor: u64) -> SimDuration {
-        match self.0.checked_div(divisor) {
-            Some(v) => SimDuration(v),
-            None => SimDuration(0),
-        }
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -284,21 +262,6 @@ mod tests {
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
         assert_eq!(SimTime::MAX.saturating_add(SimDuration::from_secs(1)), SimTime::MAX);
-    }
-
-    #[test]
-    fn mul_f64_rounds() {
-        let d = SimDuration::from_micros(10);
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_micros(15));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
-        assert_eq!(d.mul_f64(0.26), SimDuration::from_micros(3));
-    }
-
-    #[test]
-    fn checked_div_or_zero_handles_zero() {
-        let d = SimDuration::from_micros(10);
-        assert_eq!(d.checked_div_or_zero(0), SimDuration::ZERO);
-        assert_eq!(d.checked_div_or_zero(2), SimDuration::from_micros(5));
     }
 
     #[test]

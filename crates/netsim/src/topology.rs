@@ -63,12 +63,7 @@ pub struct RegionSpec {
 /// ([`LatencyModel::RegionBased`] with `intra_one_way` = 5 ms) and
 /// substantially larger inter-region latencies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LatencyModel {
-    /// The same one-way latency between every pair of distinct nodes.
-    Uniform {
-        /// One-way latency between any two distinct nodes.
-        one_way: SimDuration,
-    },
+enum LatencyModel {
     /// One latency within a region, another between regions.
     RegionBased {
         /// One-way latency between two nodes in the same region.
@@ -93,9 +88,8 @@ impl LatencyModel {
     /// Panics if a [`LatencyModel::Matrix`] is missing an entry for the
     /// requested region pair.
     #[must_use]
-    pub fn one_way(&self, from_region: RegionId, to_region: RegionId) -> SimDuration {
+    fn one_way(&self, from_region: RegionId, to_region: RegionId) -> SimDuration {
         match self {
-            LatencyModel::Uniform { one_way } => *one_way,
             LatencyModel::RegionBased { intra_one_way, inter_one_way } => {
                 if from_region == to_region {
                     *intra_one_way
@@ -154,16 +148,14 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology from regions and a latency model.
-    ///
-    /// Nodes are implicitly numbered: the builder assigns dense
-    /// [`NodeId`]s region by region.
+    /// Builds a topology from regions and a latency model; the builder
+    /// assigns dense [`NodeId`]s region by region.
     ///
     /// # Errors
     ///
     /// Returns a [`TopologyError`] if a region is empty, a parent reference
     /// dangles, the hierarchy is cyclic, or the latency matrix is malformed.
-    pub fn new(regions: Vec<RegionSpec>, latency: LatencyModel) -> Result<Self, TopologyError> {
+    fn new(regions: Vec<RegionSpec>, latency: LatencyModel) -> Result<Self, TopologyError> {
         let n_regions = regions.len();
         let mut node_region: Vec<(NodeId, RegionId)> = Vec::new();
         for spec in &regions {
@@ -269,12 +261,6 @@ impl Topology {
         self.one_way_latency(a, b) + self.one_way_latency(b, a)
     }
 
-    /// The latency model.
-    #[must_use]
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// The conservative-parallelism **lookahead**: the minimum one-way
     /// latency between any two *distinct* regions, or `None` for a
     /// single-region topology (which has no inter-region traffic at all).
@@ -290,7 +276,6 @@ impl Topology {
             return None;
         }
         match &self.latency {
-            LatencyModel::Uniform { one_way } => Some(*one_way),
             LatencyModel::RegionBased { inter_one_way, .. } => Some(*inter_one_way),
             LatencyModel::Matrix { regions } => regions
                 .iter()
@@ -544,9 +529,11 @@ mod tests {
             RegionSpec { id: RegionId(0), parent: Some(RegionId(1)), members: vec![NodeId(0)] },
             RegionSpec { id: RegionId(1), parent: Some(RegionId(0)), members: vec![NodeId(1)] },
         ];
-        let err =
-            Topology::new(regions, LatencyModel::Uniform { one_way: SimDuration::from_millis(1) })
-                .unwrap_err();
+        let latency = LatencyModel::RegionBased {
+            intra_one_way: SimDuration::from_millis(1),
+            inter_one_way: SimDuration::from_millis(1),
+        };
+        let err = Topology::new(regions, latency).unwrap_err();
         assert!(matches!(err, TopologyError::CyclicHierarchy(_)));
     }
 
@@ -613,13 +600,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(topo.lookahead(), Some(ms(12)));
-        // Uniform applies between regions too.
-        let regions = vec![
-            RegionSpec { id: RegionId(0), parent: None, members: vec![NodeId(0)] },
-            RegionSpec { id: RegionId(1), parent: Some(RegionId(0)), members: vec![NodeId(1)] },
-        ];
-        let topo = Topology::new(regions, LatencyModel::Uniform { one_way: ms(7) }).unwrap();
-        assert_eq!(topo.lookahead(), Some(ms(7)));
     }
 
     #[test]

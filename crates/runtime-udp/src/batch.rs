@@ -26,9 +26,6 @@
 
 use std::net::{SocketAddr, UdpSocket};
 
-/// Result of one receive-batch drain: how many datagrams were filled.
-pub type RecvResult = std::io::Result<usize>;
-
 /// How many datagrams one batched syscall covers at most. Also the batch
 /// size of the fallback loop (where it only bounds per-call work).
 pub const BATCH: usize = 64;
@@ -42,21 +39,21 @@ mod sys {
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6};
     use std::os::raw::{c_int, c_uint, c_void};
 
-    pub const AF_INET: u16 = 2;
-    pub const AF_INET6: u16 = 10;
+    pub(super) const AF_INET: u16 = 2;
+    pub(super) const AF_INET6: u16 = 10;
     /// `recvmmsg`: block for the first message only, then drain.
-    pub const MSG_WAITFORONE: c_int = 0x10000;
+    pub(super) const MSG_WAITFORONE: c_int = 0x10000;
     /// Per-message flag the kernel sets when a datagram was longer than
     /// the buffer it was received into.
-    pub const MSG_TRUNC: c_int = 0x20;
+    pub(super) const MSG_TRUNC: c_int = 0x20;
     /// `poll(2)`: data available to read.
-    pub const POLLIN: c_short = 0x001;
+    pub(super) const POLLIN: c_short = 0x001;
 
     use std::os::raw::{c_short, c_ulong};
 
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct pollfd {
+    pub(super) struct pollfd {
         pub fd: c_int,
         pub events: c_short,
         pub revents: c_short,
@@ -64,14 +61,14 @@ mod sys {
 
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct iovec {
+    pub(super) struct iovec {
         pub iov_base: *mut c_void,
         pub iov_len: usize,
     }
 
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct msghdr {
+    pub(super) struct msghdr {
         pub msg_name: *mut c_void,
         pub msg_namelen: u32,
         pub msg_iov: *mut iovec,
@@ -83,7 +80,7 @@ mod sys {
 
     #[repr(C)]
     #[derive(Debug, Clone, Copy)]
-    pub struct mmsghdr {
+    pub(super) struct mmsghdr {
         pub msg_hdr: msghdr,
         pub msg_len: c_uint,
     }
@@ -92,28 +89,33 @@ mod sys {
     /// valid too (the kernel reads only `namelen` bytes).
     #[repr(C, align(8))]
     #[derive(Debug, Clone, Copy)]
-    pub struct sockaddr_storage {
+    pub(super) struct sockaddr_storage {
         pub bytes: [u8; 28],
     }
 
     impl sockaddr_storage {
-        pub const ZERO: sockaddr_storage = sockaddr_storage { bytes: [0u8; 28] };
+        pub(super) const ZERO: sockaddr_storage = sockaddr_storage { bytes: [0u8; 28] };
     }
 
     extern "C" {
-        pub fn sendmmsg(fd: c_int, msgvec: *mut mmsghdr, vlen: c_uint, flags: c_int) -> c_int;
-        pub fn recvmmsg(
+        pub(super) fn sendmmsg(
+            fd: c_int,
+            msgvec: *mut mmsghdr,
+            vlen: c_uint,
+            flags: c_int,
+        ) -> c_int;
+        pub(super) fn recvmmsg(
             fd: c_int,
             msgvec: *mut mmsghdr,
             vlen: c_uint,
             flags: c_int,
             timeout: *mut c_void, // struct timespec*; we always pass null
         ) -> c_int;
-        pub fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
+        pub(super) fn poll(fds: *mut pollfd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
     /// Encodes `addr` into `storage`; returns the kernel-facing length.
-    pub fn encode_addr(addr: SocketAddr, storage: &mut sockaddr_storage) -> u32 {
+    pub(super) fn encode_addr(addr: SocketAddr, storage: &mut sockaddr_storage) -> u32 {
         match addr {
             SocketAddr::V4(v4) => {
                 storage.bytes[..2].copy_from_slice(&AF_INET.to_ne_bytes());
@@ -134,7 +136,7 @@ mod sys {
     }
 
     /// Decodes the kernel-written name back into a `SocketAddr`.
-    pub fn decode_addr(storage: &sockaddr_storage) -> Option<SocketAddr> {
+    pub(super) fn decode_addr(storage: &sockaddr_storage) -> Option<SocketAddr> {
         let family = u16::from_ne_bytes([storage.bytes[0], storage.bytes[1]]);
         let port = u16::from_be_bytes([storage.bytes[2], storage.bytes[3]]);
         match family {
@@ -358,7 +360,11 @@ impl RecvBatcher {
     /// `poll(2)` reported readiness. Returns how many datagrams were
     /// frozen into [`RecvBatcher::drain`].
     #[cfg(all(target_os = "linux", feature = "mmsg"))]
-    pub fn recv_batch(&mut self, socket: &UdpSocket, pool: &mut BufferPool) -> RecvResult {
+    pub fn recv_batch(
+        &mut self,
+        socket: &UdpSocket,
+        pool: &mut BufferPool,
+    ) -> std::io::Result<usize> {
         use std::os::fd::AsRawFd;
         self.out.clear();
         self.ensure_slabs(pool, false);
@@ -434,7 +440,11 @@ impl RecvBatcher {
     /// mirroring the Linux `MSG_TRUNC` behavior at worst one false
     /// positive per class step.
     #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-    pub fn recv_batch(&mut self, socket: &UdpSocket, pool: &mut BufferPool) -> RecvResult {
+    pub fn recv_batch(
+        &mut self,
+        socket: &UdpSocket,
+        pool: &mut BufferPool,
+    ) -> std::io::Result<usize> {
         self.out.clear();
         self.ensure_slabs(pool, false);
         let slab = self.slabs[0].as_mut().expect("ensure_slabs filled slot 0");

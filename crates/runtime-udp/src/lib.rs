@@ -30,8 +30,5 @@ pub mod runtime;
 
 pub use batch::{send_to_many, PollSet, RecvBatcher};
 pub use group::{GroupSpec, MemberSpec};
-pub use pool::{BufferPool, PoolSnapshot, PoolStats, SizeClass, DATAGRAM_MTU, MAX_DATAGRAM};
-pub use runtime::{
-    Delivery, MemberHandle, RuntimeConfig, RuntimeEvent, RuntimeSnapshot, RuntimeStats, UdpNode,
-    UdpRuntime,
-};
+pub use pool::{BufferPool, PoolSnapshot, PoolStats, SizeClass, DATAGRAM_MTU};
+pub use runtime::{Delivery, MemberHandle, RuntimeConfig, RuntimeSnapshot, UdpNode, UdpRuntime};

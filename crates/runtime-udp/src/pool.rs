@@ -9,7 +9,7 @@
 //!
 //! Three buckets: [`DATAGRAM_MTU`] (every protocol control packet and
 //! MTU-sized data datagram — the common case by far), a 16 KiB middle
-//! class, and [`MAX_DATAGRAM`] (the largest UDP payload; jumbo
+//! class, and a 64 KiB class (the largest UDP payload; jumbo
 //! application multicasts). [`DATAGRAM_MTU`] is the single source of
 //! truth for datagram sizing: the send path's encode buffer and the
 //! receive slabs both start from it.
@@ -58,7 +58,7 @@ use bytes::{Bytes, BytesMut};
 pub const DATAGRAM_MTU: usize = 2048;
 
 /// The largest datagram the runtime handles: the UDP payload ceiling.
-pub const MAX_DATAGRAM: usize = 64 * 1024;
+const MAX_DATAGRAM: usize = 64 * 1024;
 
 /// Bucket sizes, ascending. `SizeClass` indexes into this ladder.
 pub const SIZE_CLASSES: [usize; 3] = [DATAGRAM_MTU, 16 * 1024, MAX_DATAGRAM];
@@ -83,7 +83,8 @@ impl SizeClass {
     ///
     /// # Panics
     ///
-    /// Panics if `len` exceeds [`MAX_DATAGRAM`].
+    /// Panics if `len` exceeds the largest class (64 KiB, the UDP payload
+    /// ceiling).
     #[must_use]
     pub fn for_len(len: usize) -> SizeClass {
         let idx = SIZE_CLASSES

@@ -111,7 +111,7 @@ impl RuntimeConfig {
     /// One event loop with default pool and channel sizing — what the
     /// [`UdpNode`] facade uses.
     #[must_use]
-    pub fn single_loop() -> RuntimeConfig {
+    fn single_loop() -> RuntimeConfig {
         RuntimeConfig {
             loop_threads: 1,
             pool_limit_bytes: DEFAULT_POOL_LIMIT,
@@ -125,7 +125,7 @@ impl RuntimeConfig {
 /// mirror of [`PoolStats`]. Counters are cumulative; all updates are
 /// `Relaxed` — they are observability, never synchronization.
 #[derive(Debug, Default)]
-pub struct RuntimeStats {
+pub(crate) struct RuntimeStats {
     /// Poll returns with at least one readable socket.
     pub poll_wakeups: AtomicU64,
     /// Poll returns with nothing readable (timer or idle sweeps).
@@ -135,7 +135,8 @@ pub struct RuntimeStats {
     /// Sockets re-admitted to the readiness set after backoff.
     pub unmutes: AtomicU64,
     /// Fatal receive failures: sockets permanently retired (each also
-    /// surfaced to its application as [`RuntimeEvent::RecvFailed`]).
+    /// surfaced to its application through
+    /// [`MemberHandle::recv_failure`]).
     pub recv_failures: AtomicU64,
     /// Pool sweep passes that reclaimed at least one retained slab.
     pub scavenges: AtomicU64,
@@ -146,8 +147,8 @@ pub struct RuntimeStats {
     pub send_drops: AtomicU64,
 }
 
-/// A plain-data copy of [`RuntimeStats`] at one instant — uniform with
-/// [`crate::pool::PoolSnapshot`].
+/// A plain-data copy of one loop's health counters at one instant —
+/// uniform with [`crate::pool::PoolSnapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeSnapshot {
     /// Poll returns with at least one readable socket.
@@ -220,7 +221,7 @@ pub struct Delivery {
 /// silent (a member whose socket died keeps sending and looks healthy
 /// from the outside).
 #[derive(Debug)]
-pub enum RuntimeEvent {
+pub(crate) enum RuntimeEvent {
     /// A message delivered to the application.
     Delivery(Delivery),
     /// The member's socket hit a fatal receive error and was retired from
@@ -1140,12 +1141,6 @@ impl MemberHandle {
         self.node
     }
 
-    /// The event loop hosting this member (for placement introspection).
-    #[must_use]
-    pub fn loop_index(&self) -> usize {
-        self.loop_idx
-    }
-
     /// Multicasts `payload` to the group (sender role only; ignored
     /// otherwise).
     pub fn multicast(&self, payload: impl Into<Bytes>) {
@@ -1164,21 +1159,14 @@ impl MemberHandle {
             .send(LoopCmd::SetDrop(self.slot, filter.map(|f| Box::new(f) as Box<DropFilter>)));
     }
 
-    /// Receives the next runtime event (delivery or fatal receive-path
-    /// failure), waiting up to `timeout`.
-    #[must_use]
-    pub fn recv_event_timeout(&self, timeout: Duration) -> Option<RuntimeEvent> {
-        let event = self.delivered_rx.recv_timeout(timeout).ok()?;
-        self.note_failure(&event);
-        Some(event)
-    }
-
     /// Receives the next delivered message, waiting up to `timeout`.
     /// A fatal receive-path failure arriving instead is recorded (see
     /// [`MemberHandle::recv_failure`]) and reported as `None`.
     #[must_use]
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
-        match self.recv_event_timeout(timeout)? {
+        let event = self.delivered_rx.recv_timeout(timeout).ok()?;
+        self.note_failure(&event);
+        match event {
             RuntimeEvent::Delivery(d) => Some(d),
             RuntimeEvent::RecvFailed(_) => None,
         }
@@ -1198,9 +1186,9 @@ impl MemberHandle {
     }
 
     /// The fatal receive-path error observed so far, if any: the member
-    /// is deaf to the network and should be torn down. Populated when a
-    /// [`RuntimeEvent::RecvFailed`] passes through any of the receive
-    /// methods.
+    /// is deaf to the network and should be torn down. Populated when the
+    /// loop's report of a retired socket passes through any of the
+    /// receive methods.
     #[must_use]
     pub fn recv_failure(&self) -> Option<std::io::ErrorKind> {
         self.recv_failure.lock().expect("recv_failure lock").as_ref().map(std::io::Error::kind)
@@ -1325,13 +1313,6 @@ impl UdpNode {
         F: Fn(NodeId) -> bool + Send + 'static,
     {
         self.member().set_initial_drop(filter);
-    }
-
-    /// Receives the next runtime event (delivery or fatal receive-path
-    /// failure), waiting up to `timeout`.
-    #[must_use]
-    pub fn recv_event_timeout(&self, timeout: Duration) -> Option<RuntimeEvent> {
-        self.member().recv_event_timeout(timeout)
     }
 
     /// Receives the next delivered message, waiting up to `timeout`.
@@ -1533,7 +1514,7 @@ mod tests {
         assert_eq!(rt.loop_count(), 2);
         assert_eq!(rt.member_count(), N);
         // Least-loaded placement splits the group evenly.
-        let on_first = members.iter().filter(|m| m.loop_index() == 0).count();
+        let on_first = members.iter().filter(|m| m.loop_idx == 0).count();
         assert_eq!(on_first, N / 2, "placement should balance across loops");
         members[0].multicast(&b"multiplexed"[..]);
         for (i, m) in members.iter().enumerate() {

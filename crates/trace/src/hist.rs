@@ -14,10 +14,10 @@ use crate::json::JsonObj;
 
 /// Sub-bucket resolution: each power-of-two range has `2^SUB_BITS`
 /// linear sub-buckets.
-pub const SUB_BITS: u32 = 4;
+const SUB_BITS: u32 = 4;
 const SUB: u64 = 1 << SUB_BITS;
 /// Total bucket count covering all of `u64`.
-pub const BUCKETS: usize = (SUB as usize) * (64 - SUB_BITS as usize + 1);
+const BUCKETS: usize = (SUB as usize) * (64 - SUB_BITS as usize + 1);
 
 /// A mergeable latency histogram (values are dimensionless `u64`s; the
 /// workspace records microseconds).
@@ -69,17 +69,9 @@ impl LogHistogram {
 
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::bucket_index(v)] += n;
-        self.count += n;
-        self.sum += u128::from(v) * u128::from(n);
+        self.counts[Self::bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += u128::from(v);
         self.max = self.max.max(v);
     }
 
@@ -146,15 +138,6 @@ impl LogHistogram {
             }
         }
         self.max
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lower_bound(i), c))
     }
 
     /// Serializes summary statistics as one JSON object:

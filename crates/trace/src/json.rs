@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 /// Escapes `s` as JSON string *contents* (no surrounding quotes).
-pub fn escape_into(s: &str, out: &mut String) {
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

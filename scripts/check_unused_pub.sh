@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Every public item has a user. Each `pub fn|struct|enum|trait|const|type|
+# static` declared under `crates/*/src` must be named, as a whole word, in
+# some file other than its own under `crates`, `src`, `tests`, `examples`
+# or `perf/src`. A `pub use` re-export is not a use: a prelude entry that
+# nothing imports keeps nothing alive. An item only its own file names is
+# either `pub(crate)` or deleted. The exceptions are listed in
+# `scripts/check_unused_pub.allow`, one `file name reason` line each:
+# types that a used public signature reaches, so demoting them is a
+# `private_interfaces` warning or an E0446 error.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+python3 - scripts/check_unused_pub.allow <<'PY'
+import pathlib, re, sys
+
+MAX_ALLOWED = 25
+DECL = re.compile(
+    r"^\s*pub\s+(?:(?:const|unsafe|async|extern\s+\"C\")\s+)*"
+    r"(?:fn|struct|enum|trait|const|type|static)\s+([A-Za-z_][A-Za-z0-9_]*)",
+    re.M,
+)
+REEXPORT = re.compile(r"\bpub\s+use\s+[^;]*;", re.S)
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+allowed = {}
+for n, line in enumerate(pathlib.Path(sys.argv[1]).read_text().splitlines(), 1):
+    if not line.strip() or line.startswith("#"):
+        continue
+    parts = line.split(None, 2)
+    if len(parts) < 3:
+        sys.exit(f"{sys.argv[1]}:{n}: want `file name reason`, got {line!r}")
+    allowed[(parts[0], parts[1])] = parts[2]
+if len(allowed) > MAX_ALLOWED:
+    sys.exit(f"allowlist has {len(allowed)} entries; the ceiling is {MAX_ALLOWED}")
+
+files = sorted(
+    p
+    for root in ("crates", "src", "tests", "examples", "perf/src")
+    for p in pathlib.Path(root).rglob("*.rs")
+    if "target" not in p.parts
+)
+text = {p: p.read_text() for p in files}
+words = {p: set(WORD.findall(REEXPORT.sub("", t))) for p, t in text.items()}
+
+unused, stale = [], set(allowed)
+for p in files:
+    if not (p.parts[0] == "crates" and "src" in p.parts):
+        continue
+    for name in sorted(set(DECL.findall(text[p]))):
+        key = (str(p), name)
+        if any(name in w for q, w in words.items() if q != p):
+            continue
+        if key in allowed:
+            stale.discard(key)
+            continue
+        unused.append(f"{p}: pub {name} is named only in its own file")
+
+for key in sorted(stale):
+    unused.append(f"allowlist entry {key[0]} {key[1]} no longer matches an unused pub item")
+for line in unused:
+    print(line)
+print(f"{len(unused)} problem(s); {len(allowed)} allowlisted item(s)")
+sys.exit(1 if unused else 0)
+PY
