@@ -10,7 +10,7 @@ use rrmp_analysis::models::{
 use rrmp_core::harness::RrmpNetwork;
 use rrmp_core::ids::MessageId;
 use rrmp_core::packet::Packet;
-use rrmp_core::prelude::{PreloadState, ProtocolConfig};
+use rrmp_core::prelude::{PreloadState, ProtocolConfig, TraceConfig};
 use rrmp_netsim::rng::SeedSequence;
 use rrmp_netsim::stats::OnlineStats;
 use rrmp_netsim::time::{SimDuration, SimTime};
@@ -125,7 +125,8 @@ pub fn fig6_rows(n: usize, holder_counts: &[usize], seeds: u64, base_seed: u64) 
             let seed = base_seed ^ (k as u64) << 32 | s;
             let (id, holders, net) = run_epidemic(n, k, seed, SimTime::from_secs(2));
             for h in &holders {
-                let rec = net.node(*h).receiver().metrics().buffer_record(id).unwrap_or_default();
+                let trace = net.node(*h).receiver().trace().expect("observer armed");
+                let rec = trace.buffer_record(id).unwrap_or_default();
                 if let Some(d) = rec.short_term_duration() {
                     stats.push(d.as_millis_f64());
                 }
@@ -271,7 +272,8 @@ fn run_epidemic(
     horizon: SimTime,
 ) -> (MessageId, Vec<NodeId>, RrmpNetwork) {
     let topo = presets::paper_region(n);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed);
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed)
+        .with_observer(TraceConfig::default());
     let holders = pick_holders(&mut SeedSequence::new(seed).rng_for(999), n, k);
     let id = net.seed_message_with_holders(&b"epidemic"[..], &holders);
     net.run_until(horizon);

@@ -14,7 +14,12 @@
 //! 1. **Structured events** — every loss detection, recovery round,
 //!    repair, give-up, pressure-tier transition, and heal lands in a
 //!    bounded per-node [`TraceSink`] ring on the
-//!    [`streams::RECEIVER`] stream.
+//!    [`streams::RECEIVER`] stream. So does every [`BufferPhase`] a
+//!    message enters (received, idled, kept long-term — again after a
+//!    handoff — and discarded), from which
+//!    [`ReceiverTrace::buffer_record`] rebuilds its buffering lifecycle
+//!    (the paper's Figure 6). The receiver keeps no per-message history
+//!    of its own.
 //! 2. **Time-series samples** — a [`TimerKind::TraceSample`] tick records
 //!    buffer occupancy, store bytes vs budget, token-bucket level, and
 //!    recovery backlog (only armed when [`TraceConfig::sample_every`] is
@@ -30,7 +35,7 @@ use std::collections::BTreeMap;
 
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
-use rrmp_trace::{streams, EventKind, LogHistogram, TraceEvent, TraceSink};
+use rrmp_trace::{streams, BufferPhase, EventKind, LogHistogram, TraceEvent, TraceSink};
 
 use crate::buffer::PressureTier;
 use crate::ids::MessageId;
@@ -54,6 +59,32 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig { ring_capacity: 4096, sample_every: None }
+    }
+}
+
+/// Lifecycle of one message in one member's buffer, as
+/// [`ReceiverTrace::buffer_record`] rebuilds it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BufferRecord {
+    /// When the message was first received here.
+    pub received_at: Option<SimTime>,
+    /// When it transitioned to idle (short-term phase ended).
+    pub idled_at: Option<SimTime>,
+    /// Whether this member kept it as a long-term bufferer.
+    pub kept_long_term: bool,
+    /// When the payload left the buffer entirely.
+    pub discarded_at: Option<SimTime>,
+}
+
+impl BufferRecord {
+    /// Duration of the short-term (feedback) phase, if completed — the
+    /// quantity plotted in the paper's Figure 6.
+    #[must_use]
+    pub fn short_term_duration(&self) -> Option<SimDuration> {
+        match (self.received_at, self.idled_at) {
+            (Some(r), Some(i)) => Some(i.saturating_since(r)),
+            _ => None,
+        }
     }
 }
 
@@ -179,6 +210,43 @@ impl ReceiverTrace {
         self.record(now, kind);
     }
 
+    pub(crate) fn on_buffer(&mut self, id: MessageId, phase: BufferPhase, now: SimTime) {
+        self.record(now, EventKind::Buffer { src: id.source.0, mseq: id.seq.value(), phase });
+    }
+
+    /// `id`'s buffer lifecycle, rebuilt from the buffer-phase events in
+    /// the ring; `None` if no phase of `id` was recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ring has evicted any event: a record rebuilt from a
+    /// truncated history could lack phases, so none is returned. Size
+    /// [`TraceConfig::ring_capacity`] for the run.
+    #[must_use]
+    pub fn buffer_record(&self, id: MessageId) -> Option<BufferRecord> {
+        let node = self.node;
+        assert!(self.sink.dropped() == 0, "node {node}: ring evicted events; raise ring_capacity");
+        let mut record = None;
+        for e in self.sink.events() {
+            let EventKind::Buffer { src, mseq, phase } = e.kind else { continue };
+            if (src, mseq) != (id.source.0, id.seq.value()) {
+                continue;
+            }
+            let rec: &mut BufferRecord = record.get_or_insert_default();
+            let at = Some(SimTime::from_micros(e.at_micros));
+            match phase {
+                BufferPhase::Received => rec.received_at = at,
+                BufferPhase::Idled => rec.idled_at = at,
+                BufferPhase::Kept => {
+                    rec.kept_long_term = true;
+                    rec.discarded_at = None;
+                }
+                BufferPhase::Discarded => rec.discarded_at = at,
+            }
+        }
+        record
+    }
+
     /// Appends this receiver's held events to `out` (combine across
     /// nodes, then [`rrmp_trace::sort_canonical`]).
     pub fn collect_into(&self, out: &mut Vec<TraceEvent>) {
@@ -256,5 +324,86 @@ mod tests {
         t.on_delivered(mid(2), SimTime::from_millis(55));
         assert_eq!(t.repair_rtt().max(), 15_000);
         assert_eq!(t.recovery_latency().max(), 55_000);
+    }
+
+    #[test]
+    fn short_term_duration_needs_both_stamps() {
+        let at = |ms| Some(SimTime::from_millis(ms));
+        let rec = BufferRecord { received_at: at(10), idled_at: at(60), ..Default::default() };
+        assert_eq!(rec.short_term_duration(), Some(SimDuration::from_millis(50)));
+        assert_eq!(BufferRecord { idled_at: None, ..rec }.short_term_duration(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "evicted events")]
+    fn overflowed_ring_refuses_to_rebuild_a_record() {
+        let cfg = TraceConfig { ring_capacity: 2, sample_every: None };
+        let mut t = ReceiverTrace::new(NodeId(1), &cfg);
+        t.on_buffer(mid(1), BufferPhase::Received, SimTime::ZERO);
+        t.on_buffer(mid(1), BufferPhase::Idled, SimTime::from_millis(40));
+        t.on_buffer(mid(1), BufferPhase::Kept, SimTime::from_millis(40));
+        // The `Received` phase is gone: a record now would bend Figure 6.
+        let _ = t.buffer_record(mid(1));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::ids::SeqNo;
+    use proptest::prelude::*;
+
+    /// Sequence numbers that land in order, out of order, on top of each
+    /// other, far apart, and at both ends of the number space.
+    fn arb_seq() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..48,
+            (0u64..12).prop_map(|k| k * 17),
+            (0u64..6).prop_map(|k| (1 << 40) + k * 9),
+            (0u64..4).prop_map(|k| u64::MAX - k),
+        ]
+    }
+
+    const PHASES: [BufferPhase; 4] =
+        [BufferPhase::Received, BufferPhase::Idled, BufferPhase::Kept, BufferPhase::Discarded];
+
+    proptest! {
+        /// Any interleaving of the four phases over three sources,
+        /// mixed with other receiver events, reads back through
+        /// `buffer_record` exactly as a `BTreeMap` with
+        /// default-on-first-touch entries does — by id, and `None` for
+        /// ids never touched.
+        #[test]
+        fn buffer_records_match_a_btreemap_model(
+            ops in proptest::collection::vec((0usize..4, 0u32..3, arb_seq(), 0u64..1_000_000), 0..120)
+        ) {
+            let mut t = ReceiverTrace::new(NodeId(9), &TraceConfig::default());
+            let mut model: BTreeMap<MessageId, BufferRecord> = BTreeMap::new();
+            for &(op, source, seq, at) in &ops {
+                let id = MessageId::new(NodeId(source), SeqNo(seq));
+                let at = SimTime::from_micros(at);
+                let phase = PHASES[op];
+                t.on_buffer(id, phase, at);
+                t.on_gave_up(id, at); // same id, not a phase
+                let rec = model.entry(id).or_default();
+                match phase {
+                    BufferPhase::Received => rec.received_at = Some(at),
+                    BufferPhase::Idled => rec.idled_at = Some(at),
+                    BufferPhase::Kept => {
+                        rec.kept_long_term = true;
+                        rec.discarded_at = None;
+                    }
+                    BufferPhase::Discarded => rec.discarded_at = Some(at),
+                }
+            }
+            for &(_, source, seq, _) in &ops {
+                for near in [seq.wrapping_sub(1), seq, seq.wrapping_add(1)] {
+                    let id = MessageId::new(NodeId(source), SeqNo(near));
+                    prop_assert_eq!(t.buffer_record(id), model.get(&id).copied());
+                    let other = MessageId::new(NodeId(3), SeqNo(near));
+                    prop_assert_eq!(t.buffer_record(other), None);
+                }
+            }
+        }
     }
 }

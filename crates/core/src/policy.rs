@@ -18,7 +18,7 @@
 //!
 //! The [`Receiver`](crate::receiver::Receiver) invokes these hooks at
 //! fixed protocol points through a [`PolicyCtx`] that lends out its store,
-//! metrics, membership view, and — crucially — its RNG: the default
+//! metrics, observer, membership view, and — crucially — its RNG: the default
 //! [`TwoPhase`] implementation makes exactly the draws, in exactly the
 //! order, that the pre-refactor hard-wired receiver made, so its traces
 //! are byte-identical (pinned by `tests/golden_traces.rs`).
@@ -47,8 +47,10 @@ use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
 use crate::ids::MessageId;
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
+use crate::observe::ReceiverTrace;
 use crate::packet::Packet;
 use crate::vecmap::VecMap;
+use rrmp_trace::BufferPhase;
 
 /// How a data payload reached a receiver — policies use it to
 /// distinguish initial multicasts from repairs and handoffs.
@@ -86,6 +88,9 @@ pub struct PolicyCtx<'a> {
     pub store: &'a mut MessageStore,
     /// Protocol metrics.
     pub metrics: &'a mut Metrics,
+    /// The receiver's observer, if armed: buffer-phase changes are
+    /// recorded here.
+    pub trace: Option<&'a mut ReceiverTrace>,
     /// The receiver's RNG — the *only* randomness source, so identical
     /// inputs yield identical behaviour for any policy.
     pub rng: &'a mut StdRng,
@@ -99,12 +104,19 @@ impl PolicyCtx<'_> {
         self.actions.push(Action::SetTimer { delay, kind });
     }
 
+    /// Records a buffer-phase change of `id` on the observer, if armed.
+    fn phase(&mut self, id: MessageId, phase: BufferPhase) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.on_buffer(id, phase, self.now);
+        }
+    }
+
     /// Records capacity evictions in the metrics (shared bookkeeping for
     /// every policy that inserts through the bounded store paths).
     fn note_evictions(&mut self, evicted: Vec<MessageId>) {
         for id in evicted {
             self.metrics.counters.evicted_for_capacity += 1;
-            self.metrics.note_discarded(id, self.now);
+            self.phase(id, BufferPhase::Discarded);
         }
     }
 
@@ -114,8 +126,8 @@ impl PolicyCtx<'_> {
     fn enter_long_term(&mut self, id: MessageId, payload: Bytes) {
         let (_, evicted) = self.store.insert_long_bounded(id, payload, self.now);
         self.note_evictions(evicted);
-        self.metrics.note_idled(id, self.now);
-        self.metrics.note_kept(id);
+        self.phase(id, BufferPhase::Idled);
+        self.phase(id, BufferPhase::Kept);
     }
 }
 
@@ -254,7 +266,7 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
             let Some(victim) = ctx.store.lru_long() else { break };
             ctx.store.discard(victim, ctx.now);
             ctx.metrics.counters.pressure_discards += 1;
-            ctx.metrics.note_discarded(victim, ctx.now);
+            ctx.phase(victim, BufferPhase::Discarded);
         }
     }
 }
@@ -306,16 +318,16 @@ impl BufferPolicy for TwoPhase {
         }
         // The message is idle (§3.1): decide long-term retention.
         ctx.metrics.counters.idle_transitions += 1;
-        ctx.metrics.note_idled(msg, ctx.now);
+        ctx.phase(msg, BufferPhase::Idled);
         let p = ctx.cfg.long_term_probability(ctx.view.own().len());
         if ctx.rng.gen_bool(p) {
             ctx.store.promote_to_long(msg, ctx.now);
             ctx.metrics.counters.long_term_kept += 1;
-            ctx.metrics.note_kept(msg);
+            ctx.phase(msg, BufferPhase::Kept);
         } else {
             ctx.store.discard(msg, ctx.now);
             ctx.metrics.counters.discarded_at_idle += 1;
-            ctx.metrics.note_discarded(msg, ctx.now);
+            ctx.phase(msg, BufferPhase::Discarded);
         }
     }
 
@@ -386,8 +398,8 @@ impl BufferPolicy for FixedTime {
         if ctx.store.short_last_activity(msg).is_some() {
             ctx.store.discard(msg, ctx.now);
             ctx.metrics.counters.discarded_at_idle += 1;
-            ctx.metrics.note_idled(msg, ctx.now);
-            ctx.metrics.note_discarded(msg, ctx.now);
+            ctx.phase(msg, BufferPhase::Idled);
+            ctx.phase(msg, BufferPhase::Discarded);
         }
     }
 
@@ -858,7 +870,7 @@ impl BufferPolicy for Stability {
         for &id in &stable_ids {
             ctx.store.discard(id, ctx.now);
             ctx.metrics.counters.stable_discards += 1;
-            ctx.metrics.note_discarded(id, ctx.now);
+            ctx.phase(id, BufferPhase::Discarded);
         }
         stable_ids.clear();
         self.scratch = stable_ids;
@@ -1070,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_and_env_round_trip() {
+    fn kind_names_are_stable() {
         assert_eq!(PolicyKind::TwoPhase.name(), "two-phase");
         assert_eq!(PolicyKind::HashBufferers.name(), "hash");
         assert_eq!(PolicyKind::SenderBased.name(), "sender-based");

@@ -45,7 +45,7 @@ use crate::observe::{ReceiverTrace, TraceConfig};
 use crate::packet::{DataPacket, Packet, RepairKind};
 use crate::policy::{BufferPolicy, DataPath, PolicyCtx};
 use crate::vecmap::VecMap;
-use rrmp_trace::EventKind;
+use rrmp_trace::{BufferPhase, EventKind};
 
 /// Builds a [`PolicyCtx`] lending the receiver's state to a policy hook.
 /// A macro (not a method) so the borrow checker sees the disjoint field
@@ -60,6 +60,7 @@ macro_rules! policy_ctx {
             detector: &$self.detector,
             store: &mut $self.store,
             metrics: &mut $self.metrics,
+            trace: $self.trace.as_deref_mut(),
             rng: &mut $self.rng,
             actions: $actions,
         }
@@ -512,7 +513,7 @@ impl Receiver {
         now: SimTime,
     ) -> Vec<Action> {
         self.detector.on_data(id);
-        self.metrics.note_received(id, now);
+        self.phase(id, BufferPhase::Received, now);
         match state {
             PreloadState::ShortTerm => {
                 self.store.insert_short(id, payload, now);
@@ -523,12 +524,12 @@ impl Receiver {
             }
             PreloadState::LongTerm => {
                 self.store.insert_long(id, payload, now);
-                self.metrics.note_idled(id, now);
-                self.metrics.note_kept(id);
+                self.phase(id, BufferPhase::Idled, now);
+                self.phase(id, BufferPhase::Kept, now);
                 Vec::new()
             }
             PreloadState::ReceivedDiscarded => {
-                self.metrics.note_discarded(id, now);
+                self.phase(id, BufferPhase::Discarded, now);
                 Vec::new()
             }
         }
@@ -570,6 +571,13 @@ impl Receiver {
             debug_assert!(!(received && awaited), "{msg}: rounds or waiters after receipt");
             debug_assert!(received || r.search.is_none(), "{msg}: search before receipt");
             debug_assert!(!r.is_empty(), "{msg}: empty recovery record");
+        }
+    }
+
+    /// Records a buffer-phase change of `id` on the observer, if armed.
+    fn phase(&mut self, id: MessageId, phase: BufferPhase, now: SimTime) {
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.on_buffer(id, phase, now);
         }
     }
 
@@ -641,9 +649,9 @@ impl Receiver {
         let outcome = self.detector.on_data(id);
         if outcome.newly_received {
             self.metrics.counters.delivered += 1;
-            self.metrics.note_received(id, now);
             actions.push(Action::Deliver { id, payload: data.payload.clone() });
             if let Some(t) = self.trace.as_deref_mut() {
+                t.on_buffer(id, BufferPhase::Received, now);
                 t.on_delivered(id, now);
             }
             // Critical-tier admission control: the message is delivered
@@ -669,8 +677,7 @@ impl Receiver {
             // if we had discarded the payload.
             if path == DataPath::Handoff && !self.store.contains(id) {
                 self.store.insert_long(id, data.payload.clone(), now);
-                self.metrics.note_kept(id);
-                self.metrics.clear_discarded(id);
+                self.phase(id, BufferPhase::Kept, now);
                 self.apply_pressure(now, actions);
             }
             // If we were searching for this message on behalf of downstream
@@ -1150,7 +1157,7 @@ impl Receiver {
                     self.store.expire_long_into(now, timeout, &mut expired);
                     for &id in &expired {
                         self.metrics.counters.long_term_expired += 1;
-                        self.metrics.note_discarded(id, now);
+                        self.phase(id, BufferPhase::Discarded, now);
                     }
                     expired.clear();
                     self.expire_scratch = expired;
@@ -1484,6 +1491,7 @@ mod tests {
     fn request_refreshes_idle_clock() {
         let cfg = ProtocolConfig::paper_defaults(); // T = 40ms
         let mut r = root_receiver(cfg);
+        r.arm_trace(&TraceConfig::default());
         r.handle(packet_event(0, data(1)), t(0));
         // Request at t=30 refreshes the clock to t=30.
         r.handle(packet_event(3, Packet::LocalRequest { msg: mid(1) }), t(30));
@@ -1500,7 +1508,8 @@ mod tests {
         // At t=70 it transitions.
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(70));
         assert_eq!(r.metrics().counters.idle_transitions, 1);
-        assert_eq!(r.metrics().buffer_record(mid(1)).unwrap().idled_at, Some(t(70)));
+        let rec = r.trace().unwrap().buffer_record(mid(1)).unwrap();
+        assert_eq!((rec.received_at, rec.idled_at), (Some(t(0)), Some(t(70))));
     }
 
     #[test]
@@ -1508,48 +1517,24 @@ mod tests {
         // C = 1000 in a 5-member region clamps P to 1: always keep.
         let cfg = ProtocolConfig::builder().c(1000.0).build().unwrap();
         let mut r = root_receiver(cfg);
+        r.arm_trace(&TraceConfig::default());
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
         assert_eq!(r.store().long_count(), 1);
         assert_eq!(r.metrics().counters.long_term_kept, 1);
-        assert!(r.metrics().buffer_record(mid(1)).unwrap().kept_long_term);
+        assert!(r.trace().unwrap().buffer_record(mid(1)).unwrap().kept_long_term);
     }
 
     #[test]
     fn idle_transition_discards_when_c_is_negligible() {
         let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
         let mut r = root_receiver(cfg);
+        r.arm_trace(&TraceConfig::default());
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
         assert!(!r.store().contains(mid(1)));
         assert_eq!(r.metrics().counters.discarded_at_idle, 1);
-        assert_eq!(r.metrics().buffer_record(mid(1)).unwrap().discarded_at, Some(t(40)));
-    }
-
-    #[test]
-    fn far_ahead_sequence_numbers_cost_one_record() {
-        // The buffer log is indexed by sequence number; neither a late-join
-        // floor nor a number far ahead of the stream (which the wire can
-        // carry) may make it hold memory for the gap.
-        let mut r = root_receiver(ProtocolConfig::paper_defaults());
-        r.set_recovery_floor(SENDER, SeqNo(999_999));
-        r.handle(packet_event(0, data(1_000_000)), t(0));
-        assert_eq!(r.metrics().slots_allocated(), 1);
-        assert_eq!(r.metrics().buffer_record(mid(1_000_000)).unwrap().received_at, Some(t(0)));
-
-        let mut r = root_receiver(ProtocolConfig::paper_defaults());
-        r.handle(packet_event(0, data(1)), t(0));
-        // (The floor spares the loss detector the enumeration of the gap.)
-        r.set_recovery_floor(SENDER, SeqNo((1 << 40) - 1));
-        let far = Packet::Repair {
-            data: DataPacket::new(mid(1 << 40), payload()),
-            kind: RepairKind::Local,
-        };
-        r.handle(packet_event(2, far), t(1));
-        assert_eq!(r.metrics().counters.delivered, 2);
-        assert_eq!(r.metrics().slots_allocated(), 2);
-        assert_eq!(r.metrics().buffer_record(mid(1 << 40)).unwrap().received_at, Some(t(1)));
-        assert_eq!(r.metrics().buffer_record(mid(2)), None);
+        assert_eq!(r.trace().unwrap().buffer_record(mid(1)).unwrap().discarded_at, Some(t(40)));
     }
 
     #[test]
@@ -1782,6 +1767,7 @@ mod tests {
     fn handoff_after_discard_reinstates_long_term() {
         let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
         let mut r = root_receiver(cfg);
+        r.arm_trace(&TraceConfig::default());
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
         assert!(!r.store().contains(mid(1)));
@@ -1790,6 +1776,9 @@ mod tests {
             t(50),
         );
         assert_eq!(r.store().long_count(), 1);
+        let rec = r.trace().unwrap().buffer_record(mid(1)).unwrap();
+        assert!(rec.kept_long_term && rec.discarded_at.is_none(), "{rec:?}");
+        assert_eq!(rec.idled_at, Some(t(40)));
     }
 
     #[test]
@@ -2038,7 +2027,7 @@ mod tests {
     fn recovery_record_and_receiver_sizes_are_pinned() {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
-        assert!(std::mem::size_of::<Receiver>() < 944);
+        assert!(std::mem::size_of::<Receiver>() <= 720);
     }
 
     #[test]

@@ -100,6 +100,15 @@ pub enum EventKind {
     },
     /// Receiver: a partition heal re-armed exhausted recoveries.
     Healed,
+    /// Receiver: a message entered a buffer phase on this member.
+    Buffer {
+        /// Message source node.
+        src: u32,
+        /// Message sequence number.
+        mseq: u64,
+        /// The phase entered.
+        phase: BufferPhase,
+    },
     /// Receiver: periodic state sample (the time-series pillar).
     Sample {
         /// Messages currently buffered (short + long term).
@@ -144,6 +153,21 @@ pub enum EventKind {
     },
 }
 
+/// A phase of one message in one member's buffer (the paper's two-phase
+/// lifecycle, §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BufferPhase {
+    /// First received.
+    Received,
+    /// The short-term (feedback) phase ended.
+    Idled,
+    /// Kept as a long-term bufferer — also when a handoff re-delivers a
+    /// payload this member had discarded.
+    Kept,
+    /// The payload left the buffer.
+    Discarded,
+}
+
 impl EventKind {
     /// Stable machine-readable name, used as the JSON `kind` field.
     #[must_use]
@@ -160,6 +184,12 @@ impl EventKind {
             EventKind::GaveUp { .. } => "gave_up",
             EventKind::PressureTier { .. } => "pressure_tier",
             EventKind::Healed => "healed",
+            EventKind::Buffer { phase, .. } => match phase {
+                BufferPhase::Received => "buffer_received",
+                BufferPhase::Idled => "buffer_idled",
+                BufferPhase::Kept => "buffer_kept",
+                BufferPhase::Discarded => "buffer_discarded",
+            },
             EventKind::Sample { .. } => "sample",
             EventKind::PollWakeup { .. } => "poll_wakeup",
             EventKind::Muted { .. } => "muted",
@@ -185,6 +215,10 @@ impl EventKind {
             "gave_up",
             "pressure_tier",
             "healed",
+            "buffer_received",
+            "buffer_idled",
+            "buffer_kept",
+            "buffer_discarded",
             "sample",
             "poll_wakeup",
             "muted",
@@ -214,7 +248,9 @@ impl TraceEvent {
             EventKind::PacketDropped { to }
             | EventKind::FaultDropped { to }
             | EventKind::FaultDuplicated { to } => o.u64("to", u64::from(to)),
-            EventKind::LossDetected { src, mseq } | EventKind::GaveUp { src, mseq } => {
+            EventKind::LossDetected { src, mseq }
+            | EventKind::GaveUp { src, mseq }
+            | EventKind::Buffer { src, mseq, .. } => {
                 o.u64("src", u64::from(src));
                 o.u64("mseq", mseq);
             }
@@ -265,6 +301,7 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn json_line_is_stable() {
@@ -278,6 +315,11 @@ mod tests {
         assert_eq!(
             e.to_json_line(),
             r#"{"at":1500,"node":3,"stream":2,"emit":7,"kind":"recovered","src":0,"mseq":4,"latency_micros":250000}"#
+        );
+        let kind = EventKind::Buffer { src: 2, mseq: 1 << 40, phase: BufferPhase::Idled };
+        assert_eq!(
+            TraceEvent { kind, ..e }.to_json_line(),
+            r#"{"at":1500,"node":3,"stream":2,"emit":7,"kind":"buffer_idled","src":2,"mseq":1099511627776}"#
         );
     }
 
@@ -295,6 +337,10 @@ mod tests {
             EventKind::GaveUp { src: 0, mseq: 0 },
             EventKind::PressureTier { tier: 0 },
             EventKind::Healed,
+            EventKind::Buffer { src: 0, mseq: 0, phase: BufferPhase::Received },
+            EventKind::Buffer { src: 0, mseq: 0, phase: BufferPhase::Idled },
+            EventKind::Buffer { src: 0, mseq: 0, phase: BufferPhase::Kept },
+            EventKind::Buffer { src: 0, mseq: 0, phase: BufferPhase::Discarded },
             EventKind::Sample {
                 store_entries: 0,
                 store_bytes: 0,
@@ -311,8 +357,15 @@ mod tests {
             EventKind::RecvFailed { slot: 0 },
         ];
         assert_eq!(kinds.len(), EventKind::all_names().len());
-        for k in kinds {
-            assert!(EventKind::all_names().contains(&k.name()), "{} missing", k.name());
+        for kind in kinds {
+            assert!(EventKind::all_names().contains(&kind.name()), "{} missing", kind.name());
+            // And the JSON `kind` field parses back to the same name.
+            let line =
+                TraceEvent { at_micros: 0, node: 0, stream: 0, emit: 0, kind }.to_json_line();
+            assert_eq!(
+                Value::parse(&line).unwrap().get("kind").and_then(Value::as_str),
+                Some(kind.name())
+            );
         }
     }
 }

@@ -30,7 +30,7 @@ pub mod hist;
 pub mod json;
 pub mod sink;
 
-pub use event::{EventKind, TraceEvent};
+pub use event::{BufferPhase, EventKind, TraceEvent};
 pub use hist::LogHistogram;
 pub use json::{JsonArr, JsonObj, Value};
 pub use sink::{sort_canonical, streams, to_jsonl, TraceSink};

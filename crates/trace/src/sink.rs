@@ -82,13 +82,16 @@ impl TraceSink {
         self.dropped
     }
 
-    /// Appends every held event to `out` (rings in `(node, stream)`
-    /// order, each ring oldest-first). Call [`sort_canonical`] after
-    /// combining sinks.
+    /// Every held event: rings in `(node, stream)` order, each ring
+    /// oldest-first.
+    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+        self.rings.values().flat_map(|r| r.events.iter())
+    }
+
+    /// Appends every held event to `out` (in [`TraceSink::events`]
+    /// order). Call [`sort_canonical`] after combining sinks.
     pub fn collect_into(&self, out: &mut Vec<TraceEvent>) {
-        for ring in self.rings.values() {
-            out.extend(ring.events.iter().copied());
-        }
+        out.extend(self.events().copied());
     }
 
     /// Clears all rings and counters (used on engine reset).

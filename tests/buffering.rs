@@ -3,7 +3,13 @@
 //! comparison against naive policies.
 
 use rrmp::core::buffer::Phase;
+use rrmp::core::observe::BufferRecord;
 use rrmp::prelude::*;
+
+/// `id`'s buffer lifecycle on `node`, read from its armed observer.
+fn buffer_record(net: &RrmpNetwork, node: NodeId, id: MessageId) -> Option<BufferRecord> {
+    net.node(node).receiver().trace().expect("observer armed").buffer_record(id)
+}
 
 #[test]
 fn idle_transition_waits_for_requests_to_stop() {
@@ -11,13 +17,14 @@ fn idle_transition_waits_for_requests_to_stop() {
     // well beyond T = 40ms because requests keep arriving, and may only
     // idle out after the epidemic completes.
     let topo = presets::paper_region(20);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1);
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1)
+        .with_observer(TraceConfig::default());
     let holder = NodeId(3);
     let id = net.seed_message_with_holders(&b"feedback"[..], &[holder]);
     net.run_until(SimTime::from_millis(39));
     assert_eq!(net.node(holder).receiver().store().phase(id), Some(Phase::Short));
     net.run_until(SimTime::from_secs(2));
-    let rec = net.node(holder).receiver().metrics().buffer_record(id).expect("record exists");
+    let rec = buffer_record(&net, holder, id).expect("record exists");
     let dur = rec.short_term_duration().expect("idled").as_millis_f64();
     assert!(dur > 40.0, "holder of a message 19 others miss idled too early: {dur}ms");
     assert_eq!(net.received_count(id), 20);
@@ -28,11 +35,12 @@ fn uncontended_message_idles_exactly_at_t() {
     // Everyone receives the initial multicast: no requests ever arrive,
     // so every member's idle transition lands exactly at T.
     let topo = presets::paper_region(10);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2);
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2)
+        .with_observer(TraceConfig::default());
     let id = net.multicast_with_plan(&b"calm"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_secs(1));
-    for (node_id, node) in net.nodes() {
-        let rec = node.receiver().metrics().buffer_record(id).unwrap_or_default();
+    for (node_id, _) in net.nodes() {
+        let rec = buffer_record(&net, node_id, id).unwrap_or_default();
         let dur = rec.short_term_duration().expect("idled").as_millis_f64();
         assert!(
             (dur - 40.0).abs() < 1e-6,
@@ -222,12 +230,12 @@ fn fixed_time_policy_ignores_feedback() {
     let topo = presets::paper_region(30);
     let cfg =
         ProtocolConfig::builder().policy(PolicyKind::FixedTime { hold }).build().expect("valid");
-    let mut net = RrmpNetwork::new(topo, cfg, 7);
+    let mut net = RrmpNetwork::new(topo, cfg, 7).with_observer(TraceConfig::default());
     let holder = NodeId(0);
     let id = net.seed_message_with_holders(&b"rigid"[..], &[holder]);
     net.run_until(SimTime::from_secs(3));
     // The sole holder discarded at exactly `hold`, regardless of demand.
-    let rec = net.node(holder).receiver().metrics().buffer_record(id).expect("record");
+    let rec = buffer_record(&net, holder, id).expect("record");
     assert_eq!(
         rec.short_term_duration().map(|d| d.as_millis_f64()),
         Some(40.0),
