@@ -9,8 +9,6 @@
 //! * `idle_threshold` (T) — a message becomes *idle* after this long
 //!   without any retransmission request (§3.1); the paper's §4 uses
 //!   40 ms = 4× the maximum intra-region RTT.
-//! * retry timers for the local/remote/search phases ("set a timer
-//!   according to its estimated round trip time").
 //! * the back-off window for duplicate regional-repair suppression.
 //! * the buffering policy, which can be swapped for the ablations
 //!   (fixed-time, keep-everything) and the comparison schemes.
@@ -20,6 +18,23 @@
 use rrmp_netsim::time::SimDuration;
 
 pub use crate::policy::PolicyKind;
+
+// The retry timers of the local, remote and search phases ("set a timer
+// according to its estimated round trip time", §2.2), fixed at the §4
+// simulations' round-trip times.
+
+/// Retry timer for local recovery — the intra-region RTT.
+pub(crate) const LOCAL_TIMEOUT: SimDuration = SimDuration::from_millis(10);
+/// Retry timer for remote recovery — the RTT to the parent region.
+pub(crate) const REMOTE_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+/// Retry timer for the bufferer search — the intra-region RTT.
+pub(crate) const SEARCH_TIMEOUT: SimDuration = SimDuration::from_millis(10);
+/// How long a member remembers that a search for a message completed
+/// (the "I have the message" announcement). Probes still in flight when
+/// the announcement passes would otherwise re-ignite the search; within
+/// this window they are answered from the remembered holder instead.
+/// Exceeds `2 × SEARCH_TIMEOUT`.
+pub(crate) const SEARCH_MEMORY: SimDuration = SimDuration::from_millis(30);
 
 /// Errors from [`ProtocolConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -91,19 +106,6 @@ pub struct ProtocolConfig {
     /// Idle threshold T (§3.1): discard-decision point after this long
     /// without requests.
     pub idle_threshold: SimDuration,
-    /// Retry timer for local recovery — the estimated intra-region RTT.
-    pub local_timeout: SimDuration,
-    /// Retry timer for remote recovery — the estimated RTT to the parent
-    /// region.
-    pub remote_timeout: SimDuration,
-    /// Retry timer for the bufferer search — the estimated intra-region RTT.
-    pub search_timeout: SimDuration,
-    /// How long a member remembers that a search for a message completed
-    /// (the "I have the message" announcement). Probes still in flight
-    /// when the announcement passes would otherwise re-ignite the search;
-    /// within this window they are answered from the remembered holder
-    /// instead. Should exceed `2 × search_timeout`.
-    pub search_memory: SimDuration,
     /// Window for the randomized back-off that suppresses duplicate
     /// regional repair multicasts; `None` disables back-off (repairs are
     /// multicast immediately).
@@ -132,9 +134,11 @@ pub struct ProtocolConfig {
     /// [`BufferPolicy`](crate::policy::BufferPolicy) implementation each
     /// receiver runs.
     pub policy: PolicyKind,
-    /// Whether the sender role multicasts periodic session messages.
-    /// Disabled by the frozen policy scenarios, which advertise each
-    /// multicast once with a one-shot session message instead.
+    /// Whether a member granted the sender role
+    /// ([`Receiver::make_sender`](crate::receiver::Receiver::make_sender))
+    /// multicasts periodic session messages. Disabled by the frozen policy
+    /// scenarios, which advertise each multicast once with a one-shot
+    /// session message instead.
     pub periodic_sessions: bool,
     /// Whether receivers keep a per-message event log (needed by the
     /// experiment harness; small per-message overhead).
@@ -164,10 +168,6 @@ impl ProtocolConfig {
             lambda: 1.0,
             c: 6.0,
             idle_threshold: SimDuration::from_millis(40),
-            local_timeout: SimDuration::from_millis(10),
-            remote_timeout: SimDuration::from_millis(50),
-            search_timeout: SimDuration::from_millis(10),
-            search_memory: SimDuration::from_millis(30),
             backoff_window: Some(SimDuration::from_millis(10)),
             long_term_timeout: SimDuration::from_secs(30),
             long_term_sweep_interval: SimDuration::from_secs(5),
@@ -204,9 +204,6 @@ impl ProtocolConfig {
         }
         for (d, name) in [
             (self.idle_threshold, "idle_threshold"),
-            (self.local_timeout, "local_timeout"),
-            (self.remote_timeout, "remote_timeout"),
-            (self.search_timeout, "search_timeout"),
             (self.long_term_timeout, "long_term_timeout"),
             (self.long_term_sweep_interval, "long_term_sweep_interval"),
             (self.session_interval, "session_interval"),
@@ -303,30 +300,6 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Sets the local-recovery retry timer (intra-region RTT estimate).
-    pub fn local_timeout(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.local_timeout = t;
-        self
-    }
-
-    /// Sets the remote-recovery retry timer (parent-region RTT estimate).
-    pub fn remote_timeout(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.remote_timeout = t;
-        self
-    }
-
-    /// Sets the search retry timer.
-    pub fn search_timeout(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.search_timeout = t;
-        self
-    }
-
-    /// Sets the completed-search memory window.
-    pub fn search_memory(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.search_memory = t;
-        self
-    }
-
     /// Sets (or disables, with `None`) the regional-repair back-off window.
     pub fn backoff_window(&mut self, w: Option<SimDuration>) -> &mut Self {
         self.cfg.backoff_window = w;
@@ -407,7 +380,7 @@ mod tests {
         let cfg = ProtocolConfig::paper_defaults();
         cfg.validate().unwrap();
         assert_eq!(cfg.idle_threshold, SimDuration::from_millis(40));
-        assert_eq!(cfg.local_timeout, SimDuration::from_millis(10));
+        assert_eq!(LOCAL_TIMEOUT, SimDuration::from_millis(10));
         assert!((cfg.lambda - 1.0).abs() < f64::EPSILON);
         assert!((cfg.c - 6.0).abs() < f64::EPSILON);
         assert_eq!(cfg.policy, PolicyKind::TwoPhase);

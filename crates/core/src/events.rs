@@ -1,7 +1,7 @@
 //! The sans-io event/action surface of the protocol core.
 //!
-//! A [`Receiver`](crate::receiver::Receiver) (and
-//! [`Sender`](crate::sender::Sender)) is a pure state machine: the host —
+//! A [`Receiver`](crate::receiver::Receiver), the sender role included, is
+//! a pure state machine: the host —
 //! the discrete-event simulator or the UDP runtime — feeds it [`Event`]s
 //! and executes the [`Action`]s it returns. Timers are plain data: the core
 //! asks for a [`TimerKind`] to be delivered after a delay and the host
@@ -41,7 +41,7 @@ pub enum TimerKind {
     ///
     /// [`BufferPolicy::history_interval`]: crate::policy::BufferPolicy::history_interval
     HistoryTick,
-    /// Sender session-message tick.
+    /// The sender role's session-message tick (§2.1).
     SessionTick,
     /// Recovery-liveness self-check (only armed when
     /// [`ProtocolConfig::watchdog`] is set): detects losses whose
@@ -110,6 +110,12 @@ pub enum Action {
         /// Packet to transmit.
         packet: Packet,
     },
+    /// Multicast `packet` to every other member of the group: the sender
+    /// role's session advertisement.
+    MulticastGroup {
+        /// Packet to transmit.
+        packet: Packet,
+    },
     /// Deliver a newly received message to the application, in receipt
     /// order (RRMP offers no total ordering guarantee).
     Deliver {
@@ -132,7 +138,9 @@ impl Action {
     #[must_use]
     pub fn packet(&self) -> Option<&Packet> {
         match self {
-            Action::Send { packet, .. } | Action::MulticastRegion { packet } => Some(packet),
+            Action::Send { packet, .. }
+            | Action::MulticastRegion { packet }
+            | Action::MulticastGroup { packet } => Some(packet),
             Action::SendMany { packet, .. } => Some(&**packet),
             _ => None,
         }

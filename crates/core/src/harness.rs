@@ -1,7 +1,7 @@
 //! Hosting the sans-io protocol on the discrete-event simulator.
 //!
-//! [`RrmpNode`] adapts a [`Receiver`] (plus, on the sender node, a
-//! [`Sender`]) to the [`SimNode`] interface; [`RrmpNetwork`] wraps a whole
+//! [`RrmpNode`] adapts a [`Receiver`] (the sender role included) to the
+//! [`SimNode`] interface; [`RrmpNetwork`] wraps a whole
 //! simulated group with the conveniences every experiment needs: injecting
 //! multicasts with controlled loss ([`DeliveryPlan`]), preloading buffer
 //! states (Figures 8/9), scripting leaves, and extracting the
@@ -23,9 +23,8 @@ use crate::events::{Action, Event, TimerKind};
 use crate::ids::MessageId;
 use crate::interval_set::MessageIdSet;
 use crate::observe::TraceConfig;
-use crate::packet::{DataPacket, Packet};
+use crate::packet::Packet;
 use crate::receiver::{PreloadState, Receiver};
-use crate::sender::{Sender, SenderAction};
 
 /// External timer token that triggers [`Event::Leave`] on a node.
 const LEAVE_TOKEN: u64 = u64::MAX;
@@ -37,12 +36,11 @@ const HEAL_TOKEN: u64 = u64::MAX - 2;
 /// Base for external "remove node X from views" tokens.
 const VIEW_REMOVE_BASE: u64 = 1 << 48;
 
-/// One simulated group member: the sans-io [`Receiver`] (and the
-/// [`Sender`] on the sender node) bridged onto the simulator.
+/// One simulated group member: the sans-io [`Receiver`] bridged onto
+/// the simulator.
 #[derive(Debug)]
 pub struct RrmpNode {
     receiver: Receiver,
-    sender: Option<Sender>,
     delivered: Vec<(SimTime, MessageId)>,
     /// Per-source interval index over `delivered`, so membership checks
     /// ([`RrmpNode::has_delivered`]) are O(log #gaps) instead of a scan.
@@ -64,12 +62,11 @@ pub struct RrmpNode {
 }
 
 impl RrmpNode {
-    /// Creates a node around a receiver (and optional sender role).
+    /// Creates a node around a receiver.
     #[must_use]
-    pub fn new(receiver: Receiver, sender: Option<Sender>) -> Self {
+    pub fn new(receiver: Receiver) -> Self {
         RrmpNode {
             receiver,
-            sender,
             delivered: Vec::new(),
             delivered_index: MessageIdSet::new(),
             pending_timers: Vec::new(),
@@ -100,12 +97,6 @@ impl RrmpNode {
     /// Mutable receiver access (experiment setup).
     pub fn receiver_mut(&mut self) -> &mut Receiver {
         &mut self.receiver
-    }
-
-    /// The sender role, if this node is the group's source.
-    #[must_use]
-    pub fn sender(&self) -> Option<&Sender> {
-        self.sender.as_ref()
     }
 
     /// Messages delivered to the application on this node, in order.
@@ -167,6 +158,16 @@ impl RrmpNode {
                     ctx.send_many(members, packet);
                 }
             }
+            Action::MulticastGroup { packet } => {
+                if self.reference_mode {
+                    let everyone: Vec<NodeId> = ctx.topology().nodes().collect();
+                    ctx.send_many(everyone, packet);
+                } else {
+                    // Group-wide fan-out is a single op; the simulator
+                    // expands it over the topology.
+                    ctx.send_group(packet);
+                }
+            }
             Action::Deliver { id, .. } => {
                 crate::vecmap::reserve_doubling(&mut self.delivered);
                 self.delivered.push((ctx.now(), id));
@@ -181,24 +182,6 @@ impl RrmpNode {
             Action::SetTimer { delay, kind } => {
                 let token = self.register_timer_token(kind);
                 ctx.set_timer(delay, token);
-            }
-        }
-    }
-
-    fn execute_sender(&mut self, ctx: &mut Ctx<'_, Packet>, actions: Vec<SenderAction>) {
-        for action in actions {
-            match action {
-                SenderAction::MulticastGroup { packet } => {
-                    if self.reference_mode {
-                        let everyone: Vec<NodeId> = ctx.topology().nodes().collect();
-                        ctx.send_many(everyone, packet);
-                    } else {
-                        // Group-wide fan-out is a single op; the simulator
-                        // expands it over the topology.
-                        ctx.send_group(packet);
-                    }
-                }
-                SenderAction::Protocol(a) => self.execute_one(ctx, a),
             }
         }
     }
@@ -226,14 +209,6 @@ impl SimNode for RrmpNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
         let mut actions = self.receiver.on_start();
         self.execute(ctx, &mut actions);
-        // The session tick is gated so the frozen policy scenarios can
-        // advertise each multicast once with a one-shot session message.
-        if self.receiver.config().periodic_sessions {
-            if let Some(sender) = &self.sender {
-                let actions = sender.on_start();
-                self.execute_sender(ctx, actions);
-            }
-        }
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, from: NodeId, packet: Packet) {
@@ -252,8 +227,6 @@ impl SimNode for RrmpNode {
             self.receiver.crash(ctx.now());
             return;
         }
-        // Must precede the VIEW_REMOVE range check: u64::MAX - 2 falls
-        // inside `VIEW_REMOVE_BASE..LEAVE_TOKEN`.
         if token == HEAL_TOKEN {
             let mut actions = std::mem::take(&mut self.action_scratch);
             debug_assert!(actions.is_empty());
@@ -262,7 +235,7 @@ impl SimNode for RrmpNode {
             self.action_scratch = actions;
             return;
         }
-        if (VIEW_REMOVE_BASE..LEAVE_TOKEN).contains(&token) {
+        if (VIEW_REMOVE_BASE..=VIEW_REMOVE_BASE + u64::from(u32::MAX)).contains(&token) {
             let node = NodeId((token - VIEW_REMOVE_BASE) as u32);
             // Through the receiver (not view_mut directly) so the buffer
             // policy prunes per-member state — a stability quorum must
@@ -276,13 +249,6 @@ impl SimNode for RrmpNode {
             .ok()
             .map(|i| self.pending_timers.remove(i).1);
         if let Some(kind) = kind {
-            if matches!(kind, TimerKind::SessionTick) {
-                if let Some(sender) = &self.sender {
-                    let actions = sender.on_session_tick();
-                    self.execute_sender(ctx, actions);
-                }
-                return;
-            }
             self.handle_event(ctx, Event::Timer(kind));
         }
     }
@@ -789,16 +755,17 @@ impl RrmpNetwork {
             // harness knows it), so topology-blind policies like hash
             // placement rank every member, not just own ∪ parent.
             let policy = shared_cfg.policy.build(&members);
-            let receiver = Receiver::with_shared_policy(
+            let mut receiver = Receiver::with_shared_policy(
                 id,
                 view,
                 Arc::clone(&shared_cfg),
                 seq.subseed(id.0 as u64),
                 policy,
             );
-            let sender =
-                senders.contains(&id).then(|| Sender::new(id, shared_cfg.session_interval));
-            let mut node = RrmpNode::new(receiver, sender);
+            if senders.contains(&id) {
+                receiver.make_sender();
+            }
+            let mut node = RrmpNode::new(receiver);
             node.reference_mode = !optimized;
             node
         })
@@ -914,12 +881,11 @@ impl RrmpNetwork {
         payload: impl Into<Bytes>,
         plan: &DeliveryPlan,
     ) -> MessageId {
-        let payload = payload.into();
         let now = self.sim.now();
-        let node = self.sim.node_mut(from);
-        let sender = node.sender.as_mut().expect("node holds a Sender role");
-        let (id, _actions) = sender.multicast(payload.clone());
-        let packet = Packet::Data(DataPacket::new(id, payload));
+        let data = self.sim.node_mut(from).receiver.multicast(payload.into());
+        let data = data.expect("node holds the sender role");
+        let id = data.id;
+        let packet = Packet::Data(data);
         // The sender always holds its own message.
         self.sim.inject(from, from, packet.clone(), now);
         let mut plan = plan.clone();
@@ -937,20 +903,16 @@ impl RrmpNetwork {
         payload: impl Into<Bytes>,
         holders: &[NodeId],
     ) -> MessageId {
-        let payload = payload.into();
         let now = self.sim.now();
         let sender_node = self.sender_node;
-        let (id, high) = {
-            let node = self.sim.node_mut(sender_node);
-            let sender = node.sender.as_mut().expect("sender node has Sender role");
-            let (id, _) = sender.multicast(payload.clone());
-            (id, sender.high())
-        };
-        let data = Packet::Data(DataPacket::new(id, payload));
+        let data = self.sim.node_mut(sender_node).receiver.multicast(payload.into());
+        let data = data.expect("sender node holds the sender role");
+        let id = data.id;
+        let data = Packet::Data(data);
         for &h in holders {
             self.sim.inject(h, sender_node, data.clone(), now);
         }
-        let session = Packet::Session { source: sender_node, high };
+        let session = Packet::Session { source: sender_node, high: id.seq };
         let holder_set: std::collections::HashSet<NodeId> = holders.iter().copied().collect();
         let all: Vec<NodeId> = self.sim.topology().nodes().collect();
         for n in all {

@@ -12,17 +12,16 @@
 //! ## Architecture
 //!
 //! * [`receiver::Receiver`] — one group member: loss detection, local and
-//!   remote recovery, buffering, bufferer search, leave handoff. The
-//!   receiver is the shared protocol *engine*; every algorithm-specific
-//!   decision lives in a [`policy::BufferPolicy`].
+//!   remote recovery, buffering, bufferer search, leave handoff, and on
+//!   the multicast source the sender role (numbering data, periodic
+//!   session messages). The receiver is the shared protocol *engine*;
+//!   every algorithm-specific decision lives in a [`policy::BufferPolicy`].
 //! * [`policy`] — the pluggable buffer-management layer: the paper's
 //!   randomized two-phase algorithm (default, byte-identical to the
 //!   pre-refactor receiver), fixed-time and keep-all ablations, and the
 //!   comparison schemes the paper argues against: hash-based bufferers,
 //!   sender-based recovery, stability detection and tree/RMTP repair
 //!   servers.
-//! * [`sender::Sender`] — the single multicast source: data and session
-//!   messages.
 //! * [`packet::Packet`] — the wire protocol with a binary codec.
 //! * [`harness`] — adapters hosting the protocol on the
 //!   [`rrmp_netsim`] discrete-event simulator; the basis of every
@@ -67,7 +66,6 @@ pub mod observe;
 pub mod packet;
 pub mod policy;
 pub mod receiver;
-pub mod sender;
 pub mod vecmap;
 
 /// Convenient glob-import of the protocol types.
@@ -84,5 +82,4 @@ pub mod prelude {
     pub use crate::packet::{DataPacket, Packet, RepairKind};
     pub use crate::policy::PolicyKind;
     pub use crate::receiver::{PreloadState, Receiver};
-    pub use crate::sender::{Sender, SenderAction};
 }

@@ -41,7 +41,7 @@ use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
 
 use crate::buffer::{MessageStore, PressureTier};
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, LOCAL_TIMEOUT};
 use crate::events::{Action, TimerKind};
 use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
 use crate::ids::MessageId;
@@ -165,11 +165,13 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     /// armed by the engine.
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId>;
 
-    /// Retry period of the pull phase. Receives the full [`PolicyCtx`]
-    /// so role-aware policies can pick per-role budgets (a tree repair
-    /// server retries its parent on a cross-region RTT, its receivers on
-    /// the local one).
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration;
+    /// Retry period of the pull phase; the intra-region RTT unless
+    /// overridden. Receives the full [`PolicyCtx`] so role-aware policies
+    /// can pick per-role budgets (a tree repair server retries its parent
+    /// on a cross-region RTT, its receivers on the local one).
+    fn pull_retry_delay(&self, _ctx: &PolicyCtx<'_>) -> SimDuration {
+        LOCAL_TIMEOUT
+    }
 
     /// Whether pull requests go out as
     /// [`Packet::RemoteRequest`]
@@ -339,10 +341,6 @@ impl BufferPolicy for TwoPhase {
         ctx.view.own().random_other(ctx.rng, ctx.id)
     }
 
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.local_timeout
-    }
-
     fn remote_recovery(&self) -> bool {
         true
     }
@@ -411,10 +409,6 @@ impl BufferPolicy for FixedTime {
         ctx.view.own().random_other(ctx.rng, ctx.id)
     }
 
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.local_timeout
-    }
-
     fn remote_recovery(&self) -> bool {
         true
     }
@@ -461,10 +455,6 @@ impl BufferPolicy for KeepAll {
 
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         ctx.view.own().random_other(ctx.rng, ctx.id)
-    }
-
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.local_timeout
     }
 
     fn remote_recovery(&self) -> bool {
@@ -797,10 +787,6 @@ impl BufferPolicy for Stability {
         self.members.iter().copied().filter(|&m| m != me).nth(pick)
     }
 
-    fn pull_retry_delay(&self, ctx: &PolicyCtx<'_>) -> SimDuration {
-        ctx.cfg.local_timeout
-    }
-
     fn handoff_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         None // every member already holds a copy of anything unstable
     }
@@ -950,7 +936,7 @@ impl BufferPolicy for TreeRmtp {
         if Self::roles(ctx).is_some_and(|r| r.is_server(ctx.id)) {
             DIRECT_REQUEST_TIMEOUT
         } else {
-            ctx.cfg.local_timeout
+            LOCAL_TIMEOUT
         }
     }
 

@@ -14,6 +14,9 @@
 //! * **Search for bufferers** when a remote request hits a member that
 //!   already discarded the message (§3.3).
 //! * **Buffer handoff** when leaving voluntarily (§3.2).
+//! * **The sender role** (§2, §2.1), on a member granted it: numbering
+//!   the messages it multicasts and advertising the highest one in
+//!   periodic session messages.
 //!
 //! The receiver is sans-io: [`Receiver::handle`] consumes an [`Event`] and
 //! returns [`Action`]s; hosts own sockets, clocks, and timers. All
@@ -36,9 +39,11 @@ use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
 
 use crate::buffer::{MessageStore, PressureTier};
-use crate::config::{DampingConfig, ProtocolConfig, WatchdogConfig};
+use crate::config::{
+    DampingConfig, ProtocolConfig, WatchdogConfig, REMOTE_TIMEOUT, SEARCH_MEMORY, SEARCH_TIMEOUT,
+};
 use crate::events::{Action, Event, TimerKind};
-use crate::ids::MessageId;
+use crate::ids::{MessageId, SeqNo};
 use crate::loss::LossDetector;
 use crate::metrics::{Metrics, ProtocolEvent};
 use crate::observe::{ReceiverTrace, TraceConfig};
@@ -133,7 +138,7 @@ struct Recovery {
     /// The bufferer search (§3.3), for a message received and discarded.
     search: Option<Box<Search>>,
     /// When a search was heard to complete, and the holder: probes still
-    /// in flight are not to re-ignite it ([`ProtocolConfig::search_memory`]).
+    /// in flight are not to re-ignite it (`SEARCH_MEMORY`).
     found: Option<(SimTime, NodeId)>,
     /// A regional re-multicast waiting out its back-off.
     backoff: Option<Box<Backoff>>,
@@ -233,6 +238,10 @@ pub struct Receiver {
     metrics: Metrics,
     policy: Box<dyn BufferPolicy>,
     left: bool,
+    /// The sender role: the sequence number the next multicast gets, or
+    /// [`SeqNo::NONE`] on a member that is not a sender
+    /// ([`Receiver::make_sender`]).
+    next_seq: SeqNo,
     /// Reused id buffer for the periodic long-term expiry sweep
     /// ([`MessageStore::expire_long_into`]) — the idle-timer path
     /// allocates nothing in the steady state.
@@ -321,6 +330,7 @@ impl Receiver {
             metrics: Metrics::new(record),
             policy,
             left: false,
+            next_seq: SeqNo::NONE,
             expire_scratch: Vec::new(),
             damper,
             trace: None,
@@ -473,10 +483,32 @@ impl Receiver {
         })
     }
 
+    /// Grants this member the sender role (§2): it numbers the messages
+    /// it multicasts ([`Receiver::multicast`]) from 1, and
+    /// [`Receiver::on_start`] arms its session tick. Call before
+    /// `on_start`.
+    pub fn make_sender(&mut self) {
+        self.next_seq = SeqNo::FIRST;
+    }
+
+    /// Numbers `payload` as this sender's next message and returns the
+    /// data packet; `None` on a member without the sender role. Emits no
+    /// actions: the first transmission, and its loss, are the host's, as
+    /// is feeding the packet back so the sender buffers its own message.
+    pub fn multicast(&mut self, payload: Bytes) -> Option<DataPacket> {
+        if self.next_seq == SeqNo::NONE {
+            return None;
+        }
+        let id = MessageId::new(self.id, self.next_seq);
+        self.next_seq = self.next_seq.next();
+        Some(DataPacket::new(id, payload))
+    }
+
     /// Actions to run at start-up: arms the long-term sweep, for
-    /// history-exchanging policies the periodic history tick, and — when
-    /// [`ProtocolConfig::watchdog`] is set — the recovery-liveness
-    /// watchdog.
+    /// history-exchanging policies the periodic history tick, when
+    /// [`ProtocolConfig::watchdog`] is set the recovery-liveness
+    /// watchdog, and last, on a sender with
+    /// [`ProtocolConfig::periodic_sessions`], the session tick.
     #[must_use]
     pub fn on_start(&mut self) -> Vec<Action> {
         let mut actions = vec![Action::SetTimer {
@@ -492,6 +524,12 @@ impl Receiver {
         if let Some(every) = self.trace.as_ref().and_then(|t| t.sample_every()) {
             actions.push(Action::SetTimer { delay: every, kind: TimerKind::TraceSample });
         }
+        if self.cfg.periodic_sessions && self.next_seq != SeqNo::NONE {
+            actions.push(Action::SetTimer {
+                delay: self.cfg.session_interval,
+                kind: TimerKind::SessionTick,
+            });
+        }
         actions
     }
 
@@ -499,7 +537,7 @@ impl Receiver {
     /// sequence numbers at or below `floor` are never treated as missing.
     /// Call before processing any packet from `source` so a member joining
     /// mid-session does not try to pull the entire history.
-    pub fn set_recovery_floor(&mut self, source: NodeId, floor: crate::ids::SeqNo) {
+    pub fn set_recovery_floor(&mut self, source: NodeId, floor: SeqNo) {
         self.detector.set_floor(source, floor);
     }
 
@@ -546,7 +584,9 @@ impl Receiver {
     /// caller-provided buffer — the allocation-free form hot hosts use
     /// with a reused scratch vector.
     pub fn handle_into(&mut self, event: Event, now: SimTime, actions: &mut Vec<Action>) {
-        if self.left {
+        // The session tick passes the gate: crashing or leaving ends the
+        // member's receiver duties, not the sender's clock.
+        if self.left && !matches!(event, Event::Timer(TimerKind::SessionTick)) {
             return;
         }
         match event {
@@ -806,7 +846,7 @@ impl Receiver {
         self.recovery
             .get(msg)
             .and_then(|r| r.found)
-            .filter(|&(at, _)| now.saturating_since(at) <= self.cfg.search_memory)
+            .filter(|&(at, _)| now.saturating_since(at) <= SEARCH_MEMORY)
             .map(|(_, holder)| holder)
     }
 
@@ -937,7 +977,7 @@ impl Receiver {
     /// the request semantics (plain local request, or a remote request
     /// whose target registers a waiter and recovers the message itself),
     /// and the retry period. The remote phase asks the policy's remote
-    /// target (the λ/n coin) and retries after `remote_timeout`. A round
+    /// target (the λ/n coin) and retries after `REMOTE_TIMEOUT`. A round
     /// for a message no longer missing just ends.
     fn attempt(&mut self, msg: MessageId, phase: Phase, now: SimTime, actions: &mut Vec<Action>) {
         let cap = match phase {
@@ -1008,7 +1048,7 @@ impl Receiver {
                 self.policy.pull_retry_delay(&policy_ctx!(self, now, actions)),
                 TimerKind::LocalRetry(msg),
             ),
-            Phase::Remote => (self.cfg.remote_timeout, TimerKind::RemoteRetry(msg)),
+            Phase::Remote => (REMOTE_TIMEOUT, TimerKind::RemoteRetry(msg)),
         };
         actions.push(Action::SetTimer { delay, kind });
     }
@@ -1102,10 +1142,7 @@ impl Receiver {
             self.metrics.counters.search_forwards += 1;
             actions.push(Action::Send { to: q, packet: Packet::SearchRequest { msg, origins } });
         }
-        actions.push(Action::SetTimer {
-            delay: self.cfg.search_timeout,
-            kind: TimerKind::SearchRetry(msg),
-        });
+        actions.push(Action::SetTimer { delay: SEARCH_TIMEOUT, kind: TimerKind::SearchRetry(msg) });
     }
 
     // ----- timers --------------------------------------------------------------
@@ -1166,11 +1203,10 @@ impl Receiver {
                 // of exhausted searches old enough that their origins
                 // must have retried elsewhere, and of overheard requests
                 // past the suppression window.
-                let window = self.cfg.search_memory;
                 let sweep = self.cfg.long_term_sweep_interval;
                 let suppress = self.cfg.damping.map(|d| d.suppress_window);
                 self.recovery.retain(|_, r| {
-                    if r.found.is_some_and(|(at, _)| now.saturating_since(at) > window) {
+                    if r.found.is_some_and(|(at, _)| now.saturating_since(at) > SEARCH_MEMORY) {
                         r.found = None;
                     }
                     let exhausted = r.search.as_ref().and_then(|s| s.exhausted_at);
@@ -1198,7 +1234,21 @@ impl Receiver {
                 }
             }
             TimerKind::SessionTick => {
-                // Session ticks belong to the Sender; a receiver ignores them.
+                // Advertise the highest sequence number multicast so far,
+                // nothing before the first (§2.1), and re-arm. A member
+                // without the sender role ignores the tick.
+                if self.next_seq != SeqNo::NONE {
+                    let high = SeqNo(self.next_seq.0 - 1);
+                    if high != SeqNo::NONE {
+                        actions.push(Action::MulticastGroup {
+                            packet: Packet::Session { source: self.id, high },
+                        });
+                    }
+                    actions.push(Action::SetTimer {
+                        delay: self.cfg.session_interval,
+                        kind: TimerKind::SessionTick,
+                    });
+                }
             }
             TimerKind::Watchdog => {
                 // Only ever armed when the watchdog is configured; a
@@ -1308,7 +1358,6 @@ impl Receiver {
 mod tests {
     use super::*;
     use crate::config::{ConfigError, PolicyKind};
-    use crate::ids::SeqNo;
     use rrmp_membership::view::RegionView;
     use rrmp_netsim::topology::RegionId;
 
@@ -2028,6 +2077,7 @@ mod tests {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
         assert!(std::mem::size_of::<Receiver>() <= 720);
+        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 864);
     }
 
     #[test]
@@ -2037,6 +2087,103 @@ mod tests {
         // make `Action` 64 B.
         assert_eq!(std::mem::size_of::<Action>(), 56);
         assert!(std::mem::size_of::<Packet>() <= 48);
+    }
+
+    // ----- the sender role -----------------------------------------------------
+
+    /// A root-region receiver granted the sender role.
+    fn sender_with(cfg: ProtocolConfig) -> Receiver {
+        let mut r = root_receiver(cfg);
+        r.make_sender();
+        r
+    }
+
+    fn session_tick() -> Event {
+        Event::Timer(TimerKind::SessionTick)
+    }
+
+    #[test]
+    fn sender_numbers_messages_contiguously_from_one() {
+        let mut r = sender_with(ProtocolConfig::paper_defaults());
+        let first = r.multicast(payload()).expect("a sender numbers");
+        let second = r.multicast(Bytes::from_static(b"next")).expect("a sender numbers");
+        assert_eq!(first, DataPacket::new(MessageId::new(r.id(), SeqNo(1)), payload()));
+        assert_eq!(second.id, MessageId::new(r.id(), SeqNo(2)));
+        assert_eq!(&second.payload[..], b"next");
+    }
+
+    #[test]
+    fn session_tick_advertises_nothing_before_the_first_message() {
+        let mut r = sender_with(ProtocolConfig::paper_defaults());
+        let actions = r.handle(session_tick(), t(20));
+        assert_eq!(
+            actions,
+            [Action::SetTimer { delay: r.config().session_interval, kind: TimerKind::SessionTick }]
+        );
+    }
+
+    #[test]
+    fn session_tick_advertises_the_high_watermark_and_rearms() {
+        let mut r = sender_with(ProtocolConfig::paper_defaults());
+        r.multicast(payload());
+        r.multicast(payload());
+        let actions = r.handle(session_tick(), t(20));
+        assert_eq!(
+            actions,
+            [
+                Action::MulticastGroup {
+                    packet: Packet::Session { source: r.id(), high: SeqNo(2) }
+                },
+                Action::SetTimer {
+                    delay: r.config().session_interval,
+                    kind: TimerKind::SessionTick
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn on_start_arms_the_session_tick_last_and_only_on_a_periodic_sender() {
+        let watchdog = WatchdogConfig {
+            interval: SimDuration::from_millis(100),
+            horizon: SimDuration::from_millis(250),
+        };
+        let cfg = ProtocolConfig { watchdog: Some(watchdog), ..ProtocolConfig::paper_defaults() };
+        assert_eq!(
+            timers(&sender_with(cfg.clone()).on_start()),
+            [TimerKind::LongTermSweep, TimerKind::Watchdog, TimerKind::SessionTick]
+        );
+        assert_eq!(
+            timers(&root_receiver(cfg.clone()).on_start()),
+            [TimerKind::LongTermSweep, TimerKind::Watchdog]
+        );
+        let one_shot = ProtocolConfig { periodic_sessions: false, ..cfg };
+        assert_eq!(
+            timers(&sender_with(one_shot).on_start()),
+            [TimerKind::LongTermSweep, TimerKind::Watchdog]
+        );
+    }
+
+    #[test]
+    fn non_sender_ignores_the_session_tick_and_cannot_multicast() {
+        let mut r = root_receiver(ProtocolConfig::paper_defaults());
+        assert_eq!(r.multicast(payload()), None);
+        assert!(r.handle(session_tick(), t(20)).is_empty());
+    }
+
+    #[test]
+    fn crashed_sender_keeps_advertising() {
+        let mut r = sender_with(ProtocolConfig::paper_defaults());
+        r.multicast(payload());
+        r.crash(t(10));
+        let actions = r.handle(session_tick(), t(20));
+        assert_eq!(timers(&actions), [TimerKind::SessionTick]);
+        assert_eq!(
+            actions[0],
+            Action::MulticastGroup { packet: Packet::Session { source: r.id(), high: SeqNo(1) } }
+        );
+        // Every other event still stops at the crash.
+        assert!(r.handle(packet_event(2, data(2)), t(21)).is_empty());
     }
 
     #[test]

@@ -147,6 +147,10 @@ proptest! {
                     Action::Deliver { id, .. } => {
                         prop_assert!(delivered.insert(*id), "duplicate delivery of {id}");
                     }
+                    // Only the sender role multicasts to the whole group.
+                    Action::MulticastGroup { .. } => {
+                        prop_assert!(false, "group multicast from a non-sender on {:?}", input);
+                    }
                     Action::MulticastRegion { .. } | Action::SetTimer { .. } => {}
                 }
             }

@@ -51,7 +51,6 @@ use rrmp_core::ids::MessageId;
 use rrmp_core::packet::Packet;
 use rrmp_core::prelude::ProtocolConfig;
 use rrmp_core::receiver::Receiver;
-use rrmp_core::sender::{Sender, SenderAction};
 use rrmp_netsim::event::EventQueue;
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::NodeId;
@@ -314,7 +313,6 @@ struct MemberSlot {
     spec: Arc<GroupSpec>,
     node: NodeId,
     receiver: Receiver,
-    sender: Option<Sender>,
     delivered_tx: SyncSender<RuntimeEvent>,
     initial_drop: Option<Box<DropFilter>>,
     send_drops: Arc<AtomicU64>,
@@ -445,6 +443,17 @@ fn execute(
                     &|_| true,
                 );
             }
+            Action::MulticastGroup { packet } => {
+                outbox.fan_out(
+                    &slot.socket,
+                    &slot.spec,
+                    slot.node,
+                    &slot.send_drops,
+                    &packet,
+                    &mut slot.spec.members().iter().map(|m| m.node),
+                    &|_| true,
+                );
+            }
             Action::Deliver { id, payload } => {
                 // A full (or closed) application channel sheds the
                 // delivery; count it so a stalled consumer is visible
@@ -531,31 +540,6 @@ fn loop_main(ctx: LoopCtx) {
                 LoopEvent::Proto { slot, kind } => {
                     // Lazily-cancelled timer of a removed member.
                     let Some(s) = slots.get_mut(&slot) else { continue };
-                    if kind == TimerKind::SessionTick {
-                        if let Some(sender) = s.sender.as_ref() {
-                            for a in sender.on_session_tick() {
-                                match a {
-                                    SenderAction::MulticastGroup { packet } => {
-                                        outbox.fan_out(
-                                            &s.socket,
-                                            &s.spec,
-                                            s.node,
-                                            &s.send_drops,
-                                            &packet,
-                                            &mut s.spec.members().iter().map(|m| m.node),
-                                            &|_| true,
-                                        );
-                                    }
-                                    SenderAction::Protocol(Action::SetTimer { delay, kind }) => {
-                                        timers
-                                            .schedule(now + delay, LoopEvent::Proto { slot, kind });
-                                    }
-                                    SenderAction::Protocol(_) => {}
-                                }
-                            }
-                        }
-                        continue;
-                    }
                     s.receiver.handle_into(Event::Timer(kind), at, &mut actions);
                     execute(&mut actions, &mut outbox, &mut timers, slot, s, now);
                 }
@@ -590,14 +574,15 @@ fn loop_main(ctx: LoopCtx) {
                     let policy = cfg.policy.build(&members);
                     let mut receiver =
                         Receiver::with_policy(node, spec.view_for(node), cfg.clone(), seed, policy);
-                    let sender = is_sender.then(|| Sender::new(node, cfg.session_interval));
+                    if is_sender {
+                        receiver.make_sender();
+                    }
                     actions.extend(receiver.on_start());
                     let s = MemberSlot {
                         socket,
                         spec,
                         node,
                         receiver,
-                        sender,
                         delivered_tx,
                         initial_drop: None,
                         send_drops,
@@ -606,44 +591,26 @@ fn loop_main(ctx: LoopCtx) {
                         dead: false,
                     };
                     execute(&mut actions, &mut outbox, &mut timers, slot, &s, now);
-                    // Same gate as the simulation harness: a host that
-                    // advertises each multicast once with a one-shot
-                    // session message runs without the periodic tick.
-                    if cfg.periodic_sessions {
-                        if let Some(sender) = &s.sender {
-                            for a in sender.on_start() {
-                                if let SenderAction::Protocol(Action::SetTimer { delay, kind }) = a
-                                {
-                                    timers.schedule(now + delay, LoopEvent::Proto { slot, kind });
-                                }
-                            }
-                        }
-                    }
                     slots.insert(slot, s);
                     poll_dirty = true;
                 }
                 LoopCmd::Multicast(slot, payload) => {
                     let Some(s) = slots.get_mut(&slot) else { continue };
-                    let Some(sender) = s.sender.as_mut() else { continue };
-                    let (id, sender_actions) = sender.multicast(payload.clone());
-                    for a in sender_actions {
-                        if let SenderAction::MulticastGroup { packet } = a {
-                            let filter = &s.initial_drop;
-                            outbox.fan_out(
-                                &s.socket,
-                                &s.spec,
-                                s.node,
-                                &s.send_drops,
-                                &packet,
-                                &mut s.spec.members().iter().map(|m| m.node),
-                                &|m| !filter.as_ref().is_some_and(|f| f(m)),
-                            );
-                        }
-                    }
+                    let Some(data) = s.receiver.multicast(payload) else { continue };
+                    let packet = Packet::Data(data);
+                    let filter = &s.initial_drop;
+                    outbox.fan_out(
+                        &s.socket,
+                        &s.spec,
+                        s.node,
+                        &s.send_drops,
+                        &packet,
+                        &mut s.spec.members().iter().map(|m| m.node),
+                        &|m| !filter.as_ref().is_some_and(|f| f(m)),
+                    );
                     // The sender holds its own message.
-                    let self_packet = Packet::Data(rrmp_core::packet::DataPacket::new(id, payload));
                     s.receiver.handle_into(
-                        Event::Packet { from: s.node, packet: self_packet },
+                        Event::Packet { from: s.node, packet },
                         now,
                         &mut actions,
                     );
@@ -1697,7 +1664,6 @@ mod tests {
             spec: Arc::clone(&spec),
             node: NodeId(0),
             receiver: Receiver::new(NodeId(0), spec.view_for(NodeId(0)), fast_cfg(), 1),
-            sender: None,
             delivered_tx,
             initial_drop: None,
             send_drops: Arc::clone(&drops),
