@@ -1,7 +1,10 @@
 //! Hosting the sans-io protocol on the discrete-event simulator.
 //!
 //! [`RrmpNode`] adapts a [`Receiver`] (the sender role included) to the
-//! [`SimNode`] interface; [`RrmpNetwork`] wraps a whole
+//! [`SimNode`] interface. Both engines carry its timers as [`HostTimer`]
+//! values: a protocol [`TimerKind`] goes to the simulator and comes back
+//! as is, beside the experiment script's leave, crash, heal and
+//! view-removal timers. [`RrmpNetwork`] wraps a whole
 //! simulated group with the conveniences every experiment needs: injecting
 //! multicasts with controlled loss ([`DeliveryPlan`]), preloading buffer
 //! states (Figures 8/9), scripting leaves, and extracting the
@@ -26,15 +29,22 @@ use crate::observe::TraceConfig;
 use crate::packet::Packet;
 use crate::receiver::{PreloadState, Receiver};
 
-/// External timer token that triggers [`Event::Leave`] on a node.
-const LEAVE_TOKEN: u64 = u64::MAX;
-/// External timer token that crashes a node (no handoff).
-const CRASH_TOKEN: u64 = u64::MAX - 1;
-/// External timer token notifying a node that a fault window healed
-/// (partition, blackout, or stall ended): exhausted recovery re-arms.
-const HEAL_TOKEN: u64 = u64::MAX - 2;
-/// Base for external "remove node X from views" tokens.
-const VIEW_REMOVE_BASE: u64 = 1 << 48;
+/// A timer the harness arms on the simulator: the protocol's own timers,
+/// plus the experiment script's external ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostTimer {
+    /// A timer the [`Receiver`] asked for through [`Action::SetTimer`].
+    Proto(TimerKind),
+    /// Triggers [`Event::Leave`] on the node.
+    Leave,
+    /// Crashes the node (no handoff).
+    Crash,
+    /// A fault window healed (partition, blackout, or stall ended):
+    /// exhausted recovery re-arms.
+    Heal,
+    /// Removes the given member from the node's views.
+    ViewRemove(NodeId),
+}
 
 /// One simulated group member: the sans-io [`Receiver`] bridged onto
 /// the simulator.
@@ -45,11 +55,6 @@ pub struct RrmpNode {
     /// Per-source interval index over `delivered`, so membership checks
     /// ([`RrmpNode::has_delivered`]) are O(log #gaps) instead of a scan.
     delivered_index: MessageIdSet,
-    /// Outstanding timer registrations, sorted by token. Tokens are
-    /// allocated from the monotone `next_token`, so every insert is a
-    /// push — the flat vector replaces a hash table per node.
-    pending_timers: Vec<(u64, TimerKind)>,
-    next_token: u64,
     recovery_packets_received: u64,
     /// Reused action buffer: `Receiver::handle_into` fills it, `execute`
     /// drains it — no allocation per event in steady state.
@@ -69,8 +74,6 @@ impl RrmpNode {
             receiver,
             delivered: Vec::new(),
             delivered_index: MessageIdSet::new(),
-            pending_timers: Vec::new(),
-            next_token: 0,
             recovery_packets_received: 0,
             // Capacity 2 up front: most events produce at most a deliver
             // plus a timer, and seeding the capacity keeps `Vec::push`'s
@@ -116,24 +119,15 @@ impl RrmpNode {
         self.delivered_index.contains(id)
     }
 
-    /// Registers a timer kind and returns the host token for it.
-    fn register_timer_token(&mut self, kind: TimerKind) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        crate::vecmap::reserve_doubling(&mut self.pending_timers);
-        self.pending_timers.push((token, kind));
-        token
-    }
-
     /// Drains `actions` into simulator ops. The buffer is left empty so
     /// callers can reuse it.
-    fn execute(&mut self, ctx: &mut Ctx<'_, Packet>, actions: &mut Vec<Action>) {
+    fn execute(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             self.execute_one(ctx, action);
         }
     }
 
-    fn execute_one(&mut self, ctx: &mut Ctx<'_, Packet>, action: Action) {
+    fn execute_one(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, action: Action) {
         match action {
             Action::Send { to, packet } => {
                 if to != ctx.self_id() {
@@ -179,16 +173,13 @@ impl RrmpNode {
                     self.delivered_index.insert(id);
                 }
             }
-            Action::SetTimer { delay, kind } => {
-                let token = self.register_timer_token(kind);
-                ctx.set_timer(delay, token);
-            }
+            Action::SetTimer { delay, kind } => ctx.set_timer(delay, HostTimer::Proto(kind)),
         }
     }
 
     /// Feeds `event` through the receiver and executes the resulting
     /// actions, reusing the node's scratch action buffer.
-    fn handle_event(&mut self, ctx: &mut Ctx<'_, Packet>, event: Event) {
+    fn handle_event(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, event: Event) {
         if self.reference_mode {
             // Pre-refactor shape: a fresh action vector per event.
             let mut actions = self.receiver.handle(event, ctx.now());
@@ -203,53 +194,37 @@ impl RrmpNode {
     }
 }
 
-impl SimNode for RrmpNode {
+impl SimNode<HostTimer> for RrmpNode {
     type Msg = Packet;
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>) {
         let mut actions = self.receiver.on_start();
         self.execute(ctx, &mut actions);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet>, from: NodeId, packet: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, from: NodeId, packet: Packet) {
         if !matches!(packet, Packet::Session { .. }) {
             self.recovery_packets_received += 1;
         }
         self.handle_event(ctx, Event::Packet { from, packet });
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet>, token: u64) {
-        if token == LEAVE_TOKEN {
-            self.handle_event(ctx, Event::Leave);
-            return;
-        }
-        if token == CRASH_TOKEN {
-            self.receiver.crash(ctx.now());
-            return;
-        }
-        if token == HEAL_TOKEN {
-            let mut actions = std::mem::take(&mut self.action_scratch);
-            debug_assert!(actions.is_empty());
-            self.receiver.on_heal(ctx.now(), &mut actions);
-            self.execute(ctx, &mut actions);
-            self.action_scratch = actions;
-            return;
-        }
-        if (VIEW_REMOVE_BASE..=VIEW_REMOVE_BASE + u64::from(u32::MAX)).contains(&token) {
-            let node = NodeId((token - VIEW_REMOVE_BASE) as u32);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, timer: HostTimer) {
+        match timer {
+            HostTimer::Proto(kind) => self.handle_event(ctx, Event::Timer(kind)),
+            HostTimer::Leave => self.handle_event(ctx, Event::Leave),
+            HostTimer::Crash => self.receiver.crash(ctx.now()),
+            HostTimer::Heal => {
+                let mut actions = std::mem::take(&mut self.action_scratch);
+                debug_assert!(actions.is_empty());
+                self.receiver.on_heal(ctx.now(), &mut actions);
+                self.execute(ctx, &mut actions);
+                self.action_scratch = actions;
+            }
             // Through the receiver (not view_mut directly) so the buffer
             // policy prunes per-member state — a stability quorum must
             // stop waiting on a departed member.
-            self.receiver.on_membership_removed(node);
-            return;
-        }
-        let kind = self
-            .pending_timers
-            .binary_search_by_key(&token, |&(t, _)| t)
-            .ok()
-            .map(|i| self.pending_timers.remove(i).1);
-        if let Some(kind) = kind {
-            self.handle_event(ctx, Event::Timer(kind));
+            HostTimer::ViewRemove(node) => self.receiver.on_membership_removed(node),
         }
     }
 }
@@ -264,8 +239,8 @@ impl SimNode for RrmpNode {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum SimEngine {
-    Single(Sim<RrmpNode>),
-    Sharded(ShardedSim<RrmpNode>),
+    Single(Sim<RrmpNode, HostTimer>),
+    Sharded(ShardedSim<RrmpNode, HostTimer>),
 }
 
 impl SimEngine {
@@ -328,10 +303,10 @@ impl SimEngine {
         }
     }
 
-    fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
+    fn schedule_external_timer(&mut self, node: NodeId, timer: HostTimer, at: SimTime) {
         match self {
-            SimEngine::Single(s) => s.schedule_external_timer(node, token, at),
-            SimEngine::Sharded(s) => s.schedule_external_timer(node, token, at),
+            SimEngine::Single(s) => s.schedule_external_timer(node, timer, at),
+            SimEngine::Sharded(s) => s.schedule_external_timer(node, timer, at),
         }
     }
 
@@ -673,7 +648,7 @@ impl RrmpNetwork {
         let nodes: Vec<NodeId> = self.sim.topology().nodes().collect();
         for at in heal_times {
             for &n in &nodes {
-                self.sim.schedule_external_timer(n, HEAL_TOKEN, at);
+                self.sim.schedule_external_timer(n, HostTimer::Heal, at);
             }
         }
     }
@@ -811,7 +786,7 @@ impl RrmpNetwork {
     /// Panics for a network built with [`RrmpNetwork::with_shards`] — use
     /// the engine-agnostic harness methods (e.g.
     /// [`RrmpNetwork::set_unicast_loss`]) there.
-    pub fn sim_mut(&mut self) -> &mut Sim<RrmpNode> {
+    pub fn sim_mut(&mut self) -> &mut Sim<RrmpNode, HostTimer> {
         match &mut self.sim {
             SimEngine::Single(s) => s,
             SimEngine::Sharded(s) => panic!(
@@ -941,8 +916,7 @@ impl RrmpNetwork {
         for action in actions {
             match action {
                 Action::SetTimer { delay, kind } => {
-                    let token = self.sim.node_mut(node).register_timer_token(kind);
-                    self.sim.schedule_external_timer(node, token, now + delay);
+                    self.sim.schedule_external_timer(node, HostTimer::Proto(kind), now + delay);
                 }
                 other => panic!("preload produced unexpected action {other:?}"),
             }
@@ -958,23 +932,23 @@ impl RrmpNetwork {
     /// are handed off (§3.2) and every other member's view drops the
     /// leaver shortly after (as the membership layer would propagate it).
     pub fn schedule_leave(&mut self, node: NodeId, at: SimTime) {
-        self.sim.schedule_external_timer(node, LEAVE_TOKEN, at);
-        let token = VIEW_REMOVE_BASE + u64::from(node.0);
-        let others: Vec<NodeId> = self.sim.topology().nodes().filter(|&n| n != node).collect();
-        for n in others {
-            self.sim.schedule_external_timer(n, token, at);
-        }
+        self.schedule_departure(node, HostTimer::Leave, at);
     }
 
     /// Schedules a crash of `node` at `at`: the member disappears without
     /// handing off its long-term buffers. Views drop the member as with a
     /// leave (the failure detector would propagate this).
     pub fn schedule_crash(&mut self, node: NodeId, at: SimTime) {
-        self.sim.schedule_external_timer(node, CRASH_TOKEN, at);
-        let token = VIEW_REMOVE_BASE + u64::from(node.0);
+        self.schedule_departure(node, HostTimer::Crash, at);
+    }
+
+    /// Arms `departure` (a leave or a crash) on `node` at `at`, and the
+    /// removal of `node` from every other member's views at that instant.
+    fn schedule_departure(&mut self, node: NodeId, departure: HostTimer, at: SimTime) {
+        self.sim.schedule_external_timer(node, departure, at);
         let others: Vec<NodeId> = self.sim.topology().nodes().filter(|&n| n != node).collect();
         for n in others {
-            self.sim.schedule_external_timer(n, token, at);
+            self.sim.schedule_external_timer(n, HostTimer::ViewRemove(node), at);
         }
     }
 

@@ -2077,7 +2077,7 @@ mod tests {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
         assert!(std::mem::size_of::<Receiver>() <= 720);
-        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 864);
+        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 832);
     }
 
     #[test]

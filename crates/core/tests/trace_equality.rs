@@ -462,7 +462,7 @@ fn region_burst_fault_plan() -> FaultPlan {
 
 /// One fault plan exercising every episode kind: a region partition that
 /// heals mid-run (driving [`Receiver::on_heal`] re-arming through the
-/// `HEAL_TOKEN` external timers), a node stall, a region-scoped loss
+/// harness's external heal timers), a node stall, a region-scoped loss
 /// burst overriding the base model, and bounded duplication.
 fn mixed_fault_plan() -> FaultPlan {
     FaultPlan::new(42)

@@ -23,7 +23,8 @@
 //!   ([`fault::FaultPlan`]): partitions, blackouts, crash/stall churn,
 //!   loss bursts, and duplication, applied at the network edge of both
 //!   engines with layout-invariant verdicts.
-//! * [`sim`] — the driver: host any [`sim::SimNode`] implementation.
+//! * [`sim`] — the driver: host any [`sim::SimNode`] implementation, with
+//!   timers carrying the host's own values.
 //! * [`shard`] — the conservatively parallel driver: regions partitioned
 //!   over shards advancing under a time-window barrier, traces
 //!   byte-identical at every shard count.
@@ -35,24 +36,37 @@
 //! ```
 //! use rrmp_netsim::prelude::*;
 //!
-//! // A node that acknowledges every packet it receives.
+//! // The host's own timer values: `on_timer` gets back what was armed.
+//! enum Timer {
+//!     Ping(NodeId),
+//! }
+//!
+//! // Node 0 pings node 1 when its timer fires; every ping is acknowledged.
 //! struct Acker { acked: u32 }
-//! impl SimNode for Acker {
+//! impl SimNode<Timer> for Acker {
 //!     type Msg = &'static str;
-//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: NodeId, msg: Self::Msg) {
+//!     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Timer>) {
+//!         if ctx.self_id() == NodeId(0) {
+//!             ctx.set_timer(SimDuration::from_millis(2), Timer::Ping(NodeId(1)));
+//!         }
+//!     }
+//!     fn on_packet(&mut self, ctx: &mut Ctx<'_, Self::Msg, Timer>, from: NodeId, msg: Self::Msg) {
 //!         if msg == "ping" {
 //!             ctx.send(from, "ack");
 //!         } else {
 //!             self.acked += 1;
 //!         }
 //!     }
-//!     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _token: u64) {}
+//!     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, Timer>, timer: Timer) {
+//!         match timer {
+//!             Timer::Ping(peer) => ctx.send(peer, "ping"),
+//!         }
+//!     }
 //! }
 //!
 //! let topo = presets::paper_region(2);
 //! let mut sim = Sim::new(topo, vec![Acker { acked: 0 }, Acker { acked: 0 }], 7);
-//! sim.inject(NodeId(1), NodeId(0), "ping", SimTime::ZERO);
-//! sim.run_until_quiescent(SimTime::from_secs(1));
+//! assert_eq!(sim.run_until_quiescent(SimTime::from_secs(1)), SimTime::from_millis(12));
 //! assert_eq!(sim.node(NodeId(0)).acked, 1);
 //! ```
 

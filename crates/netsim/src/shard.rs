@@ -113,7 +113,7 @@ struct ShardEnv<'a, M> {
 
 /// One shard: a subset of regions with private queue, RNGs,
 /// scratch buffers, and outgoing mailboxes.
-struct ShardState<N: SimNode> {
+struct ShardState<N: SimNode<T>, T> {
     /// Global ids of the nodes this shard owns, ascending.
     node_ids: Vec<NodeId>,
     nodes: Vec<N>,
@@ -124,10 +124,10 @@ struct ShardState<N: SimNode> {
     loss_rngs: Vec<StdRng>,
     /// Global node index → local index (`u32::MAX` when not owned).
     local_of: Vec<u32>,
-    queue: EventQueue<SimEvent<N::Msg>>,
+    queue: EventQueue<SimEvent<N::Msg, T>>,
     counters: NetCounters,
     now: SimTime,
-    scratch_ops: Vec<Op<N::Msg>>,
+    scratch_ops: Vec<Op<N::Msg, T>>,
     scratch_targets: Vec<NodeId>,
     target_pool: Vec<Vec<NodeId>>,
     scratch_groups: Vec<(SimTime, Vec<NodeId>)>,
@@ -144,7 +144,7 @@ struct ShardState<N: SimNode> {
     trace: Option<Box<TraceSink>>,
 }
 
-impl<N: SimNode> ShardState<N> {
+impl<N: SimNode<T>, T> ShardState<N, T> {
     /// Processes every local event at or before `limit`.
     fn run_window(&mut self, env: &ShardEnv<'_, N::Msg>, limit: SimTime) {
         while let Some((at, event)) = self.queue.pop_at_or_before(limit) {
@@ -160,7 +160,12 @@ impl<N: SimNode> ShardState<N> {
         }
     }
 
-    fn dispatch_event(&mut self, env: &ShardEnv<'_, N::Msg>, at: SimTime, event: SimEvent<N::Msg>) {
+    fn dispatch_event(
+        &mut self,
+        env: &ShardEnv<'_, N::Msg>,
+        at: SimTime,
+        event: SimEvent<N::Msg, T>,
+    ) {
         debug_assert!(at >= self.now, "time went backwards inside a shard");
         match event {
             SimEvent::Deliver { to, from, msg } => {
@@ -193,19 +198,19 @@ impl<N: SimNode> ShardState<N> {
                 targets.clear();
                 self.target_pool.push(targets);
             }
-            SimEvent::Timer { node, token } => {
+            SimEvent::Timer { node, timer } => {
                 self.now = at;
                 self.counters.timers_fired += 1;
                 self.counters.events_processed += 1;
                 let local = self.local_of[node.index()] as usize;
-                self.dispatch_with(env, local, |n, ctx| n.on_timer(ctx, token));
+                self.dispatch_with(env, local, |n, ctx| n.on_timer(ctx, timer));
             }
         }
     }
 
     fn dispatch_with<F>(&mut self, env: &ShardEnv<'_, N::Msg>, local: usize, f: F)
     where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg>),
+        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, T>),
     {
         debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
         let mut ops = std::mem::take(&mut self.scratch_ops);
@@ -242,9 +247,9 @@ impl<N: SimNode> ShardState<N> {
                         msg,
                     );
                 }
-                Op::SetTimer { token, at } => {
+                Op::SetTimer { timer, at } => {
                     self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, token });
+                    self.queue.schedule(at, SimEvent::Timer { node: from, timer });
                 }
             }
         }
@@ -476,9 +481,9 @@ struct WindowReport<M> {
 /// drained inline — it defines the canonical trace that every parallel
 /// run reproduces byte for byte. See the [module docs](self) for the
 /// windowed execution model and the determinism argument.
-pub struct ShardedSim<N: SimNode> {
+pub struct ShardedSim<N: SimNode<T>, T = u64> {
     topo: Topology,
-    states: Vec<ShardState<N>>,
+    states: Vec<ShardState<N, T>>,
     /// Region index → owning shard.
     region_shard: Vec<u32>,
     /// Node index → owning shard.
@@ -493,7 +498,7 @@ pub struct ShardedSim<N: SimNode> {
     merge_scratch: Vec<CrossEvent<N::Msg>>,
 }
 
-impl<N: SimNode> std::fmt::Debug for ShardedSim<N> {
+impl<N: SimNode<T>, T> std::fmt::Debug for ShardedSim<N, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSim")
             .field("now", &self.now)
@@ -545,13 +550,13 @@ fn partition_regions(topo: &Topology, shards: usize) -> Vec<u32> {
 /// # Panics
 ///
 /// Panics if `nodes` does not yield exactly one node per topology node.
-fn build_states<N: SimNode>(
+fn build_states<N: SimNode<T>, T>(
     topo: &Topology,
     node_shard: &[u32],
     nodes: impl IntoIterator<Item = N>,
     seed: u64,
     shard_count: usize,
-) -> Vec<ShardState<N>> {
+) -> Vec<ShardState<N, T>> {
     let seq = SeedSequence::new(seed);
     let node_count = topo.node_count();
     let region_count = topo.region_count();
@@ -559,7 +564,7 @@ fn build_states<N: SimNode>(
     for &s in node_shard {
         counts[s as usize] += 1;
     }
-    let mut states: Vec<ShardState<N>> = (0..shard_count)
+    let mut states: Vec<ShardState<N, T>> = (0..shard_count)
         .map(|s| ShardState {
             node_ids: Vec::with_capacity(counts[s]),
             nodes: Vec::with_capacity(counts[s]),
@@ -593,10 +598,11 @@ fn build_states<N: SimNode>(
     states
 }
 
-impl<N> ShardedSim<N>
+impl<N, T> ShardedSim<N, T>
 where
-    N: SimNode + Send,
+    N: SimNode<T> + Send,
     N::Msg: Send,
+    T: Send,
 {
     /// Creates a sharded simulator over `topo` hosting `nodes` (one per
     /// [`NodeId`], in order), partitioned into at most `shards` shards
@@ -751,12 +757,6 @@ where
         }
     }
 
-    /// Whether the engine observer is armed.
-    #[must_use]
-    pub fn trace_armed(&self) -> bool {
-        self.states.iter().any(|st| st.trace.is_some())
-    }
-
     /// Trace events evicted by ring bounds across all shard sinks.
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
@@ -882,28 +882,11 @@ where
         }
     }
 
-    /// Injects a multicast where every holder receives `msg` at exactly
-    /// `at` (zero latency).
-    pub fn inject_simultaneous(
-        &mut self,
-        from: NodeId,
-        msg: &N::Msg,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        for to in plan.holders() {
-            if to == from {
-                continue;
-            }
-            self.inject(to, from, msg.clone(), at);
-        }
-    }
-
     /// Schedules an external timer on `node` at absolute time `at`.
-    pub fn schedule_external_timer(&mut self, node: NodeId, token: u64, at: SimTime) {
+    pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
         let st = &mut self.states[self.node_shard[node.index()] as usize];
         st.counters.timers_set += 1;
-        st.queue.schedule(at, SimEvent::Timer { node, token });
+        st.queue.schedule(at, SimEvent::Timer { node, timer });
     }
 
     /// Runs each node's [`SimNode::on_start`] callback (at most once),

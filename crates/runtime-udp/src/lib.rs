@@ -7,14 +7,11 @@
 //! unicast fan-out (the paper's protocol only observes *who received the
 //! initial transmission*, which the fan-out preserves).
 //!
-//! Two entry points:
-//!
-//! * [`UdpRuntime`] — the production surface: N event-loop threads, each
-//!   multiplexing many members over one shared timing wheel, one
-//!   MTU-bucketed [`BufferPool`], and one `poll(2)` readiness set, so a
-//!   process can host thousands of receivers.
-//! * [`UdpNode`] — the original one-member facade over a private
-//!   single-loop runtime, unchanged API.
+//! The entry point is [`UdpRuntime`]: N event-loop threads, each
+//! multiplexing many members over one shared timing wheel, one
+//! MTU-bucketed [`BufferPool`], and one `poll(2)` readiness set, so a
+//! process can host thousands of receivers. [`UdpRuntime::add_member`]
+//! places a member and returns its [`MemberHandle`].
 //!
 //! See the `udp_localhost` example for a multi-node walkthrough on
 //! loopback (including forced initial-multicast loss and recovery) and
@@ -31,4 +28,4 @@ pub mod runtime;
 pub use batch::{send_to_many, PollSet, RecvBatcher};
 pub use group::{GroupSpec, MemberSpec};
 pub use pool::{BufferPool, PoolSnapshot, PoolStats, SizeClass, DATAGRAM_MTU};
-pub use runtime::{Delivery, MemberHandle, RuntimeConfig, RuntimeSnapshot, UdpNode, UdpRuntime};
+pub use runtime::{Delivery, MemberHandle, RuntimeConfig, RuntimeSnapshot, UdpRuntime};

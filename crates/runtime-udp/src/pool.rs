@@ -190,17 +190,13 @@ struct ClassPool {
 #[derive(Debug)]
 pub struct BufferPool {
     classes: [ClassPool; SIZE_CLASSES.len()],
-    /// Byte budget for the freelists (summed over classes). `0` disables
-    /// pooling entirely: every acquire allocates, every release drops —
-    /// the differential "unpooled" arm of the runtime bench.
+    /// Byte budget for the freelists (summed over classes).
     free_limit_bytes: usize,
     stats: Arc<PoolStats>,
 }
 
 impl BufferPool {
     /// Creates a pool whose freelists may hold up to `free_limit_bytes`.
-    /// Pass `0` to disable pooling (per-datagram allocation, for
-    /// differential benchmarking).
     #[must_use]
     pub fn new(free_limit_bytes: usize) -> BufferPool {
         BufferPool::with_stats(free_limit_bytes, Arc::new(PoolStats::default()))
@@ -220,12 +216,6 @@ impl BufferPool {
         Arc::clone(&self.stats)
     }
 
-    /// Whether pooling is enabled (a zero byte limit disables it).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.free_limit_bytes > 0
-    }
-
     fn track_alloc(&self, size: usize) {
         let now = self.stats.tracked_bytes.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         self.stats.high_water_bytes.fetch_max(now, Ordering::Relaxed);
@@ -240,18 +230,16 @@ impl BufferPool {
     /// list, then — counted as a miss — a fresh allocation.
     pub fn acquire(&mut self, class: SizeClass) -> BytesMut {
         let size = class.size();
-        if self.enabled() {
-            if let Some(mut slab) = self.classes[class.0].free.pop() {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.free_bytes.fetch_sub(size as u64, Ordering::Relaxed);
-                slab.clear();
-                return slab;
-            }
-            if let Some(mut slab) = self.scavenge(class, SCAVENGE_BUDGET) {
-                self.stats.reclaimed.fetch_add(1, Ordering::Relaxed);
-                slab.clear();
-                return slab;
-            }
+        if let Some(mut slab) = self.classes[class.0].free.pop() {
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.free_bytes.fetch_sub(size as u64, Ordering::Relaxed);
+            slab.clear();
+            return slab;
+        }
+        if let Some(mut slab) = self.scavenge(class, SCAVENGE_BUDGET) {
+            self.stats.reclaimed.fetch_add(1, Ordering::Relaxed);
+            slab.clear();
+            return slab;
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         self.track_alloc(size);
@@ -265,10 +253,6 @@ impl BufferPool {
     /// keeps it alive — is parked for a later reclaim.
     pub fn release(&mut self, class: SizeClass, bytes: Bytes) {
         let size = class.size();
-        if !self.enabled() {
-            // Unpooled mode never tracked the allocation.
-            return;
-        }
         match bytes.try_into_mut() {
             Ok(slab) => self.push_free(class, slab),
             Err(shared) => {
@@ -291,9 +275,6 @@ impl BufferPool {
     /// receive batcher hands back unfilled slabs when it switches size
     /// class). Not a hit or a miss — the acquire already counted.
     pub fn release_unused(&mut self, class: SizeClass, slab: BytesMut) {
-        if !self.enabled() {
-            return;
-        }
         self.push_free(class, slab);
     }
 
@@ -304,9 +285,6 @@ impl BufferPool {
     /// many slabs this pass reclaimed (the runtime's scavenge trace hook
     /// reports it).
     pub fn sweep(&mut self, budget: usize) -> usize {
-        if !self.enabled() {
-            return 0;
-        }
         let mut reclaimed = 0;
         for ci in 0..SIZE_CLASSES.len() {
             for _ in 0..budget {
@@ -438,21 +416,6 @@ mod tests {
         assert_eq!(s.trimmed, 1, "the second slab is dropped, not pooled");
         assert_eq!(s.free_bytes, class.size() as u64);
         assert_eq!(s.tracked_bytes, class.size() as u64);
-    }
-
-    #[test]
-    fn zero_limit_disables_pooling() {
-        let mut pool = BufferPool::new(0);
-        assert!(!pool.enabled());
-        let class = SizeClass(0);
-        for _ in 0..3 {
-            let slab = pool.acquire(class);
-            pool.release(class, slab.freeze());
-        }
-        let s = pool.stats().snapshot();
-        assert_eq!(s.misses, 3, "every acquire allocates");
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.free_bytes, 0);
     }
 
     #[test]

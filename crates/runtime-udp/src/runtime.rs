@@ -27,9 +27,6 @@
 //! [`UdpRuntime::add_member`] time; a process can host thousands of
 //! receivers this way with thread count decoupled from member count.
 //!
-//! [`UdpNode`] remains as a thin facade — one member on a private
-//! one-loop runtime — preserving the original per-node API exactly.
-//!
 //! IP multicast is emulated by unicast fan-out (no multicast routing is
 //! assumed): each packet is **encoded once** and the same wire bytes are
 //! written to every destination, mirroring the zero-copy fan-out of the
@@ -70,9 +67,8 @@ pub struct RuntimeConfig {
     /// Number of event-loop threads. Defaults to the machine's available
     /// parallelism (capped at 8 — loops are I/O-bound, not compute).
     pub loop_threads: usize,
-    /// Per-loop cap on *idle* pooled bytes (freelist slabs). `0` disables
-    /// pooling entirely — every receive allocates — which exists for the
-    /// pooled-vs-unpooled benchmark arm, not for production use.
+    /// Per-loop cap on *idle* pooled bytes (freelist slabs); it also
+    /// scales how many still-shared slabs a loop keeps tracking.
     pub pool_limit_bytes: usize,
     /// Capacity of each member's delivery channel; a member whose
     /// application stops draining sheds deliveries (counted in
@@ -99,20 +95,6 @@ impl Default for RuntimeConfig {
             .min(8);
         RuntimeConfig {
             loop_threads: loops,
-            pool_limit_bytes: DEFAULT_POOL_LIMIT,
-            delivery_capacity: 4096,
-            trace_ring: None,
-        }
-    }
-}
-
-impl RuntimeConfig {
-    /// One event loop with default pool and channel sizing — what the
-    /// [`UdpNode`] facade uses.
-    #[must_use]
-    fn single_loop() -> RuntimeConfig {
-        RuntimeConfig {
-            loop_threads: 1,
             pool_limit_bytes: DEFAULT_POOL_LIMIT,
             delivery_capacity: 4096,
             trace_ring: None,
@@ -951,12 +933,6 @@ impl UdpRuntime {
         self.shared.links.iter().map(|l| l.rt_stats.snapshot()).collect()
     }
 
-    /// Whether [`RuntimeConfig::trace_ring`] armed per-loop trace sinks.
-    #[must_use]
-    pub fn trace_armed(&self) -> bool {
-        self.shared.links.iter().any(|l| l.trace.is_some())
-    }
-
     /// Collects every loop's [`streams::RUNTIME`] trace events in
     /// canonical order (empty when unarmed). Timestamps are wall-clock
     /// microseconds since each loop's epoch — diagnostic, not
@@ -1209,142 +1185,6 @@ impl Drop for MemberHandle {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-node facade.
-// ---------------------------------------------------------------------------
-
-/// A single group member running over real UDP sockets — the original
-/// per-node API, now a thin facade over a private one-loop
-/// [`UdpRuntime`]. Spawn one per process (or several in one process for
-/// tests); to host *many* members efficiently, use [`UdpRuntime`]
-/// directly. See the `udp_localhost` example for an end-to-end
-/// walkthrough.
-pub struct UdpNode {
-    member: Option<MemberHandle>,
-    runtime: Option<UdpRuntime>,
-}
-
-impl std::fmt::Debug for UdpNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UdpNode")
-            .field("node", &self.member.as_ref().map(MemberHandle::id))
-            .finish_non_exhaustive()
-    }
-}
-
-impl UdpNode {
-    /// Starts a member on `socket` (already bound; its address must match
-    /// the spec's entry for `node`). `is_sender` grants the multicast
-    /// source role.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the socket cannot be configured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not in `spec` or `cfg` is invalid.
-    pub fn start(
-        socket: UdpSocket,
-        spec: GroupSpec,
-        node: NodeId,
-        cfg: ProtocolConfig,
-        is_sender: bool,
-        seed: u64,
-    ) -> std::io::Result<UdpNode> {
-        let runtime = UdpRuntime::start(RuntimeConfig::single_loop())?;
-        let member = runtime.add_member(socket, spec, node, cfg, is_sender, seed)?;
-        Ok(UdpNode { member: Some(member), runtime: Some(runtime) })
-    }
-
-    fn member(&self) -> &MemberHandle {
-        self.member.as_ref().expect("member present until shutdown")
-    }
-
-    /// This member's id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.member().id()
-    }
-
-    /// Multicasts `payload` to the group (sender role only; ignored
-    /// otherwise).
-    pub fn multicast(&self, payload: impl Into<Bytes>) {
-        self.member().multicast(payload);
-    }
-
-    /// Installs a drop filter applied to the **initial** multicast only
-    /// (test hook to force recovery); `None` clears it.
-    pub fn set_initial_drop<F>(&self, filter: Option<F>)
-    where
-        F: Fn(NodeId) -> bool + Send + 'static,
-    {
-        self.member().set_initial_drop(filter);
-    }
-
-    /// Receives the next delivered message, waiting up to `timeout`.
-    /// A fatal receive-path failure arriving instead is recorded (see
-    /// [`UdpNode::recv_failure`]) and reported as `None`.
-    #[must_use]
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Delivery> {
-        self.member().recv_timeout(timeout)
-    }
-
-    /// Non-blocking poll for a delivered message. A fatal receive-path
-    /// failure is recorded (see [`UdpNode::recv_failure`]) and reported
-    /// as `None`.
-    #[must_use]
-    pub fn try_recv(&self) -> Option<Delivery> {
-        self.member().try_recv()
-    }
-
-    /// The fatal receive-path error observed so far, if any: the node is
-    /// deaf to the network and should be torn down.
-    #[must_use]
-    pub fn recv_failure(&self) -> Option<std::io::ErrorKind> {
-        self.member().recv_failure()
-    }
-
-    /// Outgoing work dropped on this host so far (see
-    /// [`MemberHandle::send_drops`]).
-    #[must_use]
-    pub fn send_drops(&self) -> u64 {
-        self.member().send_drops()
-    }
-
-    /// Initiates a voluntary leave (long-term buffers are handed off).
-    pub fn leave(&self) {
-        self.member().leave();
-    }
-
-    /// Stops the node's event loop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        // Handle first (sends Remove while the loop is alive), then the
-        // runtime join.
-        self.member.take();
-        if let Some(rt) = self.runtime.take() {
-            rt.shutdown();
-        }
-    }
-
-    #[cfg(test)]
-    fn delivered_rx_test_inject(&self, event: RuntimeEvent) {
-        self.member().delivered_rx_test_inject(event);
-    }
-}
-
-impl Drop for UdpNode {
-    fn drop(&mut self) {
-        // C-DTOR-BLOCK: prefer an explicit `shutdown()`; the destructor
-        // still stops the threads, signalling first so joins are brief.
-        self.shutdown_inner();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1369,6 +1209,31 @@ mod tests {
         spec
     }
 
+    /// `loop_threads` loops with default pool and channel sizing.
+    fn loops(loop_threads: usize) -> RuntimeConfig {
+        RuntimeConfig { loop_threads, ..RuntimeConfig::default() }
+    }
+
+    /// Hosts node `i` on the `i`-th bound socket, node 0 as the sender,
+    /// with seed `seed + i`.
+    fn add_all(
+        rt: &UdpRuntime,
+        bound: Vec<(UdpSocket, SocketAddr)>,
+        spec: &Arc<GroupSpec>,
+        cfg: &ProtocolConfig,
+        seed: u64,
+    ) -> Vec<MemberHandle> {
+        bound
+            .into_iter()
+            .enumerate()
+            .map(|(i, (sock, _))| {
+                let node = NodeId(i as u32);
+                rt.add_member(sock, Arc::clone(spec), node, cfg.clone(), i == 0, seed + i as u64)
+                    .expect("add member")
+            })
+            .collect()
+    }
+
     fn fast_cfg() -> ProtocolConfig {
         // Short session interval so tail losses are detected quickly in
         // real time.
@@ -1382,22 +1247,10 @@ mod tests {
     fn lossless_multicast_over_real_sockets() {
         let bound = bind_n(3);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
-        let spec = spec_single_region(&addrs);
-        let nodes: Vec<UdpNode> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                UdpNode::start(
-                    sock,
-                    spec.clone(),
-                    NodeId(i as u32),
-                    fast_cfg(),
-                    i == 0,
-                    42 + i as u64,
-                )
-                .expect("start node")
-            })
-            .collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        // One loop per member: every datagram crosses threads.
+        let rt = UdpRuntime::start(loops(3)).expect("start runtime");
+        let nodes = add_all(&rt, bound, &spec, &fast_cfg(), 42);
         nodes[0].multicast(&b"over the wire"[..]);
         for (i, n) in nodes.iter().enumerate() {
             let d = n
@@ -1405,31 +1258,17 @@ mod tests {
                 .unwrap_or_else(|| panic!("node {i} did not deliver"));
             assert_eq!(&d.payload[..], b"over the wire");
         }
-        for n in nodes {
-            n.shutdown();
-        }
+        drop(nodes);
+        rt.shutdown();
     }
 
     #[test]
     fn dropped_initial_multicast_recovers_via_protocol() {
         let bound = bind_n(4);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
-        let spec = spec_single_region(&addrs);
-        let nodes: Vec<UdpNode> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                UdpNode::start(
-                    sock,
-                    spec.clone(),
-                    NodeId(i as u32),
-                    fast_cfg(),
-                    i == 0,
-                    77 + i as u64,
-                )
-                .expect("start node")
-            })
-            .collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        let rt = UdpRuntime::start(loops(4)).expect("start runtime");
+        let nodes = add_all(&rt, bound, &spec, &fast_cfg(), 77);
         // Node 3 misses every initial multicast; it must recover through
         // local requests answered by buffered copies.
         nodes[0].set_initial_drop(Some(|n: NodeId| n == NodeId(3)));
@@ -1443,9 +1282,8 @@ mod tests {
             }
         }
         assert_eq!(got.len(), 2, "node 3 should recover both messages");
-        for n in nodes {
-            n.shutdown();
-        }
+        drop(nodes);
+        rt.shutdown();
     }
 
     #[test]
@@ -1463,21 +1301,7 @@ mod tests {
             trace_ring: Some(1024),
         })
         .expect("start runtime");
-        let members: Vec<MemberHandle> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                rt.add_member(
-                    sock,
-                    Arc::clone(&spec),
-                    NodeId(i as u32),
-                    fast_cfg(),
-                    i == 0,
-                    i as u64,
-                )
-                .expect("add member")
-            })
-            .collect();
+        let members = add_all(&rt, bound, &spec, &fast_cfg(), 0);
         assert_eq!(rt.loop_count(), 2);
         assert_eq!(rt.member_count(), N);
         // Least-loaded placement splits the group evenly.
@@ -1502,7 +1326,6 @@ mod tests {
         assert_eq!(health.len(), 2);
         let wakeups: u64 = health.iter().map(|s| s.poll_wakeups).sum();
         assert!(wakeups > 0, "deliveries imply readable-socket wakeups");
-        assert!(rt.trace_armed());
         let events = rt.trace_events();
         assert!(!events.is_empty(), "armed loops must record wakeup events");
         assert!(events.iter().all(|e| e.stream == streams::RUNTIME));
@@ -1520,22 +1343,8 @@ mod tests {
         let bound = bind_n(4);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
         let spec = Arc::new(spec_single_region(&addrs));
-        let rt = UdpRuntime::start(RuntimeConfig::single_loop()).expect("start runtime");
-        let members: Vec<MemberHandle> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                rt.add_member(
-                    sock,
-                    Arc::clone(&spec),
-                    NodeId(i as u32),
-                    fast_cfg(),
-                    i == 0,
-                    i as u64,
-                )
-                .expect("add member")
-            })
-            .collect();
+        let rt = UdpRuntime::start(loops(1)).expect("start runtime");
+        let members = add_all(&rt, bound, &spec, &fast_cfg(), 0);
         members[0].set_initial_drop(Some(|n: NodeId| n == NodeId(2)));
         members[0].multicast(&b"repair me"[..]);
         let d = members[2]
@@ -1554,22 +1363,8 @@ mod tests {
         let bound = bind_n(3);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
         let spec = Arc::new(spec_single_region(&addrs));
-        let rt = UdpRuntime::start(RuntimeConfig::single_loop()).expect("start runtime");
-        let mut members: Vec<MemberHandle> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                rt.add_member(
-                    sock,
-                    Arc::clone(&spec),
-                    NodeId(i as u32),
-                    fast_cfg(),
-                    i == 0,
-                    i as u64,
-                )
-                .expect("add member")
-            })
-            .collect();
+        let rt = UdpRuntime::start(loops(1)).expect("start runtime");
+        let mut members = add_all(&rt, bound, &spec, &fast_cfg(), 0);
         // Remove a receiver mid-flight.
         let removed = members.remove(2);
         drop(removed);
@@ -1713,24 +1508,8 @@ mod tests {
             .session_interval(rrmp_netsim::time::SimDuration::from_millis(30))
             .build()
             .expect("valid test config");
-        let rt =
-            UdpRuntime::start(RuntimeConfig { loop_threads: 2, ..RuntimeConfig::single_loop() })
-                .expect("start runtime");
-        let members: Vec<MemberHandle> = bound
-            .into_iter()
-            .enumerate()
-            .map(|(i, (sock, _))| {
-                rt.add_member(
-                    sock,
-                    Arc::clone(&spec),
-                    NodeId(i as u32),
-                    cfg.clone(),
-                    i == 0,
-                    i as u64,
-                )
-                .expect("add member")
-            })
-            .collect();
+        let rt = UdpRuntime::start(loops(2)).expect("start runtime");
+        let members = add_all(&rt, bound, &spec, &cfg, 0);
         members[0].set_initial_drop(Some(|n: NodeId| n == NodeId(3)));
         members[0].multicast(&b"until stable"[..]);
         for (i, m) in members.iter().enumerate() {
@@ -1761,9 +1540,9 @@ mod tests {
     fn recv_failed_event_is_recorded_on_the_plain_surface() {
         let bound = bind_n(1);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
-        let spec = spec_single_region(&addrs);
-        let (sock, _) = bound.into_iter().next().expect("one socket");
-        let node = UdpNode::start(sock, spec, NodeId(0), fast_cfg(), true, 7).expect("start node");
+        let spec = Arc::new(spec_single_region(&addrs));
+        let rt = UdpRuntime::start(loops(1)).expect("start runtime");
+        let node = add_all(&rt, bound, &spec, &fast_cfg(), 7).remove(0);
         assert_eq!(node.recv_failure(), None);
         assert_eq!(node.send_drops(), 0);
         // Inject a failure the way the event loop would surface one.
@@ -1773,6 +1552,7 @@ mod tests {
         )));
         assert!(node.try_recv().is_none());
         assert_eq!(node.recv_failure(), Some(std::io::ErrorKind::NotConnected));
-        node.shutdown();
+        drop(node);
+        rt.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! The same protocol core on real UDP sockets (loopback).
 //!
 //! Six members in two regions run in one process, each with its own
-//! socket, receive thread, and event loop. The sender's initial multicast
+//! socket and event loop of one `UdpRuntime`. The sender's initial multicast
 //! deliberately skips two members; both recover through the protocol —
 //! one via local recovery, one (whose whole region missed it) via remote
 //! recovery and regional re-multicast. This is the `rrmp-udp` runtime
@@ -10,12 +10,13 @@
 //! Run with: `cargo run --example udp_localhost`
 
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::Duration;
 
 use rrmp::netsim::time::SimDuration;
 use rrmp::netsim::topology::{NodeId, RegionId};
 use rrmp::prelude::ProtocolConfig;
-use rrmp::udp::{GroupSpec, UdpNode};
+use rrmp::udp::{GroupSpec, MemberHandle, RuntimeConfig, UdpRuntime};
 
 fn main() -> std::io::Result<()> {
     println!("== RRMP over UDP on loopback ==");
@@ -37,18 +38,17 @@ fn main() -> std::io::Result<()> {
         .build()
         .expect("valid config");
 
-    let nodes: Vec<UdpNode> = sockets
+    // One event loop per member; `add_member` places each on the
+    // least-loaded loop.
+    let rt =
+        UdpRuntime::start(RuntimeConfig { loop_threads: sockets.len(), ..Default::default() })?;
+    let spec = Arc::new(spec);
+    let nodes: Vec<MemberHandle> = sockets
         .into_iter()
         .enumerate()
         .map(|(i, sock)| {
-            UdpNode::start(
-                sock,
-                spec.clone(),
-                NodeId(i as u32),
-                cfg.clone(),
-                i == 0,
-                1000 + i as u64,
-            )
+            let node = NodeId(i as u32);
+            rt.add_member(sock, Arc::clone(&spec), node, cfg.clone(), i == 0, 1000 + i as u64)
         })
         .collect::<Result<_, _>>()?;
 
@@ -83,9 +83,8 @@ fn main() -> std::io::Result<()> {
     println!("graceful shutdown (member 3 leaves first, handing off long-term buffers)");
     nodes[3].leave();
     std::thread::sleep(Duration::from_millis(100));
-    for node in nodes {
-        node.shutdown();
-    }
+    drop(nodes);
+    rt.shutdown();
     println!("done");
     Ok(())
 }

@@ -2,8 +2,9 @@
 # Every public item has a user. Each `pub fn|struct|enum|trait|const|type|
 # static` declared under `crates/*/src` must be named, as a whole word, in
 # some file other than its own under `crates`, `src`, `tests`, `examples`
-# or `perf/src`. A `pub use` re-export is not a use: a prelude entry that
-# nothing imports keeps nothing alive. An item only its own file names is
+# or `perf/src`. Neither a `pub use` re-export nor another file's `pub`
+# declaration of the same name is a use: a prelude entry that nothing
+# imports, or a twin method on another type, keeps nothing alive. An item only its own file names is
 # either `pub(crate)` or deleted. The exceptions are listed in
 # `scripts/check_unused_pub.allow`, one `file name reason` line each:
 # types that a used public signature reaches, so demoting them is a
@@ -41,7 +42,10 @@ files = sorted(
     if "target" not in p.parts
 )
 text = {p: p.read_text() for p in files}
-words = {p: set(WORD.findall(REEXPORT.sub("", t))) for p, t in text.items()}
+# A declaration is not a use: strip `pub` declarations (like re-exports)
+# before collecting words, so a same-named item in another file keeps
+# nothing alive.
+words = {p: set(WORD.findall(DECL.sub("", REEXPORT.sub("", t)))) for p, t in text.items()}
 
 unused, stale = [], set(allowed)
 for p in files:

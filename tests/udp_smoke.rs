@@ -3,12 +3,36 @@
 //! drives the simulations.
 
 use std::net::UdpSocket;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rrmp::netsim::time::SimDuration;
 use rrmp::netsim::topology::{NodeId, RegionId};
 use rrmp::prelude::ProtocolConfig;
-use rrmp::udp::{GroupSpec, UdpNode};
+use rrmp::udp::{GroupSpec, MemberHandle, RuntimeConfig, UdpRuntime};
+
+/// Hosts node `i` on `sockets[i]` (node 0 the sender, seed `seed + i`),
+/// each on an event loop of its own, so every datagram crosses threads.
+fn one_loop_each(
+    sockets: Vec<UdpSocket>,
+    spec: GroupSpec,
+    cfg: &ProtocolConfig,
+    seed: u64,
+) -> (UdpRuntime, Vec<MemberHandle>) {
+    let rt = UdpRuntime::start(RuntimeConfig { loop_threads: sockets.len(), ..Default::default() })
+        .expect("start runtime");
+    let spec = Arc::new(spec);
+    let nodes = sockets
+        .into_iter()
+        .enumerate()
+        .map(|(i, sock)| {
+            let node = NodeId(i as u32);
+            rt.add_member(sock, Arc::clone(&spec), node, cfg.clone(), i == 0, seed + i as u64)
+                .expect("start")
+        })
+        .collect();
+    (rt, nodes)
+}
 
 #[test]
 fn two_regions_over_loopback_with_regional_loss() {
@@ -27,21 +51,7 @@ fn two_regions_over_loopback_with_regional_loss() {
         .build()
         .expect("valid config");
 
-    let nodes: Vec<UdpNode> = sockets
-        .into_iter()
-        .enumerate()
-        .map(|(i, sock)| {
-            UdpNode::start(
-                sock,
-                spec.clone(),
-                NodeId(i as u32),
-                cfg.clone(),
-                i == 0,
-                500 + i as u64,
-            )
-            .expect("start")
-        })
-        .collect();
+    let (rt, nodes) = one_loop_each(sockets, spec, &cfg, 500);
 
     // The whole of region 1 misses every initial multicast.
     nodes[0].set_initial_drop(Some(|n: NodeId| n.0 >= 3));
@@ -63,9 +73,8 @@ fn two_regions_over_loopback_with_regional_loss() {
         assert_eq!(got, 3, "node {i} delivered {got}/3");
     }
 
-    for node in nodes {
-        node.shutdown();
-    }
+    drop(nodes);
+    rt.shutdown();
 }
 
 #[test]
@@ -87,21 +96,7 @@ fn leave_hands_off_over_real_sockets() {
         .idle_threshold(SimDuration::from_millis(40))
         .build()
         .expect("valid");
-    let nodes: Vec<UdpNode> = sockets
-        .into_iter()
-        .enumerate()
-        .map(|(i, sock)| {
-            UdpNode::start(
-                sock,
-                spec.clone(),
-                NodeId(i as u32),
-                cfg.clone(),
-                i == 0,
-                900 + i as u64,
-            )
-            .expect("start")
-        })
-        .collect();
+    let (rt, nodes) = one_loop_each(sockets, spec, &cfg, 900);
     nodes[0].multicast(&b"to-be-handed-off"[..]);
     for n in &nodes {
         assert!(n.recv_timeout(Duration::from_secs(5)).is_some());
@@ -123,9 +118,8 @@ fn leave_hands_off_over_real_sockets() {
         assert_eq!(&d.payload[..], b"after-churn");
     }
     assert!(nodes[2].try_recv().is_none(), "a departed member must not deliver");
-    for n in nodes {
-        n.shutdown();
-    }
+    drop(nodes);
+    rt.shutdown();
 }
 
 #[test]
@@ -134,9 +128,6 @@ fn multiplexed_runtime_hosts_a_group_on_two_loops() {
     // a dozen members multiplexed across them — lossy initial multicast
     // included, so recovery runs with requester and repairer sharing
     // loop threads.
-    use rrmp::udp::{RuntimeConfig, UdpRuntime};
-    use std::sync::Arc;
-
     let sockets: Vec<UdpSocket> =
         (0..12).map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind")).collect();
     let mut spec = GroupSpec::new();
