@@ -22,6 +22,7 @@ use bytes::Bytes;
 use rrmp_netsim::time::{SimDuration, SimTime};
 
 use crate::ids::MessageId;
+use crate::vecmap::VecMap;
 
 /// Which phase a buffered message is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,25 +133,27 @@ impl BufferEntry {
 
 /// The two-phase buffer holding message payloads.
 ///
-/// Entries live in an id-sorted vector rather than a hash map: a member
-/// buffers a handful of messages at a time, so a sorted search (from the
-/// tail, where the newest ids are) beats hashing, and — decisive at
-/// million-member scale — a one-entry store costs one exact-sized
-/// allocation instead of a hash table's bucket array.
+/// Entries live in an id-sorted [`VecMap`] rather than a hash map: a
+/// member buffers a handful of messages at a time, so a sorted search
+/// (from the tail, where the newest ids are) beats hashing, and —
+/// decisive at million-member scale — a one-entry store costs one
+/// exact-sized allocation instead of a hash table's bucket array.
 #[derive(Debug, Clone, Default)]
 pub struct MessageStore {
-    /// Buffered entries, sorted by message id (searched from the tail).
-    entries: Vec<(MessageId, BufferEntry)>,
+    /// Buffered entries, sorted by message id (searched from the tail:
+    /// the hot short-term entries are the newest ids, behind them sit the
+    /// cold long-term ones).
+    entries: VecMap<MessageId, BufferEntry>,
     /// Use-time-ordered index over **long-phase** entries only, keyed by
     /// `(last_use, id)`. Kept in lockstep by every mutation of a long
     /// entry's `last_use`, it answers the three long-phase sweeps without
     /// scanning the whole store: `expire_long_into` walks the stale
     /// prefix, `take_all_long` enumerates exactly the long entries, and
     /// budget eviction reads the LRU long entry from the front. A
-    /// sorted vector rather than a `BTreeSet` for the same reason as
+    /// [`VecMap`] rather than a `BTreeSet` for the same reason as
     /// `entries`: the population is a handful of messages, and a B-tree's
     /// first element costs a whole leaf-node allocation per member.
-    long_by_use: Vec<(SimTime, MessageId)>,
+    long_by_use: VecMap<(SimTime, MessageId), ()>,
     short_count: usize,
     long_count: usize,
     bytes: usize,
@@ -201,7 +204,7 @@ impl MessageStore {
     /// hook's default early-discard victim.
     #[must_use]
     pub fn lru_long(&self) -> Option<MessageId> {
-        self.long_by_use.first().map(|&(_, id)| id)
+        self.long_by_use.iter().next().map(|((_, id), ())| id)
     }
 
     /// The budget invariant, checked after every mutation that can grow
@@ -213,35 +216,6 @@ impl MessageStore {
             self.bytes,
             self.budget
         );
-    }
-
-    /// Position of `id` in the sorted entry vector, searched from the
-    /// tail: the hot short-term entries are the newest ids, behind them
-    /// sit the cold long-term ones.
-    fn idx(&self, id: MessageId) -> Result<usize, usize> {
-        crate::vecmap::search_from_tail(&self.entries, id, |&(eid, _)| eid)
-    }
-
-    fn entry_ref(&self, id: MessageId) -> Option<&BufferEntry> {
-        self.idx(id).ok().map(|i| &self.entries[i].1)
-    }
-
-    /// Sorted insert into the use-time index (no-op on duplicates,
-    /// matching the set semantics the index relies on). A free-standing
-    /// borrow of the index field so callers can hold `&mut` entry
-    /// references across the call.
-    fn index_insert(index: &mut Vec<(SimTime, MessageId)>, key: (SimTime, MessageId)) {
-        if let Err(i) = index.binary_search(&key) {
-            crate::vecmap::reserve_doubling(index);
-            index.insert(i, key);
-        }
-    }
-
-    /// Removes `key` from the use-time index if present.
-    fn index_remove(index: &mut Vec<(SimTime, MessageId)>, key: (SimTime, MessageId)) {
-        if let Ok(i) = index.binary_search(&key) {
-            index.remove(i);
-        }
     }
 
     /// Evicts entries (LRU, long-term before short-term) until `incoming`
@@ -264,13 +238,13 @@ impl MessageStore {
             // The LRU long-term entry is the front of the use-time index;
             // only a store with no long-term entries at all scans (the
             // short population, the last-resort victims).
-            let victim = match self.long_by_use.first() {
-                Some(&(_, id)) => id,
+            let victim = match self.lru_long() {
+                Some(id) => id,
                 None => self
                     .entries
                     .iter()
-                    .min_by_key(|&&(id, ref e)| (e.last_use, id))
-                    .map(|&(id, _)| id)
+                    .min_by_key(|&(id, e)| (e.last_use, id))
+                    .map(|(id, _)| id)
                     .expect("non-empty"),
             };
             self.discard(victim, now);
@@ -316,24 +290,22 @@ impl MessageStore {
     /// Inserts a freshly received message in the short-term phase.
     /// Returns `false` (and changes nothing) if it is already buffered.
     pub fn insert_short(&mut self, id: MessageId, data: Bytes, now: SimTime) -> bool {
-        let Err(pos) = self.idx(id) else { return false };
+        if self.contains(id) {
+            return false;
+        }
         self.advance_accounting(now);
         self.bytes += data.len();
         self.short_count += 1;
-        crate::vecmap::reserve_doubling(&mut self.entries);
         self.entries.insert(
-            pos,
-            (
-                id,
-                BufferEntry {
-                    data,
-                    phase: Phase::Short,
-                    received_at: now,
-                    last_request: now,
-                    idled_at: None,
-                    last_use: now,
-                },
-            ),
+            id,
+            BufferEntry {
+                data,
+                phase: Phase::Short,
+                received_at: now,
+                last_request: now,
+                idled_at: None,
+                last_use: now,
+            },
         );
         self.peak_entries = self.peak_entries.max(self.entries.len());
         true
@@ -342,25 +314,23 @@ impl MessageStore {
     /// Inserts a message directly into the long-term phase (buffer handoff
     /// from a leaving member, §3.2). Returns `false` if already buffered.
     pub fn insert_long(&mut self, id: MessageId, data: Bytes, now: SimTime) -> bool {
-        let Err(pos) = self.idx(id) else { return false };
+        if self.contains(id) {
+            return false;
+        }
         self.advance_accounting(now);
         self.bytes += data.len();
         self.long_count += 1;
-        Self::index_insert(&mut self.long_by_use, (now, id));
-        crate::vecmap::reserve_doubling(&mut self.entries);
+        self.long_by_use.insert((now, id), ());
         self.entries.insert(
-            pos,
-            (
-                id,
-                BufferEntry {
-                    data,
-                    phase: Phase::Long,
-                    received_at: now,
-                    last_request: now,
-                    idled_at: Some(now),
-                    last_use: now,
-                },
-            ),
+            id,
+            BufferEntry {
+                data,
+                phase: Phase::Long,
+                received_at: now,
+                last_request: now,
+                idled_at: Some(now),
+                last_use: now,
+            },
         );
         self.peak_entries = self.peak_entries.max(self.entries.len());
         true
@@ -370,13 +340,12 @@ impl MessageStore {
     /// refreshing the idle clock (short phase) and the use clock (both
     /// phases). Returns `true` if the message is buffered here.
     pub fn note_request(&mut self, id: MessageId, now: SimTime) -> bool {
-        let Ok(i) = self.idx(id) else { return false };
-        let e = &mut self.entries[i].1;
+        let Some(e) = self.entries.get_mut(id) else { return false };
         e.last_request = e.last_request.max(now);
         if now > e.last_use {
             if e.phase == Phase::Long {
-                Self::index_remove(&mut self.long_by_use, (e.last_use, id));
-                Self::index_insert(&mut self.long_by_use, (now, id));
+                self.long_by_use.remove((e.last_use, id));
+                self.long_by_use.insert((now, id), ());
             }
             e.last_use = now;
         }
@@ -386,12 +355,11 @@ impl MessageStore {
     /// Records that the entry served some purpose (repair sent, handoff) —
     /// refreshes only the long-term use clock.
     pub fn note_use(&mut self, id: MessageId, now: SimTime) {
-        let Ok(i) = self.idx(id) else { return };
-        let e = &mut self.entries[i].1;
+        let Some(e) = self.entries.get_mut(id) else { return };
         if now > e.last_use {
             if e.phase == Phase::Long {
-                Self::index_remove(&mut self.long_by_use, (e.last_use, id));
-                Self::index_insert(&mut self.long_by_use, (now, id));
+                self.long_by_use.remove((e.last_use, id));
+                self.long_by_use.insert((now, id), ());
             }
             e.last_use = now;
         }
@@ -400,45 +368,44 @@ impl MessageStore {
     /// The buffered payload for `id`, if present (cheap clone of [`Bytes`]).
     #[must_use]
     pub fn get(&self, id: MessageId) -> Option<Bytes> {
-        self.entry_ref(id).map(|e| e.data.clone())
+        self.entries.get(id).map(|e| e.data.clone())
     }
 
     /// Whether `id` is buffered (either phase).
     #[must_use]
     pub fn contains(&self, id: MessageId) -> bool {
-        self.idx(id).is_ok()
+        self.entries.contains_key(id)
     }
 
     /// The phase of `id`, if buffered.
     #[must_use]
     pub fn phase(&self, id: MessageId) -> Option<Phase> {
-        self.entry_ref(id).map(|e| e.phase)
+        self.entries.get(id).map(|e| e.phase)
     }
 
     /// Full entry view for `id`, if buffered.
     #[must_use]
     pub fn entry(&self, id: MessageId) -> Option<&BufferEntry> {
-        self.entry_ref(id)
+        self.entries.get(id)
     }
 
     /// The idle-clock reference (`max(received_at, last_request)`) for a
     /// short-phase entry; `None` if absent or already long-term.
     #[must_use]
     pub fn short_last_activity(&self, id: MessageId) -> Option<SimTime> {
-        self.entry_ref(id).filter(|e| e.phase == Phase::Short).map(BufferEntry::last_activity)
+        self.entries.get(id).filter(|e| e.phase == Phase::Short).map(BufferEntry::last_activity)
     }
 
     /// Promotes a short-phase entry to the long-term phase. Returns `false`
     /// if the entry is absent or already long-term.
     pub fn promote_to_long(&mut self, id: MessageId, now: SimTime) -> bool {
-        let Ok(i) = self.idx(id) else { return false };
-        let e = &mut self.entries[i].1;
+        let Some(e) = self.entries.get_mut(id) else { return false };
         if e.phase != Phase::Short {
             return false;
         }
         e.phase = Phase::Long;
         e.idled_at = Some(now);
-        Self::index_insert(&mut self.long_by_use, (e.last_use, id));
+        self.long_by_use.insert((e.last_use, id), ());
         self.short_count -= 1;
         self.long_count += 1;
         true
@@ -446,15 +413,14 @@ impl MessageStore {
 
     /// Removes an entry; returns it if it was present.
     pub fn discard(&mut self, id: MessageId, now: SimTime) -> Option<BufferEntry> {
-        let i = self.idx(id).ok()?;
-        let (_, e) = self.entries.remove(i);
+        let e = self.entries.remove(id)?;
         self.advance_accounting(now);
         self.bytes -= e.data.len();
         match e.phase {
             Phase::Short => self.short_count -= 1,
             Phase::Long => {
                 self.long_count -= 1;
-                Self::index_remove(&mut self.long_by_use, (e.last_use, id));
+                self.long_by_use.remove((e.last_use, id));
             }
         }
         Some(e)
@@ -477,7 +443,7 @@ impl MessageStore {
         let Some(cutoff) = now.as_micros().checked_sub(timeout.as_micros()) else { return };
         let cutoff = SimTime::from_micros(cutoff);
         let start = expired.len();
-        for &(last_use, id) in &self.long_by_use {
+        for ((last_use, id), ()) in self.long_by_use.iter() {
             if last_use > cutoff {
                 break; // index is use-time-ordered: the rest are fresher
             }
@@ -493,7 +459,7 @@ impl MessageStore {
     /// Discards every entry (a crash losing its memory). Returns how many
     /// entries were dropped.
     pub fn drain_all(&mut self, now: SimTime) -> usize {
-        let ids: Vec<MessageId> = self.entries.iter().map(|&(id, _)| id).collect();
+        let ids: Vec<MessageId> = self.entries.iter().map(|(id, _)| id).collect();
         let n = ids.len();
         for id in ids {
             self.discard(id, now);
@@ -505,7 +471,7 @@ impl MessageStore {
     /// in id order. Enumerates only the long-phase index — a store full
     /// of short-term entries pays nothing for a leaver's handoff.
     pub fn take_all_long(&mut self, now: SimTime) -> Vec<(MessageId, Bytes)> {
-        let mut ids: Vec<MessageId> = self.long_by_use.iter().map(|&(_, id)| id).collect();
+        let mut ids: Vec<MessageId> = self.long_by_use.iter().map(|((_, id), ())| id).collect();
         ids.sort_unstable();
         ids.into_iter()
             .map(|id| {
@@ -560,8 +526,8 @@ impl MessageStore {
     }
 
     /// Iterates over buffered entries in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&MessageId, &BufferEntry)> {
-        self.entries.iter().map(|(id, e)| (id, e))
+    pub fn iter(&self) -> impl Iterator<Item = (MessageId, &BufferEntry)> {
+        self.entries.iter()
     }
 }
 
@@ -879,7 +845,7 @@ mod proptests {
                                 e.phase == Phase::Long
                                     && now.saturating_since(e.last_use) >= timeout
                             })
-                            .map(|(&id, _)| id)
+                            .map(|(id, _)| id)
                             .collect();
                         naive.sort();
                         let mut expired = Vec::new();
@@ -890,7 +856,7 @@ mod proptests {
                         let mut naive: Vec<MessageId> = s
                             .iter()
                             .filter(|(_, e)| e.phase == Phase::Long)
-                            .map(|(&id, _)| id)
+                            .map(|(id, _)| id)
                             .collect();
                         naive.sort();
                         let taken = s.take_all_long(now);
@@ -911,38 +877,11 @@ mod proptests {
                 let mut index_ids: Vec<(SimTime, MessageId)> = s
                     .iter()
                     .filter(|(_, e)| e.phase == Phase::Long)
-                    .map(|(&id, e)| (e.last_use, id))
+                    .map(|(id, e)| (e.last_use, id))
                     .collect();
                 index_ids.sort();
-                let index: Vec<(SimTime, MessageId)> = s.long_by_use.to_vec();
+                let index: Vec<(SimTime, MessageId)> = s.long_by_use.iter().map(|(k, ())| k).collect();
                 prop_assert_eq!(index, index_ids);
-            }
-        }
-
-        /// The tail-first `idx` is `binary_search_by_key`, for hits and for
-        /// misses at every position, in a store of one source and of
-        /// several, whatever mix of phases and discards produced it.
-        #[test]
-        fn idx_from_tail_equals_binary_search(
-            sources in 1u32..4,
-            ops in proptest::collection::vec((0u32..3, 0u64..40, 0u8..4), 0..120),
-        ) {
-            let mut s = MessageStore::new();
-            let mid = |source: u32, seq: u64| MessageId::new(NodeId(source), SeqNo(seq));
-            for (step, (source, seq, op)) in ops.into_iter().enumerate() {
-                let now = SimTime::from_micros(step as u64);
-                let id = mid(source % sources, seq);
-                match op {
-                    0 | 1 => { s.insert_short(id, Bytes::new(), now); }
-                    2 => { s.insert_long(id, Bytes::new(), now); }
-                    _ => { s.discard(id, now); }
-                }
-            }
-            for source in 0..=sources {
-                for seq in 0..=40 {
-                    let id = mid(source, seq);
-                    prop_assert_eq!(s.idx(id), s.entries.binary_search_by_key(&id, |&(e, _)| e));
-                }
             }
         }
     }

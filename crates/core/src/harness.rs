@@ -24,10 +24,11 @@ use rrmp_netsim::topology::{NodeId, Topology};
 use crate::config::ProtocolConfig;
 use crate::events::{Action, Event, TimerKind};
 use crate::ids::MessageId;
-use crate::interval_set::MessageIdSet;
+use crate::interval_set::IntervalSet;
 use crate::observe::TraceConfig;
 use crate::packet::Packet;
 use crate::receiver::{PreloadState, Receiver};
+use crate::vecmap::VecMap;
 
 /// A timer the harness arms on the simulator: the protocol's own timers,
 /// plus the experiment script's external ones.
@@ -53,8 +54,9 @@ pub struct RrmpNode {
     receiver: Receiver,
     delivered: Vec<(SimTime, MessageId)>,
     /// Per-source interval index over `delivered`, so membership checks
-    /// ([`RrmpNode::has_delivered`]) are O(log #gaps) instead of a scan.
-    delivered_index: MessageIdSet,
+    /// ([`RrmpNode::has_delivered`]) are O(log #gaps) instead of a scan:
+    /// each sender numbers messages contiguously.
+    delivered_index: VecMap<NodeId, IntervalSet>,
     recovery_packets_received: u64,
     /// Reused action buffer: `Receiver::handle_into` fills it, `execute`
     /// drains it — no allocation per event in steady state.
@@ -73,7 +75,7 @@ impl RrmpNode {
         RrmpNode {
             receiver,
             delivered: Vec::new(),
-            delivered_index: MessageIdSet::new(),
+            delivered_index: VecMap::new(),
             recovery_packets_received: 0,
             // Capacity 2 up front: most events produce at most a deliver
             // plus a timer, and seeding the capacity keeps `Vec::push`'s
@@ -116,7 +118,7 @@ impl RrmpNode {
         if self.reference_mode {
             return self.delivered.iter().any(|&(_, d)| d == id);
         }
-        self.delivered_index.contains(id)
+        self.delivered_index.get(id.source).is_some_and(|seqs| seqs.contains(id.seq.0))
     }
 
     /// Drains `actions` into simulator ops. The buffer is left empty so
@@ -129,11 +131,7 @@ impl RrmpNode {
 
     fn execute_one(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, action: Action) {
         match action {
-            Action::Send { to, packet } => {
-                if to != ctx.self_id() {
-                    ctx.send(to, packet);
-                }
-            }
+            Action::Send { to, packet } => ctx.send(to, packet),
             // One fan-out op: per-destination loss, filter and fault
             // verdicts in list order, one batch event per arrival time.
             // Reference nodes' contexts expand it to one unicast each.
@@ -163,14 +161,14 @@ impl RrmpNode {
                 }
             }
             Action::Deliver { id, .. } => {
-                crate::vecmap::reserve_doubling(&mut self.delivered);
+                rrmp_membership::index::reserve_doubling(&mut self.delivered);
                 self.delivered.push((ctx.now(), id));
                 if !self.reference_mode {
                     // Reference nodes answer has_delivered by scanning the
                     // log, so maintaining the index would give the
                     // differential oracle work the historical code never
                     // did.
-                    self.delivered_index.insert(id);
+                    self.delivered_index.get_or_default(id.source).insert(id.seq.0);
                 }
             }
             Action::SetTimer { delay, kind } => ctx.set_timer(delay, HostTimer::Proto(kind)),
@@ -719,23 +717,20 @@ impl RrmpNetwork {
         // Decorrelate receiver RNG streams from the simulator's own streams
         // (which are derived from the unmixed seed).
         let seq = rrmp_netsim::rng::SeedSequence::new(seed ^ 0x5EED_0F88_1122_AA55);
+        // The full group in ascending id order: topology-blind policies
+        // like hash placement rank every member, not just own ∪ parent.
         let members: Vec<NodeId> = topo.nodes().collect();
         // One config allocation for the whole group: every receiver holds
         // a clone of this `Arc`, not its own inline copy.
         let shared_cfg = Arc::new(cfg.clone());
         let senders = senders.to_vec();
         topo.nodes().map(move |id| {
-            let view = HierarchyView::from_topology(topo, id);
-            // Build the policy over the *full* group membership (the
-            // harness knows it), so topology-blind policies like hash
-            // placement rank every member, not just own ∪ parent.
-            let policy = shared_cfg.policy.build(&members);
-            let mut receiver = Receiver::with_shared_policy(
+            let mut receiver = Receiver::with_members(
                 id,
-                view,
+                HierarchyView::from_topology(topo, id),
                 Arc::clone(&shared_cfg),
                 seq.subseed(id.0 as u64),
-                policy,
+                &members,
             );
             if senders.contains(&id) {
                 receiver.make_sender();

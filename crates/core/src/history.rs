@@ -32,6 +32,7 @@ use rrmp_netsim::topology::NodeId;
 
 use crate::ids::SeqNo;
 use crate::loss::LossDetector;
+use crate::vecmap::VecMap;
 
 /// One source's entry in a history digest: the inclusive sequence-number
 /// intervals of everything the advertiser has delivered from that source.
@@ -90,11 +91,9 @@ impl HistoryDigest {
     /// fragmented tail only under-reports, never over-reports).
     #[must_use]
     pub fn from_detector(detector: &LossDetector) -> Self {
-        let mut sources: Vec<NodeId> = detector.tracked_sources().collect();
-        sources.sort_unstable();
-        sources.truncate(crate::packet::MAX_DIGEST_SOURCES);
-        let entries = sources
-            .into_iter()
+        let entries = detector
+            .tracked_sources()
+            .take(crate::packet::MAX_DIGEST_SOURCES)
             .map(|source| DigestEntry {
                 source,
                 intervals: detector
@@ -141,8 +140,8 @@ impl HistoryDigest {
 ///
 /// Layout: peers are interned into dense indices ([`MemberIndex`]) and
 /// per-source state is a pair of flat arrays (frontier per peer index,
-/// plus a mentioned bitset) in a sorted parallel-vec map — SoA instead
-/// of HashMap-of-HashMap. Source slots are allocated lazily on first
+/// plus a mentioned bitset) in a source-sorted [`VecMap`] — instead of
+/// HashMap-of-HashMap. Source slots are allocated lazily on first
 /// mention, so a source nobody has advertised costs zero bytes.
 #[derive(Debug, Clone, Default)]
 pub struct StabilityTracker {
@@ -154,11 +153,8 @@ pub struct StabilityTracker {
     heard: Vec<bool>,
     /// Number of `true` bits in `heard`.
     heard_count: usize,
-    /// Ascending source ids, parallel to `slots`.
-    source_ids: Vec<NodeId>,
-    /// Per-source frontier arrays + cached minimum, parallel to
-    /// `source_ids`.
-    slots: Vec<SourceSlot>,
+    /// Per-source frontier arrays + cached minimum.
+    slots: VecMap<NodeId, SourceSlot>,
 }
 
 /// One source's advertised frontiers across all peers, plus the cached
@@ -245,11 +241,6 @@ impl StabilityTracker {
         StabilityTracker { peers, heard, ..StabilityTracker::default() }
     }
 
-    /// The slot index for `source`, if any peer has mentioned it.
-    fn slot_of(&self, source: NodeId) -> Option<usize> {
-        self.source_ids.binary_search(&source).ok()
-    }
-
     /// Folds `digest` from `peer` in: frontiers only ever advance (late
     /// or reordered digests cannot regress a peer's ack).
     pub fn record(&mut self, peer: NodeId, digest: &HistoryDigest) {
@@ -263,16 +254,8 @@ impl StabilityTracker {
         }
         for entry in &digest.entries {
             let f = entry.frontier().0;
-            let si = match self.source_ids.binary_search(&entry.source) {
-                Ok(i) => i,
-                Err(i) => {
-                    // Lazy slot allocation on first mention.
-                    self.source_ids.insert(i, entry.source);
-                    self.slots.insert(i, SourceSlot::default());
-                    i
-                }
-            };
-            let slot = &mut self.slots[si];
+            // Lazy slot allocation on first mention.
+            let slot = self.slots.get_or_default(entry.source);
             slot.ensure_peer(p);
             if !slot.is_mentioned(p) {
                 slot.set_mentioned(p);
@@ -321,7 +304,7 @@ impl StabilityTracker {
     fn peer_frontier(&self, peer: NodeId, source: NodeId) -> SeqNo {
         let f = self.peers.get(peer).and_then(|p| {
             let p = p as usize;
-            let slot = &self.slots[self.slot_of(source)?];
+            let slot = self.slots.get(source)?;
             slot.is_mentioned(p).then(|| slot.frontiers[p])
         });
         SeqNo(f.unwrap_or(0))
@@ -344,10 +327,10 @@ impl StabilityTracker {
         if self.heard_count < quorum_len {
             return None;
         }
-        let peers_min = match self.slot_of(source) {
+        let peers_min = match self.slots.get(source) {
             // Every quorum peer must have mentioned the source; the
             // silent ones are at frontier zero by definition.
-            Some(i) if self.slots[i].mentions >= quorum_len => self.slots[i].min,
+            Some(slot) if slot.mentions >= quorum_len => slot.min,
             // Nobody mentioned it and nobody has to: trivially stable up
             // to the caller's own frontier (a single-member group).
             None if quorum_len == 0 => u64::MAX,
@@ -369,27 +352,24 @@ impl StabilityTracker {
         // Sources mentioned only by this peer drop their slot entirely
         // (matching the map-based behaviour, where an unmentioned source
         // is distinguishable from one mentioned at frontier zero).
-        let mut i = 0;
-        while i < self.source_ids.len() {
-            let slot = &mut self.slots[i];
-            if slot.is_mentioned(p) {
-                let f = slot.frontiers[p];
-                slot.clear_mentioned(p);
-                slot.mentions -= 1;
-                if slot.mentions == 0 {
-                    self.source_ids.remove(i);
-                    self.slots.remove(i);
-                    continue;
-                }
-                if f == slot.min {
-                    slot.at_min -= 1;
-                    if slot.at_min == 0 {
-                        slot.recompute_min();
-                    }
+        self.slots.retain(|_, slot| {
+            if !slot.is_mentioned(p) {
+                return true;
+            }
+            let f = slot.frontiers[p];
+            slot.clear_mentioned(p);
+            slot.mentions -= 1;
+            if slot.mentions == 0 {
+                return false;
+            }
+            if f == slot.min {
+                slot.at_min -= 1;
+                if slot.at_min == 0 {
+                    slot.recompute_min();
                 }
             }
-            i += 1;
-        }
+            true
+        });
     }
 }
 
@@ -688,12 +668,12 @@ mod proptests {
     }
 
     proptest! {
-        /// The compressed SoA tracker is observably identical to the
+        /// The compressed tracker is observably identical to the
         /// HashMap-of-HashMap model it replaced, on arbitrary digest/ack
         /// scripts: same heard set, same per-peer frontiers, same
         /// group-wide stability answer at every quorum size.
         #[test]
-        fn soa_tracker_matches_hashmap_model(
+        fn tracker_matches_hashmap_model(
             ops in proptest::collection::vec(op_strategy(), 0..60),
             preinterned in any::<bool>(),
         ) {

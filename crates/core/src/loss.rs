@@ -12,17 +12,18 @@
 //! advertisement, or a request from another member) implies every sequence
 //! number below it exists too.
 //!
-//! Per-source state lives in a pair of sorted parallel vectors (SoA)
-//! rather than a HashMap: a receiver tracking nothing holds no heap at
-//! all, lookups are a binary search over a flat id array, and iteration
-//! is naturally in ascending source order — at a million receivers the
-//! per-instance fixed cost is what dominates, and a `Vec` pair is three
-//! pointers where a HashMap is a populated table.
+//! Per-source state lives in a source-sorted [`VecMap`] rather than a
+//! HashMap: a receiver tracking nothing holds no heap at all, its first
+//! source costs one exact-sized slot, and iteration is naturally in
+//! ascending source order — at a million receivers the per-instance
+//! fixed cost is what dominates, and one `Vec` is three words where a
+//! HashMap is a populated table.
 
 use rrmp_netsim::topology::NodeId;
 
 use crate::ids::{MessageId, SeqNo};
 use crate::interval_set::IntervalSet;
+use crate::vecmap::VecMap;
 
 /// Outcome of feeding a data packet to the detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,10 +46,9 @@ struct SourceState {
 /// Per-source tracking of received and missing sequence numbers.
 #[derive(Debug, Clone, Default)]
 pub struct LossDetector {
-    /// Ascending source ids, parallel to `states`. Slots are allocated
-    /// lazily on first evidence: an idle source costs zero bytes.
-    source_ids: Vec<NodeId>,
-    states: Vec<SourceState>,
+    /// Per-source state, allocated lazily on first evidence: an idle
+    /// source costs zero bytes.
+    states: VecMap<NodeId, SourceState>,
 }
 
 impl LossDetector {
@@ -58,25 +58,10 @@ impl LossDetector {
         LossDetector::default()
     }
 
-    fn state(&self, source: NodeId) -> Option<&SourceState> {
-        self.source_ids.binary_search(&source).ok().map(|i| &self.states[i])
-    }
-
-    fn state_mut(&mut self, source: NodeId) -> &mut SourceState {
-        match self.source_ids.binary_search(&source) {
-            Ok(i) => &mut self.states[i],
-            Err(i) => {
-                self.source_ids.insert(i, source);
-                self.states.insert(i, SourceState::default());
-                &mut self.states[i]
-            }
-        }
-    }
-
     /// Sets a late-join floor: sequences of `source` at or below `floor`
     /// are treated as not wanted (never reported missing).
     pub fn set_floor(&mut self, source: NodeId, floor: SeqNo) {
-        let st = self.state_mut(source);
+        let st = self.states.get_or_default(source);
         st.floor = st.floor.max(floor.0);
         if st.high < st.floor {
             st.high = st.floor;
@@ -87,7 +72,7 @@ impl LossDetector {
     /// regional repair, handoff). Returns whether it is new and which
     /// messages are newly known to be missing.
     pub fn on_data(&mut self, id: MessageId) -> DataOutcome {
-        let st = self.state_mut(id.source);
+        let st = self.states.get_or_default(id.source);
         let newly_received = st.received.insert(id.seq.0);
         let mut newly_missing = Vec::new();
         if id.seq.0 > st.high {
@@ -105,7 +90,7 @@ impl LossDetector {
     /// Feeds a session advertisement (`high` = highest sequence the sender
     /// has multicast). Returns newly missing messages.
     pub fn on_session(&mut self, source: NodeId, high: SeqNo) -> Vec<MessageId> {
-        let st = self.state_mut(source);
+        let st = self.states.get_or_default(source);
         let mut newly_missing = Vec::new();
         if high.0 > st.high {
             let lo = (st.high + 1).max(st.floor + 1);
@@ -127,24 +112,24 @@ impl LossDetector {
     /// Whether `msg` has ever been received (even if later discarded).
     #[must_use]
     pub fn received_before(&self, msg: MessageId) -> bool {
-        self.state(msg.source).is_some_and(|st| st.received.contains(msg.seq.0))
+        self.states.get(msg.source).is_some_and(|st| st.received.contains(msg.seq.0))
     }
 
     /// Whether `msg` is currently known missing (exists, above the floor,
     /// never received).
     #[must_use]
     pub fn is_missing(&self, msg: MessageId) -> bool {
-        self.state(msg.source).is_some_and(|st| {
+        self.states.get(msg.source).is_some_and(|st| {
             msg.seq.0 > st.floor && msg.seq.0 <= st.high && !st.received.contains(msg.seq.0)
         })
     }
 
     /// All currently missing messages, in `(source, seq)` order (the
-    /// source arrays are already sorted; no collect-and-sort needed).
+    /// per-source map is already sorted; no collect-and-sort needed).
     #[must_use]
     pub fn missing(&self) -> Vec<MessageId> {
         let mut out: Vec<MessageId> = Vec::new();
-        for (&source, st) in self.source_ids.iter().zip(&self.states) {
+        for (source, st) in self.states.iter() {
             let lo = st.floor + 1;
             if st.high >= lo {
                 out.extend(
@@ -160,13 +145,13 @@ impl LossDetector {
     /// Number of distinct messages ever received from `source`.
     #[must_use]
     pub fn received_count(&self, source: NodeId) -> u64 {
-        self.state(source).map_or(0, |st| st.received.len())
+        self.states.get(source).map_or(0, |st| st.received.len())
     }
 
     /// Highest sequence number known to exist for `source`.
     #[must_use]
     pub fn high(&self, source: NodeId) -> SeqNo {
-        SeqNo(self.state(source).map_or(0, |st| st.high))
+        SeqNo(self.states.get(source).map_or(0, |st| st.high))
     }
 
     /// The contiguous-receipt watermark for `source`: the largest `s` such
@@ -175,25 +160,23 @@ impl LossDetector {
     /// exchange.
     #[must_use]
     pub fn contiguous_received(&self, source: NodeId) -> SeqNo {
-        let Some(st) = self.state(source) else { return SeqNo::NONE };
+        let Some(st) = self.states.get(source) else { return SeqNo::NONE };
         match st.received.intervals().next() {
             Some((lo, hi)) if lo <= 1 => SeqNo(hi),
             _ => SeqNo::NONE,
         }
     }
 
-    /// Every source the detector has state for, in ascending id order
-    /// (callers that used to sort the collected ids still can — the sort
-    /// is now a no-op).
+    /// Every source the detector has state for, in ascending id order.
     pub fn tracked_sources(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.source_ids.iter().copied()
+        self.states.iter().map(|(source, _)| source)
     }
 
     /// The inclusive `(lo, hi)` received-sequence intervals recorded for
     /// `source`, in ascending order — the raw material of a history
     /// digest (receipt is permanent, so discarded payloads still appear).
     pub fn received_intervals(&self, source: NodeId) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.state(source).into_iter().flat_map(|st| st.received.intervals())
+        self.states.get(source).into_iter().flat_map(|st| st.received.intervals())
     }
 }
 
@@ -305,6 +288,17 @@ mod tests {
     }
 
     #[test]
+    fn floor_near_u64_max_leaves_one_gap() {
+        let top = u64::MAX;
+        let mut d = LossDetector::new();
+        d.set_floor(SRC, SeqNo(top - 2));
+        let out = d.on_data(mid(top));
+        assert_eq!(out.newly_missing, vec![mid(top - 1)]);
+        assert_eq!(d.missing(), vec![mid(top - 1)]);
+        assert!(d.on_session(SRC, SeqNo(top)).is_empty());
+    }
+
+    #[test]
     fn multiple_sources_tracked_independently() {
         let mut d = LossDetector::new();
         let a = NodeId(1);
@@ -383,11 +377,11 @@ mod proptests {
     }
 
     proptest! {
-        /// The sorted-parallel-vec (SoA) detector is observably identical
-        /// to a HashMap-of-BTreeSet model on arbitrary multi-source
+        /// The `VecMap`-backed detector is observably identical to a
+        /// HashMap-of-BTreeSet model on arbitrary multi-source
         /// data/session/floor scripts — outcomes included.
         #[test]
-        fn soa_detector_matches_hashmap_model(
+        fn detector_matches_hashmap_model(
             ops in proptest::collection::vec(op_strategy(), 0..80),
         ) {
             use std::collections::HashMap;

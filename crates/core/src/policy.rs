@@ -850,7 +850,7 @@ impl BufferPolicy for Stability {
                 ctx.store
                     .iter()
                     .filter(|(id, _)| id.source == source && id.seq <= stable)
-                    .map(|(&id, _)| id),
+                    .map(|(id, _)| id),
             );
         }
         for &id in &stable_ids {

@@ -260,9 +260,9 @@ impl Receiver {
     /// configuration `cfg`, and a deterministic RNG seeded by `seed`.
     /// The buffer policy is built from [`ProtocolConfig::policy`] over
     /// the membership visible in `view` (own ∪ parent region); hosts
-    /// that know the full group (like the simulation harness) should use
-    /// [`Receiver::with_policy`] so full-membership policies (hash-based
-    /// placement) see every member.
+    /// that know the full group (the simulation harness, the UDP loop)
+    /// use [`Receiver::with_members`] so full-membership policies
+    /// (hash-based placement) see every member.
     #[must_use]
     pub fn new(id: NodeId, view: HierarchyView, cfg: ProtocolConfig, seed: u64) -> Self {
         // Hash placement and stability detection require *globally
@@ -277,7 +277,7 @@ impl Receiver {
                 crate::policy::PolicyKind::HashBufferers | crate::policy::PolicyKind::Stability
             ) && view.parent().is_some()),
             "full-membership policies in a multi-region hierarchy need the full group \
-             membership: build the policy yourself and use Receiver::with_policy"
+             membership: use Receiver::with_members"
         );
         let mut members: Vec<NodeId> = view
             .own()
@@ -286,36 +286,23 @@ impl Receiver {
             .collect();
         members.sort_unstable();
         members.dedup();
-        let policy = cfg.policy.build(&members);
-        Self::with_policy(id, view, cfg, seed, policy)
+        Self::with_members(id, view, Arc::new(cfg), seed, &members)
     }
 
-    /// Like [`Receiver::new`] with an explicitly constructed
-    /// [`BufferPolicy`] — the hook for policies needing state beyond the
-    /// receiver's own view (e.g. the full group membership).
+    /// Like [`Receiver::new`], with the buffer policy built over
+    /// `members`, the group's member list in ascending id order (policies
+    /// pick by position in it), and a configuration that hosts building
+    /// many receivers share through one `Arc`.
     #[must_use]
-    pub fn with_policy(
-        id: NodeId,
-        view: HierarchyView,
-        cfg: ProtocolConfig,
-        seed: u64,
-        policy: Box<dyn BufferPolicy>,
-    ) -> Self {
-        Self::with_shared_policy(id, view, Arc::new(cfg), seed, policy)
-    }
-
-    /// Like [`Receiver::with_policy`] taking an already-shared
-    /// configuration — hosts building many receivers over one config
-    /// (the simulation harness) pass clones of a single `Arc` so the
-    /// config is stored once per group, not once per member.
-    #[must_use]
-    pub fn with_shared_policy(
+    pub fn with_members(
         id: NodeId,
         view: HierarchyView,
         cfg: Arc<ProtocolConfig>,
         seed: u64,
-        policy: Box<dyn BufferPolicy>,
+        members: &[NodeId],
     ) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
+        let policy = cfg.policy.build(members);
         let record = cfg.record_events;
         let store = MessageStore::with_budget(cfg.memory_budget);
         let damper = cfg.damping.map(|d| TokenBucket::new(d.burst));
@@ -2076,8 +2063,8 @@ mod tests {
     fn recovery_record_and_receiver_sizes_are_pinned() {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
-        assert!(std::mem::size_of::<Receiver>() <= 720);
-        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 832);
+        assert!(std::mem::size_of::<Receiver>() <= 688);
+        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 784);
     }
 
     #[test]

@@ -8,71 +8,65 @@
 //! of bytes) on first insert; at a million members those fixed costs
 //! dominate the actual state. This map is a single id-sorted vector: one
 //! pointer-word triple inline, nothing on the heap while empty, and
-//! exact-sized doubling (1, 2, 4, ...) once entries appear.
+//! exact-sized doubling (1, 2, 4, ...) once entries appear. It is the
+//! workspace's one key-sorted map: the recovery table, the loss
+//! detector's and stability tracker's per-source state, the message
+//! store's entries and use-time index, and the harness's delivery index.
 //!
 //! Iteration order is ascending by key — deterministic by construction,
 //! so hosts never need the collect-and-sort dance hash maps force on
 //! trace-sensitive code paths.
 
-/// Grows `v` by exact doubling (capacities 1, 2, 4, ...) instead of the
-/// allocator default that starts several elements wide. Call before a
-/// push/insert that may grow; a no-op while spare capacity remains.
-pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>) {
-    if v.len() == v.capacity() {
-        v.reserve_exact(v.len().max(1));
-    }
-}
-
-/// Position of `key` in `entries`, which `key_of` orders ascending with
-/// no duplicates: exactly what `binary_search_by_key` returns, found from
-/// the **tail**. Message ids grow monotonically per source and every hot
-/// operation touches the newest few, so the search gallops back from the
-/// last entry (probing 1, 3, 7, ... from the end) and binary-searches
-/// only the bracket it lands in: O(1) at the tail, O(log distance from
-/// the tail) behind it, never worse than twice a plain binary search.
-pub(crate) fn search_from_tail<T, K: Ord>(
-    entries: &[T],
-    key: K,
-    key_of: impl Fn(&T) -> K,
-) -> Result<usize, usize> {
-    // Invariant: every entry at or after `hi` is greater than `key`.
-    let mut hi = entries.len();
-    let mut step = 1;
-    while hi > 0 {
-        let probe = hi.saturating_sub(step);
-        match key_of(&entries[probe]).cmp(&key) {
-            std::cmp::Ordering::Equal => return Ok(probe),
-            std::cmp::Ordering::Less => {
-                let lo = probe + 1;
-                return match entries[lo..hi].binary_search_by_key(&key, &key_of) {
-                    Ok(i) => Ok(lo + i),
-                    Err(i) => Err(lo + i),
-                };
-            }
-            std::cmp::Ordering::Greater => {
-                hi = probe;
-                step *= 2;
-            }
-        }
-    }
-    Err(0)
-}
+use rrmp_membership::index::reserve_doubling;
 
 /// A map from `K` to `V` stored as a key-sorted vector.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct VecMap<K, V> {
     entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for VecMap<K, V> {
+    fn default() -> Self {
+        VecMap { entries: Vec::new() }
+    }
 }
 
 impl<K: Ord + Copy, V> VecMap<K, V> {
     /// Creates an empty map (no allocation).
     #[must_use]
     pub fn new() -> Self {
-        VecMap { entries: Vec::new() }
+        VecMap::default()
     }
 
+    /// Position of `key`: exactly what `binary_search_by_key` returns,
+    /// found from the **tail**. Keys mostly grow (message ids per source,
+    /// use times) and every hot operation touches the newest few, so the
+    /// search gallops back from the last entry (probing 1, 3, 7, ... from
+    /// the end) and binary-searches only the bracket it lands in: O(1) at
+    /// the tail, O(log distance from the tail) behind it, never worse than
+    /// twice a plain binary search.
     fn idx(&self, key: K) -> Result<usize, usize> {
-        search_from_tail(&self.entries, key, |&(k, _)| k)
+        // Invariant: every entry at or after `hi` is greater than `key`.
+        let mut hi = self.entries.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            match self.entries[probe].0.cmp(&key) {
+                std::cmp::Ordering::Equal => return Ok(probe),
+                std::cmp::Ordering::Less => {
+                    let lo = probe + 1;
+                    return match self.entries[lo..hi].binary_search_by_key(&key, |&(k, _)| k) {
+                        Ok(i) => Ok(lo + i),
+                        Err(i) => Err(lo + i),
+                    };
+                }
+                std::cmp::Ordering::Greater => {
+                    hi = probe;
+                    step *= 2;
+                }
+            }
+        }
+        Err(0)
     }
 
     /// Number of entries.

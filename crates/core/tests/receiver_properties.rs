@@ -1,32 +1,46 @@
 //! Adversarial property tests for the receiver state machine: arbitrary
 //! event storms — including malformed, duplicated, stale and hostile
-//! inputs — must never panic, never produce self-addressed packets, never
-//! violate store accounting, and never deliver a message twice.
+//! inputs, under every buffer policy — must never panic, never produce
+//! self-addressed packets, never violate store accounting, and never
+//! deliver a message twice.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rrmp_core::buffer::Phase;
 use rrmp_core::events::{Action, Event, TimerKind};
+use rrmp_core::history::{DigestEntry, HistoryDigest};
 use rrmp_core::ids::{MessageId, SeqNo};
 use rrmp_core::packet::{DataPacket, Packet, RepairKind};
+use rrmp_core::policy::PolicyKind;
 use rrmp_core::prelude::ProtocolConfig;
 use rrmp_core::receiver::Receiver;
 use rrmp_membership::view::{HierarchyView, RegionView};
-use rrmp_netsim::time::SimTime;
+use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, RegionId};
 
 const SELF: NodeId = NodeId(1);
 const REGION_SIZE: u32 = 8;
 
-fn receiver(seed: u64) -> Receiver {
+const POLICIES: [PolicyKind; 7] = [
+    PolicyKind::TwoPhase,
+    PolicyKind::FixedTime { hold: SimDuration::from_millis(50) },
+    PolicyKind::KeepAll,
+    PolicyKind::HashBufferers,
+    PolicyKind::SenderBased,
+    PolicyKind::Stability,
+    PolicyKind::TreeRmtp,
+];
+
+/// Member `SELF` of an 8-member region under a 4-member parent region;
+/// the group is exactly own ∪ parent, so every policy sees all of it.
+fn receiver(seed: u64, policy: PolicyKind) -> Receiver {
     let own = RegionView::new(RegionId(1), (0..REGION_SIZE).map(NodeId));
     let parent = RegionView::new(RegionId(0), (100..104).map(NodeId));
-    Receiver::new(
-        SELF,
-        HierarchyView::new(own, Some(parent)),
-        ProtocolConfig::paper_defaults(),
-        seed,
-    )
+    let group: Vec<NodeId> = own.members().chain(parent.members()).collect();
+    let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
+    Receiver::with_members(SELF, HierarchyView::new(own, Some(parent)), Arc::new(cfg), seed, &group)
 }
 
 /// A compact generator language for protocol inputs.
@@ -48,6 +62,8 @@ enum Input {
     TimerSearch { seq: u64 },
     TimerBackoff { seq: u64 },
     TimerSweep,
+    TimerHistory,
+    History { high: u64, from: u32 },
     Leave,
 }
 
@@ -72,6 +88,8 @@ fn arb_input() -> impl Strategy<Value = Input> {
         seq.clone().prop_map(|seq| Input::TimerSearch { seq }),
         seq.prop_map(|seq| Input::TimerBackoff { seq }),
         Just(Input::TimerSweep),
+        Just(Input::TimerHistory),
+        (0u64..12, 0u32..110).prop_map(|(high, from)| Input::History { high, from }),
         Just(Input::Leave),
     ]
 }
@@ -115,6 +133,13 @@ fn to_event(input: &Input) -> Event {
         Input::TimerSearch { seq } => Event::Timer(TimerKind::SearchRetry(mid(seq))),
         Input::TimerBackoff { seq } => Event::Timer(TimerKind::Backoff(mid(seq))),
         Input::TimerSweep => Event::Timer(TimerKind::LongTermSweep),
+        Input::TimerHistory => Event::Timer(TimerKind::HistoryTick),
+        Input::History { high, from } => {
+            let intervals = if high == 0 { vec![] } else { vec![(SeqNo(1), SeqNo(high))] };
+            let digest =
+                HistoryDigest { entries: vec![DigestEntry { source: NodeId(0), intervals }] };
+            pkt(from, Packet::History { digest: Arc::new(digest) })
+        }
         Input::Leave => Event::Leave,
     }
 }
@@ -122,14 +147,17 @@ fn to_event(input: &Input) -> Event {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Any event storm: no panics, no self-sends, no packets to unknown
-    /// members, consistent store accounting, exactly-once delivery.
+    /// Any event storm under any policy: no panics, no self-sends, no
+    /// packets to unknown members, consistent store accounting,
+    /// exactly-once delivery.
     #[test]
     fn event_storm_invariants(
         seed in 0u64..10_000,
+        policy in 0..POLICIES.len(),
         inputs in proptest::collection::vec(arb_input(), 1..120),
     ) {
-        let mut r = receiver(seed);
+        let policy = POLICIES[policy];
+        let mut r = receiver(seed, policy);
         let mut delivered = std::collections::HashSet::new();
         for (step, input) in inputs.iter().enumerate() {
             let now = SimTime::from_micros(step as u64 * 997);
@@ -137,12 +165,12 @@ proptest! {
             for action in &actions {
                 match action {
                     Action::Send { to, .. } => {
-                        prop_assert_ne!(*to, SELF, "self-addressed packet from {:?}", input);
+                        prop_assert_ne!(*to, SELF, "{} self-addressed packet from {:?}", policy.name(), input);
                     }
                     // The host skips this member in a fan-out's list; a
                     // fan-out still has to name someone else.
                     Action::SendMany { to, .. } => {
-                        prop_assert!(to.iter().any(|&m| m != SELF), "empty fan-out from {:?}", input);
+                        prop_assert!(to.iter().any(|&m| m != SELF), "{} empty fan-out from {:?}", policy.name(), input);
                     }
                     Action::Deliver { id, .. } => {
                         prop_assert!(delivered.insert(*id), "duplicate delivery of {id}");
@@ -181,7 +209,7 @@ proptest! {
         seed in 0u64..1000,
         seqs in proptest::collection::vec(1u64..20, 1..40),
     ) {
-        let mut r = receiver(seed);
+        let mut r = receiver(seed, PolicyKind::TwoPhase);
         for (step, &seq) in seqs.iter().enumerate() {
             let now = SimTime::from_micros(step as u64 * 1009);
             let payload = Bytes::from(vec![seq as u8; 8]);
@@ -200,7 +228,7 @@ proptest! {
     /// harmless no-ops.
     #[test]
     fn stale_timers_are_noops(seed in 0u64..1000, seqs in proptest::collection::vec(0u64..50, 1..60)) {
-        let mut r = receiver(seed);
+        let mut r = receiver(seed, PolicyKind::TwoPhase);
         for (step, &seq) in seqs.iter().enumerate() {
             let now = SimTime::from_micros(step as u64);
             for kind in [
@@ -227,7 +255,7 @@ fn hostile_origins_do_not_grow_state_unboundedly() {
     // message we never received; waiters are registered (that is the
     // protocol's relay contract) but bounded by distinct origins, and
     // nothing is sent to ourselves.
-    let mut r = receiver(7);
+    let mut r = receiver(7, PolicyKind::TwoPhase);
     for i in 0..1000u32 {
         let actions = r.handle(
             Event::Packet {

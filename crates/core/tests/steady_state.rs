@@ -1,12 +1,12 @@
 //! A receiver's memory does not grow with the stream: once its store has
-//! reached steady state, ten times more messages cost no more live heap.
+//! reached steady state, ten times more messages cost no more live heap;
+//! and its first message from a source costs a pinned, exact-sized amount.
 //!
-//! The binary counts live heap bytes with its own global allocator, so it
-//! holds exactly one test: another test running on a second thread would
-//! allocate into the same counter.
+//! The binary counts live heap bytes with its own global allocator, per
+//! thread, so each test reads only what its own thread allocated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use rrmp_core::prelude::{Action, DataPacket, Event, Packet, ProtocolConfig, Receiver, TimerKind};
@@ -15,10 +15,24 @@ use rrmp_membership::view::{HierarchyView, RegionView};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{NodeId, RegionId};
 
-/// Live heap bytes: allocated minus freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's live heap bytes: allocated minus freed (wrapping, as
+    /// a block may be freed on another thread than allocated it).
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+}
 
-/// `System`, counting live bytes in [`LIVE`] (a statistic: `Relaxed`).
+/// Adds `add` and subtracts `sub` on this thread's counter. A `const`
+/// thread-local of a `Cell` needs no allocation and no destructor, so the
+/// allocator may touch it at any time.
+fn count(add: usize, sub: usize) {
+    LIVE.with(|l| l.set(l.get().wrapping_add(add).wrapping_sub(sub)));
+}
+
+fn live() -> usize {
+    LIVE.with(Cell::get)
+}
+
+/// `System`, counting live bytes in [`LIVE`].
 struct Counting;
 
 // SAFETY: every method forwards its caller's arguments unchanged to
@@ -29,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
+            count(layout.size(), 0);
         }
         p
     }
@@ -38,7 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller passes a block this allocator (that is,
         // `System`) returned for `layout`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(0, layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -46,8 +60,7 @@ unsafe impl GlobalAlloc for Counting {
         // contract for `new_size`.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE.fetch_add(new_size, Relaxed);
-            LIVE.fetch_sub(layout.size(), Relaxed);
+            count(new_size, layout.size());
         }
         p
     }
@@ -98,16 +111,45 @@ fn live_heap_is_flat_from_ten_thousand_to_a_hundred_thousand_messages() {
         r.handle_into(Event::Packet { from: source, packet: data }, now, &mut actions);
         arm(&mut timers, &mut actions, now);
         if seq == 10_000 || seq == 100_000 {
-            live_at.push(LIVE.load(Relaxed));
+            live_at.push(live());
         }
     }
     assert_eq!(r.metrics().counters.delivered, 100_000);
     assert!(r.metrics().counters.long_term_kept > 0 && r.metrics().counters.discarded_at_idle > 0);
-    let growth = live_at[1].saturating_sub(live_at[0]);
+    let growth = live_at[1].wrapping_sub(live_at[0]) as isize;
     assert!(
         growth <= 4096,
         "live heap grew {growth} B from 10^4 to 10^5 messages ({} → {} B)",
         live_at[0],
         live_at[1]
     );
+}
+
+/// Live heap a two-phase receiver gains from its first `Data` from one
+/// source, in bytes.
+const FIRST_SOURCE_HEAP: isize = 320;
+
+#[test]
+fn first_message_from_a_source_costs_a_pinned_heap() {
+    let own = RegionView::new(RegionId(0), (0..20).map(NodeId));
+    let cfg = ProtocolConfig::paper_defaults();
+    let mut r = Receiver::new(NodeId(1), HierarchyView::new(own, None), cfg, 7);
+    let mut actions = r.on_start();
+    actions.clear();
+    let source = NodeId(0);
+    let id = MessageId::new(source, SeqNo(1));
+    let data = Packet::Data(DataPacket::new(id, Bytes::from(vec![0u8; 64])));
+    let before = live();
+    r.handle_into(
+        Event::Packet { from: source, packet: data },
+        SimTime::from_millis(1),
+        &mut actions,
+    );
+    actions.clear();
+    let cost = live().wrapping_sub(before) as isize;
+    assert_eq!(r.metrics().counters.delivered, 1);
+    // One exact-sized slot in each per-source table: the loss detector's
+    // source state and its first range, the store's entry, and the
+    // buffer-phase record.
+    assert_eq!(cost, FIRST_SOURCE_HEAP, "first message from a source costs {cost} B of heap");
 }

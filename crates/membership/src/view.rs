@@ -6,29 +6,32 @@
 //! [`HierarchyView`] bundles the own-region and parent-region views a
 //! receiver needs for error recovery.
 //!
-//! Views are interval-compressed ([`IdRangeSet`]): topologies hand out
+//! Views are interval-compressed ([`IntervalSet`]): topologies hand out
 //! contiguous ids region by region, so an unchurned region of any size
 //! costs one `(lo, hi)` pair instead of one tree node per member — the
 //! difference between a 1M-member simulation fitting in memory or not,
-//! since every receiver holds a view of its own and parent regions.
+//! since every receiver holds a view of its own and parent regions. The
+//! set stores `u64`; ids convert at this boundary, and [`RegionView::len`]
+//! is a `usize`, the type random picks draw their index over (another
+//! integer type would draw different values from the same RNG).
 
 use rand::Rng;
 use rrmp_netsim::topology::{NodeId, RegionId, Topology};
 
-use crate::index::IdRangeSet;
+use crate::index::IntervalSet;
 
 /// One member's view of the membership of one region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionView {
     region: RegionId,
-    members: IdRangeSet,
+    members: IntervalSet,
 }
 
 impl RegionView {
     /// Creates a view of `region` containing `members`.
     #[must_use]
     pub fn new<I: IntoIterator<Item = NodeId>>(region: RegionId, members: I) -> Self {
-        RegionView { region, members: members.into_iter().map(|n| n.0).collect() }
+        RegionView { region, members: members.into_iter().map(|n| u64::from(n.0)).collect() }
     }
 
     /// Creates a view of `region` covering the contiguous id range
@@ -36,7 +39,7 @@ impl RegionView {
     /// where each region's members are one dense id run.
     #[must_use]
     fn from_contiguous(region: RegionId, lo: NodeId, hi: NodeId) -> Self {
-        RegionView { region, members: IdRangeSet::from_range(lo.0, hi.0) }
+        RegionView { region, members: IntervalSet::from_range(lo.0.into(), hi.0.into()) }
     }
 
     /// The region this view describes.
@@ -48,7 +51,7 @@ impl RegionView {
     /// Number of members in the view.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.members.len() as usize
     }
 
     /// Whether the view is empty.
@@ -60,12 +63,12 @@ impl RegionView {
     /// Whether `node` is in the view.
     #[must_use]
     pub fn contains(&self, node: NodeId) -> bool {
-        self.members.contains(node.0)
+        self.members.contains(node.0.into())
     }
 
     /// Members in ascending id order.
     pub fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.members.iter().map(NodeId)
+        self.members.iter().map(node)
     }
 
     /// The lowest-id member of the view, if any — the deterministic
@@ -74,17 +77,17 @@ impl RegionView {
     /// churn re-derives the role from the shrunken view).
     #[must_use]
     pub fn min_member(&self) -> Option<NodeId> {
-        self.members.min().map(NodeId)
+        self.members.min().map(node)
     }
 
     /// Adds `node`; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId) -> bool {
-        self.members.insert(node.0)
+        self.members.insert(node.0.into())
     }
 
     /// Removes `node`; returns `true` if it was present.
     pub fn remove(&mut self, node: NodeId) -> bool {
-        self.members.remove(node.0)
+        self.members.remove(node.0.into())
     }
 
     /// Picks a member uniformly at random.
@@ -92,19 +95,19 @@ impl RegionView {
         if self.members.is_empty() {
             return None;
         }
-        let idx = rng.gen_range(0..self.members.len());
-        self.members.nth(idx).map(NodeId)
+        let idx = rng.gen_range(0..self.len());
+        self.members.nth(idx as u64).map(node)
     }
 
     /// Picks a member uniformly at random, excluding `exclude` — the
     /// selection primitive behind "send a request to a receiver chosen
     /// uniformly at random from all receivers in its region".
     pub fn random_other<R: Rng + ?Sized>(&self, rng: &mut R, exclude: NodeId) -> Option<NodeId> {
-        let n = self.members.len();
-        if n == 0 || (n == 1 && self.members.contains(exclude.0)) {
+        let n = self.len();
+        if n == 0 || (n == 1 && self.contains(exclude)) {
             return None;
         }
-        if !self.members.contains(exclude.0) {
+        if !self.contains(exclude) {
             return self.random_member(rng);
         }
         // Rejection-free: draw an index over the n-1 non-excluded members,
@@ -112,10 +115,15 @@ impl RegionView {
         // idx-th non-excluded member in ascending order (identical to the
         // previous filter-and-nth scan, without materializing members).
         let idx = rng.gen_range(0..n - 1);
-        let rank = self.members.rank(exclude.0);
+        let rank = self.members.rank(exclude.0.into()) as usize;
         let k = if idx >= rank { idx + 1 } else { idx };
-        self.members.nth(k).map(NodeId)
+        self.members.nth(k as u64).map(node)
     }
+}
+
+/// A stored member id back as a [`NodeId`]: only `u32` ids go in.
+fn node(v: u64) -> NodeId {
+    NodeId(v as u32)
 }
 
 /// The pair of views a receiver needs: its own region and its parent region.

@@ -553,9 +553,9 @@ fn loop_main(ctx: LoopCtx) {
                     let mut members: Vec<NodeId> = spec.members().iter().map(|m| m.node).collect();
                     members.sort_unstable();
                     members.dedup();
-                    let policy = cfg.policy.build(&members);
+                    let view = spec.view_for(node);
                     let mut receiver =
-                        Receiver::with_policy(node, spec.view_for(node), cfg.clone(), seed, policy);
+                        Receiver::with_members(node, view, Arc::new(cfg), seed, &members);
                     if is_sender {
                         receiver.make_sender();
                     }

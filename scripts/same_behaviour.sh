@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Checks that the working tree behaves byte for byte like revision REV:
+# the `trace_dump` exports at 1, 2 and 4 shards, every `rrmp-bench`
+# figure and ablation printer, and the `quickstart`, `wan_dissemination`
+# and `live_feed_churn` examples. Every one of them is deterministic, so a
+# change that claims to keep behaviour must leave each output identical.
+# (`perf/`'s `#exact` lines are compared separately; see perf/README.md.)
+#
+#   scripts/same_behaviour.sh REV
+#
+# REV is checked out as a git worktree under target/ and built with its
+# own CARGO_TARGET_DIR, which later runs reuse; the worktree is removed on
+# exit. The first output that differs is named, and the script exits
+# non-zero.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+rev=${1:?usage: scripts/same_behaviour.sh REV}
+here=$PWD
+base=$here/target/same_behaviour
+rm -rf "$base/tree" "$base/rev" "$base/work"
+git worktree prune
+mkdir -p "$base"
+git worktree add --detach --quiet "$base/tree" "$rev"
+trap 'git -C "$here" worktree remove --force "$base/tree"; git -C "$here" worktree prune' EXIT
+
+benches() { # the printer names of tree $1
+    for f in "$1"/crates/bench/benches/*.rs; do basename "$f" .rs; done
+}
+if [[ "$(benches "$here")" != "$(benches "$base/tree")" ]]; then
+    echo "differs: the list of rrmp-bench printers" >&2
+    exit 1
+fi
+
+# run_all TREE TARGET OUT: writes every output of TREE into OUT.
+run_all() {
+    local tree=$1 target=$2 out=$3
+    local cargo=(env CARGO_TARGET_DIR="$target" cargo)
+    local manifest=(--offline --quiet --manifest-path "$tree/Cargo.toml")
+    mkdir -p "$out"
+    for shards in 1 2 4; do
+        # Relative --out, so the paths trace_dump prints match across trees.
+        (cd "$out" && "${cargo[@]}" run --release "${manifest[@]}" --bin trace_dump -- \
+            --shards "$shards" --out "trace_dump_$shards" >"trace_dump_$shards.stdout")
+    done
+    for bench in $(benches "$tree"); do
+        "${cargo[@]}" bench "${manifest[@]}" -p rrmp-bench --bench "$bench" >"$out/$bench.stdout"
+    done
+    for example in quickstart wan_dissemination live_feed_churn; do
+        "${cargo[@]}" run --release "${manifest[@]}" --example "$example" >"$out/$example.stdout"
+    done
+}
+
+echo "running $rev" >&2
+run_all "$base/tree" "$base/target" "$base/rev"
+echo "running the working tree" >&2
+run_all "$here" "${CARGO_TARGET_DIR:-$here/target}" "$base/work"
+
+for f in "$base"/rev/*; do
+    name=$(basename "$f")
+    if ! cmp "$f" "$base/work/$name" >&2; then
+        echo "differs: $name ($rev vs the working tree)" >&2
+        exit 1
+    fi
+done
+echo "same behaviour as $rev: $(find "$base/rev" -type f | wc -l) outputs identical" >&2
