@@ -140,8 +140,9 @@ pub struct ProtocolConfig {
     /// scenarios, which advertise each multicast once with a one-shot
     /// session message instead.
     pub periodic_sessions: bool,
-    /// Whether receivers keep a per-message event log (needed by the
-    /// experiment harness; small per-message overhead).
+    /// Whether receivers log each remote repair they send (time and
+    /// message; read by `RrmpNetwork::first_remote_repair_at` for the
+    /// search-time figures; one entry per remote repair).
     pub record_events: bool,
     /// Optional per-member memory budget (bytes) for the overload
     /// subsystem. It is a hard cap on buffered payload bytes — inserts
@@ -336,7 +337,7 @@ impl ProtocolConfigBuilder {
         self
     }
 
-    /// Sets whether receivers keep per-message event logs.
+    /// Sets whether receivers log the remote repairs they send.
     pub fn record_events(&mut self, yes: bool) -> &mut Self {
         self.cfg.record_events = yes;
         self

@@ -241,106 +241,54 @@ enum SimEngine {
     Sharded(ShardedSim<RrmpNode, HostTimer>),
 }
 
+/// Implements each listed method by forwarding it to whichever engine
+/// runs the group (both engines share the method names and signatures).
+/// The `&self` methods come first, the `&mut self` ones after `mut:`.
+macro_rules! delegate {
+    (
+        $(fn $name:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*
+        mut: $(fn $mname:ident(&mut self $(, $marg:ident: $mty:ty)*) $(-> $mret:ty)?;)*
+    ) => {
+        $(fn $name(&self $(, $arg: $ty)*) $(-> $ret)? {
+            delegate!(@match self.$name($($arg),*))
+        })*
+        $(fn $mname(&mut self $(, $marg: $mty)*) $(-> $mret)? {
+            delegate!(@match self.$mname($($marg),*))
+        })*
+    };
+    (@match $self:ident.$name:ident($($arg:ident),*)) => {
+        match $self {
+            SimEngine::Single(s) => s.$name($($arg),*),
+            SimEngine::Sharded(s) => s.$name($($arg),*),
+        }
+    };
+}
+
 impl SimEngine {
-    fn topology(&self) -> &Topology {
-        match self {
-            SimEngine::Single(s) => s.topology(),
-            SimEngine::Sharded(s) => s.topology(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            SimEngine::Single(s) => s.now(),
-            SimEngine::Sharded(s) => s.now(),
-        }
-    }
-
-    fn counters(&self) -> NetCounters {
-        match self {
-            SimEngine::Single(s) => s.counters(),
-            SimEngine::Sharded(s) => s.counters(),
-        }
-    }
-
-    fn node(&self, id: NodeId) -> &RrmpNode {
-        match self {
-            SimEngine::Single(s) => s.node(id),
-            SimEngine::Sharded(s) => s.node(id),
-        }
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut RrmpNode {
-        match self {
-            SimEngine::Single(s) => s.node_mut(id),
-            SimEngine::Sharded(s) => s.node_mut(id),
-        }
+    delegate! {
+        fn topology(&self) -> &Topology;
+        fn now(&self) -> SimTime;
+        fn counters(&self) -> NetCounters;
+        fn node(&self, id: NodeId) -> &RrmpNode;
+        fn trace_dropped(&self) -> u64;
+        fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>);
+    mut:
+        fn node_mut(&mut self, id: NodeId) -> &mut RrmpNode;
+        fn inject(&mut self, to: NodeId, from: NodeId, msg: Packet, at: SimTime);
+        fn inject_multicast_plan(
+            &mut self, from: NodeId, msg: &Packet, plan: &DeliveryPlan, at: SimTime
+        );
+        fn schedule_external_timer(&mut self, node: NodeId, timer: HostTimer, at: SimTime);
+        fn run_until(&mut self, t: SimTime);
+        fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime;
+        fn set_unicast_loss(&mut self, model: LossModel);
+        fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>);
+        fn reset(&mut self, nodes: Vec<RrmpNode>, seed: u64);
+        fn set_trace(&mut self, ring_capacity: Option<usize>);
     }
 
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &RrmpNode)> {
         self.topology().nodes().map(move |id| (id, self.node(id)))
-    }
-
-    fn inject(&mut self, to: NodeId, from: NodeId, msg: Packet, at: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.inject(to, from, msg, at),
-            SimEngine::Sharded(s) => s.inject(to, from, msg, at),
-        }
-    }
-
-    fn inject_multicast_plan(
-        &mut self,
-        from: NodeId,
-        msg: &Packet,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        match self {
-            SimEngine::Single(s) => s.inject_multicast_plan(from, msg, plan, at),
-            SimEngine::Sharded(s) => s.inject_multicast_plan(from, msg, plan, at),
-        }
-    }
-
-    fn schedule_external_timer(&mut self, node: NodeId, timer: HostTimer, at: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.schedule_external_timer(node, timer, at),
-            SimEngine::Sharded(s) => s.schedule_external_timer(node, timer, at),
-        }
-    }
-
-    fn run_until(&mut self, t: SimTime) {
-        match self {
-            SimEngine::Single(s) => s.run_until(t),
-            SimEngine::Sharded(s) => s.run_until(t),
-        }
-    }
-
-    fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        match self {
-            SimEngine::Single(s) => s.run_until_quiescent(limit),
-            SimEngine::Sharded(s) => s.run_until_quiescent(limit),
-        }
-    }
-
-    fn set_unicast_loss(&mut self, model: LossModel) {
-        match self {
-            SimEngine::Single(s) => s.set_unicast_loss(model),
-            SimEngine::Sharded(s) => s.set_unicast_loss(model),
-        }
-    }
-
-    fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        match self {
-            SimEngine::Single(s) => s.set_fault_plan(plan),
-            SimEngine::Sharded(s) => s.set_fault_plan(plan),
-        }
-    }
-
-    fn reset(&mut self, nodes: Vec<RrmpNode>, seed: u64) {
-        match self {
-            SimEngine::Single(s) => s.reset(nodes, seed),
-            SimEngine::Sharded(s) => s.reset(nodes, seed),
-        }
     }
 
     fn is_optimized(&self) -> bool {
@@ -542,12 +490,7 @@ impl RrmpNetwork {
     /// (construction and after [`RrmpNetwork::reset`] rebuilds nodes).
     fn rearm_observer(&mut self) {
         let Some(tc) = self.trace_cfg else { return };
-        match &mut self.sim {
-            SimEngine::Single(s) => {
-                s.set_trace(Some(Box::new(rrmp_trace::TraceSink::new(tc.ring_capacity))));
-            }
-            SimEngine::Sharded(s) => s.set_trace(Some(tc.ring_capacity)),
-        }
+        self.sim.set_trace(Some(tc.ring_capacity));
         let nodes: Vec<NodeId> = self.sim.topology().nodes().collect();
         for n in nodes {
             self.sim.node_mut(n).receiver_mut().arm_trace(&tc);
@@ -560,10 +503,7 @@ impl RrmpNetwork {
     #[must_use]
     pub fn trace_events(&self) -> Vec<rrmp_trace::TraceEvent> {
         let mut out = Vec::new();
-        match &self.sim {
-            SimEngine::Single(s) => s.collect_trace(&mut out),
-            SimEngine::Sharded(s) => s.collect_trace(&mut out),
-        }
+        self.sim.collect_trace(&mut out);
         for (_, n) in self.sim.nodes() {
             if let Some(t) = n.receiver().trace() {
                 t.collect_into(&mut out);
@@ -585,11 +525,7 @@ impl RrmpNetwork {
     /// export above is complete).
     #[must_use]
     pub fn trace_events_dropped(&self) -> u64 {
-        let engine = match &self.sim {
-            SimEngine::Single(s) => s.trace().map_or(0, rrmp_trace::TraceSink::dropped),
-            SimEngine::Sharded(s) => s.trace_dropped(),
-        };
-        engine
+        self.sim.trace_dropped()
             + self
                 .sim
                 .nodes()
@@ -1027,29 +963,17 @@ impl RrmpNetwork {
             .count()
     }
 
-    /// The earliest time any member in `region_members` sent a remote
-    /// repair or answered a search for `msg` — the paper's *search time*
+    /// The earliest time any member sent a remote repair of `msg`, to a
+    /// waiter or as a search's answer — the paper's *search time*
     /// measurement for Figures 8/9 (0 when the initial request lands on a
     /// bufferer).
     #[must_use]
     pub fn first_remote_repair_at(&self, msg: MessageId) -> Option<SimTime> {
-        use crate::metrics::ProtocolEvent;
         self.sim
             .nodes()
             .filter_map(|(_, n)| {
-                n.receiver()
-                    .metrics()
-                    .events()
-                    .iter()
-                    .find(|(_, m, e)| {
-                        *m == msg
-                            && matches!(
-                                e,
-                                ProtocolEvent::RemoteRepairSent { .. }
-                                    | ProtocolEvent::SearchAnswered { .. }
-                            )
-                    })
-                    .map(|&(t, _, _)| t)
+                let log = n.receiver().metrics().remote_repairs();
+                log.iter().find(|&&(_, m)| m == msg).map(|&(t, _)| t)
             })
             .min()
     }

@@ -1,15 +1,16 @@
-//! Per-receiver protocol metrics: the counter block and the event log.
+//! Per-receiver protocol metrics: the counter block and the remote-repair
+//! log.
 //!
 //! The ablations compare the counter block ([`Counters`]) across
-//! policies, and Figures 8/9 read repair/search timestamps from the event
-//! log ([`ProtocolEvent`]). Per-message buffering intervals (Figure 6)
-//! are not kept here: they are trace events, rebuilt by
-//! [`ReceiverTrace::buffer_record`] on a receiver with the observer armed.
+//! policies, and Figures 8/9 read search times from the log of remote
+//! repairs sent ([`Metrics::remote_repairs`]). Per-message buffering
+//! intervals (Figure 6) are not kept here: they are trace events, rebuilt
+//! by [`ReceiverTrace::buffer_record`] on a receiver with the observer
+//! armed.
 //!
 //! [`ReceiverTrace::buffer_record`]: crate::observe::ReceiverTrace::buffer_record
 
 use rrmp_netsim::time::SimTime;
-use rrmp_netsim::topology::NodeId;
 
 use crate::ids::MessageId;
 
@@ -95,55 +96,36 @@ pub struct Counters {
     pub watchdog_rearms: u64,
 }
 
-/// A timestamped protocol event kept for experiment analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// A repair crossing regions was sent to `to`.
-    RemoteRepairSent {
-        /// Destination (the downstream waiter).
-        to: NodeId,
-    },
-    /// A search was started for a discarded message.
-    SearchStarted,
-    /// This member joined an ongoing search.
-    SearchJoined,
-    /// This member answered a search (it was a bufferer).
-    SearchAnswered {
-        /// The downstream waiter that receives the repair.
-        origin: NodeId,
-    },
-    /// A regional repair multicast was transmitted.
-    RegionalMulticast,
-}
-
-/// Per-receiver metrics: counters and the event log.
+/// Per-receiver metrics: counters and the log of remote repairs sent.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Counter block.
     pub counters: Counters,
-    events: Vec<(SimTime, MessageId, ProtocolEvent)>,
+    remote_repairs: Vec<(SimTime, MessageId)>,
     record_events: bool,
 }
 
 impl Metrics {
-    /// Creates metrics; `record_events` controls whether the event log is
-    /// populated (counter upkeep is always on).
+    /// Creates metrics; `record_events` controls whether the remote-repair
+    /// log is populated (counter upkeep is always on).
     #[must_use]
     pub fn new(record_events: bool) -> Self {
         Metrics { record_events, ..Metrics::default() }
     }
 
-    /// Records a protocol event (no-op unless event recording is on).
-    pub fn record_event(&mut self, at: SimTime, id: MessageId, event: ProtocolEvent) {
+    /// Records that a remote repair of `id` left at `at` — to a
+    /// downstream waiter or to a search's origin (no-op unless recording
+    /// is on).
+    pub fn record_remote_repair(&mut self, at: SimTime, id: MessageId) {
         if self.record_events {
-            self.events.push((at, id, event));
+            self.remote_repairs.push((at, id));
         }
     }
 
-    /// The recorded events in order.
+    /// The remote repairs sent, in order.
     #[must_use]
-    pub fn events(&self) -> &[(SimTime, MessageId, ProtocolEvent)] {
-        &self.events
+    pub fn remote_repairs(&self) -> &[(SimTime, MessageId)] {
+        &self.remote_repairs
     }
 }
 
@@ -151,16 +133,17 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::ids::SeqNo;
+    use rrmp_netsim::topology::NodeId;
 
     #[test]
     fn event_log_respects_flag() {
         let mid = MessageId::new(NodeId(0), SeqNo(1));
         let mut on = Metrics::new(true);
-        on.record_event(SimTime::ZERO, mid, ProtocolEvent::SearchStarted);
-        assert_eq!(on.events().len(), 1);
+        on.record_remote_repair(SimTime::ZERO, mid);
+        assert_eq!(on.remote_repairs(), &[(SimTime::ZERO, mid)]);
 
         let mut off = Metrics::new(false);
-        off.record_event(SimTime::ZERO, mid, ProtocolEvent::SearchStarted);
-        assert!(off.events().is_empty());
+        off.record_remote_repair(SimTime::ZERO, mid);
+        assert!(off.remote_repairs().is_empty());
     }
 }

@@ -45,7 +45,7 @@ use crate::config::{
 use crate::events::{Action, Event, TimerKind};
 use crate::ids::{MessageId, SeqNo};
 use crate::loss::LossDetector;
-use crate::metrics::{Metrics, ProtocolEvent};
+use crate::metrics::Metrics;
 use crate::observe::{ReceiverTrace, TraceConfig};
 use crate::packet::{DataPacket, Packet, RepairKind};
 use crate::policy::{BufferPolicy, DataPath, PolicyCtx};
@@ -693,7 +693,7 @@ impl Receiver {
             self.apply_pressure(now, actions);
             self.end_recovery(id, &data.payload, now, actions);
             if path == DataPath::RemoteRepair && self.policy.remulticast_remote_repairs() {
-                self.arm_regional_multicast(id, data.payload.clone(), now, actions);
+                self.arm_regional_multicast(id, data.payload.clone(), actions);
             }
             for m in outcome.newly_missing {
                 self.start_recovery(m, now, actions);
@@ -740,8 +740,7 @@ impl Receiver {
             let me = self.id;
             for w in waiters.into_iter().filter(|&w| w != me) {
                 self.metrics.counters.relays_performed += 1;
-                let event = ProtocolEvent::RemoteRepairSent { to: w };
-                self.send_remote_repair(w, id, payload, event, now, actions);
+                self.send_remote_repair(w, id, payload, now, actions);
             }
             self.store.note_use(id, now);
         }
@@ -750,18 +749,17 @@ impl Receiver {
         }
     }
 
-    /// Sends `msg` to `to` as a remote repair, recording `event`.
+    /// Sends `msg` to `to` as a remote repair, recording when it left.
     fn send_remote_repair(
         &mut self,
         to: NodeId,
         msg: MessageId,
         payload: &Bytes,
-        event: ProtocolEvent,
         now: SimTime,
         actions: &mut Vec<Action>,
     ) {
         self.metrics.counters.repairs_sent_remote += 1;
-        self.metrics.record_event(now, msg, event);
+        self.metrics.record_remote_repair(now, msg);
         if let Some(t) = self.trace.as_deref_mut() {
             t.on_repair_sent(msg, to, now);
         }
@@ -785,8 +783,7 @@ impl Receiver {
         actions: &mut Vec<Action>,
     ) {
         for &origin in origins {
-            let event = ProtocolEvent::SearchAnswered { origin };
-            self.send_remote_repair(origin, msg, payload, event, now, actions);
+            self.send_remote_repair(origin, msg, payload, now, actions);
         }
         self.metrics.counters.search_found_sent += 1;
         actions
@@ -837,17 +834,10 @@ impl Receiver {
             .map(|(_, holder)| holder)
     }
 
-    fn arm_regional_multicast(
-        &mut self,
-        id: MessageId,
-        payload: Bytes,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
+    fn arm_regional_multicast(&mut self, id: MessageId, payload: Bytes, actions: &mut Vec<Action>) {
         match self.cfg.backoff_window {
             None => {
                 self.metrics.counters.regional_multicasts_sent += 1;
-                self.metrics.record_event(now, id, ProtocolEvent::RegionalMulticast);
                 actions.push(Action::MulticastRegion {
                     packet: Packet::RegionalRepair { data: DataPacket::new(id, payload) },
                 });
@@ -906,8 +896,7 @@ impl Receiver {
         self.note_request_heard(msg, now);
         self.store.note_request(msg, now);
         if let Some(payload) = self.store.get(msg) {
-            let event = ProtocolEvent::RemoteRepairSent { to: from };
-            self.send_remote_repair(from, msg, &payload, event, now, actions);
+            self.send_remote_repair(from, msg, &payload, now, actions);
         } else if self.detector.received_before(msg) {
             // Received but discarded: find a bufferer in this region (§3.3).
             // (The remembered holder can be ourselves if we served the
@@ -924,7 +913,6 @@ impl Receiver {
                 return;
             }
             self.metrics.counters.searches_started += 1;
-            self.metrics.record_event(now, msg, ProtocolEvent::SearchStarted);
             self.join_search(msg, [from], now, actions);
         } else {
             // Never received: remember the waiter and recover it ourselves;
@@ -1078,7 +1066,6 @@ impl Receiver {
                 Some(search) => add_sorted(&mut search.origins, origins),
                 None => {
                     self.metrics.counters.searches_joined += 1;
-                    self.metrics.record_event(now, msg, ProtocolEvent::SearchJoined);
                     self.join_search(msg, origins, now, actions);
                 }
             }
@@ -1164,7 +1151,6 @@ impl Receiver {
                         actions.push(Action::SetTimer { delay, kind: TimerKind::Backoff(msg) });
                     } else {
                         self.metrics.counters.regional_multicasts_sent += 1;
-                        self.metrics.record_event(now, msg, ProtocolEvent::RegionalMulticast);
                         actions.push(Action::MulticastRegion {
                             packet: Packet::RegionalRepair {
                                 data: DataPacket::new(msg, b.payload),

@@ -27,7 +27,8 @@
 //!   timers carrying the host's own values.
 //! * [`shard`] — the conservatively parallel driver: regions partitioned
 //!   over shards advancing under a time-window barrier, traces
-//!   byte-identical at every shard count.
+//!   byte-identical at every shard count. Both drivers run one private
+//!   per-event core (dispatch, transmit, edge verdicts, routing).
 //! * [`stats`] — streaming mean/variance and percentiles for the paper's
 //!   figures.
 //!
@@ -73,6 +74,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod engine;
 pub mod event;
 pub mod fault;
 pub mod loss;

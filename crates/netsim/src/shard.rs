@@ -13,10 +13,12 @@
 //!
 //! A [`ShardedSim`] partitions the topology's regions over `shards` shards
 //! (LPT bin packing over region member counts; a region never splits).
-//! Each shard owns its own timing wheel, payload slab, timer slab, scratch
-//! buffers, and the RNG streams of its nodes — there is **no shared mutable
-//! state** between shards during a window. The run loop is a sequence of
-//! windows:
+//! Each shard is one per-event core — the same one
+//! [`Sim`](crate::sim::Sim) drives, implementing dispatch, transmit and
+//! the edge verdicts once for both engines — that owns its own timing
+//! wheel, scratch buffers, and the RNG streams of its nodes: there is
+//! **no shared mutable state** between shards during a window. This
+//! module adds only the driver. The run loop is a sequence of windows:
 //!
 //! 1. the coordinator computes the global lower bound `lb` (earliest
 //!    pending event across all shards and undelivered mailboxes);
@@ -40,9 +42,10 @@
 //!   regions hosted on the same shard cannot reorder two events of the
 //!   same region (the wheel's `(time, seq)` order restricted to one
 //!   region's events is the region's own insertion order);
-//! * every RNG stream is per-node (including the unicast-loss stream,
-//!   which the single-`Sim` engine draws from one global generator), so
-//!   no draw depends on cross-region event interleaving;
+//! * every RNG stream is per-node (the core a shard runs draws unicast
+//!   loss from the sender's own stream, where `Sim`'s draws from one
+//!   global generator), so no draw depends on cross-region event
+//!   interleaving;
 //! * cross-region messages are tagged with their source region and a
 //!   per-source-region emission counter and merged at barriers in that
 //!   canonical order, which does not depend on how regions are grouped
@@ -52,391 +55,57 @@
 //!   layout-independent.
 //!
 //! The price of the windowed semantics is that they are *not* the
-//! single-queue semantics of [`Sim`](crate::sim::Sim): two same-instant
-//! events in different regions may dispatch in a different relative order
-//! (which no per-node observable can see), and cross-region ties at one
-//! instant resolve in canonical merge order rather than global send
-//! order. `ShardedSim` is therefore its own engine with `shards = 1` as
-//! its sequential oracle; the trace-equality suite asserts byte-identical
-//! traces across shard counts 1/2/4.
+//! single-queue semantics of [`Sim`](crate::sim::Sim). Both engines run
+//! the same core, and routing is what orders their events differently:
+//! `Sim` schedules a cross-region send at once, a shard at the next
+//! barrier. So two
+//! same-instant events in different regions may dispatch in a different
+//! relative order (which no per-node observable can see), and
+//! cross-region ties at one instant resolve in canonical merge order
+//! rather than global send order. `ShardedSim` is therefore its own
+//! engine with `shards = 1` as its sequential oracle; the trace-equality
+//! suite asserts byte-identical traces across shard counts 1/2/4.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rrmp_trace::{streams, EventKind, TraceSink};
+use rrmp_trace::TraceSink;
 
-use crate::event::EventQueue;
+use crate::engine::{Core, CrossEvent, Env, Filter, Shard};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
-use crate::sim::{Ctx, NetCounters, Op, SimEvent, SimNode};
+use crate::sim::{NetCounters, SimNode};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
-
-/// The per-node unicast-loss RNG stream id: disjoint from the per-node
-/// protocol streams (`0..n`) and from the single-`Sim` global loss stream
-/// (`u64::MAX / 2`).
-fn loss_stream(node: NodeId) -> u64 {
-    (1u64 << 63) | u64::from(node.0)
-}
-
-/// A cross-region send buffered in a mailbox until the next barrier.
-///
-/// `(arrive, src_region, emit_seq)` is the canonical merge key: it is
-/// assigned by the *sending region's* deterministic execution, so the
-/// merged order cannot depend on the shard layout or thread scheduling.
-struct CrossEvent<M> {
-    arrive: SimTime,
-    src_region: u16,
-    emit_seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
 
 /// A deterministic per-packet drop predicate (return `true` to drop).
 /// Shards consult it concurrently, hence `Fn + Send + Sync`.
 pub type DropFilter<M> = dyn Fn(NodeId, NodeId, &M) -> bool + Send + Sync;
 
-/// Read-only environment shared by every shard during a window.
-struct ShardEnv<'a, M> {
-    topo: &'a Topology,
-    region_shard: &'a [u32],
-    unicast_loss: &'a LossModel,
-    drop_filter: Option<&'a DropFilter<M>>,
-    /// Armed fault timeline. Verdicts are pure functions of
-    /// `(plan, send time, endpoints)` — no RNG state — so shards can
-    /// consult it concurrently and the outcome is layout-invariant.
-    fault: Option<&'a FaultPlan>,
+/// The topology and network settings: read by every shard during a
+/// window, written by none.
+struct Shared<M> {
+    topo: Topology,
+    /// Region index → owning shard.
+    region_shard: Vec<u32>,
+    unicast_loss: LossModel,
+    drop_filter: Option<Box<DropFilter<M>>>,
+    fault: Option<Arc<FaultPlan>>,
 }
 
-/// One shard: a subset of regions with private queue, RNGs,
-/// scratch buffers, and outgoing mailboxes.
-struct ShardState<N: SimNode<T>, T> {
-    /// Global ids of the nodes this shard owns, ascending.
-    node_ids: Vec<NodeId>,
-    nodes: Vec<N>,
-    rngs: Vec<StdRng>,
-    /// Per-node unicast-loss streams (the single-`Sim` engine uses one
-    /// global stream, which would make draws depend on cross-shard event
-    /// interleaving).
-    loss_rngs: Vec<StdRng>,
-    /// Global node index → local index (`u32::MAX` when not owned).
-    local_of: Vec<u32>,
-    queue: EventQueue<SimEvent<N::Msg, T>>,
-    counters: NetCounters,
-    now: SimTime,
-    scratch_ops: Vec<Op<N::Msg, T>>,
-    scratch_targets: Vec<NodeId>,
-    target_pool: Vec<Vec<NodeId>>,
-    scratch_groups: Vec<(SimTime, Vec<NodeId>)>,
-    /// Cross-region sends awaiting the next barrier, one mailbox per
-    /// destination shard. Each mailbox has a single producer (this shard)
-    /// and a single consumer (the destination, via the coordinator).
-    outboxes: Vec<Vec<CrossEvent<N::Msg>>>,
-    /// Per-source-region emission counters (indexed by global region id;
-    /// only this shard's regions ever advance).
-    emit_seqs: Vec<u64>,
-    /// Armed observer sink for this shard's nodes. Per-node rings plus
-    /// per-node emission counters make the collected events independent
-    /// of the shard layout; `None` costs one branch on the hot path.
-    trace: Option<Box<TraceSink>>,
-}
-
-impl<N: SimNode<T>, T> ShardState<N, T> {
-    /// Processes every local event at or before `limit`.
-    fn run_window(&mut self, env: &ShardEnv<'_, N::Msg>, limit: SimTime) {
-        while let Some((at, event)) = self.queue.pop_at_or_before(limit) {
-            self.dispatch_event(env, at, event);
+impl<M> Shared<M> {
+    /// The environment a shard's core reads; `slot` holds the lent drop
+    /// filter for as long as the environment lives.
+    fn env<'a>(&'a self, slot: &'a mut Option<&'a DropFilter<M>>) -> Env<'a, M> {
+        *slot = self.drop_filter.as_deref();
+        Env {
+            topo: &self.topo,
+            unicast_loss: &self.unicast_loss,
+            fault: self.fault.as_deref(),
+            drop_filter: slot.as_mut().map(|f| f as &mut Filter<'a, M>),
+            region_shard: &self.region_shard,
         }
-    }
-
-    /// Schedules a sorted inbox batch into the local wheel — the barrier
-    /// half of the mailbox protocol.
-    fn accept_inbox(&mut self, inbox: Vec<CrossEvent<N::Msg>>) {
-        for e in inbox {
-            self.queue.schedule(e.arrive, SimEvent::Deliver { to: e.to, from: e.from, msg: e.msg });
-        }
-    }
-
-    fn dispatch_event(
-        &mut self,
-        env: &ShardEnv<'_, N::Msg>,
-        at: SimTime,
-        event: SimEvent<N::Msg, T>,
-    ) {
-        debug_assert!(at >= self.now, "time went backwards inside a shard");
-        match event {
-            SimEvent::Deliver { to, from, msg } => {
-                self.now = at;
-                self.counters.delivered += 1;
-                self.counters.events_processed += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(at.as_micros(), to.0, streams::ENGINE_DELIVERY, EventKind::Delivered);
-                }
-                let local = self.local_of[to.index()] as usize;
-                self.dispatch_with(env, local, |node, ctx| node.on_packet(ctx, from, msg));
-            }
-            SimEvent::DeliverBatch { from, mut targets, msg } => {
-                self.now = at;
-                crate::sim::expand_batch(&targets, msg, |to, copy| {
-                    self.counters.delivered += 1;
-                    self.counters.events_processed += 1;
-                    self.counters.batched_deliveries += 1;
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.record(
-                            at.as_micros(),
-                            to.0,
-                            streams::ENGINE_DELIVERY,
-                            EventKind::Delivered,
-                        );
-                    }
-                    let local = self.local_of[to.index()] as usize;
-                    self.dispatch_with(env, local, |node, ctx| node.on_packet(ctx, from, copy));
-                });
-                targets.clear();
-                self.target_pool.push(targets);
-            }
-            SimEvent::Timer { node, timer } => {
-                self.now = at;
-                self.counters.timers_fired += 1;
-                self.counters.events_processed += 1;
-                let local = self.local_of[node.index()] as usize;
-                self.dispatch_with(env, local, |n, ctx| n.on_timer(ctx, timer));
-            }
-        }
-    }
-
-    fn dispatch_with<F>(&mut self, env: &ShardEnv<'_, N::Msg>, local: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, T>),
-    {
-        debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
-        let mut ops = std::mem::take(&mut self.scratch_ops);
-        let mut targets = std::mem::take(&mut self.scratch_targets);
-        let from = self.node_ids[local];
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: from,
-                topo: env.topo,
-                rng: &mut self.rngs[local],
-                ops: &mut ops,
-                targets: &mut targets,
-                fanout_ops: true,
-            };
-            f(&mut self.nodes[local], &mut ctx);
-        }
-        for op in ops.drain(..) {
-            match op {
-                Op::Send { to, msg } => self.transmit(env, local, from, to, msg),
-                Op::SendMany { start, len, msg } => {
-                    self.counters.fanouts += 1;
-                    let range = start as usize..(start + len) as usize;
-                    self.transmit_fanout(env, local, from, targets[range].iter().copied(), msg);
-                }
-                Op::SendGroup { msg } => {
-                    self.counters.fanouts += 1;
-                    let n = env.topo.node_count() as u32;
-                    self.transmit_fanout(
-                        env,
-                        local,
-                        from,
-                        (0..n).map(NodeId).filter(|&to| to != from),
-                        msg,
-                    );
-                }
-                Op::SetTimer { timer, at } => {
-                    self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, timer });
-                }
-            }
-        }
-        targets.clear();
-        self.scratch_ops = ops;
-        self.scratch_targets = targets;
-    }
-
-    /// Routes one surviving send: same-region destinations go straight
-    /// into the local wheel, cross-region destinations into the mailbox
-    /// for the destination's shard (even when that is this shard — the
-    /// canonical barrier order must not depend on the layout).
-    fn route(
-        &mut self,
-        env: &ShardEnv<'_, N::Msg>,
-        src_region: RegionId,
-        arrive: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: N::Msg,
-    ) {
-        if env.topo.region_of(to) == src_region {
-            self.queue.schedule(arrive, SimEvent::Deliver { to, from, msg });
-        } else {
-            let emit = &mut self.emit_seqs[src_region.index()];
-            let emit_seq = *emit;
-            *emit += 1;
-            let dest = env.region_shard[env.topo.region_of(to).index()] as usize;
-            self.outboxes[dest].push(CrossEvent {
-                arrive,
-                src_region: src_region.0,
-                emit_seq,
-                from,
-                to,
-                msg,
-            });
-        }
-    }
-
-    fn transmit(
-        &mut self,
-        env: &ShardEnv<'_, N::Msg>,
-        local_from: usize,
-        from: NodeId,
-        to: NodeId,
-        msg: N::Msg,
-    ) {
-        self.counters.unicasts_sent += 1;
-        let filtered = env.drop_filter.is_some_and(|f| f(from, to, &msg));
-        let lost = filtered || self.edge_loses(env, local_from, from, to);
-        if lost {
-            self.counters.unicasts_dropped += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::PacketDropped { to: to.0 },
-                );
-            }
-            return;
-        }
-        let arrive = self.now + env.topo.one_way_latency(from, to);
-        let src_region = env.topo.region_of(from);
-        if let Some(extra) = env.fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
-            // The duplicate is routed after the primary so its mailbox
-            // emission sequence is the later one — a deterministic order
-            // at every shard layout. Its strictly-not-earlier arrival
-            // keeps the conservative window rule intact.
-            self.counters.faults_duplicated += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::FaultDuplicated { to: to.0 },
-                );
-            }
-            self.route(env, src_region, arrive, from, to, msg.clone());
-            self.route(env, src_region, arrive + extra, from, to, msg);
-            return;
-        }
-        self.route(env, src_region, arrive, from, to, msg);
-    }
-
-    /// The edge loss decision for one surviving-the-filter copy: an
-    /// armed fault plan gets the first say (an active loss burst
-    /// overrides the base model — no per-sender stream draw); otherwise
-    /// the base loss model draws from the sender's stream.
-    fn edge_loses(
-        &mut self,
-        env: &ShardEnv<'_, N::Msg>,
-        local_from: usize,
-        from: NodeId,
-        to: NodeId,
-    ) -> bool {
-        match env.fault.and_then(|p| p.drops(self.now, from, to, env.topo)) {
-            Some(true) => {
-                self.counters.faults_dropped += 1;
-                // Matches the single-`Sim` engine: the verdict event here,
-                // the PacketDropped event at the drop branch of the caller
-                // (both counters increment on a fault drop, so both events
-                // record).
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDropped { to: to.0 },
-                    );
-                }
-                true
-            }
-            Some(false) => false,
-            None => env.unicast_loss.drops_unicast(&mut self.loss_rngs[local_from]),
-        }
-    }
-
-    /// Fan-out with per-destination loss draws in destination order from
-    /// the **sender's** loss stream; same-region survivors batch per
-    /// arrival time exactly like `Sim`, cross-region survivors go to the
-    /// mailboxes one event each.
-    fn transmit_fanout<I>(
-        &mut self,
-        env: &ShardEnv<'_, N::Msg>,
-        local_from: usize,
-        from: NodeId,
-        targets: I,
-        msg: N::Msg,
-    ) where
-        I: Iterator<Item = NodeId>,
-    {
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        let src_region = env.topo.region_of(from);
-        for to in targets {
-            self.counters.unicasts_sent += 1;
-            let filtered = env.drop_filter.is_some_and(|f| f(from, to, &msg));
-            let lost = filtered || self.edge_loses(env, local_from, from, to);
-            if lost {
-                self.counters.unicasts_dropped += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::PacketDropped { to: to.0 },
-                    );
-                }
-                continue;
-            }
-            let arrive = self.now + env.topo.one_way_latency(from, to);
-            let dup = env.fault.and_then(|p| p.duplicate_delay(self.now, from, to));
-            if dup.is_some() {
-                self.counters.faults_duplicated += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDuplicated { to: to.0 },
-                    );
-                }
-            }
-            if env.topo.region_of(to) == src_region {
-                crate::sim::group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
-                if let Some(extra) = dup {
-                    crate::sim::group_fanout_target(
-                        &mut self.target_pool,
-                        &mut groups,
-                        arrive + extra,
-                        to,
-                    );
-                }
-            } else {
-                self.route(env, src_region, arrive, from, to, msg.clone());
-                if let Some(extra) = dup {
-                    self.route(env, src_region, arrive + extra, from, to, msg.clone());
-                }
-            }
-        }
-        // Flush the same-region arrival groups — the exact grouping and
-        // clone discipline `Sim` uses, via the shared helpers.
-        crate::sim::flush_fanout_groups(from, msg, &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
     }
 }
 
@@ -476,24 +145,19 @@ struct WindowReport<M> {
 /// The conservatively parallel, region-sharded discrete-event simulator.
 ///
 /// Hosts the same [`SimNode`] implementations as [`Sim`](crate::sim::Sim)
-/// with the same [`Ctx`] API. `shards = 1` is the sequential special
-/// case: no worker threads are spawned and the (single) mailbox is
-/// drained inline — it defines the canonical trace that every parallel
-/// run reproduces byte for byte. See the [module docs](self) for the
-/// windowed execution model and the determinism argument.
+/// with the same [`Ctx`](crate::sim::Ctx) API. `shards = 1` is the
+/// sequential special case: no worker threads are spawned and the
+/// (single) mailbox is drained inline — it defines the canonical trace
+/// that every parallel run reproduces byte for byte. See the
+/// [module docs](self) for the windowed execution model and the
+/// determinism argument.
 pub struct ShardedSim<N: SimNode<T>, T = u64> {
-    topo: Topology,
-    states: Vec<ShardState<N, T>>,
-    /// Region index → owning shard.
-    region_shard: Vec<u32>,
+    states: Vec<Core<N, T>>,
+    shared: Shared<N::Msg>,
     /// Node index → owning shard.
     node_shard: Vec<u32>,
     lookahead: Option<SimDuration>,
-    unicast_loss: LossModel,
-    drop_filter: Option<Arc<DropFilter<N::Msg>>>,
-    fault: Option<Arc<FaultPlan>>,
     now: SimTime,
-    started: bool,
     /// Reused cross-event staging buffer for inline barrier merges.
     merge_scratch: Vec<CrossEvent<N::Msg>>,
 }
@@ -504,14 +168,7 @@ impl<N: SimNode<T>, T> std::fmt::Debug for ShardedSim<N, T> {
             .field("now", &self.now)
             .field("shards", &self.states.len())
             .field("lookahead", &self.lookahead)
-            .field(
-                "pending_events",
-                &self
-                    .states
-                    .iter()
-                    .map(|s| s.queue.len() + s.outboxes.iter().map(Vec::len).sum::<usize>())
-                    .sum::<usize>(),
-            )
+            .field("pending_events", &self.states.iter().map(Core::pending).sum::<usize>())
             .finish_non_exhaustive()
     }
 }
@@ -544,60 +201,6 @@ fn partition_regions(topo: &Topology, shards: usize) -> Vec<u32> {
     assign
 }
 
-/// Builds the per-shard states, streaming `nodes` (one per topology
-/// node, in `NodeId` order) into exactly-sized per-shard vectors.
-///
-/// # Panics
-///
-/// Panics if `nodes` does not yield exactly one node per topology node.
-fn build_states<N: SimNode<T>, T>(
-    topo: &Topology,
-    node_shard: &[u32],
-    nodes: impl IntoIterator<Item = N>,
-    seed: u64,
-    shard_count: usize,
-) -> Vec<ShardState<N, T>> {
-    let seq = SeedSequence::new(seed);
-    let node_count = topo.node_count();
-    let region_count = topo.region_count();
-    let mut counts = vec![0usize; shard_count];
-    for &s in node_shard {
-        counts[s as usize] += 1;
-    }
-    let mut states: Vec<ShardState<N, T>> = (0..shard_count)
-        .map(|s| ShardState {
-            node_ids: Vec::with_capacity(counts[s]),
-            nodes: Vec::with_capacity(counts[s]),
-            rngs: Vec::with_capacity(counts[s]),
-            loss_rngs: Vec::with_capacity(counts[s]),
-            local_of: vec![u32::MAX; node_count],
-            queue: EventQueue::new(),
-            counters: NetCounters::default(),
-            now: SimTime::ZERO,
-            scratch_ops: Vec::new(),
-            scratch_targets: Vec::new(),
-            target_pool: Vec::new(),
-            scratch_groups: Vec::new(),
-            outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
-            emit_seqs: vec![0; region_count],
-            trace: None,
-        })
-        .collect();
-    let mut total = 0usize;
-    for (i, node) in nodes.into_iter().enumerate() {
-        let id = NodeId(i as u32);
-        let st = &mut states[node_shard[i] as usize];
-        st.local_of[i] = st.nodes.len() as u32;
-        st.node_ids.push(id);
-        st.nodes.push(node);
-        st.rngs.push(seq.rng_for(i as u64));
-        st.loss_rngs.push(seq.rng_for(loss_stream(id)));
-        total += 1;
-    }
-    assert_eq!(total, node_count, "need exactly one node implementation per topology node");
-    states
-}
-
 impl<N, T> ShardedSim<N, T>
 where
     N: SimNode<T> + Send,
@@ -615,11 +218,6 @@ where
     /// Panics if `nodes.len()` does not match the topology's node count.
     #[must_use]
     pub fn new(topo: Topology, nodes: Vec<N>, seed: u64, shards: usize) -> Self {
-        assert_eq!(
-            nodes.len(),
-            topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
         Self::new_from(&topo, nodes, seed, shards)
     }
 
@@ -645,67 +243,58 @@ where
         let shard_count = region_shard.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let node_shard: Vec<u32> =
             topo.nodes().map(|n| region_shard[topo.region_of(n).index()]).collect();
-        let states = build_states(topo, &node_shard, nodes, seed, shard_count);
-        ShardedSim {
+        let states = (0..shard_count as u32)
+            .map(|s| {
+                let shard = Shard::new(s, &node_shard, shard_count, topo.region_count());
+                Core::new(true, Some(shard))
+            })
+            .collect();
+        let mut sim = ShardedSim {
             states,
-            region_shard,
+            shared: Shared {
+                topo: topo.clone(),
+                region_shard,
+                unicast_loss: LossModel::None,
+                drop_filter: None,
+                fault: None,
+            },
             node_shard,
             lookahead: topo.lookahead(),
-            unicast_loss: LossModel::None,
-            drop_filter: None,
-            fault: None,
             now: SimTime::ZERO,
-            started: false,
             merge_scratch: Vec::new(),
-            topo: topo.clone(),
-        }
+        };
+        sim.reset(nodes, seed);
+        sim
     }
 
     /// Resets for a fresh run over the same topology and shard layout:
-    /// replaces the nodes, re-derives every RNG stream from `seed`, and
-    /// clears queues, mailboxes, and counters while keeping their
-    /// allocations warm (per-shard [`EventQueue::clear`] semantics). The
-    /// loss model, drop filter, and armed fault plan are retained.
+    /// replaces the nodes (one per topology node, in `NodeId` order,
+    /// streamed into exactly-sized per-shard vectors), re-derives every
+    /// RNG stream from `seed`, and clears queues, mailboxes, and counters
+    /// while keeping their allocations warm (per-shard
+    /// [`EventQueue::clear`] semantics). The loss model, drop filter,
+    /// armed fault plan and armed observer are retained.
+    ///
+    /// [`EventQueue::clear`]: crate::event::EventQueue::clear
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    pub fn reset(&mut self, nodes: Vec<N>, seed: u64) {
-        assert_eq!(
-            nodes.len(),
-            self.topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
+    /// Panics if `nodes` does not yield exactly one node per topology
+    /// node.
+    pub fn reset<I: IntoIterator<Item = N>>(&mut self, nodes: I, seed: u64) {
+        const ONE_EACH: &str = "need exactly one node implementation per topology node";
         let seq = SeedSequence::new(seed);
         for st in &mut self.states {
-            st.nodes.clear();
-            st.rngs.clear();
-            st.loss_rngs.clear();
-            st.queue.clear();
-            st.counters = NetCounters::default();
-            st.now = SimTime::ZERO;
-            for ob in &mut st.outboxes {
-                ob.clear();
-            }
-            for e in &mut st.emit_seqs {
-                *e = 0;
-            }
-            // Armed observers stay armed across resets (matching the
-            // fault plan); the previous run's events are discarded.
-            if let Some(t) = st.trace.as_deref_mut() {
-                t.clear();
-            }
+            st.reset(&seq, Vec::new());
         }
+        let mut total = 0usize;
         for (i, node) in nodes.into_iter().enumerate() {
-            let id = NodeId(i as u32);
-            let st = &mut self.states[self.node_shard[i] as usize];
-            debug_assert_eq!(st.local_of[i] as usize, st.nodes.len());
-            st.nodes.push(node);
-            st.rngs.push(seq.rng_for(i as u64));
-            st.loss_rngs.push(seq.rng_for(loss_stream(id)));
+            let shard = *self.node_shard.get(i).expect(ONE_EACH) as usize;
+            self.states[shard].push_node(NodeId(i as u32), node, &seq);
+            total += 1;
         }
+        assert_eq!(total, self.node_shard.len(), "{ONE_EACH}");
         self.now = SimTime::ZERO;
-        self.started = false;
     }
 
     /// Number of shards actually in use.
@@ -725,7 +314,7 @@ where
     /// single-queue engine, draws come from **per-sender-node** streams
     /// (a global stream would make draws depend on the shard layout).
     pub fn set_unicast_loss(&mut self, model: LossModel) {
-        self.unicast_loss = model;
+        self.shared.unicast_loss = model;
     }
 
     /// Installs a deterministic drop filter consulted for every packet
@@ -735,7 +324,7 @@ where
     where
         F: Fn(NodeId, NodeId, &N::Msg) -> bool + Send + Sync + 'static,
     {
-        self.drop_filter = Some(Arc::new(f));
+        self.shared.drop_filter = Some(Box::new(f));
     }
 
     /// Arms (or with `None` disarms) a [`FaultPlan`], consulted for
@@ -743,7 +332,7 @@ where
     /// of `(plan, send time, endpoints)` — stateless by construction —
     /// so traces stay byte-identical at every shard count.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault = plan;
+        self.shared.fault = plan;
     }
 
     /// Arms (with `Some(ring_capacity)`) or disarms (with `None`) the
@@ -766,10 +355,8 @@ where
     /// Appends every engine-recorded event across all shards to `out`
     /// (unsorted; callers combine sinks and sort canonically).
     pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
-        for st in &self.states {
-            if let Some(t) = st.trace.as_deref() {
-                t.collect_into(out);
-            }
+        for t in self.states.iter().filter_map(|st| st.trace.as_deref()) {
+            t.collect_into(out);
         }
     }
 
@@ -782,7 +369,7 @@ where
     /// The topology being simulated.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.shared.topo
     }
 
     /// Aggregated network counters across all shards.
@@ -822,10 +409,12 @@ where
     /// Number of pending events (wheels plus undelivered mailboxes).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| s.queue.len() + s.outboxes.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        self.states.iter().map(Core::pending).sum()
+    }
+
+    /// The core of the shard that owns `id`.
+    fn state(&mut self, id: NodeId) -> &mut Core<N, T> {
+        &mut self.states[self.node_shard[id.index()] as usize]
     }
 
     /// Immutable access to a node.
@@ -835,8 +424,7 @@ where
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &N {
-        let st = &self.states[self.node_shard[id.index()] as usize];
-        &st.nodes[st.local_of[id.index()] as usize]
+        self.states[self.node_shard[id.index()] as usize].node(id)
     }
 
     /// Mutable access to a node (between runs).
@@ -845,22 +433,19 @@ where
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        let st = &mut self.states[self.node_shard[id.index()] as usize];
-        let local = st.local_of[id.index()] as usize;
-        &mut st.nodes[local]
+        self.state(id).node_mut(id)
     }
 
     /// Iterates over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.topo.nodes().map(move |id| (id, self.node(id)))
+        self.shared.topo.nodes().map(move |id| (id, self.node(id)))
     }
 
     /// Injects a packet from `from` arriving at `to` at absolute time
     /// `at`, bypassing latency, loss, and the mailboxes (injection order
     /// is the experiment script's call order, which is layout-invariant).
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        let st = &mut self.states[self.node_shard[to.index()] as usize];
-        st.queue.schedule(at, SimEvent::Deliver { to, from, msg });
+        self.state(to).inject(to, from, msg, at);
     }
 
     /// Injects one multicast transmission according to a
@@ -873,44 +458,15 @@ where
         plan: &DeliveryPlan,
         at: SimTime,
     ) {
-        for to in plan.holders() {
-            if to == from {
-                continue;
-            }
-            let arrive = at + self.topo.one_way_latency(from, to);
+        for to in plan.holders().filter(|&to| to != from) {
+            let arrive = at + self.shared.topo.one_way_latency(from, to);
             self.inject(to, from, msg.clone(), arrive);
         }
     }
 
     /// Schedules an external timer on `node` at absolute time `at`.
     pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
-        let st = &mut self.states[self.node_shard[node.index()] as usize];
-        st.counters.timers_set += 1;
-        st.queue.schedule(at, SimEvent::Timer { node, timer });
-    }
-
-    /// Runs each node's [`SimNode::on_start`] callback (at most once),
-    /// then delivers any cross-region sends they produced.
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let Self {
-            ref topo, ref region_shard, ref unicast_loss, ref drop_filter, ref fault, ..
-        } = *self;
-        let env = ShardEnv {
-            topo,
-            region_shard,
-            unicast_loss,
-            drop_filter: drop_filter.as_deref(),
-            fault: fault.as_deref(),
-        };
-        for st in &mut self.states {
-            for local in 0..st.nodes.len() {
-                st.dispatch_with(&env, local, |node, ctx| node.on_start(ctx));
-            }
-        }
+        self.state(node).schedule_timer(node, timer, at);
     }
 
     /// Earliest pending wheel event across shards (mailboxes must have
@@ -926,14 +482,10 @@ where
             let mut batch = std::mem::take(&mut self.merge_scratch);
             debug_assert!(batch.is_empty());
             for i in 0..self.states.len() {
-                batch.append(&mut self.states[i].outboxes[j]);
+                batch.append(&mut self.states[i].outboxes()[j]);
             }
-            batch.sort_unstable_by_key(|e| (e.arrive, e.src_region, e.emit_seq));
-            let dest = &mut self.states[j];
-            for e in batch.drain(..) {
-                dest.queue
-                    .schedule(e.arrive, SimEvent::Deliver { to: e.to, from: e.from, msg: e.msg });
-            }
+            batch.sort_unstable_by_key(CrossEvent::key);
+            self.states[j].accept(batch.drain(..));
             self.merge_scratch = batch;
         }
     }
@@ -955,9 +507,15 @@ where
         self.now
     }
 
-    /// The window loop: picks the sequential or threaded driver.
+    /// The window loop: runs each node's [`SimNode::on_start`] on the
+    /// first call (cross-region sends wait in the mailboxes for the first
+    /// barrier), then picks the sequential or threaded driver.
     fn advance(&mut self, limit: SimTime) {
-        self.start();
+        let mut slot = None;
+        let mut env = self.shared.env(&mut slot);
+        for st in &mut self.states {
+            st.start(&mut env);
+        }
         if self.states.len() == 1 {
             self.advance_inline(limit);
         } else {
@@ -982,31 +540,19 @@ where
                 break;
             }
             let end = window_end(self.lookahead, lb, limit);
-            let Self {
-                ref topo,
-                ref region_shard,
-                ref unicast_loss,
-                ref drop_filter,
-                ref fault,
-                ..
-            } = *self;
-            let env = ShardEnv {
-                topo,
-                region_shard,
-                unicast_loss,
-                drop_filter: drop_filter.as_deref(),
-                fault: fault.as_deref(),
-            };
+            let mut slot = None;
+            let mut env = self.shared.env(&mut slot);
             for st in &mut self.states {
-                st.run_window(&env, end);
+                st.run_until(&mut env, end);
             }
         }
     }
 
     /// Threaded window loop: one scoped worker per shard, coordinated by
     /// this thread through per-shard command channels and one report
-    /// channel. Shard states move into the workers for the duration of
-    /// the call and return through the scope's join handles.
+    /// channel. Shard cores move into the workers for the duration of the
+    /// call and return through the scope's join handles; the shared
+    /// settings are borrowed by all of them.
     fn advance_parallel(&mut self, limit: SimTime) {
         self.route_mailboxes();
         match self.min_peek() {
@@ -1023,12 +569,7 @@ where
             self.states.iter().map(|s| s.queue.peek_time()).collect();
         let mut pending: Vec<Vec<CrossEvent<N::Msg>>> = (0..n).map(|_| Vec::new()).collect();
         let states = std::mem::take(&mut self.states);
-        let Self {
-            ref topo, ref region_shard, ref unicast_loss, ref drop_filter, ref fault, ..
-        } = *self;
-        let loss = unicast_loss.clone();
-        let filter = drop_filter.clone();
-        let fault = fault.clone();
+        let shared = &self.shared;
         let lookahead = self.lookahead;
 
         let recovered = std::thread::scope(|scope| {
@@ -1038,21 +579,13 @@ where
             for (i, mut st) in states.into_iter().enumerate() {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<WindowCmd<N::Msg>>();
                 let report = report_tx.clone();
-                let loss = &loss;
-                let filter = filter.as_deref();
-                let fault = fault.as_deref();
                 handles.push(scope.spawn(move || {
-                    let env = ShardEnv {
-                        topo,
-                        region_shard,
-                        unicast_loss: loss,
-                        drop_filter: filter,
-                        fault,
-                    };
+                    let mut slot = None;
+                    let mut env = shared.env(&mut slot);
                     while let Ok(cmd) = cmd_rx.recv() {
-                        st.accept_inbox(cmd.inbox);
-                        st.run_window(&env, cmd.limit);
-                        let outboxes = st.outboxes.iter_mut().map(std::mem::take).collect();
+                        st.accept(cmd.inbox);
+                        st.run_until(&mut env, cmd.limit);
+                        let outboxes = st.outboxes().iter_mut().map(std::mem::take).collect();
                         let sent = report.send(WindowReport {
                             shard: i,
                             outboxes,
@@ -1112,7 +645,7 @@ where
                     }
                 }
                 for batch in &mut pending {
-                    batch.sort_unstable_by_key(|e| (e.arrive, e.src_region, e.emit_seq));
+                    batch.sort_unstable_by_key(CrossEvent::key);
                 }
             }
 
@@ -1133,7 +666,7 @@ where
         // the wheel insertion order matches the inline driver's final
         // barrier (batches are already canonically sorted).
         for (j, batch) in pending.into_iter().enumerate() {
-            states[j].accept_inbox(batch);
+            states[j].accept(batch);
         }
         self.states = states;
     }
@@ -1142,7 +675,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Sim;
+    use crate::sim::{Ctx, Sim};
     use crate::topology::{presets, TopologyBuilder};
     use rand::Rng;
 
@@ -1517,6 +1050,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::sim::Ctx;
     use crate::topology::TopologyBuilder;
     use proptest::prelude::*;
 

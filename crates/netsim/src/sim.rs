@@ -12,21 +12,27 @@
 //!
 //! ## Hot-path design
 //!
-//! The event loop is allocation-free and queue-cheap in steady state:
+//! `Sim` is a driver over one per-event core (the crate's `engine`
+//! module), the same core each shard of
+//! [`ShardedSim`](crate::shard::ShardedSim) runs. On `Sim` the core draws
+//! unicast loss from one global stream and schedules every send into its
+//! own queue. The event loop is allocation-free and queue-cheap in steady
+//! state:
 //!
 //! * Events are ordered by a **hierarchical timing wheel**
 //!   ([`crate::event::EventQueue`], the one queue in both modes): O(1)
 //!   amortized schedule/pop, event payloads in a generation-counted slab,
 //!   exact `(time, seq)` pop order.
-//! * Side effects buffered during a callback go into a **per-`Sim` scratch
-//!   op buffer** that is drained and reused, instead of a fresh
+//! * Side effects buffered during a callback go into a **reused scratch
+//!   op buffer** that is drained after the callback, instead of a fresh
 //!   `Vec` per callback.
 //! * Timers only fire: [`Ctx::set_timer`] schedules the host's own timer
 //!   value (any `T`, see [`SimNode`]) and every armed timer fires exactly
 //!   once. A host whose state moved on since it armed one ignores it when
 //!   it fires, as the protocol's own timers do (they re-check their state
 //!   on expiry).
-//! * Multi-destination sends ([`Ctx::send_many`], [`Ctx::send_group`]) and
+//! * Every send is a fan-out (a unicast is the one-target case), and
+//!   multi-destination sends ([`Ctx::send_many`], [`Ctx::send_group`]) and
 //!   injected multicast plans schedule **one region-timed batch event per
 //!   distinct arrival time** instead of one queue entry per destination.
 //!   Loss and drop-filter decisions are made per destination at schedule
@@ -40,16 +46,16 @@
 //!
 //! [`Sim::new_reference`] builds the same simulator, on the same queue,
 //! with the straightforward strategies instead: allocate per callback,
-//! one queue entry per destination. It is kept as an executable
-//! specification: the differential tests assert byte-identical traces
-//! between the two.
+//! one op and one queue entry per destination. It is kept as an
+//! executable specification: the differential tests assert byte-identical
+//! traces between the two.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rrmp_trace::{streams, EventKind, TraceSink};
+use rrmp_trace::TraceSink;
 
-use crate::event::EventQueue;
+use crate::engine::{Core, Env, Filter, Op};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
@@ -81,20 +87,6 @@ pub trait SimNode<T = u64> {
     /// Called when a timer set through [`Ctx::set_timer`] (or
     /// [`Sim::schedule_external_timer`]) fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, T>, timer: T);
-}
-
-/// Buffered side effects produced during one callback. Shared with the
-/// sharded simulator ([`crate::shard`]), whose shards drain the same op
-/// language from the same [`Ctx`].
-pub(crate) enum Op<M, T> {
-    /// Unicast to one destination.
-    Send { to: NodeId, msg: M },
-    /// One message to a contiguous range of the target arena.
-    SendMany { start: u32, len: u32, msg: M },
-    /// One message to every topology node except the caller.
-    SendGroup { msg: M },
-    /// Schedule `timer` on the caller at `at`.
-    SetTimer { timer: T, at: SimTime },
 }
 
 /// The execution context handed to node callbacks.
@@ -196,104 +188,6 @@ impl<'a, M, T> Ctx<'a, M, T> {
     }
 }
 
-/// Appends `to` to the arrival-time group for `arrive`, opening a new
-/// pooled group if this is the first destination with that latency.
-///
-/// Shared by both engines ([`Sim`] and [`crate::shard::ShardedSim`]): the
-/// grouping discipline decides batch membership and batch order, which
-/// the byte-identical-trace guarantees depend on — one implementation,
-/// not two hand-synced copies.
-pub(crate) fn group_fanout_target(
-    target_pool: &mut Vec<Vec<NodeId>>,
-    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
-    arrive: SimTime,
-    to: NodeId,
-) {
-    match groups.iter_mut().find(|(t, _)| *t == arrive) {
-        Some((_, batch)) => batch.push(to),
-        None => {
-            let mut batch = target_pool.pop().unwrap_or_default();
-            debug_assert!(batch.is_empty());
-            batch.push(to);
-            groups.push((arrive, batch));
-        }
-    }
-}
-
-/// Schedules one event per arrival-time group — a plain delivery for a
-/// single destination, a batch otherwise — in first-destination order,
-/// with the last group taking the original message and the rest shallow
-/// clones. Leaves `groups` empty with its capacity intact. Shared by both
-/// engines (see [`group_fanout_target`]).
-pub(crate) fn flush_fanout_groups<M: Clone, T>(
-    from: NodeId,
-    msg: M,
-    groups: &mut Vec<(SimTime, Vec<NodeId>)>,
-    target_pool: &mut Vec<Vec<NodeId>>,
-    mut schedule: impl FnMut(SimTime, SimEvent<M, T>),
-) {
-    let n = groups.len();
-    let mut msg = Some(msg);
-    for (i, (arrive, mut batch)) in groups.drain(..).enumerate() {
-        let copy = if i + 1 == n {
-            msg.take().expect("consumed only once")
-        } else {
-            msg.as_ref().expect("taken only at the end").clone()
-        };
-        if batch.len() == 1 {
-            let to = batch[0];
-            batch.clear();
-            target_pool.push(batch);
-            schedule(arrive, SimEvent::Deliver { to, from, msg: copy });
-        } else {
-            schedule(arrive, SimEvent::DeliverBatch { from, targets: batch, msg: copy });
-        }
-    }
-}
-
-/// Hands each batch target a copy of `msg` in target order, the **last**
-/// taking the original (with an `Arc`-backed payload the batch never deep
-/// copies). This is the lazy expansion of a region-timed batch event —
-/// the same clone discipline on both engines.
-pub(crate) fn expand_batch<M: Clone>(
-    targets: &[NodeId],
-    msg: M,
-    mut deliver: impl FnMut(NodeId, M),
-) {
-    let last = targets.len() - 1;
-    let mut msg = Some(msg);
-    for (i, &to) in targets.iter().enumerate() {
-        let copy = if i == last {
-            msg.take().expect("consumed only once")
-        } else {
-            msg.as_ref().expect("taken only at the end").clone()
-        };
-        deliver(to, copy);
-    }
-}
-
-pub(crate) enum SimEvent<M, T> {
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: M,
-    },
-    /// One region-timed batch: every node in `targets` receives a copy of
-    /// `msg` at this event's instant, in target order. Scheduled by the
-    /// optimized fan-out path (one queue entry per distinct arrival time
-    /// instead of one per destination) and expanded lazily at delivery;
-    /// the target vector is recycled through the `Sim`'s pool.
-    DeliverBatch {
-        from: NodeId,
-        targets: Vec<NodeId>,
-        msg: M,
-    },
-    Timer {
-        node: NodeId,
-        timer: T,
-    },
-}
-
 /// Aggregate network-level counters for one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetCounters {
@@ -313,7 +207,8 @@ pub struct NetCounters {
     /// ([`Ctx::send_many`] / [`Ctx::send_group`] with at least one target).
     pub fanouts: u64,
     /// Packets delivered by expanding a region-timed batch event (a subset
-    /// of [`NetCounters::delivered`]; always zero in reference mode).
+    /// of [`NetCounters::delivered`]; in reference mode only a copy and
+    /// its zero-delay duplicate share a batch).
     pub batched_deliveries: u64,
     /// Unicast copies dropped by an armed [`FaultPlan`] (a subset of
     /// [`NetCounters::unicasts_dropped`]).
@@ -354,45 +249,23 @@ pub struct NetCounters {
 /// ```
 pub struct Sim<N: SimNode<T>, T = u64> {
     topo: Topology,
-    nodes: Vec<N>,
-    rngs: Vec<StdRng>,
-    queue: EventQueue<SimEvent<N::Msg, T>>,
-    now: SimTime,
+    core: Core<N, T>,
     unicast_loss: LossModel,
-    loss_rng: StdRng,
     /// Armed fault timeline, consulted per unicast copy at transmit time
     /// (`None` costs one branch — the unarmed hot path is unchanged).
     fault: Option<Arc<FaultPlan>>,
-    /// Armed observer sink fed by the engine hooks (deliveries on the
-    /// receiving node, wire verdicts on the sender). Same zero-cost
-    /// contract as `fault`: `None` costs one branch.
-    trace: Option<Box<TraceSink>>,
-    counters: NetCounters,
-    #[allow(clippy::type_complexity)]
-    drop_filter: Option<Box<dyn FnMut(NodeId, NodeId, &N::Msg) -> bool>>,
-    started: bool,
-    /// Reused callback side-effect buffer (empty between dispatches).
-    scratch_ops: Vec<Op<N::Msg, T>>,
-    /// Reused fan-out target arena (empty between dispatches).
-    scratch_targets: Vec<NodeId>,
-    /// Recycled target vectors for batch delivery events.
-    target_pool: Vec<Vec<NodeId>>,
-    /// Reused arrival-time grouping buffer for fan-out scheduling (empty
-    /// between fan-outs; the inner vectors come from `target_pool`).
-    scratch_groups: Vec<(SimTime, Vec<NodeId>)>,
-    /// False in reference mode: allocate per callback, one op per
-    /// destination (see [`Sim::new_reference`]).
-    optimized: bool,
+    /// Stateful (`FnMut`, not `Send`): lent to the core on each call.
+    drop_filter: Option<Box<Filter<'static, N::Msg>>>,
 }
 
 impl<N: SimNode<T>, T> std::fmt::Debug for Sim<N, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
-            .field("pending_events", &self.queue.len())
-            .field("counters", &self.counters)
-            .field("optimized", &self.optimized)
+            .field("now", &self.core.now)
+            .field("nodes", &self.core.nodes.len())
+            .field("pending_events", &self.core.queue.len())
+            .field("counters", &self.core.counters)
+            .field("optimized", &self.core.optimized)
             .finish_non_exhaustive()
     }
 }
@@ -438,32 +311,11 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     }
 
     fn with_mode(topo: Topology, nodes: Vec<N>, seed: u64, optimized: bool) -> Self {
-        assert_eq!(
-            nodes.len(),
-            topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
-        let seq = SeedSequence::new(seed);
-        let rngs = (0..nodes.len()).map(|i| seq.rng_for(i as u64)).collect();
-        Sim {
-            topo,
-            nodes,
-            rngs,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            unicast_loss: LossModel::None,
-            loss_rng: seq.rng_for(u64::MAX / 2),
-            fault: None,
-            trace: None,
-            counters: NetCounters::default(),
-            drop_filter: None,
-            started: false,
-            scratch_ops: Vec::new(),
-            scratch_targets: Vec::new(),
-            target_pool: Vec::new(),
-            scratch_groups: Vec::new(),
-            optimized,
-        }
+        let core = Core::new(optimized, None);
+        let mut sim =
+            Sim { topo, core, unicast_loss: LossModel::None, fault: None, drop_filter: None };
+        sim.reset(nodes, seed);
+        sim
     }
 
     /// Resets the simulator for a fresh run over the **same topology**:
@@ -472,7 +324,8 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// dropping its allocations** — a reused `Sim` starts its
     /// next run at full capacity instead of re-growing from empty (the
     /// pattern repeated bench iterations and multi-run experiments use).
-    /// The loss model, drop filter, and armed fault plan are retained.
+    /// The loss model, drop filter, armed fault plan and armed observer
+    /// are retained.
     ///
     /// # Panics
     ///
@@ -483,20 +336,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
             self.topo.node_count(),
             "need exactly one node implementation per topology node"
         );
-        let seq = SeedSequence::new(seed);
-        self.nodes = nodes;
-        self.rngs.clear();
-        self.rngs.extend((0..self.nodes.len()).map(|i| seq.rng_for(i as u64)));
-        self.loss_rng = seq.rng_for(u64::MAX / 2);
-        self.queue.clear();
-        self.now = SimTime::ZERO;
-        self.counters = NetCounters::default();
-        self.started = false;
-        // An armed observer stays armed across resets (matching the fault
-        // plan), but the previous run's events are discarded.
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.clear();
-        }
+        self.core.reset(&SeedSequence::new(seed), nodes);
     }
 
     /// Whether this simulator runs the optimized event loop
@@ -504,7 +344,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// ([`Sim::new_reference`]).
     #[must_use]
     pub fn is_optimized(&self) -> bool {
-        self.optimized
+        self.core.optimized
     }
 
     /// Sets the loss model applied to every unicast send (default: none —
@@ -530,24 +370,24 @@ impl<N: SimNode<T>, T> Sim<N, T> {
         self.fault = plan;
     }
 
-    /// Arms (or with `None` disarms) the engine observer. While armed,
-    /// every delivery is recorded against the receiving node and every
-    /// wire verdict (loss-model drop, fault drop, duplication) against
-    /// the sender, into bounded per-node rings.
-    pub fn set_trace(&mut self, sink: Option<Box<TraceSink>>) {
-        self.trace = sink;
+    /// Arms (with `Some(ring_capacity)`) or disarms (with `None`) the
+    /// engine observer: every delivery is recorded against the receiving
+    /// node and every wire verdict (loss-model drop, fault drop,
+    /// duplication) against the sender, into bounded per-node rings.
+    pub fn set_trace(&mut self, ring_capacity: Option<usize>) {
+        self.core.trace = ring_capacity.map(|cap| Box::new(TraceSink::new(cap)));
     }
 
-    /// The armed engine observer, if any.
+    /// Trace events evicted by the observer's ring bounds.
     #[must_use]
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.trace.as_deref()
+    pub fn trace_dropped(&self) -> u64 {
+        self.core.trace.as_deref().map_or(0, TraceSink::dropped)
     }
 
     /// Appends every engine-recorded event to `out` (unsorted; callers
     /// combine sinks and sort canonically).
     pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
-        if let Some(t) = self.trace.as_deref() {
+        if let Some(t) = self.core.trace.as_deref() {
             t.collect_into(out);
         }
     }
@@ -555,7 +395,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// The topology being simulated.
@@ -567,7 +407,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// Network counters accumulated so far.
     #[must_use]
     pub fn counters(&self) -> NetCounters {
-        self.counters
+        self.core.counters
     }
 
     /// Immutable access to a node (for instrumentation between steps).
@@ -577,7 +417,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &N {
-        &self.nodes[id.index()]
+        self.core.node(id)
     }
 
     /// Mutable access to a node (for instrumentation between steps).
@@ -586,19 +426,19 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
+        self.core.node_mut(id)
     }
 
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n))
+        self.core.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n))
     }
 
     /// Injects a packet from `from` arriving at `to` at absolute time `at`
     /// (bypassing latency and loss) — used to set up experiment initial
     /// conditions such as "these members hold the message at time zero".
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        self.queue.schedule(at, SimEvent::Deliver { to, from, msg });
+        self.core.inject(to, from, msg, at);
     }
 
     /// Injects one multicast transmission according to a [`DeliveryPlan`]:
@@ -612,319 +452,72 @@ impl<N: SimNode<T>, T> Sim<N, T> {
         plan: &DeliveryPlan,
         at: SimTime,
     ) {
-        if !self.optimized {
-            for to in plan.holders() {
-                if to == from {
-                    continue;
-                }
+        let holders = plan.holders().filter(|&to| to != from);
+        if !self.core.optimized {
+            for to in holders {
                 let arrive = at + self.topo.one_way_latency(from, to);
-                self.queue.schedule(arrive, SimEvent::Deliver { to, from, msg: msg.clone() });
+                self.core.inject(to, from, msg.clone(), arrive);
             }
             return;
         }
         // Optimized path: one region-timed batch event per distinct
         // arrival time instead of one queue entry per holder.
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        for to in plan.holders() {
-            if to == from {
-                continue;
-            }
-            let arrive = at + self.topo.one_way_latency(from, to);
-            group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
+        for to in holders {
+            self.core.group(at + self.topo.one_way_latency(from, to), to);
         }
-        flush_fanout_groups(from, msg.clone(), &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
+        self.core.flush(from, msg.clone());
     }
 
     /// Schedules an external timer on `node` at absolute time `at` — used
     /// by experiments to trigger scripted actions (e.g. a member leaving).
     pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
-        self.counters.timers_set += 1;
-        self.queue.schedule(at, SimEvent::Timer { node, timer });
+        self.core.schedule_timer(node, timer, at);
     }
 
-    /// Runs each node's [`SimNode::on_start`] callback (at most once).
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            self.dispatch_with(i, |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// Processes a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        let Some((at, event)) = self.queue.pop() else { return false };
-        self.dispatch_event(at, event);
-        true
-    }
-
-    /// Like [`Sim::step`], but never dispatches an event scheduled after
-    /// `limit`. The horizon check is a peek-gated pop: an event past
-    /// `limit` is never removed from the queue (and so never re-inserted),
-    /// costing one queue operation at the boundary.
-    fn step_before(&mut self, limit: SimTime) -> bool {
-        self.start();
-        let Some((at, event)) = self.queue.pop_at_or_before(limit) else { return false };
-        self.dispatch_event(at, event);
-        true
-    }
-
-    /// Dispatches one popped event.
-    fn dispatch_event(&mut self, at: SimTime, event: SimEvent<N::Msg, T>) {
-        debug_assert!(at >= self.now, "time went backwards");
-        match event {
-            SimEvent::Deliver { to, from, msg } => {
-                self.now = at;
-                self.counters.delivered += 1;
-                self.counters.events_processed += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(at.as_micros(), to.0, streams::ENGINE_DELIVERY, EventKind::Delivered);
-                }
-                self.dispatch_with(to.index(), |node, ctx| node.on_packet(ctx, from, msg));
-            }
-            SimEvent::DeliverBatch { from, mut targets, msg } => {
-                // Lazy expansion: the per-destination deliveries the
-                // reference path would have scheduled individually run
-                // here back to back, in target order — the same order the
-                // queue pops their consecutive sequence numbers in.
-                self.now = at;
-                expand_batch(&targets, msg, |to, copy| {
-                    self.counters.delivered += 1;
-                    self.counters.events_processed += 1;
-                    self.counters.batched_deliveries += 1;
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.record(
-                            at.as_micros(),
-                            to.0,
-                            streams::ENGINE_DELIVERY,
-                            EventKind::Delivered,
-                        );
-                    }
-                    self.dispatch_with(to.index(), |node, ctx| node.on_packet(ctx, from, copy));
-                });
-                targets.clear();
-                self.target_pool.push(targets);
-            }
-            SimEvent::Timer { node, timer } => {
-                self.now = at;
-                self.counters.timers_fired += 1;
-                self.counters.events_processed += 1;
-                self.dispatch_with(node.index(), |n, ctx| n.on_timer(ctx, timer));
-            }
-        }
-    }
-
-    /// Time of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+    /// Splits the simulator into its core and the environment it lends
+    /// the core for one call.
+    fn parts(&mut self) -> (&mut Core<N, T>, Env<'_, N::Msg>) {
+        let env = Env {
+            topo: &self.topo,
+            unicast_loss: &self.unicast_loss,
+            fault: self.fault.as_deref(),
+            drop_filter: self.drop_filter.as_deref_mut().map(|f| f as &mut Filter<'_, N::Msg>),
+            region_shard: &[],
+        };
+        (&mut self.core, env)
     }
 
     /// Processes every event scheduled at or before `t`, then advances the
     /// clock to exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.step_before(t) {}
-        if self.now < t {
-            self.now = t;
+        self.run_until_quiescent(t);
+        if self.core.now < t {
+            self.core.now = t;
         }
     }
 
-    /// Runs until no events remain or the clock would pass `limit`.
-    /// Returns the time of the last processed event (or the current time if
-    /// nothing ran).
+    /// Runs until no events remain or the clock would pass `limit`, each
+    /// node's [`SimNode::on_start`] first on the first call. Returns the
+    /// time of the last processed event (or the current time if nothing
+    /// ran).
     pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        while self.step_before(limit) {}
-        self.now
+        let (core, mut env) = self.parts();
+        core.start(&mut env);
+        core.run_until(&mut env, limit);
+        core.now
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn dispatch_with<F>(&mut self, idx: usize, f: F)
-    where
-        F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, T>),
-    {
-        // In the optimized mode these take the (empty) per-`Sim` scratch
-        // buffers, preserving their capacity across dispatches; in
-        // reference mode fresh vectors are allocated every callback.
-        let (mut ops, mut targets) = if self.optimized {
-            debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
-            (std::mem::take(&mut self.scratch_ops), std::mem::take(&mut self.scratch_targets))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: NodeId(idx as u32),
-                topo: &self.topo,
-                rng: &mut self.rngs[idx],
-                ops: &mut ops,
-                targets: &mut targets,
-                fanout_ops: self.optimized,
-            };
-            f(&mut self.nodes[idx], &mut ctx);
-        }
-        let from = NodeId(idx as u32);
-        for op in ops.drain(..) {
-            match op {
-                Op::Send { to, msg } => self.transmit(from, to, msg),
-                Op::SendMany { start, len, msg } => {
-                    self.counters.fanouts += 1;
-                    let range = start as usize..(start + len) as usize;
-                    self.transmit_fanout(from, targets[range].iter().copied(), msg);
-                }
-                Op::SendGroup { msg } => {
-                    self.counters.fanouts += 1;
-                    let n = self.topo.node_count() as u32;
-                    self.transmit_fanout(from, (0..n).map(NodeId).filter(|&to| to != from), msg);
-                }
-                Op::SetTimer { timer, at } => {
-                    self.counters.timers_set += 1;
-                    self.queue.schedule(at, SimEvent::Timer { node: from, timer });
-                }
-            }
-        }
-        if self.optimized {
-            targets.clear();
-            self.scratch_ops = ops;
-            self.scratch_targets = targets;
-        }
-    }
-
-    /// Applies counters, the drop filter, and the loss model to every
-    /// fan-out destination **in destination order** — consuming the exact
-    /// RNG draw sequence of the reference per-destination path — then
-    /// schedules the survivors as one region-timed batch event per
-    /// distinct arrival time instead of one queue entry each. The batch
-    /// expands back into per-destination deliveries when it fires.
-    fn transmit_fanout<I>(&mut self, from: NodeId, targets: I, msg: N::Msg)
-    where
-        I: Iterator<Item = NodeId>,
-    {
-        debug_assert!(self.scratch_groups.is_empty());
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        for to in targets {
-            self.counters.unicasts_sent += 1;
-            let filtered = self.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
-            let lost = filtered || self.edge_loses(from, to);
-            if lost {
-                self.counters.unicasts_dropped += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::PacketDropped { to: to.0 },
-                    );
-                }
-                continue;
-            }
-            let arrive = self.now + self.topo.one_way_latency(from, to);
-            group_fanout_target(&mut self.target_pool, &mut groups, arrive, to);
-            if let Some(extra) = self.dup_delay(from, to) {
-                // The duplicate rides the same batch machinery: one more
-                // target in the (strictly later) arrival-time group.
-                self.counters.faults_duplicated += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDuplicated { to: to.0 },
-                    );
-                }
-                group_fanout_target(&mut self.target_pool, &mut groups, arrive + extra, to);
-            }
-        }
-        flush_fanout_groups(from, msg, &mut groups, &mut self.target_pool, |at, ev| {
-            self.queue.schedule(at, ev);
-        });
-        self.scratch_groups = groups;
-    }
-
-    /// Applies counters, the drop filter, and the loss model to one
-    /// unicast copy, scheduling its delivery if it survives.
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
-        self.counters.unicasts_sent += 1;
-        let filtered = self.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
-        let lost = filtered || self.edge_loses(from, to);
-        if lost {
-            self.counters.unicasts_dropped += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::PacketDropped { to: to.0 },
-                );
-            }
-            return;
-        }
-        let arrive = self.now + self.topo.one_way_latency(from, to);
-        if let Some(extra) = self.dup_delay(from, to) {
-            self.counters.faults_duplicated += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.record(
-                    self.now.as_micros(),
-                    from.0,
-                    streams::ENGINE_WIRE,
-                    EventKind::FaultDuplicated { to: to.0 },
-                );
-            }
-            self.queue.schedule(arrive + extra, SimEvent::Deliver { to, from, msg: msg.clone() });
-        }
-        self.queue.schedule(arrive, SimEvent::Deliver { to, from, msg });
-    }
-
-    /// The edge loss decision for one surviving-the-filter copy: an armed
-    /// fault plan gets the first say (and an active loss burst overrides
-    /// the base model entirely); otherwise the base loss model draws.
-    fn edge_loses(&mut self, from: NodeId, to: NodeId) -> bool {
-        let verdict = match self.fault.as_deref() {
-            None => None,
-            Some(plan) => plan.drops(self.now, from, to, &self.topo),
-        };
-        match verdict {
-            Some(true) => {
-                self.counters.faults_dropped += 1;
-                // A fault drop also records a PacketDropped at the call
-                // site (mirroring `faults_dropped` + `unicasts_dropped`
-                // both incrementing); this event marks the verdict.
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.record(
-                        self.now.as_micros(),
-                        from.0,
-                        streams::ENGINE_WIRE,
-                        EventKind::FaultDropped { to: to.0 },
-                    );
-                }
-                true
-            }
-            Some(false) => false,
-            None => self.unicast_loss.drops_unicast(&mut self.loss_rng),
-        }
-    }
-
-    /// The duplication decision for one copy that survived the edge.
-    fn dup_delay(&self, from: NodeId, to: NodeId) -> Option<SimDuration> {
-        self.fault.as_deref().and_then(|plan| plan.duplicate_delay(self.now, from, to))
+        self.core.queue.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SimEvent;
     use crate::topology::presets::paper_region;
     use crate::topology::TopologyBuilder;
 
@@ -1202,13 +795,13 @@ mod tests {
         let topo = paper_region(40);
         let mut sim = Sim::new(topo, (0..40).map(|_| RegionCaster).collect(), 12);
         let first = run(&mut sim);
-        let warmed = sim.queue.allocated_capacity();
+        let warmed = sim.core.queue.allocated_capacity();
         sim.reset((0..40).map(|_| RegionCaster).collect(), 12);
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.counters(), NetCounters::default());
         let second = run(&mut sim);
         assert_eq!(first, second, "identical seed must replay identically");
-        let after = sim.queue.allocated_capacity();
+        let after = sim.core.queue.allocated_capacity();
         assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
     }
 
