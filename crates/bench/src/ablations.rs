@@ -4,8 +4,9 @@
 
 use rand::SeedableRng;
 use rrmp_core::harness::{RrmpNetwork, RunReport};
+use rrmp_core::observe::BufferRecords;
 use rrmp_core::packet::Packet;
-use rrmp_core::prelude::{PolicyKind, ProtocolConfig, TraceConfig};
+use rrmp_core::prelude::{PolicyKind, ProtocolConfig};
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
 use rrmp_netsim::stats::OnlineStats;
 use rrmp_netsim::time::{SimDuration, SimTime};
@@ -265,20 +266,15 @@ pub fn ablation_idle_threshold(
                     .idle_threshold(SimDuration::from_millis(t_ms))
                     .build()
                     .expect("valid T");
-                let mut net =
-                    RrmpNetwork::new(topo, cfg, seed).with_observer(TraceConfig::default());
+                let mut net = RrmpNetwork::new(topo, cfg, seed).with_buffer_records();
                 let holders: Vec<NodeId> = (0..k as u32).map(NodeId).collect();
                 let id = net.seed_message_with_holders(&b"T-sweep"[..], &holders);
                 net.run_until(SimTime::from_secs(2));
                 for h in &holders {
-                    if let Some(d) = net
-                        .node(*h)
-                        .receiver()
-                        .trace()
-                        .expect("observer armed")
-                        .buffer_record(id)
-                        .and_then(|r| r.short_term_duration())
-                    {
+                    let records = net.node(*h).receiver().observer::<BufferRecords>();
+                    let rec =
+                        records.and_then(|r| r.get(id)).expect("every initial holder has a record");
+                    if let Some(d) = rec.short_term_duration() {
                         buffering.push(d.as_millis_f64());
                     }
                 }

@@ -9,8 +9,9 @@ use rrmp_analysis::models::{
 };
 use rrmp_core::harness::RrmpNetwork;
 use rrmp_core::ids::MessageId;
+use rrmp_core::observe::BufferRecords;
 use rrmp_core::packet::Packet;
-use rrmp_core::prelude::{PreloadState, ProtocolConfig, TraceConfig};
+use rrmp_core::prelude::{PreloadState, ProtocolConfig};
 use rrmp_netsim::rng::SeedSequence;
 use rrmp_netsim::stats::OnlineStats;
 use rrmp_netsim::time::{SimDuration, SimTime};
@@ -125,8 +126,9 @@ pub fn fig6_rows(n: usize, holder_counts: &[usize], seeds: u64, base_seed: u64) 
             let seed = base_seed ^ (k as u64) << 32 | s;
             let (id, holders, net) = run_epidemic(n, k, seed, SimTime::from_secs(2));
             for h in &holders {
-                let trace = net.node(*h).receiver().trace().expect("observer armed");
-                let rec = trace.buffer_record(id).unwrap_or_default();
+                let records = net.node(*h).receiver().observer::<BufferRecords>();
+                let rec =
+                    records.and_then(|r| r.get(id)).expect("every initial holder has a record");
                 if let Some(d) = rec.short_term_duration() {
                     stats.push(d.as_millis_f64());
                 }
@@ -272,8 +274,8 @@ fn run_epidemic(
     horizon: SimTime,
 ) -> (MessageId, Vec<NodeId>, RrmpNetwork) {
     let topo = presets::paper_region(n);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed)
-        .with_observer(TraceConfig::default());
+    let mut net =
+        RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed).with_buffer_records();
     let holders = pick_holders(&mut SeedSequence::new(seed).rng_for(999), n, k);
     let id = net.seed_message_with_holders(&b"epidemic"[..], &holders);
     net.run_until(horizon);

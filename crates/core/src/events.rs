@@ -50,14 +50,14 @@ pub enum TimerKind {
     ///
     /// [`ProtocolConfig::watchdog`]: crate::config::ProtocolConfig::watchdog
     Watchdog,
-    /// Periodic observer sampling tick (only armed when a trace observer
-    /// is attached via [`Receiver::arm_trace`] with a sample interval):
-    /// records a time-series [`Sample`] of buffer occupancy, store bytes
+    /// Periodic observer sampling tick (only armed when an observer is
+    /// attached via [`Receiver::arm_observer`] with a sample interval):
+    /// hands it a time-series [`Sample`] of buffer occupancy, store bytes
     /// vs budget, token-bucket level, and recovery backlog. Handling it
     /// makes **no RNG draws** and mutates no protocol state, so an armed
     /// sampler is trace-invariant across engines and shard counts.
     ///
-    /// [`Receiver::arm_trace`]: crate::receiver::Receiver::arm_trace
+    /// [`Receiver::arm_observer`]: crate::receiver::Receiver::arm_observer
     /// [`Sample`]: rrmp_trace::EventKind::Sample
     TraceSample,
 }

@@ -25,7 +25,7 @@ use crate::config::ProtocolConfig;
 use crate::events::{Action, Event, TimerKind};
 use crate::ids::MessageId;
 use crate::interval_set::IntervalSet;
-use crate::observe::TraceConfig;
+use crate::observe::{BufferRecords, Observer, ReceiverTrace, TraceConfig};
 use crate::packet::Packet;
 use crate::receiver::{PreloadState, Receiver};
 use crate::vecmap::VecMap;
@@ -313,9 +313,18 @@ pub struct RrmpNetwork {
     /// re-schedule the protocol-side crash and heal timers (the engines
     /// keep the network-edge half through their own reset).
     fault_plan: Option<Arc<FaultPlan>>,
-    /// Armed observer configuration, if any — retained so
-    /// [`RrmpNetwork::reset`] can re-arm the rebuilt receivers.
-    trace_cfg: Option<TraceConfig>,
+    /// The armed observer, if any — retained so [`RrmpNetwork::reset`]
+    /// can re-arm the rebuilt receivers.
+    armed: Option<Armed>,
+}
+
+/// Which observer every receiver of a network carries.
+#[derive(Debug, Clone, Copy)]
+enum Armed {
+    /// The trace ring ([`ReceiverTrace`]) and the engine sinks.
+    Trace(TraceConfig),
+    /// The buffer-lifecycle fold ([`BufferRecords`]).
+    BufferRecords,
 }
 
 impl RrmpNetwork {
@@ -406,7 +415,7 @@ impl RrmpNetwork {
             cfg,
             senders: senders.to_vec(),
             fault_plan: None,
-            trace_cfg: None,
+            armed: None,
         }
     }
 
@@ -475,25 +484,52 @@ impl RrmpNetwork {
     ///
     /// Panics if the simulation has already started.
     pub fn arm_observer(&mut self, tc: TraceConfig) {
+        self.arm(Armed::Trace(tc));
+    }
+
+    /// Attaches a [`BufferRecords`] fold to every receiver instead of the
+    /// trace ring, builder-style: every member's buffer lifecycle of every
+    /// message (the paper's Figure 6), read through
+    /// `receiver().observer::<BufferRecords>()`; kept across
+    /// [`RrmpNetwork::reset`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation has already started.
+    #[must_use]
+    pub fn with_buffer_records(mut self) -> Self {
+        self.arm(Armed::BufferRecords);
+        self
+    }
+
+    fn arm(&mut self, armed: Armed) {
         assert_eq!(self.sim.now(), SimTime::ZERO, "arm the observer before the simulation starts");
-        self.trace_cfg = Some(tc);
+        self.armed = Some(armed);
         self.rearm_observer();
     }
 
-    /// Whether the observer is armed.
+    /// Whether an observer is armed.
     #[must_use]
     pub fn observer_armed(&self) -> bool {
-        self.trace_cfg.is_some()
+        self.armed.is_some()
     }
 
-    /// Arms the engine sinks and every receiver from the retained config
-    /// (construction and after [`RrmpNetwork::reset`] rebuilds nodes).
+    /// Arms every receiver (and, for the ring, the engine sinks) from
+    /// `armed`: when armed, and after [`RrmpNetwork::reset`] rebuilds them.
     fn rearm_observer(&mut self) {
-        let Some(tc) = self.trace_cfg else { return };
-        self.sim.set_trace(Some(tc.ring_capacity));
+        let Some(armed) = self.armed else { return };
+        if let Armed::Trace(tc) = armed {
+            self.sim.set_trace(Some(tc.ring_capacity));
+        }
         let nodes: Vec<NodeId> = self.sim.topology().nodes().collect();
         for n in nodes {
-            self.sim.node_mut(n).receiver_mut().arm_trace(&tc);
+            let (observer, sample_every): (Box<dyn Observer>, _) = match armed {
+                Armed::Trace(tc) => {
+                    (Box::new(ReceiverTrace::new(n, tc.ring_capacity)), tc.sample_every)
+                }
+                Armed::BufferRecords => (Box::<BufferRecords>::default(), None),
+            };
+            self.sim.node_mut(n).receiver_mut().arm_observer(observer, sample_every);
         }
     }
 
@@ -504,11 +540,7 @@ impl RrmpNetwork {
     pub fn trace_events(&self) -> Vec<rrmp_trace::TraceEvent> {
         let mut out = Vec::new();
         self.sim.collect_trace(&mut out);
-        for (_, n) in self.sim.nodes() {
-            if let Some(t) = n.receiver().trace() {
-                t.collect_into(&mut out);
-            }
-        }
+        self.traces().for_each(|(_, t)| t.sink.collect_into(&mut out));
         rrmp_trace::sort_canonical(&mut out);
         out
     }
@@ -525,14 +557,12 @@ impl RrmpNetwork {
     /// export above is complete).
     #[must_use]
     pub fn trace_events_dropped(&self) -> u64 {
-        self.sim.trace_dropped()
-            + self
-                .sim
-                .nodes()
-                .map(|(_, n)| {
-                    n.receiver().trace().map_or(0, crate::observe::ReceiverTrace::events_dropped)
-                })
-                .sum::<u64>()
+        self.sim.trace_dropped() + self.traces().map(|(_, t)| t.sink.dropped()).sum::<u64>()
+    }
+
+    /// Every receiver's trace ring, by member.
+    fn traces(&self) -> impl Iterator<Item = (NodeId, &ReceiverTrace)> {
+        self.sim.nodes().filter_map(|(id, n)| Some((id, n.receiver().observer()?)))
     }
 
     /// Group-wide latency histograms as one JSON object:
@@ -549,14 +579,12 @@ impl RrmpNetwork {
         let mut inter = LogHistogram::new();
         let mut by_region: Vec<LogHistogram> = Vec::new();
         by_region.resize_with(self.sim.topology().region_count(), LogHistogram::new);
-        for (id, n) in self.sim.nodes() {
-            if let Some(t) = n.receiver().trace() {
-                recovery.merge(t.recovery_latency());
-                rtt.merge(t.repair_rtt());
-                inter.merge(t.inter_arrival());
-                let region = self.sim.topology().region_of(id);
-                by_region[region.index()].merge(t.inter_arrival());
-            }
+        for (id, t) in self.traces() {
+            recovery.merge(&t.recovery_latency);
+            rtt.merge(&t.repair_rtt);
+            inter.merge(&t.inter_arrival);
+            let region = self.sim.topology().region_of(id);
+            by_region[region.index()].merge(&t.inter_arrival);
         }
         let mut regions = JsonObj::new();
         for (i, h) in by_region.iter().enumerate() {
@@ -622,7 +650,7 @@ impl RrmpNetwork {
             cfg,
             senders: senders.to_vec(),
             fault_plan: None,
-            trace_cfg: None,
+            armed: None,
         }
     }
 

@@ -4,11 +4,11 @@
 //! The ablations compare the counter block ([`Counters`]) across
 //! policies, and Figures 8/9 read search times from the log of remote
 //! repairs sent ([`Metrics::remote_repairs`]). Per-message buffering
-//! intervals (Figure 6) are not kept here: they are trace events, rebuilt
-//! by [`ReceiverTrace::buffer_record`] on a receiver with the observer
+//! intervals (Figure 6) are not kept here: they are observer events,
+//! folded by a [`BufferRecords`] observer on a receiver that has one
 //! armed.
 //!
-//! [`ReceiverTrace::buffer_record`]: crate::observe::ReceiverTrace::buffer_record
+//! [`BufferRecords`]: crate::observe::BufferRecords
 
 use rrmp_netsim::time::SimTime;
 

@@ -47,10 +47,10 @@ use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
 use crate::ids::MessageId;
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
-use crate::observe::ReceiverTrace;
+use crate::observe::Observer;
 use crate::packet::Packet;
 use crate::vecmap::VecMap;
-use rrmp_trace::BufferPhase;
+use rrmp_trace::{BufferPhase, EventKind};
 
 /// How a data payload reached a receiver — policies use it to
 /// distinguish initial multicasts from repairs and handoffs.
@@ -90,7 +90,7 @@ pub struct PolicyCtx<'a> {
     pub metrics: &'a mut Metrics,
     /// The receiver's observer, if armed: buffer-phase changes are
     /// recorded here.
-    pub trace: Option<&'a mut ReceiverTrace>,
+    pub observer: Option<&'a mut dyn Observer>,
     /// The receiver's RNG — the *only* randomness source, so identical
     /// inputs yield identical behaviour for any policy.
     pub rng: &'a mut StdRng,
@@ -106,8 +106,9 @@ impl PolicyCtx<'_> {
 
     /// Records a buffer-phase change of `id` on the observer, if armed.
     fn phase(&mut self, id: MessageId, phase: BufferPhase) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_buffer(id, phase, self.now);
+        let (src, mseq) = (id.source.0, id.seq.value());
+        if let Some(o) = self.observer.as_deref_mut() {
+            o.on_event(self.now, EventKind::Buffer { src, mseq, phase });
         }
     }
 

@@ -46,7 +46,7 @@ use crate::events::{Action, Event, TimerKind};
 use crate::ids::{MessageId, SeqNo};
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
-use crate::observe::{ReceiverTrace, TraceConfig};
+use crate::observe::Observer;
 use crate::packet::{DataPacket, Packet, RepairKind};
 use crate::policy::{BufferPolicy, DataPath, PolicyCtx};
 use crate::vecmap::VecMap;
@@ -65,7 +65,7 @@ macro_rules! policy_ctx {
             detector: &$self.detector,
             store: &mut $self.store,
             metrics: &mut $self.metrics,
-            trace: $self.trace.as_deref_mut(),
+            observer: $self.observer.as_deref_mut().map(|a| &mut *a.observer),
             rng: &mut $self.rng,
             actions: $actions,
         }
@@ -249,10 +249,17 @@ pub struct Receiver {
     /// Repair-storm damper — `Some` iff [`ProtocolConfig::damping`] is
     /// armed. Unarmed receivers never touch it.
     damper: Option<TokenBucket>,
-    /// Observer hooks ([`crate::observe`]) — `Some` iff armed via
-    /// [`Receiver::arm_trace`]. An unarmed receiver pays one branch on
-    /// the `None` discriminant per hook site.
-    trace: Option<Box<ReceiverTrace>>,
+    /// The observer ([`crate::observe`]) — `Some` iff armed via
+    /// [`Receiver::arm_observer`]. One thin pointer: an unarmed receiver
+    /// pays one branch on the `None` discriminant per hook site.
+    observer: Option<Box<Attached>>,
+}
+
+/// An armed observer and the interval of its sampling tick.
+#[derive(Debug)]
+struct Attached {
+    sample_every: Option<SimDuration>,
+    observer: Box<dyn Observer>,
 }
 
 impl Receiver {
@@ -320,7 +327,7 @@ impl Receiver {
             next_seq: SeqNo::NONE,
             expire_scratch: Vec::new(),
             damper,
-            trace: None,
+            observer: None,
         }
     }
 
@@ -387,20 +394,20 @@ impl Receiver {
         &self.metrics
     }
 
-    /// Attaches the observer ([`crate::observe`]): bounded event rings
-    /// on the receiver stream plus recovery-latency histograms. Arm
-    /// before processing any event so the detection side tables see
-    /// every loss; when [`TraceConfig::sample_every`] is set the
-    /// sampling tick is scheduled by [`Receiver::on_start`] (or by the
-    /// host, for receivers armed after start-up).
-    pub fn arm_trace(&mut self, cfg: &TraceConfig) {
-        self.trace = Some(Box::new(ReceiverTrace::new(self.id, cfg)));
+    /// Attaches `observer` ([`crate::observe`]), replacing any other.
+    /// Arm before processing any event so it sees every one; with
+    /// `sample_every` set, [`Receiver::on_start`] schedules the
+    /// [`TimerKind::TraceSample`] tick (the host does, for receivers
+    /// armed after start-up), which feeds it an `EventKind::Sample`.
+    pub fn arm_observer(&mut self, observer: Box<dyn Observer>, sample_every: Option<SimDuration>) {
+        self.observer = Some(Box::new(Attached { sample_every, observer }));
     }
 
-    /// The attached observer, if armed.
+    /// The attached observer, if one of type `T` is armed.
     #[must_use]
-    pub fn trace(&self) -> Option<&ReceiverTrace> {
-        self.trace.as_deref()
+    pub fn observer<T: Observer>(&self) -> Option<&T> {
+        let observer: &dyn std::any::Any = &*self.observer.as_ref()?.observer;
+        observer.downcast_ref()
     }
 
     /// Whether this member has voluntarily left the group.
@@ -428,9 +435,7 @@ impl Receiver {
         if self.left {
             return;
         }
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_heal(now);
-        }
+        self.observe(now, EventKind::Healed);
         // `VecMap` iterates in ascending id order, so the heal round
         // emits actions in the same order on every engine layout.
         let exhausted: Vec<MessageId> = self
@@ -508,7 +513,7 @@ impl Receiver {
         if let Some(wd) = self.cfg.watchdog {
             actions.push(Action::SetTimer { delay: wd.interval, kind: TimerKind::Watchdog });
         }
-        if let Some(every) = self.trace.as_ref().and_then(|t| t.sample_every()) {
+        if let Some(every) = self.observer.as_ref().and_then(|a| a.sample_every) {
             actions.push(Action::SetTimer { delay: every, kind: TimerKind::TraceSample });
         }
         if self.cfg.periodic_sessions && self.next_seq != SeqNo::NONE {
@@ -601,11 +606,17 @@ impl Receiver {
         }
     }
 
+    /// Hands `kind` to the observer, if armed.
+    #[inline]
+    fn observe(&mut self, now: SimTime, kind: EventKind) {
+        if let Some(a) = self.observer.as_deref_mut() {
+            a.observer.on_event(now, kind);
+        }
+    }
+
     /// Records a buffer-phase change of `id` on the observer, if armed.
     fn phase(&mut self, id: MessageId, phase: BufferPhase, now: SimTime) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_buffer(id, phase, now);
-        }
+        self.observe(now, EventKind::Buffer { src: id.source.0, mseq: id.seq.value(), phase });
     }
 
     /// Drops `msg`'s record once every field is `None`.
@@ -677,9 +688,11 @@ impl Receiver {
         if outcome.newly_received {
             self.metrics.counters.delivered += 1;
             actions.push(Action::Deliver { id, payload: data.payload.clone() });
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_buffer(id, BufferPhase::Received, now);
-                t.on_delivered(id, now);
+            if let Some(a) = self.observer.as_deref_mut() {
+                let (src, mseq) = (id.source.0, id.seq.value());
+                a.observer
+                    .on_event(now, EventKind::Buffer { src, mseq, phase: BufferPhase::Received });
+                a.observer.on_delivered(now, id);
             }
             // Critical-tier admission control: the message is delivered
             // locally regardless, but we decline to take on a buffering
@@ -760,9 +773,8 @@ impl Receiver {
     ) {
         self.metrics.counters.repairs_sent_remote += 1;
         self.metrics.record_remote_repair(now, msg);
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_repair_sent(msg, to, now);
-        }
+        let (src, mseq) = (msg.source.0, msg.seq.value());
+        self.observe(now, EventKind::RepairSent { src, mseq, to: to.0 });
         actions.push(Action::Send {
             to,
             packet: Packet::Repair {
@@ -808,9 +820,7 @@ impl Receiver {
     /// compare) while no budget is configured.
     fn apply_pressure(&mut self, now: SimTime, actions: &mut Vec<Action>) {
         let tier = self.store.tier();
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_tier(tier, now);
-        }
+        self.observe(now, EventKind::PressureTier { tier: tier as u8 });
         if tier >= PressureTier::Pressure {
             self.policy.on_pressure(&mut policy_ctx!(self, now, actions), tier);
         }
@@ -868,9 +878,8 @@ impl Receiver {
         self.store.note_request(msg, now);
         if let Some(payload) = self.store.get(msg) {
             self.metrics.counters.repairs_sent_local += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_repair_sent(msg, from, now);
-            }
+            let (src, mseq) = (msg.source.0, msg.seq.value());
+            self.observe(now, EventKind::RepairSent { src, mseq, to: from.0 });
             actions.push(Action::Send {
                 to: from,
                 packet: Packet::Repair {
@@ -931,9 +940,7 @@ impl Receiver {
         if !self.detector.is_missing(msg) {
             return;
         }
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.on_loss_detected(msg, now);
-        }
+        self.observe(now, EventKind::LossDetected { src: msg.source.0, mseq: msg.seq.value() });
         let remote = self.policy.remote_recovery() && self.view.parent().is_some();
         let phases: &[Phase] = if remote { &[Phase::Pull, Phase::Remote] } else { &[Phase::Pull] };
         for &phase in phases {
@@ -971,9 +978,7 @@ impl Receiver {
             self.tidy(msg);
             if missing {
                 self.metrics.counters.recovery_gave_up += 1;
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.on_gave_up(msg, now);
-                }
+                self.observe(now, EventKind::GaveUp { src: msg.source.0, mseq: msg.seq.value() });
             }
             return;
         }
@@ -1004,9 +1009,8 @@ impl Receiver {
                 Phase::Remote => self.policy.remote_target(ctx, msg),
             };
             if let Some(to) = target {
-                if let Some(t) = self.trace.as_deref_mut() {
-                    t.on_recovery_round(msg, phase == Phase::Remote, attempt, now);
-                }
+                let (src, mseq, remote) = (msg.source.0, msg.seq.value(), phase == Phase::Remote);
+                self.observe(now, EventKind::RecoveryRound { src, mseq, remote, attempt });
                 let packet = if phase == Phase::Remote || self.policy.pull_via_remote_request() {
                     self.metrics.counters.remote_requests_sent += 1;
                     Packet::RemoteRequest { msg }
@@ -1106,9 +1110,7 @@ impl Receiver {
         if search.attempts > self.cfg.max_search_attempts {
             search.exhausted_at = Some(now);
             self.metrics.counters.recovery_gave_up += 1;
-            if let Some(t) = self.trace.as_deref_mut() {
-                t.on_gave_up(msg, now);
-            }
+            self.observe(now, EventKind::GaveUp { src: msg.source.0, mseq: msg.seq.value() });
             return;
         }
         let origins = search.origins.clone();
@@ -1238,7 +1240,7 @@ impl Receiver {
                 // interval is attached; a stray tick on a disarmed
                 // receiver is ignored. Handling makes no RNG draws and
                 // mutates no protocol state — only the observer.
-                if self.trace.is_some() {
+                if let Some(every) = self.observer.as_ref().and_then(|a| a.sample_every) {
                     let count = |has: fn(&Recovery) -> bool| {
                         let n = self.recovery.iter().filter(|(_, r)| has(r)).count();
                         u32::try_from(n).unwrap_or(u32::MAX)
@@ -1252,13 +1254,8 @@ impl Receiver {
                         pending_remote: count(|r| r.remote.is_some()),
                         searches: count(|r| r.search.is_some()),
                     };
-                    let every = self.trace.as_ref().and_then(|t| t.sample_every());
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.on_sample(kind, now);
-                    }
-                    if let Some(delay) = every {
-                        actions.push(Action::SetTimer { delay, kind: TimerKind::TraceSample });
-                    }
+                    self.observe(now, kind);
+                    actions.push(Action::SetTimer { delay: every, kind: TimerKind::TraceSample });
                 }
             }
         }
@@ -1331,6 +1328,7 @@ impl Receiver {
 mod tests {
     use super::*;
     use crate::config::{ConfigError, PolicyKind};
+    use crate::observe::BufferRecords;
     use rrmp_membership::view::RegionView;
     use rrmp_netsim::topology::RegionId;
 
@@ -1513,7 +1511,7 @@ mod tests {
     fn request_refreshes_idle_clock() {
         let cfg = ProtocolConfig::paper_defaults(); // T = 40ms
         let mut r = root_receiver(cfg);
-        r.arm_trace(&TraceConfig::default());
+        r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
         // Request at t=30 refreshes the clock to t=30.
         r.handle(packet_event(3, Packet::LocalRequest { msg: mid(1) }), t(30));
@@ -1530,7 +1528,7 @@ mod tests {
         // At t=70 it transitions.
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(70));
         assert_eq!(r.metrics().counters.idle_transitions, 1);
-        let rec = r.trace().unwrap().buffer_record(mid(1)).unwrap();
+        let rec = r.observer::<BufferRecords>().unwrap().get(mid(1)).unwrap();
         assert_eq!((rec.received_at, rec.idled_at), (Some(t(0)), Some(t(70))));
     }
 
@@ -1539,24 +1537,27 @@ mod tests {
         // C = 1000 in a 5-member region clamps P to 1: always keep.
         let cfg = ProtocolConfig::builder().c(1000.0).build().unwrap();
         let mut r = root_receiver(cfg);
-        r.arm_trace(&TraceConfig::default());
+        r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
         assert_eq!(r.store().long_count(), 1);
         assert_eq!(r.metrics().counters.long_term_kept, 1);
-        assert!(r.trace().unwrap().buffer_record(mid(1)).unwrap().kept_long_term);
+        assert!(r.observer::<BufferRecords>().unwrap().get(mid(1)).unwrap().kept_long_term);
     }
 
     #[test]
     fn idle_transition_discards_when_c_is_negligible() {
         let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
         let mut r = root_receiver(cfg);
-        r.arm_trace(&TraceConfig::default());
+        r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
         assert!(!r.store().contains(mid(1)));
         assert_eq!(r.metrics().counters.discarded_at_idle, 1);
-        assert_eq!(r.trace().unwrap().buffer_record(mid(1)).unwrap().discarded_at, Some(t(40)));
+        assert_eq!(
+            r.observer::<BufferRecords>().unwrap().get(mid(1)).unwrap().discarded_at,
+            Some(t(40))
+        );
     }
 
     #[test]
@@ -1789,7 +1790,7 @@ mod tests {
     fn handoff_after_discard_reinstates_long_term() {
         let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
         let mut r = root_receiver(cfg);
-        r.arm_trace(&TraceConfig::default());
+        r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
         assert!(!r.store().contains(mid(1)));
@@ -1798,7 +1799,7 @@ mod tests {
             t(50),
         );
         assert_eq!(r.store().long_count(), 1);
-        let rec = r.trace().unwrap().buffer_record(mid(1)).unwrap();
+        let rec = r.observer::<BufferRecords>().unwrap().get(mid(1)).unwrap();
         assert!(rec.kept_long_term && rec.discarded_at.is_none(), "{rec:?}");
         assert_eq!(rec.idled_at, Some(t(40)));
     }

@@ -2,6 +2,8 @@
 //! discrete-event simulator — used by churn experiments and integration
 //! tests to exercise the detector over a real (simulated) network.
 
+use rand::rngs::StdRng;
+use rrmp_netsim::rng::SeedSequence;
 use rrmp_netsim::sim::{Ctx, SimNode};
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::NodeId;
@@ -19,6 +21,9 @@ pub struct GossipNode {
     pub observed: Vec<(SimTime, ViewEvent)>,
     /// When `true` the node stops gossiping (simulates a crash).
     pub crashed: bool,
+    /// The gossip-target stream, seeded from the run's seed and this
+    /// node's id on the first tick.
+    rng: Option<StdRng>,
 }
 
 impl GossipNode {
@@ -33,6 +38,7 @@ impl GossipNode {
             state: GossipState::new(self_id, members, cfg, SimTime::ZERO),
             observed: Vec::new(),
             crashed: false,
+            rng: None,
         }
     }
 
@@ -73,7 +79,9 @@ impl SimNode for GossipNode {
             return; // crashed: no more ticks, no more gossip
         }
         let now = ctx.now();
-        let (targets, digest) = self.state.on_tick(now, ctx.rng());
+        let (seed, id) = (ctx.seed(), u64::from(ctx.self_id().0));
+        let rng = self.rng.get_or_insert_with(|| SeedSequence::new(seed).rng_for(id));
+        let (targets, digest) = self.state.on_tick(now, rng);
         for t in targets {
             ctx.send(t, digest.clone());
         }

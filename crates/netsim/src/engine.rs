@@ -1,6 +1,6 @@
 //! The per-event core both simulation engines drive.
 //!
-//! A [`Core`] owns a set of nodes, their RNG streams, one event queue, the
+//! A [`Core`] owns a set of nodes, their loss streams, one event queue, the
 //! [`NetCounters`], the engine trace sink and the scratch buffers, and it
 //! implements every per-event step once: dispatch, draining a callback's
 //! ops, transmit and fan-out, the edge verdict (drop filter, fault plan,
@@ -156,11 +156,12 @@ pub(crate) struct Env<'a, M> {
     pub(crate) region_shard: &'a [u32],
 }
 
-/// Nodes, RNG streams, one event queue, counters, the trace sink and the
+/// Nodes, loss streams, one event queue, counters, the trace sink and the
 /// scratch buffers, with every per-event step (see the module docs).
 pub(crate) struct Core<N: SimNode<T>, T> {
     pub(crate) nodes: Vec<N>,
-    rngs: Vec<StdRng>,
+    /// The run's seed, lent to callbacks ([`Ctx::seed`]).
+    seed: u64,
     /// Unicast-loss streams: one global stream on `Sim`, one per local
     /// node on a shard.
     loss_rngs: Vec<StdRng>,
@@ -199,7 +200,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     pub(crate) fn new(optimized: bool, shard: Option<Shard<N::Msg>>) -> Self {
         Core {
             nodes: Vec::new(),
-            rngs: Vec::new(),
+            seed: 0,
             loss_rngs: Vec::new(),
             loss_stream_mask: if shard.is_some() { usize::MAX } else { 0 },
             queue: EventQueue::new(),
@@ -225,9 +226,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
         let count = self.shard.as_ref().map_or(nodes.len(), |s| s.node_ids.len());
         self.nodes = nodes;
         self.nodes.reserve_exact(count - self.nodes.len());
-        self.rngs.clear();
-        self.rngs.reserve_exact(count);
-        self.rngs.extend((0..self.nodes.len() as u64).map(|i| seq.rng_for(i)));
+        self.seed = seq.seed();
         self.loss_rngs.clear();
         match &mut self.shard {
             None => self.loss_rngs.push(seq.rng_for(GLOBAL_LOSS_STREAM)),
@@ -248,11 +247,10 @@ impl<N: SimNode<T>, T> Core<N, T> {
     }
 
     /// Appends the shard node with global id `id` (in ascending id
-    /// order), deriving its RNG streams from `seq`.
+    /// order), deriving its unicast-loss stream from `seq`.
     pub(crate) fn push_node(&mut self, id: NodeId, node: N, seq: &SeedSequence) {
         debug_assert_eq!(self.local(id), self.nodes.len());
         self.nodes.push(node);
-        self.rngs.push(seq.rng_for(u64::from(id.0)));
         self.loss_rngs.push(seq.rng_for(loss_stream(id)));
     }
 
@@ -386,7 +384,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 now: self.now,
                 self_id: from,
                 topo: env.topo,
-                rng: &mut self.rngs[local],
+                seed: self.seed,
                 ops: &mut ops,
                 targets: &mut targets,
                 fanout_ops: self.optimized,

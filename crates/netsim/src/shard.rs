@@ -725,8 +725,11 @@ mod tests {
     /// Forwards a hop counter to a pseudo-random node (often crossing
     /// regions), exercising cross-region routing, per-node RNG streams,
     /// and mailbox merges.
+    #[derive(Default)]
     struct Gossiper {
         log: Vec<(SimTime, NodeId, u32)>,
+        /// Seeded from the run's seed and the node's id on first use.
+        rng: Option<rand::rngs::StdRng>,
     }
 
     impl SimNode for Gossiper {
@@ -735,7 +738,9 @@ mod tests {
             self.log.push((ctx.now(), from, msg));
             if msg > 0 {
                 let n = ctx.topology().node_count() as u32;
-                let mut to = NodeId(ctx.rng().gen_range(0..n));
+                let (seed, id) = (ctx.seed(), u64::from(ctx.self_id().0));
+                let rng = self.rng.get_or_insert_with(|| SeedSequence::new(seed).rng_for(id));
+                let mut to = NodeId(rng.gen_range(0..n));
                 if to == ctx.self_id() {
                     to = NodeId((to.0 + 1) % n);
                 }
@@ -750,7 +755,7 @@ mod tests {
     fn gossip_trace(shards: usize, seed: u64, loss: bool) -> (Trace, NetCounters) {
         let topo = presets::region_tree(4, 2, 2, SimDuration::from_millis(25));
         let n = topo.node_count();
-        let nodes = (0..n).map(|_| Gossiper { log: Vec::new() }).collect();
+        let nodes = (0..n).map(|_| Gossiper::default()).collect();
         let mut sim = ShardedSim::new(topo, nodes, seed, shards);
         if loss {
             sim.set_unicast_loss(LossModel::Bernoulli { p: 0.2 });
@@ -790,7 +795,7 @@ mod tests {
     fn skewed_gossip_trace(shards: usize) -> (Trace, NetCounters) {
         let topo = skewed_topo();
         let n = topo.node_count();
-        let nodes = (0..n).map(|_| Gossiper { log: Vec::new() }).collect();
+        let nodes = (0..n).map(|_| Gossiper::default()).collect();
         let mut sim = ShardedSim::new(topo, nodes, 23, shards);
         sim.set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
         sim.inject(NodeId(0), NodeId(20), 250, SimTime::ZERO);
@@ -949,7 +954,7 @@ mod tests {
     fn reset_replays_identically() {
         let topo = presets::region_tree(3, 2, 1, SimDuration::from_millis(25));
         let n = topo.node_count();
-        let mk = || (0..n).map(|_| Gossiper { log: Vec::new() }).collect::<Vec<_>>();
+        let mk = || (0..n).map(|_| Gossiper::default()).collect::<Vec<_>>();
         let mut sim = ShardedSim::new(topo, mk(), 11, 3);
         sim.inject(NodeId(0), NodeId(1), 60, SimTime::ZERO);
         sim.run_until_quiescent(SimTime::from_secs(30));

@@ -52,7 +52,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
 use rrmp_trace::TraceSink;
 
 use crate::engine::{Core, Env, Filter, Op};
@@ -91,13 +90,13 @@ pub trait SimNode<T = u64> {
 
 /// The execution context handed to node callbacks.
 ///
-/// Provides the current time, the node's own identity and RNG, the shared
-/// topology, and the means to send packets and set timers.
+/// Provides the current time, the node's own identity, the run's seed,
+/// the shared topology, and the means to send packets and set timers.
 pub struct Ctx<'a, M, T = u64> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) topo: &'a Topology,
-    pub(crate) rng: &'a mut StdRng,
+    pub(crate) seed: u64,
     pub(crate) ops: &'a mut Vec<Op<M, T>>,
     pub(crate) targets: &'a mut Vec<NodeId>,
     /// When false (reference mode), multi-destination sends degrade to one
@@ -125,9 +124,12 @@ impl<'a, M, T> Ctx<'a, M, T> {
         self.topo
     }
 
-    /// This node's deterministic random number generator.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+    /// The run's seed: a node that draws randomness derives its own
+    /// stream from it, e.g. `SeedSequence::new(ctx.seed()).rng_for(id)`
+    /// ([`SeedSequence`]), the same on every engine and shard layout.
+    #[must_use]
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// Sends `msg` to `to`; it arrives after the topology's one-way latency
@@ -701,14 +703,17 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         fn run() -> Vec<(SimTime, NodeId, u32)> {
-            struct Gossiper;
+            #[derive(Default)]
+            struct Gossiper(Option<rand::rngs::StdRng>);
             impl SimNode for Gossiper {
                 type Msg = u32;
                 fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, msg: u32) {
                     if msg > 0 {
                         use rand::Rng;
                         let n = ctx.topology().node_count() as u32;
-                        let mut to = NodeId(ctx.rng().gen_range(0..n));
+                        let (seed, id) = (ctx.seed(), u64::from(ctx.self_id().0));
+                        let rng = self.0.get_or_insert_with(|| SeedSequence::new(seed).rng_for(id));
+                        let mut to = NodeId(rng.gen_range(0..n));
                         if to == ctx.self_id() {
                             to = NodeId((to.0 + 1) % n);
                         }
@@ -718,7 +723,7 @@ mod tests {
                 fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
             }
             let topo = paper_region(10);
-            let mut sim = Sim::new(topo, (0..10).map(|_| Gossiper).collect(), 1234);
+            let mut sim = Sim::new(topo, (0..10).map(|_| Gossiper::default()).collect(), 1234);
             sim.inject(NodeId(0), NodeId(9), 50, SimTime::ZERO);
             // Track deliveries via a probe wrapper would need more machinery;
             // instead assert on counters + final time.

@@ -3,6 +3,7 @@
 //! analytic models against simulation.
 
 use rrmp::analysis::models::{no_bufferer_probability, no_request_probability};
+use rrmp::core::observe::BufferRecords;
 use rrmp::core::policy::designated_bufferers;
 use rrmp::prelude::*;
 
@@ -143,16 +144,16 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
     // RRMP: all of region 1 misses; fast members that received the
     // initial multicast idle out at T = 40 ms regardless of the slow
     // region still recovering.
-    let mut net = RrmpNetwork::new(build_topo(), ProtocolConfig::paper_defaults(), 31)
-        .with_observer(TraceConfig::default());
+    let mut net =
+        RrmpNetwork::new(build_topo(), ProtocolConfig::paper_defaults(), 31).with_buffer_records();
     let plan = DeliveryPlan::region_loss(net.topology(), RegionId(1));
     let id = net.multicast_with_plan(&b"het"[..], &plan);
     net.run_until(SimTime::from_secs(6));
     assert!(net.all_delivered(id), "slow region must still recover");
     let mut fast_release = Vec::new();
     for i in 0..20u32 {
-        let trace = net.node(NodeId(i)).receiver().trace().expect("observer armed");
-        let rec = trace.buffer_record(id).expect("record");
+        let records = net.node(NodeId(i)).receiver().observer::<BufferRecords>();
+        let rec = records.expect("buffer records armed").get(id).expect("record");
         if let Some(d) = rec.short_term_duration() {
             fast_release.push(d.as_millis_f64());
         }

@@ -3,12 +3,12 @@
 //! comparison against naive policies.
 
 use rrmp::core::buffer::Phase;
-use rrmp::core::observe::BufferRecord;
+use rrmp::core::observe::{BufferRecord, BufferRecords};
 use rrmp::prelude::*;
 
-/// `id`'s buffer lifecycle on `node`, read from its armed observer.
+/// `id`'s buffer lifecycle on `node`, read from its armed fold.
 fn buffer_record(net: &RrmpNetwork, node: NodeId, id: MessageId) -> Option<BufferRecord> {
-    net.node(node).receiver().trace().expect("observer armed").buffer_record(id)
+    net.node(node).receiver().observer::<BufferRecords>().expect("buffer records armed").get(id)
 }
 
 #[test]
@@ -17,8 +17,7 @@ fn idle_transition_waits_for_requests_to_stop() {
     // well beyond T = 40ms because requests keep arriving, and may only
     // idle out after the epidemic completes.
     let topo = presets::paper_region(20);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1)
-        .with_observer(TraceConfig::default());
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1).with_buffer_records();
     let holder = NodeId(3);
     let id = net.seed_message_with_holders(&b"feedback"[..], &[holder]);
     net.run_until(SimTime::from_millis(39));
@@ -35,8 +34,7 @@ fn uncontended_message_idles_exactly_at_t() {
     // Everyone receives the initial multicast: no requests ever arrive,
     // so every member's idle transition lands exactly at T.
     let topo = presets::paper_region(10);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2)
-        .with_observer(TraceConfig::default());
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2).with_buffer_records();
     let id = net.multicast_with_plan(&b"calm"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_secs(1));
     for (node_id, _) in net.nodes() {
@@ -230,7 +228,7 @@ fn fixed_time_policy_ignores_feedback() {
     let topo = presets::paper_region(30);
     let cfg =
         ProtocolConfig::builder().policy(PolicyKind::FixedTime { hold }).build().expect("valid");
-    let mut net = RrmpNetwork::new(topo, cfg, 7).with_observer(TraceConfig::default());
+    let mut net = RrmpNetwork::new(topo, cfg, 7).with_buffer_records();
     let holder = NodeId(0);
     let id = net.seed_message_with_holders(&b"rigid"[..], &[holder]);
     net.run_until(SimTime::from_secs(3));
