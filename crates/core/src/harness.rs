@@ -381,9 +381,10 @@ impl RrmpNetwork {
     }
 
     /// Builds a group hosted on the **conservatively parallel** sharded
-    /// engine ([`ShardedSim`]) with `shards` shards (clamped to the region
-    /// count; a region never splits). Traces are byte-identical at every
-    /// shard count — `shards` only picks the degree of parallelism.
+    /// engine ([`ShardedSim`]): one per-event core per region, run by
+    /// `shards` worker threads (the calling thread included; clamped to the
+    /// region count). Traces are byte-identical at every worker count —
+    /// `shards` only picks the degree of parallelism.
     ///
     /// Note the sharded engine's windowed semantics differ from
     /// [`RrmpNetwork::new`]'s single event queue (per-sender unicast-loss
@@ -399,8 +400,8 @@ impl RrmpNetwork {
         cfg.validate().expect("invalid protocol config");
         assert!(shards >= 1, "need at least one shard");
         let senders = [NodeId(0)];
-        // Stream nodes straight into their shards — never materialize the
-        // full node set twice (a `Vec` plus the per-shard vectors), which
+        // Stream nodes straight into their regions — never materialize the
+        // full node set twice (a `Vec` plus the per-region vectors), which
         // at a million members would briefly double peak memory.
         let sim = ShardedSim::new_from(
             &topo,
@@ -615,8 +616,8 @@ impl RrmpNetwork {
         }
     }
 
-    /// Number of shards the engine runs on (1 for the single-queue
-    /// engines).
+    /// Number of worker threads the engine runs on (1 for the
+    /// single-queue engines).
     #[must_use]
     pub fn shards(&self) -> usize {
         match &self.sim {
@@ -669,7 +670,7 @@ impl RrmpNetwork {
 
     /// Per-node protocol state as an iterator in `NodeId` order — hosts
     /// that can consume nodes one at a time (the sharded engine streams
-    /// them into per-shard vectors) avoid ever holding the full set in a
+    /// them into per-region vectors) avoid ever holding the full set in a
     /// second buffer.
     fn build_nodes_iter<'t>(
         topo: &'t Topology,

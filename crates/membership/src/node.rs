@@ -119,6 +119,49 @@ mod tests {
         }
     }
 
+    /// A [`GossipNode`] that logs the sender of every digest it hears.
+    struct Tap {
+        inner: GossipNode,
+        heard: Vec<(SimTime, NodeId)>,
+    }
+
+    impl SimNode for Tap {
+        type Msg = Digest;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Digest>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Digest>, from: NodeId, digest: Digest) {
+            self.heard.push((ctx.now(), from));
+            self.inner.on_packet(ctx, from, digest);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Digest>, token: u64) {
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn gossip_targets_come_from_the_nodes_own_stream() {
+        // Node 3's first six gossip targets (fanout 1) under seed 11 are
+        // drawn from `rng_for(3)` of that seed; any other stream picks
+        // other targets.
+        let cfg = GossipConfig::default();
+        let nodes = cluster(8, &cfg).into_iter().map(|inner| Tap { inner, heard: Vec::new() });
+        let mut sim = Sim::new(paper_region(8), nodes.collect(), 11);
+        sim.run_until(SimTime::from_millis(650));
+        let mut targets: Vec<(SimTime, NodeId)> = sim
+            .nodes()
+            .flat_map(|(to, tap)| {
+                tap.heard
+                    .iter()
+                    .filter(|&&(_, from)| from == NodeId(3))
+                    .map(move |&(at, _)| (at, to))
+            })
+            .collect();
+        targets.sort();
+        let targets: Vec<u32> = targets.iter().map(|&(_, to)| to.0).collect();
+        assert_eq!(targets, [4, 6, 1, 4, 1, 2]);
+    }
+
     #[test]
     fn crash_detected_within_bound_over_network() {
         let cfg = GossipConfig {

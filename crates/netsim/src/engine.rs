@@ -5,18 +5,20 @@
 //! implements every per-event step once: dispatch, draining a callback's
 //! ops, transmit and fan-out, the edge verdict (drop filter, fault plan,
 //! loss model), duplication and routing. [`Sim`](crate::sim::Sim) drives
-//! one core over the whole topology; every shard of a
-//! [`ShardedSim`](crate::shard::ShardedSim) is one core over its regions.
-//! The core does not know how the run is partitioned beyond two facts its
-//! constructor fixes:
+//! one core over the whole topology; a
+//! [`ShardedSim`](crate::shard::ShardedSim) drives one core per region.
+//! Either way a core owns one contiguous range of node ids (the builder
+//! numbers nodes region by region), so a node's slot is its id minus the
+//! range's first. The core does not know how the run is partitioned
+//! beyond two facts its constructor fixes:
 //!
 //! * **the unicast-loss stream**: one global stream on `Sim`, one stream
-//!   per sender on a shard (a global stream would make a shard's draws
-//!   depend on how other shards' events interleave with its own);
+//!   per sender on a region core (a global stream would make a region's
+//!   draws depend on how other regions' events interleave with its own);
 //! * **cross-region routing**: `Sim` schedules every surviving copy into
-//!   its own queue, while a shard sends cross-region copies through
-//!   per-shard mailboxes that the driver merges at the window barrier in
-//!   `(arrive, src_region, emit_seq)` order.
+//!   its own queue, while a region core puts cross-region copies in its
+//!   mailbox, which the driver merges at the window barrier in
+//!   `(arrive, src_region, emission)` order.
 //!
 //! Routing is also the one reason the two engines may order two
 //! same-instant events of different regions differently.
@@ -66,9 +68,9 @@ pub(crate) enum SimEvent<M, T> {
     },
 }
 
-/// The per-node unicast-loss RNG stream id on a shard: disjoint from the
-/// per-node protocol streams (`0..n`) and from `Sim`'s one global loss
-/// stream ([`GLOBAL_LOSS_STREAM`]).
+/// The per-node unicast-loss RNG stream id on a region core: disjoint
+/// from the per-node protocol streams (`0..n`) and from `Sim`'s one
+/// global loss stream ([`GLOBAL_LOSS_STREAM`]).
 fn loss_stream(node: NodeId) -> u64 {
     (1u64 << 63) | u64::from(node.0)
 }
@@ -76,84 +78,36 @@ fn loss_stream(node: NodeId) -> u64 {
 /// `Sim`'s one unicast-loss RNG stream id.
 const GLOBAL_LOSS_STREAM: u64 = u64::MAX / 2;
 
-/// A cross-region send buffered in a mailbox until the next barrier.
+/// A cross-region send buffered in its source region's mailbox until the
+/// next barrier.
 ///
-/// `(arrive, src_region, emit_seq)` is the canonical merge key: it is
-/// assigned by the *sending region's* deterministic execution, so the
-/// merged order cannot depend on the shard layout or thread scheduling.
+/// The canonical merge order is `(arrive, src_region, emission)`: the
+/// driver appends the mailboxes in region order, each in emission order,
+/// and sorts the batch stably by `arrive`. That order is fixed by each
+/// *sending region's* deterministic execution, so it cannot depend on
+/// which thread ran which region.
 pub(crate) struct CrossEvent<M> {
     pub(crate) arrive: SimTime,
-    src_region: u16,
-    emit_seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-impl<M> CrossEvent<M> {
-    /// The canonical merge key.
-    pub(crate) fn key(&self) -> (SimTime, u16, u64) {
-        (self.arrive, self.src_region, self.emit_seq)
-    }
-}
-
-/// What makes a core one shard of a `ShardedSim`: the global ids of the
-/// nodes it owns and its outgoing mailboxes.
-pub(crate) struct Shard<M> {
-    /// Global ids of the owned nodes, ascending.
-    node_ids: Vec<NodeId>,
-    /// Global node index → local index (`u32::MAX` when not owned).
-    local_of: Vec<u32>,
-    /// Cross-region sends awaiting the next barrier, one mailbox per
-    /// destination shard. Each mailbox has a single producer (this shard)
-    /// and a single consumer (the destination, via the driver).
-    outboxes: Vec<Vec<CrossEvent<M>>>,
-    /// Per-source-region emission counters (indexed by global region id;
-    /// only this shard's regions ever advance).
-    emit_seqs: Vec<u64>,
-}
-
-impl<M> Shard<M> {
-    /// Shard `shard` of a layout assigning node `i` to `node_shard[i]`.
-    pub(crate) fn new(
-        shard: u32,
-        node_shard: &[u32],
-        shard_count: usize,
-        region_count: usize,
-    ) -> Self {
-        let mut node_ids = Vec::with_capacity(node_shard.iter().filter(|&&s| s == shard).count());
-        let mut local_of = vec![u32::MAX; node_shard.len()];
-        for (i, _) in node_shard.iter().enumerate().filter(|&(_, &s)| s == shard) {
-            local_of[i] = node_ids.len() as u32;
-            node_ids.push(NodeId(i as u32));
-        }
-        Shard {
-            node_ids,
-            local_of,
-            outboxes: (0..shard_count).map(|_| Vec::new()).collect(),
-            emit_seqs: vec![0; region_count],
-        }
-    }
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) msg: M,
 }
 
 /// A drop predicate consulted for every copy (return `true` to drop).
 pub(crate) type Filter<'a, M> = dyn FnMut(NodeId, NodeId, &M) -> bool + 'a;
 
 /// What a core reads but does not own, lent by its driver for one call:
-/// the topology and the network settings. Shards read one set
+/// the topology and the network settings. Region cores read one set
 /// concurrently, so the drop filter is the only borrowed-mutably part
-/// (`Sim`'s is a stateful `FnMut`; a shard lends its shared `Fn`).
+/// (`Sim`'s is a stateful `FnMut`; a region lends its shared `Fn`).
 pub(crate) struct Env<'a, M> {
     pub(crate) topo: &'a Topology,
     pub(crate) unicast_loss: &'a LossModel,
     /// Armed fault timeline. Verdicts are pure functions of
-    /// `(plan, send time, endpoints)` — no RNG state — so shards can
-    /// consult it concurrently and the outcome is layout-invariant.
+    /// `(plan, send time, endpoints)` — no RNG state — so region cores
+    /// can consult it concurrently and the outcome is layout-invariant.
     pub(crate) fault: Option<&'a FaultPlan>,
     pub(crate) drop_filter: Option<&'a mut Filter<'a, M>>,
-    /// Region index → owning shard (empty on `Sim`, which has no
-    /// mailboxes).
-    pub(crate) region_shard: &'a [u32],
 }
 
 /// Nodes, loss streams, one event queue, counters, the trace sink and the
@@ -163,18 +117,18 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     /// The run's seed, lent to callbacks ([`Ctx::seed`]).
     seed: u64,
     /// Unicast-loss streams: one global stream on `Sim`, one per local
-    /// node on a shard.
+    /// node on a region core.
     loss_rngs: Vec<StdRng>,
     /// Maps a local sender index to its loss stream without a branch:
     /// `0` on `Sim` (every sender draws from stream 0), all ones on a
-    /// shard (each sender draws from its own).
+    /// region core (each sender draws from its own).
     loss_stream_mask: usize,
     pub(crate) queue: EventQueue<SimEvent<N::Msg, T>>,
     pub(crate) counters: NetCounters,
     pub(crate) now: SimTime,
     /// Armed observer sink fed by the engine hooks (deliveries against
     /// the receiving node, wire verdicts against the sender, in per-node
-    /// rings, so the collected events do not depend on the shard layout).
+    /// rings, so the collected events do not depend on the layout).
     /// `None` costs one branch on the hot path.
     pub(crate) trace: Option<Box<TraceSink>>,
     started: bool,
@@ -191,18 +145,24 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     /// False in reference mode: allocate per callback, one op per
     /// destination (see [`Sim::new_reference`](crate::sim::Sim::new_reference)).
     pub(crate) optimized: bool,
-    /// `Some` on a shard: its node table and cross-region mailboxes.
-    shard: Option<Shard<N::Msg>>,
+    /// The id of the first node this core owns: it owns
+    /// `first..first + nodes.len()` (0 on `Sim`, which owns them all).
+    first: u32,
+    /// `Some` on a region core: its cross-region sends awaiting the next
+    /// barrier, in emission order.
+    outbox: Option<Vec<CrossEvent<N::Msg>>>,
 }
 
 impl<N: SimNode<T>, T> Core<N, T> {
-    /// An empty core; [`Core::reset`] and [`Core::push_node`] load it.
-    pub(crate) fn new(optimized: bool, shard: Option<Shard<N::Msg>>) -> Self {
+    /// An empty core: `Sim`'s (`region_first` `None`) or that of the region
+    /// whose first node id is `region_first`. [`Core::reset`] and
+    /// [`Core::push_node`] load it.
+    pub(crate) fn new(optimized: bool, region_first: Option<u32>) -> Self {
         Core {
             nodes: Vec::new(),
             seed: 0,
             loss_rngs: Vec::new(),
-            loss_stream_mask: if shard.is_some() { usize::MAX } else { 0 },
+            loss_stream_mask: if region_first.is_some() { usize::MAX } else { 0 },
             queue: EventQueue::new(),
             counters: NetCounters::default(),
             now: SimTime::ZERO,
@@ -213,28 +173,27 @@ impl<N: SimNode<T>, T> Core<N, T> {
             target_pool: Vec::new(),
             groups: Vec::new(),
             optimized,
-            shard,
+            first: region_first.unwrap_or(0),
+            outbox: region_first.map(|_| Vec::new()),
         }
     }
 
     /// Empties the core for a fresh run, keeping every allocation but the
     /// node vector warm ([`EventQueue::clear`]), and loads `nodes`: all of
-    /// them on `Sim`, none on a shard, whose nodes stream in through
-    /// [`Core::push_node`]. An armed observer stays armed, but the
-    /// previous run's events are discarded.
+    /// them on `Sim`; on a region core none, in a vector sized for the
+    /// region, whose nodes then stream in through [`Core::push_node`]. An
+    /// armed observer stays armed, but the previous run's events are
+    /// discarded.
     pub(crate) fn reset(&mut self, seq: &SeedSequence, nodes: Vec<N>) {
-        let count = self.shard.as_ref().map_or(nodes.len(), |s| s.node_ids.len());
         self.nodes = nodes;
-        self.nodes.reserve_exact(count - self.nodes.len());
         self.seed = seq.seed();
         self.loss_rngs.clear();
-        match &mut self.shard {
+        match &mut self.outbox {
             None => self.loss_rngs.push(seq.rng_for(GLOBAL_LOSS_STREAM)),
-            Some(shard) => {
-                debug_assert!(self.nodes.is_empty(), "a shard's nodes stream in");
-                self.loss_rngs.reserve_exact(count);
-                shard.outboxes.iter_mut().for_each(Vec::clear);
-                shard.emit_seqs.fill(0);
+            Some(outbox) => {
+                debug_assert!(self.nodes.is_empty(), "a region's nodes stream in");
+                self.loss_rngs.reserve_exact(self.nodes.capacity());
+                outbox.clear();
             }
         }
         self.queue.clear();
@@ -246,8 +205,8 @@ impl<N: SimNode<T>, T> Core<N, T> {
         }
     }
 
-    /// Appends the shard node with global id `id` (in ascending id
-    /// order), deriving its unicast-loss stream from `seq`.
+    /// Appends the region node with id `id` (in ascending id order),
+    /// deriving its unicast-loss stream from `seq`.
     pub(crate) fn push_node(&mut self, id: NodeId, node: N, seq: &SeedSequence) {
         debug_assert_eq!(self.local(id), self.nodes.len());
         self.nodes.push(node);
@@ -255,10 +214,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     }
 
     fn local(&self, id: NodeId) -> usize {
-        match &self.shard {
-            None => id.index(),
-            Some(shard) => shard.local_of[id.index()] as usize,
-        }
+        (id.0 - self.first) as usize
     }
 
     pub(crate) fn node(&self, id: NodeId) -> &N {
@@ -270,29 +226,20 @@ impl<N: SimNode<T>, T> Core<N, T> {
         &mut self.nodes[local]
     }
 
-    /// The mailboxes, one per destination shard (none on `Sim`).
-    pub(crate) fn outboxes(&mut self) -> &mut [Vec<CrossEvent<N::Msg>>] {
-        self.shard.as_mut().map_or(&mut [], |s| &mut s.outboxes)
+    /// The mailbox of a region core.
+    pub(crate) fn outbox(&mut self) -> &mut Vec<CrossEvent<N::Msg>> {
+        self.outbox.as_mut().expect("only a region core has a mailbox")
     }
 
-    /// Pending events: the queue plus undelivered mailboxes.
+    /// Pending events: the queue plus the undelivered mailbox.
     pub(crate) fn pending(&self) -> usize {
-        let mail = self.shard.as_ref().map_or(0, |s| s.outboxes.iter().map(Vec::len).sum());
-        self.queue.len() + mail
+        self.queue.len() + self.outbox.as_ref().map_or(0, Vec::len)
     }
 
     /// Schedules `msg` from `from` to arrive at `to` at `at`, bypassing
     /// latency, loss and the mailboxes.
     pub(crate) fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
         self.queue.schedule(at, SimEvent::Deliver { to, from, msg });
-    }
-
-    /// Schedules a sorted inbox batch — the barrier half of the mailbox
-    /// protocol.
-    pub(crate) fn accept(&mut self, inbox: impl IntoIterator<Item = CrossEvent<N::Msg>>) {
-        for e in inbox {
-            self.inject(e.to, e.from, e.msg, e.arrive);
-        }
     }
 
     pub(crate) fn schedule_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
@@ -305,9 +252,8 @@ impl<N: SimNode<T>, T> Core<N, T> {
         if std::mem::replace(&mut self.started, true) {
             return;
         }
-        for local in 0..self.nodes.len() {
-            let id = self.shard.as_ref().map_or(NodeId(local as u32), |s| s.node_ids[local]);
-            self.dispatch_with(env, id, |node, ctx| node.on_start(ctx));
+        for local in 0..self.nodes.len() as u32 {
+            self.dispatch_with(env, NodeId(self.first + local), |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -443,48 +389,28 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 continue;
             }
             let arrive = self.now + env.topo.one_way_latency(from, to);
-            self.route(env, arrive, from, to, &msg);
+            self.route(arrive, from, to, &msg);
             if let Some(extra) = env.fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
                 // The duplicate is routed after the primary, so its group
-                // or mailbox emission sequence is the later one at every
-                // shard layout; its not-earlier arrival keeps the
+                // or mailbox position is the later one at every layout; its not-earlier arrival keeps the
                 // conservative window rule intact.
                 self.counters.faults_duplicated += 1;
                 self.wire(from, EventKind::FaultDuplicated { to: to.0 });
-                self.route(env, arrive + extra, from, to, &msg);
+                self.route(arrive + extra, from, to, &msg);
             }
         }
         self.flush(from, msg);
     }
 
-    /// Routes one surviving copy. On a shard, a cross-region copy goes to
-    /// the mailbox of the destination's shard (even when that is this
-    /// shard: the canonical barrier order must not depend on the layout).
-    /// Every other copy joins the arrival-time group for `arrive`.
+    /// Routes one surviving copy. On a region core, a copy for another
+    /// region (a destination outside the core's id range) goes to the
+    /// mailbox. Every other copy joins the arrival-time group for
+    /// `arrive`.
     #[inline(always)]
-    fn route(
-        &mut self,
-        env: &Env<'_, N::Msg>,
-        arrive: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: &N::Msg,
-    ) {
-        if let Some(shard) = &mut self.shard {
-            let (src_region, dest_region) = (env.topo.region_of(from), env.topo.region_of(to));
-            if dest_region != src_region {
-                let emit = &mut shard.emit_seqs[src_region.index()];
-                let emit_seq = *emit;
-                *emit += 1;
-                let dest = env.region_shard[dest_region.index()] as usize;
-                shard.outboxes[dest].push(CrossEvent {
-                    arrive,
-                    src_region: src_region.0,
-                    emit_seq,
-                    from,
-                    to,
-                    msg: msg.clone(),
-                });
+    fn route(&mut self, arrive: SimTime, from: NodeId, to: NodeId, msg: &N::Msg) {
+        if let Some(outbox) = &mut self.outbox {
+            if to.0.wrapping_sub(self.first) as usize >= self.nodes.len() {
+                outbox.push(CrossEvent { arrive, from, to, msg: msg.clone() });
                 return;
             }
         }

@@ -66,6 +66,11 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// Ticks (microseconds) the wheel covers ahead of its cursor.
 const WHEEL_RANGE: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// Entry capacity an emptied bucket keeps for itself; a larger vector
+/// goes to the spares.
+const KEEP: usize = 16;
+/// Emptied bucket vectors the queue keeps for reuse.
+const SPARES: usize = 8;
 
 /// A 24-byte plain-data handle stored in the wheel: the firing tick, the
 /// global insertion sequence (the determinism tiebreak), and the slab slot
@@ -193,6 +198,11 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<Reverse<Entry>>,
     /// Event payloads; the wheel only moves [`Entry`] handles.
     slab: PayloadSlab<E>,
+    /// Vectors of emptied buckets larger than [`KEEP`], at most
+    /// [`SPARES`] of them, handed to buckets that fill again from no
+    /// allocation. So retained entry capacity follows the live load
+    /// instead of summing every bucket's peak.
+    spares: Vec<Vec<Entry>>,
     next_seq: u64,
     len: usize,
 }
@@ -210,6 +220,7 @@ impl<E> EventQueue<E> {
             pending: Vec::new(),
             overflow: BinaryHeap::new(),
             slab: PayloadSlab::new(),
+            spares: Vec::new(),
             next_seq: 0,
             len: 0,
         }
@@ -297,9 +308,10 @@ impl<E> EventQueue<E> {
     }
 
     /// Drops all pending events **without releasing allocations**: slot
-    /// vectors, the pending run, the overflow heap, and the payload slab
-    /// all keep their capacity, so a cleared queue re-fills without
-    /// re-growing from empty (important for `Sim` reuse across runs).
+    /// vectors, spares, the pending run, the overflow heap, and the
+    /// payload slab all keep their capacity, so a cleared queue re-fills
+    /// without re-growing from empty (important for `Sim` reuse across
+    /// runs).
     pub fn clear(&mut self) {
         for bucket in &mut self.levels {
             bucket.entries.clear();
@@ -323,6 +335,9 @@ impl<E> EventQueue<E> {
         let slot = ((entry.at >> (SLOT_BITS as usize * level)) & (SLOTS as u64 - 1)) as usize;
         self.occupied[level] |= 1 << slot;
         let bucket = &mut self.levels[level * SLOTS + slot];
+        if bucket.entries.capacity() == 0 {
+            bucket.entries = self.spares.pop().unwrap_or_default();
+        }
         bucket.min = bucket.min.min(entry.at);
         bucket.entries.push(entry);
     }
@@ -416,23 +431,29 @@ impl<E> EventQueue<E> {
             self.occupied[level] &= !(1 << idx);
             let bucket = &mut self.levels[level * SLOTS + idx];
             bucket.min = u64::MAX;
-            // Empty the bucket in place (copy out, or take the vector and
-            // hand it back below), so capacity stays where the workload
-            // put it and cleared queues re-fill without growing.
+            // A small vector goes back to the emptied bucket; a larger one
+            // to the spares, or is freed when they are full.
+            let mut moved = std::mem::take(&mut bucket.entries);
             if level == 0 {
                 // One exact tick; sort descending so the minimum (lowest
                 // seq) pops first from the back.
-                self.pending.extend_from_slice(&bucket.entries);
-                bucket.entries.clear();
+                self.pending.extend_from_slice(&moved);
                 self.pending.sort_unstable_by(|a, b| b.cmp(a));
+            } else {
+                // Cascade a higher-level slot into finer levels.
+                for &entry in &moved {
+                    self.insert_wheel(entry);
+                }
+            }
+            moved.clear();
+            if moved.capacity() <= KEEP {
+                self.levels[level * SLOTS + idx].entries = moved;
+            } else if self.spares.len() < SPARES {
+                self.spares.push(moved);
+            }
+            if level == 0 {
                 return;
             }
-            // Cascade a higher-level slot into finer levels.
-            let mut moved = std::mem::take(&mut bucket.entries);
-            for entry in moved.drain(..) {
-                self.insert_wheel(entry);
-            }
-            self.levels[level * SLOTS + idx].entries = moved;
             front = self.wheel_front();
         }
     }
@@ -449,9 +470,14 @@ impl<E> EventQueue<E> {
     /// entry capacity currently allocated. Tests use it to assert that
     /// [`EventQueue::clear`] keeps memory warm.
     pub(crate) fn allocated_capacity(&self) -> usize {
-        self.slab.capacity()
-            + self.pending.capacity()
-            + self.levels.iter().map(|b| b.entries.capacity()).sum::<usize>()
+        self.slab.capacity() + self.entry_capacity()
+    }
+
+    /// Entry capacity held by the buckets, the spares and the pending run.
+    fn entry_capacity(&self) -> usize {
+        let buckets = self.levels.iter().map(|b| b.entries.capacity());
+        let spares = self.spares.iter().map(Vec::capacity);
+        self.pending.capacity() + buckets.chain(spares).sum::<usize>()
     }
 
     /// The structural conditions every public call must leave true.
@@ -636,6 +662,28 @@ mod tests {
         }
         while q.pop().is_some() {}
         assert_eq!(q.allocated_capacity(), warmed, "warmed queue re-grew");
+    }
+
+    /// Burst and drain, four times at successive seconds: each burst
+    /// spreads tens of thousands of entries over one second, so they
+    /// cascade through levels 3 and 2, and each lands in level-3 slots the
+    /// previous bursts left alone. Once the queue drains, the entry
+    /// capacity it keeps must stay a small multiple of the live peak, not
+    /// the sum of every slot's peak.
+    #[test]
+    fn retained_capacity_follows_live_load() {
+        const BURST: u64 = 40_000;
+        let mut q = EventQueue::new();
+        for round in 0..4 {
+            let start = round * 1_000_000;
+            for i in 0..BURST {
+                q.schedule(SimTime::from_micros(start + i * 7_919 % 1_000_000), i);
+            }
+            assert!(q.levels[3 * SLOTS..4 * SLOTS].iter().any(|b| !b.entries.is_empty()));
+            while q.pop().is_some() {}
+        }
+        let retained = q.entry_capacity();
+        assert!(retained <= BURST as usize, "{retained} entries retained for a peak of {BURST}");
     }
 
     #[test]

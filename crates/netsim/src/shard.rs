@@ -1,77 +1,79 @@
 //! Parallel per-region simulation under a conservative time-window barrier.
 //!
-//! Regions only interact through inter-region latencies, so a shard that
-//! owns a subset of regions can advance independently up to
-//! `global_lower_bound + lookahead`, where the lookahead is the minimum
-//! one-way latency between any two distinct regions
-//! ([`Topology::lookahead`]): no cross-region packet sent inside the
-//! current window can arrive before the window ends. This is classic
+//! Regions only interact through inter-region latencies, so a region can
+//! advance independently up to `global_lower_bound + lookahead`, where the
+//! lookahead is the minimum one-way latency between any two distinct
+//! regions ([`Topology::lookahead`]): no cross-region packet sent inside
+//! the current window can arrive before the window ends. This is classic
 //! conservative (Chandy–Misra-style) parallel discrete-event simulation,
 //! specialized to the region hierarchy of the RRMP system model.
 //!
 //! ## Execution model
 //!
-//! A [`ShardedSim`] partitions the topology's regions over `shards` shards
-//! (LPT bin packing over region member counts; a region never splits).
-//! Each shard is one per-event core — the same one
+//! A [`ShardedSim`] holds one per-event core per region — the same core
 //! [`Sim`](crate::sim::Sim) drives, implementing dispatch, transmit and
-//! the edge verdicts once for both engines — that owns its own timing
-//! wheel, scratch buffers, and the RNG streams of its nodes: there is
-//! **no shared mutable state** between shards during a window. This
-//! module adds only the driver. The run loop is a sequence of windows:
+//! the edge verdicts once for both engines. A region's core owns the
+//! region's nodes, their loss streams, its own timing wheel, its scratch
+//! buffers and one outgoing mailbox: there is **no shared mutable state**
+//! between regions during a window. `shards` is the number of worker
+//! threads, the calling thread included, clamped to the region count.
+//! This module adds only the driver. The run loop is a sequence of
+//! windows:
 //!
-//! 1. the coordinator computes the global lower bound `lb` (earliest
-//!    pending event across all shards and undelivered mailboxes);
-//! 2. every shard processes its local events in `[lb, lb + lookahead)`
-//!    (one scoped worker thread per shard when `shards > 1`, inline
-//!    otherwise);
-//! 3. cross-region sends produced during the window were buffered into
-//!    per-shard-pair **mailboxes** (each written by exactly one shard and
-//!    read by exactly one shard); at the barrier they are merged into the
-//!    destination shard's wheel in `(arrive, source region, emission
-//!    seq)` order.
+//! 1. the calling thread merges every mailbox into its destination
+//!    region's inbox in `(arrive, source region, emission)` order, then
+//!    takes the global lower bound `lb`: the earliest pending event across
+//!    all regions;
+//! 2. the workers claim regions from one shared cursor over a fixed
+//!    heaviest-first order (member count, ties by region index); each
+//!    schedules a claimed region's inbox on its wheel and runs its events
+//!    in `[lb, lb + lookahead)` — the largest region starts first, and the
+//!    small ones fill in around it;
+//! 3. the workers meet at one barrier, and the next window begins.
+//!
+//! With `shards = 1` the calling thread runs the same loop alone. Helper
+//! threads live for one `run_until` call. A panic in a node callback is
+//! caught where its region ran, ends the run at the next barrier, and is
+//! rethrown on the calling thread with its original payload.
 //!
 //! ## Determinism
 //!
-//! A parallel run's trace is **byte-identical to the sequential
-//! (`shards = 1`) run at any shard count**, by construction:
+//! A run's trace is **byte-identical at every worker count**, by
+//! construction:
 //!
-//! * a region is always wholly inside one shard, so intra-region events
-//!   are scheduled and popped in an order determined only by that
-//!   region's own deterministic history — interleaving with other
-//!   regions hosted on the same shard cannot reorder two events of the
-//!   same region (the wheel's `(time, seq)` order restricted to one
-//!   region's events is the region's own insertion order);
-//! * every RNG stream is per-node (the core a shard runs draws unicast
-//!   loss from the sender's own stream, where `Sim`'s draws from one
-//!   global generator), so no draw depends on cross-region event
-//!   interleaving;
-//! * cross-region messages are tagged with their source region and a
-//!   per-source-region emission counter and merged at barriers in that
-//!   canonical order, which does not depend on how regions are grouped
-//!   into shards, or on thread scheduling;
+//! * every region has a core and a wheel of its own, so its events are
+//!   scheduled and popped in an order determined only by the region's own
+//!   deterministic history — which thread runs the region, and what runs
+//!   beside it, cannot reorder two of its events;
+//! * every RNG stream is per-node (a region core draws unicast loss from
+//!   the sender's own stream, where `Sim` draws from one global
+//!   generator), so no draw depends on cross-region event interleaving;
+//! * cross-region messages are merged at barriers in the canonical order
+//!   above, which the sending regions' histories fix, not thread
+//!   scheduling;
 //! * window boundaries themselves are a function of the global event-time
 //!   structure only, so the barrier at which a message merges is also
-//!   layout-independent.
+//!   independent of the threads.
 //!
 //! The price of the windowed semantics is that they are *not* the
 //! single-queue semantics of [`Sim`](crate::sim::Sim). Both engines run
 //! the same core, and routing is what orders their events differently:
-//! `Sim` schedules a cross-region send at once, a shard at the next
-//! barrier. So two
-//! same-instant events in different regions may dispatch in a different
-//! relative order (which no per-node observable can see), and
-//! cross-region ties at one instant resolve in canonical merge order
+//! `Sim` schedules a cross-region send at once, a region core at the next
+//! barrier. So two same-instant events in different regions may dispatch
+//! in a different relative order (which no per-node observable can see),
+//! and cross-region ties at one instant resolve in canonical merge order
 //! rather than global send order. `ShardedSim` is therefore its own
 //! engine with `shards = 1` as its sequential oracle; the trace-equality
-//! suite asserts byte-identical traces across shard counts 1/2/4.
+//! suite asserts byte-identical traces at 1, 2 and 4 workers.
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use rrmp_trace::TraceSink;
 
-use crate::engine::{Core, CrossEvent, Env, Filter, Shard};
+use crate::engine::{Core, CrossEvent, Env, Filter};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
@@ -80,23 +82,21 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
 
 /// A deterministic per-packet drop predicate (return `true` to drop).
-/// Shards consult it concurrently, hence `Fn + Send + Sync`.
+/// Workers consult it concurrently, hence `Fn + Send + Sync`.
 pub type DropFilter<M> = dyn Fn(NodeId, NodeId, &M) -> bool + Send + Sync;
 
-/// The topology and network settings: read by every shard during a
+/// The topology and network settings: read by every worker during a
 /// window, written by none.
 struct Shared<M> {
     topo: Topology,
-    /// Region index → owning shard.
-    region_shard: Vec<u32>,
     unicast_loss: LossModel,
     drop_filter: Option<Box<DropFilter<M>>>,
     fault: Option<Arc<FaultPlan>>,
 }
 
 impl<M> Shared<M> {
-    /// The environment a shard's core reads; `slot` holds the lent drop
-    /// filter for as long as the environment lives.
+    /// The environment a core reads; `slot` holds the lent drop filter
+    /// for as long as the environment lives.
     fn env<'a>(&'a self, slot: &'a mut Option<&'a DropFilter<M>>) -> Env<'a, M> {
         *slot = self.drop_filter.as_deref();
         Env {
@@ -104,15 +104,12 @@ impl<M> Shared<M> {
             unicast_loss: &self.unicast_loss,
             fault: self.fault.as_deref(),
             drop_filter: slot.as_mut().map(|f| f as &mut Filter<'a, M>),
-            region_shard: &self.region_shard,
         }
     }
 }
 
 /// The inclusive end of a window opening at the global lower bound `lb`,
-/// capped at `limit` — shared by the inline and threaded drivers so the
-/// conservative bound can never diverge between the sequential oracle and
-/// a parallel run.
+/// capped at `limit`.
 fn window_end(lookahead: Option<SimDuration>, lb: SimTime, limit: SimTime) -> SimTime {
     match lookahead {
         // `lb + L - 1` inclusive: a message sent at `s <= lb + L - 1`
@@ -127,38 +124,30 @@ fn window_end(lookahead: Option<SimDuration>, lb: SimTime, limit: SimTime) -> Si
     }
 }
 
-/// One window command sent to a shard worker: schedule the (pre-sorted)
-/// inbox batch, then process everything at or before `limit`.
-struct WindowCmd<M> {
-    limit: SimTime,
-    inbox: Vec<CrossEvent<M>>,
-}
-
-/// A worker's barrier report: its drained mailboxes and the time of its
-/// next local event.
-struct WindowReport<M> {
-    shard: usize,
-    outboxes: Vec<Vec<CrossEvent<M>>>,
-    next_time: Option<SimTime>,
-}
-
-/// The conservatively parallel, region-sharded discrete-event simulator.
+/// The conservatively parallel discrete-event simulator: one core per
+/// region, run window by window by `shards` worker threads.
 ///
 /// Hosts the same [`SimNode`] implementations as [`Sim`](crate::sim::Sim)
 /// with the same [`Ctx`](crate::sim::Ctx) API. `shards = 1` is the
-/// sequential special case: no worker threads are spawned and the
-/// (single) mailbox is drained inline — it defines the canonical trace
-/// that every parallel run reproduces byte for byte. See the
-/// [module docs](self) for the windowed execution model and the
-/// determinism argument.
+/// sequential special case: the calling thread runs every region itself,
+/// and that run defines the canonical trace every parallel run reproduces
+/// byte for byte. See the [module docs](self) for the windowed execution
+/// model and the determinism argument.
 pub struct ShardedSim<N: SimNode<T>, T = u64> {
-    states: Vec<Core<N, T>>,
+    /// One core per region, indexed by region.
+    cores: Vec<Core<N, T>>,
+    /// Each region's merged cross-region events, in canonical order, that
+    /// its wheel has not scheduled yet (empty between calls).
+    inboxes: Vec<Vec<CrossEvent<N::Msg>>>,
     shared: Shared<N::Msg>,
-    /// Node index → owning shard.
-    node_shard: Vec<u32>,
+    /// Worker threads per window, the calling thread included.
+    workers: usize,
+    /// Region indices heaviest first (member count, ties by index): the
+    /// order in which workers claim cores.
+    claim_order: Vec<usize>,
     lookahead: Option<SimDuration>,
     now: SimTime,
-    /// Reused cross-event staging buffer for inline barrier merges.
+    /// Reused staging buffer for the barrier merge.
     merge_scratch: Vec<CrossEvent<N::Msg>>,
 }
 
@@ -166,39 +155,34 @@ impl<N: SimNode<T>, T> std::fmt::Debug for ShardedSim<N, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSim")
             .field("now", &self.now)
-            .field("shards", &self.states.len())
+            .field("workers", &self.workers)
+            .field("regions", &self.cores.len())
             .field("lookahead", &self.lookahead)
-            .field("pending_events", &self.states.iter().map(Core::pending).sum::<usize>())
+            .field("pending_events", &self.cores.iter().map(Core::pending).sum::<usize>())
             .finish_non_exhaustive()
     }
 }
 
-/// Assigns regions to shards by greedy LPT (longest-processing-time) bin
-/// packing over region member counts: regions are placed heaviest-first
-/// onto the currently lightest shard. Within a factor 4/3 of the optimal
-/// makespan and exact when regions are equal-sized; by region index the
-/// largest regions could share a shard, and cost is dominated by the
-/// largest region (cf. the hierarchical-makespan result). The assignment
-/// is purely a load-balancing decision: any deterministic one yields
-/// byte-identical traces (that is the point of the canonical mailbox
-/// order). Shard ids in the result are dense (`ShardedSim::new_from`
-/// sizes its state table from the max id), which LPT guarantees because
-/// the first `shards` placements each pick a distinct empty bin.
-fn partition_regions(topo: &Topology, shards: usize) -> Vec<u32> {
-    let shards = shards.clamp(1, topo.region_count().max(1));
-    let weight = |r: usize| topo.members_of(RegionId(r as u16)).len();
-    // Heaviest first; equal weights keep ascending region order so the
-    // assignment is deterministic.
-    let mut order: Vec<usize> = (0..topo.region_count()).collect();
-    order.sort_by_key(|&r| (std::cmp::Reverse(weight(r)), r));
-    let mut load = vec![0usize; shards];
-    let mut assign = vec![0u32; topo.region_count()];
-    for r in order {
-        let lightest = (0..shards).min_by_key(|&s| (load[s], s)).unwrap_or(0);
-        load[lightest] += weight(r);
-        assign[r] = lightest as u32;
-    }
-    assign
+/// A region's core and inbox, as a worker claims them.
+type Region<'a, N, T> = (&'a mut Core<N, T>, &'a mut Vec<CrossEvent<<N as SimNode<T>>::Msg>>);
+
+/// What the workers share while one `run_until` call runs its windows.
+/// The atomics are `Relaxed`: each store happens before a barrier wait
+/// that the loads on other threads follow, and the barrier orders them.
+struct Windows<'a, N: SimNode<T>, T> {
+    /// Every region's core and inbox, locked by the worker that claims
+    /// them.
+    regions: Vec<Mutex<Region<'a, N, T>>>,
+    claim_order: &'a [usize],
+    /// The next position in `claim_order` to claim.
+    cursor: AtomicUsize,
+    /// The current window's inclusive end, in microseconds.
+    end: AtomicU64,
+    /// Set once no window is left: the helpers return.
+    done: AtomicBool,
+    barrier: Barrier,
+    /// The payload of the first panic a claimed core raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl<N, T> ShardedSim<N, T>
@@ -208,10 +192,10 @@ where
     T: Send,
 {
     /// Creates a sharded simulator over `topo` hosting `nodes` (one per
-    /// [`NodeId`], in order), partitioned into at most `shards` shards
-    /// (clamped to the region count; a region never splits). All
-    /// randomness derives from `seed`; traces are identical for every
-    /// value of `shards`.
+    /// [`NodeId`], in order): one core per region, run by `shards` worker
+    /// threads (the calling thread included; clamped to the region
+    /// count). All randomness derives from `seed`; traces are identical
+    /// for every value of `shards`.
     ///
     /// # Panics
     ///
@@ -222,8 +206,8 @@ where
     }
 
     /// Like [`ShardedSim::new`], taking the nodes as an iterator that is
-    /// streamed straight into the per-shard vectors — the million-member
-    /// construction path. A pre-built `Vec<N>` plus the per-shard copies
+    /// streamed straight into the per-region vectors — the million-member
+    /// construction path. A pre-built `Vec<N>` plus the per-region copies
     /// would briefly double the node set's footprint; here at most one
     /// node is in flight at a time. The iterator may borrow the caller's
     /// topology (this constructor stores its own clone).
@@ -231,7 +215,7 @@ where
     /// # Panics
     ///
     /// Panics if `nodes` does not yield exactly one node per topology
-    /// node (in `NodeId` order), or if `shards` is zero.
+    /// node (in `NodeId` order).
     #[must_use]
     pub fn new_from<I: IntoIterator<Item = N>>(
         topo: &Topology,
@@ -239,26 +223,30 @@ where
         seed: u64,
         shards: usize,
     ) -> Self {
-        let region_shard = partition_regions(topo, shards);
-        let shard_count = region_shard.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
-        let node_shard: Vec<u32> =
-            topo.nodes().map(|n| region_shard[topo.region_of(n).index()]).collect();
-        let states = (0..shard_count as u32)
-            .map(|s| {
-                let shard = Shard::new(s, &node_shard, shard_count, topo.region_count());
-                Core::new(true, Some(shard))
+        let regions = topo.region_count();
+        let members = |r: usize| topo.members_of(RegionId(r as u16));
+        let cores: Vec<_> = (0..regions)
+            .map(|r| {
+                // The builder numbers nodes region by region, so a region
+                // is the id range starting at its first member.
+                let m = members(r);
+                debug_assert_eq!((m[m.len() - 1].0 - m[0].0) as usize + 1, m.len());
+                Core::new(true, Some(m[0].0))
             })
             .collect();
+        let mut claim_order: Vec<usize> = (0..regions).collect();
+        claim_order.sort_by_key(|&r| (std::cmp::Reverse(members(r).len()), r));
         let mut sim = ShardedSim {
-            states,
+            inboxes: cores.iter().map(|_| Vec::new()).collect(),
+            cores,
             shared: Shared {
                 topo: topo.clone(),
-                region_shard,
                 unicast_loss: LossModel::None,
                 drop_filter: None,
                 fault: None,
             },
-            node_shard,
+            workers: shards.clamp(1, regions.max(1)),
+            claim_order,
             lookahead: topo.lookahead(),
             now: SimTime::ZERO,
             merge_scratch: Vec::new(),
@@ -267,11 +255,11 @@ where
         sim
     }
 
-    /// Resets for a fresh run over the same topology and shard layout:
+    /// Resets for a fresh run over the same topology and worker count:
     /// replaces the nodes (one per topology node, in `NodeId` order,
-    /// streamed into exactly-sized per-shard vectors), re-derives every
+    /// streamed into exactly-sized per-region vectors), re-derives every
     /// RNG stream from `seed`, and clears queues, mailboxes, and counters
-    /// while keeping their allocations warm (per-shard
+    /// while keeping their allocations warm (per-region
     /// [`EventQueue::clear`] semantics). The loss model, drop filter,
     /// armed fault plan and armed observer are retained.
     ///
@@ -284,23 +272,25 @@ where
     pub fn reset<I: IntoIterator<Item = N>>(&mut self, nodes: I, seed: u64) {
         const ONE_EACH: &str = "need exactly one node implementation per topology node";
         let seq = SeedSequence::new(seed);
-        for st in &mut self.states {
-            st.reset(&seq, Vec::new());
+        let topo = &self.shared.topo;
+        for (r, core) in self.cores.iter_mut().enumerate() {
+            core.reset(&seq, Vec::with_capacity(topo.members_of(RegionId(r as u16)).len()));
         }
         let mut total = 0usize;
         for (i, node) in nodes.into_iter().enumerate() {
-            let shard = *self.node_shard.get(i).expect(ONE_EACH) as usize;
-            self.states[shard].push_node(NodeId(i as u32), node, &seq);
+            assert!(i < topo.node_count(), "{ONE_EACH}");
+            let id = NodeId(i as u32);
+            self.cores[topo.region_of(id).index()].push_node(id, node, &seq);
             total += 1;
         }
-        assert_eq!(total, self.node_shard.len(), "{ONE_EACH}");
+        assert_eq!(total, topo.node_count(), "{ONE_EACH}");
         self.now = SimTime::ZERO;
     }
 
-    /// Number of shards actually in use.
+    /// Number of worker threads per window, the calling thread included.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.states.len()
+        self.workers
     }
 
     /// The window length: `Some(min inter-region one-way latency)`, or
@@ -312,13 +302,14 @@ where
 
     /// Sets the loss model applied to every unicast send. Unlike the
     /// single-queue engine, draws come from **per-sender-node** streams
-    /// (a global stream would make draws depend on the shard layout).
+    /// (a global stream would make draws depend on event interleaving
+    /// across regions).
     pub fn set_unicast_loss(&mut self, model: LossModel) {
         self.shared.unicast_loss = model;
     }
 
     /// Installs a deterministic drop filter consulted for every packet
-    /// (return `true` to drop). Shards consult it concurrently, so it
+    /// (return `true` to drop). Workers consult it concurrently, so it
     /// must be `Fn + Send + Sync` — pure decision logic only.
     pub fn set_drop_filter<F>(&mut self, f: F)
     where
@@ -330,32 +321,32 @@ where
     /// Arms (or with `None` disarms) a [`FaultPlan`], consulted for
     /// every unicast copy at transmit time. Verdicts are pure functions
     /// of `(plan, send time, endpoints)` — stateless by construction —
-    /// so traces stay byte-identical at every shard count.
+    /// so traces stay byte-identical at every worker count.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.shared.fault = plan;
     }
 
     /// Arms (with `Some(ring_capacity)`) or disarms (with `None`) the
-    /// engine observer: one [`TraceSink`] per shard, recording deliveries
+    /// engine observer: one [`TraceSink`] per region, recording deliveries
     /// against the receiving node and wire verdicts against the sender.
     /// Per-node rings and emission counters make the combined, canonically
-    /// sorted event set byte-identical at every shard count.
+    /// sorted event set byte-identical at every worker count.
     pub fn set_trace(&mut self, ring_capacity: Option<usize>) {
-        for st in &mut self.states {
-            st.trace = ring_capacity.map(|cap| Box::new(TraceSink::new(cap)));
+        for core in &mut self.cores {
+            core.trace = ring_capacity.map(|cap| Box::new(TraceSink::new(cap)));
         }
     }
 
-    /// Trace events evicted by ring bounds across all shard sinks.
+    /// Trace events evicted by ring bounds across all region sinks.
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
-        self.states.iter().filter_map(|st| st.trace.as_deref()).map(TraceSink::dropped).sum()
+        self.cores.iter().filter_map(|c| c.trace.as_deref()).map(TraceSink::dropped).sum()
     }
 
-    /// Appends every engine-recorded event across all shards to `out`
+    /// Appends every engine-recorded event across all regions to `out`
     /// (unsorted; callers combine sinks and sort canonically).
     pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
-        for t in self.states.iter().filter_map(|st| st.trace.as_deref()) {
+        for t in self.cores.iter().filter_map(|c| c.trace.as_deref()) {
             t.collect_into(out);
         }
     }
@@ -372,11 +363,11 @@ where
         &self.shared.topo
     }
 
-    /// Aggregated network counters across all shards.
+    /// Aggregated network counters across all regions.
     #[must_use]
     pub fn counters(&self) -> NetCounters {
         let mut total = NetCounters::default();
-        for st in &self.states {
+        for core in &self.cores {
             // Exhaustive destructuring: adding a field to `NetCounters`
             // without aggregating it here is a compile error, not a
             // silent zero.
@@ -391,7 +382,7 @@ where
                 batched_deliveries,
                 faults_dropped,
                 faults_duplicated,
-            } = st.counters;
+            } = core.counters;
             total.unicasts_sent += unicasts_sent;
             total.unicasts_dropped += unicasts_dropped;
             total.delivered += delivered;
@@ -409,12 +400,16 @@ where
     /// Number of pending events (wheels plus undelivered mailboxes).
     #[must_use]
     pub fn pending_events(&self) -> usize {
-        self.states.iter().map(Core::pending).sum()
+        self.cores.iter().map(Core::pending).sum()
     }
 
-    /// The core of the shard that owns `id`.
-    fn state(&mut self, id: NodeId) -> &mut Core<N, T> {
-        &mut self.states[self.node_shard[id.index()] as usize]
+    /// The core of the region that holds `id`.
+    fn core(&self, id: NodeId) -> &Core<N, T> {
+        &self.cores[self.shared.topo.region_of(id).index()]
+    }
+
+    fn core_mut(&mut self, id: NodeId) -> &mut Core<N, T> {
+        &mut self.cores[self.shared.topo.region_of(id).index()]
     }
 
     /// Immutable access to a node.
@@ -424,7 +419,7 @@ where
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &N {
-        self.states[self.node_shard[id.index()] as usize].node(id)
+        self.core(id).node(id)
     }
 
     /// Mutable access to a node (between runs).
@@ -433,7 +428,7 @@ where
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        self.state(id).node_mut(id)
+        self.core_mut(id).node_mut(id)
     }
 
     /// Iterates over all nodes in id order.
@@ -445,7 +440,7 @@ where
     /// `at`, bypassing latency, loss, and the mailboxes (injection order
     /// is the experiment script's call order, which is layout-invariant).
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        self.state(to).inject(to, from, msg, at);
+        self.core_mut(to).inject(to, from, msg, at);
     }
 
     /// Injects one multicast transmission according to a
@@ -466,28 +461,7 @@ where
 
     /// Schedules an external timer on `node` at absolute time `at`.
     pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
-        self.state(node).schedule_timer(node, timer, at);
-    }
-
-    /// Earliest pending wheel event across shards (mailboxes must have
-    /// been routed first).
-    fn min_peek(&self) -> Option<SimTime> {
-        self.states.iter().filter_map(|s| s.queue.peek_time()).min()
-    }
-
-    /// Drains every mailbox into its destination wheel in canonical
-    /// `(arrive, src_region, emit_seq)` order — the inline barrier.
-    fn route_mailboxes(&mut self) {
-        for j in 0..self.states.len() {
-            let mut batch = std::mem::take(&mut self.merge_scratch);
-            debug_assert!(batch.is_empty());
-            for i in 0..self.states.len() {
-                batch.append(&mut self.states[i].outboxes()[j]);
-            }
-            batch.sort_unstable_by_key(CrossEvent::key);
-            self.states[j].accept(batch.drain(..));
-            self.merge_scratch = batch;
-        }
+        self.core_mut(node).schedule_timer(node, timer, at);
     }
 
     /// Processes every event at or before `t`, then advances the clock to
@@ -509,167 +483,145 @@ where
 
     /// The window loop: runs each node's [`SimNode::on_start`] on the
     /// first call (cross-region sends wait in the mailboxes for the first
-    /// barrier), then picks the sequential or threaded driver.
+    /// barrier), then runs windows until no event is due at or before
+    /// `limit`. Helper threads are spawned only when a window is due.
     fn advance(&mut self, limit: SimTime) {
+        let ShardedSim {
+            cores,
+            inboxes,
+            shared,
+            workers,
+            claim_order,
+            lookahead,
+            merge_scratch,
+            ..
+        } = self;
         let mut slot = None;
-        let mut env = self.shared.env(&mut slot);
-        for st in &mut self.states {
-            st.start(&mut env);
+        let mut env = shared.env(&mut slot);
+        for core in cores.iter_mut() {
+            core.start(&mut env);
         }
-        if self.states.len() == 1 {
-            self.advance_inline(limit);
-        } else {
-            self.advance_parallel(limit);
+        let windows = Windows {
+            regions: cores.iter_mut().zip(inboxes.iter_mut()).map(Mutex::new).collect(),
+            claim_order,
+            cursor: AtomicUsize::new(0),
+            end: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            barrier: Barrier::new(*workers),
+            panic: Mutex::new(None),
+        };
+        let mut next = || merge(&windows.regions, &shared.topo, merge_scratch, *lookahead, limit);
+        if let Some(first) = next() {
+            let windows = &windows;
+            let shared = &*shared;
+            std::thread::scope(|scope| {
+                for _ in 1..*workers {
+                    scope.spawn(move || loop {
+                        windows.barrier.wait();
+                        if windows.done.load(Relaxed) {
+                            break;
+                        }
+                        windows.claim(shared);
+                        windows.barrier.wait();
+                    });
+                }
+                let mut end = first;
+                loop {
+                    windows.end.store(end.as_micros(), Relaxed);
+                    windows.cursor.store(0, Relaxed);
+                    windows.barrier.wait();
+                    windows.claim(shared);
+                    windows.barrier.wait();
+                    if lock(&windows.panic).is_some() {
+                        break;
+                    }
+                    let Some(next_end) = next() else { break };
+                    end = next_end;
+                }
+                windows.done.store(true, Relaxed);
+                windows.barrier.wait();
+            });
+        }
+        if let Some(payload) = lock(&windows.panic).take() {
+            panic::resume_unwind(payload);
+        }
+        // Events past `limit` go on the wheels now, ahead of anything the
+        // host schedules before the next call.
+        for region in windows.regions {
+            let (core, inbox) = region.into_inner().expect(UNPOISONED);
+            accept(core, inbox);
         }
         // Monotone global clock: `processed` only reflects events at or
         // before past limits, and a run with an earlier horizon than a
         // previous one must not rewind `now` (matching `Sim`).
-        let processed = self.states.iter().map(|s| s.now).max().unwrap_or(SimTime::ZERO);
+        let processed = self.cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO);
         self.now = self.now.max(processed);
     }
+}
 
-    /// Sequential window loop: the `shards = 1` special case (also used
-    /// as the oracle in tests). No threads, no channel traffic; the
-    /// mailbox merge is an inline sort of this shard's own cross-region
-    /// sends.
-    fn advance_inline(&mut self, limit: SimTime) {
-        loop {
-            self.route_mailboxes();
-            let Some(lb) = self.min_peek() else { break };
-            if lb > limit {
-                break;
-            }
-            let end = window_end(self.lookahead, lb, limit);
-            let mut slot = None;
-            let mut env = self.shared.env(&mut slot);
-            for st in &mut self.states {
-                st.run_until(&mut env, end);
+impl<N: SimNode<T>, T> Windows<'_, N, T> {
+    /// One worker's share of a window: claims regions in heaviest-first
+    /// order until none is left, schedules each one's inbox and runs it to
+    /// the window's end. A panic is caught and kept, so this worker still
+    /// reaches the barrier.
+    fn claim(&self, shared: &Shared<N::Msg>) {
+        let mut slot = None;
+        let mut env = shared.env(&mut slot);
+        let end = SimTime::from_micros(self.end.load(Relaxed));
+        while let Some(&r) = self.claim_order.get(self.cursor.fetch_add(1, Relaxed)) {
+            let (core, inbox) = &mut *lock(&self.regions[r]);
+            let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                accept(core, inbox);
+                core.run_until(&mut env, end);
+            }));
+            if let Err(payload) = ran {
+                lock(&self.panic).get_or_insert(payload);
             }
         }
     }
+}
 
-    /// Threaded window loop: one scoped worker per shard, coordinated by
-    /// this thread through per-shard command channels and one report
-    /// channel. Shard cores move into the workers for the duration of the
-    /// call and return through the scope's join handles; the shared
-    /// settings are borrowed by all of them.
-    fn advance_parallel(&mut self, limit: SimTime) {
-        self.route_mailboxes();
-        match self.min_peek() {
-            // Nothing to run before the horizon: don't pay shards x
-            // (thread spawn + channel setup + join) for zero windows —
-            // the cost profile scripts that step a sim in small
-            // increments would otherwise hit on every no-op call.
-            None => return,
-            Some(lb) if lb > limit => return,
-            Some(_) => {}
-        }
-        let n = self.states.len();
-        let mut next_times: Vec<Option<SimTime>> =
-            self.states.iter().map(|s| s.queue.peek_time()).collect();
-        let mut pending: Vec<Vec<CrossEvent<N::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-        let states = std::mem::take(&mut self.states);
-        let shared = &self.shared;
-        let lookahead = self.lookahead;
+/// Why no lock here is ever poisoned.
+const UNPOISONED: &str = "a claimed region's panic is caught before its lock is released";
 
-        let recovered = std::thread::scope(|scope| {
-            let (report_tx, report_rx) = mpsc::channel::<WindowReport<N::Msg>>();
-            let mut cmd_txs = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (i, mut st) in states.into_iter().enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<WindowCmd<N::Msg>>();
-                let report = report_tx.clone();
-                handles.push(scope.spawn(move || {
-                    let mut slot = None;
-                    let mut env = shared.env(&mut slot);
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        st.accept(cmd.inbox);
-                        st.run_until(&mut env, cmd.limit);
-                        let outboxes = st.outboxes().iter_mut().map(std::mem::take).collect();
-                        let sent = report.send(WindowReport {
-                            shard: i,
-                            outboxes,
-                            next_time: st.queue.peek_time(),
-                        });
-                        if sent.is_err() {
-                            break;
-                        }
-                    }
-                    st
-                }));
-                cmd_txs.push(cmd_tx);
-            }
-            drop(report_tx);
+fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
+    m.lock().expect(UNPOISONED)
+}
 
-            'windows: loop {
-                let mut lb = next_times.iter().flatten().min().copied();
-                for batch in &pending {
-                    // Batches are sorted: the head holds the minimum arrival.
-                    if let Some(e) = batch.first() {
-                        lb = Some(lb.map_or(e.arrive, |t| t.min(e.arrive)));
-                    }
-                }
-                let Some(lb) = lb else { break };
-                if lb > limit {
-                    break;
-                }
-                let end = window_end(lookahead, lb, limit);
-                for (j, tx) in cmd_txs.iter().enumerate() {
-                    let cmd = WindowCmd { limit: end, inbox: std::mem::take(&mut pending[j]) };
-                    if tx.send(cmd).is_err() {
-                        // The worker's receiver is gone: it panicked. Bail
-                        // out to the joins below, which rethrow its panic.
-                        break 'windows;
-                    }
-                }
-                let mut reported = 0;
-                while reported < n {
-                    match report_rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                        Ok(rep) => {
-                            next_times[rep.shard] = rep.next_time;
-                            for (j, mut out) in rep.outboxes.into_iter().enumerate() {
-                                pending[j].append(&mut out);
-                            }
-                            reported += 1;
-                        }
-                        // A worker that finished before its command channel
-                        // closed has panicked; waiting for its report would
-                        // hang forever. Fall through to the joins, which
-                        // rethrow the panic.
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            if handles.iter().any(|h| h.is_finished()) {
-                                break 'windows;
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break 'windows,
-                    }
-                }
-                for batch in &mut pending {
-                    batch.sort_unstable_by_key(CrossEvent::key);
-                }
-            }
-
-            drop(cmd_txs); // closes the command channels; workers return
-            let mut states = Vec::with_capacity(n);
-            for h in handles {
-                match h.join() {
-                    Ok(st) => states.push(st),
-                    // Propagate a node-callback panic with its original
-                    // payload instead of deadlocking the barrier.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            (states, pending)
-        });
-        let (mut states, pending) = recovered;
-        // Leftover cross-region events past `limit`: schedule them now so
-        // the wheel insertion order matches the inline driver's final
-        // barrier (batches are already canonically sorted).
-        for (j, batch) in pending.into_iter().enumerate() {
-            states[j].accept(batch);
-        }
-        self.states = states;
+/// Schedules a region's inbox on its wheel, in inbox order.
+fn accept<N: SimNode<T>, T>(core: &mut Core<N, T>, inbox: &mut Vec<CrossEvent<N::Msg>>) {
+    for e in inbox.drain(..) {
+        core.inject(e.to, e.from, e.msg, e.arrive);
     }
+}
+
+/// The barrier's serial step: appends every region's mailbox in region
+/// order, sorts the batch stably by arrival — which gives the canonical
+/// `(arrive, src_region, emission)` order — and deals each event to its
+/// destination region's inbox. Returns the end of the next window, or
+/// `None` when no event is due at or before `limit`.
+fn merge<N: SimNode<T>, T>(
+    cells: &[Mutex<Region<'_, N, T>>],
+    topo: &Topology,
+    batch: &mut Vec<CrossEvent<N::Msg>>,
+    lookahead: Option<SimDuration>,
+    limit: SimTime,
+) -> Option<SimTime> {
+    let mut regions: Vec<_> = cells.iter().map(lock).collect();
+    for region in &mut regions {
+        batch.append(region.0.outbox());
+    }
+    batch.sort_by_key(|e| e.arrive);
+    for e in batch.drain(..) {
+        regions[topo.region_of(e.to).index()].1.push(e);
+    }
+    // An inbox is in arrival order, so its head is its earliest event.
+    let heads = regions.iter().flat_map(|region| {
+        let (core, inbox) = &**region;
+        [core.queue.peek_time(), inbox.first().map(|e| e.arrive)].into_iter().flatten()
+    });
+    let lb = heads.min()?;
+    (lb <= limit).then(|| window_end(lookahead, lb, limit))
 }
 
 #[cfg(test)]
@@ -778,8 +730,8 @@ mod tests {
     }
 
     /// Heavily skewed region sizes: one dominant region, a mid-sized one,
-    /// and a tail of small ones — the regime where LPT and assignment by
-    /// region index disagree maximally.
+    /// and a tail of small ones — the regime where heaviest-first claiming
+    /// and claiming by region index order the work differently.
     fn skewed_topo() -> Topology {
         let mut b = TopologyBuilder::new()
             .intra_region_one_way(SimDuration::from_millis(5))
@@ -807,33 +759,13 @@ mod tests {
 
     #[test]
     fn placement_is_trace_invariant_on_skewed_regions() {
-        // Each shard count groups the skewed regions differently, and all
-        // must reproduce the single-shard oracle byte for byte: which
-        // shard hosts a region is a load-balancing decision only.
+        // Each worker count spreads the skewed regions over its threads
+        // differently, and all must reproduce the single-worker oracle
+        // byte for byte: which thread runs a region is a load-balancing
+        // decision only.
         let oracle = skewed_gossip_trace(1);
         for shards in [2usize, 4] {
             assert_eq!(oracle, skewed_gossip_trace(shards), "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn lpt_placement_balances_skewed_regions() {
-        let topo = skewed_topo(); // weights [13, 6, 2, 2, 2, 2]
-        let mut load = [0usize; 2];
-        for (r, &s) in partition_regions(&topo, 2).iter().enumerate() {
-            load[s as usize] += topo.members_of(RegionId(r as u16)).len();
-        }
-        // 13 alone vs 6+2+2+2+2 = 14. By region index it would be
-        // 13+2+2 = 17 vs 10.
-        assert_eq!(load.iter().max(), Some(&14));
-        // Shard ids stay dense (ShardedSim sizes its state table from the
-        // max id), and every region is assigned.
-        for shards in 1..=6 {
-            let assign = partition_regions(&topo, shards);
-            assert_eq!(assign.len(), topo.region_count());
-            let used: std::collections::BTreeSet<u32> = assign.iter().copied().collect();
-            let expect: std::collections::BTreeSet<u32> = (0..shards as u32).collect();
-            assert_eq!(used, expect, "shards={shards}");
         }
     }
 
@@ -928,26 +860,74 @@ mod tests {
         }
     }
 
-    /// Panics on its first packet — the worker-failure path.
-    struct Bomb;
+    /// What a [`Bomb`] panics with on the calling thread and on a helper.
+    const BOOM: [&str; 2] = ["boom on the caller", "boom on a helper"];
+
+    /// The worker-failure path. On its first packet a bomb marks its side
+    /// — 0 on the calling thread, 1 on a helper — and waits until a node
+    /// on the other side runs too, so each side holds a claimed region.
+    /// Then it panics if `fire` arms its side.
+    struct Bomb {
+        caller: std::thread::ThreadId,
+        fire: [bool; 2],
+        running: Arc<[AtomicBool; 2]>,
+    }
+
     impl SimNode for Bomb {
         type Msg = u32;
         fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {
-            panic!("boom: node callback failed");
+            let side = usize::from(std::thread::current().id() != self.caller);
+            self.running[side].store(true, Relaxed);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !self.running[1 - side].load(Relaxed) {
+                assert!(std::time::Instant::now() < deadline, "the other side never ran");
+                std::thread::yield_now();
+            }
+            if self.fire[side] {
+                std::panic::panic_any(BOOM[side]);
+            }
         }
         fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
     }
 
+    /// Runs one packet into each of `2 * workers` one-node regions — more
+    /// regions than workers, so no side can hold every region while it
+    /// waits — and returns the payload the run panicked with.
+    fn bombed_run(workers: usize, fire: [bool; 2]) -> &'static str {
+        let regions = 2 * workers as u32;
+        let mut b = TopologyBuilder::new().inter_region_one_way(SimDuration::from_millis(20));
+        for r in 0..regions {
+            b = b.region(1, (r > 0).then_some(0));
+        }
+        let running = Arc::new([AtomicBool::new(false), AtomicBool::new(false)]);
+        let caller = std::thread::current().id();
+        let nodes = (0..regions).map(|_| Bomb { caller, fire, running: running.clone() }).collect();
+        let mut sim = ShardedSim::new(b.build().unwrap(), nodes, 1, workers);
+        for r in 0..regions {
+            sim.inject(NodeId(r), NodeId((r + 1) % regions), 1, SimTime::from_millis(1));
+        }
+        let run = panic::catch_unwind(AssertUnwindSafe(|| sim.run_until(SimTime::from_secs(1))));
+        *run.expect_err("a bomb fired").downcast().expect("the original payload")
+    }
+
     #[test]
-    #[should_panic(expected = "boom: node callback failed")]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        let nodes = (0..4).map(|_| Bomb).collect();
-        let mut sim = ShardedSim::new(two_region_topo(), nodes, 1, 2);
-        // Deliver into the second shard so a worker thread panics
-        // mid-window; the coordinator must rethrow, not hang at the
-        // barrier.
-        sim.inject(NodeId(2), NodeId(0), 1, SimTime::from_millis(1));
-        sim.run_until_quiescent(SimTime::from_secs(1));
+        // A panic in a region claimed by a helper thread, by the calling
+        // thread, or by both must reach the caller with its original
+        // payload instead of hanging the barrier. Each case runs on its own
+        // thread, so a hang fails the test instead of stalling the suite.
+        for workers in [2usize, 4] {
+            for fire in [[true, false], [false, true], [true, true]] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let run = std::thread::spawn(move || tx.send(bombed_run(workers, fire)));
+                let payload = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("the driver hung or lost the panic");
+                run.join().expect("the run returned").expect("the payload was received");
+                let side = BOOM.iter().position(|&p| p == payload);
+                assert!(side.is_some_and(|s| fire[s]), "workers={workers}: {payload}");
+            }
+        }
     }
 
     #[test]

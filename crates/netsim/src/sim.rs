@@ -484,7 +484,6 @@ impl<N: SimNode<T>, T> Sim<N, T> {
             unicast_loss: &self.unicast_loss,
             fault: self.fault.as_deref(),
             drop_filter: self.drop_filter.as_deref_mut().map(|f| f as &mut Filter<'_, N::Msg>),
-            region_shard: &[],
         };
         (&mut self.core, env)
     }
