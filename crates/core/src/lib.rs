@@ -66,6 +66,7 @@ pub mod observe;
 pub mod packet;
 pub mod policy;
 pub mod receiver;
+mod recovery;
 pub mod vecmap;
 
 /// Convenient glob-import of the protocol types.

@@ -126,20 +126,18 @@ impl LossDetector {
 
     /// All currently missing messages, in `(source, seq)` order (the
     /// per-source map is already sorted; no collect-and-sort needed).
-    #[must_use]
-    pub fn missing(&self) -> Vec<MessageId> {
-        let mut out: Vec<MessageId> = Vec::new();
-        for (source, st) in self.states.iter() {
+    pub fn missing_iter(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.states.iter().flat_map(|(source, st)| {
             let lo = st.floor + 1;
-            if st.high >= lo {
-                out.extend(
-                    st.received
-                        .missing_in(lo, st.high)
-                        .map(|seq| MessageId::new(source, SeqNo(seq))),
-                );
-            }
-        }
-        out
+            let seqs = (st.high >= lo).then(|| st.received.missing_in(lo, st.high));
+            seqs.into_iter().flatten().map(move |seq| MessageId::new(source, SeqNo(seq)))
+        })
+    }
+
+    /// [`LossDetector::missing_iter`], collected.
+    #[cfg(test)]
+    pub fn missing(&self) -> Vec<MessageId> {
+        self.missing_iter().collect()
     }
 
     /// Number of distinct messages ever received from `source`.

@@ -1,18 +1,16 @@
-//! The RRMP receiver state machine.
+//! The RRMP receiver: packet and timer dispatch for one group member.
 //!
 //! One [`Receiver`] instance embodies everything a group member does:
 //!
 //! * **Loss detection** from sequence gaps and session messages (§2.1).
-//! * **Local recovery** — pull requests to uniformly random neighbors,
-//!   retried on an RTT timer (§2.2).
-//! * **Remote recovery** — with probability λ/n per round, a request to a
-//!   random parent-region member; arriving remote repairs are re-multicast
-//!   in the region behind a randomized back-off (§2.2).
+//! * **Recovery** of each lost message — pull rounds to region
+//!   neighbors, λ/n remote rounds to the parent region, the back-off
+//!   re-multicast of remote repairs (§2.2) and the search for bufferers
+//!   of a discarded message (§3.3) — is one per-message machine in
+//!   `recovery.rs`; the receiver hands it its inputs.
 //! * **Two-phase buffering** — feedback-based short-term buffering with
 //!   idle threshold `T`, then long-term retention with probability `C/n`
 //!   (§3.1, §3.2).
-//! * **Search for bufferers** when a remote request hits a member that
-//!   already discarded the message (§3.3).
 //! * **Buffer handoff** when leaving voluntarily (§3.2).
 //! * **The sender role** (§2, §2.1), on a member granted it: numbering
 //!   the messages it multicasts and advertising the highest one in
@@ -39,9 +37,7 @@ use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
 
 use crate::buffer::{MessageStore, PressureTier};
-use crate::config::{
-    DampingConfig, ProtocolConfig, WatchdogConfig, REMOTE_TIMEOUT, SEARCH_MEMORY, SEARCH_TIMEOUT,
-};
+use crate::config::{DampingConfig, ProtocolConfig};
 use crate::events::{Action, Event, TimerKind};
 use crate::ids::{MessageId, SeqNo};
 use crate::loss::LossDetector;
@@ -49,12 +45,12 @@ use crate::metrics::Metrics;
 use crate::observe::Observer;
 use crate::packet::{DataPacket, Packet, RepairKind};
 use crate::policy::{BufferPolicy, DataPath, PolicyCtx};
-use crate::vecmap::VecMap;
+use crate::recovery::{Input, Phase, Recoveries, RecoveryEnv};
 use rrmp_trace::{BufferPhase, EventKind};
 
-/// Builds a [`PolicyCtx`] lending the receiver's state to a policy hook.
-/// A macro (not a method) so the borrow checker sees the disjoint field
-/// borrows next to the `self.policy` call.
+/// Builds a [`PolicyCtx`] lending the receiver's state (or the recovery
+/// [`Env`]'s) to a policy hook. A macro (not a method) so the borrow
+/// checker sees the disjoint field borrows next to the `self.policy` call.
 macro_rules! policy_ctx {
     ($self:ident, $now:expr, $actions:expr) => {
         PolicyCtx {
@@ -83,92 +79,6 @@ pub enum PreloadState {
     LongTerm,
     /// Message was received and already discarded.
     ReceivedDiscarded,
-}
-
-/// The two retry phases of §2.2: pull requests to the target the policy
-/// picks, and remote requests to the parent region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Pull,
-    Remote,
-}
-
-/// One phase's progress on a missing message.
-#[derive(Debug, Default, PartialEq)]
-struct Round {
-    attempts: u32,
-    /// The previous round was shed (or suppressed) by the repair-storm
-    /// damper instead of sending — cleared (and counted as a retry) the
-    /// next time a round actually fires. Shed rounds stay queued on
-    /// their retry timer; they are never silently lost.
-    shed: bool,
-}
-
-#[derive(Debug, Default, PartialEq)]
-struct Search {
-    /// Ascending, without duplicates.
-    origins: Vec<NodeId>,
-    attempts: u32,
-    /// Set when the retry cap was reached. The search is kept (so a later
-    /// data arrival still answers the origins, and incoming probes do not
-    /// re-ignite a hopeless search) and garbage-collected by the sweep.
-    exhausted_at: Option<SimTime>,
-}
-
-#[derive(Debug, PartialEq)]
-struct Backoff {
-    payload: Bytes,
-    suppressed: bool,
-}
-
-/// Everything a receiver holds about recovering one message. The fields
-/// are independent options rather than one state enum because `found`,
-/// `heard` and `backoff` can coexist with the rest. The record is removed
-/// as soon as every field is `None`; the cold `search` and `backoff` are
-/// boxed to keep an entry at 128 B.
-#[derive(Debug, Default, PartialEq)]
-struct Recovery {
-    /// The pull and remote phases, while the message is missing.
-    local: Option<Round>,
-    remote: Option<Round>,
-    /// Members to relay the message to when it arrives (ascending, no
-    /// duplicates). `Some` even when empty: the arrival then still counts
-    /// as a use of the store entry.
-    waiters: Option<Vec<NodeId>>,
-    /// The bufferer search (§3.3), for a message received and discarded.
-    search: Option<Box<Search>>,
-    /// When a search was heard to complete, and the holder: probes still
-    /// in flight are not to re-ignite it (`SEARCH_MEMORY`).
-    found: Option<(SimTime, NodeId)>,
-    /// A regional re-multicast waiting out its back-off.
-    backoff: Option<Box<Backoff>>,
-    /// When a peer's request was last overheard (set while damping is
-    /// armed): the duplicate-request suppression window.
-    heard: Option<SimTime>,
-    /// When the liveness watchdog first saw this loss wedged.
-    wedged_since: Option<SimTime>,
-}
-
-impl Recovery {
-    fn is_empty(&self) -> bool {
-        *self == Recovery::default()
-    }
-
-    fn round(&mut self, phase: Phase) -> &mut Option<Round> {
-        match phase {
-            Phase::Pull => &mut self.local,
-            Phase::Remote => &mut self.remote,
-        }
-    }
-}
-
-/// Inserts `nodes` into the ascending, duplicate-free `set`.
-fn add_sorted(set: &mut Vec<NodeId>, nodes: impl IntoIterator<Item = NodeId>) {
-    for n in nodes {
-        if let Err(i) = set.binary_search(&n) {
-            set.insert(i, n);
-        }
-    }
 }
 
 /// Deterministic token bucket damping the repair storm: recovery rounds
@@ -208,14 +118,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Spends one of `bucket`'s tokens. Always `true` while damping is
-    /// unarmed. (A free function over the field, so a caller can hold a
-    /// recovery record across it.)
-    fn take(bucket: &mut Option<TokenBucket>, d: Option<DampingConfig>, now: SimTime) -> bool {
-        let Some(d) = d else { return true };
-        bucket.as_mut().is_none_or(|b| b.try_take(d, now))
-    }
 }
 
 /// The RRMP receiver — see the module docs for the full behaviour map.
@@ -229,11 +131,8 @@ pub struct Receiver {
     view: HierarchyView,
     store: MessageStore,
     detector: LossDetector,
-    // One recovery record per message, in a sorted-vector map
-    // ([`VecMap`]): empty on most nodes, a handful of entries on the
-    // rest — no hash-table allocation per node, and deterministic
-    // (ascending-id) iteration for free.
-    recovery: VecMap<MessageId, Recovery>,
+    /// One recovery record per message ([`crate::recovery`]).
+    recovery: Recoveries,
     rng: StdRng,
     metrics: Metrics,
     policy: Box<dyn BufferPolicy>,
@@ -243,9 +142,10 @@ pub struct Receiver {
     /// ([`Receiver::make_sender`]).
     next_seq: SeqNo,
     /// Reused id buffer for the periodic long-term expiry sweep
-    /// ([`MessageStore::expire_long_into`]) — the idle-timer path
-    /// allocates nothing in the steady state.
-    expire_scratch: Vec<MessageId>,
+    /// ([`MessageStore::expire_long_into`]) and the recovery machine's
+    /// walks over idle losses — those paths allocate nothing in the
+    /// steady state.
+    scratch: Vec<MessageId>,
     /// Repair-storm damper — `Some` iff [`ProtocolConfig::damping`] is
     /// armed. Unarmed receivers never touch it.
     damper: Option<TokenBucket>,
@@ -260,6 +160,88 @@ pub struct Receiver {
 struct Attached {
     sample_every: Option<SimDuration>,
     observer: Box<dyn Observer>,
+}
+
+/// The receiver's parts, lent to the recovery machine for one input. The
+/// fields are borrowed one by one, beside the recovery table: lending the
+/// whole receiver with the table taken out for the call measured slower
+/// on `sim_lan_stream`. The names match the receiver's, so `policy_ctx!`
+/// builds a policy context from either.
+struct Env<'a> {
+    id: NodeId,
+    now: SimTime,
+    cfg: &'a ProtocolConfig,
+    view: &'a HierarchyView,
+    detector: &'a mut LossDetector,
+    store: &'a mut MessageStore,
+    metrics: &'a mut Metrics,
+    observer: Option<&'a mut Attached>,
+    rng: &'a mut StdRng,
+    damper: &'a mut Option<TokenBucket>,
+    policy: &'a mut dyn BufferPolicy,
+    actions: &'a mut Vec<Action>,
+    scratch: &'a mut Vec<MessageId>,
+}
+
+impl RecoveryEnv for Env<'_> {
+    fn me(&self) -> NodeId {
+        self.id
+    }
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn cfg(&self) -> &ProtocolConfig {
+        self.cfg
+    }
+    fn detector(&mut self) -> &mut LossDetector {
+        self.detector
+    }
+    fn store(&mut self) -> &mut MessageStore {
+        self.store
+    }
+    fn metrics(&mut self) -> &mut Metrics {
+        self.metrics
+    }
+    fn actions(&mut self) -> &mut Vec<Action> {
+        self.actions
+    }
+    fn scratch(&mut self) -> &mut Vec<MessageId> {
+        self.scratch
+    }
+    fn observe(&mut self, kind: EventKind) {
+        if let Some(a) = self.observer.as_deref_mut() {
+            a.observer.on_event(self.now, kind);
+        }
+    }
+    fn remote_phase(&self) -> bool {
+        self.policy.remote_recovery() && self.view.parent().is_some()
+    }
+    fn target(&mut self, phase: Phase, msg: MessageId) -> Option<NodeId> {
+        let ctx = &mut policy_ctx!(self, self.now, self.actions);
+        match phase {
+            Phase::Pull => self.policy.pull_target(ctx, msg),
+            Phase::Remote => self.policy.remote_target(ctx, msg),
+        }
+    }
+    fn pull_retry_delay(&mut self) -> SimDuration {
+        self.policy.pull_retry_delay(&policy_ctx!(self, self.now, self.actions))
+    }
+    fn pull_via_remote_request(&self) -> bool {
+        self.policy.pull_via_remote_request()
+    }
+    fn remulticast_remote_repairs(&self) -> bool {
+        self.policy.remulticast_remote_repairs()
+    }
+    fn search_target(&mut self) -> Option<NodeId> {
+        self.view.own().random_other(self.rng, self.id)
+    }
+    fn backoff_delay(&mut self, window: SimDuration) -> SimDuration {
+        SimDuration::from_micros(self.rng.gen_range(0..=window.as_micros()))
+    }
+    fn take_token(&mut self) -> bool {
+        let Some(d) = self.cfg.damping else { return true };
+        self.damper.as_mut().is_none_or(|b| b.try_take(d, self.now))
+    }
 }
 
 impl Receiver {
@@ -319,13 +301,13 @@ impl Receiver {
             view,
             store,
             detector: LossDetector::new(),
-            recovery: VecMap::new(),
+            recovery: Recoveries::default(),
             rng: StdRng::seed_from_u64(seed),
             metrics: Metrics::new(record),
             policy,
             left: false,
             next_seq: SeqNo::NONE,
-            expire_scratch: Vec::new(),
+            scratch: Vec::new(),
             damper,
             observer: None,
         }
@@ -435,32 +417,8 @@ impl Receiver {
         if self.left {
             return;
         }
-        self.observe(now, EventKind::Healed);
-        // `VecMap` iterates in ascending id order, so the heal round
-        // emits actions in the same order on every engine layout.
-        let exhausted: Vec<MessageId> = self
-            .recovery
-            .iter()
-            .filter(|(_, r)| r.search.as_ref().is_some_and(|s| s.exhausted_at.is_some()))
-            .map(|(m, _)| m)
-            .collect();
-        for msg in exhausted {
-            if let Some(search) = self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) {
-                search.exhausted_at = None;
-                search.attempts = 0;
-                self.metrics.counters.heal_rearms += 1;
-                self.search_attempt(msg, now, actions);
-            }
-        }
-        // `LossDetector::missing` is (source, seq)-ordered, so this loop
-        // is deterministic as-is. (A missing message has no search.)
-        for msg in self.detector.missing() {
-            if !self.recovery_pending(msg) {
-                self.metrics.counters.heal_rearms += 1;
-                self.start_recovery(msg, now, actions);
-            }
-        }
-        self.check_records();
+        self.recover(Input::Heal, now, actions);
+        self.recovery.check(&self.detector);
     }
 
     /// Whether recovery machinery is still actively working on `msg`.
@@ -468,11 +426,7 @@ impl Receiver {
     /// receiver gave up on cleanly after exhausting its retry caps.
     #[must_use]
     pub fn recovery_pending(&self, msg: MessageId) -> bool {
-        self.recovery.get(msg).is_some_and(|r| {
-            r.local.is_some()
-                || r.remote.is_some()
-                || r.search.as_ref().is_some_and(|s| s.exhausted_at.is_none())
-        })
+        self.recovery.pending(msg)
     }
 
     /// Grants this member the sender role (§2): it numbers the messages
@@ -586,24 +540,28 @@ impl Receiver {
             Event::Timer(kind) => self.on_timer(kind, now, actions),
             Event::Leave => self.on_leave(now, actions),
         }
-        self.check_records();
+        self.recovery.check(&self.detector);
     }
 
-    /// The recovery records' invariants, checked in debug builds after
-    /// every handled event: rounds and waiters exist only for a message
-    /// never received, a search only for one received before, and no
-    /// record is empty.
-    fn check_records(&self) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        for (msg, r) in self.recovery.iter() {
-            let received = self.detector.received_before(msg);
-            let awaited = r.local.is_some() || r.remote.is_some() || r.waiters.is_some();
-            debug_assert!(!(received && awaited), "{msg}: rounds or waiters after receipt");
-            debug_assert!(received || r.search.is_none(), "{msg}: search before receipt");
-            debug_assert!(!r.is_empty(), "{msg}: empty recovery record");
-        }
+    /// Hands `input` to the recovery machine, lending it this receiver's
+    /// parts.
+    fn recover(&mut self, input: Input<'_>, now: SimTime, actions: &mut Vec<Action>) {
+        let env = &mut Env {
+            id: self.id,
+            now,
+            cfg: &self.cfg,
+            view: &self.view,
+            detector: &mut self.detector,
+            store: &mut self.store,
+            metrics: &mut self.metrics,
+            observer: self.observer.as_deref_mut(),
+            rng: &mut self.rng,
+            damper: &mut self.damper,
+            policy: &mut *self.policy,
+            actions,
+            scratch: &mut self.scratch,
+        };
+        self.recovery.handle(env, input);
     }
 
     /// Hands `kind` to the observer, if armed.
@@ -619,23 +577,34 @@ impl Receiver {
         self.observe(now, EventKind::Buffer { src: id.source.0, mseq: id.seq.value(), phase });
     }
 
-    /// Drops `msg`'s record once every field is `None`.
-    fn tidy(&mut self, msg: MessageId) {
-        if self.recovery.get(msg).is_some_and(Recovery::is_empty) {
-            self.recovery.remove(msg);
-        }
-    }
-
     fn on_packet(&mut self, from: NodeId, packet: Packet, now: SimTime, actions: &mut Vec<Action>) {
         match packet {
             Packet::Data(data) => self.on_data(data, DataPath::Multicast, now, actions),
             Packet::Session { source, high } => {
                 for m in self.detector.on_session(source, high) {
-                    self.start_recovery(m, now, actions);
+                    self.recover(Input::Lost(m), now, actions);
                 }
             }
-            Packet::LocalRequest { msg } => self.on_local_request(msg, from, now, actions),
-            Packet::RemoteRequest { msg } => self.on_remote_request(msg, from, now, actions),
+            // A request claiming our own identity is nonsense.
+            Packet::LocalRequest { .. } | Packet::RemoteRequest { .. } if from == self.id => {}
+            Packet::LocalRequest { msg } => {
+                self.metrics.counters.local_requests_received += 1;
+                self.recover(Input::Overheard(msg), now, actions);
+                self.store.note_request(msg, now);
+                if let Some(payload) = self.store.get(msg) {
+                    self.metrics.counters.repairs_sent_local += 1;
+                    let (src, mseq) = (msg.source.0, msg.seq.value());
+                    self.observe(now, EventKind::RepairSent { src, mseq, to: from.0 });
+                    let data = DataPacket::new(msg, payload);
+                    let packet = Packet::Repair { data, kind: RepairKind::Local };
+                    actions.push(Action::Send { to: from, packet });
+                }
+                // Paper §2.2: "Otherwise it ignores the request."
+            }
+            Packet::RemoteRequest { msg } => {
+                self.metrics.counters.remote_requests_received += 1;
+                self.recover(Input::RemoteRequest { msg, from }, now, actions);
+            }
             Packet::Repair { data, kind } => {
                 self.metrics.counters.repairs_received += 1;
                 let path = match kind {
@@ -645,23 +614,13 @@ impl Receiver {
                 self.on_data(data, path, now, actions);
             }
             Packet::RegionalRepair { data } => {
-                // Hearing the region-wide repair suppresses our own pending
-                // back-off multicast for the same message.
-                if let Some(b) = self.recovery.get_mut(data.id).and_then(|r| r.backoff.as_mut()) {
-                    b.suppressed = true;
-                }
                 self.on_data(data, DataPath::RegionalRepair, now, actions);
             }
             Packet::SearchRequest { msg, origins } => {
-                self.on_search_request(msg, origins, now, actions);
+                self.recover(Input::SearchRequest { msg, origins }, now, actions);
             }
             Packet::SearchFound { msg, holder } => {
-                // Someone has the message: the search is over. Remember
-                // the holder briefly so probes still in flight don't
-                // re-ignite the search.
-                let r = self.recovery.get_or_default(msg);
-                r.search = None;
-                r.found = Some((now, holder));
+                self.recover(Input::SearchFound { msg, holder }, now, actions);
             }
             Packet::Handoff { data } => {
                 self.metrics.counters.handoffs_received += 1;
@@ -685,9 +644,10 @@ impl Receiver {
     ) {
         let id = data.id;
         let outcome = self.detector.on_data(id);
+        let payload = &data.payload;
         if outcome.newly_received {
             self.metrics.counters.delivered += 1;
-            actions.push(Action::Deliver { id, payload: data.payload.clone() });
+            actions.push(Action::Deliver { id, payload: payload.clone() });
             if let Some(a) = self.observer.as_deref_mut() {
                 let (src, mseq) = (id.source.0, id.seq.value());
                 a.observer
@@ -701,118 +661,26 @@ impl Receiver {
             if self.store.tier() == PressureTier::Critical && path != DataPath::Handoff {
                 self.metrics.counters.admission_declined += 1;
             } else {
-                self.buffer_new_message(id, &data.payload, path, now, actions);
+                self.policy.on_receive(&mut policy_ctx!(self, now, actions), id, payload, path);
             }
             self.apply_pressure(now, actions);
-            self.end_recovery(id, &data.payload, now, actions);
-            if path == DataPath::RemoteRepair && self.policy.remulticast_remote_repairs() {
-                self.arm_regional_multicast(id, data.payload.clone(), actions);
-            }
+            self.recover(Input::Payload { msg: id, payload, path, fresh: true }, now, actions);
             for m in outcome.newly_missing {
-                self.start_recovery(m, now, actions);
+                self.recover(Input::Lost(m), now, actions);
             }
         } else {
             self.metrics.counters.duplicates += 1;
             // A handoff makes us responsible for long-term buffering even
             // if we had discarded the payload.
             if path == DataPath::Handoff && !self.store.contains(id) {
-                self.store.insert_long(id, data.payload.clone(), now);
+                self.store.insert_long(id, payload.clone(), now);
                 self.phase(id, BufferPhase::Kept, now);
                 self.apply_pressure(now, actions);
             }
             // If we were searching for this message on behalf of downstream
             // waiters, the reappearing payload answers them.
-            self.end_recovery(id, &data.payload, now, actions);
+            self.recover(Input::Payload { msg: id, payload, path, fresh: false }, now, actions);
         }
-    }
-
-    /// `id`'s payload is at hand: every recovery effort for it ends. The
-    /// rounds are dropped, waiters get the relayed repair, and an active
-    /// search is answered, leaving this member as the remembered holder.
-    /// Only one of the last two can fire: waiters exist only for a
-    /// message never received, a search only for one received before.
-    fn end_recovery(
-        &mut self,
-        id: MessageId,
-        payload: &Bytes,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        let Some(r) = self.recovery.get_mut(id) else { return };
-        r.local = None;
-        r.remote = None;
-        let waiters = r.waiters.take();
-        let search = r.search.take();
-        if search.is_some() {
-            r.found = Some((now, self.id));
-        }
-        if r.is_empty() {
-            self.recovery.remove(id);
-        }
-        if let Some(waiters) = waiters {
-            let me = self.id;
-            for w in waiters.into_iter().filter(|&w| w != me) {
-                self.metrics.counters.relays_performed += 1;
-                self.send_remote_repair(w, id, payload, now, actions);
-            }
-            self.store.note_use(id, now);
-        }
-        if let Some(search) = search {
-            self.answer_origins(id, payload, &search.origins, now, actions);
-        }
-    }
-
-    /// Sends `msg` to `to` as a remote repair, recording when it left.
-    fn send_remote_repair(
-        &mut self,
-        to: NodeId,
-        msg: MessageId,
-        payload: &Bytes,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        self.metrics.counters.repairs_sent_remote += 1;
-        self.metrics.record_remote_repair(now, msg);
-        let (src, mseq) = (msg.source.0, msg.seq.value());
-        self.observe(now, EventKind::RepairSent { src, mseq, to: to.0 });
-        actions.push(Action::Send {
-            to,
-            packet: Packet::Repair {
-                data: DataPacket::new(msg, payload.clone()),
-                kind: RepairKind::Remote,
-            },
-        });
-    }
-
-    /// Answers a search for `msg` as its holder: repairs each origin and
-    /// announces "I have the message" to the region.
-    fn answer_origins(
-        &mut self,
-        msg: MessageId,
-        payload: &Bytes,
-        origins: &[NodeId],
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        for &origin in origins {
-            self.send_remote_repair(origin, msg, payload, now, actions);
-        }
-        self.metrics.counters.search_found_sent += 1;
-        actions
-            .push(Action::MulticastRegion { packet: Packet::SearchFound { msg, holder: self.id } });
-    }
-
-    /// Delegates the "who buffers, in which phase, with which timer"
-    /// decision for a freshly delivered payload to the policy.
-    fn buffer_new_message(
-        &mut self,
-        id: MessageId,
-        payload: &Bytes,
-        path: DataPath,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        self.policy.on_receive(&mut policy_ctx!(self, now, actions), id, payload, path);
     }
 
     /// Invokes the policy's pressure hook when the memory budget's
@@ -826,345 +694,20 @@ impl Receiver {
         }
     }
 
-    /// Records an overheard peer request for the suppression window
-    /// (no-op while damping is unarmed).
-    fn note_request_heard(&mut self, msg: MessageId, now: SimTime) {
-        if self.cfg.damping.is_some() {
-            self.recovery.get_or_default(msg).heard = Some(now);
-        }
-    }
-
-    /// The holder recorded by a recently completed search for `msg`, if
-    /// the memory window has not expired.
-    fn fresh_holder(&self, msg: MessageId, now: SimTime) -> Option<NodeId> {
-        self.recovery
-            .get(msg)
-            .and_then(|r| r.found)
-            .filter(|&(at, _)| now.saturating_since(at) <= SEARCH_MEMORY)
-            .map(|(_, holder)| holder)
-    }
-
-    fn arm_regional_multicast(&mut self, id: MessageId, payload: Bytes, actions: &mut Vec<Action>) {
-        match self.cfg.backoff_window {
-            None => {
-                self.metrics.counters.regional_multicasts_sent += 1;
-                actions.push(Action::MulticastRegion {
-                    packet: Packet::RegionalRepair { data: DataPacket::new(id, payload) },
-                });
-            }
-            Some(window) => {
-                let delay = SimDuration::from_micros(self.rng.gen_range(0..=window.as_micros()));
-                self.recovery.get_or_default(id).backoff =
-                    Some(Box::new(Backoff { payload, suppressed: false }));
-                actions.push(Action::SetTimer { delay, kind: TimerKind::Backoff(id) });
-            }
-        }
-    }
-
-    // ----- requests --------------------------------------------------------
-
-    fn on_local_request(
-        &mut self,
-        msg: MessageId,
-        from: NodeId,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        if from == self.id {
-            return; // a request claiming our own identity is nonsense
-        }
-        self.metrics.counters.local_requests_received += 1;
-        self.note_request_heard(msg, now);
-        self.store.note_request(msg, now);
-        if let Some(payload) = self.store.get(msg) {
-            self.metrics.counters.repairs_sent_local += 1;
-            let (src, mseq) = (msg.source.0, msg.seq.value());
-            self.observe(now, EventKind::RepairSent { src, mseq, to: from.0 });
-            actions.push(Action::Send {
-                to: from,
-                packet: Packet::Repair {
-                    data: DataPacket::new(msg, payload),
-                    kind: RepairKind::Local,
-                },
-            });
-        }
-        // Paper §2.2: "Otherwise it ignores the request."
-    }
-
-    fn on_remote_request(
-        &mut self,
-        msg: MessageId,
-        from: NodeId,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        if from == self.id {
-            return; // a request claiming our own identity is nonsense
-        }
-        self.metrics.counters.remote_requests_received += 1;
-        self.note_request_heard(msg, now);
-        self.store.note_request(msg, now);
-        if let Some(payload) = self.store.get(msg) {
-            self.send_remote_repair(from, msg, &payload, now, actions);
-        } else if self.detector.received_before(msg) {
-            // Received but discarded: find a bufferer in this region (§3.3).
-            // (The remembered holder can be ourselves if we served the
-            // message earlier and discarded it since — then a fresh search
-            // is needed after all.)
-            if let Some(holder) = self.fresh_holder(msg, now).filter(|&h| h != self.id) {
-                // A search for this message just completed; route the
-                // request straight to the announced holder.
-                self.metrics.counters.search_forwards += 1;
-                actions.push(Action::Send {
-                    to: holder,
-                    packet: Packet::SearchRequest { msg, origins: vec![from] },
-                });
-                return;
-            }
-            self.metrics.counters.searches_started += 1;
-            self.join_search(msg, [from], now, actions);
-        } else {
-            // Never received: remember the waiter and recover it ourselves;
-            // the repair is relayed when the message arrives (§2.2).
-            let waiters = self.recovery.get_or_default(msg).waiters.get_or_insert_with(Vec::new);
-            add_sorted(waiters, [from]);
-            for m in self.detector.on_hint(msg) {
-                self.start_recovery(m, now, actions);
-            }
-        }
-    }
-
-    // ----- recovery phases --------------------------------------------------
-
-    fn start_recovery(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        if !self.detector.is_missing(msg) {
-            return;
-        }
-        self.observe(now, EventKind::LossDetected { src: msg.source.0, mseq: msg.seq.value() });
-        let remote = self.policy.remote_recovery() && self.view.parent().is_some();
-        let phases: &[Phase] = if remote { &[Phase::Pull, Phase::Remote] } else { &[Phase::Pull] };
-        for &phase in phases {
-            let round = self.recovery.get_or_default(msg).round(phase);
-            if round.is_none() {
-                *round = Some(Round::default());
-                self.attempt(msg, phase, now, actions);
-            }
-        }
-    }
-
-    /// One recovery round of `phase`. For the pull phase the policy picks
-    /// the peer to ask (random region neighbor for two-phase, a
-    /// designated bufferer for hash placement, the source for
-    /// sender-based recovery, the repair server for tree hierarchies),
-    /// the request semantics (plain local request, or a remote request
-    /// whose target registers a waiter and recovers the message itself),
-    /// and the retry period. The remote phase asks the policy's remote
-    /// target (the λ/n coin) and retries after `REMOTE_TIMEOUT`. A round
-    /// for a message no longer missing just ends.
-    fn attempt(&mut self, msg: MessageId, phase: Phase, now: SimTime, actions: &mut Vec<Action>) {
-        let cap = match phase {
-            Phase::Pull => self.cfg.max_local_attempts,
-            Phase::Remote => self.cfg.max_remote_attempts,
-        };
-        let Some(r) = self.recovery.get_mut(msg) else { return };
-        let heard = r.heard;
-        let slot = r.round(phase);
-        let Some(round) = slot else { return };
-        round.attempts += 1;
-        let (attempt, was_shed) = (round.attempts, round.shed);
-        let missing = self.detector.is_missing(msg);
-        if !missing || attempt > cap {
-            *slot = None;
-            self.tidy(msg);
-            if missing {
-                self.metrics.counters.recovery_gave_up += 1;
-                self.observe(now, EventKind::GaveUp { src: msg.source.0, mseq: msg.seq.value() });
-            }
-            return;
-        }
-        // Repair-storm damping (attempt accounting above runs first, so
-        // shed rounds still count toward the give-up cap and a storm
-        // cannot stretch recovery forever). Only the pull phase checks
-        // the suppression window, before it spends a token. A shed round
-        // makes *zero* RNG draws — the policy's target pick (or the λ/n
-        // coin) is skipped entirely — and stays queued on its retry timer.
-        let window = self.cfg.damping.map(|d| d.suppress_window);
-        let suppressed = phase == Phase::Pull
-            && heard.zip(window).is_some_and(|(at, w)| now.saturating_since(at) <= w);
-        let shed = suppressed || !TokenBucket::take(&mut self.damper, self.cfg.damping, now);
-        round.shed = shed;
-        if shed {
-            if suppressed {
-                self.metrics.counters.requests_suppressed += 1;
-            } else {
-                self.metrics.counters.requests_shed += 1;
-            }
-        } else {
-            if was_shed {
-                self.metrics.counters.shed_retried += 1;
-            }
-            let ctx = &mut policy_ctx!(self, now, actions);
-            let target = match phase {
-                Phase::Pull => self.policy.pull_target(ctx, msg),
-                Phase::Remote => self.policy.remote_target(ctx, msg),
-            };
-            if let Some(to) = target {
-                let (src, mseq, remote) = (msg.source.0, msg.seq.value(), phase == Phase::Remote);
-                self.observe(now, EventKind::RecoveryRound { src, mseq, remote, attempt });
-                let packet = if phase == Phase::Remote || self.policy.pull_via_remote_request() {
-                    self.metrics.counters.remote_requests_sent += 1;
-                    Packet::RemoteRequest { msg }
-                } else {
-                    self.metrics.counters.local_requests_sent += 1;
-                    Packet::LocalRequest { msg }
-                };
-                actions.push(Action::Send { to, packet });
-            }
-        }
-        // §2.2: the remote timer is set whether or not a request was sent.
-        let (delay, kind) = match phase {
-            Phase::Pull => (
-                self.policy.pull_retry_delay(&policy_ctx!(self, now, actions)),
-                TimerKind::LocalRetry(msg),
-            ),
-            Phase::Remote => (REMOTE_TIMEOUT, TimerKind::RemoteRetry(msg)),
-        };
-        actions.push(Action::SetTimer { delay, kind });
-    }
-
-    // ----- search ------------------------------------------------------------
-
-    fn on_search_request(
-        &mut self,
-        msg: MessageId,
-        origins: Vec<NodeId>,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        // Hostile or confused peers may list us as a waiting origin;
-        // answering ourselves is never meaningful.
-        let me = self.id;
-        let origins: Vec<NodeId> = origins.into_iter().filter(|&o| o != me).collect();
-        if let Some(payload) = self.store.get(msg) {
-            // We are a bufferer: answer every waiting origin and stop the
-            // search with a regional announcement.
-            self.store.note_request(msg, now);
-            self.recovery.get_or_default(msg).found = Some((now, self.id));
-            self.answer_origins(msg, &payload, &origins, now, actions);
-        } else if self.detector.received_before(msg) {
-            // Discarded here too. If the search already completed and this
-            // probe was merely in flight, forward the origins to the
-            // remembered holder instead of re-igniting the epidemic.
-            if let Some(holder) = self.fresh_holder(msg, now) {
-                if holder != self.id {
-                    self.metrics.counters.search_forwards += 1;
-                    actions.push(Action::Send {
-                        to: holder,
-                        packet: Packet::SearchRequest { msg, origins },
-                    });
-                }
-                return;
-            }
-            // Otherwise join the search (§3.3).
-            match self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) {
-                Some(search) => add_sorted(&mut search.origins, origins),
-                None => {
-                    self.metrics.counters.searches_joined += 1;
-                    self.join_search(msg, origins, now, actions);
-                }
-            }
-        } else {
-            // Never received (§3.3 footnote 4): recover it ourselves and
-            // relay to the origins once it arrives.
-            let waiters = self.recovery.get_or_default(msg).waiters.get_or_insert_with(Vec::new);
-            add_sorted(waiters, origins);
-            for m in self.detector.on_hint(msg) {
-                self.start_recovery(m, now, actions);
-            }
-        }
-    }
-
-    fn join_search<I: IntoIterator<Item = NodeId>>(
-        &mut self,
-        msg: MessageId,
-        origins: I,
-        now: SimTime,
-        actions: &mut Vec<Action>,
-    ) {
-        let me = self.id;
-        let search = self.recovery.get_or_default(msg).search.get_or_insert_with(Box::default);
-        add_sorted(&mut search.origins, origins.into_iter().filter(|&o| o != me));
-        if search.exhausted_at.is_none() {
-            self.search_attempt(msg, now, actions);
-        }
-    }
-
-    fn search_attempt(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        let Some(search) = self.recovery.get_mut(msg).and_then(|r| r.search.as_mut()) else {
-            return;
-        };
-        if search.exhausted_at.is_some() {
-            return;
-        }
-        search.attempts += 1;
-        if search.attempts > self.cfg.max_search_attempts {
-            search.exhausted_at = Some(now);
-            self.metrics.counters.recovery_gave_up += 1;
-            self.observe(now, EventKind::GaveUp { src: msg.source.0, mseq: msg.seq.value() });
-            return;
-        }
-        let origins = search.origins.clone();
-        if let Some(q) = self.view.own().random_other(&mut self.rng, self.id) {
-            self.metrics.counters.search_forwards += 1;
-            actions.push(Action::Send { to: q, packet: Packet::SearchRequest { msg, origins } });
-        }
-        actions.push(Action::SetTimer { delay: SEARCH_TIMEOUT, kind: TimerKind::SearchRetry(msg) });
-    }
-
     // ----- timers --------------------------------------------------------------
 
     fn on_timer(&mut self, kind: TimerKind, now: SimTime, actions: &mut Vec<Action>) {
         match kind {
-            TimerKind::LocalRetry(msg) => self.attempt(msg, Phase::Pull, now, actions),
-            TimerKind::RemoteRetry(msg) => self.attempt(msg, Phase::Remote, now, actions),
-            TimerKind::IdleCheck(msg) => self.on_idle_check(msg, now, actions),
-            TimerKind::SearchRetry(msg) => {
-                if self.recovery.get(msg).is_some_and(|r| r.search.is_some()) {
-                    if let Some(payload) = self.store.get(msg) {
-                        // We re-acquired the message since the search began.
-                        self.end_recovery(msg, &payload, now, actions);
-                    } else {
-                        self.search_attempt(msg, now, actions);
-                    }
-                }
-            }
-            TimerKind::Backoff(msg) => {
-                if let Some(b) = self.recovery.get_mut(msg).and_then(|r| r.backoff.take()) {
-                    if b.suppressed {
-                        self.metrics.counters.regional_multicasts_suppressed += 1;
-                    } else if !TokenBucket::take(&mut self.damper, self.cfg.damping, now) {
-                        // Deferred, not dropped: the back-off state is
-                        // kept and the timer re-armed one refill period
-                        // out, when a token must exist again (unless a
-                        // peer's multicast suppresses it meanwhile).
-                        self.metrics.counters.remulticasts_shed += 1;
-                        let delay = self.cfg.damping.expect("token denied while unarmed").refill;
-                        self.recovery.get_or_default(msg).backoff = Some(b);
-                        actions.push(Action::SetTimer { delay, kind: TimerKind::Backoff(msg) });
-                    } else {
-                        self.metrics.counters.regional_multicasts_sent += 1;
-                        actions.push(Action::MulticastRegion {
-                            packet: Packet::RegionalRepair {
-                                data: DataPacket::new(msg, b.payload),
-                            },
-                        });
-                    }
-                    self.tidy(msg);
-                }
+            TimerKind::LocalRetry(_)
+            | TimerKind::RemoteRetry(_)
+            | TimerKind::SearchRetry(_)
+            | TimerKind::Backoff(_) => self.recover(Input::Timer(kind), now, actions),
+            TimerKind::IdleCheck(msg) => {
+                self.policy.on_idle(&mut policy_ctx!(self, now, actions), msg);
             }
             TimerKind::LongTermSweep => {
                 if let Some(timeout) = self.policy.long_term_expiry(&self.cfg) {
-                    let mut expired = std::mem::take(&mut self.expire_scratch);
+                    let mut expired = std::mem::take(&mut self.scratch);
                     debug_assert!(expired.is_empty());
                     self.store.expire_long_into(now, timeout, &mut expired);
                     for &id in &expired {
@@ -1172,27 +715,9 @@ impl Receiver {
                         self.phase(id, BufferPhase::Discarded, now);
                     }
                     expired.clear();
-                    self.expire_scratch = expired;
+                    self.scratch = expired;
                 }
-                // Piggy-back garbage collection of expired search memory,
-                // of exhausted searches old enough that their origins
-                // must have retried elsewhere, and of overheard requests
-                // past the suppression window.
-                let sweep = self.cfg.long_term_sweep_interval;
-                let suppress = self.cfg.damping.map(|d| d.suppress_window);
-                self.recovery.retain(|_, r| {
-                    if r.found.is_some_and(|(at, _)| now.saturating_since(at) > SEARCH_MEMORY) {
-                        r.found = None;
-                    }
-                    let exhausted = r.search.as_ref().and_then(|s| s.exhausted_at);
-                    if exhausted.is_some_and(|at| now.saturating_since(at) >= sweep) {
-                        r.search = None;
-                    }
-                    if r.heard.zip(suppress).is_some_and(|(at, w)| now.saturating_since(at) > w) {
-                        r.heard = None;
-                    }
-                    !r.is_empty()
-                });
+                self.recover(Input::Sweep, now, actions);
                 actions.push(Action::SetTimer {
                     delay: self.cfg.long_term_sweep_interval,
                     kind: TimerKind::LongTermSweep,
@@ -1230,7 +755,7 @@ impl Receiver {
                 // stray timer on an unarmed receiver is simply ignored
                 // (and not re-armed), like any other stale timer.
                 if let Some(wd) = self.cfg.watchdog {
-                    self.watchdog_tick(wd, now, actions);
+                    self.recover(Input::Watchdog(wd), now, actions);
                     actions
                         .push(Action::SetTimer { delay: wd.interval, kind: TimerKind::Watchdog });
                 }
@@ -1241,67 +766,21 @@ impl Receiver {
                 // receiver is ignored. Handling makes no RNG draws and
                 // mutates no protocol state — only the observer.
                 if let Some(every) = self.observer.as_ref().and_then(|a| a.sample_every) {
-                    let count = |has: fn(&Recovery) -> bool| {
-                        let n = self.recovery.iter().filter(|(_, r)| has(r)).count();
-                        u32::try_from(n).unwrap_or(u32::MAX)
-                    };
+                    let [pending_local, pending_remote, searches] = self.recovery.census();
                     let kind = EventKind::Sample {
                         store_entries: u32::try_from(self.store.len()).unwrap_or(u32::MAX),
                         store_bytes: self.store.bytes() as u64,
                         budget_bytes: self.store.budget().map_or(0, |b| b.bytes() as u64),
                         tokens: self.damper.as_ref().map_or(0, |b| b.tokens),
-                        pending_local: count(|r| r.local.is_some()),
-                        pending_remote: count(|r| r.remote.is_some()),
-                        searches: count(|r| r.search.is_some()),
+                        pending_local,
+                        pending_remote,
+                        searches,
                     };
                     self.observe(now, kind);
                     actions.push(Action::SetTimer { delay: every, kind: TimerKind::TraceSample });
                 }
             }
         }
-    }
-
-    /// One pass of the recovery-liveness watchdog: a loss is *wedged*
-    /// when the detector still reports it missing but no recovery
-    /// machinery drives it (no pull or remote state, no live search) —
-    /// the state a retry-cap give-up during a fault window leaves
-    /// behind. A wedged loss observed for a full horizon is re-armed
-    /// through the same path [`Receiver::on_heal`] uses; one that
-    /// recovered (or found a driver) between ticks is forgotten.
-    /// Iteration is (source, seq)-ordered and RNG-free, so armed runs
-    /// stay byte-identical across engine layouts.
-    fn watchdog_tick(&mut self, wd: WatchdogConfig, now: SimTime, actions: &mut Vec<Action>) {
-        let mut wedged: Vec<MessageId> = Vec::new();
-        for msg in self.detector.missing() {
-            if !self.recovery_pending(msg) {
-                wedged.push(msg);
-            }
-        }
-        // `missing()` yields ascending ids, so the list is sorted.
-        self.recovery.retain(|m, r| {
-            if r.wedged_since.is_none() || wedged.binary_search(&m).is_ok() {
-                return true;
-            }
-            r.wedged_since = None;
-            !r.is_empty()
-        });
-        for msg in wedged {
-            let r = self.recovery.get_or_default(msg);
-            match r.wedged_since {
-                None => r.wedged_since = Some(now),
-                Some(since) if now.saturating_since(since) >= wd.horizon => {
-                    // The record stays: `start_recovery` opens a round.
-                    r.wedged_since = None;
-                    self.metrics.counters.watchdog_rearms += 1;
-                    self.start_recovery(msg, now, actions);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    fn on_idle_check(&mut self, msg: MessageId, now: SimTime, actions: &mut Vec<Action>) {
-        self.policy.on_idle(&mut policy_ctx!(self, now, actions), msg);
     }
 
     // ----- leave -----------------------------------------------------------------
@@ -1327,8 +806,9 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, PolicyKind};
+    use crate::config::{ConfigError, PolicyKind, WatchdogConfig};
     use crate::observe::BufferRecords;
+    use crate::recovery::Recovery;
     use rrmp_membership::view::RegionView;
     use rrmp_netsim::topology::RegionId;
 
@@ -1691,6 +1171,39 @@ mod tests {
     }
 
     #[test]
+    fn probe_reaching_a_stale_self_holder_searches_afresh() {
+        // This member answered a search, so it remembers itself as the
+        // holder, and then discarded the message again within
+        // `SEARCH_MEMORY`. A probe must join a fresh search, as a remote
+        // request would, not drop its origins.
+        let mut cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        cfg.long_term_timeout = SimDuration::from_millis(1);
+        let mut r = root_receiver(cfg);
+        r.handle(packet_event(0, data(1)), t(0));
+        r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
+        r.handle(packet_event(30, Packet::RemoteRequest { msg: mid(1) }), t(50)); // searching
+                                                                                  // A handoff brings the message back and answers the search ...
+        let handoff = Packet::Handoff { data: DataPacket::new(mid(1), payload()) };
+        let actions = r.handle(packet_event(2, handoff), t(55));
+        assert!(actions.iter().any(|a| matches!(
+            a,
+            Action::MulticastRegion { packet: Packet::SearchFound { holder, .. } } if *holder == NodeId(1)
+        )));
+        // ... and the long-term expiry discards it again.
+        r.handle(Event::Timer(TimerKind::LongTermSweep), t(60));
+        assert!(!r.store().contains(mid(1)));
+        let probe = Packet::SearchRequest { msg: mid(1), origins: vec![NodeId(31)] };
+        let actions = r.handle(packet_event(3, probe), t(70));
+        assert_eq!(r.metrics().counters.searches_joined, 1);
+        assert!(
+            sends(&actions).iter().any(|(_, p)| matches!(p, Packet::SearchRequest { origins, .. }
+                    if origins == &vec![NodeId(31)])),
+            "the origins must travel on: {actions:?}"
+        );
+        assert!(timers(&actions).contains(&TimerKind::SearchRetry(mid(1))));
+    }
+
+    #[test]
     fn remote_request_after_fresh_announcement_uses_fast_path() {
         let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
         let mut r = root_receiver(cfg);
@@ -2033,23 +1546,23 @@ mod tests {
         // A remote repair leaves only the back-off behind ...
         r.handle(packet_event(10, repair(1, RepairKind::Remote)), t(5));
         let rec = r.recovery.get(mid(1)).expect("back-off pending");
-        assert!(rec.local.is_none() && rec.remote.is_none() && rec.backoff.is_some());
+        assert_eq!(rec.shape(), "backoff");
         // ... which, unsuppressed, fires, and the record goes with it.
         let actions = r.handle(Event::Timer(TimerKind::Backoff(mid(1))), t(15));
         assert!(actions.iter().any(|a| matches!(a, Action::MulticastRegion { .. })));
         assert_eq!(r.metrics().counters.regional_multicasts_sent, 1);
-        assert!(r.recovery.is_empty());
+        assert_eq!(r.recovery.len(), 0);
         // Search memory lives until the sweep after its window.
         r.handle(packet_event(2, Packet::SearchFound { msg: mid(1), holder: NodeId(2) }), t(20));
-        assert!(r.recovery.get(mid(1)).is_some_and(|rec| rec.found.is_some()));
+        assert!(r.recovery.get(mid(1)).is_some_and(|rec| rec.shape() == "found"));
         r.handle(Event::Timer(TimerKind::LongTermSweep), t(5_000));
-        assert!(r.recovery.is_empty());
+        assert_eq!(r.recovery.len(), 0);
     }
 
     #[test]
     fn recovery_record_and_receiver_sizes_are_pinned() {
         // Growth must be a decision.
-        assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 128);
+        assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 120);
         assert!(std::mem::size_of::<Receiver>() <= 688);
         assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 784);
     }

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Checks that the working tree behaves byte for byte like revision REV:
 # the `trace_dump` exports at 1, 2 and 4 shards, every `rrmp-bench`
-# figure and ablation printer, and the `quickstart`, `wan_dissemination`
-# and `live_feed_churn` examples. Every one of them is deterministic, so a
-# change that claims to keep behaviour must leave each output identical.
-# (`perf/`'s `#exact` lines are compared separately; see perf/README.md.)
+# figure and ablation printer, the `quickstart`, `wan_dissemination`
+# and `live_feed_churn` examples, and the outcome of each `sim_*` perf
+# workload at seeds 2002 and 90125 (its `#exact` line and `failed`
+# count, from `perf/run.sh --workload W --seed S --trace 0` at the
+# default run length). Every one of them is deterministic, so a change
+# that claims to keep behaviour must leave each output identical.
 #
 #   scripts/same_behaviour.sh REV
 #
 # REV is checked out as a git worktree under target/ and built with its
-# own CARGO_TARGET_DIR, which later runs reuse; the worktree is removed on
-# exit. The first output that differs is named, and the script exits
-# non-zero.
+# own CARGO_TARGET_DIR (and `perf/` with its own, below that), which
+# later runs reuse; the worktree is removed on exit. The first output
+# that differs is named, and the script exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 rev=${1:?usage: scripts/same_behaviour.sh REV}
@@ -48,6 +50,16 @@ run_all() {
     for example in quickstart wan_dissemination live_feed_churn; do
         "${cargo[@]}" run --release "${manifest[@]}" --example "$example" >"$out/$example.stdout"
     done
+    # Timings differ run to run; the outcome does not.
+    for workload in sim_lan_stream sim_wan_sharded sim_scale_100k sim_policy_overload; do
+        for seed in 2002 90125; do
+            CARGO_TARGET_DIR="$target/perf" "$tree/perf/run.sh" \
+                --workload "$workload" --seed "$seed" --trace 0 >"$out/perf.log"
+            { grep '^#exact' "$out/perf.log"; tail -n 1 "$out/perf.log" | grep -o '"failed": [0-9]*'; } \
+                >"$out/perf_${workload}_$seed.outcome"
+        done
+    done
+    rm "$out/perf.log"
 }
 
 echo "running $rev" >&2
