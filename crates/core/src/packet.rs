@@ -12,6 +12,11 @@
 //! length-prefixed payload. Both the simulated transport (which passes
 //! [`Packet`] values directly) and the UDP runtime (which serializes)
 //! share this type.
+//!
+//! The decoder copies each payload into a [`Bytes`] of its own exact
+//! size, so no decoded packet refers to the wire buffer it came from: a
+//! host may reuse that buffer as soon as [`Packet::decode`] returns, and a
+//! buffered 64 B message costs 64 B, not the datagram slab it arrived in.
 
 use std::sync::Arc;
 
@@ -222,7 +227,10 @@ fn get_data(buf: &mut Bytes) -> Result<DataPacket, DecodeError> {
     if buf.remaining() < len {
         return Err(DecodeError::Truncated);
     }
-    let payload = buf.split_to(len);
+    // An exact-size copy: a buffered payload must not keep the whole
+    // receive buffer it arrived in alive.
+    let payload = Bytes::copy_from_slice(&buf[..len]);
+    buf.advance(len);
     Ok(DataPacket { id, payload })
 }
 
@@ -462,6 +470,25 @@ mod tests {
             });
             assert_eq!(decoded, p);
             assert_eq!(p.encoded_len(), encoded.len());
+        }
+    }
+
+    #[test]
+    fn decoded_payloads_do_not_share_the_wire_buffer() {
+        let data = || DataPacket::new(mid(4, 9), Bytes::from_static(b"sixty-four bytes or so"));
+        for p in [
+            Packet::Data(data()),
+            Packet::Repair { data: data(), kind: RepairKind::Remote },
+            Packet::RegionalRepair { data: data() },
+            Packet::Handoff { data: data() },
+        ] {
+            let wire = p.encode();
+            let decoded = Packet::decode(wire.clone()).unwrap();
+            assert!(
+                wire.try_into_mut().is_ok(),
+                "{p:?}'s payload still points into the wire buffer"
+            );
+            assert_eq!(decoded, p);
         }
     }
 

@@ -16,10 +16,11 @@
 //! * one **MTU-bucketed buffer pool** ([`crate::pool::BufferPool`]) the
 //!   batched receive path ([`crate::batch::RecvBatcher`], `recvmmsg` on
 //!   Linux) fills directly, so the steady-state hot path is
-//!   pool slab → [`Bytes`] → [`Packet::decode`] with **zero per-datagram
-//!   allocation** — the decoded packet's payload *is* a window into the
-//!   receive slab, and the slab returns to the pool once the protocol
-//!   lets go of it;
+//!   pool slab → [`Bytes`] → [`Packet::decode`] → slab back on the
+//!   freelist, with no slab allocated per datagram: the decoder copies a
+//!   data packet's payload into an exact-size buffer (its one
+//!   allocation), so a buffered message costs its payload rather than
+//!   pinning the slab it arrived in;
 //! * one **`Outbox`** (reused encode buffer + `sendmmsg` fan-out list)
 //!   shared by every member on the loop.
 //!
@@ -67,8 +68,7 @@ pub struct RuntimeConfig {
     /// Number of event-loop threads. Defaults to the machine's available
     /// parallelism (capped at 8 — loops are I/O-bound, not compute).
     pub loop_threads: usize,
-    /// Per-loop cap on *idle* pooled bytes (freelist slabs); it also
-    /// scales how many still-shared slabs a loop keeps tracking.
+    /// Per-loop cap on *idle* pooled bytes (freelist slabs).
     pub pool_limit_bytes: usize,
     /// Capacity of each member's delivery channel; a member whose
     /// application stops draining sheds deliveries (counted in
@@ -76,7 +76,7 @@ pub struct RuntimeConfig {
     pub delivery_capacity: usize,
     /// `Some(capacity)` arms a per-loop [`TraceSink`] on the
     /// [`streams::RUNTIME`] stream recording poll wakeups, socket
-    /// mute/unmute, pool scavenges, and fatal receive failures (collect
+    /// mute/unmute, and fatal receive failures (collect
     /// with [`UdpRuntime::trace_events`]). `None` — the default — keeps
     /// the loops trace-free: every hook site is one branch on a `None`
     /// discriminant.
@@ -119,8 +119,6 @@ pub(crate) struct RuntimeStats {
     /// surfaced to its application through
     /// [`MemberHandle::recv_failure`]).
     pub recv_failures: AtomicU64,
-    /// Pool sweep passes that reclaimed at least one retained slab.
-    pub scavenges: AtomicU64,
     /// Loop-wide fold of every member's send-path drops: datagrams the
     /// outbox could not put on the wire plus deliveries shed on full
     /// application channels (the per-member split stays on
@@ -142,8 +140,6 @@ pub struct RuntimeSnapshot {
     pub unmutes: u64,
     /// Sockets permanently retired by fatal receive errors.
     pub recv_failures: u64,
-    /// Pool sweeps that reclaimed at least one slab.
-    pub scavenges: u64,
     /// Send-path work dropped loop-wide.
     pub send_drops: u64,
 }
@@ -158,7 +154,6 @@ impl RuntimeStats {
             mutes: self.mutes.load(Ordering::Relaxed),
             unmutes: self.unmutes.load(Ordering::Relaxed),
             recv_failures: self.recv_failures.load(Ordering::Relaxed),
-            scavenges: self.scavenges.load(Ordering::Relaxed),
             send_drops: self.send_drops.load(Ordering::Relaxed),
         }
     }
@@ -262,7 +257,8 @@ enum LoopEvent {
 type TimerWheel = EventQueue<LoopEvent>;
 
 /// Commands accepted by an event loop, delivered over its mpsc channel
-/// with a datagram knock on the waker socket.
+/// with a datagram knock on the waker socket (one per batch of commands,
+/// see [`LoopLink::send`]).
 enum LoopCmd {
     Add(Box<MemberInit>),
     Multicast(u32, Bytes),
@@ -468,12 +464,9 @@ const MAX_IDLE_WAIT: Duration = Duration::from_millis(20);
 /// flooded member can starve its loop-mates.
 const MAX_RECV_ROUNDS: usize = 4;
 
-/// Retained-list scavenge budget per loop wakeup (see
-/// [`BufferPool::sweep`]): O(1) work amortized across wakeups.
-const SWEEP_BUDGET: usize = 8;
-
 struct LoopCtx {
     waker: UdpSocket,
+    knocked: Arc<AtomicBool>,
     cmd_rx: ChanReceiver<LoopCmd>,
     pool_limit: usize,
     shutdown: Arc<AtomicBool>,
@@ -482,7 +475,7 @@ struct LoopCtx {
 }
 
 fn loop_main(ctx: LoopCtx) {
-    let LoopCtx { waker, cmd_rx, pool_limit, shutdown, stats, mon } = ctx;
+    let LoopCtx { waker, knocked, cmd_rx, pool_limit, shutdown, stats, mon } = ctx;
     let epoch = Instant::now();
     let now_sim = || SimTime::from_micros(epoch.elapsed().as_micros() as u64);
 
@@ -529,7 +522,9 @@ fn loop_main(ctx: LoopCtx) {
         }
 
         // 2. Drain pending commands (the waker datagram made `poll`
-        // return if we were blocked).
+        // return if we were blocked). The flag is cleared first, so a
+        // command this drain misses was sent after it and knocks again.
+        knocked.swap(false, Ordering::AcqRel);
         while let Ok(cmd) = cmd_rx.try_recv() {
             let now = now_sim();
             match cmd {
@@ -656,7 +651,6 @@ fn loop_main(ctx: LoopCtx) {
         };
         if ready == 0 {
             mon.stats.idle_ticks.fetch_add(1, Ordering::Relaxed);
-            sweep_pool(&mut pool, &mon, &now_sim);
             continue;
         }
         mon.stats.poll_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -688,22 +682,9 @@ fn loop_main(ctx: LoopCtx) {
                 &mon,
             );
         }
-
-        // 7. Amortized reclaim of receive slabs the protocol released.
-        sweep_pool(&mut pool, &mon, &now_sim);
     }
 
     batcher.park(&mut pool);
-}
-
-/// One amortized pool sweep, with the reclaim count surfaced to the
-/// loop's observer when anything came back.
-fn sweep_pool(pool: &mut BufferPool, mon: &LoopMon, now_sim: &dyn Fn() -> SimTime) {
-    let reclaimed = pool.sweep(SWEEP_BUDGET);
-    if reclaimed > 0 {
-        mon.stats.scavenges.fetch_add(1, Ordering::Relaxed);
-        mon.record(now_sim(), EventKind::PoolScavenge { reclaimed: reclaimed as u32 });
-    }
 }
 
 /// Drains up to [`MAX_RECV_ROUNDS`] receive batches from one member's
@@ -732,16 +713,15 @@ fn drain_socket(
                         pool.release(class, bytes);
                         continue;
                     };
-                    // The decoded packet's payload is a window into the
-                    // same slab; the clone released below parks the slab
-                    // until the protocol drops its last reference, after
-                    // which a sweep recycles it.
-                    let wire = bytes.clone();
-                    if let Ok(packet) = Packet::decode(bytes) {
+                    // The decoder copies the payload out, so once it
+                    // returns this handle is the slab's only one and the
+                    // release puts it straight back on the freelist.
+                    let packet = Packet::decode(bytes.clone());
+                    pool.release(class, bytes);
+                    if let Ok(packet) = packet {
                         s.receiver.handle_into(Event::Packet { from, packet }, now, actions);
                         execute(actions, outbox, timers, id, s, now);
                     }
-                    pool.release(class, wire);
                 }
             }
             Err(e)
@@ -798,6 +778,12 @@ struct LoopLink {
     /// Connected to the loop's waker socket; one datagram per command
     /// batch pops the loop out of `poll`.
     waker: UdpSocket,
+    /// Set by the sender that knocks, cleared by the loop just before it
+    /// drains its commands: while it is set a knock is already pending.
+    /// Both sides swap with `AcqRel`: the loop's clear acquires from the
+    /// last sender's release, so every command queued before a swap that
+    /// found the flag set is visible to the drain that follows the clear.
+    knocked: Arc<AtomicBool>,
     /// Members currently placed here (least-loaded placement key).
     members: AtomicUsize,
     /// Monotonic slot allocator — ids are never reused, which is what
@@ -814,8 +800,11 @@ struct LoopLink {
 }
 
 impl LoopLink {
+    /// Queues `cmd` and knocks only if no knock is pending, so a burst
+    /// of commands (a group being built) costs one `send(2)`, not one
+    /// each.
     fn send(&self, cmd: LoopCmd) {
-        if self.cmd_tx.send(cmd).is_ok() {
+        if self.cmd_tx.send(cmd).is_ok() && !self.knocked.swap(true, Ordering::AcqRel) {
             let _ = self.waker.send(&[1u8]);
         }
     }
@@ -865,12 +854,14 @@ impl UdpRuntime {
             waker_rx.set_nonblocking(true)?;
             let waker_tx = UdpSocket::bind("127.0.0.1:0")?;
             waker_tx.connect(waker_rx.local_addr()?)?;
+            let knocked = Arc::new(AtomicBool::new(false));
             let (cmd_tx, cmd_rx) = mpsc::channel::<LoopCmd>();
             let stats = Arc::new(PoolStats::default());
             let rt_stats = Arc::new(RuntimeStats::default());
             let trace = cfg.trace_ring.map(|cap| Arc::new(Mutex::new(TraceSink::new(cap))));
             let ctx = LoopCtx {
                 waker: waker_rx,
+                knocked: Arc::clone(&knocked),
                 cmd_rx,
                 pool_limit: cfg.pool_limit_bytes,
                 shutdown: Arc::clone(&shutdown),
@@ -888,6 +879,7 @@ impl UdpRuntime {
             links.push(LoopLink {
                 cmd_tx,
                 waker: waker_tx,
+                knocked,
                 members: AtomicUsize::new(0),
                 next_slot: AtomicU32::new(0),
                 stats,
@@ -925,7 +917,7 @@ impl UdpRuntime {
     }
 
     /// Per-loop runtime-health snapshots (index = loop) — poll wakeups,
-    /// mute/unmute churn, fatal receive failures, pool scavenges, and
+    /// mute/unmute churn, fatal receive failures, and
     /// the loop-wide send-drop fold, uniform with
     /// [`UdpRuntime::pool_snapshots`].
     #[must_use]
@@ -1352,6 +1344,59 @@ mod tests {
             .expect("dropped member recovers via protocol");
         assert_eq!(&d.payload[..], b"repair me");
         drop(members);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn buffered_payloads_do_not_pin_receive_slabs() {
+        // Every member buffers all 300 messages for a while; a payload
+        // that pointed into its receive slab would keep ≈600 slabs alive.
+        let bound = bind_n(3);
+        let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        let rt = UdpRuntime::start(loops(3)).expect("start runtime");
+        let members = add_all(&rt, bound, &spec, &fast_cfg(), 5);
+        for i in 0..300u32 {
+            let mut payload = [0u8; 64];
+            payload[..4].copy_from_slice(&i.to_be_bytes());
+            members[0].multicast(payload.to_vec());
+        }
+        for (i, m) in members.iter().enumerate() {
+            for _ in 0..300 {
+                let d = m
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|| panic!("member {i} did not deliver"));
+                assert_eq!(d.payload.len(), 64);
+            }
+        }
+        let bound = (2 * crate::batch::BATCH * DATAGRAM_MTU) as u64;
+        for (i, s) in rt.pool_snapshots().iter().enumerate() {
+            assert_eq!(s.forfeited, 0, "loop {i} released a slab still in use");
+            assert!(s.high_water_bytes <= bound, "loop {i} peaked at {} B", s.high_water_bytes);
+        }
+        drop(members);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn back_to_back_commands_are_each_answered_promptly() {
+        // Each round trip needs its own knock: a loop that misses one
+        // sleeps until its idle timeout (20 ms) before it answers.
+        let bound = bind_n(1);
+        let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
+        let spec = Arc::new(spec_single_region(&addrs));
+        let rt = UdpRuntime::start(loops(1)).expect("start runtime");
+        let (sock, _) = bound.into_iter().next().expect("one socket");
+        let member = rt
+            .add_member(sock, spec, NodeId(0), ProtocolConfig::default(), false, 1)
+            .expect("add member");
+        let start = Instant::now();
+        for _ in 0..200 {
+            let _ = member.counters();
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "200 round trips took {took:?}");
+        drop(member);
         rt.shutdown();
     }
 

@@ -141,11 +141,6 @@ pub enum EventKind {
         /// Member slot index on the loop.
         slot: u32,
     },
-    /// Runtime: an idle wakeup scavenged parked buffer-pool slabs.
-    PoolScavenge {
-        /// Slabs reclaimed by the sweep.
-        reclaimed: u32,
-    },
     /// Runtime: a member was declared dead after persistent errors.
     RecvFailed {
         /// Member slot index on the loop.
@@ -194,7 +189,6 @@ impl EventKind {
             EventKind::PollWakeup { .. } => "poll_wakeup",
             EventKind::Muted { .. } => "muted",
             EventKind::Unmuted { .. } => "unmuted",
-            EventKind::PoolScavenge { .. } => "pool_scavenge",
             EventKind::RecvFailed { .. } => "recv_failed",
         }
     }
@@ -223,7 +217,6 @@ impl EventKind {
             "poll_wakeup",
             "muted",
             "unmuted",
-            "pool_scavenge",
             "recv_failed",
         ]
     }
@@ -292,7 +285,6 @@ impl TraceEvent {
             EventKind::Muted { slot }
             | EventKind::Unmuted { slot }
             | EventKind::RecvFailed { slot } => o.u64("slot", u64::from(slot)),
-            EventKind::PoolScavenge { reclaimed } => o.u64("reclaimed", u64::from(reclaimed)),
         }
         o.finish()
     }
@@ -353,7 +345,6 @@ mod tests {
             EventKind::PollWakeup { ready: 0 },
             EventKind::Muted { slot: 0 },
             EventKind::Unmuted { slot: 0 },
-            EventKind::PoolScavenge { reclaimed: 0 },
             EventKind::RecvFailed { slot: 0 },
         ];
         assert_eq!(kinds.len(), EventKind::all_names().len());

@@ -82,24 +82,18 @@ fn main() -> std::io::Result<()> {
 
     for (i, snap) in rt.pool_snapshots().iter().enumerate() {
         println!(
-            "loop {i} pool: {} hits / {} misses / {} reclaimed, high water {} KiB",
+            "loop {i} pool: {} hits / {} misses / {} forfeited, high water {} KiB",
             snap.hits,
             snap.misses,
-            snap.reclaimed,
+            snap.forfeited,
             snap.high_water_bytes / 1024
         );
     }
     for (i, h) in rt.runtime_snapshots().iter().enumerate() {
         println!(
             "loop {i} health: {} wakeups / {} idle ticks, {} mutes / {} unmutes, \
-             {} recv failures, {} scavenges, {} send drops",
-            h.poll_wakeups,
-            h.idle_ticks,
-            h.mutes,
-            h.unmutes,
-            h.recv_failures,
-            h.scavenges,
-            h.send_drops
+             {} recv failures, {} send drops",
+            h.poll_wakeups, h.idle_ticks, h.mutes, h.unmutes, h.recv_failures, h.send_drops
         );
     }
 
