@@ -16,8 +16,9 @@
 //!   per sender on a region core (a global stream would make a region's
 //!   draws depend on how other regions' events interleave with its own);
 //! * **cross-region routing**: `Sim` schedules every surviving copy into
-//!   its own queue, while a region core puts cross-region copies in its
-//!   mailbox, which the driver merges at the window barrier in
+//!   its own queue, while a region core groups cross-region copies by
+//!   `(arrival, destination region)` and puts each group in its mailbox
+//!   as one entry, which the driver merges at the window barrier in
 //!   `(arrive, src_region, emission)` order.
 //!
 //! Routing is also the one reason the two engines may order two
@@ -55,8 +56,10 @@ pub(crate) enum SimEvent<M, T> {
     /// One region-timed batch: every node in `targets` receives a copy of
     /// `msg` at this event's instant, in target order. Scheduled by the
     /// fan-out path (one queue entry per distinct arrival time instead of
-    /// one per destination) and expanded lazily at delivery; the target
-    /// vector is recycled through the core's pool.
+    /// one per destination) and by a region core for each mailbox entry
+    /// that carries a group, and expanded lazily at delivery; the target
+    /// vector is recycled through the core's pool (one that came from
+    /// another region only while the pool is short, [`FOREIGN_KEEP`]).
     DeliverBatch {
         from: NodeId,
         targets: Vec<NodeId>,
@@ -78,18 +81,36 @@ fn loss_stream(node: NodeId) -> u64 {
 /// `Sim`'s one unicast-loss RNG stream id.
 const GLOBAL_LOSS_STREAM: u64 = u64::MAX / 2;
 
-/// A cross-region send buffered in its source region's mailbox until the
-/// next barrier.
+/// The group key of copies for a node the core owns: they are scheduled
+/// on its own queue, while a cross-region group is keyed by its
+/// destination region's index.
+pub(crate) const LOCAL: u32 = u32::MAX;
+
+/// Target vectors that came from another region a core keeps in its pool.
+/// A core that receives more batches than it sends would otherwise keep
+/// one vector per batch it ever received.
+pub(crate) const FOREIGN_KEEP: usize = 8;
+
+/// One mailbox entry: the copies of one fan-out that a region core sends
+/// to one other region with one arrival time, buffered until the next
+/// barrier.
 ///
-/// The canonical merge order is `(arrive, src_region, emission)`: the
-/// driver appends the mailboxes in region order, each in emission order,
-/// and sorts the batch stably by `arrive`. That order is fixed by each
-/// *sending region's* deterministic execution, so it cannot depend on
-/// which thread ran which region.
+/// `to` is the first destination; `targets` is empty for a single copy
+/// and otherwise lists every destination (`to` first) in emission order,
+/// the order the receiving core delivers them in. The canonical merge
+/// order is `(arrive, src_region, emission)`, an entry standing at its
+/// first copy's emission: the driver appends the mailboxes in region
+/// order, each in emission order, and sorts the batch stably by
+/// `arrive`. That order is fixed by each *sending region's* deterministic
+/// execution, so it cannot depend on which thread ran which region. It
+/// is the order one entry per copy would merge in: the copies a fan-out
+/// sends to one region at one arrival are consecutive there, so a batch
+/// expands them at the same instant in the same order.
 pub(crate) struct CrossEvent<M> {
     pub(crate) arrive: SimTime,
     pub(crate) from: NodeId,
     pub(crate) to: NodeId,
+    pub(crate) targets: Vec<NodeId>,
     pub(crate) msg: M,
 }
 
@@ -138,10 +159,11 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     scratch_targets: Vec<NodeId>,
     /// Recycled target vectors for batch delivery events.
     target_pool: Vec<Vec<NodeId>>,
-    /// Arrival-time groups of the fan-out being scheduled (empty between
-    /// fan-outs): the first target inline, and from the second on every
-    /// target in a vector from `target_pool`.
-    groups: Vec<(SimTime, NodeId, Vec<NodeId>)>,
+    /// Groups of the fan-out being scheduled (empty between fan-outs),
+    /// keyed by arrival time and [`LOCAL`] or the destination region: the
+    /// first target inline, and from the second on every target in a
+    /// vector from `target_pool`.
+    groups: Vec<(SimTime, u32, NodeId, Vec<NodeId>)>,
     /// False in reference mode: allocate per callback, one op per
     /// destination (see [`Sim::new_reference`](crate::sim::Sim::new_reference)).
     pub(crate) optimized: bool,
@@ -217,6 +239,11 @@ impl<N: SimNode<T>, T> Core<N, T> {
         (id.0 - self.first) as usize
     }
 
+    /// Whether `id` is one of this core's nodes.
+    fn owns(&self, id: NodeId) -> bool {
+        (id.0.wrapping_sub(self.first) as usize) < self.nodes.len()
+    }
+
     pub(crate) fn node(&self, id: NodeId) -> &N {
         &self.nodes[self.local(id)]
     }
@@ -231,6 +258,12 @@ impl<N: SimNode<T>, T> Core<N, T> {
         self.outbox.as_mut().expect("only a region core has a mailbox")
     }
 
+    /// Target vectors in the pool.
+    #[cfg(test)]
+    pub(crate) fn pooled_targets(&self) -> usize {
+        self.target_pool.len()
+    }
+
     /// Pending events: the queue plus the undelivered mailbox.
     pub(crate) fn pending(&self) -> usize {
         self.queue.len() + self.outbox.as_ref().map_or(0, Vec::len)
@@ -240,6 +273,17 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// latency, loss and the mailboxes.
     pub(crate) fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
         self.queue.schedule(at, SimEvent::Deliver { to, from, msg });
+    }
+
+    /// Schedules a mailbox entry that another region sent this core: a
+    /// plain delivery for a single copy, a batch otherwise.
+    pub(crate) fn accept(&mut self, e: CrossEvent<N::Msg>) {
+        let CrossEvent { arrive, from, to, targets, msg } = e;
+        if targets.is_empty() {
+            self.inject(to, from, msg, arrive);
+        } else {
+            self.queue.schedule(arrive, SimEvent::DeliverBatch { from, targets, msg });
+        }
     }
 
     pub(crate) fn schedule_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
@@ -289,8 +333,12 @@ impl<N: SimNode<T>, T> Core<N, T> {
                     self.counters.batched_deliveries += 1;
                     self.deliver(env, to, from, copy.expect("taken only at the end"));
                 }
-                targets.clear();
-                self.target_pool.push(targets);
+                // A vector that came from another region joins the pool only
+                // while the pool is short.
+                if self.owns(from) || self.target_pool.len() < FOREIGN_KEEP {
+                    targets.clear();
+                    self.target_pool.push(targets);
+                }
             }
             SimEvent::Timer { node, timer } => {
                 self.counters.timers_fired += 1;
@@ -365,8 +413,8 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// case. Counters, the drop filter and the edge verdict apply **in
     /// destination order**, so the loss stream is drawn the same way
     /// however the sends are grouped; each survivor (and its duplicate)
-    /// is then routed, and the local arrival-time groups are flushed as
-    /// one event each.
+    /// is then routed, and the groups are flushed as one event or one
+    /// mailbox entry each.
     ///
     /// Forced inline with its helpers (each instantiation has one call
     /// site): out of line, a unicast paid ≈5 % per null-node event.
@@ -389,32 +437,32 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 continue;
             }
             let arrive = self.now + env.topo.one_way_latency(from, to);
-            self.route(arrive, from, to, &msg);
+            self.route(env.topo, arrive, to);
             if let Some(extra) = env.fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
-                // The duplicate is routed after the primary, so its group
-                // or mailbox position is the later one at every layout; its not-earlier arrival keeps the
-                // conservative window rule intact.
+                // The duplicate is routed after the primary, so its place
+                // in its group is the later one at every layout; its
+                // not-earlier arrival keeps the conservative window rule
+                // intact.
                 self.counters.faults_duplicated += 1;
                 self.wire(from, EventKind::FaultDuplicated { to: to.0 });
-                self.route(arrive + extra, from, to, &msg);
+                self.route(env.topo, arrive + extra, to);
             }
         }
         self.flush(from, msg);
     }
 
-    /// Routes one surviving copy. On a region core, a copy for another
-    /// region (a destination outside the core's id range) goes to the
-    /// mailbox. Every other copy joins the arrival-time group for
-    /// `arrive`.
+    /// Routes one surviving copy to its group. On a region core, a copy
+    /// for another region (a destination outside the core's id range)
+    /// joins the mailbox group for `(arrive, its region)`. Every other
+    /// copy joins the local group for `arrive`.
     #[inline(always)]
-    fn route(&mut self, arrive: SimTime, from: NodeId, to: NodeId, msg: &N::Msg) {
-        if let Some(outbox) = &mut self.outbox {
-            if to.0.wrapping_sub(self.first) as usize >= self.nodes.len() {
-                outbox.push(CrossEvent { arrive, from, to, msg: msg.clone() });
-                return;
-            }
-        }
-        self.group(arrive, to);
+    fn route(&mut self, topo: &Topology, arrive: SimTime, to: NodeId) {
+        let key = if self.outbox.is_some() && !self.owns(to) {
+            u32::from(topo.region_of(to).0)
+        } else {
+            LOCAL
+        };
+        self.group(arrive, key, to);
     }
 
     /// The edge loss decision for one copy the drop filter passed: an
@@ -453,14 +501,17 @@ impl<N: SimNode<T>, T> Core<N, T> {
         }
     }
 
-    /// Appends `to` to the arrival-time group for `arrive`, opening a new
-    /// group if this is the first destination with that arrival.
-    /// The grouping decides batch membership and batch order, which the
-    /// byte-identical-trace guarantees depend on.
+    /// Appends `to` to the group for `(arrive, key)`, opening a new group
+    /// if this is the first destination with that key; `key` is
+    /// [`LOCAL`] for a node this core owns. The grouping decides batch
+    /// membership and batch order, which the byte-identical-trace
+    /// guarantees depend on. The search runs newest group first:
+    /// destinations come region by region, so the match is almost always
+    /// the last group opened.
     #[inline(always)]
-    pub(crate) fn group(&mut self, arrive: SimTime, to: NodeId) {
-        match self.groups.iter_mut().find(|(t, ..)| *t == arrive) {
-            Some((_, first, batch)) => {
+    pub(crate) fn group(&mut self, arrive: SimTime, key: u32, to: NodeId) {
+        match self.groups.iter_mut().rev().find(|(t, k, ..)| (*t, *k) == (arrive, key)) {
+            Some((.., first, batch)) => {
                 // A second target makes the group a pooled batch vector.
                 if batch.is_empty() {
                     *batch = self.target_pool.pop().unwrap_or_default();
@@ -468,28 +519,33 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 }
                 batch.push(to);
             }
-            None => self.groups.push((arrive, to, Vec::new())),
+            None => self.groups.push((arrive, key, to, Vec::new())),
         }
     }
 
-    /// Schedules one event per arrival-time group — a plain delivery for a
-    /// single destination, a batch otherwise — in first-destination order,
-    /// the last group taking `msg` and the rest shallow clones. Leaves the
-    /// groups empty with their capacity intact.
+    /// Emits each group in first-destination order, the last group taking
+    /// `msg` and the rest shallow clones: a local group is scheduled as
+    /// one event (a plain delivery for a single destination, a batch
+    /// otherwise), and a cross-region group is appended to the mailbox as
+    /// one entry. Leaves the groups empty with their capacity intact.
     #[inline(always)]
     pub(crate) fn flush(&mut self, from: NodeId, msg: N::Msg) {
-        let Some((arrive, to, targets)) = self.groups.pop() else { return };
-        let event = |to, targets: Vec<NodeId>, msg| {
-            if targets.is_empty() {
-                SimEvent::Deliver { to, from, msg }
+        let Some(last) = self.groups.pop() else { return };
+        let (queue, outbox) = (&mut self.queue, &mut self.outbox);
+        let mut emit = |(arrive, key, to, targets): (SimTime, u32, NodeId, Vec<NodeId>), msg| {
+            if key != LOCAL {
+                let outbox = outbox.as_mut().expect("only a region core routes across regions");
+                outbox.push(CrossEvent { arrive, from, to, targets, msg });
+            } else if targets.is_empty() {
+                queue.schedule(arrive, SimEvent::Deliver { to, from, msg });
             } else {
-                SimEvent::DeliverBatch { from, targets, msg }
+                queue.schedule(arrive, SimEvent::DeliverBatch { from, targets, msg });
             }
         };
-        for (arrive, to, targets) in self.groups.drain(..) {
-            self.queue.schedule(arrive, event(to, targets, msg.clone()));
+        for group in self.groups.drain(..) {
+            emit(group, msg.clone());
         }
-        self.queue.schedule(arrive, event(to, targets, msg));
+        emit(last, msg);
     }
 }
 

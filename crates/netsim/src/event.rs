@@ -114,6 +114,11 @@ impl<E> PayloadSlab<E> {
                 (slot, s.0)
             }
             None => {
+                // Grow by a quarter, not the doubling `push` would do: a
+                // slot is as large as an event, and the slab keeps its peak.
+                if self.slots.len() == self.slots.capacity() {
+                    self.slots.reserve_exact((self.slots.len() / 4).max(16));
+                }
                 self.slots.push((1, Some(event)));
                 ((self.slots.len() - 1) as u32, 1)
             }

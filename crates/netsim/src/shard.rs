@@ -15,15 +15,18 @@
 //! the edge verdicts once for both engines. A region's core owns the
 //! region's nodes, their loss streams, its own timing wheel, its scratch
 //! buffers and one outgoing mailbox: there is **no shared mutable state**
-//! between regions during a window. `shards` is the number of worker
-//! threads, the calling thread included, clamped to the region count.
-//! This module adds only the driver. The run loop is a sequence of
-//! windows:
+//! between regions during a window. A mailbox entry is a batch: the copies
+//! one fan-out sends to one other region with one arrival time, which the
+//! receiving core schedules as one event and expands in emission order,
+//! as [`Sim`](crate::sim::Sim) does with a local fan-out. `shards` is the
+//! number of worker threads, the calling thread included, clamped to the
+//! region count. This module adds only the driver. The run loop is a
+//! sequence of windows:
 //!
 //! 1. the calling thread merges every mailbox into its destination
-//!    region's inbox in `(arrive, source region, emission)` order, then
-//!    takes the global lower bound `lb`: the earliest pending event across
-//!    all regions;
+//!    region's inbox in `(arrive, source region, emission)` order (a batch
+//!    stands at its first copy's emission), then takes the global lower
+//!    bound `lb`: the earliest pending event across all regions;
 //! 2. the workers claim regions from one shared cursor over a fixed
 //!    heaviest-first order (member count, ties by region index); each
 //!    schedules a claimed region's inbox on its wheel and runs its events
@@ -50,7 +53,9 @@
 //!   generator), so no draw depends on cross-region event interleaving;
 //! * cross-region messages are merged at barriers in the canonical order
 //!   above, which the sending regions' histories fix, not thread
-//!   scheduling;
+//!   scheduling. Batching does not change that order: the copies of one
+//!   fan-out for one region and arrival would merge consecutively, so
+//!   their batch delivers them at the same instant in the same order;
 //! * window boundaries themselves are a function of the global event-time
 //!   structure only, so the barrier at which a message merges is also
 //!   independent of the threads.
@@ -73,7 +78,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use rrmp_trace::TraceSink;
 
-use crate::engine::{Core, CrossEvent, Env, Filter};
+use crate::engine::{Core, CrossEvent, Env, Filter, LOCAL};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
@@ -147,7 +152,7 @@ pub struct ShardedSim<N: SimNode<T>, T = u64> {
     claim_order: Vec<usize>,
     lookahead: Option<SimDuration>,
     now: SimTime,
-    /// Reused staging buffer for the barrier merge.
+    /// Reused staging buffer for the barrier merge: one entry per batch.
     merge_scratch: Vec<CrossEvent<N::Msg>>,
 }
 
@@ -445,7 +450,8 @@ where
 
     /// Injects one multicast transmission according to a
     /// [`DeliveryPlan`]: every plan holder other than `from` receives
-    /// `msg` at `at + one_way_latency(from, holder)`.
+    /// `msg` at `at + one_way_latency(from, holder)`. Each region core
+    /// gets one batch event per arrival time, as on [`Sim`](crate::sim::Sim).
     pub fn inject_multicast_plan(
         &mut self,
         from: NodeId,
@@ -453,9 +459,19 @@ where
         plan: &DeliveryPlan,
         at: SimTime,
     ) {
+        let topo = &self.shared.topo;
+        // The region whose core holds groups not yet flushed.
+        let mut open: Option<usize> = None;
         for to in plan.holders().filter(|&to| to != from) {
-            let arrive = at + self.shared.topo.one_way_latency(from, to);
-            self.inject(to, from, msg.clone(), arrive);
+            let r = topo.region_of(to).index();
+            if let Some(o) = open.filter(|&o| o != r) {
+                self.cores[o].flush(from, msg.clone());
+            }
+            open = Some(r);
+            self.cores[r].group(at + topo.one_way_latency(from, to), LOCAL, to);
+        }
+        if let Some(r) = open {
+            self.cores[r].flush(from, msg.clone());
         }
     }
 
@@ -588,18 +604,20 @@ fn lock<X>(m: &Mutex<X>) -> MutexGuard<'_, X> {
     m.lock().expect(UNPOISONED)
 }
 
-/// Schedules a region's inbox on its wheel, in inbox order.
+/// Schedules a region's inbox on its wheel, in inbox order: one event per
+/// entry.
 fn accept<N: SimNode<T>, T>(core: &mut Core<N, T>, inbox: &mut Vec<CrossEvent<N::Msg>>) {
     for e in inbox.drain(..) {
-        core.inject(e.to, e.from, e.msg, e.arrive);
+        core.accept(e);
     }
 }
 
 /// The barrier's serial step: appends every region's mailbox in region
-/// order, sorts the batch stably by arrival — which gives the canonical
-/// `(arrive, src_region, emission)` order — and deals each event to its
-/// destination region's inbox. Returns the end of the next window, or
-/// `None` when no event is due at or before `limit`.
+/// order, sorts the entries stably by arrival — which gives the canonical
+/// `(arrive, src_region, emission)` order — and deals each entry (one
+/// batch of copies for one region) to its destination region's inbox.
+/// Returns the end of the next window, or `None` when no event is due at
+/// or before `limit`.
 fn merge<N: SimNode<T>, T>(
     cells: &[Mutex<Region<'_, N, T>>],
     topo: &Topology,
@@ -627,6 +645,7 @@ fn merge<N: SimNode<T>, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::FOREIGN_KEEP;
     use crate::sim::{Ctx, Sim};
     use crate::topology::{presets, TopologyBuilder};
     use rand::Rng;
@@ -809,6 +828,125 @@ mod tests {
             assert_eq!(sim.node(NodeId(1)).got, vec![(SimTime::from_millis(5), NodeId(0), 9)]);
             assert_eq!(sim.node(NodeId(11)).got, vec![(SimTime::from_millis(25), NodeId(0), 9)]);
         }
+    }
+
+    /// Four regions (3, 4, 4 and 4 members), 5 ms within a region and
+    /// 25 ms between two.
+    fn four_region_topo() -> Topology {
+        TopologyBuilder::new()
+            .intra_region_one_way(SimDuration::from_millis(5))
+            .inter_region_one_way(SimDuration::from_millis(25))
+            .region(3, None)
+            .region(4, Some(0))
+            .region(4, Some(0))
+            .region(4, Some(1))
+            .build()
+            .unwrap()
+    }
+
+    /// Node 0's group send under Bernoulli(0.3) loss and a plan that
+    /// duplicates half the copies 2 ms late, on `shards` workers.
+    fn lossy_group_send(shards: usize) -> ShardedSim<GroupCaster> {
+        let nodes = (0..15).map(|_| GroupCaster { got: Vec::new() }).collect();
+        let mut sim = ShardedSim::new(four_region_topo(), nodes, 31, shards);
+        sim.set_unicast_loss(LossModel::Bernoulli { p: 0.3 });
+        let dup = FaultPlan::new(4).duplicate(
+            0.5,
+            SimDuration::from_millis(2),
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        );
+        sim.set_fault_plan(Some(Arc::new(dup)));
+        sim
+    }
+
+    #[test]
+    fn a_cross_region_send_is_one_mailbox_entry_per_region_and_arrival() {
+        let mut sim = lossy_group_send(1);
+        // Run region 0's start callbacks alone, so its mailbox holds the
+        // group send before any barrier.
+        let ShardedSim { cores, shared, .. } = &mut sim;
+        let mut slot = None;
+        cores[0].start(&mut shared.env(&mut slot));
+        let topo = &shared.topo;
+        let counters = cores[0].counters;
+        let (mut keys, mut copies, mut batches) = (Vec::new(), 0, 0);
+        for e in cores[0].outbox().iter() {
+            let region = topo.region_of(e.to);
+            assert_ne!(region, RegionId(0));
+            assert!(e.targets.is_empty() || e.targets[0] == e.to);
+            assert!(e.targets.iter().all(|&t| topo.region_of(t) == region), "one region each");
+            keys.push((region, e.arrive));
+            copies += e.targets.len().max(1) as u64;
+            batches += usize::from(e.targets.len() > 1);
+        }
+        let entries = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), entries, "one entry per (destination region, arrival)");
+        // The draws leave a batch, and one region a primary and a
+        // duplicate arrival.
+        assert!(batches > 0);
+        let ms = SimTime::from_millis;
+        assert!(keys.contains(&(RegionId(1), ms(25))) && keys.contains(&(RegionId(1), ms(27))));
+        sim.run_until_quiescent(SimTime::from_secs(1));
+        // Every surviving copy for another region is in the mailbox.
+        let local: usize = (1..3).map(|t| sim.node(NodeId(t)).got.len()).sum();
+        let survivors = counters.unicasts_sent - counters.unicasts_dropped;
+        assert_eq!(copies, survivors + counters.faults_duplicated - local as u64);
+        assert_eq!(sim.counters().delivered, survivors + counters.faults_duplicated);
+        let logs = |sim: &ShardedSim<GroupCaster>| -> Vec<_> {
+            sim.nodes().map(|(_, n)| n.got.clone()).collect()
+        };
+        let one = logs(&sim);
+        for shards in [2usize, 4] {
+            let mut other = lossy_group_send(shards);
+            other.run_until_quiescent(SimTime::from_secs(1));
+            assert_eq!(logs(&other), one, "shards={shards}");
+            assert_eq!(other.counters(), sim.counters(), "shards={shards}");
+        }
+    }
+
+    /// Node 0 sends to the group on each of `SENDS` 1 ms ticks.
+    struct Ticker {
+        sent: u32,
+    }
+
+    const SENDS: u32 = 1_000;
+
+    impl SimNode for Ticker {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if ctx.self_id() == NodeId(0) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _: u64) {
+            ctx.send_group(self.sent);
+            self.sent += 1;
+            if self.sent < SENDS {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_receiving_region_keeps_a_bounded_pool() {
+        // Region 1 sends nothing and receives a three-target batch per
+        // tick, each in a vector region 0 allocated.
+        let topo = TopologyBuilder::new()
+            .inter_region_one_way(SimDuration::from_millis(25))
+            .region(1, None)
+            .region(3, Some(0))
+            .build()
+            .unwrap();
+        let nodes = (0..4).map(|_| Ticker { sent: 0 }).collect();
+        let mut sim = ShardedSim::new(topo, nodes, 2, 2);
+        sim.run_until_quiescent(SimTime::from_secs(5));
+        let c = sim.counters();
+        assert_eq!((c.delivered, c.batched_deliveries), (3_000, 3_000));
+        assert!(sim.cores[1].pooled_targets() <= FOREIGN_KEEP, "{}", sim.cores[1].pooled_targets());
     }
 
     #[test]

@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use rrmp_trace::TraceSink;
 
-use crate::engine::{Core, Env, Filter, Op};
+use crate::engine::{Core, Env, Filter, Op, LOCAL};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
@@ -209,8 +209,10 @@ pub struct NetCounters {
     /// ([`Ctx::send_many`] / [`Ctx::send_group`] with at least one target).
     pub fanouts: u64,
     /// Packets delivered by expanding a region-timed batch event (a subset
-    /// of [`NetCounters::delivered`]; in reference mode only a copy and
-    /// its zero-delay duplicate share a batch).
+    /// of [`NetCounters::delivered`]): a fan-out's copies with one arrival
+    /// time, and on a [`ShardedSim`](crate::shard::ShardedSim) also the
+    /// copies one mailbox entry carries into another region. In reference
+    /// mode only a copy and its zero-delay duplicate share a batch.
     pub batched_deliveries: u64,
     /// Unicast copies dropped by an armed [`FaultPlan`] (a subset of
     /// [`NetCounters::unicasts_dropped`]).
@@ -465,7 +467,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
         // Optimized path: one region-timed batch event per distinct
         // arrival time instead of one queue entry per holder.
         for to in holders {
-            self.core.group(at + self.topo.one_way_latency(from, to), to);
+            self.core.group(at + self.topo.one_way_latency(from, to), LOCAL, to);
         }
         self.core.flush(from, msg.clone());
     }
