@@ -39,8 +39,8 @@ pub enum Phase {
 pub enum PressureTier {
     /// Occupancy below the pressure threshold: no degradation.
     Normal,
-    /// Occupancy at or above the pressure threshold: policies should
-    /// early-discard or demote via their `on_pressure` hook.
+    /// Occupancy at or above the pressure threshold: the receiver sheds
+    /// long-term entries, least recently used first.
     Pressure,
     /// Occupancy at or above the critical threshold: decline to buffer
     /// for others (admission control) while still delivering locally.

@@ -148,8 +148,8 @@ pub struct ProtocolConfig {
     /// subsystem. It is a hard cap on buffered payload bytes — inserts
     /// evict least-recently-used long-term entries first (§1's
     /// bounded-space scenario) — and it drives graceful degradation
-    /// *tiers*: above the pressure threshold policies get an
-    /// `on_pressure` hook to early-discard, and above the critical
+    /// *tiers*: above the pressure threshold receivers early-discard
+    /// long-term entries, and above the critical
     /// threshold receivers decline to buffer for others while still
     /// delivering locally. `None` (default) means unbounded, the paper's
     /// model.

@@ -36,10 +36,9 @@ pub enum TimerKind {
     /// Periodic sweep discarding stale long-term entries.
     LongTermSweep,
     /// Periodic history-advertisement tick (only armed when the buffer
-    /// policy opts into history exchange via
-    /// [`BufferPolicy::history_interval`]).
+    /// policy's [`Rules::history_interval`] is `Some`).
     ///
-    /// [`BufferPolicy::history_interval`]: crate::policy::BufferPolicy::history_interval
+    /// [`Rules::history_interval`]: crate::policy::Rules::history_interval
     HistoryTick,
     /// The sender role's session-message tick (§2.1).
     SessionTick,

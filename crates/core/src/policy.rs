@@ -14,7 +14,12 @@
 //! * **where to hand off** long-term buffers on a voluntary leave
 //!   ([`BufferPolicy::handoff_target`]);
 //! * **whom to query** for a missing message, and how often to retry
-//!   ([`BufferPolicy::pull_target`], [`BufferPolicy::remote_target`]).
+//!   ([`BufferPolicy::pull_target`], [`BufferPolicy::pull_retry_delay`]).
+//!
+//! A policy's fixed answers — whether the λ/n remote phase runs, how
+//! pulls are sent, whether remote repairs are re-multicast, the expiry
+//! and history periods — are one [`Rules`] value, which
+//! [`PolicyKind::rules`] turns out of the config in one `match`.
 //!
 //! The [`Receiver`](crate::receiver::Receiver) invokes these hooks at
 //! fixed protocol points through a [`PolicyCtx`] that lends out its store,
@@ -40,7 +45,7 @@ use rrmp_membership::view::HierarchyView;
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
 
-use crate::buffer::{MessageStore, PressureTier};
+use crate::buffer::MessageStore;
 use crate::config::{ProtocolConfig, LOCAL_TIMEOUT};
 use crate::events::{Action, TimerKind};
 use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
@@ -139,9 +144,6 @@ impl PolicyCtx<'_> {
 /// the simulator's trace-equality suites run every policy on the
 /// single-queue *and* sharded engines and require identical outcomes.
 pub trait BufferPolicy: std::fmt::Debug + Send {
-    /// Short name for reports and diagnostics.
-    fn name(&self) -> &'static str;
-
     /// A payload was newly delivered (path tells how); decide who buffers
     /// it, in which phase, and whether to arm an idle-check timer.
     fn on_receive(
@@ -157,10 +159,6 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     /// [`BufferPolicy::on_receive`] (or a preload) armed the timer.
     fn on_idle(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId);
 
-    /// The idle/hold delay armed when a short-term entry is preloaded by
-    /// the experiment harness (mirrors what `on_receive` would arm).
-    fn preload_short_delay(&self, cfg: &ProtocolConfig) -> SimDuration;
-
     /// Whom to ask next for missing message `msg` (the pull/request
     /// phase). `None` sends nothing this round; the retry timer is still
     /// armed by the engine.
@@ -174,61 +172,15 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
         LOCAL_TIMEOUT
     }
 
-    /// Whether pull requests go out as
-    /// [`Packet::RemoteRequest`]
-    /// instead of `LocalRequest`. A remote request's target registers the
-    /// asker as a waiter and recovers the message itself when it doesn't
-    /// hold it — the semantics a repair-server NACK needs — while a local
-    /// request to a non-holder is simply ignored (§2.2).
-    fn pull_via_remote_request(&self) -> bool {
-        false
-    }
-
-    /// Whether a repair that crossed regions is re-multicast within the
-    /// region behind the randomized back-off (§2.2). Tree-style policies
-    /// turn this off: their repair servers answer each NACK individually
-    /// and never flood the region.
-    fn remulticast_remote_repairs(&self) -> bool {
-        true
-    }
-
-    /// Whether the λ/n probabilistic remote-recovery phase (§2.2) runs.
-    /// Policies that return `false` never send
-    /// [`Packet::RemoteRequest`]s,
-    /// which also keeps the bufferer search dormant.
-    fn remote_recovery(&self) -> bool {
-        false
-    }
-
-    /// Whom to ask in the parent region this remote round (`None` stays
-    /// silent; the retry timer is still armed, §2.2). Only called when
-    /// [`BufferPolicy::remote_recovery`] is `true` and a parent exists.
-    fn remote_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
-        None
-    }
-
     /// Where to hand off long-term-buffered `msg` when leaving
     /// voluntarily (§3.2). `None` drops the copy (a scheme without
     /// handoff redundancy).
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId>;
 
-    /// Disuse timeout after which the periodic sweep discards long-term
-    /// entries; `None` retains them for the whole session.
-    fn long_term_expiry(&self, cfg: &ProtocolConfig) -> Option<SimDuration> {
-        Some(cfg.long_term_timeout)
-    }
-
-    /// How often this policy advertises its delivery history to the
-    /// group. `None` (the default) arms no history timer at all — the
-    /// hook is zero-cost for policies that never exchange history.
-    fn history_interval(&self) -> Option<SimDuration> {
-        None
-    }
-
     /// The periodic history tick fired ([`TimerKind::HistoryTick`]);
     /// emit the advertisements — one [`Action::SendMany`] when the same
     /// packet goes to many members. The engine re-arms the timer. Only
-    /// called when [`BufferPolicy::history_interval`] returned `Some`.
+    /// called when the policy's [`Rules::history_interval`] is `Some`.
     fn history_tick(&mut self, _ctx: &mut PolicyCtx<'_>) {}
 
     /// A peer's history advertisement arrived
@@ -246,32 +198,6 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
     /// (leave or crash). Policies tracking per-member state (stability
     /// quorums) prune it so a departed member stops gating progress.
     fn on_member_removed(&mut self, _node: NodeId) {}
-
-    /// The store's occupancy crossed into the *pressure* (or *critical*)
-    /// tier of its [`MemoryBudget`](crate::buffer::MemoryBudget) after an
-    /// insert or phase change. Only called when
-    /// [`ProtocolConfig::memory_budget`] is armed — the hook is zero-cost
-    /// otherwise and never fires in default (unarmed) runs.
-    ///
-    /// The default implementation applies the paper's discard rule early:
-    /// long-term entries are shed in least-recently-used order until
-    /// occupancy falls back below the pressure threshold (short-term
-    /// entries are left alone — they are still in their feedback window).
-    /// Policies with their own retention semantics may override, but must
-    /// stay deterministic: no RNG draws beyond the lent [`PolicyCtx`] one,
-    /// iteration in a fixed order.
-    ///
-    /// [`ProtocolConfig::memory_budget`]: crate::config::ProtocolConfig::memory_budget
-    fn on_pressure(&mut self, ctx: &mut PolicyCtx<'_>, _tier: PressureTier) {
-        let Some(budget) = ctx.store.budget() else { return };
-        let threshold = budget.pressure_threshold();
-        while ctx.store.bytes() > threshold {
-            let Some(victim) = ctx.store.lru_long() else { break };
-            ctx.store.discard(victim, ctx.now);
-            ctx.metrics.counters.pressure_discards += 1;
-            ctx.phase(victim, BufferPhase::Discarded);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -289,10 +215,6 @@ pub trait BufferPolicy: std::fmt::Debug + Send {
 pub struct TwoPhase;
 
 impl BufferPolicy for TwoPhase {
-    fn name(&self) -> &'static str {
-        "two-phase"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -334,27 +256,8 @@ impl BufferPolicy for TwoPhase {
         }
     }
 
-    fn preload_short_delay(&self, cfg: &ProtocolConfig) -> SimDuration {
-        cfg.idle_threshold
-    }
-
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         ctx.view.own().random_other(ctx.rng, ctx.id)
-    }
-
-    fn remote_recovery(&self) -> bool {
-        true
-    }
-
-    fn remote_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
-        let region_size = ctx.view.own().len();
-        let p = ctx.cfg.remote_request_probability(region_size);
-        // §2.2: draw the λ/n coin first, then (only on success) the
-        // parent-region member — the historical draw order.
-        if !ctx.rng.gen_bool(p) {
-            return None;
-        }
-        ctx.view.parent().and_then(|parent| parent.random_member(ctx.rng))
     }
 
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
@@ -371,10 +274,6 @@ pub struct FixedTime {
 }
 
 impl BufferPolicy for FixedTime {
-    fn name(&self) -> &'static str {
-        "fixed-time"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -402,20 +301,8 @@ impl BufferPolicy for FixedTime {
         }
     }
 
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        self.hold
-    }
-
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         ctx.view.own().random_other(ctx.rng, ctx.id)
-    }
-
-    fn remote_recovery(&self) -> bool {
-        true
-    }
-
-    fn remote_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId> {
-        TwoPhase.remote_target(ctx, msg)
     }
 
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
@@ -428,10 +315,6 @@ impl BufferPolicy for FixedTime {
 pub struct KeepAll;
 
 impl BufferPolicy for KeepAll {
-    fn name(&self) -> &'static str {
-        "keep-all"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -450,20 +333,8 @@ impl BufferPolicy for KeepAll {
 
     fn on_idle(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) {}
 
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        SimDuration::ZERO // unused: the idle check is a no-op
-    }
-
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         ctx.view.own().random_other(ctx.rng, ctx.id)
-    }
-
-    fn remote_recovery(&self) -> bool {
-        true
-    }
-
-    fn remote_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId> {
-        TwoPhase.remote_target(ctx, msg)
     }
 
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
@@ -569,10 +440,6 @@ impl HashBufferers {
 }
 
 impl BufferPolicy for HashBufferers {
-    fn name(&self) -> &'static str {
-        "hash-determ"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -589,10 +456,6 @@ impl BufferPolicy for HashBufferers {
     }
 
     fn on_idle(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) {}
-
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        SimDuration::ZERO // unused: no short phase
-    }
 
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId> {
         let me = ctx.id;
@@ -625,10 +488,6 @@ impl BufferPolicy for HashBufferers {
             .min()
             .map(|(_, m)| m)
     }
-
-    fn long_term_expiry(&self, _cfg: &ProtocolConfig) -> Option<SimDuration> {
-        None // designated copies are retained for the whole session
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -644,10 +503,6 @@ impl BufferPolicy for HashBufferers {
 pub struct SenderBased;
 
 impl BufferPolicy for SenderBased {
-    fn name(&self) -> &'static str {
-        "sender-based"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -663,10 +518,6 @@ impl BufferPolicy for SenderBased {
 
     fn on_idle(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) {}
 
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        SimDuration::ZERO // unused: no short phase
-    }
-
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, msg: MessageId) -> Option<NodeId> {
         // NACK the source (never ourselves).
         (msg.source != ctx.id).then_some(msg.source)
@@ -678,10 +529,6 @@ impl BufferPolicy for SenderBased {
 
     fn handoff_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         None // no redundancy: a departing sender's buffers are simply lost
-    }
-
-    fn long_term_expiry(&self, _cfg: &ProtocolConfig) -> Option<SimDuration> {
-        None // the sender retains its session
     }
 }
 
@@ -754,10 +601,6 @@ impl Stability {
 }
 
 impl BufferPolicy for Stability {
-    fn name(&self) -> &'static str {
-        "stability"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -771,10 +614,6 @@ impl BufferPolicy for Stability {
     }
 
     fn on_idle(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) {}
-
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        SimDuration::ZERO // unused: no short phase
-    }
 
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         // A uniformly random other member: one gen_range over the
@@ -790,14 +629,6 @@ impl BufferPolicy for Stability {
 
     fn handoff_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         None // every member already holds a copy of anything unstable
-    }
-
-    fn long_term_expiry(&self, _cfg: &ProtocolConfig) -> Option<SimDuration> {
-        None // entries drain only through stability detection
-    }
-
-    fn history_interval(&self) -> Option<SimDuration> {
-        Some(HISTORY_INTERVAL)
     }
 
     /// Advertises the delivery digest to every other member — the
@@ -886,10 +717,10 @@ impl BufferPolicy for Stability {
 /// view, so churn promotes the next-lowest member without any election.
 ///
 /// The NACKs ride the engine's pull phase as remote requests
-/// ([`BufferPolicy::pull_via_remote_request`]), giving servers the
+/// ([`Rules::pull_via_remote_request`]), giving servers the
 /// waiting-list semantics the scheme needs, and repairs are answered
 /// per-NACK — never region-multicast
-/// ([`BufferPolicy::remulticast_remote_repairs`] is off).
+/// ([`Rules::remulticast_remote_repairs`] is off).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TreeRmtp;
 
@@ -900,10 +731,6 @@ impl TreeRmtp {
 }
 
 impl BufferPolicy for TreeRmtp {
-    fn name(&self) -> &'static str {
-        "tree-rmtp"
-    }
-
     fn on_receive(
         &mut self,
         ctx: &mut PolicyCtx<'_>,
@@ -922,10 +749,6 @@ impl BufferPolicy for TreeRmtp {
 
     fn on_idle(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) {}
 
-    fn preload_short_delay(&self, _cfg: &ProtocolConfig) -> SimDuration {
-        SimDuration::ZERO // unused: no short phase
-    }
-
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         Self::roles(&*ctx).and_then(|r| r.recovery_target(ctx.id))
     }
@@ -941,24 +764,12 @@ impl BufferPolicy for TreeRmtp {
         }
     }
 
-    fn pull_via_remote_request(&self) -> bool {
-        true // NACK semantics: the server remembers waiters it can't serve
-    }
-
-    fn remulticast_remote_repairs(&self) -> bool {
-        false // servers answer NACKs individually, never region-wide
-    }
-
     fn handoff_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         // A leaving server hands the session to the member that will
         // inherit the role once the views drop the leaver: the
         // next-lowest id in the region.
         let me = ctx.id;
         ctx.view.own().members().find(|&m| m != me)
-    }
-
-    fn long_term_expiry(&self, _cfg: &ProtocolConfig) -> Option<SimDuration> {
-        None // the repair server retains the session
     }
 }
 
@@ -997,8 +808,8 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Short name matching [`BufferPolicy::name`], used to label test
-    /// failures and `perf/`'s per-policy metrics.
+    /// Short name, used to label test failures and `perf/`'s per-policy
+    /// metrics.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -1027,6 +838,70 @@ impl PolicyKind {
             PolicyKind::TreeRmtp => Box::new(TreeRmtp),
         }
     }
+
+    /// The policy's fixed answers under `cfg`. Cheap and pure: callers
+    /// recompute it where they need an answer instead of storing it.
+    #[must_use]
+    pub fn rules(&self, cfg: &ProtocolConfig) -> Rules {
+        // A scheme that keeps no short phase, asks only within its region
+        // and retains what it keeps for the whole session.
+        let base = Rules {
+            preload_idle: SimDuration::ZERO,
+            remote_recovery: false,
+            pull_via_remote_request: false,
+            remulticast_remote_repairs: true,
+            long_term_expiry: None,
+            history_interval: None,
+        };
+        let two_phase = Rules {
+            preload_idle: cfg.idle_threshold,
+            remote_recovery: true,
+            long_term_expiry: Some(cfg.long_term_timeout),
+            ..base
+        };
+        match *self {
+            PolicyKind::TwoPhase => two_phase,
+            PolicyKind::FixedTime { hold } => Rules { preload_idle: hold, ..two_phase },
+            PolicyKind::KeepAll => Rules { preload_idle: SimDuration::ZERO, ..two_phase },
+            PolicyKind::HashBufferers | PolicyKind::SenderBased => base,
+            PolicyKind::Stability => Rules { history_interval: Some(HISTORY_INTERVAL), ..base },
+            // NACK semantics: a server remembers the waiters it cannot
+            // serve, and answers each one alone, never region-wide.
+            PolicyKind::TreeRmtp => {
+                Rules { pull_via_remote_request: true, remulticast_remote_repairs: false, ..base }
+            }
+        }
+    }
+}
+
+/// A policy's fixed answers: everything about it that never changes for
+/// a member, from [`PolicyKind::rules`]. The receiver and the recovery
+/// machine read them here; the [`BufferPolicy`] hooks are only the
+/// decisions that act on, or read, per-member state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rules {
+    /// The idle-check delay armed when the experiment harness preloads a
+    /// short-term entry (what [`BufferPolicy::on_receive`] would arm;
+    /// zero where the idle check does nothing).
+    pub preload_idle: SimDuration,
+    /// Whether the λ/n remote phase (§2.2) runs: each round flips the
+    /// λ/n coin, then asks a random parent-region member.
+    pub remote_recovery: bool,
+    /// Whether pull requests go out as [`Packet::RemoteRequest`] instead
+    /// of `LocalRequest`. A remote request's target registers the asker
+    /// as a waiter and recovers the message itself when it does not hold
+    /// it — the semantics a repair-server NACK needs — while a local
+    /// request to a non-holder is ignored (§2.2).
+    pub pull_via_remote_request: bool,
+    /// Whether a repair that crossed regions is re-multicast within the
+    /// region behind the randomized back-off (§2.2).
+    pub remulticast_remote_repairs: bool,
+    /// Disuse timeout after which the periodic sweep discards long-term
+    /// entries; `None` retains them for the whole session.
+    pub long_term_expiry: Option<SimDuration>,
+    /// How often the member advertises its delivery history
+    /// ([`BufferPolicy::history_tick`]); `None` arms no history timer.
+    pub history_interval: Option<SimDuration>,
 }
 
 #[cfg(test)]
@@ -1068,35 +943,90 @@ mod tests {
         assert_ne!(bufferer_hash(NodeId(1), msg), bufferer_hash(NodeId(1), mid(2)));
     }
 
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(PolicyKind::TwoPhase.name(), "two-phase");
-        assert_eq!(PolicyKind::HashBufferers.name(), "hash");
-        assert_eq!(PolicyKind::SenderBased.name(), "sender-based");
-        assert_eq!(PolicyKind::Stability.name(), "stability");
-        assert_eq!(PolicyKind::TreeRmtp.name(), "tree-rmtp");
-        assert_eq!(PolicyKind::KeepAll.name(), "keep-all");
-        assert_eq!(
-            PolicyKind::FixedTime { hold: SimDuration::from_millis(1) }.name(),
-            "fixed-time"
-        );
-    }
+    /// One of each kind, `FixedTime` holding for 10 ms.
+    const KINDS: [PolicyKind; 7] = [
+        PolicyKind::TwoPhase,
+        PolicyKind::FixedTime { hold: SimDuration::from_millis(10) },
+        PolicyKind::KeepAll,
+        PolicyKind::HashBufferers,
+        PolicyKind::SenderBased,
+        PolicyKind::Stability,
+        PolicyKind::TreeRmtp,
+    ];
 
     #[test]
     fn build_matches_kind() {
         let members: Vec<NodeId> = (0..5).map(NodeId).collect();
-        for (kind, name) in [
-            (PolicyKind::TwoPhase, "two-phase"),
-            (PolicyKind::FixedTime { hold: SimDuration::from_millis(10) }, "fixed-time"),
-            (PolicyKind::KeepAll, "keep-all"),
-            // The hash policy keeps the frozen legacy report's scheme name.
-            (PolicyKind::HashBufferers, "hash-determ"),
-            (PolicyKind::SenderBased, "sender-based"),
-            (PolicyKind::Stability, "stability"),
-            (PolicyKind::TreeRmtp, "tree-rmtp"),
-        ] {
-            let policy = kind.build(&members);
-            assert_eq!(policy.name(), name);
+        let types = [
+            "TwoPhase",
+            "FixedTime",
+            "KeepAll",
+            "HashBufferers",
+            "SenderBased",
+            "Stability",
+            "TreeRmtp",
+        ];
+        for (kind, ty) in KINDS.into_iter().zip(types) {
+            let built = format!("{:?}", kind.build(&members));
+            assert_eq!(built.split([' ', '{']).next(), Some(ty), "{}", kind.name());
+        }
+        let hold = format!("hold: {:?}", SimDuration::from_millis(10));
+        assert!(format!("{:?}", KINDS[1].build(&members)).contains(&hold));
+    }
+
+    /// ARCHITECTURE.md's policy-layer table states every kind's [`Rules`]:
+    /// one row per kind, named as [`PolicyKind::name`] names it, one
+    /// column per field. A cell is `yes`/`no`, `none`, a duration in ms,
+    /// or the config field the answer reads (`hold` is `FixedTime`'s).
+    #[test]
+    fn architecture_table_states_every_kinds_rules() {
+        let doc = include_str!("../../../ARCHITECTURE.md");
+        let cfg = ProtocolConfig::paper_defaults();
+        let duration = |cell: &str, kind: PolicyKind| match (cell, kind) {
+            ("0", _) => SimDuration::ZERO,
+            ("idle_threshold", _) => cfg.idle_threshold,
+            ("long_term_timeout", _) => cfg.long_term_timeout,
+            ("hold", PolicyKind::FixedTime { hold }) => hold,
+            _ => SimDuration::from_millis(
+                cell.strip_suffix(" ms")
+                    .and_then(|ms| ms.parse().ok())
+                    .unwrap_or_else(|| panic!("{}: unreadable duration {cell:?}", kind.name())),
+            ),
+        };
+        let flag = |cell: &str| match cell {
+            "yes" => true,
+            "no" => false,
+            _ => panic!("unreadable flag {cell:?}"),
+        };
+        let rows: Vec<Vec<&str>> = doc
+            .lines()
+            .skip_while(|l| !l.starts_with("| policy |"))
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.trim_matches('|').split('|').map(|c| c.trim().trim_matches('`')).collect())
+            .collect();
+        let header = [
+            "policy",
+            "preload_idle",
+            "remote_recovery",
+            "pull_via_remote_request",
+            "remulticast_remote_repairs",
+            "long_term_expiry",
+            "history_interval",
+        ];
+        assert_eq!(rows.first().map(Vec::as_slice), Some(&header[..]), "table header");
+        assert_eq!(rows.len(), 2 + KINDS.len(), "one row per kind under the separator");
+        for (row, kind) in rows[2..].iter().zip(KINDS) {
+            let optional = |cell: &str| (cell != "none").then(|| duration(cell, kind));
+            let stated = Rules {
+                preload_idle: duration(row[1], kind),
+                remote_recovery: flag(row[2]),
+                pull_via_remote_request: flag(row[3]),
+                remulticast_remote_repairs: flag(row[4]),
+                long_term_expiry: optional(row[5]),
+                history_interval: optional(row[6]),
+            };
+            assert_eq!(row[0], kind.name());
+            assert_eq!(stated, kind.rules(&cfg), "{}", kind.name());
         }
     }
 }

@@ -24,8 +24,9 @@
 //! Every algorithm-specific decision — who buffers, when to promote
 //! short→long, where to hand off on leave, whom to query for recovery —
 //! is delegated to the [`BufferPolicy`] built from
-//! [`ProtocolConfig::policy`]; the receiver itself is the shared engine
-//! every buffering algorithm runs on.
+//! [`ProtocolConfig::policy`], and its fixed answers are that kind's
+//! [`Rules`]; the receiver itself is the shared engine every buffering
+//! algorithm runs on.
 
 use std::sync::Arc;
 
@@ -44,7 +45,7 @@ use crate::loss::LossDetector;
 use crate::metrics::Metrics;
 use crate::observe::Observer;
 use crate::packet::{DataPacket, Packet, RepairKind};
-use crate::policy::{BufferPolicy, DataPath, PolicyCtx};
+use crate::policy::{BufferPolicy, DataPath, PolicyCtx, Rules};
 use crate::recovery::{Input, Phase, Recoveries, RecoveryEnv};
 use rrmp_trace::{BufferPhase, EventKind};
 
@@ -214,23 +215,22 @@ impl RecoveryEnv for Env<'_> {
         }
     }
     fn remote_phase(&self) -> bool {
-        self.policy.remote_recovery() && self.view.parent().is_some()
+        self.cfg.policy.rules(self.cfg).remote_recovery && self.view.parent().is_some()
     }
     fn target(&mut self, phase: Phase, msg: MessageId) -> Option<NodeId> {
-        let ctx = &mut policy_ctx!(self, self.now, self.actions);
-        match phase {
-            Phase::Pull => self.policy.pull_target(ctx, msg),
-            Phase::Remote => self.policy.remote_target(ctx, msg),
+        if phase == Phase::Pull {
+            return self.policy.pull_target(&mut policy_ctx!(self, self.now, self.actions), msg);
         }
+        // §2.2: the λ/n coin first, then (only on success) the
+        // parent-region member — the historical draw order.
+        let p = self.cfg.remote_request_probability(self.view.own().len());
+        if !self.rng.gen_bool(p) {
+            return None;
+        }
+        self.view.parent().and_then(|parent| parent.random_member(self.rng))
     }
     fn pull_retry_delay(&mut self) -> SimDuration {
         self.policy.pull_retry_delay(&policy_ctx!(self, self.now, self.actions))
-    }
-    fn pull_via_remote_request(&self) -> bool {
-        self.policy.pull_via_remote_request()
-    }
-    fn remulticast_remote_repairs(&self) -> bool {
-        self.policy.remulticast_remote_repairs()
     }
     fn search_target(&mut self) -> Option<NodeId> {
         self.view.own().random_other(self.rng, self.id)
@@ -311,12 +311,6 @@ impl Receiver {
             damper,
             observer: None,
         }
-    }
-
-    /// The buffer-management policy this receiver runs.
-    #[must_use]
-    pub fn policy(&self) -> &dyn BufferPolicy {
-        &*self.policy
     }
 
     /// This member's id.
@@ -461,7 +455,7 @@ impl Receiver {
             delay: self.cfg.long_term_sweep_interval,
             kind: TimerKind::LongTermSweep,
         }];
-        if let Some(interval) = self.policy.history_interval() {
+        if let Some(interval) = self.rules().history_interval {
             actions.push(Action::SetTimer { delay: interval, kind: TimerKind::HistoryTick });
         }
         if let Some(wd) = self.cfg.watchdog {
@@ -502,7 +496,7 @@ impl Receiver {
             PreloadState::ShortTerm => {
                 self.store.insert_short(id, payload, now);
                 vec![Action::SetTimer {
-                    delay: self.policy.preload_short_delay(&self.cfg),
+                    delay: self.rules().preload_idle,
                     kind: TimerKind::IdleCheck(id),
                 }]
             }
@@ -541,6 +535,12 @@ impl Receiver {
             Event::Leave => self.on_leave(now, actions),
         }
         self.recovery.check(&self.detector);
+    }
+
+    /// The policy's fixed answers, recomputed from the config: storing
+    /// them would grow every receiver.
+    fn rules(&self) -> Rules {
+        self.cfg.policy.rules(&self.cfg)
     }
 
     /// Hands `input` to the recovery machine, lending it this receiver's
@@ -663,7 +663,7 @@ impl Receiver {
             } else {
                 self.policy.on_receive(&mut policy_ctx!(self, now, actions), id, payload, path);
             }
-            self.apply_pressure(now, actions);
+            self.apply_pressure(now);
             self.recover(Input::Payload { msg: id, payload, path, fresh: true }, now, actions);
             for m in outcome.newly_missing {
                 self.recover(Input::Lost(m), now, actions);
@@ -675,7 +675,7 @@ impl Receiver {
             if path == DataPath::Handoff && !self.store.contains(id) {
                 self.store.insert_long(id, payload.clone(), now);
                 self.phase(id, BufferPhase::Kept, now);
-                self.apply_pressure(now, actions);
+                self.apply_pressure(now);
             }
             // If we were searching for this message on behalf of downstream
             // waiters, the reappearing payload answers them.
@@ -683,14 +683,25 @@ impl Receiver {
         }
     }
 
-    /// Invokes the policy's pressure hook when the memory budget's
-    /// occupancy sits in the *pressure* tier or above. A no-op (one enum
+    /// Applies the paper's discard rule early while the memory budget's
+    /// occupancy sits in the *pressure* tier or above: long-term entries
+    /// are shed in least-recently-used order until occupancy falls back
+    /// below the pressure threshold. Short-term entries are left alone —
+    /// they are still in their feedback window. A no-op (one enum
     /// compare) while no budget is configured.
-    fn apply_pressure(&mut self, now: SimTime, actions: &mut Vec<Action>) {
+    fn apply_pressure(&mut self, now: SimTime) {
         let tier = self.store.tier();
         self.observe(now, EventKind::PressureTier { tier: tier as u8 });
-        if tier >= PressureTier::Pressure {
-            self.policy.on_pressure(&mut policy_ctx!(self, now, actions), tier);
+        if tier < PressureTier::Pressure {
+            return;
+        }
+        let Some(budget) = self.store.budget() else { return };
+        let threshold = budget.pressure_threshold();
+        while self.store.bytes() > threshold {
+            let Some(victim) = self.store.lru_long() else { break };
+            self.store.discard(victim, now);
+            self.metrics.counters.pressure_discards += 1;
+            self.phase(victim, BufferPhase::Discarded, now);
         }
     }
 
@@ -706,7 +717,7 @@ impl Receiver {
                 self.policy.on_idle(&mut policy_ctx!(self, now, actions), msg);
             }
             TimerKind::LongTermSweep => {
-                if let Some(timeout) = self.policy.long_term_expiry(&self.cfg) {
+                if let Some(timeout) = self.rules().long_term_expiry {
                     let mut expired = std::mem::take(&mut self.scratch);
                     debug_assert!(expired.is_empty());
                     self.store.expire_long_into(now, timeout, &mut expired);
@@ -728,7 +739,7 @@ impl Receiver {
                 // exchange; the engine owns the re-arm so a policy cannot
                 // accidentally kill (or double) its own tick chain.
                 self.policy.history_tick(&mut policy_ctx!(self, now, actions));
-                if let Some(interval) = self.policy.history_interval() {
+                if let Some(interval) = self.rules().history_interval {
                     actions
                         .push(Action::SetTimer { delay: interval, kind: TimerKind::HistoryTick });
                 }
@@ -1072,6 +1083,21 @@ mod tests {
             .collect();
         assert_eq!(relayed.len(), 1, "waiter must get the relayed repair");
         assert_eq!(r.metrics().counters.relays_performed, 1);
+    }
+
+    #[test]
+    fn floored_remote_requests_leave_no_record() {
+        // Nothing recovers a message at or below the floor, so a waiter
+        // for one would never be answered, nor its record dropped.
+        let mut r = receiver_with_parent(ProtocolConfig::paper_defaults());
+        r.set_recovery_floor(SENDER, SeqNo(5));
+        for seq in 1..=4 {
+            let request = Packet::RemoteRequest { msg: mid(seq) };
+            let actions = r.handle(packet_event(30, request), t(seq));
+            assert!(sends(&actions).is_empty(), "{actions:?}");
+        }
+        r.handle(Event::Timer(TimerKind::LongTermSweep), t(5_000));
+        assert_eq!(r.recovery.len(), 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::ids::MessageId;
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
 use crate::packet::{DataPacket, Packet, RepairKind};
-use crate::policy::DataPath;
+use crate::policy::{DataPath, Rules};
 use crate::vecmap::VecMap;
 
 /// The two retry phases of §2.2: pull requests to the target the policy
@@ -233,16 +233,14 @@ pub(crate) trait RecoveryEnv {
     fn scratch(&mut self) -> &mut Vec<MessageId>;
     /// Hands `kind` to the observer, if armed.
     fn observe(&mut self, kind: EventKind);
-    /// Whether the λ/n remote phase runs (the policy's and a parent's).
+    /// Whether the λ/n remote phase runs: the policy's
+    /// [`Rules::remote_recovery`], and a parent region to ask.
     fn remote_phase(&self) -> bool;
-    /// Whom to ask in this round of `phase` (the policy's draw).
+    /// Whom to ask in this round of `phase`: the policy's pull pick, or
+    /// the remote phase's λ/n coin and then a parent-region member.
     fn target(&mut self, phase: Phase, msg: MessageId) -> Option<NodeId>;
     /// The pull phase's retry period (the policy's).
     fn pull_retry_delay(&mut self) -> SimDuration;
-    /// Whether pulls go out as remote requests (the policy's).
-    fn pull_via_remote_request(&self) -> bool;
-    /// Whether a fresh remote repair is re-multicast (the policy's).
-    fn remulticast_remote_repairs(&self) -> bool;
     /// A random other member of the region to probe (an RNG draw).
     fn search_target(&mut self) -> Option<NodeId>;
     /// A back-off in `0..=window` (an RNG draw).
@@ -274,7 +272,8 @@ impl Recoveries {
                     }
                 }
                 self.end(env, msg, payload);
-                if fresh && path == DataPath::RemoteRepair && env.remulticast_remote_repairs() {
+                if fresh && path == DataPath::RemoteRepair && rules(env).remulticast_remote_repairs
+                {
                     self.arm_backoff(env, msg, payload.clone());
                 }
             }
@@ -488,7 +487,7 @@ impl Recoveries {
             if let Some(to) = env.target(phase, msg) {
                 let (src, mseq, remote) = (msg.source.0, msg.seq.value(), phase == Phase::Remote);
                 env.observe(EventKind::RecoveryRound { src, mseq, remote, attempt });
-                let packet = if remote || env.pull_via_remote_request() {
+                let packet = if remote || rules(env).pull_via_remote_request {
                     env.metrics().counters.remote_requests_sent += 1;
                     Packet::RemoteRequest { msg }
                 } else {
@@ -532,10 +531,15 @@ impl Recoveries {
 
     /// Never received: remember the waiting `origins` and recover the
     /// message ourselves; the repair is relayed when it arrives (§2.2).
+    /// Nobody waits for a message at or below the recovery floor: no
+    /// round ever runs for it, so its waiters would be kept forever.
     fn await_relay<E: RecoveryEnv>(&mut self, env: &mut E, msg: MessageId, origins: &[NodeId]) {
-        let waiters = self.map.get_or_default(msg).awaiting().waiters.get_or_insert_with(Vec::new);
-        add_sorted(waiters, origins);
-        for m in env.detector().on_hint(msg) {
+        let lost = env.detector().on_hint(msg);
+        if env.detector().is_missing(msg) {
+            let r = self.map.get_or_default(msg);
+            add_sorted(r.awaiting().waiters.get_or_insert_with(Vec::new), origins);
+        }
+        for m in lost {
             self.lost(env, m);
         }
     }
@@ -679,6 +683,12 @@ impl Recoveries {
             !r.settled()
         });
     }
+}
+
+/// The member's policy rules, recomputed from its config.
+fn rules<E: RecoveryEnv>(env: &E) -> Rules {
+    let cfg = env.cfg();
+    cfg.policy.rules(cfg)
 }
 
 fn gave_up<E: RecoveryEnv>(env: &mut E, msg: MessageId) {
@@ -826,12 +836,6 @@ mod tests {
         fn pull_retry_delay(&mut self) -> SimDuration {
             SimDuration::from_millis(10)
         }
-        fn pull_via_remote_request(&self) -> bool {
-            false
-        }
-        fn remulticast_remote_repairs(&self) -> bool {
-            true
-        }
         fn search_target(&mut self) -> Option<NodeId> {
             self.coin.then_some(NodeId(3))
         }
@@ -927,6 +931,13 @@ mod tests {
             World { rec: Recoveries::default(), env, armed: [0; 4] }
         }
 
+        /// A member whose recovery floor is the message's number.
+        fn floored() -> Self {
+            let mut w = World::new();
+            w.env.detector.set_floor(msg().source, msg().seq);
+            w
+        }
+
         /// Applies `step`; `None` if it cannot happen in this state.
         fn step(&self, step: Step) -> Option<World> {
             let mut w = self.clone();
@@ -1020,6 +1031,12 @@ mod tests {
             };
             match &r.stage {
                 Stage::Awaiting(a) => {
+                    // Without a round, only a loss given up on may wait:
+                    // the heal or the watchdog re-arms it.
+                    if a.local.is_none() && a.remote.is_none() {
+                        let missing = self.env.detector.is_missing(m);
+                        assert!(missing, "{path:?}: waiters, no round, no timer");
+                    }
                     for (round, cap, i) in [
                         (&a.local, cfg.max_local_attempts, 0),
                         (&a.remote, cfg.max_remote_attempts, 1),
@@ -1056,15 +1073,22 @@ mod tests {
     }
 
     /// Every script of up to `DEPTH` steps for one message, breadth-first,
-    /// each reachable state expanded once. Each state ends delivered,
-    /// cleanly given up, or in flight with a timer armed, within every
-    /// cap; a timer firing for a removed record does nothing; and only a
-    /// heal re-arms an exhausted search. The state count pins the
-    /// machine: a transition that moves reaches a different set.
+    /// each reachable state expanded once, from a member that misses it
+    /// and from one whose recovery floor covers it. Each state ends
+    /// delivered, cleanly given up, or in flight with a timer armed,
+    /// within every cap; a timer firing for a removed record does
+    /// nothing; and only a heal re-arms an exhausted search. The state
+    /// counts pin the machine: a transition that moves reaches a
+    /// different set.
     #[test]
     fn every_script_for_one_message_ends_legally() {
+        assert_eq!(explore(World::new()), (63_118, 453_488));
+        assert_eq!(explore(World::floored()), (22_921, 159_333));
+    }
+
+    /// The reachable states and the transitions taken, from `start`.
+    fn explore(start: World) -> (usize, u64) {
         const DEPTH: usize = 8;
-        let start = World::new();
         let mut seen = HashSet::from([start.key()]);
         let mut frontier = vec![(start, Vec::new())];
         let mut transitions = 0u64;
@@ -1100,6 +1124,6 @@ mod tests {
             }
             frontier = next;
         }
-        assert_eq!((seen.len(), transitions), (63_118, 453_488));
+        (seen.len(), transitions)
     }
 }
