@@ -61,11 +61,6 @@ pub struct RrmpNode {
     /// Reused action buffer: `Receiver::handle_into` fills it, `execute`
     /// drains it — no allocation per event in steady state.
     action_scratch: Vec<Action>,
-    /// True on nodes of a [`RrmpNetwork::new_reference`] network: restore
-    /// the pre-refactor host behavior (fresh action `Vec` per event,
-    /// members `Vec` per regional multicast, linear delivered scan) so the
-    /// differential oracle exercises what this refactor replaced.
-    reference_mode: bool,
 }
 
 impl RrmpNode {
@@ -82,7 +77,6 @@ impl RrmpNode {
             // first growth from jumping straight to four 80-byte actions
             // on every one of a million nodes.
             action_scratch: Vec::with_capacity(2),
-            reference_mode: false,
         }
     }
 
@@ -111,13 +105,9 @@ impl RrmpNode {
     }
 
     /// Whether `id` was delivered here. O(log #gaps) via the per-source
-    /// interval index, not a scan of the delivery log. (Reference-mode
-    /// nodes keep the historical linear scan as the differential oracle.)
+    /// interval index, not a scan of the delivery log.
     #[must_use]
     pub fn has_delivered(&self, id: MessageId) -> bool {
-        if self.reference_mode {
-            return self.delivered.iter().any(|&(_, d)| d == id);
-        }
         self.delivered_index.get(id.source).is_some_and(|seqs| seqs.contains(id.seq.0))
     }
 
@@ -134,42 +124,19 @@ impl RrmpNode {
             Action::Send { to, packet } => ctx.send(to, packet),
             // One fan-out op: per-destination loss, filter and fault
             // verdicts in list order, one batch event per arrival time.
-            // Reference nodes' contexts expand it to one unicast each.
             Action::SendMany { to, packet } => ctx.send_many(to.iter().copied(), *packet),
+            // One fan-out op sharing the packet (and its Bytes payload)
+            // across every destination — no members Vec, no deep copies.
             Action::MulticastRegion { packet } => {
-                if self.reference_mode {
-                    // Pre-refactor shape: collect the members, then one op
-                    // and one clone per destination.
-                    let members: Vec<NodeId> = self.receiver.view().own().members().collect();
-                    ctx.send_many(members, packet);
-                } else {
-                    // One fan-out op sharing the packet (and its Bytes
-                    // payload) across every destination — no members Vec,
-                    // no deep copies.
-                    let members = self.receiver.view().own().members();
-                    ctx.send_many(members, packet);
-                }
+                ctx.send_many(self.receiver.view().own().members(), packet);
             }
-            Action::MulticastGroup { packet } => {
-                if self.reference_mode {
-                    let everyone: Vec<NodeId> = ctx.topology().nodes().collect();
-                    ctx.send_many(everyone, packet);
-                } else {
-                    // Group-wide fan-out is a single op; the simulator
-                    // expands it over the topology.
-                    ctx.send_group(packet);
-                }
-            }
+            // Group-wide fan-out is a single op; the simulator expands it
+            // over the topology.
+            Action::MulticastGroup { packet } => ctx.send_group(packet),
             Action::Deliver { id, .. } => {
                 rrmp_membership::index::reserve_doubling(&mut self.delivered);
                 self.delivered.push((ctx.now(), id));
-                if !self.reference_mode {
-                    // Reference nodes answer has_delivered by scanning the
-                    // log, so maintaining the index would give the
-                    // differential oracle work the historical code never
-                    // did.
-                    self.delivered_index.get_or_default(id.source).insert(id.seq.0);
-                }
+                self.delivered_index.get_or_default(id.source).insert(id.seq.0);
             }
             Action::SetTimer { delay, kind } => ctx.set_timer(delay, HostTimer::Proto(kind)),
         }
@@ -178,15 +145,18 @@ impl RrmpNode {
     /// Feeds `event` through the receiver and executes the resulting
     /// actions, reusing the node's scratch action buffer.
     fn handle_event(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, event: Event) {
-        if self.reference_mode {
-            // Pre-refactor shape: a fresh action vector per event.
-            let mut actions = self.receiver.handle(event, ctx.now());
-            self.execute(ctx, &mut actions);
-            return;
-        }
+        self.with_scratch(ctx, |receiver, now, actions| receiver.handle_into(event, now, actions));
+    }
+
+    /// Lets `fill` push actions into the node's scratch buffer, then
+    /// executes and drains them.
+    fn with_scratch<F>(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, fill: F)
+    where
+        F: FnOnce(&mut Receiver, SimTime, &mut Vec<Action>),
+    {
         let mut actions = std::mem::take(&mut self.action_scratch);
         debug_assert!(actions.is_empty());
-        self.receiver.handle_into(event, ctx.now(), &mut actions);
+        fill(&mut self.receiver, ctx.now(), &mut actions);
         self.execute(ctx, &mut actions);
         self.action_scratch = actions;
     }
@@ -212,13 +182,7 @@ impl SimNode<HostTimer> for RrmpNode {
             HostTimer::Proto(kind) => self.handle_event(ctx, Event::Timer(kind)),
             HostTimer::Leave => self.handle_event(ctx, Event::Leave),
             HostTimer::Crash => self.receiver.crash(ctx.now()),
-            HostTimer::Heal => {
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                debug_assert!(actions.is_empty());
-                self.receiver.on_heal(ctx.now(), &mut actions);
-                self.execute(ctx, &mut actions);
-                self.action_scratch = actions;
-            }
+            HostTimer::Heal => self.with_scratch(ctx, Receiver::on_heal),
             // Through the receiver (not view_mut directly) so the buffer
             // policy prunes per-member state — a stability quorum must
             // stop waiting on a departed member.
@@ -228,9 +192,9 @@ impl SimNode<HostTimer> for RrmpNode {
 }
 
 /// The simulation engine hosting an [`RrmpNetwork`]: the single-queue
-/// [`Sim`] (optimized or reference mode), or the conservatively parallel
-/// region-sharded [`ShardedSim`]. Every harness operation delegates; the
-/// two engines share the node type, the `Ctx` API, and the topology.
+/// [`Sim`], or the conservatively parallel region-sharded [`ShardedSim`].
+/// Every harness operation delegates; the two engines share the node
+/// type, the `Ctx` API, and the topology.
 // One engine lives per network (never in collections), so the size gap
 // between the variants costs nothing; boxing would put a pointer chase on
 // every harness call instead.
@@ -290,13 +254,6 @@ impl SimEngine {
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &RrmpNode)> {
         self.topology().nodes().map(move |id| (id, self.node(id)))
     }
-
-    fn is_optimized(&self) -> bool {
-        match self {
-            SimEngine::Single(s) => s.is_optimized(),
-            SimEngine::Sharded(_) => true,
-        }
-    }
 }
 
 /// A complete simulated RRMP group: topology, one sender, one receiver per
@@ -332,22 +289,7 @@ impl RrmpNetwork {
     /// running `cfg`, and all randomness derived from `seed`.
     #[must_use]
     pub fn new(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
-        Self::with_sender(topo, cfg, seed, NodeId(0))
-    }
-
-    /// Like [`RrmpNetwork::new`] with an explicit sender node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender_node` is not in `topo` or `cfg` is invalid.
-    #[must_use]
-    pub fn with_sender(
-        topo: Topology,
-        cfg: ProtocolConfig,
-        seed: u64,
-        sender_node: NodeId,
-    ) -> Self {
-        Self::with_senders(topo, cfg, seed, &[sender_node])
+        Self::with_senders(topo, cfg, seed, &[NodeId(0)])
     }
 
     /// Builds a group with **several** sender roles — an extension beyond
@@ -367,17 +309,21 @@ impl RrmpNetwork {
         seed: u64,
         senders: &[NodeId],
     ) -> Self {
-        Self::with_senders_mode(topo, cfg, seed, senders, true)
-    }
-
-    /// Like [`RrmpNetwork::new`], but hosted on the **reference** event
-    /// loop ([`Sim::new_reference`]): per-callback allocation and
-    /// per-destination clones instead of the zero-allocation fast paths.
-    /// Behavior is identical by construction — the trace-equality tests
-    /// assert it.
-    #[must_use]
-    pub fn new_reference(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
-        Self::with_senders_mode(topo, cfg, seed, &[NodeId(0)], false)
+        cfg.validate().expect("invalid protocol config");
+        assert!(!senders.is_empty(), "need at least one sender");
+        for s in senders {
+            assert!(s.index() < topo.node_count(), "sender {s} not in topology");
+        }
+        let nodes = Self::build_nodes(&topo, &cfg, seed, senders);
+        RrmpNetwork {
+            sim: SimEngine::Single(Sim::new(topo, nodes, seed)),
+            sender_node: senders[0],
+            multicast_loss: LossModel::None,
+            cfg,
+            senders: senders.to_vec(),
+            fault_plan: None,
+            armed: None,
+        }
     }
 
     /// Builds a group hosted on the **conservatively parallel** sharded
@@ -390,7 +336,7 @@ impl RrmpNetwork {
     /// [`RrmpNetwork::new`]'s single event queue (per-sender unicast-loss
     /// RNG streams, canonical cross-region merge order), so a sharded run
     /// is compared against sharded runs, not against the single-queue
-    /// engines.
+    /// engine.
     ///
     /// # Panics
     ///
@@ -405,7 +351,7 @@ impl RrmpNetwork {
         // at a million members would briefly double peak memory.
         let sim = ShardedSim::new_from(
             &topo,
-            Self::build_nodes_iter(&topo, &cfg, seed, &senders, true),
+            Self::build_nodes_iter(&topo, &cfg, seed, &senders),
             seed,
             shards,
         );
@@ -617,41 +563,12 @@ impl RrmpNetwork {
     }
 
     /// Number of worker threads the engine runs on (1 for the
-    /// single-queue engines).
+    /// single-queue engine).
     #[must_use]
     pub fn shards(&self) -> usize {
         match &self.sim {
             SimEngine::Single(_) => 1,
             SimEngine::Sharded(s) => s.shards(),
-        }
-    }
-
-    fn with_senders_mode(
-        topo: Topology,
-        cfg: ProtocolConfig,
-        seed: u64,
-        senders: &[NodeId],
-        optimized: bool,
-    ) -> Self {
-        cfg.validate().expect("invalid protocol config");
-        assert!(!senders.is_empty(), "need at least one sender");
-        for s in senders {
-            assert!(s.index() < topo.node_count(), "sender {s} not in topology");
-        }
-        let nodes = Self::build_nodes(&topo, &cfg, seed, senders, optimized);
-        let sim = if optimized {
-            SimEngine::Single(Sim::new(topo, nodes, seed))
-        } else {
-            SimEngine::Single(Sim::new_reference(topo, nodes, seed))
-        };
-        RrmpNetwork {
-            sim,
-            sender_node: senders[0],
-            multicast_loss: LossModel::None,
-            cfg,
-            senders: senders.to_vec(),
-            fault_plan: None,
-            armed: None,
         }
     }
 
@@ -661,10 +578,9 @@ impl RrmpNetwork {
         cfg: &ProtocolConfig,
         seed: u64,
         senders: &[NodeId],
-        optimized: bool,
     ) -> Vec<RrmpNode> {
         let mut nodes = Vec::with_capacity(topo.node_count());
-        nodes.extend(Self::build_nodes_iter(topo, cfg, seed, senders, optimized));
+        nodes.extend(Self::build_nodes_iter(topo, cfg, seed, senders));
         nodes
     }
 
@@ -677,7 +593,6 @@ impl RrmpNetwork {
         cfg: &ProtocolConfig,
         seed: u64,
         senders: &[NodeId],
-        optimized: bool,
     ) -> impl Iterator<Item = RrmpNode> + 't {
         // Decorrelate receiver RNG streams from the simulator's own streams
         // (which are derived from the unmixed seed).
@@ -700,9 +615,7 @@ impl RrmpNetwork {
             if senders.contains(&id) {
                 receiver.make_sender();
             }
-            let mut node = RrmpNode::new(receiver);
-            node.reference_mode = !optimized;
-            node
+            RrmpNode::new(receiver)
         })
     }
 
@@ -715,9 +628,7 @@ impl RrmpNetwork {
     /// network-edge half; the crash and heal timers are re-scheduled
     /// here).
     pub fn reset(&mut self, seed: u64) {
-        let optimized = self.sim.is_optimized();
-        let nodes =
-            Self::build_nodes(self.sim.topology(), &self.cfg, seed, &self.senders, optimized);
+        let nodes = Self::build_nodes(self.sim.topology(), &self.cfg, seed, &self.senders);
         self.sim.reset(nodes, seed);
         self.schedule_fault_protocol_timers();
         self.rearm_observer();
@@ -725,7 +636,7 @@ impl RrmpNetwork {
 
     /// Sets the loss model applied to unicast sends (requests, repairs),
     /// on whichever engine hosts the group. The sharded engine draws from
-    /// per-sender-node streams, the single-queue engines from one global
+    /// per-sender-node streams, the single-queue engine from one global
     /// stream — deterministic either way, but not comparable across
     /// engine kinds.
     pub fn set_unicast_loss(&mut self, model: LossModel) {

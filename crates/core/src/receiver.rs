@@ -1590,7 +1590,7 @@ mod tests {
         // Growth must be a decision.
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 120);
         assert!(std::mem::size_of::<Receiver>() <= 688);
-        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 784);
+        assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 768);
     }
 
     #[test]

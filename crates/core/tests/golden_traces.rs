@@ -7,52 +7,14 @@
 //! A fingerprint change means the refactor altered observable protocol
 //! behaviour — which the policy extraction explicitly must not.
 
+mod common;
+
+use common::fingerprint;
 use rrmp_core::harness::RrmpNetwork;
 use rrmp_core::prelude::ProtocolConfig;
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{presets, NodeId};
-
-/// FNV-1a over the full observable outcome of a run: per-node delivery
-/// traces in delivery order plus network counters and protocol totals.
-fn fingerprint(net: &RrmpNetwork) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for (id, node) in net.nodes() {
-        mix(u64::from(id.0));
-        for &(t, m) in node.delivered() {
-            mix(t.as_micros());
-            mix(u64::from(m.source.0));
-            mix(m.seq.0);
-        }
-    }
-    let c = net.net_counters();
-    for v in [c.unicasts_sent, c.unicasts_dropped, c.timers_set, c.timers_fired, c.events_processed]
-    {
-        mix(v);
-    }
-    for v in [
-        net.total_counter(|c| c.local_requests_sent),
-        net.total_counter(|c| c.remote_requests_sent),
-        net.total_counter(|c| c.repairs_sent_local + c.repairs_sent_remote),
-        net.total_counter(|c| c.regional_multicasts_sent),
-        net.total_counter(|c| c.handoffs_sent),
-        net.total_counter(|c| c.idle_transitions),
-        net.total_counter(|c| c.long_term_kept),
-        net.total_counter(|c| c.discarded_at_idle),
-        net.total_counter(|c| c.searches_started),
-    ] {
-        mix(v);
-    }
-    h
-}
 
 fn single_region_recovery(seed: u64) -> u64 {
     let mut net =

@@ -1,16 +1,22 @@
-//! Differential tests: the zero-allocation event loop (scratch op buffer,
-//! slab timers, fan-out ops, shared `Bytes` payloads) must produce
-//! **byte-identical delivery traces** to the straightforward reference
-//! implementation (fresh `Vec` per callback, one op and one clone per
-//! destination) for the same seed.
+//! Pinned outcomes of the single-queue engine, and the sharded engine
+//! held to itself.
 //!
-//! These tests drive the full RRMP protocol — loss detection, local and
+//! The scenarios drive the full RRMP protocol — loss detection, local and
 //! remote recovery, regional repair multicasts with randomized back-off,
-//! bufferer search, leave-time handoff — so every fast path the refactor
-//! introduced is exercised end to end.
+//! bufferer search, leave-time handoff, fault plans — through every
+//! fan-out path: a batch per arrival time, pooled target vectors, shared
+//! `Bytes` payloads. Each `*_is_pinned` test asserts the fingerprint of
+//! its outcome ([`common::RunTrace`]). Every fingerprint was recorded
+//! while a reference event loop (a fresh buffer per callback, one op and
+//! one queue entry per destination) still ran beside the fan-out path and
+//! produced the identical trace for the same scenario and seed, so a
+//! fingerprint stands for that comparison. The `sharded_*` tests assert
+//! byte-identical traces at 1, 2 and 4 workers.
 
+mod common;
+
+use common::{fingerprint, trace_of};
 use rrmp_core::harness::RrmpNetwork;
-use rrmp_core::ids::MessageId;
 use rrmp_core::policy::PolicyKind;
 use rrmp_core::prelude::ProtocolConfig;
 use rrmp_netsim::fault::FaultPlan;
@@ -18,77 +24,38 @@ use rrmp_netsim::loss::{DeliveryPlan, LossModel};
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::{presets, NodeId, RegionId, Topology};
 
-/// The full observable outcome of a run: per-node delivery traces (time,
-/// message) in delivery order, plus network counters and protocol totals.
-#[derive(Debug, PartialEq)]
-struct RunTrace {
-    deliveries: Vec<Vec<(SimTime, MessageId)>>,
-    unicasts_sent: u64,
-    unicasts_dropped: u64,
-    timers_set: u64,
-    timers_fired: u64,
-    events_processed: u64,
-    local_requests: u64,
-    remote_requests: u64,
-    repairs: u64,
-    regional_multicasts: u64,
-    handoffs: u64,
-    faults_duplicated: u64,
-    /// Per node: history digests received and messages discarded as
-    /// stable (zero under policies without history exchange).
-    stability: Vec<(u64, u64)>,
-}
-
-fn trace_of(net: &RrmpNetwork) -> RunTrace {
-    let c = net.net_counters();
-    RunTrace {
-        deliveries: net.nodes().map(|(_, n)| n.delivered().to_vec()).collect(),
-        unicasts_sent: c.unicasts_sent,
-        unicasts_dropped: c.unicasts_dropped,
-        timers_set: c.timers_set,
-        timers_fired: c.timers_fired,
-        events_processed: c.events_processed,
-        local_requests: net.total_counter(|c| c.local_requests_sent),
-        remote_requests: net.total_counter(|c| c.remote_requests_sent),
-        repairs: net.total_counter(|c| c.repairs_sent_local + c.repairs_sent_remote),
-        regional_multicasts: net.total_counter(|c| c.regional_multicasts_sent),
-        handoffs: net.total_counter(|c| c.handoffs_sent),
-        faults_duplicated: c.faults_duplicated,
-        stability: net
-            .nodes()
-            .map(|(_, n)| {
-                let c = &n.receiver().metrics().counters;
-                (c.history_digests_received, c.stable_discards)
-            })
-            .collect(),
-    }
-}
-
-/// Runs `scenario` on both event loops and asserts identical traces.
-fn assert_trace_equal<F>(
-    topo_of: impl Fn() -> Topology,
-    cfg: ProtocolConfig,
-    seed: u64,
-    scenario: F,
-) where
+/// Runs `scenario` on the single-queue engine and asserts the fingerprint
+/// of its outcome.
+fn assert_pinned<F>(topo: Topology, cfg: ProtocolConfig, seed: u64, scenario: F, pin: u64)
+where
     F: Fn(&mut RrmpNetwork),
 {
-    let mut optimized = RrmpNetwork::with_sender(topo_of(), cfg.clone(), seed, NodeId(0));
-    scenario(&mut optimized);
-    let mut reference = RrmpNetwork::new_reference(topo_of(), cfg, seed);
-    scenario(&mut reference);
-    assert_eq!(
-        trace_of(&optimized),
-        trace_of(&reference),
-        "optimized and reference event loops diverged (seed {seed})"
-    );
+    let mut net = RrmpNetwork::new(topo, cfg, seed);
+    scenario(&mut net);
+    let got = fingerprint(&net);
+    assert_eq!(got, pin, "seed {seed}: the outcome moved (fingerprint {got:#018x})");
+}
+
+/// Multicasts `payload` `count` times, `gap` apart, then runs until `end`.
+fn stream(net: &mut RrmpNetwork, payload: &'static [u8], count: usize, gap: u64, end: SimTime) {
+    for _ in 0..count {
+        net.multicast(payload);
+        let next = net.now() + SimDuration::from_millis(gap);
+        net.run_until(next);
+    }
+    net.run_until(end);
 }
 
 #[test]
-fn single_region_recovery_traces_match() {
-    for seed in [1u64, 7, 99, 1234] {
-        assert_trace_equal(
-            || presets::paper_region(40),
+fn single_region_recovery_is_pinned() {
+    for (seed, pin) in [
+        (1u64, 0x28c8_f709_a078_be13),
+        (7, 0xd7dd_3e78_638d_4b9b),
+        (99, 0x4f9f_1045_efdd_2ed8),
+        (1234, 0x2774_3039_5032_6496),
+    ] {
+        assert_pinned(
+            presets::paper_region(40),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
@@ -99,53 +66,51 @@ fn single_region_recovery_traces_match() {
                 net.multicast_with_plan(&b"trace-b"[..], &plan);
                 net.run_until(SimTime::from_secs(1));
             },
+            pin,
         );
     }
 }
 
 #[test]
-fn hierarchical_recovery_with_regional_multicast_traces_match() {
-    for seed in [3u64, 42] {
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+fn hierarchical_recovery_with_regional_multicast_is_pinned() {
+    for (seed, pin) in [(3u64, 0x6eca_be61_6104_ebe9), (42, 0x6e68_726b_eea3_6b9f)] {
+        assert_pinned(
+            presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
                 // Region 1 misses entirely: remote recovery + regional
-                // repair multicast (the send_many fast path) kick in.
+                // repair multicast (a `send_many` fan-out) kick in.
                 let plan = DeliveryPlan::all_but(net.topology(), (8..16).map(NodeId));
                 net.multicast_with_plan(&b"regional"[..], &plan);
                 net.run_until(SimTime::from_secs(2));
             },
+            pin,
         );
     }
 }
 
 #[test]
-fn lossy_multicast_stream_traces_match() {
-    for seed in [5u64, 17] {
-        assert_trace_equal(
-            || presets::paper_region(25),
+fn lossy_multicast_stream_is_pinned() {
+    for (seed, pin) in [(5u64, 0x7c02_2374_4fc0_cafa), (17, 0x7df3_2823_6a44_3091)] {
+        assert_pinned(
+            presets::paper_region(25),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
                 net.set_multicast_loss(LossModel::Bernoulli { p: 0.3 });
-                for _ in 0..6 {
-                    net.multicast(&b"stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(25);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(1));
+                stream(net, b"stream", 6, 25, SimTime::from_secs(1));
             },
+            pin,
         );
     }
 }
 
 #[test]
-fn churn_with_handoffs_traces_match() {
-    for seed in [2u64, 8] {
-        assert_trace_equal(
-            || presets::paper_region(20),
+fn churn_with_handoffs_is_pinned() {
+    for (seed, pin) in [(2u64, 0x4350_6263_84d1_4965), (8, 0x4350_6263_84d1_4965)] {
+        assert_pinned(
+            presets::paper_region(20),
             ProtocolConfig::builder().c(1000.0).build().expect("valid config"),
             seed,
             |net| {
@@ -156,18 +121,19 @@ fn churn_with_handoffs_traces_match() {
                 net.schedule_crash(NodeId(9), SimTime::from_millis(300));
                 net.run_until(SimTime::from_millis(600));
             },
+            pin,
         );
     }
 }
 
 #[test]
-fn lossy_unicast_fanout_traces_match() {
-    // Unicast (request/repair) loss forces the batched fan-out scheduler
-    // to consume the loss RNG per destination — in exactly the reference
-    // path's draw order — while retries exercise deep recovery paths.
-    for seed in [11u64, 23] {
-        assert_trace_equal(
-            || presets::figure1_chain([10, 10, 10], SimDuration::from_millis(25)),
+fn lossy_unicast_fanout_is_pinned() {
+    // Unicast (request/repair) loss makes the batched fan-out scheduler
+    // consume the loss RNG per destination, in target order, while
+    // retries exercise deep recovery paths.
+    for (seed, pin) in [(11u64, 0xb655_a171_c17f_34a6), (23, 0x2bc2_95e7_156c_da29)] {
+        assert_pinned(
+            presets::figure1_chain([10, 10, 10], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
@@ -176,19 +142,20 @@ fn lossy_unicast_fanout_traces_match() {
                 net.multicast_with_plan(&b"lossy-fanout"[..], &plan);
                 net.run_until(SimTime::from_secs(3));
             },
+            pin,
         );
     }
 }
 
 #[test]
-fn region_correlated_stream_traces_match() {
+fn region_correlated_stream_is_pinned() {
     // A multi-region stream under region-correlated initial loss: the
     // injected multicasts group holders into per-latency batches (one
     // batch per region distance) and regional repair multicasts expand
     // lazily at delivery time.
-    for seed in [31u64, 59] {
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+    for (seed, pin) in [(31u64, 0x66c4_e744_9d52_164f), (59, 0xf1b1_7918_e584_b6bc)] {
+        assert_pinned(
+            presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
@@ -196,13 +163,9 @@ fn region_correlated_stream_traces_match() {
                     p_region: 0.3,
                     p_member: 0.1,
                 });
-                for _ in 0..4 {
-                    net.multicast(&b"regional-stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(40);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(3));
+                stream(net, b"regional-stream", 4, 40, SimTime::from_secs(3));
             },
+            pin,
         );
     }
 }
@@ -318,31 +281,26 @@ fn sharded_churn_with_handoffs_traces_match() {
 }
 
 #[test]
-fn ported_policy_traces_match_across_event_loops() {
+fn ported_policies_are_pinned() {
     // The comparison schemes run as policies on the same engines as the
-    // default algorithm — and must stay byte-identical between the
-    // optimized and reference event loops, like every other policy.
-    for kind in [
-        PolicyKind::HashBufferers,
-        PolicyKind::SenderBased,
-        PolicyKind::KeepAll,
-        PolicyKind::Stability,
-        PolicyKind::TreeRmtp,
+    // default algorithm.
+    for (kind, pin) in [
+        (PolicyKind::HashBufferers, 0x9398_00dd_ba95_3d2c),
+        (PolicyKind::SenderBased, 0x3e06_2e64_19a6_ba1f),
+        (PolicyKind::KeepAll, 0xacc9_faea_e43a_8cb6),
+        (PolicyKind::Stability, 0xa1c8_ac0a_f739_a959),
+        (PolicyKind::TreeRmtp, 0xacd3_f607_16e5_d000),
     ] {
         let cfg = ProtocolConfig::builder().policy(kind).build().expect("valid policy config");
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+        assert_pinned(
+            presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             cfg,
             19,
             |net| {
                 net.set_multicast_loss(LossModel::Bernoulli { p: 0.2 });
-                for _ in 0..4 {
-                    net.multicast(&b"policy-stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(40);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(2));
+                stream(net, b"policy-stream", 4, 40, SimTime::from_secs(2));
             },
+            pin,
         );
     }
 }
@@ -411,11 +369,11 @@ fn sharded_tree_rmtp_policy_traces_match() {
 }
 
 #[test]
-fn every_policy_and_budget_matches_reference_loop() {
-    // Each policy, with and without a per-receiver memory budget, on the
-    // optimized loop must match the unbudgeted reference loop and fully
-    // recover. The 1 MiB budget never reaches the pressure tier here, so
-    // arming its accounting must not change the trace. How many members
+fn every_policy_and_budget_is_pinned() {
+    // Each policy, with and without a per-receiver memory budget, must
+    // fully recover with the same outcome. The 1 MiB budget never reaches
+    // the pressure tier here, so arming its accounting must not change
+    // the trace. How many members
     // still hold the message at the end is each policy's signature: the
     // two-phase long-term bufferers (a random draw with mean C), the six
     // hash-designated bufferers, none once stability is detected, the one
@@ -429,25 +387,18 @@ fn every_policy_and_budget_matches_reference_loop() {
         assert!(net.all_delivered(id), "policy must recover: {}", net.delivered_count(id));
         net.buffered_count(id)
     };
-    for (policy, holders) in [
-        (PolicyKind::TwoPhase, 4),
-        (PolicyKind::HashBufferers, 6),
-        (PolicyKind::Stability, 0),
-        (PolicyKind::TreeRmtp, 1),
+    for (policy, holders, pin) in [
+        (PolicyKind::TwoPhase, 4, 0xc21e_3359_b386_6ec0),
+        (PolicyKind::HashBufferers, 6, 0x6a4b_128b_1ccb_4b43),
+        (PolicyKind::Stability, 0, 0x08a6_4331_d8ae_afe2),
+        (PolicyKind::TreeRmtp, 1, 0xaa9e_a591_f823_f701),
     ] {
-        let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
-        let mut reference = RrmpNetwork::new_reference(topo_of(), cfg.clone(), 9);
-        assert_eq!(scenario(&mut reference), holders, "{} holders", policy.name());
         for memory_budget in [None, Some(MIB)] {
-            let cfg = ProtocolConfig { memory_budget, ..cfg.clone() };
-            let mut optimized = RrmpNetwork::new(topo_of(), cfg, 9);
-            assert_eq!(scenario(&mut optimized), holders, "{} holders", policy.name());
-            assert_eq!(
-                trace_of(&optimized),
-                trace_of(&reference),
-                "policy {} with budget {memory_budget:?} diverged between event loops",
-                policy.name()
-            );
+            let cfg = ProtocolConfig { policy, memory_budget, ..ProtocolConfig::paper_defaults() };
+            let mut net = RrmpNetwork::new(topo_of(), cfg, 9);
+            assert_eq!(scenario(&mut net), holders, "{} holders", policy.name());
+            let got = fingerprint(&net);
+            assert_eq!(got, pin, "{} with budget {memory_budget:?}: {got:#018x}", policy.name());
         }
     }
 }
@@ -473,28 +424,26 @@ fn mixed_fault_plan() -> FaultPlan {
 }
 
 #[test]
-fn fault_plan_traces_match_across_event_loops() {
-    // The fault edge sits in front of the loss model in both event loops;
-    // drops, burst overrides, and duplicate copies must consume RNG and
-    // emit events in exactly the same order, and the heal notifications
-    // at 400/500/600 ms must re-arm recovery identically.
-    for (seed, plan) in
-        [(13u64, mixed_fault_plan()), (47, mixed_fault_plan()), (21, region_burst_fault_plan())]
-    {
-        assert_trace_equal(
-            || presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
+fn fault_plans_are_pinned() {
+    // The fault edge sits in front of the loss model: drops, burst
+    // overrides and duplicate copies consume the loss RNG and emit events
+    // in destination order, and the heal notifications at 400/500/600 ms
+    // re-arm recovery.
+    for (seed, plan, pin) in [
+        (13u64, mixed_fault_plan(), 0x1058_2e7f_293f_e318),
+        (47, mixed_fault_plan(), 0xee9e_dd8e_a5ae_fc71),
+        (21, region_burst_fault_plan(), 0x41c3_e090_8607_6603),
+    ] {
+        assert_pinned(
+            presets::figure1_chain([8, 8, 8], SimDuration::from_millis(25)),
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
                 net.arm_fault_plan(plan.clone());
                 net.set_multicast_loss(LossModel::Bernoulli { p: 0.2 });
-                for _ in 0..4 {
-                    net.multicast(&b"faulted-stream"[..]);
-                    let next = net.now() + SimDuration::from_millis(40);
-                    net.run_until(next);
-                }
-                net.run_until(SimTime::from_secs(3));
+                stream(net, b"faulted-stream", 4, 40, SimTime::from_secs(3));
             },
+            pin,
         );
     }
 }
@@ -562,14 +511,14 @@ fn inert_fault_plan_leaves_trace_unchanged() {
 
 #[test]
 fn stability_fanout_under_loss_and_faults_traces_match() {
-    // Each history tick is one fan-out, where the reference loop sends one
-    // unicast per peer. Over three regions under unicast loss and a fault
-    // plan, the fan-out's per-destination loss draws, fault verdicts and
-    // duplicates must land exactly where the unicasts' did. The two
-    // engines draw unicast loss from different streams, so the optimized
-    // loop is held to the reference loop and four shards to one; the
-    // sharded engine, which has no unicast reference, is also held to
-    // conservation: every copy not dropped arrives, duplicates included.
+    // Each history tick is one fan-out. Over three regions under unicast
+    // loss and a fault plan, its per-destination loss draws, fault
+    // verdicts and duplicates landed exactly where one unicast per peer
+    // put them when the fingerprints were recorded. The two engines draw
+    // unicast loss from different streams, so the single-queue engine is
+    // held to its fingerprint and four shards to one; the sharded engine
+    // is also held to conservation: every copy not dropped arrives,
+    // duplicates included.
     let cfg = ProtocolConfig {
         policy: PolicyKind::Stability,
         session_interval: SimDuration::from_millis(50),
@@ -595,16 +544,16 @@ fn stability_fanout_under_loss_and_faults_traces_match() {
         );
         assert!(net.total_counter(|c| c.stable_discards) > 0, "digests drove discards");
     };
-    for seed in [13u64, 71] {
-        assert_trace_equal(topo_of, cfg.clone(), seed, scenario);
+    for (seed, pin) in [(13u64, 0xf89e_2afa_aa52_c4cb), (71, 0x7a85_90dd_d181_877d)] {
+        assert_pinned(topo_of(), cfg.clone(), seed, scenario, pin);
         assert_sharded_trace_equal(topo_of, cfg.clone(), seed, scenario);
     }
 }
 
 #[test]
-fn session_driven_tail_loss_traces_match() {
-    assert_trace_equal(
-        || presets::paper_region(30),
+fn session_driven_tail_loss_is_pinned() {
+    assert_pinned(
+        presets::paper_region(30),
         ProtocolConfig::paper_defaults(),
         77,
         |net| {
@@ -616,5 +565,6 @@ fn session_driven_tail_loss_traces_match() {
             net.multicast_with_plan(&b"two"[..], &plan);
             net.run_until(SimTime::from_secs(1));
         },
+        0x5985_7a79_6380_b5d8,
     );
 }

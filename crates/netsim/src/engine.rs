@@ -164,9 +164,6 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     /// first target inline, and from the second on every target in a
     /// vector from `target_pool`.
     groups: Vec<(SimTime, u32, NodeId, Vec<NodeId>)>,
-    /// False in reference mode: allocate per callback, one op per
-    /// destination (see [`Sim::new_reference`](crate::sim::Sim::new_reference)).
-    pub(crate) optimized: bool,
     /// The id of the first node this core owns: it owns
     /// `first..first + nodes.len()` (0 on `Sim`, which owns them all).
     first: u32,
@@ -179,7 +176,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// An empty core: `Sim`'s (`region_first` `None`) or that of the region
     /// whose first node id is `region_first`. [`Core::reset`] and
     /// [`Core::push_node`] load it.
-    pub(crate) fn new(optimized: bool, region_first: Option<u32>) -> Self {
+    pub(crate) fn new(region_first: Option<u32>) -> Self {
         Core {
             nodes: Vec::new(),
             seed: 0,
@@ -194,7 +191,6 @@ impl<N: SimNode<T>, T> Core<N, T> {
             scratch_targets: Vec::new(),
             target_pool: Vec::new(),
             groups: Vec::new(),
-            optimized,
             first: region_first.unwrap_or(0),
             outbox: region_first.map(|_| Vec::new()),
         }
@@ -363,15 +359,11 @@ impl<N: SimNode<T>, T> Core<N, T> {
         F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, T>),
     {
         let local = self.local(from);
-        // Optimized, these take the (empty) scratch buffers, keeping their
-        // capacity across dispatches; in reference mode every callback
-        // allocates fresh vectors.
-        let (mut ops, mut targets) = if self.optimized {
-            debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
-            (std::mem::take(&mut self.scratch_ops), std::mem::take(&mut self.scratch_targets))
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        // Take the (empty) scratch buffers, keeping their capacity across
+        // dispatches.
+        debug_assert!(self.scratch_ops.is_empty() && self.scratch_targets.is_empty());
+        let mut ops = std::mem::take(&mut self.scratch_ops);
+        let mut targets = std::mem::take(&mut self.scratch_targets);
         f(
             &mut self.nodes[local],
             &mut Ctx {
@@ -381,7 +373,6 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 seed: self.seed,
                 ops: &mut ops,
                 targets: &mut targets,
-                fanout_ops: self.optimized,
             },
         );
         for op in ops.drain(..) {
@@ -402,11 +393,9 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 Op::SetTimer { timer, at } => self.schedule_timer(from, timer, at),
             }
         }
-        if self.optimized {
-            targets.clear();
-            self.scratch_ops = ops;
-            self.scratch_targets = targets;
-        }
+        targets.clear();
+        self.scratch_ops = ops;
+        self.scratch_targets = targets;
     }
 
     /// Sends `msg` to every destination — a unicast is the one-target

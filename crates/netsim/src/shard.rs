@@ -236,7 +236,7 @@ where
                 // is the id range starting at its first member.
                 let m = members(r);
                 debug_assert_eq!((m[m.len() - 1].0 - m[0].0) as usize + 1, m.len());
-                Core::new(true, Some(m[0].0))
+                Core::new(Some(m[0].0))
             })
             .collect();
         let mut claim_order: Vec<usize> = (0..regions).collect();

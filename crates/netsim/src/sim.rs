@@ -20,7 +20,7 @@
 //! state:
 //!
 //! * Events are ordered by a **hierarchical timing wheel**
-//!   ([`crate::event::EventQueue`], the one queue in both modes): O(1)
+//!   ([`crate::event::EventQueue`], the one queue of both engines): O(1)
 //!   amortized schedule/pop, event payloads in a generation-counted slab,
 //!   exact `(time, seq)` pop order.
 //! * Side effects buffered during a callback go into a **reused scratch
@@ -36,19 +36,15 @@
 //!   injected multicast plans schedule **one region-timed batch event per
 //!   distinct arrival time** instead of one queue entry per destination.
 //!   Loss and drop-filter decisions are made per destination at schedule
-//!   time (the reference RNG stream, byte for byte); the batch expands
-//!   lazily when it fires, delivering destinations back to back in the
-//!   order their one-per-destination entries would have popped. Target
-//!   vectors are pooled, and with an `Arc`-backed payload type (e.g.
-//!   `bytes::Bytes`) a regional multicast never copies payload bytes.
+//!   time, in target order, so the loss stream is drawn as one unicast
+//!   per destination would draw it; the batch expands lazily when it
+//!   fires, delivering destinations back to back in target order (the
+//!   unit test `batch_delivers_in_target_order_at_each_arrival` writes
+//!   one out). Target vectors are pooled, and with an `Arc`-backed
+//!   payload type (e.g. `bytes::Bytes`) a regional multicast never copies
+//!   payload bytes.
 //! * [`Sim::reset`] re-arms the same simulator for another run while the
 //!   queue and scratch buffers keep their allocations warm.
-//!
-//! [`Sim::new_reference`] builds the same simulator, on the same queue,
-//! with the straightforward strategies instead: allocate per callback,
-//! one op and one queue entry per destination. It is kept as an
-//! executable specification: the differential tests assert byte-identical
-//! traces between the two.
 
 use std::sync::Arc;
 
@@ -99,10 +95,6 @@ pub struct Ctx<'a, M, T = u64> {
     pub(crate) seed: u64,
     pub(crate) ops: &'a mut Vec<Op<M, T>>,
     pub(crate) targets: &'a mut Vec<NodeId>,
-    /// When false (reference mode), multi-destination sends degrade to one
-    /// op per destination with an eager clone — the straightforward
-    /// implementation the default path is checked against.
-    pub(crate) fanout_ops: bool,
 }
 
 impl<'a, M, T> Ctx<'a, M, T> {
@@ -142,22 +134,13 @@ impl<'a, M, T> Ctx<'a, M, T> {
     /// Fan-out send: a copy of `msg` to every node in `to` other than the
     /// caller (loss and latency apply per destination).
     ///
-    /// The fast path enqueues **one** op holding `msg` once and the target
-    /// list in a reused arena; copies are shallow clones made as each
-    /// delivery event is scheduled. Use this for regional multicasts.
+    /// It enqueues **one** op holding `msg` once and the target list in a
+    /// reused arena; copies are shallow clones made as each delivery
+    /// event is scheduled. Use this for regional multicasts.
     pub fn send_many<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M)
     where
         M: Clone,
     {
-        if !self.fanout_ops {
-            // Reference mode: the historical one-op-per-destination path.
-            for node in to {
-                if node != self.self_id {
-                    self.ops.push(Op::Send { to: node, msg: msg.clone() });
-                }
-            }
-            return;
-        }
         let start = self.targets.len();
         let self_id = self.self_id;
         self.targets.extend(to.into_iter().filter(|&n| n != self_id));
@@ -174,11 +157,6 @@ impl<'a, M, T> Ctx<'a, M, T> {
     where
         M: Clone,
     {
-        if !self.fanout_ops {
-            let n = self.topo.node_count() as u32;
-            self.send_many((0..n).map(NodeId), msg);
-            return;
-        }
         self.ops.push(Op::SendGroup { msg });
     }
 
@@ -211,8 +189,7 @@ pub struct NetCounters {
     /// Packets delivered by expanding a region-timed batch event (a subset
     /// of [`NetCounters::delivered`]): a fan-out's copies with one arrival
     /// time, and on a [`ShardedSim`](crate::shard::ShardedSim) also the
-    /// copies one mailbox entry carries into another region. In reference
-    /// mode only a copy and its zero-delay duplicate share a batch.
+    /// copies one mailbox entry carries into another region.
     pub batched_deliveries: u64,
     /// Unicast copies dropped by an armed [`FaultPlan`] (a subset of
     /// [`NetCounters::unicasts_dropped`]).
@@ -269,7 +246,6 @@ impl<N: SimNode<T>, T> std::fmt::Debug for Sim<N, T> {
             .field("nodes", &self.core.nodes.len())
             .field("pending_events", &self.core.queue.len())
             .field("counters", &self.core.counters)
-            .field("optimized", &self.core.optimized)
             .finish_non_exhaustive()
     }
 }
@@ -293,29 +269,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// Panics if `nodes.len()` does not match the topology's node count.
     #[must_use]
     pub fn new(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
-        Self::with_mode(topo, nodes, seed, true)
-    }
-
-    /// Creates a simulator running the **reference** event loop: a fresh
-    /// op buffer is allocated for every callback and fan-out sends clone
-    /// the message once per destination — the straightforward
-    /// implementation this module's optimized hot path replaced.
-    ///
-    /// Observable behavior (traces, counters except
-    /// [`NetCounters::fanouts`], RNG streams) is identical to [`Sim::new`]
-    /// by construction, which the differential tests assert. Kept for
-    /// those tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    #[must_use]
-    pub fn new_reference(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
-        Self::with_mode(topo, nodes, seed, false)
-    }
-
-    fn with_mode(topo: Topology, nodes: Vec<N>, seed: u64, optimized: bool) -> Self {
-        let core = Core::new(optimized, None);
+        let core = Core::new(None);
         let mut sim =
             Sim { topo, core, unicast_loss: LossModel::None, fault: None, drop_filter: None };
         sim.reset(nodes, seed);
@@ -341,14 +295,6 @@ impl<N: SimNode<T>, T> Sim<N, T> {
             "need exactly one node implementation per topology node"
         );
         self.core.reset(&SeedSequence::new(seed), nodes);
-    }
-
-    /// Whether this simulator runs the optimized event loop
-    /// ([`Sim::new`]) as opposed to the reference one
-    /// ([`Sim::new_reference`]).
-    #[must_use]
-    pub fn is_optimized(&self) -> bool {
-        self.core.optimized
     }
 
     /// Sets the loss model applied to every unicast send (default: none —
@@ -448,7 +394,8 @@ impl<N: SimNode<T>, T> Sim<N, T> {
     /// Injects one multicast transmission according to a [`DeliveryPlan`]:
     /// every plan holder other than `from` receives `msg` at
     /// `at + one_way_latency(from, holder)`. Copies are shallow clones of
-    /// the same message value.
+    /// the same message value, scheduled as one batch event per distinct
+    /// arrival time.
     pub fn inject_multicast_plan(
         &mut self,
         from: NodeId,
@@ -456,17 +403,7 @@ impl<N: SimNode<T>, T> Sim<N, T> {
         plan: &DeliveryPlan,
         at: SimTime,
     ) {
-        let holders = plan.holders().filter(|&to| to != from);
-        if !self.core.optimized {
-            for to in holders {
-                let arrive = at + self.topo.one_way_latency(from, to);
-                self.core.inject(to, from, msg.clone(), arrive);
-            }
-            return;
-        }
-        // Optimized path: one region-timed batch event per distinct
-        // arrival time instead of one queue entry per holder.
-        for to in holders {
+        for to in plan.holders().filter(|&to| to != from) {
             self.core.group(at + self.topo.one_way_latency(from, to), LOCAL, to);
         }
         self.core.flush(from, msg.clone());
@@ -756,40 +693,15 @@ mod tests {
     }
 
     #[test]
-    fn send_many_reaches_everyone_but_self() {
-        let topo = paper_region(6);
-        let mut sim = Sim::new(topo, (0..6).map(|_| RegionCaster).collect(), 10);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.counters().unicasts_sent, 5);
-        assert_eq!(sim.counters().delivered, 5);
-        assert_eq!(sim.counters().fanouts, 1);
-        // A single-region fan-out is one batch event covering all five
-        // destinations.
-        assert_eq!(sim.counters().batched_deliveries, 5);
-        assert_eq!(sim.pending_events(), 0);
-    }
-
-    #[test]
     fn far_future_timer_crosses_wheel_horizon() {
         // ~27.8 simulated hours: past the 64^6-microsecond wheel range, so
-        // the event takes the overflow path. Both modes must agree.
+        // the event takes the overflow path.
         let far = SimTime::from_secs(100_000);
-        for reference in [false, true] {
-            let topo = paper_region(1);
-            let mut sim = if reference {
-                Sim::new_reference(topo, probes(1), 11)
-            } else {
-                Sim::new(topo, probes(1), 11)
-            };
-            sim.schedule_external_timer(NodeId(0), 9, far);
-            sim.schedule_external_timer(NodeId(0), 1, SimTime::from_millis(1));
-            sim.run_until_quiescent(SimTime::MAX);
-            assert_eq!(
-                sim.node(NodeId(0)).timers,
-                vec![(SimTime::from_millis(1), 1), (far, 9)],
-                "reference={reference}"
-            );
-        }
+        let mut sim = Sim::new(paper_region(1), probes(1), 11);
+        sim.schedule_external_timer(NodeId(0), 9, far);
+        sim.schedule_external_timer(NodeId(0), 1, SimTime::from_millis(1));
+        sim.run_until_quiescent(SimTime::MAX);
+        assert_eq!(sim.node(NodeId(0)).timers, vec![(SimTime::from_millis(1), 1), (far, 9)]);
     }
 
     #[test]
@@ -812,46 +724,58 @@ mod tests {
     }
 
     #[test]
-    fn send_group_matches_send_many_over_topology() {
-        struct GroupCaster;
-        impl SimNode for GroupCaster {
+    fn batch_delivers_in_target_order_at_each_arrival() {
+        use std::{cell::RefCell, rc::Rc};
+        // Node 0 fans out to two regions, then sends to the whole group;
+        // every node logs into one shared log, so the log is the global
+        // delivery order.
+        type Log = Rc<RefCell<Vec<(SimTime, NodeId, u32)>>>;
+        struct Caster(Log);
+        impl SimNode for Caster {
             type Msg = u32;
             fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-                if ctx.self_id() == NodeId(2) {
-                    ctx.send_group(1);
+                if ctx.self_id() == NodeId(0) {
+                    ctx.send_many([4, 0, 2, 3, 1].map(NodeId), 7);
+                    ctx.send_group(8);
                 }
             }
-            fn on_packet(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+            fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, msg: u32) {
+                self.0.borrow_mut().push((ctx.now(), ctx.self_id(), msg));
+            }
             fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
         }
-        let topo = paper_region(5);
-        let mut sim = Sim::new(topo, (0..5).map(|_| GroupCaster).collect(), 11);
-        sim.run_until_quiescent(SimTime::from_secs(1));
-        assert_eq!(sim.counters().unicasts_sent, 4);
-        assert_eq!(sim.counters().delivered, 4);
-    }
-
-    #[test]
-    fn reference_mode_produces_identical_observables() {
-        type PacketTrace = Vec<Vec<(SimTime, NodeId, u32)>>;
-        fn run(reference: bool) -> (PacketTrace, NetCounters) {
-            let topo = paper_region(8);
-            let mut sim = if reference {
-                Sim::new_reference(topo, probes(8), 77)
-            } else {
-                Sim::new(topo, probes(8), 77)
-            };
-            sim.set_unicast_loss(LossModel::Bernoulli { p: 0.2 });
-            sim.inject(NodeId(3), NodeId(0), 5, SimTime::ZERO);
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            let mut counters = sim.counters();
-            // The only counters allowed to differ between modes.
-            counters.fanouts = 0;
-            counters.batched_deliveries = 0;
-            let traces = (0..8).map(|i| sim.node(NodeId(i)).packets.clone()).collect();
-            (traces, counters)
-        }
-        assert_eq!(run(false), run(true));
+        let topo = TopologyBuilder::new()
+            .intra_region_one_way(SimDuration::from_millis(5))
+            .inter_region_one_way(SimDuration::from_millis(20))
+            .region(3, None)
+            .region(2, Some(0))
+            .build()
+            .unwrap();
+        let log = Log::default();
+        let mut sim = Sim::new(topo, (0..5).map(|_| Caster(Rc::clone(&log))).collect(), 13);
+        // Scheduled before the fan-outs, so it pops first at 5 ms.
+        sim.inject(NodeId(2), NodeId(1), 1, SimTime::from_millis(5));
+        sim.run_until_quiescent(SimTime::MAX);
+        // At each arrival time the fan-out's batch delivers in target
+        // order, the caller skipped; a later fan-out's batch follows it.
+        let (ms, n) = (SimTime::from_millis, NodeId);
+        assert_eq!(
+            *log.borrow(),
+            [
+                (ms(5), n(2), 1),
+                (ms(5), n(2), 7),
+                (ms(5), n(1), 7),
+                (ms(5), n(1), 8),
+                (ms(5), n(2), 8),
+                (ms(20), n(4), 7),
+                (ms(20), n(3), 7),
+                (ms(20), n(3), 8),
+                (ms(20), n(4), 8),
+            ]
+        );
+        let c = sim.counters();
+        assert_eq!((c.fanouts, c.unicasts_sent, c.batched_deliveries, c.delivered), (2, 8, 8, 9));
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
@@ -888,22 +812,14 @@ mod tests {
                 self.fired.push(ctx.now());
             }
         }
-        for reference in [false, true] {
-            let topo = paper_region(1);
-            let nodes = vec![DecoyNode { fired: vec![] }];
-            let mut sim = if reference {
-                Sim::new_reference(topo, nodes, 1)
-            } else {
-                Sim::new(topo, nodes, 1)
-            };
-            // Horizon before the timer (50ms): nothing may fire, and the
-            // clock lands exactly on 10ms.
-            sim.run_until(SimTime::from_millis(10));
-            assert!(sim.node(NodeId(0)).fired.is_empty(), "fired early (reference={reference})");
-            assert_eq!(sim.now(), SimTime::from_millis(10));
-            sim.run_until(SimTime::from_millis(60));
-            assert_eq!(sim.node(NodeId(0)).fired, vec![SimTime::from_millis(50)]);
-        }
+        let mut sim = Sim::new(paper_region(1), vec![DecoyNode { fired: vec![] }], 1);
+        // Horizon before the timer (50ms): nothing may fire, and the clock
+        // lands exactly on 10ms.
+        sim.run_until(SimTime::from_millis(10));
+        assert!(sim.node(NodeId(0)).fired.is_empty(), "fired early");
+        assert_eq!(sim.now(), SimTime::from_millis(10));
+        sim.run_until(SimTime::from_millis(60));
+        assert_eq!(sim.node(NodeId(0)).fired, vec![SimTime::from_millis(50)]);
     }
 }
 
@@ -980,12 +896,11 @@ mod proptests {
         proptest::collection::vec(0u64..5_000, 0..4).prop_map(|delays| ScriptStep { delays })
     }
 
-    /// Where a script runs: the single-queue engine (optimized or
-    /// reference) or the sharded one at a shard count.
+    /// Where a script runs: the single-queue engine or the sharded one at
+    /// a shard count.
     #[derive(Debug, Clone, Copy)]
     enum Engine {
-        Optimized,
-        Reference,
+        Single,
         Sharded(usize),
     }
 
@@ -1002,12 +917,8 @@ mod proptests {
         let nodes = (0..2).map(|_| ScriptNode::new(script.to_vec(), make)).collect();
         let ids = [NodeId(0), NodeId(1)];
         match engine {
-            Engine::Optimized | Engine::Reference => {
-                let mut sim = if matches!(engine, Engine::Reference) {
-                    Sim::new_reference(topo, nodes, 77)
-                } else {
-                    Sim::new(topo, nodes, 77)
-                };
+            Engine::Single => {
+                let mut sim = Sim::new(topo, nodes, 77);
                 sim.run_until_quiescent(SimTime::MAX);
                 (ids.map(|id| std::mem::take(&mut sim.node_mut(id).fired)).into(), sim.counters())
             }
@@ -1023,21 +934,21 @@ mod proptests {
     proptest! {
         /// Differential: random interleaved timer schedule/fire scripts
         /// observe the identical `(time, timer)` trace and counters on the
-        /// optimized simulator, the reference one and the sharded one at
-        /// one and two shards, with `u64` tokens and with a payload-
-        /// carrying timer enum alike; every armed timer fires exactly once.
+        /// single-queue simulator and the sharded one at one and two
+        /// shards, with `u64` tokens and with a payload-carrying timer enum
+        /// alike; every armed timer fires exactly once.
         #[test]
         fn timer_scripts_match_reference(
             script in proptest::collection::vec(arb_script_step(), 0..30),
         ) {
-            let (tokens, counters) = run(&script, |_, token| token, Engine::Optimized);
+            let (tokens, counters) = run(&script, |_, token| token, Engine::Single);
             prop_assert_eq!(counters.timers_fired, counters.timers_set);
             let expected: Fired<Typed> = tokens
                 .iter()
                 .zip([NodeId(0), NodeId(1)])
                 .map(|(fired, node)| fired.iter().map(|&(t, k)| (t, typed(node, k))).collect())
                 .collect();
-            for engine in [Engine::Optimized, Engine::Reference, Engine::Sharded(1), Engine::Sharded(2)] {
+            for engine in [Engine::Single, Engine::Sharded(1), Engine::Sharded(2)] {
                 prop_assert_eq!(&run(&script, |_, token| token, engine), &(tokens.clone(), counters));
                 prop_assert_eq!(&run(&script, typed, engine), &(expected.clone(), counters));
             }
