@@ -1591,6 +1591,7 @@ mod tests {
         assert!(std::mem::size_of::<(MessageId, Recovery)>() <= 120);
         assert!(std::mem::size_of::<Receiver>() <= 688);
         assert!(std::mem::size_of::<crate::harness::RrmpNode>() <= 768);
+        eprintln!("SIZE RrmpNode {}", std::mem::size_of::<crate::harness::RrmpNode>());
     }
 
     #[test]
