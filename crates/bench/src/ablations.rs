@@ -68,7 +68,7 @@ fn run_rrmp_policy(
 ) -> RunReport {
     let topo = chain_topology(workload.region_sizes);
     let plans = draw_plans(&topo, workload, seed);
-    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy config");
+    let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(topo, cfg, seed);
     let mut ids = Vec::new();
     let mut sent = Vec::new();
@@ -131,7 +131,7 @@ pub fn ablation_lambda(lambdas: &[f64], seeds: u64, base_seed: u64) -> Vec<Lambd
             for s in 0..seeds {
                 let seed = base_seed ^ ((lambda * 1000.0) as u64) << 20 ^ s;
                 let topo = chain_topology([20, 20, 20]);
-                let cfg = ProtocolConfig::builder().lambda(lambda).build().expect("valid lambda");
+                let cfg = ProtocolConfig { lambda, ..ProtocolConfig::paper_defaults() };
                 let mut net = RrmpNetwork::new(topo, cfg, seed);
                 let plan = DeliveryPlan::region_loss(net.topology(), RegionId(2));
                 let id = net.multicast_with_plan(&b"regional"[..], &plan);
@@ -193,11 +193,11 @@ pub fn ablation_backoff(
             for s in 0..seeds {
                 let seed = base_seed ^ window.map_or(0, |w| w.as_micros()) << 16 ^ s;
                 let topo = chain_topology([20, 20, 20]);
-                let cfg = ProtocolConfig::builder()
-                    .lambda(4.0)
-                    .backoff_window(window)
-                    .build()
-                    .expect("valid backoff config");
+                let cfg = ProtocolConfig {
+                    lambda: 4.0,
+                    backoff_window: window,
+                    ..ProtocolConfig::paper_defaults()
+                };
                 let mut net = RrmpNetwork::new(topo, cfg, seed);
                 let plan = DeliveryPlan::region_loss(net.topology(), RegionId(2));
                 let id = net.multicast_with_plan(&b"dup"[..], &plan);
@@ -262,11 +262,12 @@ pub fn ablation_idle_threshold(
             for s in 0..seeds {
                 let seed = base_seed ^ (t_ms << 24) ^ s;
                 let topo = rrmp_netsim::topology::presets::paper_region(n);
-                let cfg = ProtocolConfig::builder()
-                    .idle_threshold(SimDuration::from_millis(t_ms))
-                    .build()
-                    .expect("valid T");
-                let mut net = RrmpNetwork::new(topo, cfg, seed).with_buffer_records();
+                let cfg = ProtocolConfig {
+                    idle_threshold: SimDuration::from_millis(t_ms),
+                    ..ProtocolConfig::paper_defaults()
+                };
+                let mut net = RrmpNetwork::new(topo, cfg, seed);
+                net.arm_buffer_records();
                 let holders: Vec<NodeId> = (0..k as u32).map(NodeId).collect();
                 let id = net.seed_message_with_holders(&b"T-sweep"[..], &holders);
                 net.run_until(SimTime::from_secs(2));
@@ -416,7 +417,7 @@ pub fn ablation_c_tradeoff(cs: &[f64], n: usize, seeds: u64, base_seed: u64) -> 
             for s in 0..seeds {
                 let seed = base_seed ^ ((c * 100.0) as u64) << 30 ^ s;
                 let topo = rrmp_netsim::topology::presets::paper_region(n);
-                let cfg = ProtocolConfig::builder().c(c).build().expect("valid C");
+                let cfg = ProtocolConfig { c, ..ProtocolConfig::paper_defaults() };
                 let mut net = RrmpNetwork::new(topo, cfg, seed);
                 let plan = DeliveryPlan::all(net.topology());
                 let id = net.multicast_with_plan(&b"c-sweep"[..], &plan);
@@ -448,7 +449,7 @@ pub fn ablation_c_tradeoff(cs: &[f64], n: usize, seeds: u64, base_seed: u64) -> 
 #[must_use]
 pub fn implosion_point(policy: PolicyKind, n: usize, missers: usize, seed: u64) -> u64 {
     let topo = rrmp_netsim::topology::presets::paper_region(n);
-    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy config");
+    let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(topo, cfg, seed);
     let plan = DeliveryPlan::all_but(net.topology(), (1..=missers as u32).map(NodeId));
     net.multicast_with_plan(&b"implode"[..], &plan);

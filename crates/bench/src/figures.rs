@@ -274,8 +274,8 @@ fn run_epidemic(
     horizon: SimTime,
 ) -> (MessageId, Vec<NodeId>, RrmpNetwork) {
     let topo = presets::paper_region(n);
-    let mut net =
-        RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed).with_buffer_records();
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), seed);
+    net.arm_buffer_records();
     let holders = pick_holders(&mut SeedSequence::new(seed).rng_for(999), n, k);
     let id = net.seed_message_with_holders(&b"epidemic"[..], &holders);
     net.run_until(horizon);

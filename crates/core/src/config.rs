@@ -14,6 +14,20 @@
 //!   (fixed-time, keep-everything) and the comparison schemes.
 //! * the opt-in overload knobs: a per-member memory budget (the store's
 //!   one byte bound), repair-storm damping and a liveness watchdog.
+//!
+//! A config is a struct literal over the paper's values — every ablation
+//! varies one field:
+//!
+//! ```
+//! use rrmp_core::config::ProtocolConfig;
+//!
+//! let cfg = ProtocolConfig { c: 2.0, ..ProtocolConfig::paper_defaults() };
+//! assert!(cfg.validate().is_ok());
+//! ```
+//!
+//! A host checks it where it enters: `RrmpNetwork::with_senders` and
+//! `with_shards`, and `UdpRuntime::add_member`, panic on a config that
+//! [`ProtocolConfig::validate`] rejects.
 
 use rrmp_netsim::time::SimDuration;
 
@@ -95,8 +109,9 @@ pub struct WatchdogConfig {
     pub horizon: SimDuration,
 }
 
-/// All protocol tunables. Construct with [`ProtocolConfig::builder`] or use
-/// [`ProtocolConfig::paper_defaults`] for the §4 simulation parameters.
+/// All protocol tunables: [`ProtocolConfig::paper_defaults`] is the §4
+/// simulation parameters, and any other config is a struct literal that
+/// overrides some of them (`..ProtocolConfig::paper_defaults()`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Expected number of remote requests per region-wide loss (λ, §2.2).
@@ -185,7 +200,7 @@ impl ProtocolConfig {
         }
     }
 
-    /// Starts a builder from the paper defaults.
+    /// Starts the [`ProtocolConfigBuilder`] shim from the paper defaults.
     #[must_use]
     pub fn builder() -> ProtocolConfigBuilder {
         ProtocolConfigBuilder { cfg: Self::paper_defaults() }
@@ -270,94 +285,24 @@ impl ProtocolConfig {
     }
 }
 
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        Self::paper_defaults()
-    }
-}
-
-/// Builder for [`ProtocolConfig`] (non-consuming terminal per C-BUILDER).
+/// The setters `perf/src/udp.rs` still calls, kept until the next
+/// `perf/`-only change writes its config as a struct literal; everywhere
+/// else a config is `ProtocolConfig { .., ..ProtocolConfig::paper_defaults() }`.
 #[derive(Debug, Clone)]
 pub struct ProtocolConfigBuilder {
     cfg: ProtocolConfig,
 }
 
 impl ProtocolConfigBuilder {
-    /// Sets λ, the expected remote requests per region-wide loss.
-    pub fn lambda(&mut self, lambda: f64) -> &mut Self {
-        self.cfg.lambda = lambda;
-        self
-    }
-
-    /// Sets C, the expected long-term bufferers per region.
-    pub fn c(&mut self, c: f64) -> &mut Self {
-        self.cfg.c = c;
-        self
-    }
-
     /// Sets the idle threshold T.
     pub fn idle_threshold(&mut self, t: SimDuration) -> &mut Self {
         self.cfg.idle_threshold = t;
         self
     }
 
-    /// Sets (or disables, with `None`) the regional-repair back-off window.
-    pub fn backoff_window(&mut self, w: Option<SimDuration>) -> &mut Self {
-        self.cfg.backoff_window = w;
-        self
-    }
-
-    /// Sets how long unused long-term entries are kept.
-    pub fn long_term_timeout(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.long_term_timeout = t;
-        self
-    }
-
-    /// Sets the long-term sweep interval.
-    pub fn long_term_sweep_interval(&mut self, t: SimDuration) -> &mut Self {
-        self.cfg.long_term_sweep_interval = t;
-        self
-    }
-
     /// Sets the sender session-message interval.
     pub fn session_interval(&mut self, t: SimDuration) -> &mut Self {
         self.cfg.session_interval = t;
-        self
-    }
-
-    /// Sets the buffering policy.
-    pub fn policy(&mut self, p: PolicyKind) -> &mut Self {
-        self.cfg.policy = p;
-        self
-    }
-
-    /// Enables or disables the sender's periodic session messages.
-    pub fn periodic_sessions(&mut self, yes: bool) -> &mut Self {
-        self.cfg.periodic_sessions = yes;
-        self
-    }
-
-    /// Sets whether receivers log the remote repairs they send.
-    pub fn record_events(&mut self, yes: bool) -> &mut Self {
-        self.cfg.record_events = yes;
-        self
-    }
-
-    /// Sets (or clears) the per-member overload memory budget in bytes.
-    pub fn memory_budget(&mut self, bytes: Option<usize>) -> &mut Self {
-        self.cfg.memory_budget = bytes;
-        self
-    }
-
-    /// Sets (or clears) the repair-storm damping knobs.
-    pub fn damping(&mut self, d: Option<DampingConfig>) -> &mut Self {
-        self.cfg.damping = d;
-        self
-    }
-
-    /// Sets (or clears) the recovery-liveness watchdog knobs.
-    pub fn watchdog(&mut self, w: Option<WatchdogConfig>) -> &mut Self {
-        self.cfg.watchdog = w;
         self
     }
 
@@ -389,93 +334,82 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides() {
-        let cfg = ProtocolConfig::builder()
-            .lambda(2.0)
-            .c(3.0)
-            .idle_threshold(SimDuration::from_millis(80))
-            .policy(PolicyKind::FixedTime { hold: SimDuration::from_millis(100) })
-            .build()
-            .unwrap();
-        assert!((cfg.lambda - 2.0).abs() < f64::EPSILON);
-        assert!((cfg.c - 3.0).abs() < f64::EPSILON);
-        assert_eq!(cfg.idle_threshold, SimDuration::from_millis(80));
-        assert!(matches!(cfg.policy, PolicyKind::FixedTime { .. }));
-    }
-
-    #[test]
     fn validation_rejects_bad_values() {
+        let base = ProtocolConfig::paper_defaults;
         assert!(matches!(
-            ProtocolConfig::builder().lambda(0.0).build(),
+            ProtocolConfig { lambda: 0.0, ..base() }.validate(),
             Err(ConfigError::NonPositiveLambda(_))
         ));
         assert!(matches!(
-            ProtocolConfig::builder().c(-1.0).build(),
+            ProtocolConfig { c: -1.0, ..base() }.validate(),
             Err(ConfigError::NonPositiveC(_))
         ));
         assert!(matches!(
-            ProtocolConfig::builder().idle_threshold(SimDuration::ZERO).build(),
+            ProtocolConfig { idle_threshold: SimDuration::ZERO, ..base() }.validate(),
             Err(ConfigError::ZeroDuration("idle_threshold"))
         ));
-        let cfg = ProtocolConfig { max_local_attempts: 0, ..ProtocolConfig::paper_defaults() };
-        assert!(matches!(cfg.validate(), Err(ConfigError::ZeroAttempts("max_local_attempts"))));
+        assert!(matches!(
+            ProtocolConfig { max_local_attempts: 0, ..base() }.validate(),
+            Err(ConfigError::ZeroAttempts("max_local_attempts"))
+        ));
     }
 
     #[test]
     fn overload_knobs_default_off_and_validate() {
-        let cfg = ProtocolConfig::paper_defaults();
+        let base = ProtocolConfig::paper_defaults;
+        let cfg = base();
         assert_eq!(cfg.memory_budget, None);
         assert_eq!(cfg.damping, None);
         assert_eq!(cfg.watchdog, None);
 
+        let ms = SimDuration::from_millis;
+        let damping = |burst, refill| Some(DampingConfig { burst, refill, suppress_window: ms(5) });
         assert!(matches!(
-            ProtocolConfig::builder().memory_budget(Some(0)).build(),
+            ProtocolConfig { memory_budget: Some(0), ..base() }.validate(),
             Err(ConfigError::ZeroAttempts("memory_budget"))
         ));
         assert!(matches!(
-            ProtocolConfig::builder()
-                .damping(Some(DampingConfig {
-                    burst: 0,
-                    refill: SimDuration::from_millis(5),
-                    suppress_window: SimDuration::from_millis(5),
-                }))
-                .build(),
+            ProtocolConfig { damping: damping(0, ms(5)), ..base() }.validate(),
             Err(ConfigError::ZeroAttempts("damping.burst"))
         ));
         assert!(matches!(
-            ProtocolConfig::builder()
-                .damping(Some(DampingConfig {
-                    burst: 4,
-                    refill: SimDuration::ZERO,
-                    suppress_window: SimDuration::from_millis(5),
-                }))
-                .build(),
+            ProtocolConfig { damping: damping(4, SimDuration::ZERO), ..base() }.validate(),
             Err(ConfigError::ZeroDuration("damping.refill"))
         ));
+        let watchdog = Some(WatchdogConfig { interval: ms(50), horizon: SimDuration::ZERO });
         assert!(matches!(
-            ProtocolConfig::builder()
-                .watchdog(Some(WatchdogConfig {
-                    interval: SimDuration::from_millis(50),
-                    horizon: SimDuration::ZERO,
-                }))
-                .build(),
+            ProtocolConfig { watchdog, ..base() }.validate(),
             Err(ConfigError::ZeroDuration("watchdog.horizon"))
         ));
 
-        let armed = ProtocolConfig::builder()
-            .memory_budget(Some(64 * 1024))
-            .damping(Some(DampingConfig {
-                burst: 8,
-                refill: SimDuration::from_millis(5),
-                suppress_window: SimDuration::from_millis(8),
-            }))
-            .watchdog(Some(WatchdogConfig {
-                interval: SimDuration::from_millis(100),
-                horizon: SimDuration::from_millis(250),
-            }))
+        let armed = ProtocolConfig {
+            memory_budget: Some(64 * 1024),
+            damping: Some(DampingConfig { burst: 8, refill: ms(5), suppress_window: ms(8) }),
+            watchdog: Some(WatchdogConfig { interval: ms(100), horizon: ms(250) }),
+            ..base()
+        };
+        armed.validate().unwrap();
+    }
+
+    #[test]
+    fn builder_shim_sets_its_two_fields_and_validates() {
+        let cfg = ProtocolConfig::builder()
+            .session_interval(SimDuration::from_millis(150))
+            .idle_threshold(SimDuration::from_millis(400))
             .build()
             .unwrap();
-        assert_eq!(armed.memory_budget, Some(64 * 1024));
+        assert_eq!(
+            cfg,
+            ProtocolConfig {
+                session_interval: SimDuration::from_millis(150),
+                idle_threshold: SimDuration::from_millis(400),
+                ..ProtocolConfig::paper_defaults()
+            }
+        );
+        assert_eq!(
+            ProtocolConfig::builder().session_interval(SimDuration::ZERO).build(),
+            Err(ConfigError::ZeroDuration("session_interval"))
+        );
     }
 
     #[test]

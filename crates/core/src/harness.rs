@@ -301,7 +301,8 @@ impl RrmpNetwork {
     /// # Panics
     ///
     /// Panics if `senders` is empty, any sender is not in `topo`, or
-    /// `cfg` is invalid.
+    /// `cfg` fails [`ProtocolConfig::validate`] (the message carries its
+    /// [`ConfigError`](crate::config::ConfigError)).
     #[must_use]
     pub fn with_senders(
         topo: Topology,
@@ -340,7 +341,8 @@ impl RrmpNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid or `shards` is zero.
+    /// Panics if `cfg` is invalid (as in [`RrmpNetwork::with_senders`]) or
+    /// `shards` is zero.
     #[must_use]
     pub fn with_shards(topo: Topology, cfg: ProtocolConfig, seed: u64, shards: usize) -> Self {
         cfg.validate().expect("invalid protocol config");
@@ -366,29 +368,11 @@ impl RrmpNetwork {
         }
     }
 
-    /// Like [`RrmpNetwork::new`] with a deterministic [`FaultPlan`] armed
-    /// before the run starts: partitions, blackouts, bursts, and
-    /// duplication apply at the network edge; plan crashes become
-    /// scheduled member crashes; every heal instant notifies every node
-    /// so exhausted recovery re-arms ([`Receiver::on_heal`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid.
-    #[must_use]
-    pub fn with_fault_plan(
-        topo: Topology,
-        cfg: ProtocolConfig,
-        seed: u64,
-        plan: FaultPlan,
-    ) -> Self {
-        let mut net = Self::new(topo, cfg, seed);
-        net.arm_fault_plan(plan);
-        net
-    }
-
     /// Arms `plan` on whichever engine hosts the group and schedules its
-    /// protocol-side consequences (crashes, heal notifications). The plan
+    /// protocol-side consequences: partitions, blackouts, bursts and
+    /// duplication apply at the network edge; plan crashes become
+    /// scheduled member crashes; every heal instant notifies every node so
+    /// exhausted recovery re-arms ([`Receiver::on_heal`]). The plan
     /// survives [`RrmpNetwork::reset`].
     ///
     /// # Panics
@@ -405,11 +389,11 @@ impl RrmpNetwork {
     }
 
     /// Attaches the observer subsystem ([`crate::observe`]) to the whole
-    /// group, builder-style: engine-side sinks record deliveries and wire
-    /// verdicts, every receiver records protocol events and latency
-    /// histograms, and — when [`TraceConfig::sample_every`] is set — a
-    /// per-node sampling timer records the time-series pillar. The
-    /// observer survives [`RrmpNetwork::reset`].
+    /// group: engine-side sinks record deliveries and wire verdicts, every
+    /// receiver records protocol events and latency histograms, and — when
+    /// [`TraceConfig::sample_every`] is set — a per-node sampling timer
+    /// records the time-series pillar. The observer survives
+    /// [`RrmpNetwork::reset`].
     ///
     /// Armed traces are byte-identical across engines and shard counts
     /// (the `observer_invariance` suite pins it); an unarmed network pays
@@ -419,34 +403,21 @@ impl RrmpNetwork {
     ///
     /// Panics if the simulation has already started — observers attach to
     /// whole runs, not to a half-run trace.
-    #[must_use]
-    pub fn with_observer(mut self, tc: TraceConfig) -> Self {
-        self.arm_observer(tc);
-        self
-    }
-
-    /// Non-consuming form of [`RrmpNetwork::with_observer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
     pub fn arm_observer(&mut self, tc: TraceConfig) {
         self.arm(Armed::Trace(tc));
     }
 
     /// Attaches a [`BufferRecords`] fold to every receiver instead of the
-    /// trace ring, builder-style: every member's buffer lifecycle of every
-    /// message (the paper's Figure 6), read through
+    /// trace ring: every member's buffer lifecycle of every message (the
+    /// paper's Figure 6), read through
     /// `receiver().observer::<BufferRecords>()`; kept across
     /// [`RrmpNetwork::reset`].
     ///
     /// # Panics
     ///
     /// Panics if the simulation has already started.
-    #[must_use]
-    pub fn with_buffer_records(mut self) -> Self {
+    pub fn arm_buffer_records(&mut self) {
         self.arm(Armed::BufferRecords);
-        self
     }
 
     fn arm(&mut self, armed: Armed) {
@@ -1073,6 +1044,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid protocol config")]
+    fn new_rejects_an_invalid_config() {
+        let _ = RrmpNetwork::new(presets::paper_region(4), ProtocolConfig { c: 0.0, ..cfg() }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid protocol config")]
+    fn with_shards_rejects_an_invalid_config() {
+        let topo = presets::paper_region(4);
+        let _ = RrmpNetwork::with_shards(topo, ProtocolConfig { c: 0.0, ..cfg() }, 1, 1);
+    }
+
+    #[test]
     fn lossless_multicast_delivers_everywhere() {
         let topo = presets::paper_region(10);
         let mut net = RrmpNetwork::new(topo, cfg(), 1);
@@ -1171,7 +1155,7 @@ mod tests {
     #[test]
     fn leave_preserves_recoverability() {
         let topo = presets::paper_region(10);
-        let c_huge = ProtocolConfig::builder().c(1000.0).build().unwrap(); // all keep long-term
+        let c_huge = ProtocolConfig { c: 1000.0, ..ProtocolConfig::paper_defaults() }; // all keep long-term
         let mut net = RrmpNetwork::new(topo, c_huge, 7);
         let plan = DeliveryPlan::all(net.topology());
         let _id = net.multicast_with_plan(&b"v"[..], &plan);

@@ -817,7 +817,7 @@ impl Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ConfigError, PolicyKind, WatchdogConfig};
+    use crate::config::{PolicyKind, WatchdogConfig};
     use crate::observe::BufferRecords;
     use crate::recovery::Recovery;
     use rrmp_membership::view::RegionView;
@@ -1026,7 +1026,7 @@ mod tests {
     #[test]
     fn idle_transition_keeps_long_term_when_c_dominates() {
         // C = 1000 in a 5-member region clamps P to 1: always keep.
-        let cfg = ProtocolConfig::builder().c(1000.0).build().unwrap();
+        let cfg = ProtocolConfig { c: 1000.0, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
@@ -1038,7 +1038,7 @@ mod tests {
 
     #[test]
     fn idle_transition_discards_when_c_is_negligible() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
@@ -1102,7 +1102,7 @@ mod tests {
 
     #[test]
     fn remote_request_after_discard_starts_search() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap(); // always discard
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() }; // always discard
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
@@ -1143,7 +1143,7 @@ mod tests {
 
     #[test]
     fn search_request_joined_when_discarded() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
@@ -1157,7 +1157,7 @@ mod tests {
 
     #[test]
     fn search_found_stops_retries() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
@@ -1172,7 +1172,7 @@ mod tests {
         // A member that already heard "I have the message" must not
         // re-ignite the search when a late probe arrives; it forwards the
         // probe to the announced holder instead.
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
@@ -1202,8 +1202,11 @@ mod tests {
         // holder, and then discarded the message again within
         // `SEARCH_MEMORY`. A probe must join a fresh search, as a remote
         // request would, not drop its origins.
-        let mut cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
-        cfg.long_term_timeout = SimDuration::from_millis(1);
+        let cfg = ProtocolConfig {
+            c: 1e-12,
+            long_term_timeout: SimDuration::from_millis(1),
+            ..ProtocolConfig::paper_defaults()
+        };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // discarded
@@ -1231,7 +1234,7 @@ mod tests {
 
     #[test]
     fn remote_request_after_fresh_announcement_uses_fast_path() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
@@ -1245,7 +1248,7 @@ mod tests {
 
     #[test]
     fn remote_repair_triggers_regional_multicast_without_backoff() {
-        let cfg = ProtocolConfig::builder().backoff_window(None).build().unwrap();
+        let cfg = ProtocolConfig { backoff_window: None, ..ProtocolConfig::paper_defaults() };
         let mut r = receiver_with_parent(cfg);
         let actions = r.handle(
             packet_event(
@@ -1294,7 +1297,7 @@ mod tests {
 
     #[test]
     fn leave_hands_off_long_term_buffers() {
-        let cfg = ProtocolConfig::builder().c(1000.0).build().unwrap(); // always keep
+        let cfg = ProtocolConfig { c: 1000.0, ..ProtocolConfig::paper_defaults() }; // always keep
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40)); // -> long-term
@@ -1327,7 +1330,7 @@ mod tests {
 
     #[test]
     fn handoff_after_discard_reinstates_long_term() {
-        let cfg = ProtocolConfig::builder().c(1e-12).build().unwrap();
+        let cfg = ProtocolConfig { c: 1e-12, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.arm_observer(Box::<BufferRecords>::default(), None);
         r.handle(packet_event(0, data(1)), t(0));
@@ -1345,11 +1348,11 @@ mod tests {
 
     #[test]
     fn long_term_sweep_expires_stale_entries() {
-        let cfg = ProtocolConfig::builder()
-            .c(1000.0)
-            .long_term_timeout(SimDuration::from_millis(500))
-            .build()
-            .unwrap();
+        let cfg = ProtocolConfig {
+            c: 1000.0,
+            long_term_timeout: SimDuration::from_millis(500),
+            ..ProtocolConfig::paper_defaults()
+        };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         r.handle(Event::Timer(TimerKind::IdleCheck(mid(1))), t(40));
@@ -1363,10 +1366,10 @@ mod tests {
 
     #[test]
     fn fixed_time_policy_discards_unconditionally() {
-        let cfg = ProtocolConfig::builder()
-            .policy(PolicyKind::FixedTime { hold: SimDuration::from_millis(100) })
-            .build()
-            .unwrap();
+        let cfg = ProtocolConfig {
+            policy: PolicyKind::FixedTime { hold: SimDuration::from_millis(100) },
+            ..ProtocolConfig::paper_defaults()
+        };
         let mut r = root_receiver(cfg);
         let actions = r.handle(packet_event(0, data(1)), t(0));
         // Hold timer set for 100ms.
@@ -1383,7 +1386,8 @@ mod tests {
 
     #[test]
     fn keep_all_policy_never_discards() {
-        let cfg = ProtocolConfig::builder().policy(PolicyKind::KeepAll).build().unwrap();
+        let cfg =
+            ProtocolConfig { policy: PolicyKind::KeepAll, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         let actions = r.handle(packet_event(0, data(1)), t(0));
         assert!(timers(&actions).iter().all(|k| !matches!(k, TimerKind::IdleCheck(_))));
@@ -1422,7 +1426,8 @@ mod tests {
     #[test]
     fn stability_policy_buffers_until_group_stable() {
         use crate::history::{DigestEntry, HistoryDigest};
-        let cfg = ProtocolConfig::builder().policy(PolicyKind::Stability).build().unwrap();
+        let cfg =
+            ProtocolConfig { policy: PolicyKind::Stability, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         // Start-up arms the history tick alongside the long-term sweep.
         let start = r.on_start();
@@ -1472,7 +1477,8 @@ mod tests {
     #[test]
     fn stability_policy_unblocks_when_member_leaves() {
         use crate::history::{DigestEntry, HistoryDigest};
-        let cfg = ProtocolConfig::builder().policy(PolicyKind::Stability).build().unwrap();
+        let cfg =
+            ProtocolConfig { policy: PolicyKind::Stability, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg);
         r.handle(packet_event(0, data(1)), t(0));
         let full = Arc::new(HistoryDigest {
@@ -1500,7 +1506,8 @@ mod tests {
 
     #[test]
     fn tree_policy_receivers_nack_their_server() {
-        let cfg = ProtocolConfig::builder().policy(PolicyKind::TreeRmtp).build().unwrap();
+        let cfg =
+            ProtocolConfig { policy: PolicyKind::TreeRmtp, ..ProtocolConfig::paper_defaults() };
         let mut r = root_receiver(cfg); // self = 1; region 0..5 => server 0
         let actions = r.handle(packet_event(0, data(1)), t(0));
         assert_eq!(r.store().len(), 0, "ordinary receivers buffer nothing");
@@ -1529,7 +1536,8 @@ mod tests {
         // region minimum and a parent region exists.
         let own = RegionView::new(RegionId(1), (1..5).map(NodeId));
         let parent = RegionView::new(RegionId(0), (10..13).map(NodeId));
-        let cfg = ProtocolConfig::builder().policy(PolicyKind::TreeRmtp).build().unwrap();
+        let cfg =
+            ProtocolConfig { policy: PolicyKind::TreeRmtp, ..ProtocolConfig::paper_defaults() };
         let mut r = Receiver::new(NodeId(1), HierarchyView::new(own, Some(parent)), cfg, 42);
         r.handle(packet_event(0, data(1)), t(0));
         assert_eq!(r.store().long_count(), 1, "the server buffers the session");
@@ -1700,25 +1708,17 @@ mod tests {
         assert!(r.handle(packet_event(2, data(2)), t(21)).is_empty());
     }
 
-    #[test]
-    fn config_validation_feeds_back() {
-        assert!(matches!(
-            ProtocolConfig::builder().lambda(-1.0).build(),
-            Err(ConfigError::NonPositiveLambda(_))
-        ));
-    }
-
     // ----- overload: damping, suppression, watchdog, admission ------------
 
     fn overload_cfg() -> ProtocolConfig {
-        ProtocolConfig::builder()
-            .damping(Some(DampingConfig {
+        ProtocolConfig {
+            damping: Some(DampingConfig {
                 burst: 1,
                 refill: SimDuration::from_millis(50),
                 suppress_window: SimDuration::from_millis(20),
-            }))
-            .build()
-            .unwrap()
+            }),
+            ..ProtocolConfig::paper_defaults()
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn chaos_config(policy: PolicyKind) -> ProtocolConfig {
         max_local_attempts: 12,
         max_remote_attempts: 12,
         max_search_attempts: 12,
-        ..ProtocolConfig::default()
+        ..ProtocolConfig::paper_defaults()
     }
 }
 
@@ -520,7 +520,8 @@ fn partition_heal_rearms_exhausted_recovery() {
         max_search_attempts: 6,
         ..chaos_config(PolicyKind::KeepAll)
     };
-    let mut net = RrmpNetwork::with_fault_plan(topo, cfg, 9, plan);
+    let mut net = RrmpNetwork::new(topo, cfg, 9);
+    net.arm_fault_plan(plan);
 
     // Message `a` misses all of region 1; message `b` (delivered
     // everywhere, mid-partition — explicit delivery plans model the raw

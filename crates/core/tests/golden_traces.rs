@@ -42,7 +42,7 @@ fn hierarchical_with_search(seed: u64) -> u64 {
 }
 
 fn churn_with_handoffs(seed: u64) -> u64 {
-    let cfg = ProtocolConfig::builder().c(1000.0).build().expect("valid config");
+    let cfg = ProtocolConfig { c: 1000.0, ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(presets::paper_region(20), cfg, seed);
     let plan = DeliveryPlan::all(net.topology());
     net.multicast_with_plan(&b"golden-churn"[..], &plan);

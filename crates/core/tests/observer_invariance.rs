@@ -85,9 +85,10 @@ fn delivery_fingerprint(net: &RrmpNetwork) -> u64 {
 }
 
 /// The `single_region_recovery` golden scenario, armed by `arm`.
-fn single_region_recovery(seed: u64, arm: impl FnOnce(RrmpNetwork) -> RrmpNetwork) -> RrmpNetwork {
+fn single_region_recovery(seed: u64, arm: impl FnOnce(&mut RrmpNetwork)) -> RrmpNetwork {
     let mut net =
-        arm(RrmpNetwork::new(presets::paper_region(40), ProtocolConfig::paper_defaults(), seed));
+        RrmpNetwork::new(presets::paper_region(40), ProtocolConfig::paper_defaults(), seed);
+    arm(&mut net);
     let plan = DeliveryPlan::only(net.topology(), (0..10).map(NodeId));
     net.multicast_with_plan(&b"golden-a"[..], &plan);
     net.run_until(SimTime::from_millis(400));
@@ -102,7 +103,7 @@ const GOLDEN_SINGLE_REGION_SEED1: u64 = 0x28c8_f709_a078_be13;
 
 #[test]
 fn unarmed_run_keeps_golden_fingerprint() {
-    let net = single_region_recovery(1, |n| n);
+    let net = single_region_recovery(1, |_| {});
     assert_eq!(fingerprint(&net), GOLDEN_SINGLE_REGION_SEED1);
     assert!(!net.observer_armed());
 }
@@ -113,13 +114,13 @@ fn armed_sinks_do_not_perturb_the_protocol() {
     // counter fingerprint must match the pinned golden value while the
     // trace itself is non-empty.
     let ring = TraceConfig { ring_capacity: 1 << 16, sample_every: None };
-    let net = single_region_recovery(1, |n| n.with_observer(ring));
+    let net = single_region_recovery(1, |n| n.arm_observer(ring));
     assert_eq!(fingerprint(&net), GOLDEN_SINGLE_REGION_SEED1);
     assert!(net.observer_armed());
     assert!(!net.trace_events().is_empty(), "armed run must record events");
     assert_eq!(net.trace_events_dropped(), 0);
     // The buffer-lifecycle fold instead of the ring: the same run.
-    let net = single_region_recovery(1, RrmpNetwork::with_buffer_records);
+    let net = single_region_recovery(1, RrmpNetwork::arm_buffer_records);
     assert_eq!(fingerprint(&net), GOLDEN_SINGLE_REGION_SEED1);
     assert!(net.observer_armed());
     assert!(net.node(NodeId(0)).receiver().observer::<BufferRecords>().is_some());
@@ -129,9 +130,9 @@ fn armed_sinks_do_not_perturb_the_protocol() {
 fn samplers_move_timers_but_not_deliveries() {
     // With samplers armed, timer counters legitimately move — but every
     // delivery (time, source, seq) stays bit-identical.
-    let unarmed = single_region_recovery(1, |n| n);
+    let unarmed = single_region_recovery(1, |_| {});
     let sampled = single_region_recovery(1, |n| {
-        n.with_observer(TraceConfig {
+        n.arm_observer(TraceConfig {
             ring_capacity: 1 << 16,
             sample_every: Some(SimDuration::from_millis(50)),
         })
@@ -190,11 +191,12 @@ const ALL_POLICIES: [PolicyKind; 7] = [
 /// already discarded the message; `arm` is applied before the start.
 fn handoff_run(
     policy: PolicyKind,
-    arm: impl FnOnce(RrmpNetwork) -> RrmpNetwork,
+    arm: impl FnOnce(&mut RrmpNetwork),
 ) -> (RrmpNetwork, Vec<MessageId>) {
     let topo = presets::region_tree(10, 1, 1, SimDuration::from_millis(25));
-    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy");
-    let mut net = arm(RrmpNetwork::new(topo, cfg, 11));
+    let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
+    let mut net = RrmpNetwork::new(topo, cfg, 11);
+    arm(&mut net);
     net.set_multicast_loss(LossModel::RegionCorrelated { p_region: 0.2, p_member: 0.2 });
     net.set_unicast_loss(LossModel::Bernoulli { p: 0.05 });
     net.schedule_leave(NodeId(5), SimTime::from_millis(1500));
@@ -213,9 +215,9 @@ fn ring_and_fold_see_the_same_buffer_phases() {
     let mut rekept = 0;
     for policy in ALL_POLICIES {
         let ring = TraceConfig { ring_capacity: 1 << 16, sample_every: None };
-        let (ring, ids) = handoff_run(policy, |n| n.with_observer(ring));
+        let (ring, ids) = handoff_run(policy, |n| n.arm_observer(ring));
         assert_eq!(ring.trace_events_dropped(), 0, "{policy:?}: ring evicted events");
-        let (fold, fold_ids) = handoff_run(policy, RrmpNetwork::with_buffer_records);
+        let (fold, fold_ids) = handoff_run(policy, RrmpNetwork::arm_buffer_records);
         assert_eq!(ids, fold_ids);
         // The ring export's buffer phases, folded per (node, message).
         let mut model: BTreeMap<(u32, u32, u64), BufferRecord> = BTreeMap::new();

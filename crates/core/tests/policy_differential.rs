@@ -57,11 +57,7 @@ fn topo() -> Topology {
 /// A [`ProtocolConfig`] running `kind` the way the legacy stacks ran: no
 /// periodic session ticks (they advertised once per multicast instead).
 fn policy_config(kind: PolicyKind) -> ProtocolConfig {
-    ProtocolConfig::builder()
-        .policy(kind)
-        .periodic_sessions(false)
-        .build()
-        .expect("legacy-scenario policy config is valid")
+    ProtocolConfig { policy: kind, periodic_sessions: false, ..ProtocolConfig::paper_defaults() }
 }
 
 /// Multicasts `payload` with an explicit initial-delivery plan and
@@ -249,8 +245,8 @@ fn lost_direct_pull_is_retried_after_the_direct_request_timeout() {
     // request: the retry must go out exactly 60 ms later — the direct-pull
     // budget, not the 10 ms local timeout — and then recover the message.
     let misser = NodeId(20);
-    let mut net = RrmpNetwork::new(topo(), policy_config(PolicyKind::SenderBased), 5)
-        .with_observer(TraceConfig::default());
+    let mut net = RrmpNetwork::new(topo(), policy_config(PolicyKind::SenderBased), 5);
+    net.arm_observer(TraceConfig::default());
     let mut first = true;
     net.sim_mut().set_drop_filter(move |from, _, pkt: &Packet| {
         let drop = first && from == misser && matches!(pkt, Packet::LocalRequest { .. });

@@ -82,11 +82,11 @@ fn arm(timers: &mut Vec<(SimTime, TimerKind)>, actions: &mut Vec<Action>, now: S
 fn live_heap_is_flat_from_ten_thousand_to_a_hundred_thousand_messages() {
     // A 20-member region, so the C/n draw both keeps and discards; short
     // long-term retention, so the store is at steady state within a second.
-    let cfg = ProtocolConfig::builder()
-        .long_term_timeout(SimDuration::from_millis(200))
-        .long_term_sweep_interval(SimDuration::from_millis(100))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        long_term_timeout: SimDuration::from_millis(200),
+        long_term_sweep_interval: SimDuration::from_millis(100),
+        ..ProtocolConfig::paper_defaults()
+    };
     let own = RegionView::new(RegionId(0), (0..20).map(NodeId));
     let mut r = Receiver::new(NodeId(1), HierarchyView::new(own, None), cfg, 7);
     let source = NodeId(0);

@@ -952,7 +952,9 @@ impl UdpRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not in `spec` or `cfg` is invalid.
+    /// Panics if `node` is not in `spec`, or if `cfg` fails
+    /// [`ProtocolConfig::validate`] (the message carries its
+    /// [`ConfigError`](rrmp_core::config::ConfigError)).
     pub fn add_member(
         &self,
         socket: UdpSocket,
@@ -1229,10 +1231,10 @@ mod tests {
     fn fast_cfg() -> ProtocolConfig {
         // Short session interval so tail losses are detected quickly in
         // real time.
-        ProtocolConfig::builder()
-            .session_interval(rrmp_netsim::time::SimDuration::from_millis(30))
-            .build()
-            .expect("valid test config")
+        ProtocolConfig {
+            session_interval: rrmp_netsim::time::SimDuration::from_millis(30),
+            ..ProtocolConfig::paper_defaults()
+        }
     }
 
     #[test]
@@ -1379,6 +1381,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid protocol config")]
+    fn add_member_rejects_an_invalid_config() {
+        let (sock, addr) = bind_n(1).pop().expect("one socket");
+        let spec = spec_single_region(&[addr]);
+        let rt = UdpRuntime::start(loops(1)).expect("start runtime");
+        let cfg = ProtocolConfig { c: 0.0, ..ProtocolConfig::paper_defaults() };
+        let _ = rt.add_member(sock, spec, NodeId(0), cfg, false, 1);
+    }
+
+    #[test]
     fn back_to_back_commands_are_each_answered_promptly() {
         // Each round trip needs its own knock: a loop that misses one
         // sleeps until its idle timeout (20 ms) before it answers.
@@ -1388,7 +1400,7 @@ mod tests {
         let rt = UdpRuntime::start(loops(1)).expect("start runtime");
         let (sock, _) = bound.into_iter().next().expect("one socket");
         let member = rt
-            .add_member(sock, spec, NodeId(0), ProtocolConfig::default(), false, 1)
+            .add_member(sock, spec, NodeId(0), ProtocolConfig::paper_defaults(), false, 1)
             .expect("add member");
         let start = Instant::now();
         for _ in 0..200 {
@@ -1548,11 +1560,11 @@ mod tests {
         let bound = bind_n(N);
         let addrs: Vec<SocketAddr> = bound.iter().map(|(_, a)| *a).collect();
         let spec = Arc::new(spec_single_region(&addrs));
-        let cfg = ProtocolConfig::builder()
-            .policy(rrmp_core::policy::PolicyKind::Stability)
-            .session_interval(rrmp_netsim::time::SimDuration::from_millis(30))
-            .build()
-            .expect("valid test config");
+        let cfg = ProtocolConfig {
+            policy: rrmp_core::policy::PolicyKind::Stability,
+            session_interval: rrmp_netsim::time::SimDuration::from_millis(30),
+            ..ProtocolConfig::paper_defaults()
+        };
         let rt = UdpRuntime::start(loops(2)).expect("start runtime");
         let members = add_all(&rt, bound, &spec, &cfg, 0);
         members[0].set_initial_drop(Some(|n: NodeId| n == NodeId(3)));

@@ -33,10 +33,10 @@ fn main() -> std::io::Result<()> {
     println!("members: 0..4 in region 0 (sender = 0), 4..6 in region 1");
 
     // Short session interval so tail-loss detection is fast in real time.
-    let cfg = ProtocolConfig::builder()
-        .session_interval(SimDuration::from_millis(25))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        session_interval: SimDuration::from_millis(25),
+        ..ProtocolConfig::paper_defaults()
+    };
 
     // One event loop per member; `add_member` places each on the
     // least-loaded loop.

@@ -35,10 +35,10 @@ fn main() -> std::io::Result<()> {
     // once per process, not once per member.
     let spec = Arc::new(spec);
 
-    let cfg = ProtocolConfig::builder()
-        .session_interval(SimDuration::from_millis(25))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        session_interval: SimDuration::from_millis(25),
+        ..ProtocolConfig::paper_defaults()
+    };
 
     let rt = UdpRuntime::start(RuntimeConfig { loop_threads: 2, ..RuntimeConfig::default() })?;
     let members: Vec<MemberHandle> = sockets

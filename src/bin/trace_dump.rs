@@ -51,7 +51,7 @@ fn main() {
         max_local_attempts: 6,
         max_remote_attempts: 6,
         max_search_attempts: 6,
-        ..ProtocolConfig::default()
+        ..ProtocolConfig::paper_defaults()
     };
     // Always the sharded engine (a one-shard run is the sequential
     // oracle): its canonical cross-region merge makes the export

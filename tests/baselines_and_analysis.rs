@@ -9,7 +9,7 @@ use rrmp::prelude::*;
 
 /// A network running `policy` with otherwise paper-default parameters.
 fn policy_net(topo: Topology, policy: PolicyKind, seed: u64) -> RrmpNetwork {
-    let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid policy config");
+    let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
     RrmpNetwork::new(topo, cfg, seed)
 }
 
@@ -144,8 +144,8 @@ fn heterogeneity_two_phase_releases_fast_members_early() {
     // RRMP: all of region 1 misses; fast members that received the
     // initial multicast idle out at T = 40 ms regardless of the slow
     // region still recovering.
-    let mut net =
-        RrmpNetwork::new(build_topo(), ProtocolConfig::paper_defaults(), 31).with_buffer_records();
+    let mut net = RrmpNetwork::new(build_topo(), ProtocolConfig::paper_defaults(), 31);
+    net.arm_buffer_records();
     let plan = DeliveryPlan::region_loss(net.topology(), RegionId(1));
     let id = net.multicast_with_plan(&b"het"[..], &plan);
     net.run_until(SimTime::from_secs(6));
@@ -223,7 +223,7 @@ fn no_bufferer_probability_matches_protocol_monte_carlo() {
     let mut zero = 0u32;
     for seed in 0..runs {
         let topo = presets::paper_region(40);
-        let cfg = ProtocolConfig::builder().c(c).build().expect("valid");
+        let cfg = ProtocolConfig { c, ..ProtocolConfig::paper_defaults() };
         let mut net = RrmpNetwork::new(topo, cfg, 3000 + u64::from(seed));
         let id = net.multicast_with_plan(&b"mc"[..], &DeliveryPlan::all(net.topology()));
         net.run_until(SimTime::from_millis(300));

@@ -17,7 +17,8 @@ fn idle_transition_waits_for_requests_to_stop() {
     // well beyond T = 40ms because requests keep arriving, and may only
     // idle out after the epidemic completes.
     let topo = presets::paper_region(20);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1).with_buffer_records();
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 1);
+    net.arm_buffer_records();
     let holder = NodeId(3);
     let id = net.seed_message_with_holders(&b"feedback"[..], &[holder]);
     net.run_until(SimTime::from_millis(39));
@@ -34,7 +35,8 @@ fn uncontended_message_idles_exactly_at_t() {
     // Everyone receives the initial multicast: no requests ever arrive,
     // so every member's idle transition lands exactly at T.
     let topo = presets::paper_region(10);
-    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2).with_buffer_records();
+    let mut net = RrmpNetwork::new(topo, ProtocolConfig::paper_defaults(), 2);
+    net.arm_buffer_records();
     let id = net.multicast_with_plan(&b"calm"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_secs(1));
     for (node_id, _) in net.nodes() {
@@ -73,12 +75,12 @@ fn long_term_count_concentrates_around_c() {
 #[test]
 fn long_term_entries_expire_after_disuse() {
     let topo = presets::paper_region(10);
-    let cfg = ProtocolConfig::builder()
-        .c(1000.0) // everyone keeps long-term
-        .long_term_timeout(SimDuration::from_millis(400))
-        .long_term_sweep_interval(SimDuration::from_millis(100))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        c: 1000.0, // everyone keeps long-term
+        long_term_timeout: SimDuration::from_millis(400),
+        long_term_sweep_interval: SimDuration::from_millis(100),
+        ..ProtocolConfig::paper_defaults()
+    };
     let mut net = RrmpNetwork::new(topo, cfg, 4);
     let id = net.multicast_with_plan(&b"expire"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_millis(200));
@@ -91,12 +93,12 @@ fn long_term_entries_expire_after_disuse() {
 #[test]
 fn serving_requests_keeps_long_term_entries_alive() {
     let topo = presets::paper_region(10);
-    let cfg = ProtocolConfig::builder()
-        .c(1000.0)
-        .long_term_timeout(SimDuration::from_millis(400))
-        .long_term_sweep_interval(SimDuration::from_millis(100))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        c: 1000.0,
+        long_term_timeout: SimDuration::from_millis(400),
+        long_term_sweep_interval: SimDuration::from_millis(100),
+        ..ProtocolConfig::paper_defaults()
+    };
     let mut net = RrmpNetwork::new(topo, cfg, 5);
     let id = net.multicast_with_plan(&b"alive"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_millis(100));
@@ -121,7 +123,7 @@ fn serving_requests_keeps_long_term_entries_alive() {
 fn two_phase_buffers_far_less_than_keep_all() {
     let run = |policy: PolicyKind| {
         let topo = presets::paper_region(50);
-        let cfg = ProtocolConfig::builder().policy(policy).build().expect("valid");
+        let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
         let mut net = RrmpNetwork::new(topo, cfg, 6);
         for _ in 0..10 {
             net.multicast_with_plan(&[0u8; 512][..], &DeliveryPlan::all(net.topology()));
@@ -146,7 +148,7 @@ fn bounded_buffers_evict_but_protocol_still_recovers() {
     // with loss forces the bound to act, yet redundancy (C long-term
     // bufferers per message spread across members) keeps recovery working.
     let topo = presets::paper_region(40);
-    let cfg = ProtocolConfig::builder().memory_budget(Some(2048)).build().expect("valid");
+    let cfg = ProtocolConfig { memory_budget: Some(2048), ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(topo, cfg, 8);
     net.set_multicast_loss(LossModel::Bernoulli { p: 0.15 });
     let mut ids = Vec::new();
@@ -226,9 +228,12 @@ fn fixed_time_policy_ignores_feedback() {
     // feedback rule exists to prevent.
     let hold = SimDuration::from_millis(40);
     let topo = presets::paper_region(30);
-    let cfg =
-        ProtocolConfig::builder().policy(PolicyKind::FixedTime { hold }).build().expect("valid");
-    let mut net = RrmpNetwork::new(topo, cfg, 7).with_buffer_records();
+    let cfg = ProtocolConfig {
+        policy: PolicyKind::FixedTime { hold },
+        ..ProtocolConfig::paper_defaults()
+    };
+    let mut net = RrmpNetwork::new(topo, cfg, 7);
+    net.arm_buffer_records();
     let holder = NodeId(0);
     let id = net.seed_message_with_holders(&b"rigid"[..], &[holder]);
     net.run_until(SimTime::from_secs(3));

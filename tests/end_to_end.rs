@@ -186,7 +186,7 @@ fn recovery_survives_transient_partition_of_only_holder() {
     // C the §5 caveat applies: the only copy can be discarded while the
     // holder is partitioned from the feedback requests.
     let topo = presets::paper_region(8);
-    let cfg = ProtocolConfig::builder().c(100.0).build().expect("valid");
+    let cfg = ProtocolConfig { c: 100.0, ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(topo, cfg, 707);
     let sender = net.sender_node();
     let id = net.multicast_with_plan(&b"gated"[..], &DeliveryPlan::only(net.topology(), [sender]));

@@ -113,7 +113,7 @@ fn handoff_chain_survives_sequential_leaves() {
     let (mut net, id) = (14..64)
         .find_map(|seed| {
             let topo = presets::paper_region(30);
-            let cfg = ProtocolConfig::builder().c(2.0).build().expect("valid");
+            let cfg = ProtocolConfig { c: 2.0, ..ProtocolConfig::paper_defaults() };
             let mut net = RrmpNetwork::new(topo, cfg, seed);
             let id = net.multicast_with_plan(&b"relay"[..], &DeliveryPlan::all(net.topology()));
             net.run_until(SimTime::from_millis(200));
@@ -165,7 +165,7 @@ fn leaver_stops_participating() {
 #[test]
 fn crash_loses_copies_but_group_survives_if_another_holder_exists() {
     let topo = presets::paper_region(20);
-    let cfg = ProtocolConfig::builder().c(1000.0).build().expect("valid"); // all keep
+    let cfg = ProtocolConfig { c: 1000.0, ..ProtocolConfig::paper_defaults() }; // all keep
     let mut net = RrmpNetwork::new(topo, cfg, 16);
     let id = net.multicast_with_plan(&b"crashy"[..], &DeliveryPlan::all(net.topology()));
     net.run_until(SimTime::from_millis(200));
@@ -227,7 +227,7 @@ fn regional_loss_plus_discard_exercises_search_end_to_end() {
         .build()
         .expect("valid");
     // Small C so most upstream members discard before the request lands.
-    let cfg = ProtocolConfig::builder().c(3.0).build().expect("valid");
+    let cfg = ProtocolConfig { c: 3.0, ..ProtocolConfig::paper_defaults() };
     let mut net = RrmpNetwork::new(topo, cfg, 18);
     let plan = DeliveryPlan::region_loss(net.topology(), RegionId(1));
     let id = net.multicast_with_plan(&b"far"[..], &plan);

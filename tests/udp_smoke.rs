@@ -46,10 +46,10 @@ fn two_regions_over_loopback_with_regional_loss() {
     }
     spec.set_parent(RegionId(1), RegionId(0));
 
-    let cfg = ProtocolConfig::builder()
-        .session_interval(SimDuration::from_millis(25))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        session_interval: SimDuration::from_millis(25),
+        ..ProtocolConfig::paper_defaults()
+    };
 
     let (rt, nodes) = one_loop_each(sockets, spec, &cfg, 500);
 
@@ -90,12 +90,12 @@ fn leave_hands_off_over_real_sockets() {
     }
     // Everyone keeps long-term (C >> n) so the leaver definitely has
     // something to hand off.
-    let cfg = ProtocolConfig::builder()
-        .c(100.0)
-        .session_interval(SimDuration::from_millis(25))
-        .idle_threshold(SimDuration::from_millis(40))
-        .build()
-        .expect("valid");
+    let cfg = ProtocolConfig {
+        c: 100.0,
+        session_interval: SimDuration::from_millis(25),
+        idle_threshold: SimDuration::from_millis(40),
+        ..ProtocolConfig::paper_defaults()
+    };
     let (rt, nodes) = one_loop_each(sockets, spec, &cfg, 900);
     nodes[0].multicast(&b"to-be-handed-off"[..]);
     for n in &nodes {
@@ -135,10 +135,10 @@ fn multiplexed_runtime_hosts_a_group_on_two_loops() {
         spec.add_member(NodeId(i as u32), s.local_addr().expect("addr"), RegionId(0));
     }
     let spec = Arc::new(spec);
-    let cfg = ProtocolConfig::builder()
-        .session_interval(SimDuration::from_millis(25))
-        .build()
-        .expect("valid config");
+    let cfg = ProtocolConfig {
+        session_interval: SimDuration::from_millis(25),
+        ..ProtocolConfig::paper_defaults()
+    };
 
     let rt = UdpRuntime::start(RuntimeConfig {
         loop_threads: 2,
