@@ -341,6 +341,10 @@ mod tests {
             Err(ConfigError::NonPositiveLambda(_))
         ));
         assert!(matches!(
+            ProtocolConfig { lambda: -1.0, ..base() }.validate(),
+            Err(ConfigError::NonPositiveLambda(_))
+        ));
+        assert!(matches!(
             ProtocolConfig { c: -1.0, ..base() }.validate(),
             Err(ConfigError::NonPositiveC(_))
         ));
