@@ -18,6 +18,8 @@
 //! byte counts, and a byte×time integral) used by the buffering-cost
 //! experiments.
 
+use std::ops::RangeInclusive;
+
 use bytes::Bytes;
 use rrmp_netsim::time::{SimDuration, SimTime};
 
@@ -528,6 +530,11 @@ impl MessageStore {
     /// Iterates over buffered entries in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (MessageId, &BufferEntry)> {
         self.entries.iter()
+    }
+
+    /// The buffered ids in `ids`, ascending.
+    pub fn ids_in(&self, ids: RangeInclusive<MessageId>) -> impl Iterator<Item = MessageId> + '_ {
+        self.entries.range(ids).map(|(id, _)| id)
     }
 }
 

@@ -183,9 +183,9 @@ impl SimNode<HostTimer> for RrmpNode {
             HostTimer::Leave => self.handle_event(ctx, Event::Leave),
             HostTimer::Crash => self.receiver.crash(ctx.now()),
             HostTimer::Heal => self.with_scratch(ctx, Receiver::on_heal),
-            // Through the receiver (not view_mut directly) so the buffer
-            // policy prunes per-member state — a stability quorum must
-            // stop waiting on a departed member.
+            // Through the receiver so the buffer policy prunes per-member
+            // state — a stability quorum must stop waiting on a departed
+            // member.
             HostTimer::ViewRemove(node) => self.receiver.on_membership_removed(node),
         }
     }
@@ -570,7 +570,8 @@ impl RrmpNetwork {
         let seq = rrmp_netsim::rng::SeedSequence::new(seed ^ 0x5EED_0F88_1122_AA55);
         // The full group in ascending id order: topology-blind policies
         // like hash placement rank every member, not just own ∪ parent.
-        let members: Vec<NodeId> = topo.nodes().collect();
+        // Built once and shared by every receiver's policy.
+        let members: Arc<[NodeId]> = topo.nodes().collect();
         // One config allocation for the whole group: every receiver holds
         // a clone of this `Arc`, not its own inline copy.
         let shared_cfg = Arc::new(cfg.clone());

@@ -26,7 +26,8 @@
 //! [`TimerKind::HistoryTick`](crate::events::TimerKind::HistoryTick) to
 //! the policy hooks.
 
-use rrmp_membership::index::MemberIndex;
+use std::sync::Arc;
+
 use rrmp_membership::view::HierarchyView;
 use rrmp_netsim::topology::NodeId;
 
@@ -138,20 +139,22 @@ impl HistoryDigest {
 /// an n-member group pays O(n) per received digest, O(n³) per history
 /// interval.
 ///
-/// Layout: peers are interned into dense indices ([`MemberIndex`]) and
-/// per-source state is a pair of flat arrays (frontier per peer index,
-/// plus a mentioned bitset) in a source-sorted [`VecMap`] — instead of
-/// HashMap-of-HashMap. Source slots are allocated lazily on first
-/// mention, so a source nobody has advertised costs zero bytes.
-#[derive(Debug, Clone, Default)]
+/// Layout: a peer's index is its position in the quorum, an ascending
+/// id list that every receiver of the group shares, so finding it is
+/// one subtraction on the usual contiguous ids and a binary search
+/// otherwise (`quorum_position`). Per-source state is a pair of flat
+/// arrays (frontier per peer index, plus a mentioned bitset) in a
+/// source-sorted [`VecMap`], allocated lazily on first mention, so a
+/// source nobody has advertised costs zero bytes.
+#[derive(Debug, Clone)]
 pub struct StabilityTracker {
-    /// Sparse peer id → dense index; indices are stable across
-    /// forget/re-record so slots can be reused.
-    peers: MemberIndex,
-    /// Per peer index: whether a digest is currently on record
+    /// The peers digests are accepted from, ascending; shared, never
+    /// copied. Indices stay valid across forget/re-record.
+    quorum: Arc<[NodeId]>,
+    /// Bitset over peer indices: whether a digest is currently on record
     /// (cleared by [`StabilityTracker::forget`]).
-    heard: Vec<bool>,
-    /// Number of `true` bits in `heard`.
+    heard: Vec<u64>,
+    /// Number of set bits in `heard`.
     heard_count: usize,
     /// Per-source frontier arrays + cached minimum.
     slots: VecMap<NodeId, SourceSlot>,
@@ -161,12 +164,12 @@ pub struct StabilityTracker {
 /// minimum over the mentioning peers.
 #[derive(Debug, Clone, Default)]
 struct SourceSlot {
-    /// Highest contiguous frontier advertised, per dense peer index;
+    /// Highest contiguous frontier advertised, per peer index;
     /// meaningful only where the `mentioned` bit is set.
     frontiers: Vec<u64>,
-    /// Bitset over dense peer indices: which peers have mentioned this
-    /// source (a frontier of zero is still a mention — "heard from,
-    /// received nothing" pins stability, unlike "never mentioned").
+    /// Bitset over peer indices: which peers have mentioned this source
+    /// (a frontier of zero is still a mention — "heard from, received
+    /// nothing" pins stability, unlike "never mentioned").
     mentioned: Vec<u64>,
     /// Smallest frontier any mentioning peer has advertised.
     min: u64,
@@ -176,11 +179,33 @@ struct SourceSlot {
     mentions: usize,
 }
 
-impl SourceSlot {
-    fn is_mentioned(&self, p: usize) -> bool {
-        self.mentioned.get(p / 64).is_some_and(|w| w & (1 << (p % 64)) != 0)
-    }
+fn has_bit(words: &[u64], p: usize) -> bool {
+    words.get(p / 64).is_some_and(|w| w & (1 << (p % 64)) != 0)
+}
 
+fn set_bit(words: &mut [u64], p: usize) {
+    words[p / 64] |= 1 << (p % 64);
+}
+
+fn clear_bit(words: &mut [u64], p: usize) {
+    words[p / 64] &= !(1u64 << (p % 64));
+}
+
+/// The position of `id` in `ids`, an ascending id list. Topologies number
+/// members contiguously, so `id − ids[0]` is tried first and confirmed
+/// against the entry there; a list with gaps falls back to a binary
+/// search.
+pub(crate) fn quorum_position(ids: &[NodeId], id: NodeId) -> Option<usize> {
+    let first = ids.first()?;
+    let i = id.0.wrapping_sub(first.0) as usize;
+    if ids.get(i) == Some(&id) {
+        Some(i)
+    } else {
+        ids.binary_search(&id).ok()
+    }
+}
+
+impl SourceSlot {
     fn ensure_peer(&mut self, p: usize) {
         if self.frontiers.len() <= p {
             self.frontiers.resize(p + 1, 0);
@@ -189,14 +214,6 @@ impl SourceSlot {
         if self.mentioned.len() <= w {
             self.mentioned.resize(w + 1, 0);
         }
-    }
-
-    fn set_mentioned(&mut self, p: usize) {
-        self.mentioned[p / 64] |= 1 << (p % 64);
-    }
-
-    fn clear_mentioned(&mut self, p: usize) {
-        self.mentioned[p / 64] &= !(1u64 << (p % 64));
     }
 
     /// One O(peers) rescan over the mentioned bitset re-establishes the
@@ -224,32 +241,28 @@ impl SourceSlot {
 }
 
 impl StabilityTracker {
-    /// Creates an empty tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        StabilityTracker::default()
-    }
-
-    /// Creates a tracker with `members` pre-interned, so the dense peer
-    /// indices (and the per-source array sizes they imply) are fixed up
-    /// front instead of growing digest by digest. Behaviour is identical
-    /// to lazy interning — nobody counts as heard until recorded.
+    /// Creates a tracker over `members`, the quorum in ascending id order.
+    /// Nobody counts as heard until recorded. The stability policy shares
+    /// the group's list instead of copying it.
     #[must_use]
     pub fn with_members(members: &[NodeId]) -> Self {
-        let peers = MemberIndex::from_members(members.iter().copied());
-        let heard = vec![false; peers.len()];
-        StabilityTracker { peers, heard, ..StabilityTracker::default() }
+        Self::sharing(members.into())
+    }
+
+    /// Creates a tracker over the shared `quorum` (ascending ids).
+    pub(crate) fn sharing(quorum: Arc<[NodeId]>) -> Self {
+        debug_assert!(quorum.windows(2).all(|w| w[0] < w[1]), "quorum must ascend");
+        let heard = vec![0; quorum.len().div_ceil(64)];
+        StabilityTracker { quorum, heard, heard_count: 0, slots: VecMap::new() }
     }
 
     /// Folds `digest` from `peer` in: frontiers only ever advance (late
-    /// or reordered digests cannot regress a peer's ack).
+    /// or reordered digests cannot regress a peer's ack). A peer outside
+    /// the quorum has no index, and its digest is ignored.
     pub fn record(&mut self, peer: NodeId, digest: &HistoryDigest) {
-        let p = self.peers.intern(peer) as usize;
-        if self.heard.len() <= p {
-            self.heard.resize(p + 1, false);
-        }
-        if !self.heard[p] {
-            self.heard[p] = true;
+        let Some(p) = quorum_position(&self.quorum, peer) else { return };
+        if !has_bit(&self.heard, p) {
+            set_bit(&mut self.heard, p);
             self.heard_count += 1;
         }
         for entry in &digest.entries {
@@ -257,8 +270,8 @@ impl StabilityTracker {
             // Lazy slot allocation on first mention.
             let slot = self.slots.get_or_default(entry.source);
             slot.ensure_peer(p);
-            if !slot.is_mentioned(p) {
-                slot.set_mentioned(p);
+            if !has_bit(&slot.mentioned, p) {
+                set_bit(&mut slot.mentioned, p);
                 slot.frontiers[p] = f;
                 if slot.mentions == 0 || f < slot.min {
                     slot.min = f;
@@ -289,7 +302,7 @@ impl StabilityTracker {
     /// oracle, like the next two).
     #[cfg(test)]
     fn heard_from(&self, peer: NodeId) -> bool {
-        self.peers.get(peer).is_some_and(|p| self.heard.get(p as usize).copied().unwrap_or(false))
+        quorum_position(&self.quorum, peer).is_some_and(|p| has_bit(&self.heard, p))
     }
 
     /// Number of distinct peers heard from (and not since forgotten).
@@ -302,10 +315,9 @@ impl StabilityTracker {
     /// `source` ([`SeqNo::NONE`] before any digest mentioned it).
     #[cfg(test)]
     fn peer_frontier(&self, peer: NodeId, source: NodeId) -> SeqNo {
-        let f = self.peers.get(peer).and_then(|p| {
-            let p = p as usize;
+        let f = quorum_position(&self.quorum, peer).and_then(|p| {
             let slot = self.slots.get(source)?;
-            slot.is_mentioned(p).then(|| slot.frontiers[p])
+            has_bit(&slot.mentioned, p).then(|| slot.frontiers[p])
         });
         SeqNo(f.unwrap_or(0))
     }
@@ -342,22 +354,21 @@ impl StabilityTracker {
     /// Drops all state about `peer` — a member that left no longer gates
     /// stability (otherwise the whole group's buffers freeze on it).
     pub fn forget(&mut self, peer: NodeId) {
-        let Some(p) = self.peers.get(peer) else { return };
-        let p = p as usize;
-        if !self.heard.get(p).copied().unwrap_or(false) {
+        let Some(p) = quorum_position(&self.quorum, peer) else { return };
+        if !has_bit(&self.heard, p) {
             return;
         }
-        self.heard[p] = false;
+        clear_bit(&mut self.heard, p);
         self.heard_count -= 1;
         // Sources mentioned only by this peer drop their slot entirely
         // (matching the map-based behaviour, where an unmentioned source
         // is distinguishable from one mentioned at frontier zero).
         self.slots.retain(|_, slot| {
-            if !slot.is_mentioned(p) {
+            if !has_bit(&slot.mentioned, p) {
                 return true;
             }
             let f = slot.frontiers[p];
-            slot.clear_mentioned(p);
+            clear_bit(&mut slot.mentioned, p);
             slot.mentions -= 1;
             if slot.mentions == 0 {
                 return false;
@@ -476,10 +487,14 @@ mod tests {
         }
     }
 
+    fn tracker_over(ids: impl IntoIterator<Item = u32>) -> StabilityTracker {
+        StabilityTracker::with_members(&ids.into_iter().map(NodeId).collect::<Vec<_>>())
+    }
+
     #[test]
     fn tracker_requires_full_quorum_and_advances_monotonically() {
         let src = NodeId(0);
-        let mut t = StabilityTracker::new();
+        let mut t = tracker_over(1..=3);
         assert_eq!(t.stable_frontier(src, SeqNo(5), 2), None);
         t.record(NodeId(1), &digest_to(src, 3));
         assert_eq!(t.stable_frontier(src, SeqNo(5), 2), None, "one quorum peer unheard");
@@ -501,7 +516,7 @@ mod tests {
     #[test]
     fn tracker_forget_unblocks_stability() {
         let src = NodeId(0);
-        let mut t = StabilityTracker::new();
+        let mut t = tracker_over(1..=2);
         t.record(NodeId(1), &digest_to(src, 4));
         t.record(NodeId(2), &HistoryDigest::new());
         assert_eq!(t.stable_frontier(src, SeqNo(9), 2), Some(SeqNo::NONE));
@@ -513,7 +528,7 @@ mod tests {
     #[test]
     fn tracker_forget_of_slowest_peer_recomputes_minimum() {
         let src = NodeId(0);
-        let mut t = StabilityTracker::new();
+        let mut t = tracker_over(1..=3);
         t.record(NodeId(1), &digest_to(src, 2));
         t.record(NodeId(2), &digest_to(src, 7));
         t.record(NodeId(3), &digest_to(src, 5));
@@ -527,79 +542,174 @@ mod tests {
         assert_eq!(t.stable_frontier(src, SeqNo(9), 0), Some(SeqNo(9)));
     }
 
+    /// A deterministic xorshift stream for the scripted tests below.
+    fn xorshift() -> impl FnMut() -> u64 {
+        let mut state = 0x9E37_79B9_97F4_A7C1u64;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
     #[test]
     fn incremental_min_matches_naive_model_under_random_scripts() {
         // Deterministic pseudo-random op script: record/forget against a
         // naive max-merge model, comparing the cached frontier after
         // every step (the at_min/recompute bookkeeping is the part a
-        // unit test alone would miss). Runs once lazily interned and once
-        // with the full peer set pre-interned via with_members — the two
-        // constructions must be indistinguishable.
-        let all_peers: Vec<NodeId> = (0..6).map(NodeId).collect();
-        for t0 in [StabilityTracker::new(), StabilityTracker::with_members(&all_peers)] {
-            let mut state = 0x9E37_79B9_97F4_A7C1u64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let mut t = t0;
-            let mut model: HashMap<NodeId, HashMap<NodeId, u64>> = HashMap::new();
-            for _ in 0..4000 {
-                let peer = NodeId((next() % 6) as u32);
-                if next() % 8 == 0 {
-                    t.forget(peer);
-                    model.remove(&peer);
-                } else {
-                    let source = NodeId(100 + (next() % 3) as u32);
-                    let hi = next() % 12;
-                    let digest = if hi == 0 { HistoryDigest::new() } else { digest_to(source, hi) };
-                    t.record(peer, &digest);
-                    let acks = model.entry(peer).or_default();
-                    if hi > 0 {
-                        let slot = acks.entry(source).or_insert(0);
-                        *slot = (*slot).max(hi);
-                    }
+        // unit test alone would miss).
+        let mut next = xorshift();
+        let mut t = tracker_over(0..6);
+        let mut model: HashMap<NodeId, HashMap<NodeId, u64>> = HashMap::new();
+        for _ in 0..4000 {
+            let peer = NodeId((next() % 6) as u32);
+            if next().is_multiple_of(8) {
+                t.forget(peer);
+                model.remove(&peer);
+            } else {
+                let source = NodeId(100 + (next() % 3) as u32);
+                let hi = next() % 12;
+                let digest = if hi == 0 { HistoryDigest::new() } else { digest_to(source, hi) };
+                t.record(peer, &digest);
+                let acks = model.entry(peer).or_default();
+                if hi > 0 {
+                    let slot = acks.entry(source).or_insert(0);
+                    *slot = (*slot).max(hi);
                 }
-                assert_eq!(t.heard_count(), model.len(), "heard_count diverged");
+            }
+            assert_eq!(t.heard_count(), model.len(), "heard_count diverged");
+            for p in 0..6u32 {
+                assert_eq!(t.heard_from(NodeId(p)), model.contains_key(&NodeId(p)));
+            }
+            for s in [100u32, 101, 102].map(NodeId) {
                 for p in 0..6u32 {
-                    assert_eq!(t.heard_from(NodeId(p)), model.contains_key(&NodeId(p)));
+                    let naive =
+                        model.get(&NodeId(p)).and_then(|acks| acks.get(&s).copied()).unwrap_or(0);
+                    assert_eq!(
+                        t.peer_frontier(NodeId(p), s),
+                        SeqNo(naive),
+                        "peer_frontier diverged"
+                    );
                 }
-                for s in [100u32, 101, 102].map(NodeId) {
-                    for p in 0..6u32 {
-                        let naive = model
-                            .get(&NodeId(p))
-                            .and_then(|acks| acks.get(&s).copied())
-                            .unwrap_or(0);
-                        assert_eq!(
-                            t.peer_frontier(NodeId(p), s),
-                            SeqNo(naive),
-                            "peer_frontier diverged"
-                        );
-                    }
-                    for quorum_len in 0..=6usize {
-                        let naive = if model.len() < quorum_len {
-                            None
+                for quorum_len in 0..=6usize {
+                    let naive = if model.len() < quorum_len {
+                        None
+                    } else {
+                        let mentioned: Vec<u64> =
+                            model.values().filter_map(|acks| acks.get(&s).copied()).collect();
+                        let peers_min = if mentioned.len() >= quorum_len {
+                            mentioned.iter().copied().min().unwrap_or(u64::MAX)
                         } else {
-                            let mentioned: Vec<u64> =
-                                model.values().filter_map(|acks| acks.get(&s).copied()).collect();
-                            let peers_min = if mentioned.len() >= quorum_len {
-                                mentioned.iter().copied().min().unwrap_or(u64::MAX)
-                            } else {
-                                0
-                            };
-                            Some(SeqNo(peers_min.min(7)))
+                            0
                         };
-                        assert_eq!(
-                            t.stable_frontier(s, SeqNo(7), quorum_len),
-                            naive,
-                            "tracker diverged from naive model"
-                        );
-                    }
+                        Some(SeqNo(peers_min.min(7)))
+                    };
+                    assert_eq!(
+                        t.stable_frontier(s, SeqNo(7), quorum_len),
+                        naive,
+                        "tracker diverged from naive model"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_sparse_quorum_folds_digests_like_a_dense_one() {
+        // The same script over ids 0..6 and over even ids 0..=10: the
+        // sparse peers' `id − quorum[0]` lands inside the list at the wrong
+        // entry (id 2 at position 2 is id 4), so only a lookup that checks
+        // the entry it lands on keeps the two trackers equal.
+        let sparse = |p: u32| NodeId(2 * p);
+        let mut dense = tracker_over(0..6);
+        let mut gapped = tracker_over((0..6).map(|p| sparse(p).0));
+        let mut next = xorshift();
+        for _ in 0..4000 {
+            let p = (next() % 6) as u32;
+            if next().is_multiple_of(8) {
+                dense.forget(NodeId(p));
+                gapped.forget(sparse(p));
+            } else {
+                let hi = next() % 12;
+                let digest = if hi == 0 {
+                    HistoryDigest::new()
+                } else {
+                    digest_to(NodeId(100 + (next() % 3) as u32), hi)
+                };
+                dense.record(NodeId(p), &digest);
+                gapped.record(sparse(p), &digest);
+            }
+            assert_eq!(dense.heard_count(), gapped.heard_count());
+            for s in [100u32, 101, 102].map(NodeId) {
+                for p in 0..6u32 {
+                    assert_eq!(dense.heard_from(NodeId(p)), gapped.heard_from(sparse(p)));
+                    assert_eq!(
+                        dense.peer_frontier(NodeId(p), s),
+                        gapped.peer_frontier(sparse(p), s)
+                    );
+                }
+                for quorum_len in 0..=6usize {
+                    assert_eq!(
+                        dense.stable_frontier(s, SeqNo(7), quorum_len),
+                        gapped.stable_frontier(s, SeqNo(7), quorum_len)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forgetting_a_sources_last_mentioner_frees_its_slot() {
+        // A source nobody mentions costs nothing: its slot goes with its
+        // last mention, and a later mention starts it afresh.
+        let mut t = tracker_over(1..=2);
+        t.record(NodeId(1), &digest_to(NodeId(100), 3));
+        t.record(NodeId(2), &digest_to(NodeId(100), 5));
+        t.record(NodeId(2), &digest_to(NodeId(101), 4));
+        t.forget(NodeId(2));
+        assert_eq!(t.slots.iter().map(|(s, _)| s).collect::<Vec<_>>(), [NodeId(100)]);
+        t.forget(NodeId(1));
+        assert!(t.slots.is_empty());
+        t.record(NodeId(1), &digest_to(NodeId(101), 2));
+        assert_eq!(t.stable_frontier(NodeId(101), SeqNo(9), 1), Some(SeqNo(2)));
+    }
+
+    #[test]
+    fn a_digest_from_outside_the_quorum_changes_nothing() {
+        // A peer the tracker has no index for — an odd id in an even
+        // quorum, one past either end — neither counts as heard nor moves
+        // a frontier.
+        let src = NodeId(100);
+        let mut t = tracker_over([2, 4, 6]);
+        t.record(NodeId(2), &digest_to(src, 3));
+        for outsider in [0u32, 3, 5, 7, 8] {
+            t.record(NodeId(outsider), &digest_to(src, 9));
+            assert!(!t.heard_from(NodeId(outsider)));
+        }
+        assert_eq!(t.heard_count(), 1);
+        assert_eq!(t.stable_frontier(src, SeqNo(9), 1), Some(SeqNo(3)));
+        t.forget(NodeId(5));
+        assert_eq!(t.heard_count(), 1);
+    }
+
+    #[test]
+    fn quorum_position_finds_members_of_dense_and_gapped_lists() {
+        let dense: Vec<NodeId> = (10..20).map(NodeId).collect();
+        let gapped: Vec<NodeId> = [1, 2, 3, 7, 8, 40].map(NodeId).to_vec();
+        for (i, &id) in dense.iter().enumerate() {
+            assert_eq!(quorum_position(&dense, id), Some(i));
+        }
+        for (i, &id) in gapped.iter().enumerate() {
+            assert_eq!(quorum_position(&gapped, id), Some(i));
+        }
+        for id in [0u32, 9, 20, u32::MAX].map(NodeId) {
+            assert_eq!(quorum_position(&dense, id), None);
+        }
+        for id in [0u32, 4, 6, 9, 41].map(NodeId) {
+            assert_eq!(quorum_position(&gapped, id), None);
+        }
+        assert_eq!(quorum_position(&[], NodeId(0)), None);
     }
 
     #[test]
@@ -650,9 +760,9 @@ mod proptests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         // The vendored prop_oneof is unweighted; repeating the record arm
         // biases scripts toward digests over forgets.
-        let record = (0u32..5, proptest::collection::vec((100u32..104, 0u64..10), 0..4))
+        let record = (0u32..6, proptest::collection::vec((100u32..104, 0u64..10), 0..4))
             .prop_map(|(peer, entries)| Op::Record { peer, entries });
-        prop_oneof![record.clone(), record, (0u32..5).prop_map(|peer| Op::Forget { peer }),]
+        prop_oneof![record.clone(), record, (0u32..6).prop_map(|peer| Op::Forget { peer }),]
     }
 
     fn digest_of(entries: &[(u32, u64)]) -> HistoryDigest {
@@ -670,25 +780,27 @@ mod proptests {
     proptest! {
         /// The compressed tracker is observably identical to the
         /// HashMap-of-HashMap model it replaced, on arbitrary digest/ack
-        /// scripts: same heard set, same per-peer frontiers, same
-        /// group-wide stability answer at every quorum size.
+        /// scripts over a quorum of peers 0..5 spaced `stride` apart:
+        /// same heard set, same per-peer frontiers, same group-wide
+        /// stability answer at every quorum size. Peer 5 is outside the
+        /// quorum, so its digests and forgets change nothing.
         #[test]
         fn tracker_matches_hashmap_model(
             ops in proptest::collection::vec(op_strategy(), 0..60),
-            preinterned in any::<bool>(),
+            stride in 1u32..4,
         ) {
-            let mut t = if preinterned {
-                StabilityTracker::with_members(&(0..5).map(NodeId).collect::<Vec<_>>())
-            } else {
-                StabilityTracker::new()
-            };
+            let id = |peer: u32| NodeId(3 + peer * stride);
+            let mut t = StabilityTracker::with_members(&(0..5).map(id).collect::<Vec<_>>());
             // The model mirrors the old implementation: peer → source →
             // max-merged frontier, entries folded left to right.
             let mut model: HashMap<NodeId, HashMap<NodeId, u64>> = HashMap::new();
             for op in &ops {
                 match op {
                     Op::Record { peer, entries } => {
-                        t.record(NodeId(*peer), &digest_of(entries));
+                        t.record(id(*peer), &digest_of(entries));
+                        if *peer == 5 {
+                            continue;
+                        }
                         let acks = model.entry(NodeId(*peer)).or_default();
                         for &(src, hi) in entries {
                             let f = digest_of(&[(src, hi)]).entries[0].frontier().0;
@@ -697,20 +809,20 @@ mod proptests {
                         }
                     }
                     Op::Forget { peer } => {
-                        t.forget(NodeId(*peer));
+                        t.forget(id(*peer));
                         model.remove(&NodeId(*peer));
                     }
                 }
                 prop_assert_eq!(t.heard_count(), model.len());
-                for p in 0..5u32 {
-                    prop_assert_eq!(t.heard_from(NodeId(p)), model.contains_key(&NodeId(p)));
+                for p in 0..6u32 {
+                    prop_assert_eq!(t.heard_from(id(p)), model.contains_key(&NodeId(p)));
                 }
                 for s in 100u32..104 {
                     let s = NodeId(s);
-                    for p in 0..5u32 {
+                    for p in 0..6u32 {
                         let naive =
                             model.get(&NodeId(p)).and_then(|a| a.get(&s).copied()).unwrap_or(0);
-                        prop_assert_eq!(t.peer_frontier(NodeId(p), s), SeqNo(naive));
+                        prop_assert_eq!(t.peer_frontier(id(p), s), SeqNo(naive));
                     }
                     for quorum_len in 0..=5usize {
                         let naive = if model.len() < quorum_len {

@@ -48,8 +48,8 @@ use rrmp_netsim::topology::NodeId;
 use crate::buffer::MessageStore;
 use crate::config::{ProtocolConfig, LOCAL_TIMEOUT};
 use crate::events::{Action, TimerKind};
-use crate::history::{HistoryDigest, RepairRoles, StabilityTracker};
-use crate::ids::MessageId;
+use crate::history::{quorum_position, HistoryDigest, RepairRoles, StabilityTracker};
+use crate::ids::{MessageId, SeqNo};
 use crate::loss::LossDetector;
 use crate::metrics::Metrics;
 use crate::observe::Observer;
@@ -389,7 +389,8 @@ pub fn designated_bufferers(members: &[NodeId], msg: MessageId, k: usize) -> Vec
 /// design.
 #[derive(Debug, Clone)]
 pub struct HashBufferers {
-    members: Vec<NodeId>,
+    /// The full group membership, ascending; shared by every receiver.
+    members: Arc<[NodeId]>,
     /// Reused scratch for the designated-set computation.
     scratch: Vec<(u64, NodeId)>,
 }
@@ -397,7 +398,7 @@ pub struct HashBufferers {
 impl HashBufferers {
     /// Creates the policy for a member knowing the full `members` list.
     #[must_use]
-    pub fn new(members: Vec<NodeId>) -> Self {
+    pub fn new(members: Arc<[NodeId]>) -> Self {
         HashBufferers { members, scratch: Vec::new() }
     }
 
@@ -411,7 +412,7 @@ impl HashBufferers {
         let mine = (bufferer_hash(who, msg), who);
         let mut below = 0usize;
         let mut member = false;
-        for &m in &self.members {
+        for &m in self.members.iter() {
             let key = (bufferer_hash(m, msg), m);
             if key < mine {
                 below += 1;
@@ -555,10 +556,13 @@ const HISTORY_INTERVAL: SimDuration = SimDuration::from_millis(100);
 /// a departed member leaves the stability quorum instead of freezing it.
 #[derive(Debug, Clone)]
 pub struct Stability {
-    /// The full group membership, ascending (the quorum). Shared, because
-    /// it is also the target list of every history tick's fan-out.
-    members: Arc<[NodeId]>,
-    /// Per-peer ack frontiers folded from arriving digests.
+    /// The live members, ascending: the group's shared list until a
+    /// member departs, then this member's own list without the departed.
+    /// Digest admission, the quorum size and pull targets read it, and it
+    /// is the target list of every history tick's fan-out.
+    live: Arc<[NodeId]>,
+    /// Per-peer ack frontiers folded from arriving digests, indexed by
+    /// position in the group's list (which a departure does not shift).
     tracker: StabilityTracker,
     /// Per-source frontier up to which the store was already swept —
     /// the sweep is skipped entirely unless stability advanced, so a
@@ -569,34 +573,17 @@ pub struct Stability {
 }
 
 impl Stability {
-    /// Creates the policy for a member knowing the full `members` list.
+    /// Creates the policy for a member knowing the full `members` list,
+    /// in ascending id order.
     #[must_use]
-    pub fn new(mut members: Vec<NodeId>) -> Self {
-        // Kept sorted: digest admission binary-searches the quorum.
-        members.sort_unstable();
-        members.dedup();
-        // Pre-interning the quorum fixes the tracker's dense peer
-        // indices (and flat-array sizes) up front; behaviour is
-        // unchanged vs lazy interning.
-        let tracker = StabilityTracker::with_members(&members);
-        Stability { members: members.into(), tracker, swept: VecMap::new(), scratch: Vec::new() }
+    pub fn new(members: Arc<[NodeId]>) -> Self {
+        let tracker = StabilityTracker::sharing(Arc::clone(&members));
+        Stability { live: members, tracker, swept: VecMap::new(), scratch: Vec::new() }
     }
 
-    /// Peers this member waits on: every other member of the group.
+    /// Peers this member waits on: every other live member of the group.
     fn quorum_len(&self, me: NodeId) -> usize {
-        self.members.len() - usize::from(self.members.binary_search(&me).is_ok())
-    }
-
-    /// The group-wide stability frontier for `source` as this member
-    /// currently knows it (`None` while any quorum peer is unheard).
-    #[must_use]
-    pub fn stable_frontier(
-        &self,
-        own: crate::ids::SeqNo,
-        source: NodeId,
-        me: NodeId,
-    ) -> Option<crate::ids::SeqNo> {
-        self.tracker.stable_frontier(source, own, self.quorum_len(me))
+        self.live.len() - usize::from(quorum_position(&self.live, me).is_some())
     }
 }
 
@@ -617,14 +604,15 @@ impl BufferPolicy for Stability {
 
     fn pull_target(&mut self, ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
         // A uniformly random other member: one gen_range over the
-        // non-self members in ascending id order.
-        let me = ctx.id;
-        let candidates = self.members.iter().filter(|&&m| m != me).count();
+        // non-self live members in ascending id order, the pick stepping
+        // over this member's own position.
+        let me = quorum_position(&self.live, ctx.id);
+        let candidates = self.live.len() - usize::from(me.is_some());
         if candidates == 0 {
             return None;
         }
         let pick = ctx.rng.gen_range(0..candidates);
-        self.members.iter().copied().filter(|&m| m != me).nth(pick)
+        Some(self.live[pick + usize::from(me.is_some_and(|m| pick >= m))])
     }
 
     fn handoff_target(&mut self, _ctx: &mut PolicyCtx<'_>, _msg: MessageId) -> Option<NodeId> {
@@ -643,7 +631,7 @@ impl BufferPolicy for Stability {
         ctx.metrics.counters.history_digests_sent += peers as u64;
         let digest = Arc::new(HistoryDigest::from_detector(ctx.detector));
         ctx.actions.push(Action::SendMany {
-            to: Arc::clone(&self.members),
+            to: Arc::clone(&self.live),
             packet: Box::new(Packet::History { digest }),
         });
     }
@@ -653,7 +641,7 @@ impl BufferPolicy for Stability {
         // departed member's advertisement still in flight when the view
         // dropped it — must not (re-)enter the tracker: its stale, never
         // advancing frontier would pin group stability forever.
-        if self.members.binary_search(&from).is_err() {
+        if quorum_position(&self.live, from).is_none() {
             return;
         }
         self.tracker.record(from, digest);
@@ -670,7 +658,7 @@ impl BufferPolicy for Stability {
             let Some(stable) = self.tracker.stable_frontier(source, own, quorum_len) else {
                 continue;
             };
-            if stable == crate::ids::SeqNo::NONE {
+            if stable == SeqNo::NONE {
                 continue;
             }
             let swept = self.swept.get_or_default(source);
@@ -678,12 +666,9 @@ impl BufferPolicy for Stability {
                 continue; // nothing new can have stabilized
             }
             *swept = stable.0;
-            stable_ids.extend(
-                ctx.store
-                    .iter()
-                    .filter(|(id, _)| id.source == source && id.seq <= stable)
-                    .map(|(id, _)| id),
-            );
+            // The store is id-sorted: the newly stable prefix is one range.
+            let prefix = MessageId::new(source, SeqNo::NONE)..=MessageId::new(source, stable);
+            stable_ids.extend(ctx.store.ids_in(prefix));
         }
         for &id in &stable_ids {
             ctx.store.discard(id, ctx.now);
@@ -697,8 +682,8 @@ impl BufferPolicy for Stability {
     fn on_member_removed(&mut self, node: NodeId) {
         // A departed member no longer gates stability; without this, one
         // leave would freeze every buffer in the group forever.
-        if self.members.binary_search(&node).is_ok() {
-            self.members = self.members.iter().copied().filter(|&m| m != node).collect();
+        if quorum_position(&self.live, node).is_some() {
+            self.live = self.live.iter().copied().filter(|&m| m != node).collect();
         }
         self.tracker.forget(node);
     }
@@ -824,17 +809,18 @@ impl PolicyKind {
     }
 
     /// Builds the policy implementation for a member given the full
-    /// `members` list (hash-based placement and stability detection need
-    /// — and copy — the whole group; other policies ignore it).
+    /// `members` list in ascending id order (hash-based placement and
+    /// stability detection share the whole group; other policies ignore
+    /// it).
     #[must_use]
-    pub fn build(&self, members: &[NodeId]) -> Box<dyn BufferPolicy> {
+    pub fn build(&self, members: &Arc<[NodeId]>) -> Box<dyn BufferPolicy> {
         match *self {
             PolicyKind::TwoPhase => Box::new(TwoPhase),
             PolicyKind::FixedTime { hold } => Box::new(FixedTime { hold }),
             PolicyKind::KeepAll => Box::new(KeepAll),
-            PolicyKind::HashBufferers => Box::new(HashBufferers::new(members.to_vec())),
+            PolicyKind::HashBufferers => Box::new(HashBufferers::new(Arc::clone(members))),
             PolicyKind::SenderBased => Box::new(SenderBased),
-            PolicyKind::Stability => Box::new(Stability::new(members.to_vec())),
+            PolicyKind::Stability => Box::new(Stability::new(Arc::clone(members))),
             PolicyKind::TreeRmtp => Box::new(TreeRmtp),
         }
     }
@@ -907,7 +893,6 @@ pub struct Rules {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SeqNo;
 
     fn mid(seq: u64) -> MessageId {
         MessageId::new(NodeId(0), SeqNo(seq))
@@ -956,7 +941,7 @@ mod tests {
 
     #[test]
     fn build_matches_kind() {
-        let members: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let members: Arc<[NodeId]> = (0..5).map(NodeId).collect();
         let types = [
             "TwoPhase",
             "FixedTime",

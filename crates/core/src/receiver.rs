@@ -275,20 +275,22 @@ impl Receiver {
             .collect();
         members.sort_unstable();
         members.dedup();
-        Self::with_members(id, view, Arc::new(cfg), seed, &members)
+        Self::with_members(id, view, Arc::new(cfg), seed, &members.into())
     }
 
     /// Like [`Receiver::new`], with the buffer policy built over
     /// `members`, the group's member list in ascending id order (policies
     /// pick by position in it), and a configuration that hosts building
-    /// many receivers share through one `Arc`.
+    /// many receivers share through one `Arc`. Full-membership policies
+    /// share `members` rather than copying it, so a host builds the list
+    /// once per group.
     #[must_use]
     pub fn with_members(
         id: NodeId,
         view: HierarchyView,
         cfg: Arc<ProtocolConfig>,
         seed: u64,
-        members: &[NodeId],
+        members: &Arc<[NodeId]>,
     ) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
         let policy = cfg.policy.build(members);
@@ -329,15 +331,6 @@ impl Receiver {
     #[must_use]
     pub fn view(&self) -> &HierarchyView {
         &self.view
-    }
-
-    /// Mutable membership view — used by the host when the failure
-    /// detector or a scripted churn event changes membership. Hosts
-    /// removing a departed member should prefer
-    /// [`Receiver::on_membership_removed`], which also lets the policy
-    /// prune per-member state (stability quorums).
-    pub fn view_mut(&mut self) -> &mut HierarchyView {
-        &mut self.view
     }
 
     /// The membership layer dropped `node` (voluntary leave or detected

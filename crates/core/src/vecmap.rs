@@ -17,6 +17,8 @@
 //! so hosts never need the collect-and-sort dance hash maps force on
 //! trace-sensitive code paths.
 
+use std::ops::RangeInclusive;
+
 use rrmp_membership::index::reserve_doubling;
 
 /// A map from `K` to `V` stored as a key-sorted vector.
@@ -140,6 +142,13 @@ impl<K: Ord + Copy, V> VecMap<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
+
+    /// Iterates the entries whose keys fall in `keys`, in ascending key
+    /// order: one binary search, then only the entries in range.
+    pub fn range(&self, keys: RangeInclusive<K>) -> impl Iterator<Item = (K, &V)> {
+        let start = self.entries.partition_point(|(k, _)| k < keys.start());
+        self.entries[start..].iter().take_while(move |(k, _)| k <= keys.end()).map(|(k, v)| (*k, v))
+    }
 }
 
 impl<K: Ord + Copy, V: Default> VecMap<K, V> {
@@ -211,7 +220,8 @@ mod proptests {
     proptest! {
         /// The tail-first search is `binary_search_by_key`, for hits and
         /// for misses at every position — before the first key, between
-        /// any two, past the last — with keys of one source and of several.
+        /// any two, past the last — with keys of one source and of several;
+        /// and a key range is the filtered iteration.
         #[test]
         fn idx_from_tail_equals_binary_search(
             sources in 1u32..4,
@@ -225,6 +235,15 @@ mod proptests {
                 for seq in 0..=40 {
                     let key = (source, seq);
                     prop_assert_eq!(m.idx(key), m.entries.binary_search_by_key(&key, |&(k, _)| k));
+                }
+                // A source's prefix, as the stability sweep reads it, is
+                // the filtered iteration.
+                for hi in 0..=40 {
+                    let keys = (source, 0)..=(source, hi);
+                    let ranged: Vec<_> = m.range(keys.clone()).map(|(k, _)| k).collect();
+                    let filtered: Vec<_> =
+                        m.iter().map(|(k, _)| k).filter(|k| keys.contains(k)).collect();
+                    prop_assert_eq!(ranged, filtered);
                 }
             }
         }

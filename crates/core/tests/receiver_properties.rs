@@ -38,7 +38,7 @@ const POLICIES: [PolicyKind; 7] = [
 fn receiver(seed: u64, policy: PolicyKind) -> Receiver {
     let own = RegionView::new(RegionId(1), (0..REGION_SIZE).map(NodeId));
     let parent = RegionView::new(RegionId(0), (100..104).map(NodeId));
-    let group: Vec<NodeId> = own.members().chain(parent.members()).collect();
+    let group: Arc<[NodeId]> = own.members().chain(parent.members()).collect();
     let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
     Receiver::with_members(SELF, HierarchyView::new(own, Some(parent)), Arc::new(cfg), seed, &group)
 }

@@ -1,14 +1,18 @@
 //! A receiver's memory does not grow with the stream: once its store has
 //! reached steady state, ten times more messages cost no more live heap;
-//! and its first message from a source costs a pinned, exact-sized amount.
+//! its first message from a source costs a pinned, exact-sized amount;
+//! and a full-membership receiver shares the group's member list instead
+//! of building on a copy of it.
 //!
 //! The binary counts live heap bytes with its own global allocator, per
 //! thread, so each test reads only what its own thread allocated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use bytes::Bytes;
+use rrmp_core::policy::PolicyKind;
 use rrmp_core::prelude::{Action, DataPacket, Event, Packet, ProtocolConfig, Receiver, TimerKind};
 use rrmp_core::prelude::{MessageId, SeqNo};
 use rrmp_membership::view::{HierarchyView, RegionView};
@@ -152,4 +156,36 @@ fn first_message_from_a_source_costs_a_pinned_heap() {
     // source state and its first range, the store's entry, and the
     // buffer-phase record.
     assert_eq!(cost, FIRST_SOURCE_HEAP, "first message from a source costs {cost} B of heap");
+}
+
+/// Live heap one receiver's construction leaves behind in an `n`-member
+/// group, the member list and the view built beforehand.
+fn build_heap(policy: PolicyKind, n: u32) -> usize {
+    let members: Arc<[NodeId]> = (0..n).map(NodeId).collect();
+    let view = HierarchyView::new(RegionView::new(RegionId(0), (0..n).map(NodeId)), None);
+    let cfg = Arc::new(ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() });
+    let before = live();
+    let r = Receiver::with_members(NodeId(1), view, cfg, 7, &members);
+    let heap = live().wrapping_sub(before);
+    drop(r);
+    heap
+}
+
+#[test]
+fn full_membership_receivers_share_the_member_list() {
+    // Hash placement and stability detection need the whole group. A
+    // receiver that copied the list (or indexed it through a hash map)
+    // would grow by ≥ 4 B per member; sharing it, a hash receiver grows
+    // by nothing and a stability receiver by its one-bit-per-peer heard
+    // set.
+    for policy in [PolicyKind::HashBufferers, PolicyKind::Stability] {
+        let (small, large) = (build_heap(policy, 500), build_heap(policy, 2_000));
+        let grown = large.wrapping_sub(small) as isize;
+        assert!(
+            grown <= 1_500 / 8 + 8,
+            "{}: a receiver's build heap grew {grown} B from 500 to 2,000 members \
+             ({small} → {large} B)",
+            policy.name()
+        );
+    }
 }

@@ -1,12 +1,8 @@
-//! Dense member indexing, the workspace's one interval set, and its one
-//! growth rule.
+//! The workspace's one interval set and its one growth rule.
 //!
 //! Scaling to millions of simulated members requires per-member state to
-//! stop being HashMap-of-HashMap shaped. Three primitives live here:
+//! stop being HashMap-of-HashMap shaped. Two primitives live here:
 //!
-//! - [`MemberIndex`]: an interner mapping sparse [`NodeId`]s to dense
-//!   `u32` indices, so per-peer state can live in flat `Vec`s (SoA
-//!   layouts) instead of nested maps.
 //! - [`IntervalSet`]: a sorted-disjoint-interval set over `u64`.
 //!   Topologies assign contiguous ids region by region, so a whole
 //!   region of any size compresses to a single `(lo, hi)` pair — the
@@ -19,94 +15,6 @@
 //! - [`reserve_doubling`]: exact 1 → 2 → 4 … growth, shared by the
 //!   interval set's range vector and `rrmp-core`'s `VecMap`, so a
 //!   member's first entry in either costs one slot, not `Vec`'s four.
-
-use std::collections::HashMap;
-
-use rrmp_netsim::topology::NodeId;
-
-/// Interns sparse [`NodeId`]s into dense, stable `u32` indices.
-///
-/// Indices are assigned in first-seen order and never recycled, so a
-/// `Vec` indexed by them stays valid across membership churn: a peer
-/// that leaves and returns keeps its slot.
-///
-/// ```
-/// use rrmp_membership::index::MemberIndex;
-/// use rrmp_netsim::topology::NodeId;
-///
-/// let mut idx = MemberIndex::new();
-/// assert_eq!(idx.intern(NodeId(40)), 0);
-/// assert_eq!(idx.intern(NodeId(7)), 1);
-/// assert_eq!(idx.intern(NodeId(40)), 0); // stable
-/// assert_eq!(idx.get(NodeId(7)), Some(1));
-/// assert_eq!(idx.node_at(1), Some(NodeId(7)));
-/// assert_eq!(idx.len(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MemberIndex {
-    ids: Vec<NodeId>,
-    lookup: HashMap<NodeId, u32>,
-}
-
-impl MemberIndex {
-    /// Creates an empty index.
-    #[must_use]
-    pub fn new() -> Self {
-        MemberIndex::default()
-    }
-
-    /// Creates an index pre-populated with `members`, indexed in
-    /// iteration order (duplicates keep their first index).
-    #[must_use]
-    pub fn from_members<I: IntoIterator<Item = NodeId>>(members: I) -> Self {
-        let mut idx = MemberIndex::new();
-        for m in members {
-            idx.intern(m);
-        }
-        idx
-    }
-
-    /// Returns the dense index for `node`, assigning the next free one
-    /// if it has not been seen before.
-    pub fn intern(&mut self, node: NodeId) -> u32 {
-        if let Some(&i) = self.lookup.get(&node) {
-            return i;
-        }
-        let i = u32::try_from(self.ids.len()).expect("more than u32::MAX interned members");
-        self.ids.push(node);
-        self.lookup.insert(node, i);
-        i
-    }
-
-    /// The dense index for `node`, if it has been interned.
-    #[must_use]
-    pub fn get(&self, node: NodeId) -> Option<u32> {
-        self.lookup.get(&node).copied()
-    }
-
-    /// The node occupying dense index `i`, if any.
-    #[must_use]
-    pub fn node_at(&self, i: u32) -> Option<NodeId> {
-        self.ids.get(i as usize).copied()
-    }
-
-    /// Number of interned members.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the index is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Interned nodes in dense-index order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().copied()
-    }
-}
 
 /// Grows `v` by exact doubling (capacities 1, 2, 4, ...) instead of the
 /// allocator default that starts several elements wide. Call before a
@@ -330,20 +238,6 @@ impl FromIterator<u64> for IntervalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn interner_is_stable_and_dense() {
-        let mut idx = MemberIndex::from_members([NodeId(9), NodeId(2)]);
-        assert_eq!(idx.get(NodeId(9)), Some(0));
-        assert_eq!(idx.get(NodeId(2)), Some(1));
-        assert_eq!(idx.get(NodeId(5)), None);
-        assert_eq!(idx.intern(NodeId(5)), 2);
-        assert_eq!(idx.intern(NodeId(9)), 0);
-        assert_eq!(idx.node_at(2), Some(NodeId(5)));
-        assert_eq!(idx.node_at(3), None);
-        let order: Vec<NodeId> = idx.iter().collect();
-        assert_eq!(order, vec![NodeId(9), NodeId(2), NodeId(5)]);
-    }
 
     #[test]
     fn interval_set_insert_remove_contains() {

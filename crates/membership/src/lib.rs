@@ -8,9 +8,9 @@
 //! RRMP's system model gives each receiver membership knowledge of its own
 //! region and its parent region ([`view::HierarchyView`]); this crate
 //! provides those views (static, from a topology; or maintained live by the
-//! [`gossip`] detector under churn). [`index`] holds the dense member
-//! interner and the workspace's one interval set, which region views and
-//! `rrmp-core`'s per-source sequence records share.
+//! [`gossip`] detector under churn). [`index`] holds the workspace's one
+//! interval set, which region views and `rrmp-core`'s per-source sequence
+//! records share.
 //!
 //! ```
 //! use rrmp_membership::view::HierarchyView;
@@ -32,5 +32,4 @@ pub mod node;
 pub mod view;
 
 pub use gossip::{Digest, GossipConfig, GossipState, ViewEvent};
-pub use index::MemberIndex;
 pub use view::{HierarchyView, RegionView};

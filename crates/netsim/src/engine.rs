@@ -417,17 +417,20 @@ impl<N: SimNode<T>, T> Core<N, T> {
         msg: N::Msg,
     ) {
         debug_assert!(self.groups.is_empty());
+        // Verdicts are pure functions of the send instant and endpoints,
+        // so a plan with no episode live now answers `None` for every copy.
+        let fault = env.fault.filter(|p| p.active_at(self.now));
         for to in targets {
             self.counters.unicasts_sent += 1;
             let filtered = env.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
-            if filtered || self.edge_loses(env, local_from, from, to) {
+            if filtered || self.edge_loses(env, fault, local_from, from, to) {
                 self.counters.unicasts_dropped += 1;
                 self.wire(from, EventKind::PacketDropped { to: to.0 });
                 continue;
             }
             let arrive = self.now + env.topo.one_way_latency(from, to);
             self.route(env.topo, arrive, to);
-            if let Some(extra) = env.fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
+            if let Some(extra) = fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
                 // The duplicate is routed after the primary, so its place
                 // in its group is the later one at every layout; its
                 // not-earlier arrival keeps the conservative window rule
@@ -454,18 +457,19 @@ impl<N: SimNode<T>, T> Core<N, T> {
         self.group(arrive, key, to);
     }
 
-    /// The edge loss decision for one copy the drop filter passed: an
-    /// armed fault plan gets the first say (an active loss burst
-    /// overrides the base model, with no stream draw); otherwise the base
-    /// loss model draws from the core's loss stream.
+    /// The edge loss decision for one copy the drop filter passed: a fault
+    /// plan live at the send instant gets the first say (an active loss
+    /// burst overrides the base model, with no stream draw); otherwise the
+    /// base loss model draws from the core's loss stream.
     fn edge_loses(
         &mut self,
         env: &Env<'_, N::Msg>,
+        fault: Option<&FaultPlan>,
         local_from: usize,
         from: NodeId,
         to: NodeId,
     ) -> bool {
-        match env.fault.and_then(|p| p.drops(self.now, from, to, env.topo)) {
+        match fault.and_then(|p| p.drops(self.now, from, to, env.topo)) {
             Some(true) => {
                 self.counters.faults_dropped += 1;
                 // The verdict event; the caller records the PacketDropped

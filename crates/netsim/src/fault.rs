@@ -5,7 +5,8 @@
 //! episodes that override the base [`LossModel`](crate::loss::LossModel),
 //! and bounded packet duplication — consulted by both engines
 //! ([`Sim`](crate::sim::Sim) and [`ShardedSim`](crate::shard::ShardedSim))
-//! for every unicast copy at transmit time.
+//! at transmit time: once per send ([`FaultPlan::active_at`]), and for
+//! every unicast copy only while an episode is live at the send instant.
 //!
 //! ## Determinism
 //!
@@ -64,13 +65,13 @@
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
 
-/// Half-open activity window `[from, until)`.
+/// Half-open activity window `[from, until)`: `from` is the first
+/// instant the episode is active, `until` the first after it — the heal
+/// point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Window {
-    /// First instant the episode is active.
-    pub from: SimTime,
-    /// First instant after the episode — the heal point.
-    pub until: SimTime,
+struct Window {
+    from: SimTime,
+    until: SimTime,
 }
 
 impl Window {
@@ -80,15 +81,13 @@ impl Window {
     ///
     /// Panics if `from >= until` (an empty fault window is always a
     /// script bug, not a degenerate no-op).
-    #[must_use]
-    pub fn new(from: SimTime, until: SimTime) -> Self {
+    fn new(from: SimTime, until: SimTime) -> Self {
         assert!(from < until, "fault window must be non-empty: {from} >= {until}");
         Window { from, until }
     }
 
     /// Whether `t` falls inside the window.
-    #[must_use]
-    pub fn contains(self, t: SimTime) -> bool {
+    fn contains(self, t: SimTime) -> bool {
         t >= self.from && t < self.until
     }
 }
@@ -284,6 +283,20 @@ impl FaultPlan {
             .unwrap_or(SimTime::ZERO)
     }
 
+    /// Whether any episode is live at `now`: a crash at or before it, or a
+    /// window that contains it. While none is, [`FaultPlan::drops`] and
+    /// [`FaultPlan::duplicate_delay`] answer `None` for every copy sent at
+    /// `now`, so an engine asks once per send instead of once per copy.
+    #[must_use]
+    pub fn active_at(&self, now: SimTime) -> bool {
+        self.crashes.iter().any(|&(_, at)| now >= at)
+            || self.stalls.iter().any(|&(_, w)| w.contains(now))
+            || self.blackouts.iter().any(|&(_, _, w)| w.contains(now))
+            || self.partitions.iter().any(|&(_, _, w)| w.contains(now))
+            || self.bursts.iter().any(|b| b.window.contains(now))
+            || self.dups.iter().any(|d| d.window.contains(now))
+    }
+
     /// The fault verdict for one unicast copy sent at `now` from `from`
     /// to `to`:
     ///
@@ -454,6 +467,40 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_before_the_send_keeps_the_plan_live() {
+        let t = topo();
+        let plan = FaultPlan::new(1).crash(NodeId(4), SimTime::from_millis(50));
+        let before = SimTime::from_millis(49);
+        assert!(!plan.active_at(before));
+        assert_eq!(plan.drops(before, NodeId(4), NodeId(5), &t), None);
+        // From the crash on, every send instant is live: the crashed node's
+        // traffic still drops long after.
+        for ms in [50u64, 51, 1_000_000] {
+            let at = SimTime::from_millis(ms);
+            assert!(plan.active_at(at), "at {ms}ms");
+            assert_eq!(plan.drops(at, NodeId(5), NodeId(4), &t), Some(true), "at {ms}ms");
+        }
+        assert!(!FaultPlan::new(1).active_at(SimTime::ZERO), "an empty plan is never live");
+    }
+
+    #[test]
+    fn active_at_follows_each_window() {
+        let (from, until) = (SimTime::from_millis(10), SimTime::from_millis(20));
+        let plans = [
+            FaultPlan::new(1).partition(RegionId(0), RegionId(1), from, until),
+            FaultPlan::new(1).blackout(NodeId(1), NodeId(2), from, until),
+            FaultPlan::new(1).stall(NodeId(1), from, until),
+            FaultPlan::new(1).loss_burst(0.5, None, from, until),
+            FaultPlan::new(1).duplicate(0.5, SimDuration::from_millis(1), from, until),
+        ];
+        for plan in plans {
+            let live: Vec<bool> =
+                [9u64, 10, 19, 20].map(|ms| plan.active_at(SimTime::from_millis(ms))).to_vec();
+            assert_eq!(live, [false, true, true, false], "{plan:?}");
+        }
+    }
+
+    #[test]
     fn duplication_only_in_window() {
         let plan = FaultPlan::new(5).duplicate(
             1.0,
@@ -466,5 +513,128 @@ mod tests {
             Some(SimDuration::from_millis(3))
         );
         assert_eq!(plan.duplicate_delay(SimTime::from_millis(10), NodeId(0), NodeId(1)), None);
+    }
+}
+
+/// Random fault plans for the property tests here and in `shard`.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::FaultPlan;
+    use crate::time::{SimDuration, SimTime};
+    use crate::topology::{NodeId, RegionId};
+    use proptest::prelude::*;
+
+    /// One randomized fault episode over the 4-region/12-node proptest
+    /// topology. Ids and windows are normalized in `build_plan` so every
+    /// generated value is a valid episode.
+    #[derive(Debug, Clone)]
+    pub(crate) enum FaultScript {
+        Partition { a: u16, b_off: u16, start_ms: u64, len_ms: u64 },
+        Blackout { a: u32, b_off: u32, start_ms: u64, len_ms: u64 },
+        Stall { node: u32, start_ms: u64, len_ms: u64 },
+        Crash { node: u32, at_ms: u64 },
+        Burst { percent: u8, region: Option<u16>, start_ms: u64, len_ms: u64 },
+        Dup { percent: u8, extra_ms: u64, start_ms: u64, len_ms: u64 },
+    }
+
+    pub(crate) fn arb_fault() -> impl Strategy<Value = FaultScript> {
+        let win = || (0u64..3000, 1u64..1500);
+        prop_oneof![
+            (0u16..4, 0u16..3, win()).prop_map(|(a, b_off, (start_ms, len_ms))| {
+                FaultScript::Partition { a, b_off, start_ms, len_ms }
+            }),
+            (0u32..12, 0u32..11, win()).prop_map(|(a, b_off, (start_ms, len_ms))| {
+                FaultScript::Blackout { a, b_off, start_ms, len_ms }
+            }),
+            (0u32..12, win()).prop_map(|(node, (start_ms, len_ms))| FaultScript::Stall {
+                node,
+                start_ms,
+                len_ms
+            }),
+            (0u32..12, 0u64..3000).prop_map(|(node, at_ms)| FaultScript::Crash { node, at_ms }),
+            (0u8..=100, any::<bool>(), 0u16..4, win()).prop_map(
+                |(percent, scoped, r, (start_ms, len_ms))| FaultScript::Burst {
+                    percent,
+                    region: scoped.then_some(r),
+                    start_ms,
+                    len_ms
+                }
+            ),
+            (0u8..=100, 0u64..40, win()).prop_map(|(percent, extra_ms, (start_ms, len_ms))| {
+                FaultScript::Dup { percent, extra_ms, start_ms, len_ms }
+            }),
+        ]
+    }
+
+    pub(crate) fn build_plan(seed: u64, events: &[FaultScript]) -> FaultPlan {
+        let ms = SimTime::from_millis;
+        let mut plan = FaultPlan::new(seed);
+        for ev in events {
+            plan = match *ev {
+                FaultScript::Partition { a, b_off, start_ms, len_ms } => {
+                    let b = (a + 1 + b_off) % 4;
+                    plan.partition(RegionId(a), RegionId(b), ms(start_ms), ms(start_ms + len_ms))
+                }
+                FaultScript::Blackout { a, b_off, start_ms, len_ms } => {
+                    let b = (a + 1 + b_off) % 12;
+                    plan.blackout(NodeId(a), NodeId(b), ms(start_ms), ms(start_ms + len_ms))
+                }
+                FaultScript::Stall { node, start_ms, len_ms } => {
+                    plan.stall(NodeId(node), ms(start_ms), ms(start_ms + len_ms))
+                }
+                FaultScript::Crash { node, at_ms } => plan.crash(NodeId(node), ms(at_ms)),
+                FaultScript::Burst { percent, region, start_ms, len_ms } => plan.loss_burst(
+                    f64::from(percent) / 100.0,
+                    region.map(RegionId),
+                    ms(start_ms),
+                    ms(start_ms + len_ms),
+                ),
+                FaultScript::Dup { percent, extra_ms, start_ms, len_ms } => plan.duplicate(
+                    f64::from(percent) / 100.0,
+                    SimDuration::from_millis(extra_ms),
+                    ms(start_ms),
+                    ms(start_ms + len_ms),
+                ),
+            };
+        }
+        plan
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::arb::{arb_fault, build_plan};
+    use super::*;
+    use crate::topology::TopologyBuilder;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// While no episode is live at `now`, neither verdict has an
+        /// opinion on any copy sent then — so the engine, which asks
+        /// `active_at` once per send and skips both per-copy calls when it
+        /// answers no, decides every copy as before.
+        #[test]
+        fn a_plan_quiet_at_the_send_instant_has_no_verdict(
+            events in proptest::collection::vec(arb_fault(), 1..6),
+            seed in any::<u64>(),
+            sends in proptest::collection::vec((0u64..4_600_000, 0u32..12, 0u32..12), 64..65),
+        ) {
+            // The 4-region/12-node layout `arb_fault` draws ids for.
+            let topo = TopologyBuilder::new()
+                .region(3, None)
+                .region(3, Some(0))
+                .region(3, Some(0))
+                .region(3, Some(2))
+                .build()
+                .unwrap();
+            let plan = build_plan(seed, &events);
+            for (us, from, to) in sends {
+                let (now, from, to) = (SimTime::from_micros(us), NodeId(from), NodeId(to));
+                if !plan.active_at(now) {
+                    prop_assert_eq!(plan.drops(now, from, to, &topo), None);
+                    prop_assert_eq!(plan.duplicate_delay(now, from, to), None);
+                }
+            }
+        }
     }
 }

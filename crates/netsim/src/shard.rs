@@ -1173,6 +1173,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::fault::arb::{arb_fault, build_plan};
     use crate::sim::Ctx;
     use crate::topology::TopologyBuilder;
     use proptest::prelude::*;
@@ -1281,83 +1282,6 @@ mod proptests {
             let four = run_scripts(&scripts, 4, lossy);
             prop_assert_eq!(&sequential, &four, "4 shards diverged");
         }
-    }
-
-    /// One randomized fault episode over the 4-region/12-node proptest
-    /// topology. Ids and windows are normalized in `build_plan` so every
-    /// generated value is a valid episode.
-    #[derive(Debug, Clone)]
-    enum FaultScript {
-        Partition { a: u16, b_off: u16, start_ms: u64, len_ms: u64 },
-        Blackout { a: u32, b_off: u32, start_ms: u64, len_ms: u64 },
-        Stall { node: u32, start_ms: u64, len_ms: u64 },
-        Crash { node: u32, at_ms: u64 },
-        Burst { percent: u8, region: Option<u16>, start_ms: u64, len_ms: u64 },
-        Dup { percent: u8, extra_ms: u64, start_ms: u64, len_ms: u64 },
-    }
-
-    fn arb_fault() -> impl Strategy<Value = FaultScript> {
-        let win = || (0u64..3000, 1u64..1500);
-        prop_oneof![
-            (0u16..4, 0u16..3, win()).prop_map(|(a, b_off, (start_ms, len_ms))| {
-                FaultScript::Partition { a, b_off, start_ms, len_ms }
-            }),
-            (0u32..12, 0u32..11, win()).prop_map(|(a, b_off, (start_ms, len_ms))| {
-                FaultScript::Blackout { a, b_off, start_ms, len_ms }
-            }),
-            (0u32..12, win()).prop_map(|(node, (start_ms, len_ms))| FaultScript::Stall {
-                node,
-                start_ms,
-                len_ms
-            }),
-            (0u32..12, 0u64..3000).prop_map(|(node, at_ms)| FaultScript::Crash { node, at_ms }),
-            (0u8..=100, any::<bool>(), 0u16..4, win()).prop_map(
-                |(percent, scoped, r, (start_ms, len_ms))| FaultScript::Burst {
-                    percent,
-                    region: scoped.then_some(r),
-                    start_ms,
-                    len_ms
-                }
-            ),
-            (0u8..=100, 0u64..40, win()).prop_map(|(percent, extra_ms, (start_ms, len_ms))| {
-                FaultScript::Dup { percent, extra_ms, start_ms, len_ms }
-            }),
-        ]
-    }
-
-    fn build_plan(seed: u64, events: &[FaultScript]) -> FaultPlan {
-        use crate::fault::FaultPlan;
-        let ms = SimTime::from_millis;
-        let mut plan = FaultPlan::new(seed);
-        for ev in events {
-            plan = match *ev {
-                FaultScript::Partition { a, b_off, start_ms, len_ms } => {
-                    let b = (a + 1 + b_off) % 4;
-                    plan.partition(RegionId(a), RegionId(b), ms(start_ms), ms(start_ms + len_ms))
-                }
-                FaultScript::Blackout { a, b_off, start_ms, len_ms } => {
-                    let b = (a + 1 + b_off) % 12;
-                    plan.blackout(NodeId(a), NodeId(b), ms(start_ms), ms(start_ms + len_ms))
-                }
-                FaultScript::Stall { node, start_ms, len_ms } => {
-                    plan.stall(NodeId(node), ms(start_ms), ms(start_ms + len_ms))
-                }
-                FaultScript::Crash { node, at_ms } => plan.crash(NodeId(node), ms(at_ms)),
-                FaultScript::Burst { percent, region, start_ms, len_ms } => plan.loss_burst(
-                    f64::from(percent) / 100.0,
-                    region.map(RegionId),
-                    ms(start_ms),
-                    ms(start_ms + len_ms),
-                ),
-                FaultScript::Dup { percent, extra_ms, start_ms, len_ms } => plan.duplicate(
-                    f64::from(percent) / 100.0,
-                    SimDuration::from_millis(extra_ms),
-                    ms(start_ms),
-                    ms(start_ms + len_ms),
-                ),
-            };
-        }
-        plan
     }
 
     fn run_scripts_faulted(

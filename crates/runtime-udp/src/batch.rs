@@ -314,7 +314,7 @@ impl RecvBatcher {
 
     /// Datagrams dropped so far because they overflowed the slab class
     /// (each one also promoted the class, so a given sender pays this at
-    /// most [`crate::pool::SIZE_CLASSES`]`.len() - 1` times per loop).
+    /// most once per larger size class per loop).
     #[must_use]
     pub fn truncated(&self) -> u64 {
         self.truncated

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::{Arc, OnceLock};
 
 use rrmp_membership::view::{HierarchyView, RegionView};
 use rrmp_netsim::topology::{NodeId, RegionId};
@@ -29,6 +30,9 @@ pub struct GroupSpec {
     parents: HashMap<RegionId, RegionId>,
     by_addr: HashMap<SocketAddr, NodeId>,
     by_node: HashMap<NodeId, usize>,
+    /// Every member's id, ascending: sorted on first use after the last
+    /// `add_member`, then shared by every receiver built from the spec.
+    ids: OnceLock<Arc<[NodeId]>>,
 }
 
 impl GroupSpec {
@@ -49,6 +53,7 @@ impl GroupSpec {
         self.by_node.insert(node, self.members.len());
         self.by_addr.insert(addr, node);
         self.members.push(MemberSpec { node, addr, region });
+        self.ids = OnceLock::new();
         self
     }
 
@@ -62,6 +67,16 @@ impl GroupSpec {
     #[must_use]
     pub fn members(&self) -> &[MemberSpec] {
         &self.members
+    }
+
+    /// Every member's id in ascending order, sorted once per spec.
+    #[must_use]
+    pub fn ids(&self) -> &Arc<[NodeId]> {
+        self.ids.get_or_init(|| {
+            let mut ids: Vec<NodeId> = self.members.iter().map(|m| m.node).collect();
+            ids.sort_unstable();
+            ids.into()
+        })
     }
 
     /// The address of `node`, if it is a member.
@@ -226,5 +241,20 @@ mod tests {
             .add_member(NodeId(3), addr(9702), RegionId(1));
         let ids: Vec<NodeId> = spec.members().iter().map(|m| m.node).collect();
         assert_eq!(ids, vec![NodeId(5), NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    fn ids_are_sorted_once_and_follow_additions() {
+        let mut spec = GroupSpec::new();
+        spec.add_member(NodeId(5), addr(9800), RegionId(0)).add_member(
+            NodeId(1),
+            addr(9801),
+            RegionId(0),
+        );
+        assert_eq!(&spec.ids()[..], [NodeId(1), NodeId(5)]);
+        // Every receiver built from the spec shares one list.
+        assert!(Arc::ptr_eq(spec.ids(), spec.ids()));
+        spec.add_member(NodeId(3), addr(9802), RegionId(1));
+        assert_eq!(&spec.ids()[..], [NodeId(1), NodeId(3), NodeId(5)]);
     }
 }

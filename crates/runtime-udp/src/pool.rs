@@ -56,9 +56,9 @@ pub const DATAGRAM_MTU: usize = 2048;
 const MAX_DATAGRAM: usize = 64 * 1024;
 
 /// Bucket sizes, ascending. `SizeClass` indexes into this ladder.
-pub const SIZE_CLASSES: [usize; 3] = [DATAGRAM_MTU, 16 * 1024, MAX_DATAGRAM];
+const SIZE_CLASSES: [usize; 3] = [DATAGRAM_MTU, 16 * 1024, MAX_DATAGRAM];
 
-/// Index into [`SIZE_CLASSES`].
+/// Index into `SIZE_CLASSES`, the ladder of slab sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeClass(pub usize);
 

@@ -542,15 +542,12 @@ fn loop_main(ctx: LoopCtx) {
                         send_drops,
                     } = *init;
                     // Build the policy over the *full* group membership
-                    // (the spec knows it) so topology-blind policies like
-                    // hash placement rank every member — mirroring the
-                    // simulation harness.
-                    let mut members: Vec<NodeId> = spec.members().iter().map(|m| m.node).collect();
-                    members.sort_unstable();
-                    members.dedup();
+                    // (the spec knows it, sorted once per spec) so
+                    // topology-blind policies like hash placement rank
+                    // every member — mirroring the simulation harness.
                     let view = spec.view_for(node);
                     let mut receiver =
-                        Receiver::with_members(node, view, Arc::new(cfg), seed, &members);
+                        Receiver::with_members(node, view, Arc::new(cfg), seed, spec.ids());
                     if is_sender {
                         receiver.make_sender();
                     }

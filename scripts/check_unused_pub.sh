@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Every public item has a user. Each `pub fn|struct|enum|trait|const|type|
 # static` declared under `crates/*/src` must be named, as a whole word, in
-# some file other than its own under `crates`, `src`, `tests`, `examples`
-# or `perf/src`. Neither a `pub use` re-export nor another file's `pub`
-# declaration of the same name is a use: a prelude entry that nothing
-# imports, or a twin method on another type, keeps nothing alive. An item only its own file names is
+# the code of some file other than its own under `crates`, `src`, `tests`,
+# `examples` or `perf/src`. Comments (`//`, `///`, `//!`, `/* */`) are
+# dropped first, so a doc link or a mention in prose is not a use. Neither
+# a `pub use` re-export nor another file's `pub` declaration of the same
+# name is a use: a prelude entry that nothing imports, or a twin method on
+# another type, keeps nothing alive. An item only its own file names is
 # either `pub(crate)` or deleted. The exceptions are listed in
 # `scripts/check_unused_pub.allow`, one `file name reason` line each:
 # types that a used public signature reaches, so demoting them is a
@@ -41,7 +43,43 @@ files = sorted(
     for p in pathlib.Path(root).rglob("*.rs")
     if "target" not in p.parts
 )
-text = {p: p.read_text() for p in files}
+
+
+def code(src):
+    """`src` with its comments removed; string and char literals are kept."""
+    out, i, n = [], 0, len(src)
+    while i < n:
+        if src.startswith("//", i):
+            i = src.find("\n", i)
+            i = n if i < 0 else i
+        elif src.startswith("/*", i):
+            end = src.find("*/", i + 2)
+            i = n if end < 0 else end + 2
+            out.append(" ")
+        elif not WORD_CHAR.match(src, i - 1 if i else n) and (raw := RAW_STRING.match(src, i)):
+            end = src.find('"' + raw.group(1), raw.end())
+            end = n if end < 0 else end + 1 + len(raw.group(1))
+            out.append(src[i:end])
+            i = end
+        elif src[i] == '"':
+            j = i + 1
+            while j < n and src[j] != '"':
+                j += 2 if src[j] == "\\" else 1
+            out.append(src[i : j + 1])
+            i = j + 1
+        elif char := CHAR.match(src, i):
+            out.append(char.group(0))
+            i = char.end()
+        else:
+            out.append(src[i])
+            i += 1
+    return "".join(out)
+
+
+RAW_STRING = re.compile(r'b?r(#*)"')
+WORD_CHAR = re.compile(r"\w")
+CHAR = re.compile(r"b?'(?:[^'\\\n]|\\[^\n]+?)'")
+text = {p: code(p.read_text()) for p in files}
 # A declaration is not a use: strip `pub` declarations (like re-exports)
 # before collecting words, so a same-named item in another file keeps
 # nothing alive.
