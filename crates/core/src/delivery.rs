@@ -3,8 +3,9 @@
 //! RRMP delivers messages in *receipt* order — repairs arrive out of
 //! order by construction. Many applications want per-source FIFO order
 //! instead. [`FifoReorder`] sits between [`Action::Deliver`] and the
-//! application: push every delivery in, take releases out in contiguous
-//! per-source sequence order.
+//! application: push every delivery in, with the payload of the packet
+//! the host just handed the receiver (the action names only the message),
+//! and take releases out in contiguous per-source sequence order.
 //!
 //! [`Action::Deliver`]: crate::events::Action::Deliver
 //!

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use rrmp_netsim::time::SimDuration;
 use rrmp_netsim::topology::NodeId;
 
@@ -116,12 +115,12 @@ pub enum Action {
         packet: Packet,
     },
     /// Deliver a newly received message to the application, in receipt
-    /// order (RRMP offers no total ordering guarantee).
+    /// order (RRMP offers no total ordering guarantee). Only a data-bearing
+    /// packet delivers, one message at most, so the payload is the one in
+    /// the packet the host just handed in: it takes the bytes from there.
     Deliver {
         /// The message id.
         id: MessageId,
-        /// The payload.
-        payload: Bytes,
     },
     /// Ask the host to fire [`Event::Timer`]`(kind)` after `delay`.
     SetTimer {
@@ -161,7 +160,7 @@ mod tests {
             packet: Box::new(Packet::LocalRequest { msg }),
         };
         assert_eq!(fan_out.packet(), Some(&Packet::LocalRequest { msg }));
-        let deliver = Action::Deliver { id: msg, payload: Bytes::new() };
+        let deliver = Action::Deliver { id: msg };
         assert!(deliver.packet().is_none());
         let timer = Action::SetTimer {
             delay: SimDuration::from_millis(1),

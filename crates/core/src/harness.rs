@@ -133,7 +133,7 @@ impl RrmpNode {
             // Group-wide fan-out is a single op; the simulator expands it
             // over the topology.
             Action::MulticastGroup { packet } => ctx.send_group(packet),
-            Action::Deliver { id, .. } => {
+            Action::Deliver { id } => {
                 rrmp_membership::index::reserve_doubling(&mut self.delivered);
                 self.delivered.push((ctx.now(), id));
                 self.delivered_index.get_or_default(id.source).insert(id.seq.0);
@@ -170,11 +170,15 @@ impl SimNode<HostTimer> for RrmpNode {
         self.execute(ctx, &mut actions);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, from: NodeId, packet: Packet) {
-        if !matches!(packet, Packet::Session { .. }) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, from: NodeId, msg: Packet) {
+        self.on_packet_ref(ctx, from, &msg);
+    }
+
+    fn on_packet_ref(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, from: NodeId, msg: &Packet) {
+        if !matches!(msg, Packet::Session { .. }) {
             self.recovery_packets_received += 1;
         }
-        self.handle_event(ctx, Event::Packet { from, packet });
+        self.with_scratch(ctx, |r, now, actions| r.handle_packet_into(from, msg, now, actions));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Packet, HostTimer>, timer: HostTimer) {

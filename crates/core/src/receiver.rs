@@ -507,6 +507,8 @@ impl Receiver {
     }
 
     /// Processes one event at time `now`, returning the actions to execute.
+    /// An [`Action::Deliver`] names the message only: a caller that wants
+    /// its bytes keeps the packet (see [`Receiver::handle_packet_into`]).
     pub fn handle(&mut self, event: Event, now: SimTime) -> Vec<Action> {
         let mut actions = Vec::new();
         self.handle_into(event, now, &mut actions);
@@ -517,13 +519,13 @@ impl Receiver {
     /// caller-provided buffer — the allocation-free form hot hosts use
     /// with a reused scratch vector.
     pub fn handle_into(&mut self, event: Event, now: SimTime, actions: &mut Vec<Action>) {
-        // The session tick passes the gate: crashing or leaving ends the
-        // member's receiver duties, not the sender's clock.
-        if self.left && !matches!(event, Event::Timer(TimerKind::SessionTick)) {
-            return;
-        }
         match event {
-            Event::Packet { from, packet } => self.on_packet(from, packet, now, actions),
+            Event::Packet { from, packet } => {
+                return self.handle_packet_into(from, &packet, now, actions);
+            }
+            // The session tick passes the gate: crashing or leaving ends the
+            // member's receiver duties, not the sender's clock.
+            _ if self.left && event != Event::Timer(TimerKind::SessionTick) => return,
             Event::Timer(kind) => self.on_timer(kind, now, actions),
             Event::Leave => self.on_leave(now, actions),
         }
@@ -570,9 +572,20 @@ impl Receiver {
         self.observe(now, EventKind::Buffer { src: id.source.0, mseq: id.seq.value(), phase });
     }
 
-    fn on_packet(&mut self, from: NodeId, packet: Packet, now: SimTime, actions: &mut Vec<Action>) {
-        match packet {
-            Packet::Data(data) => self.on_data(data, DataPath::Multicast, now, actions),
+    /// Handles a packet lent for the call as [`Event::Packet`] is handled;
+    /// the host keeps it, and with it the payload of any [`Action::Deliver`].
+    pub fn handle_packet_into(
+        &mut self,
+        from: NodeId,
+        packet: &Packet,
+        now: SimTime,
+        actions: &mut Vec<Action>,
+    ) {
+        if self.left {
+            return;
+        }
+        match *packet {
+            Packet::Data(ref data) => self.on_data(data, DataPath::Multicast, now, actions),
             Packet::Session { source, high } => {
                 for m in self.detector.on_session(source, high) {
                     self.recover(Input::Lost(m), now, actions);
@@ -598,7 +611,7 @@ impl Receiver {
                 self.metrics.counters.remote_requests_received += 1;
                 self.recover(Input::RemoteRequest { msg, from }, now, actions);
             }
-            Packet::Repair { data, kind } => {
+            Packet::Repair { ref data, kind } => {
                 self.metrics.counters.repairs_received += 1;
                 let path = match kind {
                     RepairKind::Local => DataPath::LocalRepair,
@@ -606,31 +619,32 @@ impl Receiver {
                 };
                 self.on_data(data, path, now, actions);
             }
-            Packet::RegionalRepair { data } => {
+            Packet::RegionalRepair { ref data } => {
                 self.on_data(data, DataPath::RegionalRepair, now, actions);
             }
-            Packet::SearchRequest { msg, origins } => {
+            Packet::SearchRequest { msg, ref origins } => {
                 self.recover(Input::SearchRequest { msg, origins }, now, actions);
             }
             Packet::SearchFound { msg, holder } => {
                 self.recover(Input::SearchFound { msg, holder }, now, actions);
             }
-            Packet::Handoff { data } => {
+            Packet::Handoff { ref data } => {
                 self.metrics.counters.handoffs_received += 1;
                 self.on_data(data, DataPath::Handoff, now, actions);
             }
-            Packet::History { digest } => {
+            Packet::History { ref digest } => {
                 self.metrics.counters.history_digests_received += 1;
-                self.policy.on_history_digest(&mut policy_ctx!(self, now, actions), from, &digest);
+                self.policy.on_history_digest(&mut policy_ctx!(self, now, actions), from, digest);
             }
         }
+        self.recovery.check(&self.detector);
     }
 
     // ----- data arrival ---------------------------------------------------
 
     fn on_data(
         &mut self,
-        data: DataPacket,
+        data: &DataPacket,
         path: DataPath,
         now: SimTime,
         actions: &mut Vec<Action>,
@@ -640,7 +654,7 @@ impl Receiver {
         let payload = &data.payload;
         if outcome.newly_received {
             self.metrics.counters.delivered += 1;
-            actions.push(Action::Deliver { id, payload: payload.clone() });
+            actions.push(Action::Deliver { id });
             if let Some(a) = self.observer.as_deref_mut() {
                 let (src, mseq) = (id.source.0, id.seq.value());
                 a.observer
@@ -1132,6 +1146,68 @@ mod tests {
                 if *msg == mid(1) && *holder == NodeId(1)
         )));
         assert_eq!(r.metrics().counters.search_found_sent, 1);
+    }
+
+    #[test]
+    fn search_request_never_answers_this_member() {
+        let mut r = root_receiver(ProtocolConfig::paper_defaults());
+        r.handle(packet_event(0, data(1)), t(0));
+        let probe = Packet::SearchRequest { msg: mid(1), origins: vec![NodeId(1), NodeId(30)] };
+        let actions = r.handle(packet_event(2, probe), t(5));
+        let repaired: Vec<NodeId> = sends(&actions)
+            .into_iter()
+            .filter(|(_, p)| matches!(p, Packet::Repair { kind: RepairKind::Remote, .. }))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(repaired, [NodeId(30)], "the listed self is dropped: {actions:?}");
+    }
+
+    /// One stream of every packet kind, handed in owned and lent, under a
+    /// policy that ignores history digests (below a parent region) and one
+    /// that folds them (at the root).
+    #[test]
+    fn a_lent_packet_is_handled_as_an_owned_one() {
+        use crate::history::{DigestEntry, HistoryDigest};
+        let digest = Arc::new(HistoryDigest {
+            entries: vec![DigestEntry { source: SENDER, intervals: vec![(SeqNo(1), SeqNo(6))] }],
+        });
+        let repair =
+            |seq, kind| Packet::Repair { data: DataPacket::new(mid(seq), payload()), kind };
+        let script = [
+            (0, data(1)),
+            (0, data(3)),
+            (0, Packet::Session { source: SENDER, high: SeqNo(4) }),
+            (3, Packet::LocalRequest { msg: mid(1) }),
+            (30, Packet::RemoteRequest { msg: mid(3) }),
+            (2, repair(2, RepairKind::Local)),
+            (10, repair(4, RepairKind::Remote)),
+            (2, Packet::RegionalRepair { data: DataPacket::new(mid(5), payload()) }),
+            (2, Packet::SearchRequest { msg: mid(1), origins: vec![NodeId(1), NodeId(30)] }),
+            (3, Packet::SearchFound { msg: mid(6), holder: NodeId(3) }),
+            (3, Packet::Handoff { data: DataPacket::new(mid(6), payload()) }),
+            (2, Packet::History { digest }),
+            (0, data(1)),
+        ];
+        for policy in [PolicyKind::TwoPhase, PolicyKind::Stability] {
+            let build =
+                if policy == PolicyKind::Stability { root_receiver } else { receiver_with_parent };
+            let cfg = ProtocolConfig { policy, ..ProtocolConfig::paper_defaults() };
+            let mut owned = build(cfg.clone());
+            let mut lent = build(cfg);
+            let mut actions = Vec::new();
+            for (step, (from, packet)) in script.iter().enumerate() {
+                let now = t(5 * step as u64);
+                let expected = owned.handle(packet_event(*from, packet.clone()), now);
+                lent.handle_packet_into(NodeId(*from), packet, now, &mut actions);
+                assert_eq!(actions, expected, "{policy:?}, step {step}");
+                actions.clear();
+            }
+            assert_eq!(owned.metrics().counters, lent.metrics().counters, "{policy:?}");
+            let store = |r: &Receiver| r.store().iter().map(|(id, e)| (id, e.clone())).collect();
+            let stored: Vec<_> = store(&owned);
+            assert_eq!(stored, store(&lent), "{policy:?}");
+            assert_eq!(stored.len(), 6, "{policy:?}: every message was taken");
+        }
     }
 
     #[test]

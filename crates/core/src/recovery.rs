@@ -26,6 +26,8 @@
 //! debug builds: no `Awaiting` after receipt, no search before it, and no
 //! empty record.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 use rrmp_netsim::time::{SimDuration, SimTime};
 use rrmp_netsim::topology::NodeId;
@@ -200,7 +202,7 @@ pub(crate) enum Input<'a> {
     /// A remote request from `from`.
     RemoteRequest { msg: MessageId, from: NodeId },
     /// A search probe on behalf of `origins`.
-    SearchRequest { msg: MessageId, origins: Vec<NodeId> },
+    SearchRequest { msg: MessageId, origins: &'a [NodeId] },
     /// `holder` announced that it has the message.
     SearchFound { msg: MessageId, holder: NodeId },
     /// A fault window healed: restart exhausted searches, and idle losses.
@@ -315,11 +317,15 @@ impl Recoveries {
                     self.await_relay(env, msg, &[from]);
                 }
             }
-            Input::SearchRequest { msg, mut origins } => {
+            Input::SearchRequest { msg, origins } => {
                 // Hostile or confused peers may list us as a waiting
                 // origin; answering ourselves is never meaningful.
                 let me = env.me();
-                origins.retain(|&o| o != me);
+                let origins: Cow<'_, [NodeId]> = if origins.contains(&me) {
+                    origins.iter().copied().filter(|&o| o != me).collect()
+                } else {
+                    Cow::Borrowed(origins)
+                };
                 if let Some(payload) = env.store().get(msg) {
                     // We are a bufferer: answer every waiting origin and
                     // stop the search with a regional announcement.
@@ -333,7 +339,7 @@ impl Recoveries {
                     // otherwise join the search (§3.3).
                     match (self.fresh_holder(env, msg), self.map.get_mut(msg).map(|r| &mut r.stage))
                     {
-                        (Some(holder), _) => forward(env, holder, msg, origins),
+                        (Some(holder), _) => forward(env, holder, msg, origins.into_owned()),
                         (None, Some(Stage::Search(s))) => add_sorted(&mut s.origins, &origins),
                         (None, _) => {
                             env.metrics().counters.searches_joined += 1;
@@ -969,7 +975,7 @@ mod tests {
                 Step::Fire(_) => return None,
                 Step::Overheard => Input::Overheard(m),
                 Step::RemoteRequest => Input::RemoteRequest { msg: m, from: NodeId(30) },
-                Step::SearchRequest => Input::SearchRequest { msg: m, origins: vec![NodeId(31)] },
+                Step::SearchRequest => Input::SearchRequest { msg: m, origins: &[NodeId(31)] },
                 Step::SearchFound(holder) => Input::SearchFound { msg: m, holder },
                 Step::Heal => Input::Heal,
                 Step::Watchdog => Input::Watchdog(WatchdogConfig {

@@ -172,7 +172,7 @@ proptest! {
                     Action::SendMany { to, .. } => {
                         prop_assert!(to.iter().any(|&m| m != SELF), "{} empty fan-out from {:?}", policy.name(), input);
                     }
-                    Action::Deliver { id, .. } => {
+                    Action::Deliver { id } => {
                         prop_assert!(delivered.insert(*id), "duplicate delivery of {id}");
                     }
                     // Only the sender role multicasts to the whole group.

@@ -63,12 +63,16 @@ impl SimNode for GossipNode {
         ctx.set_timer(interval, TICK_TOKEN);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_, Digest>, _from: NodeId, digest: Digest) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_, Digest>, from: NodeId, digest: Digest) {
+        self.on_packet_ref(ctx, from, &digest);
+    }
+
+    fn on_packet_ref(&mut self, ctx: &mut Ctx<'_, Digest>, _from: NodeId, digest: &Digest) {
         if self.crashed {
             return;
         }
         let now = ctx.now();
-        for e in self.state.on_digest(&digest, now) {
+        for e in self.state.on_digest(digest, now) {
             self.observed.push((now, e));
         }
     }

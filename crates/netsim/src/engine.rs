@@ -316,18 +316,15 @@ impl<N: SimNode<T>, T> Core<N, T> {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         match event {
-            SimEvent::Deliver { to, from, msg } => self.deliver(env, to, from, msg),
+            SimEvent::Deliver { to, from, msg } => self.deliver(env, to, from, &msg),
             SimEvent::DeliverBatch { from, mut targets, msg } => {
                 // Lazy expansion: the per-destination deliveries run here
                 // back to back, in target order — the order their
-                // one-per-destination entries would have popped in. Every
-                // target but the last gets a shallow clone.
-                let last = targets.len() - 1;
-                let mut msg = Some(msg);
-                for (i, &to) in targets.iter().enumerate() {
-                    let copy = if i == last { msg.take() } else { msg.clone() };
+                // one-per-destination entries would have popped in. Each
+                // target borrows the one message, dropped once after.
+                for &to in &targets {
                     self.counters.batched_deliveries += 1;
-                    self.deliver(env, to, from, copy.expect("taken only at the end"));
+                    self.deliver(env, to, from, &msg);
                 }
                 // A vector that came from another region joins the pool only
                 // while the pool is short.
@@ -344,13 +341,13 @@ impl<N: SimNode<T>, T> Core<N, T> {
         }
     }
 
-    fn deliver(&mut self, env: &mut Env<'_, N::Msg>, to: NodeId, from: NodeId, msg: N::Msg) {
+    fn deliver(&mut self, env: &mut Env<'_, N::Msg>, to: NodeId, from: NodeId, msg: &N::Msg) {
         self.counters.delivered += 1;
         self.counters.events_processed += 1;
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(self.now.as_micros(), to.0, streams::ENGINE_DELIVERY, EventKind::Delivered);
         }
-        self.dispatch_with(env, to, |node, ctx| node.on_packet(ctx, from, msg));
+        self.dispatch_with(env, to, |node, ctx| node.on_packet_ref(ctx, from, msg));
     }
 
     /// Runs one callback of node `from`, then drains the ops it buffered.

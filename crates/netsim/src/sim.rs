@@ -38,11 +38,11 @@
 //!   Loss and drop-filter decisions are made per destination at schedule
 //!   time, in target order, so the loss stream is drawn as one unicast
 //!   per destination would draw it; the batch expands lazily when it
-//!   fires, delivering destinations back to back in target order (the
-//!   unit test `batch_delivers_in_target_order_at_each_arrival` writes
-//!   one out). Target vectors are pooled, and with an `Arc`-backed
-//!   payload type (e.g. `bytes::Bytes`) a regional multicast never copies
-//!   payload bytes.
+//!   fires, lending its one message to each destination back to back in
+//!   target order (the unit test
+//!   `batch_delivers_in_target_order_at_each_arrival` writes one out).
+//!   Target vectors are pooled, and a node that overrides
+//!   [`SimNode::on_packet_ref`] clones nothing per delivered copy.
 //! * [`Sim::reset`] re-arms the same simulator for another run while the
 //!   queue and scratch buffers keep their allocations warm.
 
@@ -76,8 +76,16 @@ pub trait SimNode<T = u64> {
         let _ = ctx;
     }
 
-    /// Called when a packet from `from` arrives.
+    /// Called with an owned copy of a packet from `from`, by the default
+    /// [`SimNode::on_packet_ref`].
     fn on_packet(&mut self, ctx: &mut Ctx<'_, Self::Msg, T>, from: NodeId, msg: Self::Msg);
+
+    /// The engine's one delivery entry: a packet from `from` arrives, lent
+    /// for the call (a batch lends its one message to each target in turn).
+    /// The default clones it into [`SimNode::on_packet`].
+    fn on_packet_ref(&mut self, ctx: &mut Ctx<'_, Self::Msg, T>, from: NodeId, msg: &Self::Msg) {
+        self.on_packet(ctx, from, msg.clone());
+    }
 
     /// Called when a timer set through [`Ctx::set_timer`] (or
     /// [`Sim::schedule_external_timer`]) fires.
@@ -135,8 +143,9 @@ impl<'a, M, T> Ctx<'a, M, T> {
     /// caller (loss and latency apply per destination).
     ///
     /// It enqueues **one** op holding `msg` once and the target list in a
-    /// reused arena; copies are shallow clones made as each delivery
-    /// event is scheduled. Use this for regional multicasts.
+    /// reused arena; each delivery event scheduled (one per arrival time)
+    /// holds a shallow clone that it lends to its targets. Use this for
+    /// regional multicasts.
     pub fn send_many<I: IntoIterator<Item = NodeId>>(&mut self, to: I, msg: M)
     where
         M: Clone,
@@ -393,9 +402,9 @@ impl<N: SimNode<T>, T> Sim<N, T> {
 
     /// Injects one multicast transmission according to a [`DeliveryPlan`]:
     /// every plan holder other than `from` receives `msg` at
-    /// `at + one_way_latency(from, holder)`. Copies are shallow clones of
-    /// the same message value, scheduled as one batch event per distinct
-    /// arrival time.
+    /// `at + one_way_latency(from, holder)`, as one batch event per
+    /// distinct arrival time that holds one shallow clone of `msg` and
+    /// lends it to each of its holders.
     pub fn inject_multicast_plan(
         &mut self,
         from: NodeId,
@@ -456,6 +465,9 @@ impl<N: SimNode<T>, T> Sim<N, T> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     use super::*;
     use crate::engine::SimEvent;
     use crate::topology::presets::paper_region;
@@ -721,6 +733,96 @@ mod tests {
         assert_eq!(first, second, "identical seed must replay identically");
         let after = sim.core.queue.allocated_capacity();
         assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
+    }
+
+    /// A message that counts its clones and logs each `(time, receiver)`
+    /// it is handed to, across engine threads.
+    struct Counted {
+        clones: Arc<AtomicUsize>,
+        seen: Arc<Mutex<Vec<(SimTime, NodeId)>>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::Relaxed);
+            Counted { clones: Arc::clone(&self.clones), seen: Arc::clone(&self.seen) }
+        }
+    }
+
+    impl Counted {
+        fn seen_by(&self, ctx: &Ctx<'_, Counted>) {
+            self.seen.lock().unwrap().push((ctx.now(), ctx.self_id()));
+        }
+    }
+
+    /// The holder of the message sends it to [`LENT_TO`] at start; every
+    /// node logs what it is handed. `Taker` keeps the default borrowed
+    /// entry, `Lender` overrides it.
+    struct Taker(Option<Counted>);
+    struct Lender(Taker);
+
+    const LENT_TO: [NodeId; 5] = [NodeId(5), NodeId(3), NodeId(1), NodeId(4), NodeId(2)];
+
+    impl SimNode for Taker {
+        type Msg = Counted;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Counted>) {
+            if let Some(msg) = self.0.take() {
+                ctx.send_many(LENT_TO, msg);
+            }
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_, Counted>, _: NodeId, msg: Counted) {
+            msg.seen_by(ctx);
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, Counted>, _: u64) {}
+    }
+
+    impl SimNode for Lender {
+        type Msg = Counted;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Counted>) {
+            self.0.on_start(ctx);
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_, Counted>, _: NodeId, _: Counted) {
+            unreachable!("the engine lends every copy");
+        }
+        fn on_packet_ref(&mut self, ctx: &mut Ctx<'_, Counted>, _: NodeId, msg: &Counted) {
+            msg.seen_by(ctx);
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, Counted>, _: u64) {}
+    }
+
+    /// Runs one fan-out from node 0 (region 0) to the five nodes of region
+    /// 1 on `Sim` (`shards` `None`) or a `ShardedSim`; returns the clones
+    /// made and the delivery log.
+    fn lend<N>(wrap: fn(Taker) -> N, shards: Option<usize>) -> (usize, Vec<(SimTime, NodeId)>)
+    where
+        N: SimNode<Msg = Counted> + Send,
+    {
+        let (clones, seen) = (Arc::default(), Arc::default());
+        let mut msg = Some(Counted { clones: Arc::clone(&clones), seen: Arc::clone(&seen) });
+        let nodes: Vec<N> = (0..6).map(|_| wrap(Taker(msg.take()))).collect();
+        let topo = TopologyBuilder::new().region(1, None).region(5, Some(0)).build().unwrap();
+        match shards {
+            None => _ = Sim::new(topo, nodes, 3).run_until_quiescent(SimTime::MAX),
+            Some(s) => {
+                _ = crate::shard::ShardedSim::new(topo, nodes, 3, s)
+                    .run_until_quiescent(SimTime::MAX);
+            }
+        }
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        (clones.load(Ordering::Relaxed), seen)
+    }
+
+    #[test]
+    fn a_batch_lends_one_message_to_every_target() {
+        for shards in [None, Some(1), Some(2)] {
+            let (lent, seen) = lend(Lender, shards);
+            assert_eq!(lent, 0, "{shards:?}: an overriding node is lent every copy");
+            let at = seen.first().expect("delivered").0;
+            assert_eq!(seen, LENT_TO.map(|to| (at, to)), "{shards:?}: target order, one instant");
+            let (taken, taken_seen) = lend(|taker| taker, shards);
+            assert_eq!(taken, LENT_TO.len(), "{shards:?}: the default clones once per copy");
+            assert_eq!(taken_seen, seen, "{shards:?}");
+        }
     }
 
     #[test]

@@ -386,6 +386,7 @@ impl Outbox {
 }
 
 /// Executes (and drains) a batch of receiver actions for one member.
+/// `handled` is the packet just handed to the receiver: a delivery takes its payload.
 fn execute(
     actions: &mut Vec<Action>,
     outbox: &mut Outbox,
@@ -393,6 +394,7 @@ fn execute(
     slot_id: u32,
     slot: &MemberSlot,
     now: SimTime,
+    mut handled: Option<Packet>,
 ) {
     for action in actions.drain(..) {
         match action {
@@ -432,13 +434,18 @@ fn execute(
                     &|_| true,
                 );
             }
-            Action::Deliver { id, payload } => {
+            Action::Deliver { id } => {
+                let data = match handled.take() {
+                    Some(Packet::Data(d) | Packet::Repair { data: d, .. }) => d,
+                    Some(Packet::RegionalRepair { data: d } | Packet::Handoff { data: d }) => d,
+                    _ => unreachable!("only a data-bearing packet delivers"),
+                };
                 // A full (or closed) application channel sheds the
                 // delivery; count it so a stalled consumer is visible
                 // through `MemberHandle::send_drops`.
                 if slot
                     .delivered_tx
-                    .try_send(RuntimeEvent::Delivery(Delivery { id, payload }))
+                    .try_send(RuntimeEvent::Delivery(Delivery { id, payload: data.payload }))
                     .is_err()
                 {
                     outbox.count_drops(&slot.send_drops, 1);
@@ -516,7 +523,7 @@ fn loop_main(ctx: LoopCtx) {
                     // Lazily-cancelled timer of a removed member.
                     let Some(s) = slots.get_mut(&slot) else { continue };
                     s.receiver.handle_into(Event::Timer(kind), at, &mut actions);
-                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now);
+                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now, None);
                 }
             }
         }
@@ -564,7 +571,7 @@ fn loop_main(ctx: LoopCtx) {
                         muted: false,
                         dead: false,
                     };
-                    execute(&mut actions, &mut outbox, &mut timers, slot, &s, now);
+                    execute(&mut actions, &mut outbox, &mut timers, slot, &s, now, None);
                     slots.insert(slot, s);
                     poll_dirty = true;
                 }
@@ -583,12 +590,8 @@ fn loop_main(ctx: LoopCtx) {
                         &|m| !filter.as_ref().is_some_and(|f| f(m)),
                     );
                     // The sender holds its own message.
-                    s.receiver.handle_into(
-                        Event::Packet { from: s.node, packet },
-                        now,
-                        &mut actions,
-                    );
-                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now);
+                    s.receiver.handle_packet_into(s.node, &packet, now, &mut actions);
+                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now, Some(packet));
                 }
                 LoopCmd::SetDrop(slot, filter) => {
                     if let Some(s) = slots.get_mut(&slot) {
@@ -598,7 +601,7 @@ fn loop_main(ctx: LoopCtx) {
                 LoopCmd::Leave(slot) => {
                     let Some(s) = slots.get_mut(&slot) else { continue };
                     s.receiver.handle_into(Event::Leave, now, &mut actions);
-                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now);
+                    execute(&mut actions, &mut outbox, &mut timers, slot, s, now, None);
                 }
                 LoopCmd::Remove(slot) => {
                     if slots.remove(&slot).is_some() {
@@ -716,8 +719,8 @@ fn drain_socket(
                     let packet = Packet::decode(bytes.clone());
                     pool.release(class, bytes);
                     if let Ok(packet) = packet {
-                        s.receiver.handle_into(Event::Packet { from, packet }, now, actions);
-                        execute(actions, outbox, timers, id, s, now);
+                        s.receiver.handle_packet_into(from, &packet, now, actions);
+                        execute(actions, outbox, timers, id, s, now, Some(packet));
                     }
                 }
             }
@@ -1273,6 +1276,8 @@ mod tests {
             }
         }
         assert_eq!(got.len(), 2, "node 3 should recover both messages");
+        got.sort();
+        assert_eq!(got, [&b"first"[..], &b"second"[..]], "each recovers its own payload");
         drop(nodes);
         rt.shutdown();
     }
@@ -1531,7 +1536,7 @@ mod tests {
             to: Arc::from([NodeId(0), NodeId(1), NodeId(9), NodeId(2)]),
             packet: Box::new(packet.clone()),
         }];
-        execute(&mut actions, &mut outbox, &mut TimerWheel::new(), 0, &slot, SimTime::ZERO);
+        execute(&mut actions, &mut outbox, &mut TimerWheel::new(), 0, &slot, SimTime::ZERO, None);
         assert_eq!(drops.load(Ordering::Relaxed), 1, "the unaddressable target is a counted drop");
         let mut buf = [0u8; DATAGRAM_MTU];
         for peer in &peers {

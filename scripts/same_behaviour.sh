@@ -10,20 +10,20 @@
 #
 #   scripts/same_behaviour.sh REV
 #
-# REV is checked out as a git worktree under target/ and built with its
-# own CARGO_TARGET_DIR (and `perf/` with its own, below that), which
-# later runs reuse; the worktree is removed on exit. The first output
-# that differs is named, and the script exits non-zero.
+# REV is unpacked from `git archive` into target/same_behaviour/tree
+# (so `.git` is only read; files get the time of unpacking, so cargo
+# never takes a build of another revision for this one's) and built with
+# its own CARGO_TARGET_DIR (and `perf/` with its own, below that), which
+# later runs reuse. The first output that differs is named, and the
+# script exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 rev=${1:?usage: scripts/same_behaviour.sh REV}
 here=$PWD
 base=$here/target/same_behaviour
 rm -rf "$base/tree" "$base/rev" "$base/work"
-git worktree prune
-mkdir -p "$base"
-git worktree add --detach --quiet "$base/tree" "$rev"
-trap 'git -C "$here" worktree remove --force "$base/tree"; git -C "$here" worktree prune' EXIT
+mkdir -p "$base/tree"
+git archive "$rev" | tar -x -m -C "$base/tree"
 
 benches() { # the printer names of tree $1
     for f in "$1"/crates/bench/benches/*.rs; do basename "$f" .rs; done
