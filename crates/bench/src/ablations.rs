@@ -335,7 +335,7 @@ pub fn ablation_churn_handoff(seeds: u64, base_seed: u64) -> Vec<ChurnRow> {
             // The origin (node 60) must stay ignorant of the message until
             // we probe: block session advertisements to it so its own
             // remote recovery cannot pre-empt the experiment.
-            net.sim_mut().set_drop_filter(|_, to, pkt: &Packet| {
+            net.set_drop_filter(|_, to, pkt: &Packet| {
                 to == NodeId(60) && matches!(pkt, Packet::Session { .. })
             });
             // Everyone in region 0 receives the message; the origin

@@ -1,10 +1,10 @@
 //! Hosting the sans-io protocol on the discrete-event simulator.
 //!
 //! [`RrmpNode`] adapts a [`Receiver`] (the sender role included) to the
-//! [`SimNode`] interface. Both engines carry its timers as [`HostTimer`]
-//! values: a protocol [`TimerKind`] goes to the simulator and comes back
-//! as is, beside the experiment script's leave, crash, heal and
-//! view-removal timers. [`RrmpNetwork`] wraps a whole
+//! [`SimNode`] interface. The simulator carries its timers as
+//! [`HostTimer`] values: a protocol [`TimerKind`] goes to the simulator
+//! and comes back as is, beside the experiment script's leave, crash,
+//! heal and view-removal timers. [`RrmpNetwork`] wraps a whole
 //! simulated group with the conveniences every experiment needs: injecting
 //! multicasts with controlled loss ([`DeliveryPlan`]), preloading buffer
 //! states (Figures 8/9), scripting leaves, and extracting the
@@ -17,7 +17,7 @@ use rrmp_membership::view::HierarchyView;
 use rrmp_netsim::fault::FaultPlan;
 use rrmp_netsim::loss::{DeliveryPlan, LossModel};
 use rrmp_netsim::shard::ShardedSim;
-use rrmp_netsim::sim::{Ctx, NetCounters, Sim, SimNode};
+use rrmp_netsim::sim::{Ctx, NetCounters, SimNode};
 use rrmp_netsim::time::SimTime;
 use rrmp_netsim::topology::{NodeId, Topology};
 
@@ -195,84 +195,19 @@ impl SimNode<HostTimer> for RrmpNode {
     }
 }
 
-/// The simulation engine hosting an [`RrmpNetwork`]: the single-queue
-/// [`Sim`], or the conservatively parallel region-sharded [`ShardedSim`].
-/// Every harness operation delegates; the two engines share the node
-/// type, the `Ctx` API, and the topology.
-// One engine lives per network (never in collections), so the size gap
-// between the variants costs nothing; boxing would put a pointer chase on
-// every harness call instead.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SimEngine {
-    Single(Sim<RrmpNode, HostTimer>),
-    Sharded(ShardedSim<RrmpNode, HostTimer>),
-}
-
-/// Implements each listed method by forwarding it to whichever engine
-/// runs the group (both engines share the method names and signatures).
-/// The `&self` methods come first, the `&mut self` ones after `mut:`.
-macro_rules! delegate {
-    (
-        $(fn $name:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*
-        mut: $(fn $mname:ident(&mut self $(, $marg:ident: $mty:ty)*) $(-> $mret:ty)?;)*
-    ) => {
-        $(fn $name(&self $(, $arg: $ty)*) $(-> $ret)? {
-            delegate!(@match self.$name($($arg),*))
-        })*
-        $(fn $mname(&mut self $(, $marg: $mty)*) $(-> $mret)? {
-            delegate!(@match self.$mname($($marg),*))
-        })*
-    };
-    (@match $self:ident.$name:ident($($arg:ident),*)) => {
-        match $self {
-            SimEngine::Single(s) => s.$name($($arg),*),
-            SimEngine::Sharded(s) => s.$name($($arg),*),
-        }
-    };
-}
-
-impl SimEngine {
-    delegate! {
-        fn topology(&self) -> &Topology;
-        fn now(&self) -> SimTime;
-        fn counters(&self) -> NetCounters;
-        fn node(&self, id: NodeId) -> &RrmpNode;
-        fn trace_dropped(&self) -> u64;
-        fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>);
-    mut:
-        fn node_mut(&mut self, id: NodeId) -> &mut RrmpNode;
-        fn inject(&mut self, to: NodeId, from: NodeId, msg: Packet, at: SimTime);
-        fn inject_multicast_plan(
-            &mut self, from: NodeId, msg: &Packet, plan: &DeliveryPlan, at: SimTime
-        );
-        fn schedule_external_timer(&mut self, node: NodeId, timer: HostTimer, at: SimTime);
-        fn run_until(&mut self, t: SimTime);
-        fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime;
-        fn set_unicast_loss(&mut self, model: LossModel);
-        fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>);
-        fn reset(&mut self, nodes: Vec<RrmpNode>, seed: u64);
-        fn set_trace(&mut self, ring_capacity: Option<usize>);
-    }
-
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &RrmpNode)> {
-        self.topology().nodes().map(move |id| (id, self.node(id)))
-    }
-}
-
 /// A complete simulated RRMP group: topology, one sender, one receiver per
 /// node, and experiment conveniences.
 #[derive(Debug)]
 pub struct RrmpNetwork {
-    sim: SimEngine,
+    sim: ShardedSim<RrmpNode, HostTimer>,
     sender_node: NodeId,
     multicast_loss: LossModel,
     /// Retained so [`RrmpNetwork::reset`] can rebuild the protocol state.
     cfg: ProtocolConfig,
     senders: Vec<NodeId>,
     /// Armed fault plan, if any — retained so [`RrmpNetwork::reset`] can
-    /// re-schedule the protocol-side crash and heal timers (the engines
-    /// keep the network-edge half through their own reset).
+    /// re-schedule the protocol-side crash and heal timers (the simulator
+    /// keeps the network-edge half through its own reset).
     fault_plan: Option<Arc<FaultPlan>>,
     /// The armed observer, if any — retained so [`RrmpNetwork::reset`]
     /// can re-arm the rebuilt receivers.
@@ -290,7 +225,11 @@ enum Armed {
 
 impl RrmpNetwork {
     /// Builds a group over `topo` with node 0 as the sender, every member
-    /// running `cfg`, and all randomness derived from `seed`.
+    /// running `cfg`, and all randomness derived from `seed`. The group is
+    /// hosted on one simulator core ([`ShardedSim::one_core`]): unicast
+    /// loss draws from one global stream, and every send, cross-region
+    /// ones included, is scheduled on the one queue, so a run is one
+    /// window on the calling thread.
     #[must_use]
     pub fn new(topo: Topology, cfg: ProtocolConfig, seed: u64) -> Self {
         Self::with_senders(topo, cfg, seed, &[NodeId(0)])
@@ -319,9 +258,9 @@ impl RrmpNetwork {
         for s in senders {
             assert!(s.index() < topo.node_count(), "sender {s} not in topology");
         }
-        let nodes = Self::build_nodes(&topo, &cfg, seed, senders);
+        let nodes = Self::build_nodes_iter(&topo, &cfg, seed, senders).collect();
         RrmpNetwork {
-            sim: SimEngine::Single(Sim::new(topo, nodes, seed)),
+            sim: ShardedSim::one_core(topo, nodes, seed),
             sender_node: senders[0],
             multicast_loss: LossModel::None,
             cfg,
@@ -331,17 +270,17 @@ impl RrmpNetwork {
         }
     }
 
-    /// Builds a group hosted on the **conservatively parallel** sharded
-    /// engine ([`ShardedSim`]): one per-event core per region, run by
-    /// `shards` worker threads (the calling thread included; clamped to the
-    /// region count). Traces are byte-identical at every worker count —
-    /// `shards` only picks the degree of parallelism.
+    /// Builds a group on the same simulator partitioned **one core per
+    /// region** ([`ShardedSim::new`]), run window by window by `shards`
+    /// worker threads (the calling thread included; clamped to the region
+    /// count). Traces are byte-identical at every worker count — `shards`
+    /// only picks the degree of parallelism.
     ///
-    /// Note the sharded engine's windowed semantics differ from
-    /// [`RrmpNetwork::new`]'s single event queue (per-sender unicast-loss
-    /// RNG streams, canonical cross-region merge order), so a sharded run
-    /// is compared against sharded runs, not against the single-queue
-    /// engine.
+    /// The partition differs from [`RrmpNetwork::new`]'s one core in two
+    /// ways: unicast loss draws from per-sender RNG streams, and a
+    /// cross-region send waits in a mailbox for the next window barrier,
+    /// where it merges in canonical order. So a run on this partition is
+    /// compared against runs on it, not against the one core.
     ///
     /// # Panics
     ///
@@ -362,7 +301,7 @@ impl RrmpNetwork {
             shards,
         );
         RrmpNetwork {
-            sim: SimEngine::Sharded(sim),
+            sim,
             sender_node: senders[0],
             multicast_loss: LossModel::None,
             cfg,
@@ -372,8 +311,8 @@ impl RrmpNetwork {
         }
     }
 
-    /// Arms `plan` on whichever engine hosts the group and schedules its
-    /// protocol-side consequences: partitions, blackouts, bursts and
+    /// Arms `plan` on the simulator and schedules its protocol-side
+    /// consequences: partitions, blackouts, bursts and
     /// duplication apply at the network edge; plan crashes become
     /// scheduled member crashes; every heal instant notifies every node so
     /// exhausted recovery re-arms ([`Receiver::on_heal`]). The plan
@@ -399,9 +338,9 @@ impl RrmpNetwork {
     /// records the time-series pillar. The observer survives
     /// [`RrmpNetwork::reset`].
     ///
-    /// Armed traces are byte-identical across engines and shard counts
-    /// (the `observer_invariance` suite pins it); an unarmed network pays
-    /// one `Option` branch per hook site.
+    /// Armed traces of one core per region are byte-identical at every
+    /// worker count (the `observer_invariance` suite pins it); an unarmed
+    /// network pays one `Option` branch per hook site.
     ///
     /// # Panics
     ///
@@ -537,32 +476,17 @@ impl RrmpNetwork {
         }
     }
 
-    /// Number of worker threads the engine runs on (1 for the
-    /// single-queue engine).
+    /// Number of worker threads the simulator runs on (1 for the one
+    /// core).
     #[must_use]
     pub fn shards(&self) -> usize {
-        match &self.sim {
-            SimEngine::Single(_) => 1,
-            SimEngine::Sharded(s) => s.shards(),
-        }
+        self.sim.shards()
     }
 
-    /// Builds the per-node protocol state for one run.
-    fn build_nodes(
-        topo: &Topology,
-        cfg: &ProtocolConfig,
-        seed: u64,
-        senders: &[NodeId],
-    ) -> Vec<RrmpNode> {
-        let mut nodes = Vec::with_capacity(topo.node_count());
-        nodes.extend(Self::build_nodes_iter(topo, cfg, seed, senders));
-        nodes
-    }
-
-    /// Per-node protocol state as an iterator in `NodeId` order — hosts
-    /// that can consume nodes one at a time (the sharded engine streams
-    /// them into per-region vectors) avoid ever holding the full set in a
-    /// second buffer.
+    /// Per-node protocol state for one run, as an iterator in `NodeId`
+    /// order: the one core takes it collected into one exactly-sized
+    /// `Vec`, and one core per region streams it into per-region vectors
+    /// without ever holding the full set in a second buffer.
     fn build_nodes_iter<'t>(
         topo: &'t Topology,
         cfg: &ProtocolConfig,
@@ -598,50 +522,42 @@ impl RrmpNetwork {
     /// Resets the network for a fresh experiment run over the same
     /// topology and configuration: protocol state is rebuilt from `seed`
     /// while the simulator keeps its event-queue and timer-slab
-    /// allocations warm ([`Sim::reset`]) — the fast path for multi-run
-    /// experiments and repeated benchmark iterations. The multicast loss
-    /// model and any armed fault plan are retained (the engines keep the
-    /// network-edge half; the crash and heal timers are re-scheduled
-    /// here).
+    /// allocations warm ([`ShardedSim::reset`]) — the fast path for
+    /// multi-run experiments and repeated benchmark iterations. The
+    /// multicast loss model and any armed fault plan are retained (the
+    /// simulator keeps the network-edge half; the crash and heal timers
+    /// are re-scheduled here).
     pub fn reset(&mut self, seed: u64) {
-        let nodes = Self::build_nodes(self.sim.topology(), &self.cfg, seed, &self.senders);
+        let topo = self.sim.topology();
+        let nodes: Vec<_> = Self::build_nodes_iter(topo, &self.cfg, seed, &self.senders).collect();
         self.sim.reset(nodes, seed);
         self.schedule_fault_protocol_timers();
         self.rearm_observer();
     }
 
-    /// Sets the loss model applied to unicast sends (requests, repairs),
-    /// on whichever engine hosts the group. The sharded engine draws from
-    /// per-sender-node streams, the single-queue engine from one global
-    /// stream — deterministic either way, but not comparable across
-    /// engine kinds.
+    /// Sets the loss model applied to unicast sends (requests, repairs).
+    /// One core per region draws from per-sender-node streams, the one
+    /// core from one global stream — deterministic either way, but not
+    /// comparable across the two partitions.
     pub fn set_unicast_loss(&mut self, model: LossModel) {
         self.sim.set_unicast_loss(model);
+    }
+
+    /// Installs a deterministic drop filter consulted for every unicast
+    /// copy (return `true` to drop), for fault-injection tests. Region
+    /// cores consult it concurrently, so it is `Fn + Send + Sync`: a
+    /// filter with state keeps it in an atomic.
+    pub fn set_drop_filter<F>(&mut self, f: F)
+    where
+        F: Fn(NodeId, NodeId, &Packet) -> bool + Send + Sync + 'static,
+    {
+        self.sim.set_drop_filter(f);
     }
 
     /// The simulated topology.
     #[must_use]
     pub fn topology(&self) -> &Topology {
         self.sim.topology()
-    }
-
-    /// The underlying single-queue simulator (full control for advanced
-    /// experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a network built with [`RrmpNetwork::with_shards`] — use
-    /// the engine-agnostic harness methods (e.g.
-    /// [`RrmpNetwork::set_unicast_loss`]) there.
-    pub fn sim_mut(&mut self) -> &mut Sim<RrmpNode, HostTimer> {
-        match &mut self.sim {
-            SimEngine::Single(s) => s,
-            SimEngine::Sharded(s) => panic!(
-                "sim_mut(): sharded networks have no single-queue Sim \
-                 (network runs on the sharded engine ({} shards))",
-                s.shards()
-            ),
-        }
     }
 
     /// The sender's node id.
@@ -831,7 +747,7 @@ impl RrmpNetwork {
 
     /// Network-level counters from the simulator.
     #[must_use]
-    pub fn net_counters(&self) -> rrmp_netsim::sim::NetCounters {
+    pub fn net_counters(&self) -> NetCounters {
         self.sim.counters()
     }
 

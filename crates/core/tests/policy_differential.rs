@@ -15,6 +15,8 @@
 //! means the algorithm changed. Every fixture must hold on the
 //! single-queue engine and on the sharded one at one and two shards.
 
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+
 use bytes::Bytes;
 use rrmp_core::harness::{RrmpNetwork, RunReport};
 use rrmp_core::ids::{MessageId, SeqNo};
@@ -247,11 +249,9 @@ fn lost_direct_pull_is_retried_after_the_direct_request_timeout() {
     let misser = NodeId(20);
     let mut net = RrmpNetwork::new(topo(), policy_config(PolicyKind::SenderBased), 5);
     net.arm_observer(TraceConfig::default());
-    let mut first = true;
-    net.sim_mut().set_drop_filter(move |from, _, pkt: &Packet| {
-        let drop = first && from == misser && matches!(pkt, Packet::LocalRequest { .. });
-        first &= !drop;
-        drop
+    let first = AtomicBool::new(true);
+    net.set_drop_filter(move |from, _, pkt: &Packet| {
+        from == misser && matches!(pkt, Packet::LocalRequest { .. }) && first.swap(false, Relaxed)
     });
     let plan = DeliveryPlan::all_but(&topo(), [misser]);
     let id = multicast_with_session(&mut net, &b"retry"[..], &plan);

@@ -114,7 +114,7 @@ fn lossy_unicast_fanout_is_pinned() {
             ProtocolConfig::paper_defaults(),
             seed,
             |net| {
-                net.sim_mut().set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
+                net.set_unicast_loss(LossModel::Bernoulli { p: 0.15 });
                 let plan = DeliveryPlan::all_but(net.topology(), (10..20).map(NodeId));
                 net.multicast_with_plan(&b"lossy-fanout"[..], &plan);
                 net.run_until(SimTime::from_secs(3));

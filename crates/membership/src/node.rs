@@ -100,7 +100,7 @@ impl SimNode for GossipNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrmp_netsim::sim::Sim;
+    use rrmp_netsim::shard::ShardedSim;
     use rrmp_netsim::time::{SimDuration, SimTime};
     use rrmp_netsim::topology::presets::paper_region;
 
@@ -112,7 +112,7 @@ mod tests {
     fn healthy_cluster_no_failures_over_network() {
         let cfg = GossipConfig::default();
         let topo = paper_region(6);
-        let mut sim = Sim::new(topo, cluster(6, &cfg), 11);
+        let mut sim = ShardedSim::one_core(topo, cluster(6, &cfg), 11);
         sim.run_until(SimTime::from_secs(10));
         for (_, node) in sim.nodes() {
             assert!(
@@ -150,7 +150,7 @@ mod tests {
         // other targets.
         let cfg = GossipConfig::default();
         let nodes = cluster(8, &cfg).into_iter().map(|inner| Tap { inner, heard: Vec::new() });
-        let mut sim = Sim::new(paper_region(8), nodes.collect(), 11);
+        let mut sim = ShardedSim::one_core(paper_region(8), nodes.collect(), 11);
         sim.run_until(SimTime::from_millis(650));
         let mut targets: Vec<(SimTime, NodeId)> = sim
             .nodes()
@@ -175,7 +175,7 @@ mod tests {
             cleanup_after: SimDuration::from_secs(1),
         };
         let topo = paper_region(6);
-        let mut sim = Sim::new(topo, cluster(6, &cfg), 12);
+        let mut sim = ShardedSim::one_core(topo, cluster(6, &cfg), 12);
         sim.run_until(SimTime::from_secs(2));
         sim.node_mut(NodeId(5)).crashed = true;
         sim.run_until(SimTime::from_secs(8));

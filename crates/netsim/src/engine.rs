@@ -1,28 +1,31 @@
-//! The per-event core both simulation engines drive.
+//! The per-event core of the simulator's one driver.
 //!
 //! A [`Core`] owns a set of nodes, their loss streams, one event queue, the
 //! [`NetCounters`], the engine trace sink and the scratch buffers, and it
 //! implements every per-event step once: dispatch, draining a callback's
 //! ops, transmit and fan-out, the edge verdict (drop filter, fault plan,
-//! loss model), duplication and routing. [`Sim`](crate::sim::Sim) drives
-//! one core over the whole topology; a
-//! [`ShardedSim`](crate::shard::ShardedSim) drives one core per region.
+//! loss model), duplication and routing. The window driver
+//! ([`ShardedSim`](crate::shard::ShardedSim)) runs one core for the whole
+//! group or one core per region; the partition is fixed when it is built.
 //! Either way a core owns one contiguous range of node ids (the builder
 //! numbers nodes region by region), so a node's slot is its id minus the
 //! range's first. The core does not know how the run is partitioned
 //! beyond two facts its constructor fixes:
 //!
-//! * **the unicast-loss stream**: one global stream on `Sim`, one stream
-//!   per sender on a region core (a global stream would make a region's
-//!   draws depend on how other regions' events interleave with its own);
-//! * **cross-region routing**: `Sim` schedules every surviving copy into
-//!   its own queue, while a region core groups cross-region copies by
+//! * **the unicast-loss stream**: one global stream on the one-core
+//!   partition, one stream per sender on a region core (a global stream
+//!   would make a region's draws depend on how other regions' events
+//!   interleave with its own);
+//! * **cross-region routing**: the one core schedules every surviving copy
+//!   into its own queue, while a region core groups cross-region copies by
 //!   `(arrival, destination region)` and puts each group in its mailbox
 //!   as one entry, which the driver merges at the window barrier in
 //!   `(arrive, src_region, emission)` order.
 //!
-//! Routing is also the one reason the two engines may order two
+//! Routing is also the one reason the two partitions may order two
 //! same-instant events of different regions differently.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rrmp_trace::{streams, EventKind, TraceSink};
@@ -72,13 +75,13 @@ pub(crate) enum SimEvent<M, T> {
 }
 
 /// The per-node unicast-loss RNG stream id on a region core: disjoint
-/// from the per-node protocol streams (`0..n`) and from `Sim`'s one
-/// global loss stream ([`GLOBAL_LOSS_STREAM`]).
+/// from the per-node protocol streams (`0..n`) and from the one-core
+/// partition's global loss stream ([`GLOBAL_LOSS_STREAM`]).
 fn loss_stream(node: NodeId) -> u64 {
     (1u64 << 63) | u64::from(node.0)
 }
 
-/// `Sim`'s one unicast-loss RNG stream id.
+/// The one-core partition's unicast-loss RNG stream id.
 const GLOBAL_LOSS_STREAM: u64 = u64::MAX / 2;
 
 /// The group key of copies for a node the core owns: they are scheduled
@@ -114,21 +117,21 @@ pub(crate) struct CrossEvent<M> {
     pub(crate) msg: M,
 }
 
-/// A drop predicate consulted for every copy (return `true` to drop).
-pub(crate) type Filter<'a, M> = dyn FnMut(NodeId, NodeId, &M) -> bool + 'a;
+/// A deterministic per-packet drop predicate (return `true` to drop).
+/// Region cores consult it concurrently, hence `Fn + Send + Sync`.
+pub(crate) type DropFilter<M> = dyn Fn(NodeId, NodeId, &M) -> bool + Send + Sync;
 
-/// What a core reads but does not own, lent by its driver for one call:
-/// the topology and the network settings. Region cores read one set
-/// concurrently, so the drop filter is the only borrowed-mutably part
-/// (`Sim`'s is a stateful `FnMut`; a region lends its shared `Fn`).
-pub(crate) struct Env<'a, M> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) unicast_loss: &'a LossModel,
+/// What a core reads but does not own: the topology and the network
+/// settings. The driver holds them; every core reads them during a
+/// window, and none writes them.
+pub(crate) struct Env<M> {
+    pub(crate) topo: Topology,
+    pub(crate) unicast_loss: LossModel,
     /// Armed fault timeline. Verdicts are pure functions of
     /// `(plan, send time, endpoints)` — no RNG state — so region cores
     /// can consult it concurrently and the outcome is layout-invariant.
-    pub(crate) fault: Option<&'a FaultPlan>,
-    pub(crate) drop_filter: Option<&'a mut Filter<'a, M>>,
+    pub(crate) fault: Option<Arc<FaultPlan>>,
+    pub(crate) drop_filter: Option<Box<DropFilter<M>>>,
 }
 
 /// Nodes, loss streams, one event queue, counters, the trace sink and the
@@ -137,12 +140,12 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     pub(crate) nodes: Vec<N>,
     /// The run's seed, lent to callbacks ([`Ctx::seed`]).
     seed: u64,
-    /// Unicast-loss streams: one global stream on `Sim`, one per local
-    /// node on a region core.
+    /// Unicast-loss streams: one global stream on the one core, one per
+    /// local node on a region core.
     loss_rngs: Vec<StdRng>,
     /// Maps a local sender index to its loss stream without a branch:
-    /// `0` on `Sim` (every sender draws from stream 0), all ones on a
-    /// region core (each sender draws from its own).
+    /// `0` on the one core (every sender draws from stream 0), all ones on
+    /// a region core (each sender draws from its own).
     loss_stream_mask: usize,
     pub(crate) queue: EventQueue<SimEvent<N::Msg, T>>,
     pub(crate) counters: NetCounters,
@@ -165,7 +168,8 @@ pub(crate) struct Core<N: SimNode<T>, T> {
     /// vector from `target_pool`.
     groups: Vec<(SimTime, u32, NodeId, Vec<NodeId>)>,
     /// The id of the first node this core owns: it owns
-    /// `first..first + nodes.len()` (0 on `Sim`, which owns them all).
+    /// `first..first + nodes.len()` (0 on the one core, which owns them
+    /// all).
     first: u32,
     /// `Some` on a region core: its cross-region sends awaiting the next
     /// barrier, in emission order.
@@ -173,9 +177,9 @@ pub(crate) struct Core<N: SimNode<T>, T> {
 }
 
 impl<N: SimNode<T>, T> Core<N, T> {
-    /// An empty core: `Sim`'s (`region_first` `None`) or that of the region
-    /// whose first node id is `region_first`. [`Core::reset`] and
-    /// [`Core::push_node`] load it.
+    /// An empty core: the one core of the whole group (`region_first`
+    /// `None`) or that of the region whose first node id is
+    /// `region_first`. [`Core::reset`] and [`Core::push_node`] load it.
     pub(crate) fn new(region_first: Option<u32>) -> Self {
         Core {
             nodes: Vec::new(),
@@ -198,9 +202,9 @@ impl<N: SimNode<T>, T> Core<N, T> {
 
     /// Empties the core for a fresh run, keeping every allocation but the
     /// node vector warm ([`EventQueue::clear`]), and loads `nodes`: all of
-    /// them on `Sim`; on a region core none, in a vector sized for the
-    /// region, whose nodes then stream in through [`Core::push_node`]. An
-    /// armed observer stays armed, but the previous run's events are
+    /// them on the one core; on a region core none, in a vector sized for
+    /// the region, whose nodes then stream in through [`Core::push_node`].
+    /// An armed observer stays armed, but the previous run's events are
     /// discarded.
     pub(crate) fn reset(&mut self, seq: &SeedSequence, nodes: Vec<N>) {
         self.nodes = nodes;
@@ -249,15 +253,26 @@ impl<N: SimNode<T>, T> Core<N, T> {
         &mut self.nodes[local]
     }
 
-    /// The mailbox of a region core.
-    pub(crate) fn outbox(&mut self) -> &mut Vec<CrossEvent<N::Msg>> {
-        self.outbox.as_mut().expect("only a region core has a mailbox")
+    /// Whether this is a region core, which mails its cross-region sends.
+    pub(crate) fn has_mailbox(&self) -> bool {
+        self.outbox.is_some()
+    }
+
+    /// The mailbox: `Some` on a region core, `None` on the one core.
+    pub(crate) fn outbox(&mut self) -> Option<&mut Vec<CrossEvent<N::Msg>>> {
+        self.outbox.as_mut()
     }
 
     /// Target vectors in the pool.
     #[cfg(test)]
     pub(crate) fn pooled_targets(&self) -> usize {
         self.target_pool.len()
+    }
+
+    /// Unicast-loss streams held.
+    #[cfg(test)]
+    pub(crate) fn loss_streams(&self) -> usize {
+        self.loss_rngs.len()
     }
 
     /// Pending events: the queue plus the undelivered mailbox.
@@ -288,7 +303,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     }
 
     /// Runs each owned node's [`SimNode::on_start`] callback (at most once).
-    pub(crate) fn start(&mut self, env: &mut Env<'_, N::Msg>) {
+    pub(crate) fn start(&mut self, env: &Env<N::Msg>) {
         if std::mem::replace(&mut self.started, true) {
             return;
         }
@@ -300,7 +315,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// Dispatches every queued event at or before `limit`. The horizon
     /// check is a peek-gated pop: an event past `limit` is never removed
     /// from the queue (and so never re-inserted).
-    pub(crate) fn run_until(&mut self, env: &mut Env<'_, N::Msg>, limit: SimTime) {
+    pub(crate) fn run_until(&mut self, env: &Env<N::Msg>, limit: SimTime) {
         while let Some((at, event)) = self.queue.pop_at_or_before(limit) {
             self.dispatch_event(env, at, event);
         }
@@ -309,7 +324,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// Dispatches one popped event.
     pub(crate) fn dispatch_event(
         &mut self,
-        env: &mut Env<'_, N::Msg>,
+        env: &Env<N::Msg>,
         at: SimTime,
         event: SimEvent<N::Msg, T>,
     ) {
@@ -341,7 +356,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
         }
     }
 
-    fn deliver(&mut self, env: &mut Env<'_, N::Msg>, to: NodeId, from: NodeId, msg: &N::Msg) {
+    fn deliver(&mut self, env: &Env<N::Msg>, to: NodeId, from: NodeId, msg: &N::Msg) {
         self.counters.delivered += 1;
         self.counters.events_processed += 1;
         if let Some(t) = self.trace.as_deref_mut() {
@@ -351,7 +366,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     }
 
     /// Runs one callback of node `from`, then drains the ops it buffered.
-    fn dispatch_with<F>(&mut self, env: &mut Env<'_, N::Msg>, from: NodeId, f: F)
+    fn dispatch_with<F>(&mut self, env: &Env<N::Msg>, from: NodeId, f: F)
     where
         F: FnOnce(&mut N, &mut Ctx<'_, N::Msg, T>),
     {
@@ -366,7 +381,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
             &mut Ctx {
                 now: self.now,
                 self_id: from,
-                topo: env.topo,
+                topo: &env.topo,
                 seed: self.seed,
                 ops: &mut ops,
                 targets: &mut targets,
@@ -407,7 +422,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
     #[inline(always)]
     fn transmit_fanout(
         &mut self,
-        env: &mut Env<'_, N::Msg>,
+        env: &Env<N::Msg>,
         local_from: usize,
         from: NodeId,
         targets: impl Iterator<Item = NodeId>,
@@ -416,17 +431,17 @@ impl<N: SimNode<T>, T> Core<N, T> {
         debug_assert!(self.groups.is_empty());
         // Verdicts are pure functions of the send instant and endpoints,
         // so a plan with no episode live now answers `None` for every copy.
-        let fault = env.fault.filter(|p| p.active_at(self.now));
+        let fault = env.fault.as_deref().filter(|p| p.active_at(self.now));
         for to in targets {
             self.counters.unicasts_sent += 1;
-            let filtered = env.drop_filter.as_mut().is_some_and(|f| f(from, to, &msg));
+            let filtered = env.drop_filter.as_ref().is_some_and(|f| f(from, to, &msg));
             if filtered || self.edge_loses(env, fault, local_from, from, to) {
                 self.counters.unicasts_dropped += 1;
                 self.wire(from, EventKind::PacketDropped { to: to.0 });
                 continue;
             }
             let arrive = self.now + env.topo.one_way_latency(from, to);
-            self.route(env.topo, arrive, to);
+            self.route(&env.topo, arrive, to);
             if let Some(extra) = fault.and_then(|p| p.duplicate_delay(self.now, from, to)) {
                 // The duplicate is routed after the primary, so its place
                 // in its group is the later one at every layout; its
@@ -434,7 +449,7 @@ impl<N: SimNode<T>, T> Core<N, T> {
                 // intact.
                 self.counters.faults_duplicated += 1;
                 self.wire(from, EventKind::FaultDuplicated { to: to.0 });
-                self.route(env.topo, arrive + extra, to);
+                self.route(&env.topo, arrive + extra, to);
             }
         }
         self.flush(from, msg);
@@ -460,13 +475,13 @@ impl<N: SimNode<T>, T> Core<N, T> {
     /// base loss model draws from the core's loss stream.
     fn edge_loses(
         &mut self,
-        env: &Env<'_, N::Msg>,
+        env: &Env<N::Msg>,
         fault: Option<&FaultPlan>,
         local_from: usize,
         from: NodeId,
         to: NodeId,
     ) -> bool {
-        match fault.and_then(|p| p.drops(self.now, from, to, env.topo)) {
+        match fault.and_then(|p| p.drops(self.now, from, to, &env.topo)) {
             Some(true) => {
                 self.counters.faults_dropped += 1;
                 // The verdict event; the caller records the PacketDropped
@@ -550,7 +565,7 @@ mod tests {
     use crate::loss::LossModel;
     use crate::rng::SeedSequence;
     use crate::shard::ShardedSim;
-    use crate::sim::{Ctx, NetCounters, Sim, SimNode};
+    use crate::sim::{Ctx, NetCounters, SimNode};
     use crate::time::{SimDuration, SimTime};
     use crate::topology::{NodeId, TopologyBuilder};
 
@@ -583,9 +598,9 @@ mod tests {
     /// zeroed) and the engine trace.
     type Run = (Vec<(SimTime, NodeId, u32)>, NetCounters, Vec<TraceEvent>);
 
-    /// Runs the scripts of nodes 0 and 1 over two regions of two nodes,
-    /// on `Sim` (`shards` `None`) or on `ShardedSim`, with `plan` armed,
-    /// Bernoulli(0.5) unicast loss if `lossy`, and the observer on.
+    /// Runs the scripts of nodes 0 and 1 over two regions of two nodes, on
+    /// one core (`shards` `None`) or one core per region, with `plan`
+    /// armed, Bernoulli(0.5) unicast loss if `lossy`, and the observer on.
     fn run(
         sends: [Vec<(NodeId, u32)>; 2],
         many: bool,
@@ -598,23 +613,17 @@ mod tests {
         let [a, b] = sends;
         let nodes = [a, b, vec![], vec![]].map(|sends| Script { sends, many, log: Vec::new() });
         let loss = if lossy { LossModel::Bernoulli { p: 0.5 } } else { LossModel::None };
-        let mut trace = Vec::new();
-        // The two engines share these methods but no trait.
-        macro_rules! drive {
-            ($sim:expr) => {{
-                let mut sim = $sim;
-                sim.set_fault_plan(Some(Arc::new(plan)));
-                sim.set_unicast_loss(loss);
-                sim.set_trace(Some(64));
-                sim.run_until_quiescent(SimTime::MAX);
-                sim.collect_trace(&mut trace);
-                (std::mem::take(&mut sim.node_mut(watch).log), sim.counters())
-            }};
-        }
-        let (log, mut counters) = match shards {
-            None => drive!(Sim::new(topo, nodes.into(), 9)),
-            Some(shards) => drive!(ShardedSim::new(topo, nodes.into(), 9, shards)),
+        let mut sim = match shards {
+            None => ShardedSim::one_core(topo, nodes.into(), 9),
+            Some(shards) => ShardedSim::new(topo, nodes.into(), 9, shards),
         };
+        sim.set_fault_plan(Some(Arc::new(plan)));
+        sim.set_unicast_loss(loss);
+        sim.set_trace(Some(64));
+        sim.run_until_quiescent(SimTime::MAX);
+        let mut trace = Vec::new();
+        sim.collect_trace(&mut trace);
+        let (log, mut counters) = (std::mem::take(&mut sim.node_mut(watch).log), sim.counters());
         rrmp_trace::sort_canonical(&mut trace);
         counters.fanouts = 0;
         (log, counters, trace)
@@ -642,9 +651,9 @@ mod tests {
 
     #[test]
     fn loss_streams_are_global_on_sim_and_per_sender_on_shards() {
-        // Nodes 0 and 1 each send 20 numbered unicasts to node 2. `Sim`
-        // draws every verdict from one stream in send order; a shard
-        // draws each sender's verdicts from that sender's own stream.
+        // Nodes 0 and 1 each send 20 numbered unicasts to node 2. The one
+        // core draws every verdict from one stream in send order; a region
+        // core draws each sender's verdicts from that sender's own stream.
         let seq = SeedSequence::new(9);
         let model = LossModel::Bernoulli { p: 0.5 };
         let sends = |s: u32| (0..20).map(move |k| (NodeId(2), 100 * s + k)).collect::<Vec<_>>();

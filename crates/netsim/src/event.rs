@@ -257,11 +257,11 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event only if it fires at or before `limit`.
     ///
-    /// This is the horizon check `Sim::run_until` uses, and the only place
-    /// the cursor moves: when the pending run is empty the next tick is
-    /// drained only if it is at or before `limit`, so the cursor ends on
-    /// the instant of the event returned and an event past the horizon
-    /// leaves the wheel untouched.
+    /// This is the horizon check a simulator core's `run_until` uses, and
+    /// the only place the cursor moves: when the pending run is empty the
+    /// next tick is drained only if it is at or before `limit`, so the
+    /// cursor ends on the instant of the event returned and an event past
+    /// the horizon leaves the wheel untouched.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let limit = limit.as_micros();
         if self.pending.is_empty() {
@@ -315,8 +315,8 @@ impl<E> EventQueue<E> {
     /// Drops all pending events **without releasing allocations**: slot
     /// vectors, spares, the pending run, the overflow heap, and the
     /// payload slab all keep their capacity, so a cleared queue re-fills
-    /// without re-growing from empty (important for `Sim` reuse across
-    /// runs).
+    /// without re-growing from empty (important for simulator reuse
+    /// across runs).
     pub fn clear(&mut self) {
         for bucket in &mut self.levels {
             bucket.entries.clear();

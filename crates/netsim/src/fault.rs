@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a static timeline of fault episodes — region↔region
 //! partitions, link blackouts, node crashes and stalls, loss-burst
 //! episodes that override the base [`LossModel`](crate::loss::LossModel),
-//! and bounded packet duplication — consulted by both engines
-//! ([`Sim`](crate::sim::Sim) and [`ShardedSim`](crate::shard::ShardedSim))
+//! and bounded packet duplication — consulted by every core of the
+//! simulator ([`ShardedSim`](crate::shard::ShardedSim), either partition)
 //! at transmit time: once per send ([`FaultPlan::active_at`]), and for
 //! every unicast copy only while an episode is live at the send instant.
 //!

@@ -23,12 +23,14 @@
 //!   ([`fault::FaultPlan`]): partitions, blackouts, crash/stall churn,
 //!   loss bursts, and duplication, applied at the network edge of both
 //!   engines with layout-invariant verdicts.
-//! * [`sim`] — the driver: host any [`sim::SimNode`] implementation, with
-//!   timers carrying the host's own values.
-//! * [`shard`] — the conservatively parallel driver: regions partitioned
-//!   over shards advancing under a time-window barrier, traces
-//!   byte-identical at every shard count. Both drivers run one private
-//!   per-event core (dispatch, transmit, edge verdicts, routing).
+//! * [`sim`] — what a node sees: any [`sim::SimNode`] implementation,
+//!   with timers carrying the host's own values, acting through a
+//!   [`sim::Ctx`].
+//! * [`shard`] — the one driver, [`shard::ShardedSim`]: one core for the
+//!   whole group, or one core per region advancing under a
+//!   conservative time-window barrier with traces byte-identical at every
+//!   worker count. Every core is the same private per-event code
+//!   (dispatch, transmit, edge verdicts, routing).
 //! * [`stats`] — streaming mean/variance and percentiles for the paper's
 //!   figures.
 //!
@@ -66,7 +68,7 @@
 //! }
 //!
 //! let topo = presets::paper_region(2);
-//! let mut sim = Sim::new(topo, vec![Acker { acked: 0 }, Acker { acked: 0 }], 7);
+//! let mut sim = ShardedSim::one_core(topo, vec![Acker { acked: 0 }, Acker { acked: 0 }], 7);
 //! assert_eq!(sim.run_until_quiescent(SimTime::from_secs(1)), SimTime::from_millis(12));
 //! assert_eq!(sim.node(NodeId(0)).acked, 1);
 //! ```
@@ -91,7 +93,7 @@ pub mod prelude {
     pub use crate::loss::{DeliveryPlan, LossModel};
     pub use crate::rng::SeedSequence;
     pub use crate::shard::ShardedSim;
-    pub use crate::sim::{Ctx, Sim, SimNode};
+    pub use crate::sim::{Ctx, SimNode};
     pub use crate::stats::OnlineStats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{presets, NodeId, RegionId, Topology, TopologyBuilder};

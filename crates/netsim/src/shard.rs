@@ -1,55 +1,65 @@
-//! Parallel per-region simulation under a conservative time-window barrier.
+//! The simulator's one driver: per-event cores run window by window
+//! under a conservative time-window barrier.
 //!
-//! Regions only interact through inter-region latencies, so a region can
-//! advance independently up to `global_lower_bound + lookahead`, where the
-//! lookahead is the minimum one-way latency between any two distinct
-//! regions ([`Topology::lookahead`]): no cross-region packet sent inside
-//! the current window can arrive before the window ends. This is classic
-//! conservative (Chandy–Misra-style) parallel discrete-event simulation,
-//! specialized to the region hierarchy of the RRMP system model.
+//! A [`ShardedSim`] partitions the group over cores when it is built, and
+//! the partition is fixed from then on:
+//!
+//! * **one core for the whole group** ([`ShardedSim::one_core`]): one
+//!   global unicast-loss stream, no mailbox and no lookahead, so every
+//!   send goes into the one queue and a run is one window;
+//! * **one core per region** ([`ShardedSim::new`]): regions only interact
+//!   through inter-region latencies, so a region can advance
+//!   independently up to `global_lower_bound + lookahead`, where the
+//!   lookahead is the minimum one-way latency between any two distinct
+//!   regions ([`Topology::lookahead`]): no cross-region packet sent inside
+//!   the current window can arrive before the window ends. This is
+//!   classic conservative (Chandy–Misra-style) parallel discrete-event
+//!   simulation, specialized to the region hierarchy of the RRMP system
+//!   model.
+//!
+//! The two partitions differ in two ways only, both in the core (see the
+//! `engine` module): the loss stream and cross-region routing.
 //!
 //! ## Execution model
 //!
-//! A [`ShardedSim`] holds one per-event core per region — the same core
-//! [`Sim`](crate::sim::Sim) drives, implementing dispatch, transmit and
-//! the edge verdicts once for both engines. A region's core owns the
-//! region's nodes, their loss streams, its own timing wheel, its scratch
-//! buffers and one outgoing mailbox: there is **no shared mutable state**
-//! between regions during a window. A mailbox entry is a batch: the copies
-//! one fan-out sends to one other region with one arrival time, which the
-//! receiving core schedules as one event and expands in emission order,
-//! as [`Sim`](crate::sim::Sim) does with a local fan-out. `shards` is the
-//! number of worker threads, the calling thread included, clamped to the
-//! region count. This module adds only the driver. The run loop is a
-//! sequence of windows:
+//! Every core implements dispatch, transmit and the edge verdicts once
+//! for both partitions. A region's core owns the region's nodes, their
+//! loss streams, its own timing wheel, its scratch buffers and one
+//! outgoing mailbox: there is **no shared mutable state** between regions
+//! during a window. A mailbox entry is a batch: the copies one fan-out
+//! sends to one other region with one arrival time, which the receiving
+//! core schedules as one event and expands in emission order, as the one
+//! core does with any fan-out. `shards` is the number of worker threads,
+//! the calling thread included, clamped to the core count. The run loop
+//! is a sequence of windows:
 //!
 //! 1. the calling thread merges every mailbox into its destination
 //!    region's inbox in `(arrive, source region, emission)` order (a batch
 //!    stands at its first copy's emission), then takes the global lower
-//!    bound `lb`: the earliest pending event across all regions;
-//! 2. the workers claim regions from one shared cursor over a fixed
+//!    bound `lb`: the earliest pending event across all cores;
+//! 2. the workers claim cores from one shared cursor over a fixed
 //!    heaviest-first order (member count, ties by region index); each
-//!    schedules a claimed region's inbox on its wheel and runs its events
+//!    schedules a claimed core's inbox on its wheel and runs its events
 //!    in `[lb, lb + lookahead)` — the largest region starts first, and the
 //!    small ones fill in around it;
 //! 3. the workers meet at one barrier, and the next window begins.
 //!
-//! With `shards = 1` the calling thread runs the same loop alone. Helper
+//! With one worker the calling thread runs the same loop alone. Helper
 //! threads live for one `run_until` call. A panic in a node callback is
-//! caught where its region ran, ends the run at the next barrier, and is
+//! caught where its core ran, ends the run at the next barrier, and is
 //! rethrown on the calling thread with its original payload.
 //!
 //! ## Determinism
 //!
-//! A run's trace is **byte-identical at every worker count**, by
-//! construction:
+//! A per-region run's trace is **byte-identical at every worker count**,
+//! by construction:
 //!
 //! * every region has a core and a wheel of its own, so its events are
 //!   scheduled and popped in an order determined only by the region's own
 //!   deterministic history — which thread runs the region, and what runs
 //!   beside it, cannot reorder two of its events;
 //! * every RNG stream is per-node (a region core draws unicast loss from
-//!   the sender's own stream, where `Sim` draws from one global
+//!   the sender's own stream, where the one core draws from one global
 //!   generator), so no draw depends on cross-region event interleaving;
 //! * cross-region messages are merged at barriers in the canonical order
 //!   above, which the sending regions' histories fix, not thread
@@ -61,15 +71,15 @@
 //!   independent of the threads.
 //!
 //! The price of the windowed semantics is that they are *not* the
-//! single-queue semantics of [`Sim`](crate::sim::Sim). Both engines run
-//! the same core, and routing is what orders their events differently:
-//! `Sim` schedules a cross-region send at once, a region core at the next
-//! barrier. So two same-instant events in different regions may dispatch
-//! in a different relative order (which no per-node observable can see),
-//! and cross-region ties at one instant resolve in canonical merge order
-//! rather than global send order. `ShardedSim` is therefore its own
-//! engine with `shards = 1` as its sequential oracle; the trace-equality
-//! suite asserts byte-identical traces at 1, 2 and 4 workers.
+//! single-queue semantics of the one-core partition. Routing is what
+//! orders their events differently: the one core schedules a cross-region
+//! send at once, a region core at the next barrier. So two same-instant
+//! events in different regions may dispatch in a different relative
+//! order (which no per-node observable can see), and cross-region ties at
+//! one instant resolve in canonical merge order rather than global send
+//! order. The per-region partition therefore has one worker as its
+//! sequential oracle; the trace-equality suite asserts byte-identical
+//! traces at 1, 2 and 4 workers.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -78,40 +88,13 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use rrmp_trace::TraceSink;
 
-use crate::engine::{Core, CrossEvent, Env, Filter, LOCAL};
+use crate::engine::{Core, CrossEvent, Env, LOCAL};
 use crate::fault::FaultPlan;
 use crate::loss::{DeliveryPlan, LossModel};
 use crate::rng::SeedSequence;
 use crate::sim::{NetCounters, SimNode};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, RegionId, Topology};
-
-/// A deterministic per-packet drop predicate (return `true` to drop).
-/// Workers consult it concurrently, hence `Fn + Send + Sync`.
-pub type DropFilter<M> = dyn Fn(NodeId, NodeId, &M) -> bool + Send + Sync;
-
-/// The topology and network settings: read by every worker during a
-/// window, written by none.
-struct Shared<M> {
-    topo: Topology,
-    unicast_loss: LossModel,
-    drop_filter: Option<Box<DropFilter<M>>>,
-    fault: Option<Arc<FaultPlan>>,
-}
-
-impl<M> Shared<M> {
-    /// The environment a core reads; `slot` holds the lent drop filter
-    /// for as long as the environment lives.
-    fn env<'a>(&'a self, slot: &'a mut Option<&'a DropFilter<M>>) -> Env<'a, M> {
-        *slot = self.drop_filter.as_deref();
-        Env {
-            topo: &self.topo,
-            unicast_loss: &self.unicast_loss,
-            fault: self.fault.as_deref(),
-            drop_filter: slot.as_mut().map(|f| f as &mut Filter<'a, M>),
-        }
-    }
-}
 
 /// The inclusive end of a window opening at the global lower bound `lb`,
 /// capped at `limit`.
@@ -122,32 +105,33 @@ fn window_end(lookahead: Option<SimDuration>, lb: SimTime, limit: SimTime) -> Si
         Some(l) if !l.is_zero() => lb.saturating_add(l - SimDuration::from_micros(1)).min(limit),
         // Zero lookahead: degrade to one instant per window (correct,
         // sequentially slow — conservative parallelism has nothing to
-        // exploit). `None` means a single region: no cross-region traffic
-        // can exist, so the window may span the whole run.
+        // exploit). `None` means one core or a single region: no traffic
+        // crosses between cores, so the window may span the whole run.
         Some(_) => lb,
         None => limit,
     }
 }
 
-/// The conservatively parallel discrete-event simulator: one core per
-/// region, run window by window by `shards` worker threads.
+/// The simulator's one driver: the group partitioned over per-event
+/// cores, run window by window by `shards` worker threads.
 ///
-/// Hosts the same [`SimNode`] implementations as [`Sim`](crate::sim::Sim)
-/// with the same [`Ctx`](crate::sim::Ctx) API. `shards = 1` is the
-/// sequential special case: the calling thread runs every region itself,
-/// and that run defines the canonical trace every parallel run reproduces
-/// byte for byte. See the [module docs](self) for the windowed execution
-/// model and the determinism argument.
+/// [`ShardedSim::one_core`] hosts the whole group on one core (one window
+/// per run, on the calling thread); [`ShardedSim::new`] gives each region
+/// its own core. With one core per region, one worker is the sequential
+/// special case: the calling thread runs every region itself, and that
+/// run defines the canonical trace every parallel run reproduces byte for
+/// byte. See the [module docs](self) for the windowed execution model and
+/// the determinism argument.
 pub struct ShardedSim<N: SimNode<T>, T = u64> {
-    /// One core per region, indexed by region.
-    cores: Vec<Core<N, T>>,
+    /// The one core, or one core per region indexed by region.
+    pub(crate) cores: Vec<Core<N, T>>,
     /// Each region's merged cross-region events, in canonical order, that
     /// its wheel has not scheduled yet (empty between calls).
     inboxes: Vec<Vec<CrossEvent<N::Msg>>>,
-    shared: Shared<N::Msg>,
+    env: Env<N::Msg>,
     /// Worker threads per window, the calling thread included.
     workers: usize,
-    /// Region indices heaviest first (member count, ties by index): the
+    /// Core indices heaviest first (member count, ties by index): the
     /// order in which workers claim cores.
     claim_order: Vec<usize>,
     lookahead: Option<SimDuration>,
@@ -161,7 +145,7 @@ impl<N: SimNode<T>, T> std::fmt::Debug for ShardedSim<N, T> {
         f.debug_struct("ShardedSim")
             .field("now", &self.now)
             .field("workers", &self.workers)
-            .field("regions", &self.cores.len())
+            .field("cores", &self.cores.len())
             .field("lookahead", &self.lookahead)
             .field("pending_events", &self.cores.iter().map(Core::pending).sum::<usize>())
             .finish_non_exhaustive()
@@ -196,6 +180,50 @@ where
     N::Msg: Send,
     T: Send,
 {
+    /// Creates the one-core simulator over `topo` hosting `nodes` (one per
+    /// [`NodeId`], in order): one core holds the whole group, draws
+    /// unicast loss from one global stream and schedules every send on
+    /// its own queue. With no mailbox and no lookahead, a run is one
+    /// window on the calling thread. The topology and the node vector are
+    /// moved in; all randomness derives from `seed`.
+    ///
+    /// ```
+    /// use rrmp_netsim::shard::ShardedSim;
+    /// use rrmp_netsim::sim::{Ctx, SimNode};
+    /// use rrmp_netsim::topology::{presets, NodeId};
+    /// use rrmp_netsim::time::SimTime;
+    ///
+    /// // Each node forwards a counter to the next node until it reaches 3.
+    /// struct Relay;
+    /// impl SimNode for Relay {
+    ///     type Msg = u32;
+    ///     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
+    ///         if msg < 3 {
+    ///             let next = NodeId((ctx.self_id().0 + 1) % 4);
+    ///             ctx.send(next, msg + 1);
+    ///         }
+    ///     }
+    ///     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, _token: u64) {}
+    /// }
+    ///
+    /// let topo = presets::paper_region(4);
+    /// let mut sim = ShardedSim::one_core(topo, (0..4).map(|_| Relay).collect(), 42);
+    /// sim.inject(NodeId(1), NodeId(0), 1, SimTime::ZERO);
+    /// let end = sim.run_until_quiescent(SimTime::from_secs(1));
+    /// // Two hops of 5ms each after the injected packet.
+    /// assert_eq!(end, SimTime::from_millis(10));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` does not match the topology's node count.
+    #[must_use]
+    pub fn one_core(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
+        let mut sim = Self::over(topo, vec![Core::new(None)], vec![0], None, 1);
+        sim.reset(nodes, seed);
+        sim
+    }
+
     /// Creates a sharded simulator over `topo` hosting `nodes` (one per
     /// [`NodeId`], in order): one core per region, run by `shards` worker
     /// threads (the calling thread included; clamped to the region
@@ -241,32 +269,41 @@ where
             .collect();
         let mut claim_order: Vec<usize> = (0..regions).collect();
         claim_order.sort_by_key(|&r| (std::cmp::Reverse(members(r).len()), r));
-        let mut sim = ShardedSim {
-            inboxes: cores.iter().map(|_| Vec::new()).collect(),
-            cores,
-            shared: Shared {
-                topo: topo.clone(),
-                unicast_loss: LossModel::None,
-                drop_filter: None,
-                fault: None,
-            },
-            workers: shards.clamp(1, regions.max(1)),
-            claim_order,
-            lookahead: topo.lookahead(),
-            now: SimTime::ZERO,
-            merge_scratch: Vec::new(),
-        };
+        let workers = shards.clamp(1, regions.max(1));
+        let mut sim = Self::over(topo.clone(), cores, claim_order, topo.lookahead(), workers);
         sim.reset(nodes, seed);
         sim
     }
 
-    /// Resets for a fresh run over the same topology and worker count:
-    /// replaces the nodes (one per topology node, in `NodeId` order,
-    /// streamed into exactly-sized per-region vectors), re-derives every
-    /// RNG stream from `seed`, and clears queues, mailboxes, and counters
-    /// while keeping their allocations warm (per-region
-    /// [`EventQueue::clear`] semantics). The loss model, drop filter,
-    /// armed fault plan and armed observer are retained.
+    /// An empty driver over `cores`, with default network settings.
+    fn over(
+        topo: Topology,
+        cores: Vec<Core<N, T>>,
+        claim_order: Vec<usize>,
+        lookahead: Option<SimDuration>,
+        workers: usize,
+    ) -> Self {
+        ShardedSim {
+            inboxes: cores.iter().map(|_| Vec::new()).collect(),
+            cores,
+            env: Env { topo, unicast_loss: LossModel::None, drop_filter: None, fault: None },
+            workers,
+            claim_order,
+            lookahead,
+            now: SimTime::ZERO,
+            merge_scratch: Vec::new(),
+        }
+    }
+
+    /// Resets for a fresh run over the same topology and partition:
+    /// replaces the nodes (one per topology node, in `NodeId` order; the
+    /// one core takes them as they come, region cores stream them into
+    /// exactly-sized per-region vectors), re-derives every RNG stream from
+    /// `seed`, and clears queues, mailboxes, and counters while keeping
+    /// their allocations warm (per-core [`EventQueue::clear`] semantics),
+    /// so a reused simulator starts its next run at full capacity. The
+    /// loss model, drop filter, armed fault plan and armed observer are
+    /// retained.
     ///
     /// [`EventQueue::clear`]: crate::event::EventQueue::clear
     ///
@@ -277,18 +314,28 @@ where
     pub fn reset<I: IntoIterator<Item = N>>(&mut self, nodes: I, seed: u64) {
         const ONE_EACH: &str = "need exactly one node implementation per topology node";
         let seq = SeedSequence::new(seed);
-        let topo = &self.shared.topo;
-        for (r, core) in self.cores.iter_mut().enumerate() {
-            core.reset(&seq, Vec::with_capacity(topo.members_of(RegionId(r as u16)).len()));
+        let topo = &self.env.topo;
+        match &mut self.cores[..] {
+            // A `Vec` collects into itself: the nodes are moved, not copied.
+            [core] if !core.has_mailbox() => {
+                let nodes: Vec<N> = nodes.into_iter().collect();
+                assert_eq!(nodes.len(), topo.node_count(), "{ONE_EACH}");
+                core.reset(&seq, nodes);
+            }
+            cores => {
+                for (r, core) in cores.iter_mut().enumerate() {
+                    core.reset(&seq, Vec::with_capacity(topo.members_of(RegionId(r as u16)).len()));
+                }
+                let mut total = 0usize;
+                for (i, node) in nodes.into_iter().enumerate() {
+                    assert!(i < topo.node_count(), "{ONE_EACH}");
+                    let id = NodeId(i as u32);
+                    cores[topo.region_of(id).index()].push_node(id, node, &seq);
+                    total += 1;
+                }
+                assert_eq!(total, topo.node_count(), "{ONE_EACH}");
+            }
         }
-        let mut total = 0usize;
-        for (i, node) in nodes.into_iter().enumerate() {
-            assert!(i < topo.node_count(), "{ONE_EACH}");
-            let id = NodeId(i as u32);
-            self.cores[topo.region_of(id).index()].push_node(id, node, &seq);
-            total += 1;
-        }
-        assert_eq!(total, topo.node_count(), "{ONE_EACH}");
         self.now = SimTime::ZERO;
     }
 
@@ -298,29 +345,32 @@ where
         self.workers
     }
 
-    /// The window length: `Some(min inter-region one-way latency)`, or
-    /// `None` for a single-region topology (one unbounded window).
+    /// The window length: `Some(min inter-region one-way latency)` with
+    /// one core per region, or `None` for the one core and for a
+    /// single-region topology (one unbounded window).
     #[must_use]
     pub fn lookahead(&self) -> Option<SimDuration> {
         self.lookahead
     }
 
-    /// Sets the loss model applied to every unicast send. Unlike the
-    /// single-queue engine, draws come from **per-sender-node** streams
-    /// (a global stream would make draws depend on event interleaving
-    /// across regions).
+    /// Sets the loss model applied to every unicast send (default: none —
+    /// the paper's assumption that requests and repairs are not lost).
+    /// The one core draws from one global stream; region cores draw from
+    /// **per-sender-node** streams (a global stream would make draws
+    /// depend on event interleaving across regions).
     pub fn set_unicast_loss(&mut self, model: LossModel) {
-        self.shared.unicast_loss = model;
+        self.env.unicast_loss = model;
     }
 
     /// Installs a deterministic drop filter consulted for every packet
     /// (return `true` to drop). Workers consult it concurrently, so it
-    /// must be `Fn + Send + Sync` — pure decision logic only.
+    /// must be `Fn + Send + Sync`; a filter with state keeps it in an
+    /// atomic.
     pub fn set_drop_filter<F>(&mut self, f: F)
     where
         F: Fn(NodeId, NodeId, &N::Msg) -> bool + Send + Sync + 'static,
     {
-        self.shared.drop_filter = Some(Box::new(f));
+        self.env.drop_filter = Some(Box::new(f));
     }
 
     /// Arms (or with `None` disarms) a [`FaultPlan`], consulted for
@@ -328,11 +378,11 @@ where
     /// of `(plan, send time, endpoints)` — stateless by construction —
     /// so traces stay byte-identical at every worker count.
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.shared.fault = plan;
+        self.env.fault = plan;
     }
 
     /// Arms (with `Some(ring_capacity)`) or disarms (with `None`) the
-    /// engine observer: one [`TraceSink`] per region, recording deliveries
+    /// engine observer: one [`TraceSink`] per core, recording deliveries
     /// against the receiving node and wire verdicts against the sender.
     /// Per-node rings and emission counters make the combined, canonically
     /// sorted event set byte-identical at every worker count.
@@ -342,13 +392,13 @@ where
         }
     }
 
-    /// Trace events evicted by ring bounds across all region sinks.
+    /// Trace events evicted by ring bounds across all core sinks.
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
         self.cores.iter().filter_map(|c| c.trace.as_deref()).map(TraceSink::dropped).sum()
     }
 
-    /// Appends every engine-recorded event across all regions to `out`
+    /// Appends every engine-recorded event across all cores to `out`
     /// (unsorted; callers combine sinks and sort canonically).
     pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
         for t in self.cores.iter().filter_map(|c| c.trace.as_deref()) {
@@ -365,10 +415,10 @@ where
     /// The topology being simulated.
     #[must_use]
     pub fn topology(&self) -> &Topology {
-        &self.shared.topo
+        &self.env.topo
     }
 
-    /// Aggregated network counters across all regions.
+    /// Aggregated network counters across all cores.
     #[must_use]
     pub fn counters(&self) -> NetCounters {
         let mut total = NetCounters::default();
@@ -408,13 +458,14 @@ where
         self.cores.iter().map(Core::pending).sum()
     }
 
-    /// The core of the region that holds `id`.
-    fn core(&self, id: NodeId) -> &Core<N, T> {
-        &self.cores[self.shared.topo.region_of(id).index()]
-    }
-
-    fn core_mut(&mut self, id: NodeId) -> &mut Core<N, T> {
-        &mut self.cores[self.shared.topo.region_of(id).index()]
+    /// The index of the core that holds `id`: the one core, or its
+    /// region's.
+    fn core_of(&self, id: NodeId) -> usize {
+        if self.cores.len() == 1 {
+            0
+        } else {
+            self.env.topo.region_of(id).index()
+        }
     }
 
     /// Immutable access to a node.
@@ -424,7 +475,7 @@ where
     /// Panics if `id` is out of range.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &N {
-        self.core(id).node(id)
+        self.cores[self.core_of(id)].node(id)
     }
 
     /// Mutable access to a node (between runs).
@@ -433,25 +484,30 @@ where
     ///
     /// Panics if `id` is out of range.
     pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        self.core_mut(id).node_mut(id)
+        let c = self.core_of(id);
+        self.cores[c].node_mut(id)
     }
 
     /// Iterates over all nodes in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.shared.topo.nodes().map(move |id| (id, self.node(id)))
+        self.env.topo.nodes().map(move |id| (id, self.node(id)))
     }
 
     /// Injects a packet from `from` arriving at `to` at absolute time
     /// `at`, bypassing latency, loss, and the mailboxes (injection order
-    /// is the experiment script's call order, which is layout-invariant).
+    /// is the experiment script's call order, which is layout-invariant)
+    /// — used to set up experiment initial conditions such as "these
+    /// members hold the message at time zero".
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        self.core_mut(to).inject(to, from, msg, at);
+        let c = self.core_of(to);
+        self.cores[c].inject(to, from, msg, at);
     }
 
     /// Injects one multicast transmission according to a
     /// [`DeliveryPlan`]: every plan holder other than `from` receives
-    /// `msg` at `at + one_way_latency(from, holder)`. Each region core
-    /// gets one batch event per arrival time, as on [`Sim`](crate::sim::Sim).
+    /// `msg` at `at + one_way_latency(from, holder)`. Each core gets one
+    /// batch event per arrival time that holds one shallow clone of `msg`
+    /// and lends it to each of its holders.
     pub fn inject_multicast_plan(
         &mut self,
         from: NodeId,
@@ -459,25 +515,26 @@ where
         plan: &DeliveryPlan,
         at: SimTime,
     ) {
-        let topo = &self.shared.topo;
-        // The region whose core holds groups not yet flushed.
+        // The core that holds groups not yet flushed.
         let mut open: Option<usize> = None;
         for to in plan.holders().filter(|&to| to != from) {
-            let r = topo.region_of(to).index();
-            if let Some(o) = open.filter(|&o| o != r) {
+            let c = self.core_of(to);
+            if let Some(o) = open.filter(|&o| o != c) {
                 self.cores[o].flush(from, msg.clone());
             }
-            open = Some(r);
-            self.cores[r].group(at + topo.one_way_latency(from, to), LOCAL, to);
+            open = Some(c);
+            self.cores[c].group(at + self.env.topo.one_way_latency(from, to), LOCAL, to);
         }
-        if let Some(r) = open {
-            self.cores[r].flush(from, msg.clone());
+        if let Some(c) = open {
+            self.cores[c].flush(from, msg.clone());
         }
     }
 
-    /// Schedules an external timer on `node` at absolute time `at`.
+    /// Schedules an external timer on `node` at absolute time `at` — used
+    /// by experiments to trigger scripted actions (e.g. a member leaving).
     pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
-        self.core_mut(node).schedule_timer(node, timer, at);
+        let c = self.core_of(node);
+        self.cores[c].schedule_timer(node, timer, at);
     }
 
     /// Processes every event at or before `t`, then advances the clock to
@@ -503,19 +560,10 @@ where
     /// `limit`. Helper threads are spawned only when a window is due.
     fn advance(&mut self, limit: SimTime) {
         let ShardedSim {
-            cores,
-            inboxes,
-            shared,
-            workers,
-            claim_order,
-            lookahead,
-            merge_scratch,
-            ..
+            cores, inboxes, env, workers, claim_order, lookahead, merge_scratch, ..
         } = self;
-        let mut slot = None;
-        let mut env = shared.env(&mut slot);
         for core in cores.iter_mut() {
-            core.start(&mut env);
+            core.start(env);
         }
         let windows = Windows {
             regions: cores.iter_mut().zip(inboxes.iter_mut()).map(Mutex::new).collect(),
@@ -526,10 +574,10 @@ where
             barrier: Barrier::new(*workers),
             panic: Mutex::new(None),
         };
-        let mut next = || merge(&windows.regions, &shared.topo, merge_scratch, *lookahead, limit);
+        let mut next = || merge(&windows.regions, &env.topo, merge_scratch, *lookahead, limit);
         if let Some(first) = next() {
             let windows = &windows;
-            let shared = &*shared;
+            let env = &*env;
             std::thread::scope(|scope| {
                 for _ in 1..*workers {
                     scope.spawn(move || loop {
@@ -537,7 +585,7 @@ where
                         if windows.done.load(Relaxed) {
                             break;
                         }
-                        windows.claim(shared);
+                        windows.claim(env);
                         windows.barrier.wait();
                     });
                 }
@@ -546,7 +594,7 @@ where
                     windows.end.store(end.as_micros(), Relaxed);
                     windows.cursor.store(0, Relaxed);
                     windows.barrier.wait();
-                    windows.claim(shared);
+                    windows.claim(env);
                     windows.barrier.wait();
                     if lock(&windows.panic).is_some() {
                         break;
@@ -569,26 +617,24 @@ where
         }
         // Monotone global clock: `processed` only reflects events at or
         // before past limits, and a run with an earlier horizon than a
-        // previous one must not rewind `now` (matching `Sim`).
+        // previous one must not rewind `now`.
         let processed = self.cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO);
         self.now = self.now.max(processed);
     }
 }
 
 impl<N: SimNode<T>, T> Windows<'_, N, T> {
-    /// One worker's share of a window: claims regions in heaviest-first
+    /// One worker's share of a window: claims cores in heaviest-first
     /// order until none is left, schedules each one's inbox and runs it to
     /// the window's end. A panic is caught and kept, so this worker still
     /// reaches the barrier.
-    fn claim(&self, shared: &Shared<N::Msg>) {
-        let mut slot = None;
-        let mut env = shared.env(&mut slot);
+    fn claim(&self, env: &Env<N::Msg>) {
         let end = SimTime::from_micros(self.end.load(Relaxed));
         while let Some(&r) = self.claim_order.get(self.cursor.fetch_add(1, Relaxed)) {
             let (core, inbox) = &mut *lock(&self.regions[r]);
             let ran = panic::catch_unwind(AssertUnwindSafe(|| {
                 accept(core, inbox);
-                core.run_until(&mut env, end);
+                core.run_until(env, end);
             }));
             if let Err(payload) = ran {
                 lock(&self.panic).get_or_insert(payload);
@@ -612,12 +658,12 @@ fn accept<N: SimNode<T>, T>(core: &mut Core<N, T>, inbox: &mut Vec<CrossEvent<N:
     }
 }
 
-/// The barrier's serial step: appends every region's mailbox in region
-/// order, sorts the entries stably by arrival — which gives the canonical
-/// `(arrive, src_region, emission)` order — and deals each entry (one
-/// batch of copies for one region) to its destination region's inbox.
-/// Returns the end of the next window, or `None` when no event is due at
-/// or before `limit`.
+/// The barrier's serial step: appends every region core's mailbox in
+/// region order, sorts the entries stably by arrival — which gives the
+/// canonical `(arrive, src_region, emission)` order — and deals each entry
+/// (one batch of copies for one region) to its destination region's
+/// inbox. Returns the end of the next window, or `None` when no event is
+/// due at or before `limit`.
 fn merge<N: SimNode<T>, T>(
     cells: &[Mutex<Region<'_, N, T>>],
     topo: &Topology,
@@ -627,7 +673,9 @@ fn merge<N: SimNode<T>, T>(
 ) -> Option<SimTime> {
     let mut regions: Vec<_> = cells.iter().map(lock).collect();
     for region in &mut regions {
-        batch.append(region.0.outbox());
+        if let Some(outbox) = region.0.outbox() {
+            batch.append(outbox);
+        }
     }
     batch.sort_by_key(|e| e.arrive);
     for e in batch.drain(..) {
@@ -646,7 +694,7 @@ fn merge<N: SimNode<T>, T>(
 mod tests {
     use super::*;
     use crate::engine::FOREIGN_KEEP;
-    use crate::sim::{Ctx, Sim};
+    use crate::sim::Ctx;
     use crate::topology::{presets, TopologyBuilder};
     use rand::Rng;
 
@@ -865,13 +913,12 @@ mod tests {
         let mut sim = lossy_group_send(1);
         // Run region 0's start callbacks alone, so its mailbox holds the
         // group send before any barrier.
-        let ShardedSim { cores, shared, .. } = &mut sim;
-        let mut slot = None;
-        cores[0].start(&mut shared.env(&mut slot));
-        let topo = &shared.topo;
+        let ShardedSim { cores, env, .. } = &mut sim;
+        cores[0].start(env);
+        let topo = &env.topo;
         let counters = cores[0].counters;
         let (mut keys, mut copies, mut batches) = (Vec::new(), 0, 0);
-        for e in cores[0].outbox().iter() {
+        for e in cores[0].outbox().expect("a region core mails").iter() {
             let region = topo.region_of(e.to);
             assert_ne!(region, RegionId(0));
             assert!(e.targets.is_empty() || e.targets[0] == e.to);
@@ -951,24 +998,39 @@ mod tests {
 
     #[test]
     fn single_region_matches_plain_sim() {
-        // No cross-region traffic and no loss draws: the sharded engine
-        // and the single-queue engine see identical schedules.
-        let run_sharded = || {
-            let mut sim = ShardedSim::new(presets::paper_region(6), probes(6), 3, 4);
-            assert_eq!(sim.shards(), 1, "single region clamps to one shard");
+        // No cross-region traffic and no loss draws: one core per region
+        // and one core for the group see identical schedules.
+        let run = |mut sim: ShardedSim<Probe>| {
             sim.inject(NodeId(2), NodeId(0), 4, SimTime::from_millis(1));
             sim.schedule_external_timer(NodeId(5), 77, SimTime::from_millis(2));
             sim.run_until_quiescent(SimTime::from_secs(1));
             (sim.node(NodeId(2)).packets.clone(), sim.node(NodeId(5)).timers.clone())
         };
-        let run_plain = || {
-            let mut sim = Sim::new(presets::paper_region(6), probes(6), 3);
-            sim.inject(NodeId(2), NodeId(0), 4, SimTime::from_millis(1));
-            sim.schedule_external_timer(NodeId(5), 77, SimTime::from_millis(2));
-            sim.run_until_quiescent(SimTime::from_secs(1));
-            (sim.node(NodeId(2)).packets.clone(), sim.node(NodeId(5)).timers.clone())
-        };
-        assert_eq!(run_sharded(), run_plain());
+        let sharded = ShardedSim::new(presets::paper_region(6), probes(6), 3, 4);
+        assert_eq!(sharded.shards(), 1, "single region clamps to one shard");
+        let one_core = ShardedSim::one_core(presets::paper_region(6), probes(6), 3);
+        assert_eq!(run(sharded), run(one_core));
+    }
+
+    #[test]
+    fn one_core_holds_one_loss_stream_and_no_mailbox() {
+        // Four regions on one core: the one global loss stream, no
+        // mailbox and no lookahead, also after a reset. One core per
+        // region holds a stream per member and a mailbox each.
+        let mut sim = ShardedSim::one_core(four_region_topo(), probes(15), 1);
+        for _ in 0..2 {
+            assert_eq!((sim.cores.len(), sim.shards(), sim.lookahead()), (1, 1, None));
+            assert_eq!(sim.cores[0].loss_streams(), 1);
+            assert!(!sim.cores[0].has_mailbox());
+            sim.reset(probes(15), 2);
+        }
+        let regional = ShardedSim::new(four_region_topo(), probes(15), 1, 1);
+        assert_eq!(regional.lookahead(), Some(SimDuration::from_millis(25)));
+        assert_eq!(regional.cores.len(), 4);
+        for core in &regional.cores {
+            assert!(core.has_mailbox());
+            assert_eq!(core.loss_streams(), core.nodes.len());
+        }
     }
 
     #[test]
@@ -989,8 +1051,7 @@ mod tests {
             let mut sim = ShardedSim::new(two_region_topo(), probes(4), 8, shards);
             sim.run_until(SimTime::from_millis(10));
             assert_eq!(sim.now(), SimTime::from_millis(10));
-            // A run with an earlier horizon must not rewind the clock
-            // (matching `Sim::run_until`).
+            // A run with an earlier horizon must not rewind the clock.
             sim.run_until(SimTime::from_millis(5));
             assert_eq!(sim.now(), SimTime::from_millis(10), "shards={shards}");
             let end = sim.run_until_quiescent(SimTime::from_millis(3));

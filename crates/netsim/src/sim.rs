@@ -1,26 +1,27 @@
-//! The discrete-event simulator driver.
+//! What a simulated node sees: the [`SimNode`] callbacks, the [`Ctx`]
+//! handed to them, and the run's [`NetCounters`].
 //!
-//! A [`Sim`] owns a set of user-defined nodes (anything implementing
-//! [`SimNode`]), a [`Topology`], and an event queue. Nodes interact with the
-//! world exclusively through a [`Ctx`] handed to their callbacks: sending
-//! packets (delivered after the topology's latency, subject to an optional
-//! loss model or deterministic drop filter) and setting timers.
+//! The simulator's one driver, [`ShardedSim`], owns the nodes, a
+//! [`Topology`] and the per-event cores that run them. Nodes interact with
+//! the world exclusively through a [`Ctx`] handed to their callbacks:
+//! sending packets (delivered after the topology's latency, subject to an
+//! optional loss model, fault plan or deterministic drop filter) and
+//! setting timers. [`Sim`] is a shim: the driver's one-core partition
+//! under its old name.
 //!
-//! Determinism: all randomness is derived from the seed passed to
-//! [`Sim::new`]; events at equal instants fire in scheduling order. Running
-//! the same simulation twice produces byte-identical traces.
+//! Determinism: all randomness is derived from the run's seed; events at
+//! equal instants fire in scheduling order. Running the same simulation
+//! twice produces byte-identical traces.
 //!
 //! ## Hot-path design
 //!
-//! `Sim` is a driver over one per-event core (the crate's `engine`
-//! module), the same core each shard of
-//! [`ShardedSim`](crate::shard::ShardedSim) runs. On `Sim` the core draws
-//! unicast loss from one global stream and schedules every send into its
-//! own queue. The event loop is allocation-free and queue-cheap in steady
-//! state:
+//! Every core of the driver (the crate's `engine` module) runs the same
+//! per-event code. On the one-core partition the core draws unicast loss
+//! from one global stream and schedules every send into its own queue.
+//! The event loop is allocation-free and queue-cheap in steady state:
 //!
 //! * Events are ordered by a **hierarchical timing wheel**
-//!   ([`crate::event::EventQueue`], the one queue of both engines): O(1)
+//!   ([`crate::event::EventQueue`], the one queue of every core): O(1)
 //!   amortized schedule/pop, event payloads in a generation-counted slab,
 //!   exact `(time, seq)` pop order.
 //! * Side effects buffered during a callback go into a **reused scratch
@@ -43,20 +44,15 @@
 //!   `batch_delivers_in_target_order_at_each_arrival` writes one out).
 //!   Target vectors are pooled, and a node that overrides
 //!   [`SimNode::on_packet_ref`] clones nothing per delivered copy.
-//! * [`Sim::reset`] re-arms the same simulator for another run while the
-//!   queue and scratch buffers keep their allocations warm.
+//! * [`ShardedSim::reset`] re-arms the same simulator for another run
+//!   while the queues and scratch buffers keep their allocations warm.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
-use rrmp_trace::TraceSink;
-
-use crate::engine::{Core, Env, Filter, Op, LOCAL};
-use crate::fault::FaultPlan;
-use crate::loss::{DeliveryPlan, LossModel};
-use crate::rng::SeedSequence;
+use crate::engine::Op;
+use crate::shard::ShardedSim;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
-
 /// Application logic hosted on a simulated node.
 ///
 /// Implementations receive packets and timer expirations and react through
@@ -88,7 +84,7 @@ pub trait SimNode<T = u64> {
     }
 
     /// Called when a timer set through [`Ctx::set_timer`] (or
-    /// [`Sim::schedule_external_timer`]) fires.
+    /// [`ShardedSim::schedule_external_timer`]) fires.
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self::Msg, T>, timer: T);
 }
 
@@ -126,7 +122,8 @@ impl<'a, M, T> Ctx<'a, M, T> {
 
     /// The run's seed: a node that draws randomness derives its own
     /// stream from it, e.g. `SeedSequence::new(ctx.seed()).rng_for(id)`
-    /// ([`SeedSequence`]), the same on every engine and shard layout.
+    /// ([`SeedSequence`](crate::rng::SeedSequence)), the same on every
+    /// partition and worker count.
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
@@ -197,65 +194,51 @@ pub struct NetCounters {
     pub fanouts: u64,
     /// Packets delivered by expanding a region-timed batch event (a subset
     /// of [`NetCounters::delivered`]): a fan-out's copies with one arrival
-    /// time, and on a [`ShardedSim`](crate::shard::ShardedSim) also the
-    /// copies one mailbox entry carries into another region.
+    /// time, and with one core per region also the copies one mailbox
+    /// entry carries into another region.
     pub batched_deliveries: u64,
-    /// Unicast copies dropped by an armed [`FaultPlan`] (a subset of
+    /// Unicast copies dropped by an armed
+    /// [`FaultPlan`](crate::fault::FaultPlan) (a subset of
     /// [`NetCounters::unicasts_dropped`]).
     pub faults_dropped: u64,
-    /// Extra copies created by an armed [`FaultPlan`]'s duplication
-    /// episodes (each also counts in [`NetCounters::delivered`] when it
+    /// Extra copies created by an armed
+    /// [`FaultPlan`](crate::fault::FaultPlan)'s duplication episodes
+    /// (each also counts in [`NetCounters::delivered`] when it
     /// arrives, but not in [`NetCounters::unicasts_sent`] — the network
     /// duplicated it, the sender did not send it).
     pub faults_duplicated: u64,
 }
 
-/// The deterministic discrete-event simulator.
-///
-/// ```
-/// use rrmp_netsim::sim::{Sim, SimNode, Ctx};
-/// use rrmp_netsim::topology::{presets, NodeId};
-/// use rrmp_netsim::time::{SimTime, SimDuration};
-///
-/// // Each node forwards a counter to the next node until it reaches 3.
-/// struct Relay;
-/// impl SimNode for Relay {
-///     type Msg = u32;
-///     fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _from: NodeId, msg: u32) {
-///         if msg < 3 {
-///             let next = NodeId((ctx.self_id().0 + 1) % 4);
-///             ctx.send(next, msg + 1);
-///         }
-///     }
-///     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, _token: u64) {}
-/// }
-///
-/// let topo = presets::paper_region(4);
-/// let mut sim = Sim::new(topo, (0..4).map(|_| Relay).collect(), 42);
-/// sim.inject(NodeId(1), NodeId(0), 1, SimTime::ZERO);
-/// let end = sim.run_until_quiescent(SimTime::from_secs(1));
-/// // Two hops of 5ms each after the injected packet.
-/// assert_eq!(end, SimTime::from_millis(10));
-/// ```
-pub struct Sim<N: SimNode<T>, T = u64> {
-    topo: Topology,
-    core: Core<N, T>,
-    unicast_loss: LossModel,
-    /// Armed fault timeline, consulted per unicast copy at transmit time
-    /// (`None` costs one branch — the unarmed hot path is unchanged).
-    fault: Option<Arc<FaultPlan>>,
-    /// Stateful (`FnMut`, not `Send`): lent to the core on each call.
-    drop_filter: Option<Box<Filter<'static, N::Msg>>>,
+/// The one-core simulator under its old name: a shim kept only because
+/// `perf/`'s null-node probe builds it. ROADMAP item 1(d) moves that probe
+/// to [`ShardedSim::one_core`] and deletes this type. Every method is the
+/// driver's, through `Deref`.
+#[derive(Debug)]
+pub struct Sim<N: SimNode<T>, T = u64>(ShardedSim<N, T>);
+
+impl<N, T> Sim<N, T>
+where
+    N: SimNode<T> + Send,
+    N::Msg: Send,
+    T: Send,
+{
+    /// [`ShardedSim::one_core`].
+    #[must_use]
+    pub fn new(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
+        Sim(ShardedSim::one_core(topo, nodes, seed))
+    }
 }
 
-impl<N: SimNode<T>, T> std::fmt::Debug for Sim<N, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sim")
-            .field("now", &self.core.now)
-            .field("nodes", &self.core.nodes.len())
-            .field("pending_events", &self.core.queue.len())
-            .field("counters", &self.core.counters)
-            .finish_non_exhaustive()
+impl<N: SimNode<T>, T> Deref for Sim<N, T> {
+    type Target = ShardedSim<N, T>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<N: SimNode<T>, T> DerefMut for Sim<N, T> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
@@ -269,207 +252,15 @@ impl<M, T> std::fmt::Debug for Ctx<'_, M, T> {
     }
 }
 
-impl<N: SimNode<T>, T> Sim<N, T> {
-    /// Creates a simulator over `topo` hosting `nodes` (one per
-    /// [`NodeId`], in order), with all randomness derived from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    #[must_use]
-    pub fn new(topo: Topology, nodes: Vec<N>, seed: u64) -> Self {
-        let core = Core::new(None);
-        let mut sim =
-            Sim { topo, core, unicast_loss: LossModel::None, fault: None, drop_filter: None };
-        sim.reset(nodes, seed);
-        sim
-    }
-
-    /// Resets the simulator for a fresh run over the **same topology**:
-    /// replaces the nodes, re-derives every RNG stream from `seed`, zeroes
-    /// the clock and counters, and clears the event queue **without
-    /// dropping its allocations** — a reused `Sim` starts its
-    /// next run at full capacity instead of re-growing from empty (the
-    /// pattern repeated bench iterations and multi-run experiments use).
-    /// The loss model, drop filter, armed fault plan and armed observer
-    /// are retained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` does not match the topology's node count.
-    pub fn reset(&mut self, nodes: Vec<N>, seed: u64) {
-        assert_eq!(
-            nodes.len(),
-            self.topo.node_count(),
-            "need exactly one node implementation per topology node"
-        );
-        self.core.reset(&SeedSequence::new(seed), nodes);
-    }
-
-    /// Sets the loss model applied to every unicast send (default: none —
-    /// the paper's assumption that requests and repairs are not lost).
-    pub fn set_unicast_loss(&mut self, model: LossModel) {
-        self.unicast_loss = model;
-    }
-
-    /// Installs a deterministic drop filter consulted for every packet
-    /// (return `true` to drop). Useful for fault-injection tests.
-    pub fn set_drop_filter<F>(&mut self, f: F)
-    where
-        F: FnMut(NodeId, NodeId, &N::Msg) -> bool + 'static,
-    {
-        self.drop_filter = Some(Box::new(f));
-    }
-
-    /// Arms (or with `None` disarms) a [`FaultPlan`], consulted for every
-    /// unicast copy at transmit time. Fault verdicts are pure functions
-    /// of `(plan, send time, endpoints)`, so an armed plan keeps the run
-    /// fully deterministic.
-    pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.fault = plan;
-    }
-
-    /// Arms (with `Some(ring_capacity)`) or disarms (with `None`) the
-    /// engine observer: every delivery is recorded against the receiving
-    /// node and every wire verdict (loss-model drop, fault drop,
-    /// duplication) against the sender, into bounded per-node rings.
-    pub fn set_trace(&mut self, ring_capacity: Option<usize>) {
-        self.core.trace = ring_capacity.map(|cap| Box::new(TraceSink::new(cap)));
-    }
-
-    /// Trace events evicted by the observer's ring bounds.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        self.core.trace.as_deref().map_or(0, TraceSink::dropped)
-    }
-
-    /// Appends every engine-recorded event to `out` (unsorted; callers
-    /// combine sinks and sort canonically).
-    pub fn collect_trace(&self, out: &mut Vec<rrmp_trace::TraceEvent>) {
-        if let Some(t) = self.core.trace.as_deref() {
-            t.collect_into(out);
-        }
-    }
-
-    /// Current simulated time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// The topology being simulated.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Network counters accumulated so far.
-    #[must_use]
-    pub fn counters(&self) -> NetCounters {
-        self.core.counters
-    }
-
-    /// Immutable access to a node (for instrumentation between steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> &N {
-        self.core.node(id)
-    }
-
-    /// Mutable access to a node (for instrumentation between steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        self.core.node_mut(id)
-    }
-
-    /// Iterates over all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.core.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n))
-    }
-
-    /// Injects a packet from `from` arriving at `to` at absolute time `at`
-    /// (bypassing latency and loss) — used to set up experiment initial
-    /// conditions such as "these members hold the message at time zero".
-    pub fn inject(&mut self, to: NodeId, from: NodeId, msg: N::Msg, at: SimTime) {
-        self.core.inject(to, from, msg, at);
-    }
-
-    /// Injects one multicast transmission according to a [`DeliveryPlan`]:
-    /// every plan holder other than `from` receives `msg` at
-    /// `at + one_way_latency(from, holder)`, as one batch event per
-    /// distinct arrival time that holds one shallow clone of `msg` and
-    /// lends it to each of its holders.
-    pub fn inject_multicast_plan(
-        &mut self,
-        from: NodeId,
-        msg: &N::Msg,
-        plan: &DeliveryPlan,
-        at: SimTime,
-    ) {
-        for to in plan.holders().filter(|&to| to != from) {
-            self.core.group(at + self.topo.one_way_latency(from, to), LOCAL, to);
-        }
-        self.core.flush(from, msg.clone());
-    }
-
-    /// Schedules an external timer on `node` at absolute time `at` — used
-    /// by experiments to trigger scripted actions (e.g. a member leaving).
-    pub fn schedule_external_timer(&mut self, node: NodeId, timer: T, at: SimTime) {
-        self.core.schedule_timer(node, timer, at);
-    }
-
-    /// Splits the simulator into its core and the environment it lends
-    /// the core for one call.
-    fn parts(&mut self) -> (&mut Core<N, T>, Env<'_, N::Msg>) {
-        let env = Env {
-            topo: &self.topo,
-            unicast_loss: &self.unicast_loss,
-            fault: self.fault.as_deref(),
-            drop_filter: self.drop_filter.as_deref_mut().map(|f| f as &mut Filter<'_, N::Msg>),
-        };
-        (&mut self.core, env)
-    }
-
-    /// Processes every event scheduled at or before `t`, then advances the
-    /// clock to exactly `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.run_until_quiescent(t);
-        if self.core.now < t {
-            self.core.now = t;
-        }
-    }
-
-    /// Runs until no events remain or the clock would pass `limit`, each
-    /// node's [`SimNode::on_start`] first on the first call. Returns the
-    /// time of the last processed event (or the current time if nothing
-    /// ran).
-    pub fn run_until_quiescent(&mut self, limit: SimTime) -> SimTime {
-        let (core, mut env) = self.parts();
-        core.start(&mut env);
-        core.run_until(&mut env, limit);
-        core.now
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     use super::*;
     use crate::engine::SimEvent;
+    use crate::loss::{DeliveryPlan, LossModel};
+    use crate::rng::SeedSequence;
     use crate::topology::presets::paper_region;
     use crate::topology::TopologyBuilder;
 
@@ -501,7 +292,7 @@ mod tests {
     #[test]
     fn unicast_latency_applied() {
         let topo = paper_region(3);
-        let mut sim = Sim::new(topo, probes(3), 1);
+        let mut sim = ShardedSim::one_core(topo, probes(3), 1);
         sim.inject(NodeId(1), NodeId(0), 7, SimTime::ZERO);
         sim.run_until_quiescent(SimTime::from_secs(1));
         assert_eq!(sim.node(NodeId(1)).packets, vec![(SimTime::ZERO, NodeId(0), 7)]);
@@ -523,7 +314,7 @@ mod tests {
     #[test]
     fn round_trip_takes_rtt() {
         let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Echo, Echo], 2);
+        let mut sim = ShardedSim::one_core(topo, vec![Echo, Echo], 2);
         sim.inject(NodeId(1), NodeId(0), 0, SimTime::ZERO);
         let end = sim.run_until_quiescent(SimTime::from_secs(1));
         // Echo reply travels one intra-region hop: 5ms.
@@ -553,7 +344,7 @@ mod tests {
             }
         }
         let topo = paper_region(1);
-        let mut sim = Sim::new(topo, vec![TimerNode { fired: vec![] }], 3);
+        let mut sim = ShardedSim::one_core(topo, vec![TimerNode { fired: vec![] }], 3);
         sim.run_until_quiescent(SimTime::from_secs(1));
         let ms = SimTime::from_millis;
         assert_eq!(sim.node(NodeId(0)).fired, vec![(ms(1), 1), (ms(2), 2), (ms(2), 4), (ms(3), 3)]);
@@ -579,7 +370,7 @@ mod tests {
             fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
         }
         let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Sender, Sender], 4);
+        let mut sim = ShardedSim::one_core(topo, vec![Sender, Sender], 4);
         sim.set_drop_filter(|_, _, &msg| msg == 1);
         sim.run_until_quiescent(SimTime::from_secs(1));
         assert_eq!(sim.counters().unicasts_sent, 2);
@@ -603,7 +394,7 @@ mod tests {
             fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
         }
         let topo = paper_region(2);
-        let mut sim = Sim::new(topo, vec![Spammer, Spammer], 5);
+        let mut sim = ShardedSim::one_core(topo, vec![Spammer, Spammer], 5);
         sim.set_unicast_loss(LossModel::Bernoulli { p: 0.5 });
         sim.run_until_quiescent(SimTime::from_secs(1));
         let dropped = sim.counters().unicasts_dropped;
@@ -619,7 +410,7 @@ mod tests {
             .region(2, Some(0))
             .build()
             .unwrap();
-        let mut sim = Sim::new(topo, probes(4), 6);
+        let mut sim = ShardedSim::one_core(topo, probes(4), 6);
         let plan = DeliveryPlan::all_but(sim.topology(), [NodeId(2)]);
         sim.inject_multicast_plan(NodeId(0), &9, &plan, SimTime::ZERO);
         sim.run_until_quiescent(SimTime::from_secs(1));
@@ -632,7 +423,7 @@ mod tests {
     #[test]
     fn run_until_advances_clock_exactly() {
         let topo = paper_region(2);
-        let mut sim = Sim::new(topo, probes(2), 8);
+        let mut sim = ShardedSim::one_core(topo, probes(2), 8);
         sim.inject(NodeId(1), NodeId(0), 1, SimTime::from_millis(10));
         sim.run_until(SimTime::from_millis(5));
         assert_eq!(sim.now(), SimTime::from_millis(5));
@@ -644,7 +435,7 @@ mod tests {
     #[test]
     fn external_timer_reaches_node() {
         let topo = paper_region(1);
-        let mut sim = Sim::new(topo, probes(1), 9);
+        let mut sim = ShardedSim::one_core(topo, probes(1), 9);
         sim.schedule_external_timer(NodeId(0), 42, SimTime::from_millis(3));
         sim.run_until_quiescent(SimTime::from_secs(1));
         assert_eq!(sim.node(NodeId(0)).timers, vec![(SimTime::from_millis(3), 42)]);
@@ -673,7 +464,8 @@ mod tests {
                 fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
             }
             let topo = paper_region(10);
-            let mut sim = Sim::new(topo, (0..10).map(|_| Gossiper::default()).collect(), 1234);
+            let mut sim =
+                ShardedSim::one_core(topo, (0..10).map(|_| Gossiper::default()).collect(), 1234);
             sim.inject(NodeId(0), NodeId(9), 50, SimTime::ZERO);
             // Track deliveries via a probe wrapper would need more machinery;
             // instead assert on counters + final time.
@@ -687,7 +479,7 @@ mod tests {
     #[should_panic(expected = "one node implementation per topology node")]
     fn node_count_mismatch_panics() {
         let topo = paper_region(3);
-        let _ = Sim::new(topo, probes(2), 0);
+        let _ = ShardedSim::one_core(topo, probes(2), 0);
     }
 
     /// A node that fans out to the whole region on start.
@@ -709,7 +501,7 @@ mod tests {
         // ~27.8 simulated hours: past the 64^6-microsecond wheel range, so
         // the event takes the overflow path.
         let far = SimTime::from_secs(100_000);
-        let mut sim = Sim::new(paper_region(1), probes(1), 11);
+        let mut sim = ShardedSim::one_core(paper_region(1), probes(1), 11);
         sim.schedule_external_timer(NodeId(0), 9, far);
         sim.schedule_external_timer(NodeId(0), 1, SimTime::from_millis(1));
         sim.run_until_quiescent(SimTime::MAX);
@@ -718,20 +510,20 @@ mod tests {
 
     #[test]
     fn reset_reuses_queue_capacity() {
-        fn run(sim: &mut Sim<RegionCaster>) -> NetCounters {
+        fn run(sim: &mut ShardedSim<RegionCaster>) -> NetCounters {
             sim.run_until_quiescent(SimTime::from_secs(1));
             sim.counters()
         }
         let topo = paper_region(40);
-        let mut sim = Sim::new(topo, (0..40).map(|_| RegionCaster).collect(), 12);
+        let mut sim = ShardedSim::one_core(topo, (0..40).map(|_| RegionCaster).collect(), 12);
         let first = run(&mut sim);
-        let warmed = sim.core.queue.allocated_capacity();
-        sim.reset((0..40).map(|_| RegionCaster).collect(), 12);
+        let warmed = sim.cores[0].queue.allocated_capacity();
+        sim.reset((0..40).map(|_| RegionCaster), 12);
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.counters(), NetCounters::default());
         let second = run(&mut sim);
         assert_eq!(first, second, "identical seed must replay identically");
-        let after = sim.core.queue.allocated_capacity();
+        let after = sim.cores[0].queue.allocated_capacity();
         assert_eq!(after, warmed, "reset must keep the queue's allocations warm");
     }
 
@@ -791,8 +583,8 @@ mod tests {
     }
 
     /// Runs one fan-out from node 0 (region 0) to the five nodes of region
-    /// 1 on `Sim` (`shards` `None`) or a `ShardedSim`; returns the clones
-    /// made and the delivery log.
+    /// 1 on the one-core engine (`shards` `None`) or one core per region;
+    /// returns the clones made and the delivery log.
     fn lend<N>(wrap: fn(Taker) -> N, shards: Option<usize>) -> (usize, Vec<(SimTime, NodeId)>)
     where
         N: SimNode<Msg = Counted> + Send,
@@ -801,13 +593,11 @@ mod tests {
         let mut msg = Some(Counted { clones: Arc::clone(&clones), seen: Arc::clone(&seen) });
         let nodes: Vec<N> = (0..6).map(|_| wrap(Taker(msg.take()))).collect();
         let topo = TopologyBuilder::new().region(1, None).region(5, Some(0)).build().unwrap();
-        match shards {
-            None => _ = Sim::new(topo, nodes, 3).run_until_quiescent(SimTime::MAX),
-            Some(s) => {
-                _ = crate::shard::ShardedSim::new(topo, nodes, 3, s)
-                    .run_until_quiescent(SimTime::MAX);
-            }
-        }
+        let mut sim = match shards {
+            None => ShardedSim::one_core(topo, nodes, 3),
+            Some(s) => ShardedSim::new(topo, nodes, 3, s),
+        };
+        sim.run_until_quiescent(SimTime::MAX);
         let seen = std::mem::take(&mut *seen.lock().unwrap());
         (clones.load(Ordering::Relaxed), seen)
     }
@@ -827,11 +617,10 @@ mod tests {
 
     #[test]
     fn batch_delivers_in_target_order_at_each_arrival() {
-        use std::{cell::RefCell, rc::Rc};
         // Node 0 fans out to two regions, then sends to the whole group;
         // every node logs into one shared log, so the log is the global
         // delivery order.
-        type Log = Rc<RefCell<Vec<(SimTime, NodeId, u32)>>>;
+        type Log = Arc<Mutex<Vec<(SimTime, NodeId, u32)>>>;
         struct Caster(Log);
         impl SimNode for Caster {
             type Msg = u32;
@@ -842,7 +631,7 @@ mod tests {
                 }
             }
             fn on_packet(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, msg: u32) {
-                self.0.borrow_mut().push((ctx.now(), ctx.self_id(), msg));
+                self.0.lock().unwrap().push((ctx.now(), ctx.self_id(), msg));
             }
             fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
         }
@@ -854,7 +643,8 @@ mod tests {
             .build()
             .unwrap();
         let log = Log::default();
-        let mut sim = Sim::new(topo, (0..5).map(|_| Caster(Rc::clone(&log))).collect(), 13);
+        let mut sim =
+            ShardedSim::one_core(topo, (0..5).map(|_| Caster(Arc::clone(&log))).collect(), 13);
         // Scheduled before the fan-outs, so it pops first at 5 ms.
         sim.inject(NodeId(2), NodeId(1), 1, SimTime::from_millis(5));
         sim.run_until_quiescent(SimTime::MAX);
@@ -862,7 +652,7 @@ mod tests {
         // order, the caller skipped; a later fan-out's batch follows it.
         let (ms, n) = (SimTime::from_millis, NodeId);
         assert_eq!(
-            *log.borrow(),
+            *log.lock().unwrap(),
             [
                 (ms(5), n(2), 1),
                 (ms(5), n(2), 7),
@@ -914,7 +704,7 @@ mod tests {
                 self.fired.push(ctx.now());
             }
         }
-        let mut sim = Sim::new(paper_region(1), vec![DecoyNode { fired: vec![] }], 1);
+        let mut sim = ShardedSim::one_core(paper_region(1), vec![DecoyNode { fired: vec![] }], 1);
         // Horizon before the timer (50ms): nothing may fire, and the clock
         // lands exactly on 10ms.
         sim.run_until(SimTime::from_millis(10));
@@ -928,7 +718,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::shard::ShardedSim;
     use crate::topology::TopologyBuilder;
     use proptest::prelude::*;
 
@@ -998,8 +787,8 @@ mod proptests {
         proptest::collection::vec(0u64..5_000, 0..4).prop_map(|delays| ScriptStep { delays })
     }
 
-    /// Where a script runs: the single-queue engine or the sharded one at
-    /// a shard count.
+    /// Where a script runs: on one core, or on one core per region at a
+    /// worker count.
     #[derive(Debug, Clone, Copy)]
     enum Engine {
         Single,
@@ -1018,27 +807,24 @@ mod proptests {
         let topo = TopologyBuilder::new().region(1, None).region(1, Some(0)).build().unwrap();
         let nodes = (0..2).map(|_| ScriptNode::new(script.to_vec(), make)).collect();
         let ids = [NodeId(0), NodeId(1)];
-        match engine {
-            Engine::Single => {
-                let mut sim = Sim::new(topo, nodes, 77);
-                sim.run_until_quiescent(SimTime::MAX);
-                (ids.map(|id| std::mem::take(&mut sim.node_mut(id).fired)).into(), sim.counters())
-            }
+        let mut sim = match engine {
+            Engine::Single => ShardedSim::one_core(topo, nodes, 77),
             Engine::Sharded(shards) => {
-                let mut sim = ShardedSim::new(topo, nodes, 77, shards);
+                let sim = ShardedSim::new(topo, nodes, 77, shards);
                 assert_eq!(sim.shards(), shards);
-                sim.run_until_quiescent(SimTime::MAX);
-                (ids.map(|id| std::mem::take(&mut sim.node_mut(id).fired)).into(), sim.counters())
+                sim
             }
-        }
+        };
+        sim.run_until_quiescent(SimTime::MAX);
+        (ids.map(|id| std::mem::take(&mut sim.node_mut(id).fired)).into(), sim.counters())
     }
 
     proptest! {
         /// Differential: random interleaved timer schedule/fire scripts
-        /// observe the identical `(time, timer)` trace and counters on the
-        /// single-queue simulator and the sharded one at one and two
-        /// shards, with `u64` tokens and with a payload-carrying timer enum
-        /// alike; every armed timer fires exactly once.
+        /// observe the identical `(time, timer)` trace and counters on one
+        /// core and on one core per region at one and two workers, with
+        /// `u64` tokens and with a payload-carrying timer enum alike; every
+        /// armed timer fires exactly once.
         #[test]
         fn timer_scripts_match_reference(
             script in proptest::collection::vec(arb_script_step(), 0..30),

@@ -1,6 +1,8 @@
 //! End-to-end integration tests: full protocol stacks on multi-region
 //! topologies under assorted loss patterns.
 
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
 use rrmp::netsim::topology::RegionId;
 use rrmp::prelude::*;
 
@@ -190,14 +192,9 @@ fn recovery_survives_transient_partition_of_only_holder() {
     let mut net = RrmpNetwork::new(topo, cfg, 707);
     let sender = net.sender_node();
     let id = net.multicast_with_plan(&b"gated"[..], &DeliveryPlan::only(net.topology(), [sender]));
-    let mut budget = 60u32;
-    net.sim_mut().set_drop_filter(move |_from, to, _pkt| {
-        if to == sender && budget > 0 {
-            budget -= 1;
-            true
-        } else {
-            false
-        }
+    let budget = AtomicU32::new(60);
+    net.set_drop_filter(move |_from, to, _pkt| {
+        to == sender && budget.fetch_update(Relaxed, Relaxed, |b| b.checked_sub(1)).is_ok()
     });
     net.run_until(SimTime::from_secs(5));
     assert!(net.all_delivered(id), "delivered {}/8", net.delivered_count(id));

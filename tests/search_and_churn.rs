@@ -184,7 +184,7 @@ fn gossip_detector_feeds_view_updates() {
     // and check that a crashed member is detected by every survivor —
     // the signal the harness's view-removal scripting stands in for.
     use rrmp::membership::node::GossipNode;
-    use rrmp::netsim::sim::Sim;
+    use rrmp::netsim::shard::ShardedSim;
 
     let cfg = GossipConfig {
         interval: SimDuration::from_millis(50),
@@ -195,7 +195,7 @@ fn gossip_detector_feeds_view_updates() {
     let topo = presets::paper_region(8);
     let nodes: Vec<GossipNode> =
         (0..8).map(|i| GossipNode::new(NodeId(i), (0..8).map(NodeId), cfg.clone())).collect();
-    let mut sim = Sim::new(topo, nodes, 17);
+    let mut sim = ShardedSim::one_core(topo, nodes, 17);
     sim.run_until(SimTime::from_secs(2));
     sim.node_mut(NodeId(7)).crashed = true;
     sim.run_until(SimTime::from_secs(6));
